@@ -18,6 +18,7 @@ import numpy as np
 
 from .lattice import (
     PeriodPoint,
+    PostconditionError,
     find_section_class,
     standard_k3_lattice,
     twistor_curve_plane,
@@ -259,7 +260,11 @@ def main(argv=None) -> int:
         return _cmd_run(args)
     if args.command == "replay":
         return _cmd_replay(args)
-    return _cmd_lattice(args)
+    try:
+        return _cmd_lattice(args)
+    except PostconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry():  # console-script hook

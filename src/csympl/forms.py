@@ -187,7 +187,9 @@ class ComplexTwoForm:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
         matrix = (matrix - matrix.T) / 2.0
-        assert max_abs(matrix + matrix.T) == 0.0
+        # exact in IEEE arithmetic unless an entry is inf or nan
+        if not max_abs(matrix + matrix.T) == 0.0:
+            raise ValueError("matrix is not exactly skew after antisymmetrization: entries must be finite")
         self.dim = matrix.shape[0]
         self.matrix = matrix
 

@@ -33,6 +33,13 @@ E8_MINUS_GRAM = [
 ]
 
 
+class PostconditionError(RuntimeError):
+    """An exact identity that holds by construction failed to hold.
+
+    Raised explicitly rather than by a statement that ``python -O`` strips.
+    """
+
+
 def _det_exact(rows) -> int:
     """Fraction-free Bareiss determinant of an integer matrix."""
     a = [list(map(int, row)) for row in rows]
@@ -54,7 +61,12 @@ def _det_exact(rows) -> int:
 
 
 class IntegralLattice:
-    """Integer lattice with pairing (v, w) = v^T G w."""
+    """Integer lattice with pairing (v, w) = v^T G w.
+
+    The Gram matrix is read once: the exact pairing sums over its non-zero
+    entries, kept as (i, j, g_ij) triples, and the float pairing uses a float
+    copy.  Do not modify ``gram`` after construction.
+    """
 
     def __init__(self, gram):
         rows = [list(map(int, row)) for row in gram]
@@ -67,24 +79,29 @@ class IntegralLattice:
                     raise ValueError("Gram matrix must be symmetric")
         self.rank = r
         self.gram = rows
+        self._nonzeros = tuple((i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g)
+        self._gram_float = np.asarray(rows, dtype=float)
+        self._gram_float.setflags(write=False)
+        self._determinant = None
 
     def pair(self, v, w):
         """Exact integer pairing for integer vectors; floats allowed for
-        real or complex cohomology-class vectors."""
+        real or complex cohomology-class vectors.
+
+        Integer entries become Python ints first, so numpy int64 input
+        cannot overflow."""
         if _is_int_vector(v) and _is_int_vector(w):
-            return sum(
-                int(v[i]) * self.gram[i][j] * int(w[j])
-                for i in range(self.rank)
-                for j in range(self.rank)
-            )
-        g = np.asarray(self.gram, dtype=float)
-        return np.asarray(v) @ g @ np.asarray(w)
+            v, w = _as_int_list(v), _as_int_list(w)
+            return sum(v[i] * g * w[j] for i, j, g in self._nonzeros)
+        return np.asarray(v) @ self._gram_float @ np.asarray(w)
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def determinant(self) -> int:
-        return _det_exact(self.gram)
+        if self._determinant is None:
+            self._determinant = _det_exact(self.gram)
+        return self._determinant
 
     def is_unimodular(self) -> bool:
         return abs(self.determinant()) == 1
@@ -173,7 +190,8 @@ def hyperbolic_plane() -> IntegralLattice:
 def standard_k3_lattice() -> IntegralLattice:
     """U^3 + E8(-1)^2, rank 22, even, unimodular, signature (3, 19)."""
     lat = block_diagonal(U_GRAM, U_GRAM, U_GRAM, E8_MINUS_GRAM, E8_MINUS_GRAM)
-    assert lat.is_even() and lat.is_unimodular()
+    if not (lat.is_even() and lat.is_unimodular()):
+        raise PostconditionError("U^3 + E8(-1)^2 is not even unimodular")
     return lat
 
 
@@ -195,7 +213,9 @@ def dual_vector(lattice: IntegralLattice, e):
     primitive e; non-primitive input is rejected.
     """
     e = _as_int_list(e)
-    w = [sum(row[j] * e[j] for j in range(lattice.rank)) for row in lattice.gram]
+    w = [0] * lattice.rank
+    for i, j, g in lattice._nonzeros:
+        w[i] += g * e[j]
     coeffs = [0] * lattice.rank
     g = 0
     for i, wi in enumerate(w):
@@ -211,11 +231,14 @@ def dual_vector(lattice: IntegralLattice, e):
         coeffs[i] += y
         if g == 1:
             break
-        assert g <= old_g
+        if g > old_g:
+            raise PostconditionError(f"gcd grew from {old_g} to {g}")
     if g != 1:
         raise ValueError(f"no dual vector: gcd(Ge) = {g} != 1 (e is not primitive)")
     b = coeffs
-    assert lattice.pair(b, e) == 1
+    be = lattice.pair(b, e)
+    if be != 1:
+        raise PostconditionError(f"(b, e) = {be} != 1 for dual vector b = {b}")
     return b
 
 
@@ -235,7 +258,7 @@ def square_minus_two(lattice: IntegralLattice, e, b):
     """a = b - ((b, b)/2 + 1) e, the vector with (a, e) = 1, (a, a) = -2.
 
     The coefficient is forced by expanding (a, a) = (b, b) - 2 c (b, e)
-    with (e, e) = 0 and (b, e) = 1; asserted exactly on the result.
+    with (e, e) = 0 and (b, e) = 1; checked exactly on the result.
     """
     e, b = _as_int_list(e), _as_int_list(b)
     if lattice.pair(b, e) != 1:
@@ -245,8 +268,12 @@ def square_minus_two(lattice: IntegralLattice, e, b):
     bb = lattice.pair(b, b)
     c = bb // 2 + 1
     a = [bi - c * ei for bi, ei in zip(b, e)]
-    assert lattice.pair(a, e) == 1
-    assert lattice.pair(a, a) == -2
+    ae = lattice.pair(a, e)
+    if ae != 1:
+        raise PostconditionError(f"(a, e) = {ae} != 1 for a = {a}")
+    aa = lattice.pair(a, a)
+    if aa != -2:
+        raise PostconditionError(f"(a, a) = {aa} != -2 for a = {a}")
     return a
 
 
@@ -269,21 +296,24 @@ def reflect(lattice: IntegralLattice, root, v):
 
 
 def _root_pool(lattice: IntegralLattice):
-    """Sparse (-2)-vectors: basis roots, adjacent sums, U differences and
-    cross-block isotropic + root combinations."""
-    rank = lattice.rank
-    singles = []
-    for i in range(rank):
-        v = [0] * rank
-        v[i] = 1
-        singles.append(v)
+    """Every (-2)-vector of the form e_i + c e_j with i < j and c = +-1.
+
+    Ordered by i, then j, then c = +1 before c = -1; the norm
+    G_ii + 2c G_ij + G_jj is read off the Gram matrix.  Single basis
+    vectors are not in the pool, although the E8(-1) basis vectors are
+    roots.  On the K3 lattice the pool holds 110 sums and 99 differences.
+    Random reflection words index into this list, so its content and order
+    fix every seeded lattice report.
+    """
+    gram, rank = lattice.gram, lattice.rank
     pool = []
     for i in range(rank):
-        for j in range(i, rank):
-            for coeff_j in ((1,) if i == j else (1, -1)):
-                v = list(singles[i])
-                v[j] += coeff_j
-                if not all(x == 0 for x in v) and lattice.pair(v, v) == -2:
+        for j in range(i + 1, rank):
+            for c in (1, -1):
+                if gram[i][i] + 2 * c * gram[i][j] + gram[j][j] == -2:
+                    v = [0] * rank
+                    v[i] = 1
+                    v[j] = c
                     pool.append(v)
     return pool
 
@@ -299,7 +329,8 @@ def random_primitive_isotropic(
     for _ in range(steps):
         root = pool[int(rng.integers(len(pool)))]
         e = reflect(lattice, root, e)
-    assert is_primitive_isotropic(lattice, e)
+    if not is_primitive_isotropic(lattice, e):
+        raise PostconditionError(f"reflection image {e} is not primitive isotropic")
     return e
 
 

@@ -36,6 +36,7 @@ from .deformation import (
 from .forms import ComplexTwoForm
 from .lattice import (
     PeriodPoint,
+    PostconditionError,
     find_section_class,
     random_isometry_images,
     random_primitive_isotropic,
@@ -518,7 +519,7 @@ def suite_lattice_sections(cfg: SuiteConfig):
         try:
             s = find_section_class(lattice, e)
             exact = lattice.pair(s, e) == 1 and lattice.pair(s, s) == -2
-        except (ValueError, AssertionError):
+        except (ValueError, PostconditionError):
             exact = False
         if not exact:
             failures += 1

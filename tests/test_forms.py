@@ -68,6 +68,14 @@ def test_two_form_is_exactly_skew():
     assert np.array_equal(two.matrix, -two.matrix.T)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_two_form_rejects_non_finite_entries(bad):
+    raw = np.zeros((4, 4))
+    raw[0, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        ComplexTwoForm(raw)
+
+
 # -- wedge -------------------------------------------------------------------
 
 

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csympl.lattice import (
+    E8_MINUS_GRAM,
     IntegralLattice,
     PeriodPoint,
+    PostconditionError,
+    _root_pool,
     dual_vector,
     find_section_class,
     hyperbolic_plane,
@@ -58,6 +61,84 @@ def test_gram_must_be_symmetric_and_square():
         IntegralLattice([[0, 1], [2, 0]])
     with pytest.raises(ValueError):
         IntegralLattice([[0, 1]])
+
+
+def _dense_pair(gram, v, w):
+    rank = len(gram)
+    return sum(int(v[i]) * gram[i][j] * int(w[j]) for i in range(rank) for j in range(rank))
+
+
+@st.composite
+def _gram_and_vectors(draw):
+    rank = draw(st.integers(1, 7))
+    dense = draw(st.booleans())
+    entry = st.integers(-5, 5).filter(bool) if dense else st.integers(-3, 3)
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            gram[i][j] = gram[j][i] = draw(entry)
+    for i in draw(st.sets(st.integers(0, rank - 1), max_size=rank)):
+        for j in range(rank):
+            gram[i][j] = gram[j][i] = 0
+    big = st.integers(-(2**70), 2**70)
+    v, w = (draw(st.lists(big, min_size=rank, max_size=rank)) for _ in range(2))
+    return gram, v, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_gram_and_vectors())
+def test_sparse_pair_equals_dense_double_sum(case):
+    gram, v, w = case
+    lat = IntegralLattice(gram)
+    assert lat.pair(v, w) == _dense_pair(gram, v, w)
+    # int64 input is paired in Python ints: products of 2**40 entries
+    # overflow int64 but not the exact pairing
+    v64 = np.array([x >> 30 for x in v], dtype=np.int64)
+    w64 = np.array([x >> 30 for x in w], dtype=np.int64)
+    exact = lat.pair(v64, w64)
+    assert type(exact) is int
+    assert exact == _dense_pair(gram, v64, w64)
+    vf, wf = v64.astype(float), w64.astype(float)
+    assert lat.pair(vf, wf) == vf @ np.asarray(gram, dtype=float) @ wf
+
+
+def _reference_root_pool(lattice):
+    """The enumeration the pool was first defined by: e_i + c e_j over
+    j >= i (only c = 1 when i == j), kept when the full pairing gives -2."""
+    rank = lattice.rank
+    pool = []
+    for i in range(rank):
+        for j in range(i, rank):
+            for coeff_j in (1,) if i == j else (1, -1):
+                v = unit(i, rank)
+                v[j] += coeff_j
+                if not all(x == 0 for x in v) and _dense_pair(lattice.gram, v, v) == -2:
+                    pool.append(v)
+    return pool
+
+
+def test_root_pool_matches_reference_enumeration():
+    pool = _root_pool(K3)
+    assert pool == _reference_root_pool(K3)
+    assert len(pool) == 209
+    assert sum(-1 not in v for v in pool) == 110  # sums e_i + e_j
+    assert all(K3.pair(v, v) == -2 for v in pool)
+
+
+def test_root_pool_on_small_lattices():
+    for gram in ([[-2, 1], [1, -2]], [[0, 1], [1, 0]], [[-2, 0, 1], [0, 0, 3], [1, 3, -4]]):
+        lat = IntegralLattice(gram)
+        assert _root_pool(lat) == _reference_root_pool(lat)
+
+
+def test_determinant_is_computed_once_per_instance(monkeypatch):
+    from csympl import lattice
+
+    lat = IntegralLattice(E8_MINUS_GRAM)
+    first = lat.determinant()
+    monkeypatch.setattr(lattice, "_det_exact", lambda rows: pytest.fail("determinant recomputed"))
+    assert lat.determinant() == first == 1
+    assert lat.is_unimodular()
 
 
 def test_lattice_json_roundtrip():
@@ -181,6 +262,71 @@ def test_reflections_are_isometries():
         v = [int(x) for x in rng.integers(-5, 6, size=22)]
         w = [int(x) for x in rng.integers(-5, 6, size=22)]
         assert K3.pair(reflect(K3, root, v), reflect(K3, root, w)) == K3.pair(v, w)
+
+
+def test_seeded_classes_pinned():
+    # literals from the dense-pairing implementation; the reflection words
+    # and every seeded lattice report depend on them
+    e = random_primitive_isotropic(K3, np.random.default_rng(0))
+    assert e == [7, 2, 0, 0, 0, 0, 0, 2, 0, -2, 0, 0, 0, 2, 0, 0, 0, -1, 0, 0, 0, -1]
+    assert dual_vector(K3, e) == [-3, 1] + [0] * 20
+    assert find_section_class(K3, e) == [11, 5, 0, 0, 0, 0, 0, 4, 0, -4, 0, 0, 0, 4, 0, 0, 0, -2, 0, 0, 0, -2]
+
+
+def test_postconditions_raise(monkeypatch):
+    from csympl import lattice
+
+    monkeypatch.setattr(lattice, "_xgcd", lambda a, b: (1, 0, 0))
+    with pytest.raises(PostconditionError, match=r"\(b, e\) = 0 != 1"):
+        dual_vector(K3, [1, 0, 1] + [0] * 19)
+    monkeypatch.setattr(lattice, "_xgcd", lambda a, b: (abs(a) + 1, 0, 0))
+    with pytest.raises(PostconditionError, match="gcd grew"):
+        dual_vector(K3, [1, 0, 1] + [0] * 19)
+    monkeypatch.undo()
+    # (b, e) = 1 but e is not isotropic: (a, e) = 1 - c (e, e) = -1
+    with pytest.raises(PostconditionError, match=r"\(a, e\) = -1"):
+        square_minus_two(IntegralLattice([[2, 1], [1, 0]]), [1, 0], [0, 1])
+    monkeypatch.setattr(lattice, "reflect", lambda lat, root, v: [1, 1] + [0] * 20)
+    with pytest.raises(PostconditionError, match="not primitive isotropic"):
+        random_primitive_isotropic(K3, np.random.default_rng(0))
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice.IntegralLattice, "is_even", lambda self: True)
+    with pytest.raises(PostconditionError, match=r"\(a, a\)"):
+        square_minus_two(IntegralLattice([[1, 1], [1, 0]]), [0, 1], [1, 0])
+    monkeypatch.setattr(lattice.IntegralLattice, "is_unimodular", lambda self: False)
+    with pytest.raises(PostconditionError, match="not even unimodular"):
+        standard_k3_lattice()
+
+
+def test_postcondition_survives_python_O(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import csympl
+
+    # the child imports the csympl under test, from any working directory
+    package_root = str(Path(csympl.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from csympl import lattice\n"
+        "lattice._xgcd = lambda a, b: (1, 0, 0)\n"
+        "try:\n"
+        "    lattice.find_section_class(lattice.standard_k3_lattice(), [1, 0, 1] + [0] * 19)\n"
+        "except lattice.PostconditionError as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1 PostconditionError"
 
 
 def test_random_primitive_isotropic_properties():

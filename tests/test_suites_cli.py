@@ -184,6 +184,26 @@ def test_lattice_find_section_invalid_vector(capsys):
     assert main(["lattice", "find-section", "--e", e]) == 1
 
 
+def test_lattice_find_section_postcondition_exits_1(capsys, monkeypatch):
+    from csympl import lattice
+
+    # a broken extended gcd makes dual_vector return b = 0, so (b, e) = 0
+    monkeypatch.setattr(lattice, "_xgcd", lambda a, b: (1, 0, 0))
+    e = ",".join(["1", "0", "1"] + ["0"] * 19)
+    assert main(["lattice", "find-section", "--e", e]) == 1
+    assert "error: (b, e) = 0 != 1" in capsys.readouterr().err
+
+
+def test_lattice_sections_counts_postcondition_failures(monkeypatch):
+    from csympl import lattice
+
+    monkeypatch.setattr(lattice, "_xgcd", lambda a, b: (1, 0, 0))
+    report = run_suite(SuiteConfig(suite="lattice-sections", samples=3, seed=0))
+    assert not report.passed
+    assert report.checks[0]["max_residual"] > 0
+    assert report.failure_case["check"] == "section-class"
+
+
 def test_lattice_twistor_param_cli(capsys):
     zeros = ["0"] * 22
     omega_re = list(zeros)
