@@ -14,7 +14,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .forms import ComplexKForm, ComplexTwoForm, form_kernel, power, pullback, wedge
+from . import multiindex
+from .forms import ComplexKForm, ComplexTwoForm, FormKernel, form_kernel, power, pullback, wedge
 from .linalg import DEFAULT_TOL, ComplexStructure, Subspace, max_abs, null_space
 
 #: Canonical 4x4 block of a c-symplectic form in a basis (u1, I u1, u2, I u2).
@@ -44,6 +45,9 @@ class RankCriterion:
     kernel_dim: int
     real_span_rank: int
     ill_conditioned: bool
+    #: The form's kernel the verdict was read from (None when the dimension
+    #: check failed first); structures are built from it, not recomputed.
+    kernel: FormKernel | None = dc_field(default=None, repr=False, compare=False)
 
     def __bool__(self):
         return self.ok
@@ -92,6 +96,7 @@ def is_c_symplectic_rank(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> Ran
             ker.dim,
             -1,
             ker.ill_conditioned,
+            ker,
         )
     span_rank = ker.subspace.real_span_rank(tol)
     if span_rank != m:
@@ -101,8 +106,9 @@ def is_c_symplectic_rank(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> Ran
             ker.dim,
             span_rank,
             ker.ill_conditioned,
+            ker,
         )
-    return RankCriterion(True, "", ker.dim, span_rank, ker.ill_conditioned)
+    return RankCriterion(True, "", ker.dim, span_rank, ker.ill_conditioned, ker)
 
 
 def is_c_symplectic_power(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> PowerCriterion:
@@ -149,7 +155,12 @@ def induced_complex_structure(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -
     rank_check = is_c_symplectic_rank(omega, tol)
     if not rank_check:
         raise ValueError(f"not c-symplectic (rank criterion): {rank_check.reason}")
-    basis = form_kernel(omega, tol).subspace.basis
+    return _structure_from_kernel(omega, rank_check.kernel, tol)
+
+
+def _structure_from_kernel(omega: ComplexTwoForm, kernel: FormKernel, tol: float) -> ComplexStructure:
+    """Induced structure of omega from the kernel of a passing rank check."""
+    basis = kernel.subspace.basis
     half = basis.shape[1]
     p = np.hstack([basis, basis.conj()])
     d = np.concatenate([np.full(half, -1j), np.full(half, 1j)])
@@ -168,9 +179,13 @@ def induced_complex_structure(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -
 def hodge_decompose(a: ComplexKForm, structure: ComplexStructure) -> dict:
     """Split a k-form into its (p, q) components for the given structure.
 
-    Averages pullbacks over the rotations exp(theta I) with Fourier
-    weights: the (p, q) part transforms with weight e^{i (p - q) theta},
-    so 2k + 2 equispaced angles separate all components exactly.
+    A 2-form with matrix A splits by the projector P = (Id - iI)/2 onto
+    the (1,0) directions: A20 = P^T A P, A02 = conj(P)^T A conj(P) and
+    A11 = A - A20 - A02 (Huybrechts, Complex Geometry, 1.2).  Other
+    degrees average pullbacks over the rotations exp(theta I) with
+    Fourier weights: the (p, q) part transforms with weight
+    e^{i (p - q) theta}, so 2k + 2 equispaced angles separate all
+    components exactly.
     """
     if isinstance(a, ComplexTwoForm):
         a = a.to_kform()
@@ -179,6 +194,8 @@ def hodge_decompose(a: ComplexKForm, structure: ComplexStructure) -> dict:
     k = a.degree
     if k == 0:
         return {(0, 0): a}
+    if k == 2:
+        return _hodge_split_two_form(a, structure)
     n_angles = 2 * k + 2
     thetas = [2 * np.pi * j / n_angles for j in range(n_angles)]
     rotated = [pullback(structure.rotation(t), a) for t in thetas]
@@ -191,6 +208,19 @@ def hodge_decompose(a: ComplexKForm, structure: ComplexStructure) -> dict:
             acc += np.exp(-1j * weight * theta) * rot.coeffs
         components[(p, q)] = ComplexKForm(a.dim, k, acc / n_angles)
     return components
+
+
+def _hodge_split_two_form(a: ComplexKForm, structure: ComplexStructure) -> dict:
+    mat = ComplexTwoForm.from_kform(a).matrix
+    proj = (np.eye(a.dim) - 1j * structure.matrix) / 2.0
+    rows = multiindex.index_array(a.dim, 2)
+    c20 = (proj.T @ mat @ proj)[rows[:, 0], rows[:, 1]]
+    c02 = (proj.conj().T @ mat @ proj.conj())[rows[:, 0], rows[:, 1]]
+    return {
+        (0, 2): ComplexKForm(a.dim, 2, c02),
+        (1, 1): ComplexKForm(a.dim, 2, a.coeffs - c20 - c02),
+        (2, 0): ComplexKForm(a.dim, 2, c20),
+    }
 
 
 def is_c_isotropic(subspace: Subspace, omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> bool:
@@ -281,15 +311,22 @@ class CSymplecticSpace:
 
     @classmethod
     def from_form(cls, omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> "CSymplecticSpace":
-        verdict = is_c_symplectic(omega, tol)
+        return cls.from_verdict(omega, is_c_symplectic(omega, tol), tol)
+
+    @classmethod
+    def from_verdict(
+        cls, omega: ComplexTwoForm, verdict: CSymplecticVerdict, tol: float = DEFAULT_TOL
+    ) -> "CSymplecticSpace":
+        """Validate by a verdict already computed on omega, reusing its kernel."""
         if not verdict.ok:
             failing = "rank" if not verdict.rank.ok else "power"
             reason = verdict.rank.reason or verdict.power.reason
             raise ValueError(f"not c-symplectic ({failing} criterion): {reason}")
+        kernel = verdict.rank.kernel
         return cls(
             omega=omega,
-            structure=induced_complex_structure(omega, tol),
-            half_kernel=form_kernel(omega, tol).subspace,
+            structure=_structure_from_kernel(omega, kernel, tol),
+            half_kernel=kernel.subspace,
             verdict=verdict,
         )
 

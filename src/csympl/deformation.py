@@ -15,7 +15,7 @@ import numpy as np
 
 from .csymplectic import (
     CSymplecticSpace,
-    induced_complex_structure,
+    CSymplecticVerdict,
     is_c_lagrangian,
     is_c_symplectic,
     hodge_decompose,
@@ -176,6 +176,10 @@ def deform(
     Rejects gamma with an anti-holomorphic component above tolerance and
     verifies c-symplecticity of the result by both criteria.
     """
+    return DeformationFamily.build(projection, gamma, tol)(t, tol, check)
+
+
+def _certify_gamma(projection: LagrangianProjection, gamma: ComplexTwoForm, tol: float):
     if gamma.dim != projection.half_dim:
         raise ValueError("gamma must live on the base model")
     certificate = _hodge_certificate(gamma, projection.quotient_structure, gamma.norm())
@@ -184,22 +188,26 @@ def deform(
             f"gamma has a (0,2) component of norm {certificate.norm_02:.3e}; "
             "deformation requires Hodge type (2,0)+(1,1)"
         )
-    w = projection.projection  # (2n, 4n)
-    pulled = w.T @ gamma.matrix @ w
-    omega_t = ComplexTwoForm(projection.space.omega.matrix + complex(t) * pulled)
-    if check:
-        verdict = is_c_symplectic(omega_t, tol)
-        if not verdict.ok:
-            raise AssertionError(
-                "deformed form failed c-symplecticity: "
-                f"rank: {verdict.rank.reason or 'ok'}; power: {verdict.power.reason or 'ok'}"
-            )
-    return omega_t
+    return certificate
+
+
+def _deformed_verdict(omega_t: ComplexTwoForm, tol: float) -> CSymplecticVerdict:
+    verdict = is_c_symplectic(omega_t, tol)
+    if not verdict.ok:
+        raise AssertionError(
+            "deformed form failed c-symplecticity: "
+            f"rank: {verdict.rank.reason or 'ok'}; power: {verdict.power.reason or 'ok'}"
+        )
+    return verdict
 
 
 @dataclass(frozen=True)
 class DeformationFamily:
-    """The affine family t -> Omega + t pi^* gamma with a validated gamma."""
+    """The affine family t -> Omega + t pi^* gamma with a validated gamma.
+
+    gamma's Hodge type is certified once, in ``build``; members of the
+    family are not re-certified.
+    """
 
     projection: LagrangianProjection
     gamma: ComplexTwoForm
@@ -207,15 +215,24 @@ class DeformationFamily:
 
     @classmethod
     def build(cls, projection: LagrangianProjection, gamma: ComplexTwoForm, tol: float = DEFAULT_TOL):
-        certificate = _hodge_certificate(gamma, projection.quotient_structure, gamma.norm())
-        if not certificate.anti_holomorphic_ok(max(tol, 1e-8)):
-            raise ValueError(
-                f"gamma has (0,2) norm {certificate.norm_02:.3e}, above tolerance"
-            )
-        return cls(projection=projection, gamma=gamma, certificate=certificate)
+        return cls(projection=projection, gamma=gamma, certificate=_certify_gamma(projection, gamma, tol))
+
+    def _form(self, t: complex) -> ComplexTwoForm:
+        w = self.projection.projection  # (2n, 4n)
+        pulled = w.T @ self.gamma.matrix @ w
+        return ComplexTwoForm(self.projection.space.omega.matrix + complex(t) * pulled)
 
     def __call__(self, t: complex, tol: float = DEFAULT_TOL, check: bool = True) -> ComplexTwoForm:
-        return deform(self.projection, self.gamma, t, tol, check)
+        omega_t = self._form(t)
+        if check:
+            _deformed_verdict(omega_t, tol)
+        return omega_t
+
+    def space(self, t: complex, tol: float = DEFAULT_TOL) -> CSymplecticSpace:
+        """Omega_t checked once by both criteria, with its induced structure
+        built from the rank check's kernel."""
+        omega_t = self._form(t)
+        return CSymplecticSpace.from_verdict(omega_t, _deformed_verdict(omega_t, tol), tol)
 
 
 @dataclass(frozen=True)
@@ -251,7 +268,7 @@ def verify_preservance(
     induced structure to L matches the t = 0 restriction, and the
     inherited quotient structure matches as well.
     """
-    space = projection.space
+    family = DeformationFamily.build(projection, gamma, tol)
     base_restriction, base_inv = projection.fiber_structure(tol)
     base_quotient = projection.quotient_structure.matrix
     fiber_ok = True
@@ -259,17 +276,17 @@ def verify_preservance(
     max_quotient = 0.0
     max_invariance = base_inv
     details = []
+    q = projection.fiber.orthonormal_basis()
+    w = projection.base_model.orthonormal_basis()
     for t in t_samples:
-        omega_t = deform(projection, gamma, t, tol)
-        if not is_c_lagrangian(projection.fiber, omega_t, max(tol, 1e-8)):
+        space_t = family.space(t, tol)
+        if not is_c_lagrangian(projection.fiber, space_t.omega, max(tol, 1e-8)):
             fiber_ok = False
-        structure_t = induced_complex_structure(omega_t, tol)
-        q = projection.fiber.orthonormal_basis()
+        structure_t = space_t.structure
         image = structure_t.matrix @ q
         restriction_t = q.T @ image
         invariance = max_abs(image - q @ restriction_t)
         restriction_residual = max_abs(restriction_t - base_restriction)
-        w = projection.base_model.orthonormal_basis()
         quotient_t = w.T @ structure_t.matrix @ w
         quotient_residual = max_abs(quotient_t - base_quotient)
         max_restriction = max(max_restriction, restriction_residual)
@@ -324,15 +341,15 @@ def holomorphize_section(section: LinearSection, tol: float = DEFAULT_TOL) -> Ho
     """
     p = section.projection
     eta = section_form(section, tol).two_form
-    omega_prime = deform(p, eta, -1.0, tol)
+    space_prime = DeformationFamily.build(p, eta, tol).space(-1.0, tol)
+    omega_prime = space_prime.omega
     s = section.map
     scale = max(p.space.omega.norm(), 1e-300) * float(np.linalg.norm(s, 2)) ** 2
     restriction = max_abs(s.T @ omega_prime.matrix @ s) / scale
     graph = section.graph()
     lagrangian = is_c_lagrangian(graph, omega_prime, max(tol, 1e-8))
-    structure_prime = induced_complex_structure(omega_prime, tol)
     intertwine = max_abs(
-        s @ p.quotient_structure.matrix - structure_prime.matrix @ s
+        s @ p.quotient_structure.matrix - space_prime.structure.matrix @ s
     ) / max(1.0, float(np.linalg.norm(s, 2)))
     return HolomorphizedSection(
         eta=eta,

@@ -476,12 +476,18 @@ def _nonclosed_continuum_max(t: float) -> float:
     return float(np.max(np.abs(r_prime) * factor))
 
 
-def _testbed_nonclosed(cfg: SuiteConfig):
-    checks, failure = [], None
+def nonclosed_t(cfg: SuiteConfig) -> float:
+    """Deformation parameter of the non-closed control: ``cfg.t_value``
+    when it is real with 0 < |t| < 1, else 0.5."""
     t = complex(cfg.t_value)
     if abs(t.imag) > 0 or not 0 < abs(t.real) < 1:
-        t = 0.5
-    t = float(t.real)
+        return 0.5
+    return t.real
+
+
+def _testbed_nonclosed(cfg: SuiteConfig):
+    checks, failure = [], None
+    t = nonclosed_t(cfg)
     continuum = _nonclosed_continuum_max(t)
     n = cfg.grid_n
     values = {}
@@ -583,8 +589,7 @@ def testbed_node_csv(cfg: SuiteConfig) -> str:
     for external plotting."""
     grid = TorusGrid(cfg.grid_n)
     if cfg.control == "nonclosed":
-        t = cfg.t_value.real if 0 < abs(cfg.t_value.real) < 1 else 0.5
-        structure = deformed_structure_field(nonclosed_control_form(grid), t, cfg.tol)
+        structure = deformed_structure_field(nonclosed_control_form(grid), nonclosed_t(cfg), cfg.tol)
         holomorphy_nodes = np.zeros((grid.n, grid.n))
         nijenhuis_nodes = nijenhuis_node_norms(structure.field)
     else:

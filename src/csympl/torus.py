@@ -16,11 +16,12 @@ import numpy as np
 
 from .csymplectic import Q_BLOCK
 from .linalg import DEFAULT_TOL, max_abs
+from .multiindex import index_tuples
 
 #: Index pairs of 2-form components on R^4, lex order.
-PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+PAIRS = index_tuples(4, 2)
 #: Index triples of 3-form components on R^4.
-TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+TRIPLES = index_tuples(4, 3)
 
 #: Base complex structure on (x1, y1).
 BASE_J = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -237,6 +237,44 @@ def test_hodge_idempotent():
     assert again[(2, 0)].is_zero(1e-12) and again[(0, 2)].is_zero(1e-12)
 
 
+
+def pullback_average(a: ComplexKForm, structure: ComplexStructure) -> dict:
+    """Reference (p, q) split: Fourier-weighted pullbacks along exp(theta I)."""
+    k = a.degree
+    thetas = [2 * np.pi * j / (2 * k + 2) for j in range(2 * k + 2)]
+    rotated = [pullback(structure.rotation(theta), a).coeffs for theta in thetas]
+    return {
+        (p, k - p): sum(np.exp(-1j * (2 * p - k) * t) * r for t, r in zip(thetas, rotated)) / len(thetas)
+        for p in range(k + 1)
+    }
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_hodge_projector_split_matches_pullback_average(dim):
+    rng = np.random.default_rng(dim)
+    count = dim * (dim - 1) // 2
+    for _ in range(5):
+        structure = induced_complex_structure(random_c_symplectic(rng, dim)[0])
+        form = ComplexKForm(dim, 2, rng.standard_normal(count) + 1j * rng.standard_normal(count))
+        comps = hodge_decompose(form, structure)
+        reference = pullback_average(form, structure)
+        assert list(comps) == list(reference)
+        for key, coeffs in reference.items():
+            assert np.max(np.abs(comps[key].coeffs - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
+
+
+def test_hodge_three_form_decomposes_and_reassembles():
+    rng = np.random.default_rng(7)
+    structure = induced_complex_structure(random_c_symplectic(rng, 8)[0])
+    form = ComplexKForm(8, 3, rng.standard_normal(56) + 1j * rng.standard_normal(56))
+    comps = hodge_decompose(form, structure)
+    assert sorted(comps) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    reassembled = comps[(0, 3)] + comps[(1, 2)] + comps[(2, 1)] + comps[(3, 0)]
+    assert reassembled.isclose(form, tol=1e-12)
+    rotation = structure.rotation(0.3)
+    for (p, q), comp in comps.items():
+        assert pullback(rotation, comp).isclose(comp * np.exp(1j * (p - q) * 0.3), tol=1e-10)
+
 # -- canonical basis -------------------------------------------------------------
 
 

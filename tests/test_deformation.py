@@ -261,6 +261,54 @@ def test_preservance_cross_checked_against_kernel_shift():
         assert s1.equals(s2, tol=1e-9)
 
 
+# -- one kernel analysis per form ----------------------------------------------------
+
+
+@pytest.fixture
+def svd_inputs(monkeypatch):
+    """Every matrix handed to np.linalg.svd while the test runs."""
+    seen = []
+    original = np.linalg.svd
+
+    def recording(matrix, *args, **kwargs):
+        seen.append(np.array(matrix, copy=True))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return seen
+
+
+def svd_count(seen, matrix):
+    return sum(1 for m in seen if m.shape == matrix.shape and np.array_equal(m, matrix))
+
+
+def test_space_and_structure_svd_the_form_once(svd_inputs):
+    omega = random_c_symplectic(np.random.default_rng(30), 8)[0]
+    CSymplecticSpace.from_form(omega)
+    assert svd_count(svd_inputs, omega.matrix) == 1
+    svd_inputs.clear()
+    induced_complex_structure(omega)
+    assert svd_count(svd_inputs, omega.matrix) == 1
+
+
+def test_preservance_svds_each_deformed_form_once(svd_inputs):
+    proj, rng = random_setup(8, 31)
+    gamma = random_base_form(proj, rng)
+    family = DeformationFamily.build(proj, gamma)
+    svd_inputs.clear()
+    verify_preservance(proj, gamma, DEFAULT_T_SAMPLES)
+    for t in DEFAULT_T_SAMPLES:
+        assert svd_count(svd_inputs, family(t, check=False).matrix) == 1
+
+
+def test_family_space_is_checked_member():
+    proj, rng = random_setup(8, 32)
+    family = DeformationFamily.build(proj, random_base_form(proj, rng))
+    space = family.space(0.5 + 0.5j)
+    assert np.array_equal(space.omega.matrix, family(0.5 + 0.5j).matrix)
+    assert space.verdict.ok
+    assert np.array_equal(space.structure.matrix, induced_complex_structure(space.omega).matrix)
+
 # -- section holomorphization --------------------------------------------------------
 
 

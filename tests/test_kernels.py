@@ -36,6 +36,21 @@ def test_contraction_table_counts():
     assert len(iin) == multiindex.coefficient_count(5, 3) * 3
 
 
+def test_pure_scatter_blocks_match_one_shot_sum():
+    # dim 12, 4 ^ 4 has 34650 entries, several blocks; the blocks keep the
+    # order in which each output sums its entries, so the result is exact
+    rng = np.random.default_rng(2)
+    for dim, p, q in ((12, 4, 4), (12, 6, 2), (6, 2, 2)):
+        ia, ib, iout, sign = multiindex.wedge_table(dim, p, q)
+        a = rng.standard_normal(len(multiindex.index_tuples(dim, p))) * (1 + 1j)
+        b = rng.standard_normal(len(multiindex.index_tuples(dim, q))) * (1 - 2j)
+        nout = multiindex.coefficient_count(dim, p + q)
+        expected = np.zeros(nout, dtype=np.complex128)
+        np.add.at(expected, iout, sign * (a[ia] * b[ib]))
+        assert np.array_equal(_scatter_py.wedge_scatter(ia, ib, iout, sign, a, b, nout), expected)
+    assert len(multiindex.wedge_table(12, 4, 4)[0]) > 2 * _scatter_py.BLOCK
+
+
 @pytest.mark.skipif(_fastscatter is None, reason="compiled extension unavailable")
 def test_backends_agree_on_wedge_scatter():
     rng = np.random.default_rng(0)

@@ -1,11 +1,14 @@
 """Suite runner determinism, exit-status contract, replay, lattice CLI."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 
+from csympl import suites
 from csympl.cli import main
-from csympl.suites import SuiteConfig, replay_case, run_suite
+from csympl.suites import SuiteConfig, nonclosed_t, replay_case, run_suite
 
 
 def strip_volatile(report_json):
@@ -141,8 +144,6 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
     # force a failure by running the nonclosed control with an absurd
     # tolerance through a doctored suite config: simplest honest failure
     # is an unknown-dimension criteria run; instead patch the threshold
-    from csympl import suites
-
     cfg = SuiteConfig(suite="criteria-equivalence", dims=(4,), samples=5, seed=1)
     report = run_suite(cfg)
     assert report.passed and report.failure_case is None
@@ -164,6 +165,27 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
     assert case_file.exists()
     assert json.loads(case_file.read_text())["check"] == "criteria-agree"
 
+
+
+def test_nonclosed_t_rule():
+    def t_of(value):
+        return nonclosed_t(SuiteConfig(suite="testbed-nijenhuis", t_value=value))
+
+    assert t_of(0.3) == 0.3 and t_of(-0.7) == -0.7
+    for bad in (0.3 + 0.2j, 0.0, 1.0, -1.0, 2.5):
+        assert t_of(bad) == 0.5
+
+
+def test_nonclosed_node_csv_uses_the_suite_t():
+    def nonclosed(t):
+        return SuiteConfig(suite="testbed-nijenhuis", grid_n=16, control="nonclosed", t_value=t)
+
+    def node_table(t):
+        return np.loadtxt(io.StringIO(suites.testbed_node_csv(nonclosed(t))), delimiter=",", skiprows=1)
+
+    assert np.array_equal(node_table(0.3 + 0.2j), node_table(0.5))
+    assert not np.array_equal(node_table(0.3), node_table(0.5))
+    assert run_suite(nonclosed(0.3 + 0.2j)).checks == run_suite(nonclosed(0.5)).checks
 
 # -- lattice subcommands ------------------------------------------------------------
 
