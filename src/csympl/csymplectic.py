@@ -265,7 +265,10 @@ def c_symplectic_basis(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> np.nd
     while carrier.shape[1] > 0:
         a_cur = ComplexTwoForm(carrier.T @ omega.matrix @ carrier)
         m_cur = a_cur.dim
-        structure = induced_complex_structure(a_cur, tol)
+        if columns:
+            structure = induced_complex_structure(a_cur, tol)
+        else:  # the first a_cur is omega itself: reuse the rank check's kernel
+            structure = _structure_from_kernel(omega, rank_check.kernel, tol)
         row_norms = np.linalg.norm(a_cur.matrix, axis=1)
         u1 = np.zeros(m_cur)
         u1[int(np.argmax(row_norms))] = 1.0

@@ -1,27 +1,37 @@
-"""Kernel backend selection.
+"""Scatter kernels for the dense exterior-algebra products, in numpy."""
 
-The compiled extension (`csympl._fastscatter`, Cython) is preferred when
-available; otherwise the pure-numpy implementation is used.  Both expose
-identical ``wedge_scatter`` / ``contract_scatter`` functions.  Set the
-environment variable ``CSYMPL_PURE=1`` before import to force the pure
-backend (used by the benchmark and for debugging).
-"""
+import numpy as np
 
-import os
+#: Names the one numpy implementation of the scatter kernels.
+BACKEND = "python"
 
-from . import _scatter_py
+#: Table entries handled per block.  A block's two temporaries hold 4096
+#: complex values (64 KiB) each, which glibc serves from memory the heap
+#: already holds.  Whole-table temporaries (550 KiB on the dim-12 4 ^ 4
+#: table) are fresh pages from the OS in some processes (mmap, or a heap
+#: top trimmed on every free) and not in others, depending on the
+#: allocation history, so a wedge's cost would vary by up to 1.6x from one
+#: process to the next.
+BLOCK = 4096
 
-if os.environ.get("CSYMPL_PURE"):
-    _impl = _scatter_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _fastscatter as _impl
 
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _scatter_py
-        BACKEND = "python"
+def _scatter_products(ix, iy, iout, sign, x, y, nout):
+    """out[iout[k]] += sign[k] * x[ix[k]] * y[iy[k]], block by block in entry order."""
+    out = np.zeros(nout, dtype=np.complex128)
+    for lo in range(0, len(ix), BLOCK):
+        hi = lo + BLOCK
+        terms = x[ix[lo:hi]]
+        terms *= y[iy[lo:hi]]
+        terms *= sign[lo:hi]
+        np.add.at(out, iout[lo:hi], terms)
+    return out
 
-wedge_scatter = _impl.wedge_scatter
-contract_scatter = _impl.contract_scatter
+
+def wedge_scatter(ia, ib, iout, sign, a, b, nout):
+    """Coefficients of a ^ b from a `multiindex.wedge_table`."""
+    return _scatter_products(ia, ib, iout, sign, a, b, nout)
+
+
+def contract_scatter(iin, icomp, iout, sign, v, a, nout):
+    """Coefficients of iota_v a from a `multiindex.contraction_table`."""
+    return _scatter_products(icomp, iin, iout, sign, v, a, nout)

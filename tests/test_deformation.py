@@ -5,6 +5,7 @@ import pytest
 
 from csympl.csymplectic import (
     CSymplecticSpace,
+    c_symplectic_basis,
     hodge_decompose,
     induced_complex_structure,
     is_c_symplectic,
@@ -284,11 +285,10 @@ def svd_count(seen, matrix):
 
 def test_space_and_structure_svd_the_form_once(svd_inputs):
     omega = random_c_symplectic(np.random.default_rng(30), 8)[0]
-    CSymplecticSpace.from_form(omega)
-    assert svd_count(svd_inputs, omega.matrix) == 1
-    svd_inputs.clear()
-    induced_complex_structure(omega)
-    assert svd_count(svd_inputs, omega.matrix) == 1
+    for analyse in (CSymplecticSpace.from_form, induced_complex_structure, c_symplectic_basis):
+        svd_inputs.clear()
+        analyse(omega)
+        assert svd_count(svd_inputs, omega.matrix) == 1, analyse.__name__
 
 
 def test_preservance_svds_each_deformed_form_once(svd_inputs):

@@ -144,13 +144,14 @@ def test_wedge_associativity(seed, dim, degrees):
     assert left.isclose(right, tol=1e-11) or (left.is_zero(1e-11) and right.is_zero(1e-11))
 
 
-def test_wedge_matches_shuffle_evaluation_oracle():
+@pytest.mark.parametrize("dim,p,q", [(5, 2, 2), (12, 4, 4), (12, 6, 2), (8, 1, 3)])
+def test_wedge_matches_shuffle_evaluation_oracle(dim, p, q):
     # independent oracle: evaluate both sides on random vectors; the wedge
-    # of values is the signed shuffle sum
+    # of values is the signed shuffle sum (the dim-12 tables span 4-9
+    # scatter blocks)
     from itertools import combinations
 
     rng = np.random.default_rng(6)
-    dim, p, q = 5, 2, 2
     a = random_kform(rng, dim, p)
     b = random_kform(rng, dim, q)
     vs = [rng.standard_normal(dim) for _ in range(p + q)]
@@ -170,6 +171,17 @@ def test_contract_basis_example():
     e12 = ComplexKForm.from_dict(4, 2, {(0, 1): 1.0})
     out = contract([1, 0, 0, 0], e12)
     assert out.isclose(ComplexKForm.basis(4, (1,)))
+
+
+@pytest.mark.parametrize("dim,k", [(4, 2), (6, 3), (12, 6), (12, 1)])
+def test_contract_matches_evaluation_oracle(dim, k):
+    # iota_v a evaluated on w... is a evaluated on (v, w...); dim 12, k = 6
+    # spans two scatter blocks
+    rng = np.random.default_rng(7)
+    a = random_kform(rng, dim, k)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    ws = [rng.standard_normal(dim) for _ in range(k - 1)]
+    assert contract(v, a)(*ws) == pytest.approx(a(v, *ws), rel=1e-10)
 
 
 def test_contract_kernel_vector_gives_zero():
