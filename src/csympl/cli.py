@@ -137,18 +137,18 @@ def _cmd_run(args) -> int:
         return 2
     seed = args.seed if args.seed is not None else _default_seed()
     dims = args.dims if args.dims is not None else SUITE_DIM_DEFAULTS.get(args.suite, (4, 8))
-    cfg = SuiteConfig(
-        suite=args.suite,
-        dims=dims,
-        samples=args.n if args.n is not None else _default_samples(args.suite),
-        seed=seed,
-        tol=args.tol,
-        grid_n=args.grid,
-        modes=args.modes,
-        t_value=args.t,
-        control=args.control,
-    )
     try:
+        cfg = SuiteConfig(
+            suite=args.suite,
+            dims=dims,
+            samples=args.n if args.n is not None else _default_samples(args.suite),
+            seed=seed,
+            tol=args.tol,
+            grid_n=args.grid,
+            modes=args.modes,
+            t_value=args.t,
+            control=args.control,
+        )
         report = run_suite(cfg)
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from .csymplectic import (
     quotient_model,
 )
 from .forms import ComplexTwoForm
-from .linalg import DEFAULT_TOL, ComplexStructure, Subspace, max_abs, null_space
+from .linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space
 
 #: Default complex deformation parameters probed by verification sweeps.
 DEFAULT_T_SAMPLES = (1.0, -1.0, 1j, -1j, 0.5 + 0.5j)
@@ -157,7 +157,7 @@ def section_form(section: LinearSection, tol: float = DEFAULT_TOL) -> SectionFor
     scale = p.space.omega.norm() * float(np.linalg.norm(s, 2)) ** 2
     certificate = _hodge_certificate(omega_sigma, p.quotient_structure, scale)
     if not certificate.anti_holomorphic_ok(max(tol, 1e-8)):
-        raise AssertionError(
+        raise PostconditionError(
             f"(0,2) component of a section form is {certificate.norm_02:.3e}; "
             "this contradicts the Hodge-type property"
         )
@@ -194,7 +194,7 @@ def _certify_gamma(projection: LagrangianProjection, gamma: ComplexTwoForm, tol:
 def _deformed_verdict(omega_t: ComplexTwoForm, tol: float) -> CSymplecticVerdict:
     verdict = is_c_symplectic(omega_t, tol)
     if not verdict.ok:
-        raise AssertionError(
+        raise PostconditionError(
             "deformed form failed c-symplecticity: "
             f"rank: {verdict.rank.reason or 'ok'}; power: {verdict.power.reason or 'ok'}"
         )

@@ -14,7 +14,7 @@ from math import gcd
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, PostconditionError
 
 #: Gram matrix of the hyperbolic plane U.
 U_GRAM = [[0, 1], [1, 0]]
@@ -31,13 +31,6 @@ E8_MINUS_GRAM = [
     [0, 0, 0, 0, 0, 1, -2, 0],
     [0, 0, 0, 0, 1, 0, 0, -2],
 ]
-
-
-class PostconditionError(RuntimeError):
-    """An exact identity that holds by construction failed to hold.
-
-    Raised explicitly rather than by a statement that ``python -O`` strips.
-    """
 
 
 def _det_exact(rows) -> int:

@@ -14,6 +14,13 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
+class PostconditionError(RuntimeError):
+    """An identity that holds by construction failed to hold.
+
+    Raised explicitly rather than by a statement that ``python -O`` strips.
+    """
+
+
 def max_abs(x) -> float:
     x = np.asarray(x)
     return float(np.max(np.abs(x))) if x.size else 0.0
@@ -91,10 +98,6 @@ class Subspace:
         s = np.linalg.svd(stacked, compute_uv=False)
         return int(np.sum(s > tol * max(s[0], 1e-300)))
 
-    def real_intersection_dim(self, tol: float = DEFAULT_TOL) -> int:
-        """Complex dimension of the space of real vectors contained in self."""
-        return 2 * self.dim - self.real_span_rank(tol)
-
     def __repr__(self):
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim}, field={self.field!r})"
 
@@ -139,13 +142,6 @@ class ComplexStructure:
     def rotation(self, theta: float) -> np.ndarray:
         """exp(theta I) = cos(theta) Id + sin(theta) I."""
         return np.cos(theta) * np.eye(self.dim) + np.sin(theta) * self.matrix
-
-    def antiholomorphic_space(self, tol: float = DEFAULT_TOL) -> Subspace:
-        """The (0,1) subspace of C^dim, i.e. the -i eigenspace of I."""
-        candidates = np.eye(self.dim) + 1j * self.matrix
-        u, s, _ = np.linalg.svd(candidates)
-        rank = int(np.sum(s > tol * s[0]))
-        return Subspace(u[:, :rank], field="C")
 
     def restrict(self, subspace: Subspace, tol: float = DEFAULT_TOL):
         """Matrix of I on an invariant subspace, plus the invariance residual."""

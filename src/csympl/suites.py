@@ -7,10 +7,16 @@ Randomness flows exclusively through ``numpy.random.default_rng`` (PCG64)
 seeded from ``[master_seed, stream tags...]``, so identical configurations
 reproduce identical reports; failing cases serialize enough to replay the
 exact code path.
+
+Every suite except the testbed is a sweep over case functions
+``case(cfg, dim, index) -> (inputs, measurements)``: one seeded instance,
+its named inputs and its ``(check, value, ok[, detail])`` measurements.
+``csympl replay`` rebuilds a case by calling the same function.
 """
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,6 +76,9 @@ SUITE_NAMES = (
     "twistor-curve",
 )
 
+#: Suites that draw c-symplectic forms, which live on R^{4n}.
+FORM_SUITES = SUITE_NAMES[:6]
+
 
 @dataclass
 class SuiteConfig:
@@ -82,6 +91,21 @@ class SuiteConfig:
     modes: int = 3
     t_value: complex = -1.0
     control: str = "closed"
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if not 0 < self.tol < 1:
+            raise ValueError(f"tol must be finite with 0 < tol < 1, got {self.tol}")
+        if self.suite in FORM_SUITES and not (self.dims and all(d > 0 and d % 4 == 0 for d in self.dims)):
+            raise ValueError(f"dims must be positive multiples of 4, got {self.dims}")
+        if self.suite != "testbed-nijenhuis":
+            return
+        if self.control == "closed" and self.modes < 1:
+            raise ValueError(f"modes must be at least 1, got {self.modes}")
+        t = complex(self.t_value)
+        if self.control == "nonclosed" and (t.imag != 0 or not 0 < abs(t.real) < 1):
+            raise ValueError(f"t must be real with 0 < |t| < 1 for the non-closed control, got {self.t_value}")
 
 
 @dataclass
@@ -141,6 +165,31 @@ def _failure(cfg: SuiteConfig, check, dim, index, residual, detail=""):
     }
 
 
+#: Checks whose row value is the number of failing cases, not the largest value.
+COUNT_CHECKS = ("criteria-agree", "maximality-brute-force", "section-class")
+
+
+def _sweep(cfg: SuiteConfig, *parts):
+    """Run each part ``(case, dims, samples)`` over its dims and sample
+    indices and fold the measurements into one row per (check, dim), in
+    first-seen order. A row passes when every measurement in it was ok; the
+    first failing measurement in loop order is the failure case."""
+    rows, failure = {}, None
+    for case, dims, samples in parts:
+        for dim in dims:
+            for index in range(samples):
+                for check, value, ok, *detail in case(cfg, dim, index)[1]:
+                    rows.setdefault((check, dim), []).append((value, ok))
+                    if not ok and failure is None:
+                        failure = _failure(cfg, check, dim, index, value, *detail)
+    checks = []
+    for (check, dim), measured in rows.items():
+        values, oks = zip(*measured)
+        value = oks.count(False) if check in COUNT_CHECKS else np.max(values)
+        checks.append(_check_row(check, dim, len(measured), value, all(oks), cfg.seed))
+    return checks, failure
+
+
 # -- instance generators -------------------------------------------------
 
 
@@ -192,69 +241,34 @@ def random_projection(space: CSymplecticSpace, rng: np.random.Generator, tol=1e-
     return LagrangianProjection.build(space, random_lagrangian(space, rng, tol), tol)
 
 
-# -- suites ----------------------------------------------------------------
+# -- case functions ------------------------------------------------------
 
 
-def suite_criteria_equivalence(cfg: SuiteConfig):
-    checks, failure = [], None
-    for dim in cfg.dims:
-        disagreements = 0
-        for i in range(cfg.samples):
-            rng = _case_rng(cfg, dim, i)
-            omega = mixed_two_form(rng, dim)
-            rank_ok = bool(is_c_symplectic_rank(omega, cfg.tol))
-            power_ok = bool(is_c_symplectic_power(omega, cfg.tol))
-            if rank_ok != power_ok:
-                disagreements += 1
-                if failure is None:
-                    failure = _failure(
-                        cfg,
-                        "criteria-agree",
-                        dim,
-                        i,
-                        1.0,
-                        f"rank={rank_ok} power={power_ok}",
-                    )
-        checks.append(
-            _check_row("criteria-agree", dim, cfg.samples, float(disagreements), disagreements == 0, cfg.seed)
-        )
-    return checks, failure
+def _criteria_case(cfg: SuiteConfig, dim, index):
+    omega = mixed_two_form(_case_rng(cfg, dim, index), dim)
+    rank_ok = bool(is_c_symplectic_rank(omega, cfg.tol))
+    power_ok = bool(is_c_symplectic_power(omega, cfg.tol))
+    agree = rank_ok == power_ok
+    return {"omega": omega.matrix}, [("criteria-agree", float(not agree), agree, f"rank={rank_ok} power={power_ok}")]
 
 
-def suite_induced_structure(cfg: SuiteConfig):
-    checks, failure = [], None
-    for dim in cfg.dims:
-        max_recover = 0.0
-        max_scale = 0.0
-        ok = True
-        for i in range(cfg.samples):
-            rng = _case_rng(cfg, dim, i)
-            structure, omega = _structure_with_form(rng, dim)
-            induced = induced_complex_structure(omega, cfg.tol)
-            residual = max_abs(induced.matrix - structure)
-            max_recover = max(max_recover, residual)
-            if residual > 1e-8:
-                ok = False
-                if failure is None:
-                    failure = _failure(cfg, "uniqueness", dim, i, residual)
-            if i < 20:
-                lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-                while abs(lam) < 1e-3:
-                    lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-                scaled = induced_complex_structure(omega * lam, cfg.tol)
-                scale_residual = max_abs(scaled.matrix - induced.matrix)
-                max_scale = max(max_scale, scale_residual)
-                if scale_residual > cfg.tol:
-                    ok = False
-                    if failure is None:
-                        failure = _failure(cfg, "scaling-invariance", dim, i, scale_residual)
-        checks.append(_check_row("uniqueness", dim, cfg.samples, max_recover, max_recover <= 1e-8, cfg.seed))
-        checks.append(
-            _check_row("scaling-invariance", dim, min(cfg.samples, 20), max_scale, max_scale <= cfg.tol, cfg.seed)
-        )
-        if not ok and failure is None:
-            failure = _failure(cfg, "induced-structure", dim, -1, max(max_recover, max_scale))
-    return checks, failure
+def _induced_case(cfg: SuiteConfig, dim, index):
+    """Recover a known structure from its form; the first 20 cases of each
+    dim also rescale the form by a random lambda."""
+    rng = _case_rng(cfg, dim, index)
+    structure, omega = _structure_with_form(rng, dim)
+    induced = induced_complex_structure(omega, cfg.tol).matrix
+    residual = max_abs(induced - structure)
+    inputs = {"omega": omega.matrix, "structure": structure}
+    measurements = [("uniqueness", residual, residual <= 1e-8)]
+    if index < 20:
+        lam = 0j
+        while abs(lam) < 1e-3:
+            lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
+        inputs["lambda"] = lam
+        scale_residual = max_abs(induced_complex_structure(omega * lam, cfg.tol).matrix - induced)
+        measurements.append(("scaling-invariance", scale_residual, scale_residual <= cfg.tol))
+    return inputs, measurements
 
 
 def _structure_with_form(rng: np.random.Generator, dim: int):
@@ -281,53 +295,41 @@ def _structure_with_form(rng: np.random.Generator, dim: int):
     return structure, omega
 
 
-def suite_gram_schmidt(cfg: SuiteConfig):
-    checks, failure = [], None
-    for dim in cfg.dims:
-        target = q_block_form(dim // 4).matrix
-        worst = 0.0
-        for i in range(cfg.samples):
-            rng = _case_rng(cfg, dim, i)
-            omega = random_c_symplectic(rng, dim)[0]
-            b = c_symplectic_basis(omega, cfg.tol)
-            residual = max_abs(b.T @ omega.matrix @ b - target) / omega.norm()
-            worst = max(worst, residual)
-            if residual > 1e-8 and failure is None:
-                failure = _failure(cfg, "q-block-residual", dim, i, residual)
-        checks.append(_check_row("q-block-residual", dim, cfg.samples, worst, worst <= 1e-8, cfg.seed))
-    return checks, failure
+def _gram_schmidt_case(cfg: SuiteConfig, dim, index):
+    omega = random_c_symplectic(_case_rng(cfg, dim, index), dim)[0]
+    b = c_symplectic_basis(omega, cfg.tol)
+    residual = max_abs(b.T @ omega.matrix @ b - q_block_form(dim // 4).matrix) / omega.norm()
+    return {"omega": omega.matrix}, [("q-block-residual", residual, residual <= 1e-8)]
 
 
-def suite_hitchin(cfg: SuiteConfig):
-    checks, failure = [], None
-    for dim in cfg.dims:
-        worst = 0.0
-        for i in range(cfg.samples):
-            rng = _case_rng(cfg, dim, i)
-            space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0], cfg.tol)
-            lagrangian = random_lagrangian(space, rng, cfg.tol)
-            q = lagrangian.orthonormal_basis()
-            image = space.structure.matrix @ q
-            residual = max_abs(image - q @ (q.T @ image)) / max(max_abs(image), 1e-300)
-            worst = max(worst, residual)
-            if residual > cfg.tol and failure is None:
-                failure = _failure(cfg, "structure-invariance", dim, i, residual)
-        checks.append(_check_row("structure-invariance", dim, cfg.samples, worst, worst <= cfg.tol, cfg.seed))
-    # brute-force maximality cross-check at dim 4
-    mismatches = 0
-    trials = 100
-    for i in range(trials):
-        rng = _case_rng(cfg, 4, 10_000 + i)
-        space = CSymplecticSpace.from_form(random_c_symplectic(rng, 4)[0], cfg.tol)
-        subspace = _random_candidate_subspace(space, rng)
-        by_dimension = is_c_lagrangian(subspace, space.omega, 1e-8)
-        by_search = _brute_force_maximal(subspace, space.omega, rng)
-        if by_dimension != by_search:
-            mismatches += 1
-            if failure is None:
-                failure = _failure(cfg, "maximality-brute-force", 4, i, 1.0)
-    checks.append(_check_row("maximality-brute-force", 4, trials, float(mismatches), mismatches == 0, cfg.seed))
-    return checks, failure
+def _lagrangian_instance(cfg: SuiteConfig, dim, index):
+    """Generator, space and random c-Lagrangian fiber shared by the hitchin,
+    preservance and section-theorem cases."""
+    rng = _case_rng(cfg, dim, index)
+    space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0], cfg.tol)
+    fiber = random_lagrangian(space, rng, cfg.tol)
+    return rng, space, fiber, {"omega": space.omega.matrix, "fiber basis": fiber.basis}
+
+
+def _hitchin_case(cfg: SuiteConfig, dim, index):
+    _, space, fiber, inputs = _lagrangian_instance(cfg, dim, index)
+    q = fiber.orthonormal_basis()
+    image = space.structure.matrix @ q
+    residual = max_abs(image - q @ (q.T @ image)) / max(max_abs(image), 1e-300)
+    return inputs, [("structure-invariance", residual, residual <= cfg.tol)]
+
+
+def _maximality_case(cfg: SuiteConfig, dim, index):
+    """Dimension test of maximality against a brute-force extension search,
+    on its own stream (seed, dim, 10000 + index)."""
+    rng = _case_rng(cfg, dim, 10_000 + index)
+    space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0], cfg.tol)
+    subspace = _random_candidate_subspace(space, rng)
+    by_dimension = is_c_lagrangian(subspace, space.omega, 1e-8)
+    by_search = _brute_force_maximal(subspace, space.omega, rng)
+    agree = bool(by_dimension == by_search)
+    inputs = {"omega": space.omega.matrix, "candidate basis": subspace.basis}
+    return inputs, [("maximality-brute-force", float(not agree), agree)]
 
 
 def _random_candidate_subspace(space: CSymplecticSpace, rng: np.random.Generator) -> Subspace:
@@ -364,85 +366,120 @@ def _brute_force_maximal(subspace: Subspace, omega, rng: np.random.Generator, at
     return True
 
 
-def suite_preservance(cfg: SuiteConfig):
-    checks, failure = [], None
-    for dim in cfg.dims:
-        worst = 0.0
-        lagrangian_ok = True
-        for i in range(cfg.samples):
-            rng = _case_rng(cfg, dim, i)
-            space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0], cfg.tol)
-            projection = random_projection(space, rng, cfg.tol)
-            gamma = random_base_form(projection, rng, scale=0.5)
-            report = verify_preservance(projection, gamma, DEFAULT_T_SAMPLES, cfg.tol)
-            worst = max(worst, report.max_residual)
-            lagrangian_ok = lagrangian_ok and report.fiber_lagrangian_ok
-            if (report.max_residual > cfg.tol or not report.fiber_lagrangian_ok) and failure is None:
-                failure = _failure(cfg, "preservance", dim, i, report.max_residual)
-        checks.append(
-            _check_row("preservance", dim, cfg.samples, worst, worst <= cfg.tol and lagrangian_ok, cfg.seed)
-        )
-    return checks, failure
+def _preservance_case(cfg: SuiteConfig, dim, index):
+    rng, space, fiber, inputs = _lagrangian_instance(cfg, dim, index)
+    projection = LagrangianProjection.build(space, fiber, cfg.tol)
+    gamma = random_base_form(projection, rng, scale=0.5)
+    inputs["gamma"] = gamma.matrix
+    report = verify_preservance(projection, gamma, DEFAULT_T_SAMPLES, cfg.tol)
+    return inputs, [("preservance", report.max_residual, report.ok(cfg.tol))]
 
 
-def suite_section_theorem(cfg: SuiteConfig):
-    checks, failure = [], None
-    for dim in cfg.dims:
-        worst = 0.0
-        lagrangian_ok = True
-        for i in range(cfg.samples):
-            rng = _case_rng(cfg, dim, i)
-            space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0], cfg.tol)
-            projection = random_projection(space, rng, cfg.tol)
-            section = LinearSection.random(projection, rng)
-            result = holomorphize_section(section, cfg.tol)
-            worst = max(worst, result.certificate.max_residual)
-            lagrangian_ok = lagrangian_ok and result.certificate.graph_is_lagrangian
-            if not result.certificate.ok(cfg.tol) and failure is None:
-                failure = _failure(cfg, "holomorphize", dim, i, result.certificate.max_residual)
-        checks.append(
-            _check_row("holomorphize", dim, cfg.samples, worst, worst <= cfg.tol and lagrangian_ok, cfg.seed)
-        )
-    return checks, failure
+def _section_theorem_case(cfg: SuiteConfig, dim, index):
+    rng, space, fiber, inputs = _lagrangian_instance(cfg, dim, index)
+    section = LinearSection.random(LagrangianProjection.build(space, fiber, cfg.tol), rng)
+    inputs["section map"] = section.map
+    certificate = holomorphize_section(section, cfg.tol).certificate
+    return inputs, [("holomorphize", certificate.max_residual, certificate.ok(cfg.tol))]
+
+
+def _section_class_case(cfg: SuiteConfig, dim, index, lattice=None):
+    lattice = standard_k3_lattice() if lattice is None else lattice
+    e = random_primitive_isotropic(lattice, _case_rng(cfg, index))
+    try:
+        s = find_section_class(lattice, e)
+        exact = lattice.pair(s, e) == 1 and lattice.pair(s, s) == -2
+    except (ValueError, PostconditionError):
+        exact = False
+    return {"e": e}, [("section-class", float(not exact), exact, f"e={e}")]
+
+
+#: Period (real and imaginary part) and fiber class that random isometries
+#: move to draw twistor curves.
+TWISTOR_BASE = ([1, 1] + [0] * 20, [0, 0, 1, 1] + [0] * 18, [0] * 4 + [1] + [0] * 17)
+
+
+def _twistor_case(cfg: SuiteConfig, dim, index, lattice=None):
+    """One twistor curve: the parameter substitution, then one measurement
+    per plane of a 10 x 10 sweep, its Gram matrix's deviation from the first
+    positive plane's."""
+    lattice = standard_k3_lattice() if lattice is None else lattice
+    re, im, e = random_isometry_images(lattice, _case_rng(cfg, index), TWISTOR_BASE)
+    omega = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    point = PeriodPoint(lattice, omega)
+    s = find_section_class(lattice, e)
+    t = twistor_parameter(lattice, s, e, omega)
+    scale = max(abs(lattice.pair(omega, omega.conj())), 1.0)
+    subst = abs(lattice.pair(np.asarray(s), omega - t * np.asarray(e, dtype=float))) / scale
+    measurements = [("parameter-substitution", subst, subst <= 1e-12)]
+    planes = [(x, y) for x in np.linspace(-2, 2, 10) for y in np.linspace(-2, 2, 10)]
+    grams, errors = np.full((len(planes), 2, 2), np.nan), {}
+    for k, (x, y) in enumerate(planes):
+        try:
+            grams[k] = twistor_curve_plane(point, e, float(x), float(y)).gram
+        except ValueError as exc:  # the plane keeps a NaN Gram, so it fails
+            errors[k] = f"plane ({x}, {y}): {exc}"
+    first = next((gram for gram in grams if not np.isnan(gram).any()), grams[0])
+    deviations = np.max(np.abs(grams - first), axis=(1, 2)) / max(float(np.max(np.abs(first))), 1e-300)
+    for k, deviation in enumerate(deviations):
+        measurements.append(("plane-gram-constant", deviation, deviation <= 1e-12, errors.get(k, "")))
+    return {"omega": omega, "e": e}, measurements
+
+
+#: Case function of every check a per-sample suite emits, for replay.
+CASES = {
+    "criteria-agree": _criteria_case,
+    "uniqueness": _induced_case,
+    "scaling-invariance": _induced_case,
+    "q-block-residual": _gram_schmidt_case,
+    "structure-invariance": _hitchin_case,
+    "maximality-brute-force": _maximality_case,
+    "preservance": _preservance_case,
+    "holomorphize": _section_theorem_case,
+    "section-class": _section_class_case,
+    "parameter-substitution": _twistor_case,
+    "plane-gram-constant": _twistor_case,
+}
+
+
+# -- torus testbed ---------------------------------------------------------
 
 
 #: Richardson window accepted as second order between successive grids.
 RICHARDSON_WINDOW = (2.5, 6.0)
 
 
-def suite_testbed(cfg: SuiteConfig):
+def testbed_inputs(cfg: SuiteConfig):
+    """The testbed's seeded section (None for the non-closed control) and
+    the 2-form field the structure is deformed by, keyed by grid size, at
+    the coarse grid ``grid_n // 2`` and the fine grid ``grid_n``."""
+    grids = (TorusGrid(cfg.grid_n // 2), TorusGrid(cfg.grid_n))
     if cfg.control == "nonclosed":
-        return _testbed_nonclosed(cfg)
-    return _testbed_closed(cfg)
+        return None, {grid.n: nonclosed_control_form(grid) for grid in grids}
+    section = SmoothSection.random(_case_rng(cfg, 0), cfg.modes)
+    return section, {grid.n: sample_section_form(section, grid) for grid in grids}
 
 
 def _testbed_closed(cfg: SuiteConfig):
     checks, failure = [], None
-    n = cfg.grid_n
-    coarse = TorusGrid(n // 2)
-    fine = TorusGrid(n)
-    rng = _case_rng(cfg, 0)
-    section = SmoothSection.random(rng, cfg.modes)
+    section, etas = testbed_inputs(cfg)
+    coarse, fine = (eta.grid for eta in etas.values())
 
     holomorphy = verify_section_holomorphic(section, fine, cfg.tol)
     checks.append(
-        _check_row("section-holomorphy", 4, n * n, holomorphy.max_residual, holomorphy.ok(1e-8), cfg.seed)
+        _check_row("section-holomorphy", 4, fine.n**2, holomorphy.max_residual, holomorphy.ok(1e-8), cfg.seed)
     )
     if not holomorphy.ok(1e-8):
         failure = _failure(cfg, "section-holomorphy", 4, 0, holomorphy.max_residual)
 
-    closed_norms = {}
-    for grid in (coarse, fine):
-        eta = sample_section_form(section, grid)
+    for grid_n, eta in etas.items():
         structure = deformed_structure_field(eta, cfg.t_value, cfg.tol)
-        closed_norms[grid.n] = nijenhuis_norm(structure.field)
+        norm = nijenhuis_norm(structure.field)
         d_eta = exterior_derivative_fd(eta).max_abs()
-        ok = closed_norms[grid.n] <= 1e-4 and structure.bad_nodes == 0 and d_eta <= 1e-10
-        checks.append(
-            _check_row("section-nijenhuis", 4, grid.n * grid.n, closed_norms[grid.n], ok, cfg.seed)
-        )
+        ok = norm <= 1e-4 and structure.bad_nodes == 0 and d_eta <= 1e-10
+        checks.append(_check_row("section-nijenhuis", 4, grid_n * grid_n, norm, ok, cfg.seed))
         if not ok and failure is None:
-            failure = _failure(cfg, "section-nijenhuis", 4, grid.n, closed_norms[grid.n])
+            failure = _failure(cfg, "section-nijenhuis", 4, grid_n, norm)
 
     # a pullback from the base is structurally closed and its structure
     # field has no finite-difference truncation error; the second-order
@@ -476,24 +513,12 @@ def _nonclosed_continuum_max(t: float) -> float:
     return float(np.max(np.abs(r_prime) * factor))
 
 
-def nonclosed_t(cfg: SuiteConfig) -> float:
-    """Deformation parameter of the non-closed control: ``cfg.t_value``
-    when it is real with 0 < |t| < 1, else 0.5."""
-    t = complex(cfg.t_value)
-    if abs(t.imag) > 0 or not 0 < abs(t.real) < 1:
-        return 0.5
-    return t.real
-
-
 def _testbed_nonclosed(cfg: SuiteConfig):
     checks, failure = [], None
-    t = nonclosed_t(cfg)
+    t = complex(cfg.t_value).real
     continuum = _nonclosed_continuum_max(t)
-    n = cfg.grid_n
     values = {}
-    for grid_n in (n // 2, n):
-        grid = TorusGrid(grid_n)
-        control = nonclosed_control_form(grid)
+    for grid_n, control in testbed_inputs(cfg)[1].items():
         structure = deformed_structure_field(control, t, cfg.tol)
         value = nijenhuis_norm(structure.field)
         values[grid_n] = value
@@ -507,6 +532,7 @@ def _testbed_nonclosed(cfg: SuiteConfig):
         checks.append(_check_row("nonclosed-derivative", 4, grid_n * grid_n, d_norm, d_ok, cfg.seed))
         if not d_ok and failure is None:
             failure = _failure(cfg, "nonclosed-derivative", 4, grid_n, d_norm)
+    n = cfg.grid_n
     stability = abs(values[n] - values[n // 2]) / continuum
     ok = stability <= 0.05
     checks.append(_check_row("nonclosed-stability", 4, 2, stability, ok, cfg.seed))
@@ -515,86 +541,16 @@ def _testbed_nonclosed(cfg: SuiteConfig):
     return checks, failure
 
 
-def suite_lattice_sections(cfg: SuiteConfig):
-    lattice = standard_k3_lattice()
-    failures = 0
-    failure = None
-    for i in range(cfg.samples):
-        rng = _case_rng(cfg, i)
-        e = random_primitive_isotropic(lattice, rng)
-        try:
-            s = find_section_class(lattice, e)
-            exact = lattice.pair(s, e) == 1 and lattice.pair(s, s) == -2
-        except (ValueError, PostconditionError):
-            exact = False
-        if not exact:
-            failures += 1
-            if failure is None:
-                failure = _failure(cfg, "section-class", 22, i, 1.0, f"e={e}")
-    checks = [_check_row("section-class", 22, cfg.samples, float(failures), failures == 0, cfg.seed)]
-    return checks, failure
-
-
-def suite_twistor_curve(cfg: SuiteConfig):
-    lattice = standard_k3_lattice()
-    checks, failure = [], None
-    max_subst = 0.0
-    max_gram_dev = 0.0
-    positive_ok = True
-    base_re = [1, 1] + [0] * 20
-    base_im = [0, 0, 1, 1] + [0] * 18
-    base_e = [0] * 22
-    base_e[4] = 1
-    samples = max(1, cfg.samples // 10)
-    for i in range(samples):
-        rng = _case_rng(cfg, i)
-        re, im, e = random_isometry_images(lattice, rng, (base_re, base_im, base_e))
-        omega = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-        point = PeriodPoint(lattice, omega)
-        s = find_section_class(lattice, e)
-        t = twistor_parameter(lattice, s, e, omega)
-        scale = max(abs(lattice.pair(omega, omega.conj())), 1.0)
-        subst = abs(lattice.pair(np.asarray(s), omega - t * np.asarray(e, dtype=float))) / scale
-        max_subst = max(max_subst, subst)
-        if subst > 1e-12 and failure is None:
-            failure = _failure(cfg, "parameter-substitution", 22, i, subst)
-        grams = []
-        for x in np.linspace(-2, 2, 10):
-            for y in np.linspace(-2, 2, 10):
-                try:
-                    grams.append(twistor_curve_plane(point, e, float(x), float(y)).gram)
-                except ValueError:
-                    positive_ok = False
-        grams = np.asarray(grams)
-        gram_dev = float(np.max(np.abs(grams - grams[0]))) / max(float(np.max(np.abs(grams[0]))), 1e-300)
-        max_gram_dev = max(max_gram_dev, gram_dev)
-        if gram_dev > 1e-12 and failure is None:
-            failure = _failure(cfg, "plane-gram-constant", 22, i, gram_dev)
-    checks.append(_check_row("parameter-substitution", 22, samples, max_subst, max_subst <= 1e-12, cfg.seed))
-    checks.append(
-        _check_row(
-            "plane-gram-constant",
-            22,
-            samples * 100,
-            max_gram_dev,
-            max_gram_dev <= 1e-12 and positive_ok,
-            cfg.seed,
-        )
-    )
-    return checks, failure
-
-
 def testbed_node_csv(cfg: SuiteConfig) -> str:
     """Per-node residual table (x, y, holomorphy residual, Nijenhuis norm)
     for external plotting."""
-    grid = TorusGrid(cfg.grid_n)
-    if cfg.control == "nonclosed":
-        structure = deformed_structure_field(nonclosed_control_form(grid), nonclosed_t(cfg), cfg.tol)
+    section, fields = testbed_inputs(cfg)
+    grid = fields[cfg.grid_n].grid
+    if section is None:
+        structure = deformed_structure_field(fields[cfg.grid_n], complex(cfg.t_value).real, cfg.tol)
         holomorphy_nodes = np.zeros((grid.n, grid.n))
         nijenhuis_nodes = nijenhuis_node_norms(structure.field)
     else:
-        rng = _case_rng(cfg, 0)
-        section = SmoothSection.random(rng, cfg.modes)
         certificate = verify_section_holomorphic(section, grid, cfg.tol)
         holomorphy_nodes = certificate.node_residuals
         nijenhuis_nodes = nijenhuis_node_norms(certificate.structure.field)
@@ -608,16 +564,23 @@ def testbed_node_csv(cfg: SuiteConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# -- registry and runner ---------------------------------------------------
+
+# Each lattice suite builds the K3 lattice once per run and hands it to its cases.
 SUITES = {
-    "criteria-equivalence": suite_criteria_equivalence,
-    "induced-structure": suite_induced_structure,
-    "gram-schmidt": suite_gram_schmidt,
-    "hitchin": suite_hitchin,
-    "preservance": suite_preservance,
-    "section-theorem": suite_section_theorem,
-    "testbed-nijenhuis": suite_testbed,
-    "lattice-sections": suite_lattice_sections,
-    "twistor-curve": suite_twistor_curve,
+    "criteria-equivalence": lambda cfg: _sweep(cfg, (_criteria_case, cfg.dims, cfg.samples)),
+    "induced-structure": lambda cfg: _sweep(cfg, (_induced_case, cfg.dims, cfg.samples)),
+    "gram-schmidt": lambda cfg: _sweep(cfg, (_gram_schmidt_case, cfg.dims, cfg.samples)),
+    "hitchin": lambda cfg: _sweep(cfg, (_hitchin_case, cfg.dims, cfg.samples), (_maximality_case, (4,), 100)),
+    "preservance": lambda cfg: _sweep(cfg, (_preservance_case, cfg.dims, cfg.samples)),
+    "section-theorem": lambda cfg: _sweep(cfg, (_section_theorem_case, cfg.dims, cfg.samples)),
+    "testbed-nijenhuis": lambda cfg: (_testbed_nonclosed if cfg.control == "nonclosed" else _testbed_closed)(cfg),
+    "lattice-sections": lambda cfg: _sweep(
+        cfg, (partial(_section_class_case, lattice=standard_k3_lattice()), (22,), cfg.samples)
+    ),
+    "twistor-curve": lambda cfg: _sweep(
+        cfg, (partial(_twistor_case, lattice=standard_k3_lattice()), (22,), max(1, cfg.samples // 10))
+    ),
 }
 
 #: Suites whose dims default differs from (4, 8).
@@ -647,77 +610,25 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     )
 
 
-def describe_case(case: dict, cfg: SuiteConfig) -> None:
-    """Regenerate and print the tensors of a single serialized case.
-
-    All case inputs are functions of (seed, dim, index), so the instance
-    the failing check saw is reconstructed exactly.
+def describe_case(case: dict, cfg: SuiteConfig):
+    """Rebuild, print and return the inputs and measurements of one
+    serialized case, from the case function the suite itself ran; for the
+    testbed, its section modes and deformation fields.
     """
-    suite, dim, index = case["suite"], case["dim"], case["index"]
-    np.set_printoptions(precision=6, suppress=False, linewidth=140)
-    if suite in ("criteria-equivalence", "gram-schmidt", "hitchin", "preservance", "section-theorem", "induced-structure"):
-        rng = _case_rng(cfg, dim, index)
-        if suite == "criteria-equivalence":
-            omega = mixed_two_form(rng, dim)
-            print("omega matrix:\n", omega.matrix)
-            print("rank criterion: ", is_c_symplectic_rank(omega, cfg.tol))
-            print("power criterion:", is_c_symplectic_power(omega, cfg.tol))
-            return
-        if suite == "induced-structure":
-            structure, omega = _structure_with_form(rng, dim)
-            print("omega matrix:\n", omega.matrix)
-            print("reference structure:\n", structure)
-            print("recovered structure:\n", induced_complex_structure(omega, cfg.tol).matrix)
-            return
-        omega = random_c_symplectic(rng, dim)[0]
-        print("omega matrix:\n", omega.matrix)
-        if suite == "gram-schmidt":
-            b = c_symplectic_basis(omega, cfg.tol)
-            print("basis B:\n", b)
-            print("B^T A B:\n", b.T @ omega.matrix @ b)
-            return
-        space = CSymplecticSpace.from_form(omega, cfg.tol)
-        print("induced structure:\n", space.structure.matrix)
-        lagrangian = random_lagrangian(space, rng, cfg.tol)
-        print("fiber basis:\n", lagrangian.basis)
-        if suite == "preservance":
-            projection = LagrangianProjection.build(space, lagrangian, cfg.tol)
-            gamma = random_base_form(projection, rng, scale=0.5)
-            print("gamma matrix:\n", gamma.matrix)
-            report = verify_preservance(projection, gamma, DEFAULT_T_SAMPLES, cfg.tol)
-            for entry in report.details:
-                print(" ", entry)
-        elif suite == "section-theorem":
-            projection = LagrangianProjection.build(space, lagrangian, cfg.tol)
-            section = LinearSection.random(projection, rng)
-            print("section map:\n", section.map)
-            result = holomorphize_section(section, cfg.tol)
-            print("eta:\n", result.eta.matrix)
-            print("certificate:", result.certificate)
-    elif suite == "lattice-sections":
-        rng = _case_rng(cfg, index)
-        lattice = standard_k3_lattice()
-        e = random_primitive_isotropic(lattice, rng)
-        print("e =", e)
-        s = find_section_class(lattice, e)
-        print("s =", s)
-        print("(s, e) =", lattice.pair(s, e), " (s, s) =", lattice.pair(s, s))
-    elif suite == "twistor-curve":
-        rng = _case_rng(cfg, index)
-        lattice = standard_k3_lattice()
-        base_e = [0] * 22
-        base_e[4] = 1
-        re, im, e = random_isometry_images(
-            lattice, rng, ([1, 1] + [0] * 20, [0, 0, 1, 1] + [0] * 18, base_e)
-        )
-        omega = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-        print("omega class:", omega)
-        print("e =", e)
-        s = find_section_class(lattice, e)
-        t = twistor_parameter(lattice, s, e, omega)
-        print("s =", s, " t =", t)
-    elif suite == "testbed-nijenhuis":
-        print(f"grid={cfg.grid_n} modes={cfg.modes} t={cfg.t_value} control={cfg.control}")
+    if case["suite"] == "testbed-nijenhuis":
+        section, fields = testbed_inputs(cfg)
+        inputs = {f"field at grid {n}": field.values for n, field in fields.items()}
+        if section is not None:
+            inputs = {"section modes": section.modes, **inputs}
+        measurements = []
+    else:
+        inputs, measurements = CASES[case["check"]](cfg, case["dim"], case["index"])
+    with np.printoptions(precision=6, suppress=False, linewidth=140):
+        for name, value in inputs.items():
+            print(f"{name}:\n{value}")
+        for check, value, ok, *detail in measurements:
+            print(f"{check}: {value:.6e} ok={ok}", *detail)
+    return inputs, measurements
 
 
 def replay_case(case: dict, verbose: bool = True) -> SuiteReport:

@@ -103,10 +103,6 @@ class SmoothSection:
             out += c * np.exp(2j * np.pi * (k1 * x + k2 * y))
         return out
 
-    def wrapped_value(self, x, y):
-        v = self.value(x, y)
-        return np.mod(v.real, 1.0) + 1j * np.mod(v.imag, 1.0)
-
     def derivatives(self, x, y):
         """Exact (ds/dx, ds/dy) from the Fourier series."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)

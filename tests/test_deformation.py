@@ -24,7 +24,7 @@ from csympl.deformation import (
     verify_preservance,
 )
 from csympl.forms import ComplexTwoForm, form_kernel, pullback
-from csympl.linalg import Subspace
+from csympl.linalg import PostconditionError, Subspace
 from csympl.suites import random_projection
 
 
@@ -374,3 +374,30 @@ def test_holomorphized_section_intertwines_structures():
     lhs = section.map @ proj.quotient_structure.matrix
     rhs = structure_prime.matrix @ section.map
     assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+# -- postconditions ---------------------------------------------------------------
+
+
+def test_section_form_raises_on_a_02_component(monkeypatch):
+    from csympl import deformation
+
+    proj, rng = random_setup(4, 5)
+    section = LinearSection.random(proj, rng)
+    monkeypatch.setattr(deformation.HodgeTypeCertificate, "anti_holomorphic_ok", lambda self, tol: False)
+    with pytest.raises(PostconditionError, match="contradicts the Hodge-type property"):
+        section_form(section)
+
+
+def test_deformed_form_failing_c_symplecticity_raises(monkeypatch):
+    from csympl import deformation
+
+    proj, rng = random_setup(4, 6)
+    gamma = random_base_form(proj, rng)
+
+    def degenerate(omega, tol):
+        return is_c_symplectic(ComplexTwoForm(np.zeros_like(omega.matrix)), tol)
+
+    monkeypatch.setattr(deformation, "is_c_symplectic", degenerate)
+    with pytest.raises(PostconditionError, match="deformed form failed c-symplecticity"):
+        deform(proj, gamma, 0.5)

@@ -8,7 +8,7 @@ import pytest
 
 from csympl import suites
 from csympl.cli import main
-from csympl.suites import SuiteConfig, nonclosed_t, replay_case, run_suite
+from csympl.suites import SuiteConfig, replay_case, run_suite
 
 
 def strip_volatile(report_json):
@@ -167,25 +167,117 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
 
 
 
-def test_nonclosed_t_rule():
-    def t_of(value):
-        return nonclosed_t(SuiteConfig(suite="testbed-nijenhuis", t_value=value))
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["--suite", "criteria-equivalence", "--n", "5", "--tol", "-1"], "tol must", id="negative-tol"),
+        pytest.param(["--suite", "criteria-equivalence", "--n", "5", "--tol", "nan"], "tol must", id="nan-tol"),
+        pytest.param(["--suite", "criteria-equivalence", "--n", "0"], "samples must", id="zero-samples"),
+        pytest.param(["--suite", "lattice-sections", "--n", "-3"], "samples must", id="negative-samples"),
+        pytest.param(["--suite", "criteria-equivalence", "--dims", "0"], "dims must", id="zero-dim"),
+        pytest.param(["--suite", "induced-structure", "--dims", "6"], "dims must", id="dim-6"),
+        pytest.param(["--suite", "induced-structure", "--dims", "2"], "dims must", id="dim-2"),
+        pytest.param(["--suite", "testbed-nijenhuis", "--modes", "0"], "modes must", id="zero-modes"),
+        pytest.param(["--suite", "testbed-nijenhuis", "--modes", "-1"], "modes must", id="negative-modes"),
+        pytest.param(["--suite", "testbed-nijenhuis", "--control", "nonclosed"], "t must", id="nonclosed-default-t"),
+        pytest.param(
+            ["--suite", "testbed-nijenhuis", "--control", "nonclosed", "--t", "0.3,0.2", "--nodes-csv", "nodes.csv"],
+            "t must",
+            id="nonclosed-complex-t",
+        ),
+        pytest.param(["--suite", "testbed-nijenhuis", "--control", "nonclosed", "--t", "0"], "t must", id="nonclosed-zero-t"),
+        pytest.param(["--suite", "testbed-nijenhuis", "--control", "nonclosed", "--t", "2.5"], "t must", id="nonclosed-t-2.5"),
+    ],
+)
+def test_invalid_configuration_exits_2(args, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", *args]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and message in err
+    assert not list(tmp_path.iterdir())  # no report, node table or failure case
 
-    assert t_of(0.3) == 0.3 and t_of(-0.7) == -0.7
-    for bad in (0.3 + 0.2j, 0.0, 1.0, -1.0, 2.5):
-        assert t_of(bad) == 0.5
+
+def test_node_csv_matches_the_suite_fields():
+    def node_table(**kwargs):
+        cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=16, **kwargs)
+        return cfg, np.loadtxt(io.StringIO(suites.testbed_node_csv(cfg)), delimiter=",", skiprows=1)
+
+    cfg, closed = node_table()
+    fine = [row for row in run_suite(cfg).checks if row["check"] == "section-nijenhuis"][-1]
+    assert closed.shape == (256, 4)
+    assert closed[:, 3].max() == pytest.approx(fine["max_residual"], rel=1e-11)
+    _, low = node_table(control="nonclosed", t_value=0.3)
+    _, high = node_table(control="nonclosed", t_value=0.5)
+    assert not low[:, 2].any() and not np.array_equal(low[:, 3], high[:, 3])
 
 
-def test_nonclosed_node_csv_uses_the_suite_t():
-    def nonclosed(t):
-        return SuiteConfig(suite="testbed-nijenhuis", grid_n=16, control="nonclosed", t_value=t)
+def test_nan_residual_fails_its_row(monkeypatch):
+    monkeypatch.setattr(suites, "c_symplectic_basis", lambda omega, tol: np.full((4, 4), np.nan))
+    report = run_suite(SuiteConfig(suite="gram-schmidt", dims=(4,), samples=3, seed=0))
+    assert not report.passed and np.isnan(report.checks[0]["max_residual"])
+    assert report.failure_case["check"] == "q-block-residual" and report.failure_case["index"] == 0
 
-    def node_table(t):
-        return np.loadtxt(io.StringIO(suites.testbed_node_csv(nonclosed(t))), delimiter=",", skiprows=1)
 
-    assert np.array_equal(node_table(0.3 + 0.2j), node_table(0.5))
-    assert not np.array_equal(node_table(0.3), node_table(0.5))
-    assert run_suite(nonclosed(0.3 + 0.2j)).checks == run_suite(nonclosed(0.5)).checks
+#: Small runs of every per-sample suite, for the replay tests.
+REPLAY_RUNS = (
+    SuiteConfig(suite="criteria-equivalence", dims=(4, 8), samples=3, seed=0),
+    SuiteConfig(suite="induced-structure", dims=(4,), samples=3, seed=0),
+    SuiteConfig(suite="gram-schmidt", dims=(4, 8), samples=2, seed=0),
+    SuiteConfig(suite="hitchin", dims=(4,), samples=2, seed=0),
+    SuiteConfig(suite="preservance", dims=(4,), samples=2, seed=0),
+    SuiteConfig(suite="section-theorem", dims=(4,), samples=2, seed=0),
+    SuiteConfig(suite="lattice-sections", samples=3, seed=0),
+    SuiteConfig(suite="twistor-curve", samples=10, seed=0),
+)
+
+
+def assert_same_inputs(replayed, used):
+    assert replayed.keys() == used.keys()
+    for name, value in used.items():
+        assert np.array_equal(replayed[name], value), name
+
+
+def test_replay_rebuilds_the_inputs_each_check_measured(monkeypatch, capsys):
+    used = {}
+
+    def recording(case):
+        def record(cfg, dim, index, **kwargs):
+            inputs, measurements = case(cfg, dim, index, **kwargs)
+            for check, *_ in measurements:
+                used[cfg.suite, check, dim, index] = inputs
+            return inputs, measurements
+
+        return record
+
+    for case in set(suites.CASES.values()):
+        monkeypatch.setattr(suites, case.__name__, recording(case))
+    emitted = {row["check"] for cfg in REPLAY_RUNS for row in run_suite(cfg).checks}
+    assert emitted == set(suites.CASES)
+
+    configs = {cfg.suite: cfg for cfg in REPLAY_RUNS}
+    replayed = set()
+    for (suite, check, dim, index), inputs in used.items():
+        if index < 4:  # includes hitchin's maximality trial 3, drawn from stream (0, 4, 10003)
+            case = {"suite": suite, "check": check, "dim": dim, "index": index}
+            assert_same_inputs(suites.describe_case(case, configs[suite])[0], inputs)
+            replayed.add(check)
+    assert replayed == set(suites.CASES)
+    assert ("hitchin", "maximality-brute-force", 4, 3) in used
+
+
+def test_testbed_replay_rebuilds_the_suite_fields(monkeypatch, capsys):
+    testbed_inputs = suites.testbed_inputs
+    used = []
+    monkeypatch.setattr(suites, "testbed_inputs", lambda cfg: used.append(testbed_inputs(cfg)) or used[-1])
+    for control, t in (("closed", -1.0), ("nonclosed", 0.5)):
+        cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=16, control=control, t_value=t)
+        run_suite(cfg)
+        section, fields = used[-1]
+        case = {"suite": cfg.suite, "check": "section-nijenhuis", "dim": 4, "index": 16}
+        replayed = suites.describe_case(case, cfg)[0]
+        assert replayed.pop("section modes", None) == getattr(section, "modes", None)
+        assert_same_inputs(replayed, {f"field at grid {n}": field.values for n, field in fields.items()})
+
 
 # -- lattice subcommands ------------------------------------------------------------
 
