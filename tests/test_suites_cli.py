@@ -197,6 +197,31 @@ def test_invalid_configuration_exits_2(args, message, tmp_path, monkeypatch, cap
     assert not list(tmp_path.iterdir())  # no report, node table or failure case
 
 
+def test_nonclosed_t_rule():
+    def nonclosed(value):
+        return SuiteConfig(suite="testbed-nijenhuis", control="nonclosed", t_value=value)
+
+    assert nonclosed(0.3).t_value == 0.3 and nonclosed(-0.7).t_value == -0.7
+    for bad in (0.3 + 0.2j, 0.0, 1.0, -1.0, 2.5):
+        with pytest.raises(ValueError, match="t must"):
+            nonclosed(bad)
+
+
+def test_nonclosed_node_csv_uses_the_suite_t():
+    def nonclosed(t):
+        return SuiteConfig(suite="testbed-nijenhuis", grid_n=16, control="nonclosed", t_value=t)
+
+    def node_table(t):
+        return np.loadtxt(io.StringIO(suites.testbed_node_csv(nonclosed(t))), delimiter=",", skiprows=1)
+
+    assert not np.array_equal(node_table(0.3), node_table(0.5))
+    for t in (0.3, -0.7):
+        continuum = suites._nonclosed_continuum_max(t)
+        rows = [row for row in run_suite(nonclosed(t)).checks if row["check"] == "nonclosed-nijenhuis"]
+        csv_deviation = abs(node_table(t)[:, 3].max() - continuum) / continuum
+        assert csv_deviation == pytest.approx(rows[-1]["max_residual"], rel=1e-12)
+
+
 def test_node_csv_matches_the_suite_fields():
     def node_table(**kwargs):
         cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=16, **kwargs)
