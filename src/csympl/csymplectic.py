@@ -16,7 +16,7 @@ import numpy as np
 
 from . import multiindex
 from .forms import ComplexKForm, ComplexTwoForm, FormKernel, form_kernel, power, pullback, wedge
-from .linalg import DEFAULT_TOL, ComplexStructure, Subspace, max_abs, null_space
+from .linalg import DEFAULT_TOL, ComplexStructure, Subspace, max_abs, null_space, real_span_rank
 
 #: Canonical 4x4 block of a c-symplectic form in a basis (u1, I u1, u2, I u2).
 Q_BLOCK = np.array(
@@ -89,26 +89,13 @@ def is_c_symplectic_rank(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> Ran
         return RankCriterion(False, "dimension not 4n", -1, -1, False)
     n = m // 4
     ker = form_kernel(omega, tol)
+    span_rank = -1
     if ker.dim != 2 * n:
-        return RankCriterion(
-            False,
-            f"kernel dimension {ker.dim} != {2 * n}",
-            ker.dim,
-            -1,
-            ker.ill_conditioned,
-            ker,
-        )
-    span_rank = ker.subspace.real_span_rank(tol)
-    if span_rank != m:
-        return RankCriterion(
-            False,
-            "kernel contains real vectors",
-            ker.dim,
-            span_rank,
-            ker.ill_conditioned,
-            ker,
-        )
-    return RankCriterion(True, "", ker.dim, span_rank, ker.ill_conditioned, ker)
+        reason = f"kernel dimension {ker.dim} != {2 * n}"
+    else:
+        span_rank = ker.subspace.real_span_rank(tol)
+        reason = "" if span_rank == m else "kernel contains real vectors"
+    return RankCriterion(not reason, reason, ker.dim, span_rank, ker.ill_conditioned, ker)
 
 
 def is_c_symplectic_power(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> PowerCriterion:
@@ -160,20 +147,57 @@ def induced_complex_structure(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -
 
 def _structure_from_kernel(omega: ComplexTwoForm, kernel: FormKernel, tol: float) -> ComplexStructure:
     """Induced structure of omega from the kernel of a passing rank check."""
-    basis = kernel.subspace.basis
-    half = basis.shape[1]
-    p = np.hstack([basis, basis.conj()])
-    d = np.concatenate([np.full(half, -1j), np.full(half, 1j)])
-    mat = (p * d) @ np.linalg.inv(p)
-    residual = max_abs(mat.imag)
-    if residual > tol * max(1.0, max_abs(mat)):
-        raise ValueError(f"induced structure failed to be real (residual {residual:.3e})")
-    structure = ComplexStructure(omega.dim, mat.real, tol=max(tol, 1e-8))
-    # Omega(I u, v) = i Omega(u, v)  <=>  I^T A = i A.
-    linearity = max_abs(structure.matrix.T @ omega.matrix - 1j * omega.matrix)
-    if linearity > max(tol, 1e-8) * max(1.0, omega.norm()):
+    real, realness, _, linearity = structures_from_kernels(omega.matrix, kernel.subspace.basis)
+    if realness > tol:
+        raise ValueError(f"induced structure failed to be real (residual {realness:.3e})")
+    structure = ComplexStructure(omega.dim, real, tol=max(tol, 1e-8))
+    if linearity > max(tol, 1e-8):
         raise ValueError(f"complex linearity residual {linearity:.3e}")
     return structure
+
+
+def structures_from_kernels(omegas: np.ndarray, kernels: np.ndarray):
+    """Induced structures of stacked forms (..., m, m) from kernel bases (..., m, m/2).
+
+    -i on the kernel and +i on its conjugate: I = (P D) P^{-1}, P = [K, conj K].
+    Returns Re I and, per matrix, the max-norm residuals of realness,
+    I^2 = -Id and I^T A = i A, relative to max(1, |I|), max(1, |Re I|^2)
+    and max(1, |A|) as the single-form checks hold them.
+    """
+    m, half = kernels.shape[-2:]
+    p = np.concatenate([kernels, kernels.conj()], axis=-1)
+    d = np.repeat([-1j, 1j], half)
+    mats = (p * d) @ np.linalg.inv(p)
+    real = mats.real
+    realness = _stack_max(mats.imag) / np.maximum(1.0, _stack_max(mats))
+    square = _stack_max(real @ real + np.eye(m)) / np.maximum(1.0, _stack_max(real) ** 2)
+    linearity = _stack_max(np.swapaxes(real, -1, -2) @ omegas - 1j * omegas) / np.maximum(1.0, _stack_max(omegas))
+    return real, realness, square, linearity
+
+
+def _stack_max(x: np.ndarray) -> np.ndarray:
+    return np.abs(x).max(axis=(-2, -1), initial=0.0)
+
+
+def induced_structures(omegas: np.ndarray, tol: float = DEFAULT_TOL):
+    """Stacked rank verdict and induced structures of forms (..., m, m).
+
+    A form passes when exactly m/2 singular values are <= tol * sigma_max,
+    its kernel's real span fills R^m and its structure meets the
+    single-form thresholds; failing forms are not inverted and get NaN.
+    Returns (structures, ok).
+    """
+    m = omegas.shape[-1]
+    half = m // 2
+    _, s, vh = np.linalg.svd(omegas)
+    kernels = np.swapaxes(vh[..., half:, :].conj(), -1, -2)
+    ok = (np.sum(s <= tol * s[..., :1], axis=-1) == half) & (real_span_rank(kernels, tol) == m)
+    real, realness, square, linearity = structures_from_kernels(omegas[ok], kernels[ok])
+    passed = (realness <= tol) & (square <= max(tol, 1e-8)) & (linearity <= max(tol, 1e-8))
+    structures = np.full(omegas.shape, np.nan)
+    structures[ok] = np.where(passed[:, None, None], real, np.nan)
+    ok[ok] = passed
+    return structures, ok
 
 
 def hodge_decompose(a: ComplexKForm, structure: ComplexStructure) -> dict:

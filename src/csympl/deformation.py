@@ -80,10 +80,6 @@ class LagrangianProjection:
     def half_dim(self) -> int:
         return self.projection.shape[0]
 
-    def fiber_structure(self, tol: float = DEFAULT_TOL):
-        restricted, residual = self.space.structure.restrict(self.fiber, tol)
-        return restricted, residual
-
 
 @dataclass(frozen=True)
 class LinearSection:
@@ -269,25 +265,21 @@ def verify_preservance(
     inherited quotient structure matches as well.
     """
     family = DeformationFamily.build(projection, gamma, tol)
-    base_restriction, base_inv = projection.fiber_structure(tol)
+    base_restriction, base_inv = projection.space.structure.restrict(projection.fiber, tol)
     base_quotient = projection.quotient_structure.matrix
     fiber_ok = True
     max_restriction = 0.0
     max_quotient = 0.0
     max_invariance = base_inv
     details = []
-    q = projection.fiber.orthonormal_basis()
     w = projection.base_model.orthonormal_basis()
     for t in t_samples:
         space_t = family.space(t, tol)
         if not is_c_lagrangian(projection.fiber, space_t.omega, max(tol, 1e-8)):
             fiber_ok = False
-        structure_t = space_t.structure
-        image = structure_t.matrix @ q
-        restriction_t = q.T @ image
-        invariance = max_abs(image - q @ restriction_t)
+        restriction_t, invariance = space_t.structure.restrict(projection.fiber, tol)
         restriction_residual = max_abs(restriction_t - base_restriction)
-        quotient_t = w.T @ structure_t.matrix @ w
+        quotient_t = w.T @ space_t.structure.matrix @ w
         quotient_residual = max_abs(quotient_t - base_quotient)
         max_restriction = max(max_restriction, restriction_residual)
         max_quotient = max(max_quotient, quotient_residual)

@@ -22,8 +22,7 @@ class PostconditionError(RuntimeError):
 
 
 def max_abs(x) -> float:
-    x = np.asarray(x)
-    return float(np.max(np.abs(x))) if x.size else 0.0
+    return float(np.abs(x).max(initial=0.0))
 
 
 def null_space(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -35,6 +34,13 @@ def null_space(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     cutoff = tol * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
+
+
+def real_span_rank(bases: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Real dimension of span_R(Re basis, Im basis) per stacked basis (..., m, k)."""
+    stacked = np.concatenate([bases.real, bases.imag], axis=-1)
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return np.sum(s > tol * np.maximum(s[..., :1], 1e-300), axis=-1)
 
 
 class Subspace:
@@ -92,11 +98,7 @@ class Subspace:
 
     def real_span_rank(self, tol: float = DEFAULT_TOL) -> int:
         """Real dimension of span_R(Re basis, Im basis)."""
-        stacked = np.hstack([self.basis.real, self.basis.imag])
-        if stacked.shape[1] == 0:
-            return 0
-        s = np.linalg.svd(stacked, compute_uv=False)
-        return int(np.sum(s > tol * max(s[0], 1e-300)))
+        return int(real_span_rank(self.basis, tol))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim}, field={self.field!r})"

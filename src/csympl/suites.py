@@ -101,6 +101,8 @@ class SuiteConfig:
             raise ValueError(f"dims must be positive multiples of 4, got {self.dims}")
         if self.suite != "testbed-nijenhuis":
             return
+        if self.control not in ("closed", "nonclosed"):
+            raise ValueError(f"control must be 'closed' or 'nonclosed', got {self.control!r}")
         if self.control == "closed" and self.modes < 1:
             raise ValueError(f"modes must be at least 1, got {self.modes}")
         t = complex(self.t_value)
@@ -473,7 +475,10 @@ def _testbed_closed(cfg: SuiteConfig):
         failure = _failure(cfg, "section-holomorphy", 4, 0, holomorphy.max_residual)
 
     for grid_n, eta in etas.items():
-        structure = deformed_structure_field(eta, cfg.t_value, cfg.tol)
+        if grid_n == fine.n and cfg.t_value == -1:  # the field holomorphy was checked on
+            structure = holomorphy.structure
+        else:
+            structure = deformed_structure_field(eta, cfg.t_value, cfg.tol)
         norm = nijenhuis_norm(structure.field)
         d_eta = exterior_derivative_fd(eta).max_abs()
         ok = norm <= 1e-4 and structure.bad_nodes == 0 and d_eta <= 1e-10

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .csymplectic import Q_BLOCK
+from .csymplectic import Q_BLOCK, induced_structures
 from .linalg import DEFAULT_TOL, max_abs
 from .multiindex import index_tuples
 
@@ -272,18 +272,10 @@ def exterior_derivative_fd(field: GridField) -> GridField:
 
 @dataclass(frozen=True)
 class StructureField:
-    """Induced structure per node with pointwise diagnostics."""
+    """Induced structure per node and the count of nodes without one."""
 
     field: GridField
     bad_nodes: int
-    max_imag_residual: float
-    max_square_residual: float
-    max_linearity_residual: float
-
-    def ok(self, tol: float = 1e-8) -> bool:
-        return self.bad_nodes == 0 and max(
-            self.max_imag_residual, self.max_square_residual, self.max_linearity_residual
-        ) <= tol
 
 
 def deformed_structure_field(
@@ -291,39 +283,15 @@ def deformed_structure_field(
 ) -> StructureField:
     """Pointwise induced structure of Omega + t * eta (eta lifted if on base).
 
-    Vectorized over nodes: batched SVD for the kernels, batched solve for
-    the -i / +i eigenspace prescription, with the same postconditions as
-    the single-space construction (kernel rank 2, no real kernel vectors,
-    realness, I^2 = -Id, complex linearity).
+    One stacked call of the c-symplectic core over all nodes.  A node
+    fails when its kernel rank or real span is wrong or its structure
+    misses the single-form realness, square or linearity threshold; it
+    counts in ``bad_nodes`` and its structure is NaN.
     """
     if eta.ambient == 2:
         eta = lift_base_form(eta)
-    grid = eta.grid
-    mats = Q_BLOCK + complex(t) * two_form_matrices(eta)
-    _, s, vh = np.linalg.svd(mats)
-    scale = s[..., 0]
-    rank_bad = (s[..., 2] > tol * scale) | (s[..., 1] <= tol * scale)
-    kernel = np.swapaxes(vh[..., 2:, :].conj(), -1, -2)  # (n, n, 4, 2)
-    real_stack = np.concatenate([kernel.real, kernel.imag], axis=-1)
-    s_real = np.linalg.svd(real_stack, compute_uv=False)
-    real_bad = s_real[..., -1] <= tol * s_real[..., 0]
-    p = np.concatenate([kernel, kernel.conj()], axis=-1)
-    d = np.array([-1j, -1j, 1j, 1j])
-    structure = (p * d) @ np.linalg.inv(p)
-    imag_residual = float(np.max(np.abs(structure.imag)))
-    real_structure = structure.real
-    eye = np.eye(4)
-    square_residual = float(np.max(np.abs(real_structure @ real_structure + eye)))
-    linearity = np.swapaxes(real_structure, -1, -2) @ mats - 1j * mats
-    linearity_residual = float(np.max(np.abs(linearity)) / max(np.max(np.abs(mats)), 1e-300))
-    bad = int(np.sum(rank_bad | real_bad))
-    return StructureField(
-        field=GridField(grid, "endomorphism", 4, real_structure),
-        bad_nodes=bad,
-        max_imag_residual=imag_residual,
-        max_square_residual=square_residual,
-        max_linearity_residual=linearity_residual,
-    )
+    structures, ok = induced_structures(Q_BLOCK + complex(t) * two_form_matrices(eta), tol)
+    return StructureField(GridField(eta.grid, "endomorphism", 4, structures), int(np.sum(~ok)))
 
 
 def nijenhuis_node_norms(structure_field: GridField) -> np.ndarray:

@@ -9,6 +9,7 @@ from csympl.csymplectic import (
     c_symplectic_basis,
     hodge_decompose,
     induced_complex_structure,
+    induced_structures,
     is_c_isotropic,
     is_c_lagrangian,
     is_c_symplectic,
@@ -127,6 +128,21 @@ def test_criteria_agree_under_perturbations_off_the_boundary():
 
 
 # -- induced structure --------------------------------------------------------
+
+
+def test_stacked_verdict_matches_the_single_form_path():
+    from csympl.suites import mixed_two_form
+
+    for dim in (4, 8):
+        forms = [mixed_two_form(np.random.default_rng([dim, i]), dim) for i in range(150)]
+        structures, ok = induced_structures(np.stack([omega.matrix for omega in forms]))
+        assert ok.tolist() == [is_c_symplectic_rank(omega).ok for omega in forms]
+        assert 0 < ok.sum() < len(forms)
+        for omega, structure, passed in zip(forms, structures, ok):
+            if passed:
+                assert np.max(np.abs(structure - induced_complex_structure(omega).matrix)) <= 1e-12
+            else:
+                assert np.isnan(structure).all()
 
 
 def test_induced_structure_on_q_block():

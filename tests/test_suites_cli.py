@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from csympl import suites
+from csympl import suites, torus
 from csympl.cli import main
 from csympl.suites import SuiteConfig, replay_case, run_suite
 
@@ -138,6 +138,24 @@ def test_replay_malformed_file_exits_2(tmp_path, capsys):
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"suite": "gram-schmidt"}))
     assert main(["replay", str(incomplete)]) == 2
+
+
+def test_replay_unknown_control_exits_2(tmp_path, capsys):
+    case = {"suite": "testbed-nijenhuis", "check": "section-nijenhuis", "dim": 4, "seed": 0, "index": 16,
+            "config": {"grid": 16, "control": "bogus"}}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    assert main(["replay", str(path)]) == 2
+    assert "control must be" in capsys.readouterr().err
+
+
+def test_closed_testbed_builds_each_structure_field_once(monkeypatch):
+    grids = []
+    build = suites.deformed_structure_field
+    monkeypatch.setattr(suites, "deformed_structure_field", lambda eta, *a: grids.append(eta.grid.n) or build(eta, *a))
+    monkeypatch.setattr(torus, "deformed_structure_field", suites.deformed_structure_field)
+    assert run_suite(SuiteConfig(suite="testbed-nijenhuis", grid_n=64)).passed
+    assert sorted(grids) == [32, 32, 64, 64]
 
 
 def test_failure_case_serialized(tmp_path, monkeypatch):

@@ -161,6 +161,18 @@ def test_structure_field_pointwise_matches_single_space_construction():
         assert np.max(np.abs(result.field.values[i, j] - direct)) < 1e-12
 
 
+def test_structure_field_counts_nodes_with_real_kernel_vectors():
+    # at t = 1 the control's kernel is real where cos(2 pi x) = +-1, the
+    # rows x = 0 and x = 1/2; those nodes are counted and carry no structure
+    grid = TorusGrid(16)
+    result = deformed_structure_field(nonclosed_control_form(grid), 1.0)
+    assert result.bad_nodes == 32
+    bad = np.isnan(result.field.values).any(axis=(-1, -2))
+    assert bad.sum() == 32 and bad[[0, 8]].all()
+    assert np.isfinite(np.delete(result.field.values, [0, 8], axis=0)).all()
+    assert np.isnan(nijenhuis_norm(result.field))
+
+
 def test_structure_field_preserves_fiber_pointwise():
     grid = TorusGrid(32)
     rng = np.random.default_rng(5)
