@@ -381,7 +381,13 @@ def quotient_complex_structure(
     """
     if not is_c_lagrangian(fiber, space.omega, tol):
         raise ValueError("fiber is not c-Lagrangian")
-    w = quotient_model(fiber).orthonormal_basis()
+    return quotient_structure_on(space, quotient_model(fiber), tol)
+
+
+def quotient_structure_on(space: CSymplecticSpace, base: Subspace, tol: float = DEFAULT_TOL) -> ComplexStructure:
+    """The inherited structure W^T I W on a quotient model K = L^perp
+    already built for a c-Lagrangian fiber L, checked for compatibility."""
+    w = base.orthonormal_basis()
     mat = w.T @ space.structure.matrix @ w
     # projection compatibility: W^T I = I_quot W^T on all of V
     residual = max_abs(w.T @ space.structure.matrix - mat @ w.T)

@@ -19,8 +19,8 @@ from .csymplectic import (
     is_c_lagrangian,
     is_c_symplectic,
     hodge_decompose,
-    quotient_complex_structure,
     quotient_model,
+    quotient_structure_on,
 )
 from .forms import ComplexTwoForm
 from .linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space
@@ -73,7 +73,7 @@ class LagrangianProjection:
             fiber=fiber,
             base_model=base,
             projection=w.T,
-            quotient_structure=quotient_complex_structure(space, fiber, tol),
+            quotient_structure=quotient_structure_on(space, base, tol),
         )
 
     @property
@@ -242,10 +242,9 @@ class PreservanceReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.max_fiber_restriction_residual,
-            self.max_quotient_residual,
-            self.max_invariance_residual,
+        # max_abs, unlike max, propagates a NaN residual so that ok() fails
+        return max_abs(
+            [self.max_fiber_restriction_residual, self.max_quotient_residual, self.max_invariance_residual]
         )
 
     def ok(self, tol: float = 1e-9) -> bool:
@@ -268,9 +267,6 @@ def verify_preservance(
     base_restriction, base_inv = projection.space.structure.restrict(projection.fiber, tol)
     base_quotient = projection.quotient_structure.matrix
     fiber_ok = True
-    max_restriction = 0.0
-    max_quotient = 0.0
-    max_invariance = base_inv
     details = []
     w = projection.base_model.orthonormal_basis()
     for t in t_samples:
@@ -281,9 +277,6 @@ def verify_preservance(
         restriction_residual = max_abs(restriction_t - base_restriction)
         quotient_t = w.T @ space_t.structure.matrix @ w
         quotient_residual = max_abs(quotient_t - base_quotient)
-        max_restriction = max(max_restriction, restriction_residual)
-        max_quotient = max(max_quotient, quotient_residual)
-        max_invariance = max(max_invariance, invariance)
         details.append(
             {
                 "t": complex(t),
@@ -295,9 +288,9 @@ def verify_preservance(
     return PreservanceReport(
         t_samples=tuple(complex(t) for t in t_samples),
         fiber_lagrangian_ok=fiber_ok,
-        max_fiber_restriction_residual=max_restriction,
-        max_quotient_residual=max_quotient,
-        max_invariance_residual=max_invariance,
+        max_fiber_restriction_residual=max_abs([d["fiber_restriction_residual"] for d in details]),
+        max_quotient_residual=max_abs([d["quotient_residual"] for d in details]),
+        max_invariance_residual=max_abs([base_inv] + [d["invariance_residual"] for d in details]),
         details=tuple(details),
     )
 
@@ -310,7 +303,7 @@ class HolomorphizationCertificate:
 
     @property
     def max_residual(self) -> float:
-        return max(self.graph_restriction_norm, self.intertwining_residual)
+        return max_abs([self.graph_restriction_norm, self.intertwining_residual])
 
     def ok(self, tol: float = 1e-9) -> bool:
         return self.graph_is_lagrangian and self.max_residual <= tol

@@ -363,7 +363,7 @@ def form_kernel(a: ComplexTwoForm, tol: float = DEFAULT_TOL) -> FormKernel:
     warn = bool(np.any((s > cutoff) & (s <= 10 * cutoff)) or np.any(null_mask & (s > cutoff / 10)))
     basis = vh[null_mask].conj().T
     return FormKernel(
-        subspace=Subspace(basis, field="C"),
+        subspace=Subspace.from_orthonormal(basis, field="C"),
         singular_values=s,
         ill_conditioned=warn,
     )

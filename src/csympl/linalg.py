@@ -47,6 +47,31 @@ class Subspace:
     """Linear subspace of R^m or C^m given by a full-column-rank basis."""
 
     def __init__(self, basis, field: str = "R", tol: float = DEFAULT_TOL):
+        basis = self._set_basis(basis, field)
+        if basis.shape[1]:
+            s = np.linalg.svd(basis, compute_uv=False)
+            if s[-1] <= tol * s[0]:
+                raise ValueError("basis columns are not linearly independent")
+            self._ortho = np.linalg.qr(basis)[0]
+        else:
+            self._ortho = basis
+
+    @classmethod
+    def from_orthonormal(cls, q, field: str = "R", tol: float = DEFAULT_TOL) -> "Subspace":
+        """Subspace of a basis that is orthonormal by construction.
+
+        The basis is checked (max |Q^H Q - Id| <= tol) and kept as its own
+        orthonormal basis, without the independence SVD and QR of ``__init__``.
+        """
+        self = cls.__new__(cls)
+        q = self._set_basis(q, field)
+        residual = max_abs(q.conj().T @ q - np.eye(q.shape[1]))
+        if not residual <= tol:
+            raise PostconditionError(f"basis is not orthonormal (residual {residual:.3e})")
+        self._ortho = q
+        return self
+
+    def _set_basis(self, basis, field: str) -> np.ndarray:
         if field not in ("R", "C"):
             raise ValueError(f"field must be 'R' or 'C', got {field!r}")
         basis = np.asarray(basis, dtype=np.complex128 if field == "C" else np.float64)
@@ -55,13 +80,7 @@ class Subspace:
         self.ambient_dim = basis.shape[0]
         self.field = field
         self.basis = basis
-        if basis.shape[1]:
-            s = np.linalg.svd(basis, compute_uv=False)
-            if s[-1] <= tol * s[0]:
-                raise ValueError("basis columns are not linearly independent")
-            self._ortho = np.linalg.qr(basis)[0]
-        else:
-            self._ortho = basis
+        return basis
 
     @property
     def dim(self) -> int:
@@ -91,10 +110,9 @@ class Subspace:
 
     def orthogonal_complement(self) -> "Subspace":
         if self.dim == 0:
-            eye = np.eye(self.ambient_dim)
-            return Subspace(eye, field=self.field)
+            return Subspace.from_orthonormal(np.eye(self.ambient_dim), field=self.field)
         u = np.linalg.svd(self.basis, full_matrices=True)[0]
-        return Subspace(u[:, self.dim :], field=self.field)
+        return Subspace.from_orthonormal(u[:, self.dim :], field=self.field)
 
     def real_span_rank(self, tol: float = DEFAULT_TOL) -> int:
         """Real dimension of span_R(Re basis, Im basis)."""

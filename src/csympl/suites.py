@@ -467,7 +467,7 @@ def _testbed_closed(cfg: SuiteConfig):
     section, etas = testbed_inputs(cfg)
     coarse, fine = (eta.grid for eta in etas.values())
 
-    holomorphy = verify_section_holomorphic(section, fine, cfg.tol)
+    holomorphy = verify_section_holomorphic(section, etas[fine.n], cfg.tol)
     checks.append(
         _check_row("section-holomorphy", 4, fine.n**2, holomorphy.max_residual, holomorphy.ok(1e-8), cfg.seed)
     )
@@ -556,7 +556,7 @@ def testbed_node_csv(cfg: SuiteConfig) -> str:
         holomorphy_nodes = np.zeros((grid.n, grid.n))
         nijenhuis_nodes = nijenhuis_node_norms(structure.field)
     else:
-        certificate = verify_section_holomorphic(section, grid, cfg.tol)
+        certificate = verify_section_holomorphic(section, fields[cfg.grid_n], cfg.tol)
         holomorphy_nodes = certificate.node_residuals
         nijenhuis_nodes = nijenhuis_node_norms(certificate.structure.field)
     lines = ["x,y,holomorphy_residual,nijenhuis_norm"]

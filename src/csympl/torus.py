@@ -334,16 +334,16 @@ class SectionHolomorphyCertificate:
 
 
 def verify_section_holomorphic(
-    sigma: SmoothSection, grid: TorusGrid, tol: float = DEFAULT_TOL
+    sigma: SmoothSection, eta: GridField, tol: float = DEFAULT_TOL
 ) -> SectionHolomorphyCertificate:
-    """Check d sigma o J_base = I' o d sigma at every node for t = -1.
+    """Check d sigma o J_base = I' o d sigma at every node of ``eta.grid`` for t = -1.
 
-    eta = sigma^* Omega and I' the structure induced by Omega - pi^* eta;
-    the differential is exact, so the residual is pure linear algebra.
+    eta = sigma^* Omega, as sampled by ``sample_section_form``, and I' the
+    structure induced by Omega - pi^* eta; the differential is exact, so
+    the residual is pure linear algebra.
     """
-    eta = sample_section_form(sigma, grid)
     structure = deformed_structure_field(eta, -1.0, tol)
-    x, y = grid.mesh()
+    x, y = eta.grid.mesh()
     d = sigma.differential(x, y)
     lhs = d @ BASE_J
     rhs = structure.field.values @ d

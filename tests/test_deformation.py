@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from csympl import csymplectic, deformation
 from csympl.csymplectic import (
     CSymplecticSpace,
     c_symplectic_basis,
@@ -15,8 +16,10 @@ from csympl.csymplectic import (
 from csympl.deformation import (
     DEFAULT_T_SAMPLES,
     DeformationFamily,
+    HolomorphizationCertificate,
     LagrangianProjection,
     LinearSection,
+    PreservanceReport,
     deform,
     holomorphize_section,
     random_base_form,
@@ -299,6 +302,26 @@ def test_preservance_svds_each_deformed_form_once(svd_inputs):
     verify_preservance(proj, gamma, DEFAULT_T_SAMPLES)
     for t in DEFAULT_T_SAMPLES:
         assert svd_count(svd_inputs, family(t, check=False).matrix) == 1
+
+
+def test_residual_folds_keep_a_nan():
+    nan = float("nan")
+    assert np.isnan(PreservanceReport((), True, 0.0, nan, 0.0, ()).max_residual)
+    assert not PreservanceReport((), True, 1e-12, 0.0, nan, ()).ok()
+    assert np.isnan(HolomorphizationCertificate(1e-12, True, nan).max_residual)
+    assert not HolomorphizationCertificate(0.0, True, nan).ok()
+
+
+def test_projection_builds_its_quotient_once(monkeypatch):
+    space = CSymplecticSpace.from_form(random_c_symplectic(np.random.default_rng(33), 8)[0])
+    fiber = random_projection(space, np.random.default_rng(34)).fiber
+    calls = []
+    complement, lagrangian = Subspace.orthogonal_complement, csymplectic.is_c_lagrangian
+    monkeypatch.setattr(Subspace, "orthogonal_complement", lambda self: calls.append("complement") or complement(self))
+    for module in (csymplectic, deformation):
+        monkeypatch.setattr(module, "is_c_lagrangian", lambda *a: calls.append("is_c_lagrangian") or lagrangian(*a))
+    LagrangianProjection.build(space, fiber)
+    assert sorted(calls) == ["complement", "is_c_lagrangian"]
 
 
 def test_family_space_is_checked_member():

@@ -8,6 +8,7 @@ import pytest
 
 from csympl import suites, torus
 from csympl.cli import main
+from csympl.linalg import ComplexStructure
 from csympl.suites import SuiteConfig, replay_case, run_suite
 
 
@@ -158,6 +159,15 @@ def test_closed_testbed_builds_each_structure_field_once(monkeypatch):
     assert sorted(grids) == [32, 32, 64, 64]
 
 
+def test_closed_testbed_samples_each_section_form_once(monkeypatch):
+    grids = []
+    sample = suites.sample_section_form
+    monkeypatch.setattr(suites, "sample_section_form", lambda sigma, grid: grids.append(grid.n) or sample(sigma, grid))
+    monkeypatch.setattr(torus, "sample_section_form", suites.sample_section_form)
+    assert run_suite(SuiteConfig(suite="testbed-nijenhuis", grid_n=64)).passed
+    assert grids == [32, 64]
+
+
 def test_failure_case_serialized(tmp_path, monkeypatch):
     # force a failure by running the nonclosed control with an absurd
     # tolerance through a doctored suite config: simplest honest failure
@@ -259,6 +269,18 @@ def test_nan_residual_fails_its_row(monkeypatch):
     report = run_suite(SuiteConfig(suite="gram-schmidt", dims=(4,), samples=3, seed=0))
     assert not report.passed and np.isnan(report.checks[0]["max_residual"])
     assert report.failure_case["check"] == "q-block-residual" and report.failure_case["index"] == 0
+
+
+def test_nan_fiber_restriction_fails_the_preservance_row(monkeypatch):
+    restrict = ComplexStructure.restrict
+
+    def nan_restriction(self, subspace, tol=1e-9):
+        restricted, residual = restrict(self, subspace, tol)
+        return np.full_like(restricted, np.nan), residual
+
+    monkeypatch.setattr(ComplexStructure, "restrict", nan_restriction)
+    report = run_suite(SuiteConfig(suite="preservance", dims=(4,), samples=3, seed=0))
+    assert not report.passed and np.isnan(report.checks[0]["max_residual"])
 
 
 #: Small runs of every per-sample suite, for the replay tests.

@@ -269,7 +269,8 @@ def test_nonclosed_control_nijenhuis_pointwise_against_oracle():
 
 def test_constant_section_trivially_holomorphic():
     grid = TorusGrid(16)
-    certificate = verify_section_holomorphic(SmoothSection.constant(0.2 + 0.9j), grid)
+    section = SmoothSection.constant(0.2 + 0.9j)
+    certificate = verify_section_holomorphic(section, sample_section_form(section, grid))
     assert certificate.max_residual < 1e-14
 
 
@@ -277,7 +278,7 @@ def test_random_sections_become_holomorphic():
     for i in range(3):
         rng = np.random.default_rng(700 + i)
         section = SmoothSection.random(rng, 3)
-        certificate = verify_section_holomorphic(section, TorusGrid(64))
+        certificate = verify_section_holomorphic(section, sample_section_form(section, TorusGrid(64)))
         assert certificate.ok(1e-8)
         assert certificate.max_residual < 1e-10
 
