@@ -19,9 +19,9 @@ import numpy as np
 from .lattice import (
     PeriodPoint,
     PostconditionError,
+    TwistorCurve,
     find_section_class,
     standard_k3_lattice,
-    twistor_curve_plane,
     twistor_parameter,
 )
 from .suites import SUITE_DIM_DEFAULTS, SUITE_NAMES, SuiteConfig, replay_case, run_suite
@@ -233,11 +233,12 @@ def _cmd_lattice(args) -> int:
     point = PeriodPoint.standard(lattice)
     e = [0] * lattice.rank
     e[4] = 1
+    curve = TwistorCurve(point, e)
     grams = []
     span = np.linspace(-args.extent, args.extent, args.grid)
     for x in span:
         for y in span:
-            grams.append(twistor_curve_plane(point, e, float(x), float(y)).gram)
+            grams.append(curve.plane(float(x), float(y)).gram)
     grams = np.asarray(grams)
     deviation = float(np.max(np.abs(grams - grams[0])))
     print(

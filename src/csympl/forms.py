@@ -73,11 +73,14 @@ class ComplexKForm:
         form = cls(dim, degree)
         positions = multiindex.index_positions(dim, degree)
         for idx, value in entries.items():
-            sign, sorted_idx = _perm_sign_and_sorted(tuple(idx))
+            idx = tuple(idx)
+            if len(idx) != degree:
+                raise ValueError(f"index {idx} has {len(idx)} entries, expected degree {degree}")
+            if any(i < 0 or i >= dim for i in idx):
+                raise ValueError(f"index {idx} out of range for dim {dim}")
+            sign, sorted_idx = _perm_sign_and_sorted(idx)
             if sign == 0:
                 continue
-            if any(i < 0 or i >= dim for i in sorted_idx):
-                raise ValueError(f"index {idx} out of range for dim {dim}")
             form.coeffs[positions[sorted_idx]] += sign * value
         return form
 

@@ -390,37 +390,56 @@ class TwistorPlane:
     gram: np.ndarray
 
 
+@dataclass(frozen=True)
+class TwistorCurve:
+    """Degenerate twistor curve through a period point in direction e.
+
+    Requires e isotropic and orthogonal to the period plane, checked once
+    here; then every plane of the curve has a positive definite 2x2 Gram
+    under the lattice pairing that does not depend on (x, y).
+    """
+
+    point: PeriodPoint
+    e: list
+    tol: float = DEFAULT_TOL
+
+    def __post_init__(self):
+        lattice = self.point.lattice
+        e = _as_int_list(self.e)
+        omega = self.point.omega_class
+        if lattice.pair(e, e) != 0:
+            raise ValueError("(e, e) != 0: direction must be isotropic")
+        scale = max(float(np.abs(lattice.pair(omega, omega.conj()))), 1e-300)
+        for label, vec in (("Re Omega", omega.real), ("Im Omega", omega.imag)):
+            pairing = float(lattice.pair(e, vec))
+            if abs(pairing) > self.tol * scale:
+                raise ValueError(f"(e, {label}) = {pairing} != 0")
+        object.__setattr__(self, "e", e)
+
+    def plane(self, x: float, y: float) -> TwistorPlane:
+        """Plane spanned by (Omega + conj Omega) + 2x e and
+        i (Omega - conj Omega) - 2y e."""
+        lattice = self.point.lattice
+        omega = self.point.omega_class
+        e_arr = np.asarray(self.e, dtype=float)
+        v1 = (omega + omega.conj()).real + 2.0 * x * e_arr
+        v2 = (1j * (omega - omega.conj())).real - 2.0 * y * e_arr
+        gram = np.array(
+            [
+                [lattice.pair(v1, v1), lattice.pair(v1, v2)],
+                [lattice.pair(v2, v1), lattice.pair(v2, v2)],
+            ],
+            dtype=float,
+        )
+        eigenvalues = np.linalg.eigvalsh(gram)
+        if not np.all(eigenvalues > 0):
+            raise ValueError(f"plane is not positive: Gram eigenvalues {eigenvalues}")
+        return TwistorPlane(v1=v1, v2=v2, gram=gram)
+
+
 def twistor_curve_plane(
     point: PeriodPoint, e, x: float, y: float, tol: float = DEFAULT_TOL
 ) -> TwistorPlane:
-    """Plane spanned by (Omega + conj Omega) + 2x e and
-    i (Omega - conj Omega) - 2y e.
-
-    Requires e isotropic and orthogonal to the period plane; then the
-    2x2 Gram under the lattice pairing is positive definite and does not
-    depend on (x, y).
-    """
-    lattice = point.lattice
-    e = _as_int_list(e)
-    omega = point.omega_class
-    if lattice.pair(e, e) != 0:
-        raise ValueError("(e, e) != 0: direction must be isotropic")
-    scale = max(float(np.abs(lattice.pair(omega, omega.conj()))), 1e-300)
-    for label, vec in (("Re Omega", omega.real), ("Im Omega", omega.imag)):
-        pairing = float(lattice.pair(e, vec))
-        if abs(pairing) > tol * scale:
-            raise ValueError(f"(e, {label}) = {pairing} != 0")
-    e_arr = np.asarray(e, dtype=float)
-    v1 = (omega + omega.conj()).real + 2.0 * x * e_arr
-    v2 = (1j * (omega - omega.conj())).real - 2.0 * y * e_arr
-    gram = np.array(
-        [
-            [lattice.pair(v1, v1), lattice.pair(v1, v2)],
-            [lattice.pair(v2, v1), lattice.pair(v2, v2)],
-        ],
-        dtype=float,
-    )
-    eigenvalues = np.linalg.eigvalsh(gram)
-    if not np.all(eigenvalues > 0):
-        raise ValueError(f"plane is not positive: Gram eigenvalues {eigenvalues}")
-    return TwistorPlane(v1=v1, v2=v2, gram=gram)
+    """One plane of the curve ``TwistorCurve(point, e, tol)``; sweeps over
+    many planes build the curve once and call its ``plane``."""
+    return TwistorCurve(point, e, tol).plane(x, y)

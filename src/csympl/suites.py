@@ -43,11 +43,11 @@ from .forms import ComplexTwoForm
 from .lattice import (
     PeriodPoint,
     PostconditionError,
+    TwistorCurve,
     find_section_class,
     random_isometry_images,
     random_primitive_isotropic,
     standard_k3_lattice,
-    twistor_curve_plane,
     twistor_parameter,
 )
 from .linalg import Subspace, max_abs, null_space
@@ -416,11 +416,16 @@ def _twistor_case(cfg: SuiteConfig, dim, index, lattice=None):
     measurements = [("parameter-substitution", subst, subst <= 1e-12)]
     planes = [(x, y) for x in np.linspace(-2, 2, 10) for y in np.linspace(-2, 2, 10)]
     grams, errors = np.full((len(planes), 2, 2), np.nan), {}
-    for k, (x, y) in enumerate(planes):
-        try:
-            grams[k] = twistor_curve_plane(point, e, float(x), float(y)).gram
-        except ValueError as exc:  # the plane keeps a NaN Gram, so it fails
-            errors[k] = f"plane ({x}, {y}): {exc}"
+    try:
+        curve = TwistorCurve(point, e)
+    except ValueError as exc:  # a bad direction fails every plane
+        errors = {k: f"plane ({x}, {y}): {exc}" for k, (x, y) in enumerate(planes)}
+    else:
+        for k, (x, y) in enumerate(planes):
+            try:
+                grams[k] = curve.plane(float(x), float(y)).gram
+            except ValueError as exc:  # the plane keeps a NaN Gram, so it fails
+                errors[k] = f"plane ({x}, {y}): {exc}"
     first = next((gram for gram in grams if not np.isnan(gram).any()), grams[0])
     deviations = np.max(np.abs(grams - first), axis=(1, 2)) / max(float(np.max(np.abs(first))), 1e-300)
     for k, deviation in enumerate(deviations):

@@ -54,6 +54,20 @@ def test_degree_above_dim_only_as_collapsed_zero():
         ComplexKForm.from_dict(4, 5, {(0, 1, 2, 3, 4): 1.0})
 
 
+@pytest.mark.parametrize("idx", [(0, 1, 2), (0,)])
+def test_from_dict_rejects_tuple_of_wrong_length(idx):
+    with pytest.raises(ValueError) as info:
+        ComplexKForm.from_dict(4, 2, {idx: 1.0})
+    assert f"index {idx}" in str(info.value)
+    assert "expected degree 2" in str(info.value)
+
+
+def test_from_dict_repeated_index_is_zero_only_in_range():
+    assert ComplexKForm.from_dict(4, 2, {(1, 1): 1.0}).is_zero()
+    with pytest.raises(ValueError, match="out of range"):
+        ComplexKForm.from_dict(4, 2, {(5, 5): 1.0})
+
+
 def test_two_form_roundtrip_exact():
     rng = np.random.default_rng(1)
     raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

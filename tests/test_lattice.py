@@ -9,6 +9,7 @@ from csympl.lattice import (
     IntegralLattice,
     PeriodPoint,
     PostconditionError,
+    TwistorCurve,
     _root_pool,
     dual_vector,
     find_section_class,
@@ -416,3 +417,34 @@ def test_twistor_plane_rejects_non_orthogonal_direction():
     point = PeriodPoint.standard(K3)
     with pytest.raises(ValueError, match="Re Omega"):
         twistor_curve_plane(point, unit(0), 0.0, 0.0)
+
+
+def test_twistor_curve_planes_match_single_plane_calls():
+    point = PeriodPoint.standard(K3)
+    curve = TwistorCurve(point, unit(4))
+    for x, y in ((0.0, 0.0), (-2.0, 1.5), (0.25, -0.75)):
+        plane, single = curve.plane(x, y), twistor_curve_plane(point, unit(4), x, y)
+        for name in ("v1", "v2", "gram"):
+            assert np.array_equal(getattr(plane, name), getattr(single, name))
+
+
+def test_twistor_curve_checks_its_direction_once(monkeypatch):
+    # each plane pairs only its own Gram entries; (e, e), the period scale
+    # and the two orthogonality checks run when the curve is built
+    point = PeriodPoint.standard(K3)
+    calls = []
+    pair = IntegralLattice.pair
+    monkeypatch.setattr(IntegralLattice, "pair", lambda self, v, w: calls.append(1) or pair(self, v, w))
+    curve = TwistorCurve(point, unit(4))
+    assert len(calls) == 4
+    for x in np.linspace(-2, 2, 10):
+        curve.plane(float(x), 0.5)
+    assert len(calls) == 4 + 10 * 4
+
+
+def test_twistor_curve_rejects_bad_directions_when_built():
+    point = PeriodPoint.standard(K3)
+    with pytest.raises(ValueError, match=r"\(e, e\)"):
+        TwistorCurve(point, [1, 1] + [0] * 20)
+    with pytest.raises(ValueError, match="Re Omega"):
+        TwistorCurve(point, unit(0))

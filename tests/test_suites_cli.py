@@ -383,6 +383,19 @@ def test_lattice_sections_counts_postcondition_failures(monkeypatch):
     assert report.failure_case["check"] == "section-class"
 
 
+def test_invalid_twistor_direction_fails_every_plane(monkeypatch):
+    def reject(point, e):
+        raise ValueError("(e, e) != 0: direction must be isotropic")
+
+    monkeypatch.setattr(suites, "TwistorCurve", reject)
+    _, measurements = suites._twistor_case(SuiteConfig(suite="twistor-curve", samples=10, seed=0), 22, 0)
+    planes = [m for m in measurements if m[0] == "plane-gram-constant"]
+    assert len(planes) == 100
+    for _, deviation, ok, detail in planes:
+        assert not ok and np.isnan(deviation)
+        assert detail.startswith("plane (") and detail.endswith("): (e, e) != 0: direction must be isotropic")
+
+
 def test_lattice_twistor_param_cli(capsys):
     zeros = ["0"] * 22
     omega_re = list(zeros)
