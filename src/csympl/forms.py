@@ -272,11 +272,8 @@ def wedge(a, b) -> ComplexKForm:
     degree = a.degree + b.degree
     if degree > a.dim:
         return ComplexKForm.zero(a.dim, degree)
-    ia, ib, iout, sign = multiindex.wedge_table(a.dim, a.degree, b.degree)
-    out = kernels.wedge_scatter(
-        ia, ib, iout, sign, a.coeffs, b.coeffs, multiindex.coefficient_count(a.dim, degree)
-    )
-    return ComplexKForm(a.dim, degree, out)
+    ia, ib, sign = multiindex.wedge_table(a.dim, a.degree, b.degree)
+    return ComplexKForm(a.dim, degree, kernels.wedge_scatter(ia, ib, sign, a.coeffs, b.coeffs))
 
 
 def contract(v, a) -> ComplexKForm:
@@ -287,11 +284,10 @@ def contract(v, a) -> ComplexKForm:
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.shape[0] != a.dim:
         raise ValueError("vector length does not match dim")
-    iin, icomp, iout, sign = multiindex.contraction_table(a.dim, a.degree)
-    out = kernels.contract_scatter(
-        iin, icomp, iout, sign, v, a.coeffs, multiindex.coefficient_count(a.dim, a.degree - 1)
-    )
-    return ComplexKForm(a.dim, a.degree - 1, out)
+    icomp, iin, sign = multiindex.contraction_table(a.dim, a.degree)
+    # the table leaves the (-1)^i of moving index i into place to v
+    v = np.where(np.arange(a.dim) % 2, -v, v)
+    return ComplexKForm(a.dim, a.degree - 1, kernels.wedge_scatter(icomp, iin, sign, v, a.coeffs))
 
 
 def power(a, k: int) -> ComplexKForm:

@@ -1,37 +1,36 @@
-"""Scatter kernels for the dense exterior-algebra products, in numpy."""
+"""Gather-reduce kernel for the dense exterior-algebra products, in numpy."""
 
 import numpy as np
 
-#: Names the one numpy implementation of the scatter kernels.
+#: Names the one numpy implementation of the product kernel.
 BACKEND = "python"
 
-#: Table entries handled per block.  A block's two temporaries hold 4096
+#: Products handled per block.  A block's temporaries hold at most 4096
 #: complex values (64 KiB) each, which glibc serves from memory the heap
 #: already holds.  Whole-table temporaries (550 KiB on the dim-12 4 ^ 4
 #: table) are fresh pages from the OS in some processes (mmap, or a heap
 #: top trimmed on every free) and not in others, depending on the
-#: allocation history, so a wedge's cost would vary by up to 1.6x from one
-#: process to the next.
+#: allocation history; unblocked, the dim-12 4 ^ 2 and 4 ^ 4 wedges ran
+#: up to 2x slower.
 BLOCK = 4096
 
 
-def _scatter_products(ix, iy, iout, sign, x, y, nout):
-    """out[iout[k]] += sign[k] * x[ix[k]] * y[iy[k]], block by block in entry order."""
-    out = np.zeros(nout, dtype=np.complex128)
-    for lo in range(0, len(ix), BLOCK):
-        hi = lo + BLOCK
-        terms = x[ix[lo:hi]]
-        terms *= y[iy[lo:hi]]
-        terms *= sign[lo:hi]
-        np.add.at(out, iout[lo:hi], terms)
+def wedge_scatter(ix, iy, sign, x, y):
+    """Fixed-width signed gather-reduce from a `multiindex` product table.
+
+    With ``W = len(sign)``, output coefficient r is
+    ``sum_w sign[w] * x[ix[r*W + w]] * y[iy[r*W + w]]``.  The wedge
+    ``a ^ b`` is ``wedge_scatter(*wedge_table(...), a, b)``, and the
+    contraction uses the same kernel with its own table.  Rows are reduced
+    a block of at most `BLOCK` products at a time.
+    """
+    width = len(sign)
+    nout = len(ix) // width
+    out = np.empty(nout, dtype=np.complex128)
+    rows = max(1, BLOCK // width)
+    for r0 in range(0, nout, rows):
+        r1 = min(r0 + rows, nout)
+        terms = x[ix[r0 * width : r1 * width]]
+        terms *= y[iy[r0 * width : r1 * width]]
+        out[r0:r1] = terms.reshape(r1 - r0, width) @ sign
     return out
-
-
-def wedge_scatter(ia, ib, iout, sign, a, b, nout):
-    """Coefficients of a ^ b from a `multiindex.wedge_table`."""
-    return _scatter_products(ia, ib, iout, sign, a, b, nout)
-
-
-def contract_scatter(iin, icomp, iout, sign, v, a, nout):
-    """Coefficients of iota_v a from a `multiindex.contraction_table`."""
-    return _scatter_products(icomp, iin, iout, sign, v, a, nout)

@@ -397,17 +397,26 @@ class TwistorCurve:
     Requires e isotropic and orthogonal to the period plane, checked once
     here; then every plane of the curve has a positive definite 2x2 Gram
     under the lattice pairing that does not depend on (x, y).
+
+    When Re Omega and Im Omega are integral, the plane vectors are
+    v1 = a + 2x e and v2 = b - 2y e with integer classes a = 2 Re Omega and
+    b = -2 Im Omega, so each plane's Gram follows by bilinearity from six
+    exact pairings made here; other period points pair v1 and v2 in floats.
     """
 
     point: PeriodPoint
     e: list
     tol: float = DEFAULT_TOL
+    #: ((a, a), (a, b), (b, b), (a, e), (b, e), (e, e)) in exact integers,
+    #: or None for a non-integral period point.
+    _pairings: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lattice = self.point.lattice
         e = _as_int_list(self.e)
         omega = self.point.omega_class
-        if lattice.pair(e, e) != 0:
+        e_square = lattice.pair(e, e)
+        if e_square != 0:
             raise ValueError("(e, e) != 0: direction must be isotropic")
         scale = max(float(np.abs(lattice.pair(omega, omega.conj()))), 1e-300)
         for label, vec in (("Re Omega", omega.real), ("Im Omega", omega.imag)):
@@ -415,6 +424,13 @@ class TwistorCurve:
             if abs(pairing) > self.tol * scale:
                 raise ValueError(f"(e, {label}) = {pairing} != 0")
         object.__setattr__(self, "e", e)
+        pairings = None
+        if np.all(np.isfinite(omega)) and np.all(omega == np.round(omega)):
+            a = _as_int_list(2 * omega.real)
+            b = _as_int_list(-2 * omega.imag)
+            pair = lattice.pair
+            pairings = (pair(a, a), pair(a, b), pair(b, b), pair(a, e), pair(b, e), e_square)
+        object.__setattr__(self, "_pairings", pairings)
 
     def plane(self, x: float, y: float) -> TwistorPlane:
         """Plane spanned by (Omega + conj Omega) + 2x e and
@@ -424,17 +440,33 @@ class TwistorCurve:
         e_arr = np.asarray(self.e, dtype=float)
         v1 = (omega + omega.conj()).real + 2.0 * x * e_arr
         v2 = (1j * (omega - omega.conj())).real - 2.0 * y * e_arr
-        gram = np.array(
-            [
-                [lattice.pair(v1, v1), lattice.pair(v1, v2)],
-                [lattice.pair(v2, v1), lattice.pair(v2, v2)],
-            ],
-            dtype=float,
-        )
+        if self._pairings is None:
+            gram = np.array(
+                [
+                    [lattice.pair(v1, v1), lattice.pair(v1, v2)],
+                    [lattice.pair(v2, v1), lattice.pair(v2, v2)],
+                ],
+                dtype=float,
+            )
+        else:
+            gram = self._exact_gram(x, y)
         eigenvalues = np.linalg.eigvalsh(gram)
         if not np.all(eigenvalues > 0):
             raise ValueError(f"plane is not positive: Gram eigenvalues {eigenvalues}")
         return TwistorPlane(v1=v1, v2=v2, gram=gram)
+
+    def _exact_gram(self, x: float, y: float) -> np.ndarray:
+        """Gram of v1 = a + 2x e, v2 = b - 2y e with x = px/qx and
+        y = py/qy exact dyadic rationals: each entry is one integer over
+        qx^2, qx qy or qy^2, divided once with correct rounding."""
+        aa, ab, bb, ae, be, ee = self._pairings
+        px, qx = float(x).as_integer_ratio()
+        py, qy = float(y).as_integer_ratio()
+        v1v1 = aa * qx * qx + 4 * px * qx * ae + 4 * px * px * ee
+        v1v2 = ab * qx * qy - 2 * py * qx * ae + 2 * px * qy * be - 4 * px * py * ee
+        v2v2 = bb * qy * qy - 4 * py * qy * be + 4 * py * py * ee
+        off = v1v2 / (qx * qy)
+        return np.array([[v1v1 / (qx * qx), off], [off, v2v2 / (qy * qy)]], dtype=float)
 
 
 def twistor_curve_plane(

@@ -2,11 +2,13 @@
 
 A k-form on R^m is stored as one complex coefficient per strictly
 increasing index tuple, ordered as ``itertools.combinations(range(m), k)``
-produces them.  The tables built here flatten wedge products and
-contractions into gather/scatter index arrays that the numeric kernels
-(:mod:`csympl.kernels`) consume; tables are cached per shape since they
-only depend on (dim, degrees), and are read-only since every caller shares
-them.
+produces them.  The tables built here turn wedge products and contractions
+into fixed-width gather-reduce tables for :func:`csympl.kernels.wedge_scatter`:
+each output coefficient is a signed sum of the same number W of products,
+so a table is two flat gather arrays of W entries per output, in output
+order, plus the W signs every output shares.  Tables are cached per shape
+since they only depend on (dim, degrees), and are read-only since every
+caller shares them.
 
 The tables are built by whole-array ranking: the position of a sorted
 tuple among all tuples of its length is read off the combinatorial number
@@ -31,6 +33,12 @@ def index_positions(dim: int, degree: int) -> dict:
     return {idx: pos for pos, idx in enumerate(index_tuples(dim, degree))}
 
 
+#: Ranks computed per block while building a table.  The builder then holds
+#: the finished arrays plus one block, so a build peaks at the table's own
+#: size and not at half as much again.
+RANK_BLOCK = 1 << 16
+
+
 def _read_only(*arrays):
     for array in arrays:
         array.setflags(write=False)
@@ -44,7 +52,8 @@ def _subtuple_ranks(dim: int, rows: np.ndarray, slots: np.ndarray) -> np.ndarray
 
     The position of c_0 < ... < c_{k-1} is
     C(dim, k) - 1 - sum_j C(dim - 1 - c_j, k - j); the sum is accumulated
-    one slot j at a time, so the largest temporary is one output-sized array.
+    one slot j at a time over a block of rows, so the largest temporary is
+    RANK_BLOCK entries rather than one more output-sized array.
     """
     k = slots.shape[1]
     # binom[c, r] = C(dim - 1 - c, r): row c weighs index value c
@@ -52,18 +61,23 @@ def _subtuple_ranks(dim: int, rows: np.ndarray, slots: np.ndarray) -> np.ndarray
         [[comb(dim - 1 - c, r) for r in range(k + 1)] for c in range(dim)], dtype=np.intp
     ).reshape(dim, k + 1)
     ranks = np.full((rows.shape[0], slots.shape[0]), comb(dim, k) - 1, dtype=np.intp)
-    for j in range(k):
-        ranks -= binom[:, k - j][rows][:, slots[:, j]]
+    step = max(1, RANK_BLOCK // slots.shape[0])
+    for lo in range(0, rows.shape[0], step):
+        for j in range(k):
+            ranks[lo : lo + step] -= binom[:, k - j][rows[lo : lo + step]][:, slots[:, j]]
     return ranks
 
 
 @lru_cache(maxsize=None)
 def wedge_table(dim: int, deg_a: int, deg_b: int):
-    """Scatter table for the wedge of a deg_a-form with a deg_b-form.
+    """Gather-reduce table for the wedge of a deg_a-form with a deg_b-form.
 
-    Returns (ia, ib, iout, sign) flat arrays: every output coefficient is
-    the signed sum over splittings of its index set into a deg_a part and
-    a deg_b part, the splittings in ``combinations(union, deg_a)`` order.
+    Returns (ia, ib, sign): output coefficient r is
+    ``sum_p sign[p] * a[ia[r*P + p]] * b[ib[r*P + p]]``, one term per
+    splitting of its index set into a deg_a part and a deg_b part, the
+    P = C(deg_a + deg_b, deg_a) splittings in ``combinations(union, deg_a)``
+    order.  The sign of a splitting depends only on which slots of the
+    union go to the deg_a part, so the P signs are shared by every output.
     """
     out = index_array(dim, deg_a + deg_b)
     # which positions of a sorted union go to the deg_a part; the deg_b
@@ -72,30 +86,37 @@ def wedge_table(dim: int, deg_a: int, deg_b: int):
     right = index_array(deg_a + deg_b, deg_b)[::-1]
     # sorting left + right moves left[j] past the left[j] - j right slots before it
     inversions = left.sum(axis=1) - deg_a * (deg_a - 1) // 2
-    pattern_sign = np.where(inversions % 2, -1.0, 1.0)
+    sign = np.where(inversions % 2, -1.0, 1.0)
     ia = _subtuple_ranks(dim, out, left).reshape(-1)
     ib = _subtuple_ranks(dim, out, right).reshape(-1)
-    iout = np.repeat(np.arange(len(out), dtype=np.intp), len(left))
-    sign = np.tile(pattern_sign, len(out))
-    return _read_only(ia, ib, iout, sign)
+    return _read_only(ia, ib, sign)
 
 
 @lru_cache(maxsize=None)
 def contraction_table(dim: int, degree: int):
-    """Scatter table for the interior product with a vector.
+    """Gather-reduce table for the interior product with a vector.
 
-    (iin, icomp, iout, sign): coefficient iin contributes
-    sign * v[icomp] to output coefficient iout, with sign (-1)^r for the
-    r-th slot of the input index tuple.
+    Returns (icomp, iin, sign): output coefficient J (degree - 1) is
+    ``sum_w sign[w] * s[icomp[r*W + w]] * a[iin[r*W + w]]`` over the
+    W = dim - degree + 1 indices i_0 < ... < i_{W-1} not in J, with
+    ``iin`` the position of J + {i_w} and ``s[i] = (-1)^i v[i]``.
+    Moving i_w into J + {i_w} passes #{j in J : j < i_w} = i_w - w slots,
+    so the (-1)^w of that sign is the table's and the (-1)^(i_w) goes onto v.
     """
-    rows = index_array(dim, degree)
-    # kept[r] lists the slots left after dropping slot r
-    kept = np.arange(degree - 1) + (np.arange(degree - 1) >= np.arange(degree)[:, None])
-    iin = np.repeat(np.arange(len(rows), dtype=np.intp), degree)
-    icomp = rows.flatten()
-    iout = _subtuple_ranks(dim, rows, kept).reshape(-1)
-    sign = np.tile(np.where(np.arange(degree) % 2, -1.0, 1.0), len(rows))
-    return _read_only(iin, icomp, iout, sign)
+    rows = index_array(dim, degree - 1)
+    width = dim - degree + 1
+    taken = np.zeros((len(rows), dim), dtype=bool)
+    taken[np.arange(len(rows))[:, None], rows] = True
+    # the indices not in each J, ascending, row by row
+    icomp = np.nonzero(~taken)[1]
+    union = np.concatenate(
+        [np.broadcast_to(rows[:, None, :], (len(rows), width, degree - 1)), icomp.reshape(-1, width, 1)],
+        axis=2,
+    ).reshape(-1, degree)
+    union.sort(axis=1)
+    iin = _subtuple_ranks(dim, union, np.arange(degree)[None, :]).reshape(-1)
+    sign = np.where(np.arange(width) % 2, -1.0, 1.0)
+    return _read_only(icomp, iin, sign)
 
 
 def coefficient_count(dim: int, degree: int) -> int:

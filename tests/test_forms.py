@@ -162,7 +162,7 @@ def test_wedge_associativity(seed, dim, degrees):
 def test_wedge_matches_shuffle_evaluation_oracle(dim, p, q):
     # independent oracle: evaluate both sides on random vectors; the wedge
     # of values is the signed shuffle sum (the dim-12 tables span 4-9
-    # scatter blocks)
+    # kernel blocks)
     from itertools import combinations
 
     rng = np.random.default_rng(6)
@@ -190,7 +190,7 @@ def test_contract_basis_example():
 @pytest.mark.parametrize("dim,k", [(4, 2), (6, 3), (12, 6), (12, 1)])
 def test_contract_matches_evaluation_oracle(dim, k):
     # iota_v a evaluated on w... is a evaluated on (v, w...); dim 12, k = 6
-    # spans two scatter blocks
+    # spans two kernel blocks
     rng = np.random.default_rng(7)
     a = random_kform(rng, dim, k)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -1,12 +1,16 @@
-"""Scatter kernels and the multi-index tables."""
+"""The gather-reduce kernel and the multi-index tables."""
 
+import sys
 import tracemalloc
 from itertools import combinations
+from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csympl import kernels, multiindex
+from csympl.forms import ComplexKForm, wedge
 
 # -- the per-entry Python builders, kept as the oracle for the numpy tables --
 
@@ -68,11 +72,24 @@ EDGE_WEDGE_SHAPES = (
 CONTRACTION_SHAPES = ((5, 3), (12, 6), (4, 1), (8, 8), (16, 5), (1, 1))
 
 
-def assert_tables_identical(table, expected):
-    for got, want in zip(table, expected, strict=True):
-        assert got.dtype == want.dtype
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+def assert_flat_equal(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def assert_reduction_of(table, gathers, iout, sign):
+    """The oracle's scatter entries ``(gathers, iout, sign)`` are ``table``'s
+    fixed-width rows: the same flat gathers, output r owning entries
+    r*W .. r*W + W - 1, and the entry signs given (the table's W signs,
+    tiled, unless the caller folded more into them)."""
+    *table_gathers, table_sign = table
+    width = len(table_sign)
+    assert table_sign.dtype == np.float64 and table_sign.shape == (width,)
+    for got, want in zip(table_gathers, gathers, strict=True):
+        assert_flat_equal(got, want)
+    assert np.array_equal(iout, np.repeat(np.arange(len(iout) // width), width))
+    assert np.array_equal(sign, np.tile(table_sign, len(iout) // width))
 
 
 def test_merge_sign_examples():
@@ -84,12 +101,20 @@ def test_merge_sign_examples():
 
 @pytest.mark.parametrize("shape", SUITE_WEDGE_SHAPES + EDGE_WEDGE_SHAPES)
 def test_wedge_table_matches_oracle(shape):
-    assert_tables_identical(multiindex.wedge_table(*shape), oracle_wedge_table(*shape))
+    ia, ib, iout, sign = oracle_wedge_table(*shape)
+    assert_reduction_of(multiindex.wedge_table(*shape), (ia, ib), iout, sign)
 
 
 @pytest.mark.parametrize("shape", CONTRACTION_SHAPES)
 def test_contraction_table_matches_oracle(shape):
-    assert_tables_identical(multiindex.contraction_table(*shape), oracle_contraction_table(*shape))
+    # the oracle lists entries by input coefficient; the table by output
+    # coefficient, then by the index i added to it, ascending
+    iin, icomp, iout, sign = oracle_contraction_table(*shape)
+    order = np.lexsort((icomp, iout))
+    iin, icomp, iout, sign = iin[order], icomp[order], iout[order], sign[order]
+    # the table keeps (-1)^w of the entry's (-1)^(i - w); (-1)^i goes onto v
+    sign = np.where(icomp % 2, -sign, sign)
+    assert_reduction_of(multiindex.contraction_table(*shape), (icomp, iin), iout, sign)
 
 
 def test_cached_tables_are_read_only():
@@ -101,9 +126,11 @@ def test_cached_tables_are_read_only():
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 0
-    # the contraction's icomp is its own copy, not a view of index_array
-    icomp = multiindex.contraction_table(5, 3)[1]
-    assert not np.shares_memory(icomp, multiindex.index_array(5, 3))
+    # freezing a table leaves the shared index arrays it was built from alone
+    for table in (multiindex.wedge_table(6, 2, 2), multiindex.contraction_table(5, 3)):
+        for array in table:
+            assert not np.shares_memory(array, multiindex.index_array(5, 2))
+            assert not np.shares_memory(array, multiindex.index_array(6, 4))
 
 
 def test_wedge_table_build_peaks_at_its_own_size():
@@ -121,37 +148,62 @@ def test_wedge_table_build_peaks_at_its_own_size():
 
 
 def test_wedge_table_counts():
-    ia, ib, iout, sign = multiindex.wedge_table(6, 2, 2)
+    ia, ib, sign = multiindex.wedge_table(6, 2, 2)
     # every output 4-set splits into C(4, 2) ordered (a, b) parts
-    assert len(ia) == multiindex.coefficient_count(6, 4) * 6
-    assert set(iout.tolist()) == set(range(multiindex.coefficient_count(6, 4)))
+    assert len(sign) == 6
+    assert len(ia) == len(ib) == multiindex.coefficient_count(6, 4) * 6
     assert set(sign.tolist()) <= {-1.0, 1.0}
+    # two gathers of N*P intp entries and P signs: half of the four
+    # N*P-entry arrays (gathers, output index, tiled sign) of a scatter table
+    table_bytes = sum(array.nbytes for array in multiindex.wedge_table(12, 4, 4))
+    assert table_bytes == 2 * 495 * 70 * 8 + 70 * 8
+    assert table_bytes <= 0.51 * 4 * 495 * 70 * 8
 
 
 def test_contraction_table_counts():
-    iin, icomp, iout, sign = multiindex.contraction_table(5, 3)
+    icomp, iin, sign = multiindex.contraction_table(5, 3)
+    # each output 2-set gathers from its union with each of the 3 indices
+    # left out, as many products as C(5, 3) inputs times their 3 slots
+    assert len(sign) == 3
+    assert len(iin) == len(icomp) == multiindex.coefficient_count(5, 2) * 3
     assert len(iin) == multiindex.coefficient_count(5, 3) * 3
 
 
-def test_pure_scatter_blocks_match_one_shot_sum():
-    # dim 12, 4 ^ 4 has 34650 entries, several blocks; the blocks keep the
-    # order in which each output sums its entries, so the result is exact
+def unblocked(ix, iy, sign, x, y):
+    """wedge_scatter in one block: every row reduced by one matrix product."""
+    return (x[ix] * y[iy]).reshape(-1, len(sign)) @ sign
+
+
+def test_blocked_reduction_matches_unblocked_exactly():
+    # each row is reduced by the same length-W product in or out of a
+    # block, so blocking changes no bit of the result
     rng = np.random.default_rng(2)
-    for dim, p, q in ((12, 4, 4), (12, 6, 2), (6, 2, 2)):
-        ia, ib, iout, sign = multiindex.wedge_table(dim, p, q)
-        a = rng.standard_normal(len(multiindex.index_tuples(dim, p))) * (1 + 1j)
-        b = rng.standard_normal(len(multiindex.index_tuples(dim, q))) * (1 - 2j)
-        nout = multiindex.coefficient_count(dim, p + q)
-        expected = np.zeros(nout, dtype=np.complex128)
-        np.add.at(expected, iout, sign * (a[ia] * b[ib]))
-        assert np.array_equal(kernels.wedge_scatter(ia, ib, iout, sign, a, b, nout), expected)
-    assert len(multiindex.wedge_table(12, 4, 4)[0]) > 2 * kernels.BLOCK
-    # dim 12, iota_v of a 6-form: 5544 entries, two blocks
-    iin, icomp, iout, sign = multiindex.contraction_table(12, 6)
-    assert len(iin) > kernels.BLOCK
+    for dim, p, q in ((12, 4, 4), (12, 6, 2)):
+        table = multiindex.wedge_table(dim, p, q)
+        assert len(table[0]) > 2 * kernels.BLOCK
+        a = rng.standard_normal(multiindex.coefficient_count(dim, p)) * (1 + 1j)
+        b = rng.standard_normal(multiindex.coefficient_count(dim, q)) * (1 - 2j)
+        assert np.array_equal(kernels.wedge_scatter(*table, a, b), unblocked(*table, a, b))
+    # dim 12, iota_v of a 6-form: 792 outputs of 7 products, two blocks
+    table = multiindex.contraction_table(12, 6)
+    assert len(table[0]) > kernels.BLOCK
     v = rng.standard_normal(12) * (2 + 1j)
     a = rng.standard_normal(multiindex.coefficient_count(12, 6)) * (1 - 1j)
-    nout = multiindex.coefficient_count(12, 5)
-    expected = np.zeros(nout, dtype=np.complex128)
-    np.add.at(expected, iout, sign * (v[icomp] * a[iin]))
-    assert np.array_equal(kernels.contract_scatter(iin, icomp, iout, sign, v, a, nout), expected)
+    assert np.array_equal(kernels.wedge_scatter(*table, v, a), unblocked(*table, v, a))
+
+
+def test_traced_wedge_counts_the_products_it_computes():
+    # the benchmark's tracer counts kernels.wedge_scatter's first positional
+    # array as the products computed; a (12, 4, 4) wedge computes
+    # C(12, 8) outputs of C(8, 4) products each
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from tracing import Tracer
+    finally:
+        sys.path.pop(0)
+    rng = np.random.default_rng(3)
+    a = ComplexKForm(12, 4, rng.standard_normal(multiindex.coefficient_count(12, 4)) + 0j)
+    b = ComplexKForm(12, 4, rng.standard_normal(multiindex.coefficient_count(12, 4)) * 1j)
+    with Tracer().installed() as tracer:
+        wedge(a, b)
+    assert tracer.scatter_entries == comb(12, 8) * comb(8, 4)

@@ -429,17 +429,55 @@ def test_twistor_curve_planes_match_single_plane_calls():
 
 
 def test_twistor_curve_checks_its_direction_once(monkeypatch):
-    # each plane pairs only its own Gram entries; (e, e), the period scale
-    # and the two orthogonality checks run when the curve is built
-    point = PeriodPoint.standard(K3)
+    # (e, e), the period scale and the two orthogonality checks run when the
+    # curve is built; an integral period point adds the five exact pairings
+    # its planes' Grams expand into and pairs nothing per plane, any other
+    # point pairs each plane's own Gram entries
+    integral = PeriodPoint.standard(K3)
+    scaled = PeriodPoint(K3, 0.3 * integral.omega_class)
     calls = []
     pair = IntegralLattice.pair
     monkeypatch.setattr(IntegralLattice, "pair", lambda self, v, w: calls.append(1) or pair(self, v, w))
-    curve = TwistorCurve(point, unit(4))
+    curve = TwistorCurve(integral, unit(4))
+    assert len(calls) == 4 + 5
+    for x in np.linspace(-2, 2, 10):
+        curve.plane(float(x), 0.5)
+    assert len(calls) == 4 + 5
+    calls.clear()
+    curve = TwistorCurve(scaled, unit(4))
     assert len(calls) == 4
     for x in np.linspace(-2, 2, 10):
         curve.plane(float(x), 0.5)
     assert len(calls) == 4 + 10 * 4
+
+
+def test_twistor_planes_of_integral_points_have_the_exact_gram():
+    # a = 2 Re Omega and b = -2 Im Omega are integral and e is orthogonal to
+    # both, so every plane's Gram is Gram(a, b) = 4 Gram(Re Omega, -Im Omega)
+    rng = np.random.default_rng(9)
+    base = ([1, 1] + [0] * 20, [0, 0, 1, 1] + [0] * 18, unit(4))
+    for _ in range(5):
+        re, im, e = random_isometry_images(K3, rng, base)
+        minus_im = [-x for x in im]
+        exact = 4 * np.array(
+            [[K3.pair(re, re), K3.pair(re, minus_im)], [K3.pair(minus_im, re), K3.pair(minus_im, minus_im)]],
+            dtype=float,
+        )
+        curve = TwistorCurve(PeriodPoint(K3, np.asarray(re) + 1j * np.asarray(im)), e)
+        for x in np.linspace(-2, 2, 10):
+            for y in np.linspace(-2, 2, 10):
+                assert np.array_equal(curve.plane(float(x), float(y)).gram, exact)
+
+
+def test_twistor_planes_of_non_integral_points_pair_in_floats():
+    point = PeriodPoint(K3, 0.3 * PeriodPoint.standard(K3).omega_class)
+    curve = TwistorCurve(point, unit(4))
+    grams = np.array(
+        [curve.plane(float(x), float(y)).gram for x in np.linspace(-2, 2, 10) for y in np.linspace(-2, 2, 10)]
+    )
+    # 4 Gram(0.3 Re Omega, -0.3 Im Omega) of the standard point: 0.72 Id
+    assert np.allclose(grams, 0.72 * np.eye(2), rtol=0, atol=1e-12)
+    assert np.all(np.linalg.eigvalsh(grams) > 0)
 
 
 def test_twistor_curve_rejects_bad_directions_when_built():

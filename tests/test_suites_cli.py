@@ -425,3 +425,11 @@ def test_lattice_curve_cli(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["positive_definite"] is True
     assert data["max_gram_deviation"] < 1e-12
+
+
+def test_twistor_plane_grams_are_exact_on_a_seed_that_rounded_past_the_bound():
+    # the float plane Grams of this seed's curve deviated by 1.58e-12 > 1e-12
+    report = run_suite(SuiteConfig(suite="twistor-curve", samples=10, seed=68608236))
+    rows = {row["check"]: row for row in report.checks}
+    assert report.passed
+    assert rows["plane-gram-constant"]["max_residual"] == 0
