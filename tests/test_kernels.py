@@ -72,12 +72,6 @@ EDGE_WEDGE_SHAPES = (
 CONTRACTION_SHAPES = ((5, 3), (12, 6), (4, 1), (8, 8), (16, 5), (1, 1))
 
 
-def assert_flat_equal(got, want):
-    assert got.dtype == want.dtype
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-
-
 def assert_reduction_of(table, gathers, iout, sign):
     """The oracle's scatter entries ``(gathers, iout, sign)`` are ``table``'s
     fixed-width rows: the same flat gathers, output r owning entries
@@ -87,7 +81,9 @@ def assert_reduction_of(table, gathers, iout, sign):
     width = len(table_sign)
     assert table_sign.dtype == np.float64 and table_sign.shape == (width,)
     for got, want in zip(table_gathers, gathers, strict=True):
-        assert_flat_equal(got, want)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
     assert np.array_equal(iout, np.repeat(np.arange(len(iout) // width), width))
     assert np.array_equal(sign, np.tile(table_sign, len(iout) // width))
 
