@@ -135,6 +135,9 @@ def _cmd_run(args) -> int:
     if args.suite not in SUITE_NAMES:
         print(f"unknown suite {args.suite!r}; choose from: {', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 2
+    if args.nodes_csv is not None and args.suite != "testbed-nijenhuis":
+        print("--nodes-csv only applies to the testbed-nijenhuis suite", file=sys.stderr)
+        return 2
     seed = args.seed if args.seed is not None else _default_seed()
     dims = args.dims if args.dims is not None else SUITE_DIM_DEFAULTS.get(args.suite, (4, 8))
     try:
@@ -155,9 +158,6 @@ def _cmd_run(args) -> int:
         return 2
     _emit(report, args.out, args.format)
     if args.nodes_csv is not None:
-        if args.suite != "testbed-nijenhuis":
-            print("--nodes-csv only applies to the testbed-nijenhuis suite", file=sys.stderr)
-            return 2
         from .suites import testbed_node_csv
 
         args.nodes_csv.write_text(testbed_node_csv(cfg))

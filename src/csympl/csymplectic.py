@@ -5,7 +5,7 @@ the complexification has complex dimension 2n and contains no real vector;
 equivalently its (n+1)-st wedge power vanishes while the n-th power of
 Omega ^ conj(Omega) does not.  Such a form determines a unique complex
 structure (multiplication by -i on the kernel), and this module builds it,
-decomposes forms into Hodge components, produces canonical bases with the
+splits 2-forms into Hodge components, produces canonical bases with the
 4x4 block Q on the diagonal, and handles c-isotropic / c-Lagrangian
 subspaces and quotient structures.
 """
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import multiindex
-from .forms import ComplexKForm, ComplexTwoForm, FormKernel, form_kernel, power, pullback, wedge
-from .linalg import DEFAULT_TOL, ComplexStructure, Subspace, max_abs, null_space, real_span_rank
+from .forms import ComplexKForm, ComplexTwoForm, FormKernel, form_kernel, power, wedge
+from .linalg import DEFAULT_TOL, ComplexStructure, Subspace, max_abs, null_space, numerical_rank, real_span_rank
 
 #: Canonical 4x4 block of a c-symplectic form in a basis (u1, I u1, u2, I u2).
 Q_BLOCK = np.array(
@@ -147,13 +147,23 @@ def induced_complex_structure(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -
 
 def _structure_from_kernel(omega: ComplexTwoForm, kernel: FormKernel, tol: float) -> ComplexStructure:
     """Induced structure of omega from the kernel of a passing rank check."""
-    real, realness, _, linearity = structures_from_kernels(omega.matrix, kernel.subspace.basis)
-    if realness > tol:
-        raise ValueError(f"induced structure failed to be real (residual {realness:.3e})")
-    structure = ComplexStructure(omega.dim, real, tol=max(tol, 1e-8))
-    if linearity > max(tol, 1e-8):
-        raise ValueError(f"complex linearity residual {linearity:.3e}")
-    return structure
+    real, realness, square, linearity = structures_from_kernels(omega.matrix, kernel.subspace.basis)
+    if not _structure_accepted(realness, square, linearity, tol):
+        raise ValueError(
+            f"induced structure rejected: realness {realness:.3e}, I^2 + Id {square:.3e}, linearity {linearity:.3e}"
+        )
+    return ComplexStructure(omega.dim, real, tol=_structure_tol(tol))
+
+
+def _structure_tol(tol: float) -> float:
+    """Bound on a structure's I^2 = -Id and complex-linearity residuals."""
+    return max(tol, 1e-8)
+
+
+def _structure_accepted(realness, square, linearity, tol: float):
+    """Acceptance of single or stacked ``structures_from_kernels`` residuals."""
+    loose = _structure_tol(tol)
+    return (realness <= tol) & (square <= loose) & (linearity <= loose)
 
 
 def structures_from_kernels(omegas: np.ndarray, kernels: np.ndarray):
@@ -191,58 +201,36 @@ def induced_structures(omegas: np.ndarray, tol: float = DEFAULT_TOL):
     half = m // 2
     _, s, vh = np.linalg.svd(omegas)
     kernels = np.swapaxes(vh[..., half:, :].conj(), -1, -2)
-    ok = (np.sum(s <= tol * s[..., :1], axis=-1) == half) & (real_span_rank(kernels, tol) == m)
+    ok = (numerical_rank(s, tol) == m - half) & (real_span_rank(kernels, tol) == m)
     real, realness, square, linearity = structures_from_kernels(omegas[ok], kernels[ok])
-    passed = (realness <= tol) & (square <= max(tol, 1e-8)) & (linearity <= max(tol, 1e-8))
+    passed = _structure_accepted(realness, square, linearity, tol)
     structures = np.full(omegas.shape, np.nan)
     structures[ok] = np.where(passed[:, None, None], real, np.nan)
     ok[ok] = passed
     return structures, ok
 
 
-def hodge_decompose(a: ComplexKForm, structure: ComplexStructure) -> dict:
-    """Split a k-form into its (p, q) components for the given structure.
+def hodge_decompose(a: ComplexTwoForm | ComplexKForm, structure: ComplexStructure) -> dict:
+    """Split a 2-form into its (2,0), (1,1) and (0,2) components.
 
-    A 2-form with matrix A splits by the projector P = (Id - iI)/2 onto
-    the (1,0) directions: A20 = P^T A P, A02 = conj(P)^T A conj(P) and
-    A11 = A - A20 - A02 (Huybrechts, Complex Geometry, 1.2).  Other
-    degrees average pullbacks over the rotations exp(theta I) with
-    Fourier weights: the (p, q) part transforms with weight
-    e^{i (p - q) theta}, so 2k + 2 equispaced angles separate all
-    components exactly.
+    ``a`` is a ``ComplexTwoForm`` or a degree-2 ``ComplexKForm``.  With A
+    its matrix and P = (Id - iI)/2 the projector onto the (1,0)
+    directions: A20 = P^T A P, A02 = conj(P)^T A conj(P) and
+    A11 = A - A20 - A02 (Huybrechts, Complex Geometry, 1.2).
     """
-    if isinstance(a, ComplexTwoForm):
-        a = a.to_kform()
+    if isinstance(a, ComplexKForm):
+        if a.degree != 2:
+            raise ValueError(f"hodge_decompose splits 2-forms, got a {a.degree}-form")
+        a = ComplexTwoForm.from_kform(a)
     if a.dim != structure.dim:
         raise ValueError("form and structure dimensions differ")
-    k = a.degree
-    if k == 0:
-        return {(0, 0): a}
-    if k == 2:
-        return _hodge_split_two_form(a, structure)
-    n_angles = 2 * k + 2
-    thetas = [2 * np.pi * j / n_angles for j in range(n_angles)]
-    rotated = [pullback(structure.rotation(t), a) for t in thetas]
-    components = {}
-    for p in range(k + 1):
-        q = k - p
-        weight = p - q
-        acc = np.zeros_like(a.coeffs)
-        for theta, rot in zip(thetas, rotated):
-            acc += np.exp(-1j * weight * theta) * rot.coeffs
-        components[(p, q)] = ComplexKForm(a.dim, k, acc / n_angles)
-    return components
-
-
-def _hodge_split_two_form(a: ComplexKForm, structure: ComplexStructure) -> dict:
-    mat = ComplexTwoForm.from_kform(a).matrix
     proj = (np.eye(a.dim) - 1j * structure.matrix) / 2.0
     rows = multiindex.index_array(a.dim, 2)
-    c20 = (proj.T @ mat @ proj)[rows[:, 0], rows[:, 1]]
-    c02 = (proj.conj().T @ mat @ proj.conj())[rows[:, 0], rows[:, 1]]
+    c20 = (proj.T @ a.matrix @ proj)[rows[:, 0], rows[:, 1]]
+    c02 = (proj.conj().T @ a.matrix @ proj.conj())[rows[:, 0], rows[:, 1]]
     return {
         (0, 2): ComplexKForm(a.dim, 2, c02),
-        (1, 1): ComplexKForm(a.dim, 2, a.coeffs - c20 - c02),
+        (1, 1): ComplexKForm(a.dim, 2, a.matrix[rows[:, 0], rows[:, 1]] - c20 - c02),
         (2, 0): ComplexKForm(a.dim, 2, c20),
     }
 
@@ -391,9 +379,9 @@ def quotient_structure_on(space: CSymplecticSpace, base: Subspace, tol: float = 
     mat = w.T @ space.structure.matrix @ w
     # projection compatibility: W^T I = I_quot W^T on all of V
     residual = max_abs(w.T @ space.structure.matrix - mat @ w.T)
-    if residual > max(tol, 1e-8) * max(1.0, max_abs(space.structure.matrix)):
+    if residual > _structure_tol(tol) * max(1.0, max_abs(space.structure.matrix)):
         raise ValueError(f"quotient structure not well-defined (residual {residual:.3e})")
-    return ComplexStructure(w.shape[1], mat, tol=max(tol, 1e-8))
+    return ComplexStructure(w.shape[1], mat, tol=_structure_tol(tol))
 
 
 def random_c_symplectic(rng: np.random.Generator, dim: int, cond_max: float = 1e3):

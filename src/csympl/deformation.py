@@ -43,7 +43,7 @@ class HodgeTypeCertificate:
 
 
 def _hodge_certificate(two_form: ComplexTwoForm, structure: ComplexStructure, scale: float):
-    comps = hodge_decompose(two_form.to_kform(), structure)
+    comps = hodge_decompose(two_form, structure)
     return HodgeTypeCertificate(
         norm_20=comps[(2, 0)].norm(),
         norm_11=comps[(1, 1)].norm(),
@@ -165,14 +165,13 @@ def deform(
     gamma: ComplexTwoForm,
     t: complex,
     tol: float = DEFAULT_TOL,
-    check: bool = True,
 ) -> ComplexTwoForm:
     """Omega_t = Omega + t pi^* gamma for a (2,0)+(1,1) form gamma on K.
 
     Rejects gamma with an anti-holomorphic component above tolerance and
     verifies c-symplecticity of the result by both criteria.
     """
-    return DeformationFamily.build(projection, gamma, tol)(t, tol, check)
+    return DeformationFamily.build(projection, gamma, tol)(t, tol)
 
 
 def _certify_gamma(projection: LagrangianProjection, gamma: ComplexTwoForm, tol: float):
@@ -213,21 +212,21 @@ class DeformationFamily:
     def build(cls, projection: LagrangianProjection, gamma: ComplexTwoForm, tol: float = DEFAULT_TOL):
         return cls(projection=projection, gamma=gamma, certificate=_certify_gamma(projection, gamma, tol))
 
-    def _form(self, t: complex) -> ComplexTwoForm:
+    def form(self, t: complex) -> ComplexTwoForm:
+        """The member Omega + t pi^* gamma, not checked for c-symplecticity."""
         w = self.projection.projection  # (2n, 4n)
         pulled = w.T @ self.gamma.matrix @ w
         return ComplexTwoForm(self.projection.space.omega.matrix + complex(t) * pulled)
 
-    def __call__(self, t: complex, tol: float = DEFAULT_TOL, check: bool = True) -> ComplexTwoForm:
-        omega_t = self._form(t)
-        if check:
-            _deformed_verdict(omega_t, tol)
+    def __call__(self, t: complex, tol: float = DEFAULT_TOL) -> ComplexTwoForm:
+        omega_t = self.form(t)
+        _deformed_verdict(omega_t, tol)
         return omega_t
 
     def space(self, t: complex, tol: float = DEFAULT_TOL) -> CSymplecticSpace:
         """Omega_t checked once by both criteria, with its induced structure
         built from the rank check's kernel."""
-        omega_t = self._form(t)
+        omega_t = self.form(t)
         return CSymplecticSpace.from_verdict(omega_t, _deformed_verdict(omega_t, tol), tol)
 
 
@@ -354,6 +353,6 @@ def random_base_form(
     k = projection.half_dim
     raw = scale * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
     raw_form = ComplexTwoForm(raw)
-    comps = hodge_decompose(raw_form.to_kform(), projection.quotient_structure)
+    comps = hodge_decompose(raw_form, projection.quotient_structure)
     cleaned = comps[(2, 0)] + comps[(1, 1)]
     return ComplexTwoForm.from_kform(cleaned)

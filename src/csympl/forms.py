@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, multiindex
-from .linalg import DEFAULT_TOL, Subspace, max_abs
+from .linalg import DEFAULT_TOL, Subspace, max_abs, numerical_rank
 
 
 def _perm_sign_and_sorted(idx):
@@ -351,18 +351,15 @@ class FormKernel:
 def form_kernel(a: ComplexTwoForm, tol: float = DEFAULT_TOL) -> FormKernel:
     """Kernel of a 2-form on V tensor C via SVD thresholding.
 
-    Singular values below tol * sigma_max count as zero; values within a
-    factor 10 of the cutoff set the ``ill_conditioned`` flag.
+    Singular values at or below tol * sigma_max count as zero; a value
+    within a factor 10 of that cutoff, in (cutoff/10, 10 cutoff], sets the
+    ``ill_conditioned`` flag.
     """
     if isinstance(a, ComplexKForm):
         a = ComplexTwoForm.from_kform(a)
     u, s, vh = np.linalg.svd(a.matrix)
-    cutoff = tol * (s[0] if s.size else 0.0)
-    null_mask = s <= cutoff
-    warn = bool(np.any((s > cutoff) & (s <= 10 * cutoff)) or np.any(null_mask & (s > cutoff / 10)))
-    basis = vh[null_mask].conj().T
     return FormKernel(
-        subspace=Subspace.from_orthonormal(basis, field="C"),
+        subspace=Subspace.from_orthonormal(vh[numerical_rank(s, tol) :].conj().T, field="C"),
         singular_values=s,
-        ill_conditioned=warn,
+        ill_conditioned=bool(numerical_rank(s, tol / 10) != numerical_rank(s, 10 * tol)),
     )

@@ -1,7 +1,7 @@
 """Subspaces and complex-structure operators.
 
-Everything here is plain numerical linear algebra over R^m or C^m: rank
-decisions go through SVD thresholding, subspaces compare by mutual
+Everything here is plain numerical linear algebra over R^m or C^m: every
+rank decision is the SVD threshold of ``numerical_rank``, subspaces compare by mutual
 projection residuals, and a complex structure is a real matrix I with
 I^2 = -Id.
 """
@@ -25,22 +25,25 @@ def max_abs(x) -> float:
     return float(np.abs(x).max(initial=0.0))
 
 
+def numerical_rank(s: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Count of singular values above tol * sigma_max along the last axis of
+    descending spectra ``s``: the rank decision of every kernel and span."""
+    return np.sum(s > tol * s[..., :1], axis=-1)
+
+
 def null_space(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the null space of ``mat`` (columns)."""
     mat = np.atleast_2d(np.asarray(mat))
     if mat.size == 0:
         return np.eye(mat.shape[1], dtype=mat.dtype)
     u, s, vh = np.linalg.svd(mat)
-    cutoff = tol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
+    return vh[numerical_rank(s, tol) :].conj().T
 
 
 def real_span_rank(bases: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real dimension of span_R(Re basis, Im basis) per stacked basis (..., m, k)."""
     stacked = np.concatenate([bases.real, bases.imag], axis=-1)
-    s = np.linalg.svd(stacked, compute_uv=False)
-    return np.sum(s > tol * np.maximum(s[..., :1], 1e-300), axis=-1)
+    return numerical_rank(np.linalg.svd(stacked, compute_uv=False), tol)
 
 
 class Subspace:
@@ -49,8 +52,7 @@ class Subspace:
     def __init__(self, basis, field: str = "R", tol: float = DEFAULT_TOL):
         basis = self._set_basis(basis, field)
         if basis.shape[1]:
-            s = np.linalg.svd(basis, compute_uv=False)
-            if s[-1] <= tol * s[0]:
+            if numerical_rank(np.linalg.svd(basis, compute_uv=False), tol) < basis.shape[1]:
                 raise ValueError("basis columns are not linearly independent")
             self._ortho = np.linalg.qr(basis)[0]
         else:

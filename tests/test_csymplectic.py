@@ -133,7 +133,7 @@ def test_criteria_agree_under_perturbations_off_the_boundary():
 def test_stacked_verdict_matches_the_single_form_path():
     from csympl.suites import mixed_two_form
 
-    for dim in (4, 8):
+    for dim in (4, 8, 12):
         forms = [mixed_two_form(np.random.default_rng([dim, i]), dim) for i in range(150)]
         structures, ok = induced_structures(np.stack([omega.matrix for omega in forms]))
         assert ok.tolist() == [is_c_symplectic_rank(omega).ok for omega in forms]
@@ -279,17 +279,23 @@ def test_hodge_projector_split_matches_pullback_average(dim):
             assert np.max(np.abs(comps[key].coeffs - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
 
 
-def test_hodge_three_form_decomposes_and_reassembles():
+def test_hodge_takes_two_forms_only():
     rng = np.random.default_rng(7)
     structure = induced_complex_structure(random_c_symplectic(rng, 8)[0])
     form = ComplexKForm(8, 3, rng.standard_normal(56) + 1j * rng.standard_normal(56))
-    comps = hodge_decompose(form, structure)
-    assert sorted(comps) == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    reassembled = comps[(0, 3)] + comps[(1, 2)] + comps[(2, 1)] + comps[(3, 0)]
-    assert reassembled.isclose(form, tol=1e-12)
-    rotation = structure.rotation(0.3)
-    for (p, q), comp in comps.items():
-        assert pullback(rotation, comp).isclose(comp * np.exp(1j * (p - q) * 0.3), tol=1e-10)
+    with pytest.raises(ValueError, match="2-forms"):
+        hodge_decompose(form, structure)
+
+
+def test_hodge_of_a_two_form_matrix_equals_its_kform():
+    rng = np.random.default_rng(8)
+    structure = induced_complex_structure(random_c_symplectic(rng, 8)[0])
+    form = ComplexTwoForm(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    from_matrix, from_kform = hodge_decompose(form, structure), hodge_decompose(form.to_kform(), structure)
+    assert list(from_matrix) == list(from_kform)
+    for key, comp in from_matrix.items():
+        assert np.array_equal(comp.coeffs, from_kform[key].coeffs)
+
 
 # -- canonical basis -------------------------------------------------------------
 

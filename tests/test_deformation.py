@@ -172,10 +172,10 @@ def test_family_is_affine_in_t():
     gamma = random_base_form(proj, rng)
     family = DeformationFamily.build(proj, gamma)
     t1, t2 = 0.7 - 0.2j, -1.3 + 0.4j
-    direct = family(t1 + t2, check=False)
+    direct = family.form(t1 + t2)
     w = proj.projection
     pulled = w.T @ gamma.matrix @ w
-    staged = ComplexTwoForm(family(t1, check=False).matrix + t2 * pulled)
+    staged = ComplexTwoForm(family.form(t1).matrix + t2 * pulled)
     # identical up to one rounding of the scalar reassociation
     assert np.max(np.abs(direct.matrix - staged.matrix)) < 1e-14 * direct.norm()
 
@@ -301,7 +301,7 @@ def test_preservance_svds_each_deformed_form_once(svd_inputs):
     svd_inputs.clear()
     verify_preservance(proj, gamma, DEFAULT_T_SAMPLES)
     for t in DEFAULT_T_SAMPLES:
-        assert svd_count(svd_inputs, family(t, check=False).matrix) == 1
+        assert svd_count(svd_inputs, family.form(t).matrix) == 1
 
 
 def test_residual_folds_keep_a_nan():

@@ -1,11 +1,19 @@
-"""Subspaces built from bases that are orthonormal by construction."""
+"""Subspaces built from bases that are orthonormal by construction, and the
+one rank decision every kernel, null space and span rank makes."""
 
 import numpy as np
 import pytest
 
 from csympl.csymplectic import random_c_symplectic
-from csympl.forms import form_kernel
-from csympl.linalg import PostconditionError, Subspace
+from csympl.forms import ComplexTwoForm, form_kernel
+from csympl.linalg import (
+    DEFAULT_TOL,
+    PostconditionError,
+    Subspace,
+    null_space,
+    numerical_rank,
+    real_span_rank,
+)
 
 
 def random_orthonormal(rng, m, k, field):
@@ -61,3 +69,58 @@ def test_orthonormal_constructions_make_no_qr(monkeypatch):
     for subspace in subspaces:
         subspace.orthogonal_complement()
     assert calls == []
+
+
+#: Multiples of the cutoff DEFAULT_TOL * sigma_max straddling it, with the
+#: rank decision and the ill-conditioning flag each must produce.
+STRADDLING = [(20.0, True, False), (2.0, True, True), (0.5, False, True), (0.05, False, False)]
+SPECTRUM = (1.0, 0.4, 0.1)
+
+
+def skew_form_with_spectrum(rng, values):
+    """Complex skew form U^T blkdiag(v [[0, 1], [-1, 0]]) U, U unitary: each value twice."""
+    block = np.zeros((2 * len(values),) * 2)
+    for j, value in enumerate(values):
+        block[2 * j, 2 * j + 1], block[2 * j + 1, 2 * j] = value, -value
+    u = random_orthonormal(rng, block.shape[0], block.shape[0], "C")
+    return ComplexTwoForm(u.T @ block @ u)
+
+
+@pytest.mark.parametrize("factor, above, _", STRADDLING)
+def test_every_rank_decision_cuts_at_the_same_singular_value(factor, above, _):
+    rng = np.random.default_rng(int(100 * factor))
+    s = np.array(SPECTRUM + (factor * DEFAULT_TOL,))
+    rank = len(s) if above else len(s) - 1
+    basis = random_orthonormal(rng, 6, 4, "R") @ np.diag(s) @ random_orthonormal(rng, 4, 4, "R").T
+    assert np.allclose(np.linalg.svd(basis, compute_uv=False), s, rtol=1e-6, atol=0)
+    assert numerical_rank(s) == rank
+    assert null_space(basis).shape[1] == 4 - rank
+    assert real_span_rank(basis.astype(complex)) == rank
+    if above:
+        assert Subspace(basis).dim == 4
+    else:
+        with pytest.raises(ValueError, match="not linearly independent"):
+            Subspace(basis)
+    assert form_kernel(skew_form_with_spectrum(rng, s)).dim == 2 * (len(s) - rank)
+
+
+def test_numerical_rank_decides_per_stacked_spectrum():
+    spectra = np.array([SPECTRUM + (factor * DEFAULT_TOL,) for factor, _, _ in STRADDLING])
+    expected = [len(SPECTRUM) + above for _, above, _ in STRADDLING]
+    assert numerical_rank(spectra).tolist() == expected
+    assert [numerical_rank(s) for s in spectra] == expected
+
+
+@pytest.mark.parametrize("factor, _, flagged", STRADDLING)
+def test_ill_conditioned_flags_the_two_sided_window_around_the_cutoff(factor, _, flagged):
+    kernel = form_kernel(skew_form_with_spectrum(np.random.default_rng(7), SPECTRUM[:2] + (factor * DEFAULT_TOL,)))
+    s = kernel.singular_values
+    cutoff = DEFAULT_TOL * s[0]
+    assert kernel.ill_conditioned == bool(np.any((s > cutoff / 10) & (s <= 10 * cutoff))) == flagged
+
+
+def test_subspace_rejects_more_columns_than_the_ambient_dimension():
+    # five columns in R^3 have rank 3 < 5, although their smallest of the
+    # three singular values is far above the cutoff
+    with pytest.raises(ValueError, match="not linearly independent"):
+        Subspace(np.random.default_rng(0).standard_normal((3, 5)))

@@ -23,6 +23,16 @@ def test_unknown_suite_exits_2(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [None, "report.json"])
+def test_nodes_csv_with_another_suite_exits_2_before_running(out, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["run", "--suite", "gram-schmidt", "--n", "2", "--dims", "4", "--nodes-csv", "x.csv"]
+    assert main(args + (["--out", out] if out else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--nodes-csv only applies" in captured.err
+    assert not list(tmp_path.iterdir())  # no report, node table or failure case
+
+
 def test_suite_runner_rejects_unknown_name():
     with pytest.raises(KeyError):
         run_suite(SuiteConfig(suite="nonsense"))
