@@ -1,12 +1,13 @@
 """Command-line interface: verification suites, replay, lattice tools.
 
 Exit status: 0 when every check passes, 1 on a failed assertion (with the
-first failing case serialized next to the report for `csympl replay`),
-2 on usage errors, unknown suites, or malformed case files.
+first failing case serialized next to the report for `csympl replay`) or a
+suite that raises, 2 on usage errors, unknown suites, or malformed case files.
 """
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -24,7 +25,7 @@ from .lattice import (
     standard_k3_lattice,
     twistor_parameter,
 )
-from .suites import SUITE_DIM_DEFAULTS, SUITE_NAMES, SuiteConfig, replay_case, run_suite
+from .suites import ROW_FIELDS, SUITES, SuiteConfig, case_config, replay_case, run_suite
 
 
 def _parse_dims(text):
@@ -46,10 +47,6 @@ def _parse_float_vector(text):
     return [float(part) for part in text.replace("[", "").replace("]", "").split(",") if part.strip()]
 
 
-def _default_seed():
-    return int(os.environ.get("CSYMPL_SEED", "0"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csympl",
@@ -61,17 +58,20 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a named verification suite")
     # let values like "-1,0" (complex --t) pass as arguments, not options
     run._negative_number_matcher = re.compile(r"^-\d+[\d.,eEjJ+-]*$")
-    run.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITE_NAMES)}")
-    run.add_argument("--dims", type=_parse_dims, default=None, help="comma list, e.g. 4,8,12")
-    run.add_argument("--n", type=int, default=None, help="samples per dimension")
-    run.add_argument("--seed", type=int, default=None, help="master seed (fallback: CSYMPL_SEED)")
-    run.add_argument("--tol", type=float, default=1e-9)
+    # an option whose dest is a SuiteConfig field is passed on only when
+    # given, so SuiteConfig and the suite's SUITES entry hold the defaults
+    run.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITES)}")
+    run.add_argument("--dims", type=_parse_dims, help="comma list, e.g. 4,8,12")
+    run.add_argument("--n", dest="samples", metavar="N", type=int, help="samples per dimension")
+    seed = os.environ.get("CSYMPL_SEED", "0")  # a string default goes through type=int
+    run.add_argument("--seed", type=int, default=seed, help="master seed (fallback: CSYMPL_SEED)")
+    run.add_argument("--tol", type=float)
     run.add_argument("--out", type=Path, default=None, help="report path (default: stdout)")
     run.add_argument("--format", choices=("json", "csv"), default="json")
-    run.add_argument("--grid", type=int, default=64, help="testbed resolution N")
-    run.add_argument("--modes", type=int, default=3, help="testbed section mode cutoff")
-    run.add_argument("--t", type=_parse_complex, default=complex(-1.0), help="RE or RE,IM")
-    run.add_argument("--control", choices=("closed", "nonclosed"), default="closed")
+    run.add_argument("--grid", dest="grid_n", metavar="GRID", type=int, help="testbed resolution N")
+    run.add_argument("--modes", type=int, help="testbed section mode cutoff")
+    run.add_argument("--t", dest="t_value", metavar="T", type=_parse_complex, help="RE or RE,IM")
+    run.add_argument("--control", help="testbed deformation: closed or nonclosed")
     run.add_argument(
         "--nodes-csv",
         type=Path,
@@ -100,18 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_samples(suite: str) -> int:
-    return {
-        "criteria-equivalence": 500,
-        "lattice-sections": 100,
-        "twistor-curve": 100,
-        "testbed-nijenhuis": 1,
-    }.get(suite, 200)
-
-
 def _report_csv(report) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=["check", "dim", "samples", "max_residual", "pass", "seed"])
+    writer = csv.DictWriter(buffer, fieldnames=ROW_FIELDS)
     writer.writeheader()
     for row in report.checks:
         writer.writerow(row)
@@ -132,30 +123,24 @@ def _emit(report, out: Path, fmt: str):
 
 
 def _cmd_run(args) -> int:
-    if args.suite not in SUITE_NAMES:
-        print(f"unknown suite {args.suite!r}; choose from: {', '.join(SUITE_NAMES)}", file=sys.stderr)
+    if args.suite not in SUITES:
+        print(f"unknown suite {args.suite!r}; choose from: {', '.join(SUITES)}", file=sys.stderr)
         return 2
     if args.nodes_csv is not None and args.suite != "testbed-nijenhuis":
         print("--nodes-csv only applies to the testbed-nijenhuis suite", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else _default_seed()
-    dims = args.dims if args.dims is not None else SUITE_DIM_DEFAULTS.get(args.suite, (4, 8))
+    fields = {f.name for f in dataclasses.fields(SuiteConfig)}
+    given = {name: value for name, value in vars(args).items() if name in fields and value is not None}
     try:
-        cfg = SuiteConfig(
-            suite=args.suite,
-            dims=dims,
-            samples=args.n if args.n is not None else _default_samples(args.suite),
-            seed=seed,
-            tol=args.tol,
-            grid_n=args.grid,
-            modes=args.modes,
-            t_value=args.t,
-            control=args.control,
-        )
-        report = run_suite(cfg)
+        cfg = SuiteConfig(**given)
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
+    try:
+        report = run_suite(cfg)
+    except (ValueError, PostconditionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _emit(report, args.out, args.format)
     if args.nodes_csv is not None:
         from .suites import testbed_node_csv
@@ -185,10 +170,15 @@ def _cmd_replay(args) -> int:
         print(f"cannot read case file: {exc}", file=sys.stderr)
         return 2
     try:
-        report = replay_case(case, verbose=True)
-    except (KeyError, ValueError) as exc:
+        case_config(case)  # a malformed file exits 2, a suite that raises exits 1
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"malformed case file: {exc}", file=sys.stderr)
         return 2
+    try:
+        report = replay_case(case)
+    except (ValueError, PostconditionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if report.passed else 1
 
 

@@ -263,7 +263,7 @@ def verify_preservance(
     inherited quotient structure matches as well.
     """
     family = DeformationFamily.build(projection, gamma, tol)
-    base_restriction, base_inv = projection.space.structure.restrict(projection.fiber, tol)
+    base_restriction, base_inv = projection.space.structure.restrict(projection.fiber)
     base_quotient = projection.quotient_structure.matrix
     fiber_ok = True
     details = []
@@ -272,7 +272,7 @@ def verify_preservance(
         space_t = family.space(t, tol)
         if not is_c_lagrangian(projection.fiber, space_t.omega, max(tol, 1e-8)):
             fiber_ok = False
-        restriction_t, invariance = space_t.structure.restrict(projection.fiber, tol)
+        restriction_t, invariance = space_t.structure.restrict(projection.fiber)
         restriction_residual = max_abs(restriction_t - base_restriction)
         quotient_t = w.T @ space_t.structure.matrix @ w
         quotient_residual = max_abs(quotient_t - base_quotient)

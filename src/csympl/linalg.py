@@ -165,7 +165,7 @@ class ComplexStructure:
         """exp(theta I) = cos(theta) Id + sin(theta) I."""
         return np.cos(theta) * np.eye(self.dim) + np.sin(theta) * self.matrix
 
-    def restrict(self, subspace: Subspace, tol: float = DEFAULT_TOL):
+    def restrict(self, subspace: Subspace):
         """Matrix of I on an invariant subspace, plus the invariance residual."""
         q = subspace.orthonormal_basis()
         image = self.matrix @ q

@@ -17,6 +17,7 @@ its named inputs and its ``(check, value, ok[, detail])`` measurements.
 import time
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,27 +65,15 @@ from .torus import (
     verify_section_holomorphic,
 )
 
-SUITE_NAMES = (
-    "criteria-equivalence",
-    "induced-structure",
-    "gram-schmidt",
-    "hitchin",
-    "preservance",
-    "section-theorem",
-    "testbed-nijenhuis",
-    "lattice-sections",
-    "twistor-curve",
-)
-
-#: Suites that draw c-symplectic forms, which live on R^{4n}.
-FORM_SUITES = SUITE_NAMES[:6]
-
 
 @dataclass
 class SuiteConfig:
+    """One suite run. ``dims`` and ``samples`` default to the suite's entry
+    in ``SUITES``; an unknown suite raises ``KeyError``."""
+
     suite: str
-    dims: tuple = (4, 8)
-    samples: int = 200
+    dims: tuple = None
+    samples: int = None
     seed: int = 0
     tol: float = 1e-9
     grid_n: int = 64
@@ -93,16 +82,21 @@ class SuiteConfig:
     control: str = "closed"
 
     def __post_init__(self):
+        entry = SUITES[self.suite]
+        self.samples = entry.samples if self.samples is None else self.samples
+        self.dims = entry.dims if self.dims is None else self.dims
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         if not 0 < self.tol < 1:
             raise ValueError(f"tol must be finite with 0 < tol < 1, got {self.tol}")
-        if self.suite in FORM_SUITES and not (self.dims and all(d > 0 and d % 4 == 0 for d in self.dims)):
+        # the form suites draw c-symplectic forms, which live on R^{4n}
+        if entry.dims and not (self.dims and all(d > 0 and d % 4 == 0 for d in self.dims)):
             raise ValueError(f"dims must be positive multiples of 4, got {self.dims}")
-        if self.suite != "testbed-nijenhuis":
-            return
         if self.control not in ("closed", "nonclosed"):
             raise ValueError(f"control must be 'closed' or 'nonclosed', got {self.control!r}")
+        if self.suite != "testbed-nijenhuis":
+            return
+        TorusGrid(self.grid_n // 2), TorusGrid(self.grid_n)  # the coarse and the fine grid
         if self.control == "closed" and self.modes < 1:
             raise ValueError(f"modes must be at least 1, got {self.modes}")
         t = complex(self.t_value)
@@ -132,22 +126,33 @@ class SuiteReport:
         return data
 
 
+#: Columns of a check row, in report and CSV order.
+ROW_FIELDS = ("check", "dim", "samples", "max_residual", "pass", "seed")
+
+
 def _check_row(check, dim, samples, max_residual, ok, seed):
-    return {
-        "check": check,
-        "dim": int(dim),
-        "samples": int(samples),
-        "max_residual": float(max_residual),
-        "pass": bool(ok),
-        "seed": int(seed),
-    }
+    return dict(zip(ROW_FIELDS, (check, int(dim), int(samples), float(max_residual), bool(ok), int(seed))))
 
 
 def _case_rng(cfg: SuiteConfig, *stream):
     return np.random.default_rng([cfg.seed, *[int(s) for s in stream]])
 
 
+#: SuiteConfig field stored under each key of a failure case's ``config``;
+#: ``t`` is stored as ``[re, im]``.
+CASE_CONFIG = {
+    "samples": "samples",
+    "tol": "tol",
+    "grid": "grid_n",
+    "modes": "modes",
+    "t": "t_value",
+    "control": "control",
+}
+
+
 def _failure(cfg: SuiteConfig, check, dim, index, residual, detail=""):
+    config = {key: getattr(cfg, field) for key, field in CASE_CONFIG.items()}
+    config["t"] = [cfg.t_value.real, complex(cfg.t_value).imag]
     return {
         "suite": cfg.suite,
         "check": check,
@@ -156,14 +161,7 @@ def _failure(cfg: SuiteConfig, check, dim, index, residual, detail=""):
         "index": int(index),
         "residual": float(residual),
         "detail": detail,
-        "config": {
-            "samples": cfg.samples,
-            "tol": cfg.tol,
-            "grid": cfg.grid_n,
-            "modes": cfg.modes,
-            "t": [cfg.t_value.real, complex(cfg.t_value).imag],
-            "control": cfg.control,
-        },
+        "config": config,
     }
 
 
@@ -467,18 +465,24 @@ def testbed_inputs(cfg: SuiteConfig):
     return section, {grid.n: sample_section_form(section, grid) for grid in grids}
 
 
-def _testbed_closed(cfg: SuiteConfig):
+def _rows(cfg: SuiteConfig, measured):
+    """Fold the testbed's measurements ``(check, samples, value, ok, index[,
+    detail])``, all at dim 4, into one row each; the first failing one is the
+    failure case."""
     checks, failure = [], None
+    for check, samples, value, ok, index, *detail in measured:
+        checks.append(_check_row(check, 4, samples, value, ok, cfg.seed))
+        if not ok and failure is None:
+            failure = _failure(cfg, check, 4, index, value, *detail)
+    return checks, failure
+
+
+def _testbed_closed(cfg: SuiteConfig):
     section, etas = testbed_inputs(cfg)
     coarse, fine = (eta.grid for eta in etas.values())
 
     holomorphy = verify_section_holomorphic(section, etas[fine.n], cfg.tol)
-    checks.append(
-        _check_row("section-holomorphy", 4, fine.n**2, holomorphy.max_residual, holomorphy.ok(1e-8), cfg.seed)
-    )
-    if not holomorphy.ok(1e-8):
-        failure = _failure(cfg, "section-holomorphy", 4, 0, holomorphy.max_residual)
-
+    measured = [("section-holomorphy", fine.n**2, holomorphy.max_residual, holomorphy.ok(1e-8), 0)]
     for grid_n, eta in etas.items():
         if grid_n == fine.n and cfg.t_value == -1:  # the field holomorphy was checked on
             structure = holomorphy.structure
@@ -487,9 +491,7 @@ def _testbed_closed(cfg: SuiteConfig):
         norm = nijenhuis_norm(structure.field)
         d_eta = exterior_derivative_fd(eta).max_abs()
         ok = norm <= 1e-4 and structure.bad_nodes == 0 and d_eta <= 1e-10
-        checks.append(_check_row("section-nijenhuis", 4, grid_n * grid_n, norm, ok, cfg.seed))
-        if not ok and failure is None:
-            failure = _failure(cfg, "section-nijenhuis", 4, grid_n, norm)
+        measured.append(("section-nijenhuis", grid_n * grid_n, norm, ok, grid_n))
 
     # a pullback from the base is structurally closed and its structure
     # field has no finite-difference truncation error; the second-order
@@ -501,10 +503,8 @@ def _testbed_closed(cfg: SuiteConfig):
         control_norms[grid.n] = nijenhuis_norm(structure.field)
     ratio = control_norms[coarse.n] / max(control_norms[fine.n], 1e-300)
     rate_ok = RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1] and control_norms[fine.n] <= 1e-4
-    checks.append(_check_row("closed-decay-rate", 4, 2, ratio, rate_ok, cfg.seed))
-    if not rate_ok and failure is None:
-        failure = _failure(cfg, "closed-decay-rate", 4, 0, ratio)
-    return checks, failure
+    measured.append(("closed-decay-rate", 2, ratio, rate_ok, 0))
+    return _rows(cfg, measured)
 
 
 def _nonclosed_continuum_max(t: float) -> float:
@@ -524,31 +524,24 @@ def _nonclosed_continuum_max(t: float) -> float:
 
 
 def _testbed_nonclosed(cfg: SuiteConfig):
-    checks, failure = [], None
     t = complex(cfg.t_value).real
     continuum = _nonclosed_continuum_max(t)
-    values = {}
+    values, measured = {}, []
     for grid_n, control in testbed_inputs(cfg)[1].items():
         structure = deformed_structure_field(control, t, cfg.tol)
         value = nijenhuis_norm(structure.field)
         values[grid_n] = value
         deviation = abs(value - continuum) / continuum
         ok = structure.bad_nodes == 0 and deviation <= 0.05 and value >= continuum / 2
-        checks.append(_check_row("nonclosed-nijenhuis", 4, grid_n * grid_n, deviation, ok, cfg.seed))
-        if not ok and failure is None:
-            failure = _failure(cfg, "nonclosed-nijenhuis", 4, grid_n, value, f"continuum={continuum}")
+        detail = f"value={value} continuum={continuum}"
+        measured.append(("nonclosed-nijenhuis", grid_n * grid_n, deviation, ok, grid_n, detail))
         d_norm = exterior_derivative_fd(control).max_abs()
-        d_ok = d_norm >= np.pi  # the non-closedness is macroscopic: |d eta| -> 2 pi
-        checks.append(_check_row("nonclosed-derivative", 4, grid_n * grid_n, d_norm, d_ok, cfg.seed))
-        if not d_ok and failure is None:
-            failure = _failure(cfg, "nonclosed-derivative", 4, grid_n, d_norm)
+        # the non-closedness is macroscopic: |d eta| -> 2 pi
+        measured.append(("nonclosed-derivative", grid_n * grid_n, d_norm, d_norm >= np.pi, grid_n))
     n = cfg.grid_n
     stability = abs(values[n] - values[n // 2]) / continuum
-    ok = stability <= 0.05
-    checks.append(_check_row("nonclosed-stability", 4, 2, stability, ok, cfg.seed))
-    if not ok and failure is None:
-        failure = _failure(cfg, "nonclosed-stability", 4, 0, stability)
-    return checks, failure
+    measured.append(("nonclosed-stability", 2, stability, stability <= 0.05, 0))
+    return _rows(cfg, measured)
 
 
 def testbed_node_csv(cfg: SuiteConfig) -> str:
@@ -576,39 +569,45 @@ def testbed_node_csv(cfg: SuiteConfig) -> str:
 
 # -- registry and runner ---------------------------------------------------
 
+class Suite(NamedTuple):
+    """A suite's runner ``cfg -> (check rows, failure case or None)`` and its
+    default sample count and dims. Suites that fix the dim of their own rows
+    have ``dims=None``; the others validate ``SuiteConfig.dims``."""
+
+    run: Callable
+    samples: int
+    dims: tuple = None
+
+
 # Each lattice suite builds the K3 lattice once per run and hands it to its cases.
 SUITES = {
-    "criteria-equivalence": lambda cfg: _sweep(cfg, (_criteria_case, cfg.dims, cfg.samples)),
-    "induced-structure": lambda cfg: _sweep(cfg, (_induced_case, cfg.dims, cfg.samples)),
-    "gram-schmidt": lambda cfg: _sweep(cfg, (_gram_schmidt_case, cfg.dims, cfg.samples)),
-    "hitchin": lambda cfg: _sweep(cfg, (_hitchin_case, cfg.dims, cfg.samples), (_maximality_case, (4,), 100)),
-    "preservance": lambda cfg: _sweep(cfg, (_preservance_case, cfg.dims, cfg.samples)),
-    "section-theorem": lambda cfg: _sweep(cfg, (_section_theorem_case, cfg.dims, cfg.samples)),
-    "testbed-nijenhuis": lambda cfg: (_testbed_nonclosed if cfg.control == "nonclosed" else _testbed_closed)(cfg),
-    "lattice-sections": lambda cfg: _sweep(
-        cfg, (partial(_section_class_case, lattice=standard_k3_lattice()), (22,), cfg.samples)
+    "criteria-equivalence": Suite(lambda cfg: _sweep(cfg, (_criteria_case, cfg.dims, cfg.samples)), 500, (4, 8, 12)),
+    "induced-structure": Suite(lambda cfg: _sweep(cfg, (_induced_case, cfg.dims, cfg.samples)), 200, (4, 8)),
+    "gram-schmidt": Suite(lambda cfg: _sweep(cfg, (_gram_schmidt_case, cfg.dims, cfg.samples)), 200, (4, 8, 12)),
+    "hitchin": Suite(
+        lambda cfg: _sweep(cfg, (_hitchin_case, cfg.dims, cfg.samples), (_maximality_case, (4,), 100)), 200, (4, 8)
     ),
-    "twistor-curve": lambda cfg: _sweep(
-        cfg, (partial(_twistor_case, lattice=standard_k3_lattice()), (22,), max(1, cfg.samples // 10))
+    "preservance": Suite(lambda cfg: _sweep(cfg, (_preservance_case, cfg.dims, cfg.samples)), 200, (4, 8)),
+    "section-theorem": Suite(lambda cfg: _sweep(cfg, (_section_theorem_case, cfg.dims, cfg.samples)), 200, (4, 8)),
+    "testbed-nijenhuis": Suite(
+        lambda cfg: (_testbed_nonclosed if cfg.control == "nonclosed" else _testbed_closed)(cfg), 1
     ),
-}
-
-#: Suites whose dims default differs from (4, 8).
-SUITE_DIM_DEFAULTS = {
-    "criteria-equivalence": (4, 8, 12),
-    "gram-schmidt": (4, 8, 12),
-    "hitchin": (4, 8),
-    "testbed-nijenhuis": (4,),
-    "lattice-sections": (22,),
-    "twistor-curve": (22,),
+    "lattice-sections": Suite(
+        lambda cfg: _sweep(cfg, (partial(_section_class_case, lattice=standard_k3_lattice()), (22,), cfg.samples)),
+        100,
+    ),
+    "twistor-curve": Suite(
+        lambda cfg: _sweep(
+            cfg, (partial(_twistor_case, lattice=standard_k3_lattice()), (22,), max(1, cfg.samples // 10))
+        ),
+        100,
+    ),
 }
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    if cfg.suite not in SUITES:
-        raise KeyError(cfg.suite)
     start = time.monotonic()
-    checks, failure = SUITES[cfg.suite](cfg)
+    checks, failure = SUITES[cfg.suite].run(cfg)
     passed = all(row["pass"] for row in checks)
     return SuiteReport(
         suite=cfg.suite,
@@ -641,39 +640,38 @@ def describe_case(case: dict, cfg: SuiteConfig):
     return inputs, measurements
 
 
-def replay_case(case: dict, verbose: bool = True) -> SuiteReport:
+def case_config(case: dict) -> SuiteConfig:
+    """The suite configuration a serialized case was recorded under; keys
+    its ``config`` lacks take the ``SuiteConfig`` defaults. Raises
+    ``KeyError`` or ``ValueError`` for a malformed case."""
+    for key in ("suite", "check", "seed", "dim", "index"):
+        if key not in case:
+            raise ValueError(f"malformed case file: missing {key!r}")
+    stored = case.get("config", {})
+    given = {field: stored[key] for key, field in CASE_CONFIG.items() if key in stored}
+    if "t_value" in given:
+        given["t_value"] = complex(*given["t_value"])
+    dims = (case["dim"],) if case["dim"] else None
+    return SuiteConfig(suite=case["suite"], dims=dims, seed=int(case["seed"]), **given)
+
+
+def replay_case(case: dict) -> SuiteReport:
     """Re-run the suite configuration recorded in a serialized case.
 
     Reconstructs the config (seed, dims, sizes), prints the regenerated
     case tensors, and re-executes the full suite deterministically.
     """
-    for key in ("suite", "seed", "dim", "index"):
-        if key not in case:
-            raise ValueError(f"malformed case file: missing {key!r}")
-    stored = case.get("config", {})
-    cfg = SuiteConfig(
-        suite=case["suite"],
-        dims=(case["dim"],) if case["dim"] else SUITE_DIM_DEFAULTS.get(case["suite"], (4, 8)),
-        samples=int(stored.get("samples", max(case["index"] + 1, 1))),
-        seed=int(case["seed"]),
-        tol=float(stored.get("tol", 1e-9)),
-        grid_n=int(stored.get("grid", 64)),
-        modes=int(stored.get("modes", 3)),
-        t_value=complex(*stored.get("t", (-1.0, 0.0))),
-        control=stored.get("control", "closed"),
-    )
-    if verbose:
-        print(f"replaying {case['suite']}:{case['check']} dim={case['dim']} index={case['index']}")
-        print(f"recorded residual: {case.get('residual')}")
-        try:
-            describe_case(case, cfg)
-        except Exception as exc:  # diagnostics must not mask the verdict
-            print(f"(case reconstruction itself failed: {exc})")
+    cfg = case_config(case)
+    print(f"replaying {case['suite']}:{case['check']} dim={case['dim']} index={case['index']}")
+    print(f"recorded residual: {case.get('residual')}")
+    try:
+        describe_case(case, cfg)
+    except Exception as exc:  # diagnostics must not mask the verdict
+        print(f"(case reconstruction itself failed: {exc})")
     report = run_suite(cfg)
-    if verbose:
-        for row in report.checks:
-            print(
-                f"  {row['check']:<28} dim={row['dim']:<3} n={row['samples']:<6} "
-                f"max_residual={row['max_residual']:.6e} pass={row['pass']}"
-            )
+    for row in report.checks:
+        print(
+            f"  {row['check']:<28} dim={row['dim']:<3} n={row['samples']:<6} "
+            f"max_residual={row['max_residual']:.6e} pass={row['pass']}"
+        )
     return report

@@ -137,8 +137,8 @@ def test_replay_reproduces_identical_residuals(tmp_path):
         "residual": 0.0,
         "config": {"samples": 5, "tol": 1e-9},
     }
-    first = replay_case(case, verbose=False)
-    second = replay_case(case, verbose=False)
+    first = replay_case(case)
+    second = replay_case(case)
     assert [c["max_residual"] for c in first.checks] == [c["max_residual"] for c in second.checks]
 
 
@@ -149,6 +149,10 @@ def test_replay_malformed_file_exits_2(tmp_path, capsys):
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"suite": "gram-schmidt"}))
     assert main(["replay", str(incomplete)]) == 2
+    mistyped = tmp_path / "mistyped.json"
+    case = {"suite": "gram-schmidt", "check": "q-block-residual", "dim": 4, "seed": 0, "index": 0}
+    mistyped.write_text(json.dumps({**case, "config": {"samples": "many"}}))
+    assert main(["replay", str(mistyped)]) == 2
 
 
 def test_replay_unknown_control_exits_2(tmp_path, capsys):
@@ -158,6 +162,59 @@ def test_replay_unknown_control_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(case))
     assert main(["replay", str(path)]) == 2
     assert "control must be" in capsys.readouterr().err
+
+
+def passing_report(cfg):
+    return suites.SuiteReport(cfg.suite, cfg.seed, True, [], 0.0)
+
+
+@pytest.mark.parametrize("tol", ["0.5", "1e-17"])
+def test_suite_that_raises_exits_1(tol, tmp_path, monkeypatch, capsys):
+    # a valid configuration whose forms the rank criterion rejects mid-run
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--suite", "preservance", "--dims", "4", "--n", "3", "--tol", tol]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not c-symplectic") and "invalid configuration" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_replay_of_a_case_whose_suite_raises_exits_1(tmp_path, capsys):
+    case = {"suite": "preservance", "check": "preservance", "dim": 4, "seed": 0, "index": 0,
+            "config": {"samples": 3, "tol": 0.5}}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    assert main(["replay", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not c-symplectic") and "malformed" not in err
+
+
+@pytest.mark.parametrize("suite", list(suites.SUITES))
+def test_run_without_size_flags_uses_the_suite_defaults(suite, monkeypatch, capsys):
+    built = []
+    monkeypatch.delenv("CSYMPL_SEED", raising=False)
+    monkeypatch.setattr("csympl.cli.run_suite", lambda cfg: built.append(cfg) or passing_report(cfg))
+    assert main(["run", "--suite", suite]) == 0
+    assert built == [SuiteConfig(suite=suite, seed=0)]
+
+
+def test_case_file_round_trips_every_stored_field(monkeypatch, capsys):
+    cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=32, modes=2, t_value=0.3 + 0.2j, tol=1e-8, seed=3)
+    case = json.loads(json.dumps(suites._failure(cfg, "section-nijenhuis", 4, 32, 0.0)))
+    replayed = []
+    monkeypatch.setattr(suites, "run_suite", lambda cfg: replayed.append(cfg) or passing_report(cfg))
+    replay_case(case)
+    for field in ("suite", "seed", *suites.CASE_CONFIG.values()):
+        assert getattr(replayed[0], field) == getattr(cfg, field), field
+
+
+def test_nonclosed_failure_records_the_row_deviation():
+    cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=16, control="nonclosed", t_value=0.5)
+    report = run_suite(cfg)
+    failure = report.failure_case
+    row = next(row for row in report.checks if row["check"] == "nonclosed-nijenhuis" and row["samples"] == 8 * 8)
+    assert failure["check"] == "nonclosed-nijenhuis" and failure["index"] == 8
+    assert failure["residual"] == row["max_residual"]
+    assert failure["detail"].startswith("value=") and " continuum=" in failure["detail"]
 
 
 def test_closed_testbed_builds_each_structure_field_once(monkeypatch):
@@ -195,7 +252,7 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
                         "seed": cfg.seed, "index": 0, "residual": 1.0, "detail": "",
                         "config": {"samples": 5, "tol": cfg.tol}}
 
-    monkeypatch.setitem(suites.SUITES, "criteria-equivalence", broken)
+    monkeypatch.setitem(suites.SUITES, "criteria-equivalence", suites.Suite(broken, 5, (4,)))
     monkeypatch.chdir(tmp_path)
     code = main(["run", "--suite", "criteria-equivalence", "--n", "5", "--seed", "1"])
     assert code == 1
@@ -225,6 +282,11 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
         ),
         pytest.param(["--suite", "testbed-nijenhuis", "--control", "nonclosed", "--t", "0"], "t must", id="nonclosed-zero-t"),
         pytest.param(["--suite", "testbed-nijenhuis", "--control", "nonclosed", "--t", "2.5"], "t must", id="nonclosed-t-2.5"),
+        pytest.param(["--suite", "testbed-nijenhuis", "--grid", "50"], "grid resolution", id="grid-50"),
+        pytest.param(["--suite", "testbed-nijenhuis", "--control", "bogus"], "control must", id="unknown-control"),
+        pytest.param(
+            ["--suite", "gram-schmidt", "--n", "2", "--control", "bogus"], "control must", id="unknown-control-any-suite"
+        ),
     ],
 )
 def test_invalid_configuration_exits_2(args, message, tmp_path, monkeypatch, capsys):
@@ -284,8 +346,8 @@ def test_nan_residual_fails_its_row(monkeypatch):
 def test_nan_fiber_restriction_fails_the_preservance_row(monkeypatch):
     restrict = ComplexStructure.restrict
 
-    def nan_restriction(self, subspace, tol=1e-9):
-        restricted, residual = restrict(self, subspace, tol)
+    def nan_restriction(self, subspace):
+        restricted, residual = restrict(self, subspace)
         return np.full_like(restricted, np.nan), residual
 
     monkeypatch.setattr(ComplexStructure, "restrict", nan_restriction)
