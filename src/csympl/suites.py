@@ -139,7 +139,7 @@ def _case_rng(cfg: SuiteConfig, *stream):
 
 
 #: SuiteConfig field stored under each key of a failure case's ``config``;
-#: ``t`` is stored as ``[re, im]``.
+#: ``t_value`` is stored as ``[re, im]``.
 CASE_CONFIG = {
     "samples": "samples",
     "tol": "tol",
@@ -151,8 +151,8 @@ CASE_CONFIG = {
 
 
 def _failure(cfg: SuiteConfig, check, dim, index, residual, detail=""):
-    config = {key: getattr(cfg, field) for key, field in CASE_CONFIG.items()}
-    config["t"] = [cfg.t_value.real, complex(cfg.t_value).imag]
+    t = [cfg.t_value.real, complex(cfg.t_value).imag]
+    config = {key: t if field == "t_value" else getattr(cfg, field) for key, field in CASE_CONFIG.items()}
     return {
         "suite": cfg.suite,
         "check": check,
