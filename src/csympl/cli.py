@@ -145,7 +145,7 @@ def _cmd_run(args) -> int:
     if args.nodes_csv is not None:
         from .suites import testbed_node_csv
 
-        args.nodes_csv.write_text(testbed_node_csv(cfg))
+        args.nodes_csv.write_text(testbed_node_csv(report))
         print(f"per-node residuals written to {args.nodes_csv}", file=sys.stderr)
     for row in report.checks:
         status = "PASS" if row["pass"] else "FAIL"

@@ -54,6 +54,7 @@ from .lattice import (
 from .linalg import Subspace, max_abs, null_space
 from .torus import (
     SmoothSection,
+    StructureField,
     TorusGrid,
     closed_control_form,
     deformed_structure_field,
@@ -112,6 +113,8 @@ class SuiteReport:
     checks: list
     wall_time_s: float
     failure_case: dict = None
+    #: the testbed's fine-grid node table; None for the other suites
+    nodes: "NodeTable" = None
 
     def to_json(self) -> dict:
         data = {
@@ -457,12 +460,31 @@ RICHARDSON_WINDOW = (2.5, 6.0)
 def testbed_inputs(cfg: SuiteConfig):
     """The testbed's seeded section (None for the non-closed control) and
     the 2-form field the structure is deformed by, keyed by grid size, at
-    the coarse grid ``grid_n // 2`` and the fine grid ``grid_n``."""
-    grids = (TorusGrid(cfg.grid_n // 2), TorusGrid(cfg.grid_n))
+    the coarse grid ``grid_n // 2`` and the fine grid ``grid_n``. The field
+    is sampled on the fine grid only; the coarse one is its restriction to
+    the even nodes, which is exactly the coarse sample."""
+    grid = TorusGrid(cfg.grid_n)
     if cfg.control == "nonclosed":
-        return None, {grid.n: nonclosed_control_form(grid) for grid in grids}
-    section = SmoothSection.random(_case_rng(cfg, 0), cfg.modes)
-    return section, {grid.n: sample_section_form(section, grid) for grid in grids}
+        section, field = None, nonclosed_control_form(grid)
+    else:
+        section = SmoothSection.random(_case_rng(cfg, 0), cfg.modes)
+        field = sample_section_form(section, grid)
+    return section, {grid.n // 2: field.restrict(), grid.n: field}
+
+
+def _coarse_and_fine(structure: StructureField):
+    """A fine-grid structure field and its coarse restriction, keyed by grid
+    size in the order of ``testbed_inputs``."""
+    return {structure.field.grid.n // 2: structure.restrict(), structure.field.grid.n: structure}
+
+
+@dataclass(frozen=True)
+class NodeTable:
+    """Per-node residuals of the testbed's fine grid, for ``--nodes-csv``."""
+
+    grid: TorusGrid
+    holomorphy: np.ndarray
+    nijenhuis: np.ndarray
 
 
 def _rows(cfg: SuiteConfig, measured):
@@ -479,90 +501,97 @@ def _rows(cfg: SuiteConfig, measured):
 
 def _testbed_closed(cfg: SuiteConfig):
     section, etas = testbed_inputs(cfg)
-    coarse, fine = (eta.grid for eta in etas.values())
+    eta = etas[cfg.grid_n]
 
-    holomorphy = verify_section_holomorphic(section, etas[fine.n], cfg.tol)
-    measured = [("section-holomorphy", fine.n**2, holomorphy.max_residual, holomorphy.ok(1e-8), 0)]
-    for grid_n, eta in etas.items():
-        if grid_n == fine.n and cfg.t_value == -1:  # the field holomorphy was checked on
-            structure = holomorphy.structure
-        else:
-            structure = deformed_structure_field(eta, cfg.t_value, cfg.tol)
-        norm = nijenhuis_norm(structure.field)
-        d_eta = exterior_derivative_fd(eta).max_abs()
-        ok = norm <= 1e-4 and structure.bad_nodes == 0 and d_eta <= 1e-10
+    holomorphy = verify_section_holomorphic(section, eta, cfg.tol)
+    measured = [("section-holomorphy", cfg.grid_n**2, holomorphy.max_residual, holomorphy.ok(1e-8), 0)]
+    if cfg.t_value == -1:  # the field holomorphy was checked on
+        structure = holomorphy.structure
+    else:
+        structure = deformed_structure_field(eta, cfg.t_value, cfg.tol)
+    structures = _coarse_and_fine(structure)
+    node_norms = {grid_n: nijenhuis_node_norms(s.field) for grid_n, s in structures.items()}
+    for grid_n, structure_n in structures.items():
+        norm = float(np.max(node_norms[grid_n]))
+        d_eta = exterior_derivative_fd(etas[grid_n]).max_abs()
+        ok = norm <= 1e-4 and structure_n.bad_nodes == 0 and d_eta <= 1e-10
         measured.append(("section-nijenhuis", grid_n * grid_n, norm, ok, grid_n))
+    # the node table shows the section theorem's structure, at t = -1
+    if structure is holomorphy.structure:
+        theorem_norms = node_norms[cfg.grid_n]
+    else:
+        theorem_norms = nijenhuis_node_norms(holomorphy.structure.field)
+    nodes = NodeTable(eta.grid, holomorphy.node_residuals, theorem_norms)
 
     # a pullback from the base is structurally closed and its structure
     # field has no finite-difference truncation error; the second-order
     # decay is measured on a generic closed (2,0)+(1,1) deformation
-    control_norms = {}
-    for grid in (coarse, fine):
-        control = closed_control_form(grid)
-        structure = deformed_structure_field(control, 1.0, cfg.tol)
-        control_norms[grid.n] = nijenhuis_norm(structure.field)
-    ratio = control_norms[coarse.n] / max(control_norms[fine.n], 1e-300)
-    rate_ok = RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1] and control_norms[fine.n] <= 1e-4
+    control = deformed_structure_field(closed_control_form(eta.grid), 1.0, cfg.tol)
+    coarse_norm, fine_norm = (nijenhuis_norm(s.field) for s in _coarse_and_fine(control).values())
+    ratio = coarse_norm / max(fine_norm, 1e-300)
+    rate_ok = RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1] and fine_norm <= 1e-4
     measured.append(("closed-decay-rate", 2, ratio, rate_ok, 0))
-    return _rows(cfg, measured)
+    return (*_rows(cfg, measured), nodes)
 
 
 def _nonclosed_continuum_max(t: float) -> float:
-    """Analytic ceiling of the control's Nijenhuis norm.
+    """Analytic ceiling of the control's Nijenhuis norm, in closed form.
 
     The deformed structure splits over the base point with fiber block
-    [[0, -r], [1/r, 0]], r = (1 - g)/(1 + g), g = t cos(2 pi x); the
-    nonvanishing Nijenhuis components have norms |r'|, |r'|/r, |r'|/r^2,
-    so the ceiling is max over x of |r'| max(1, 1/r, 1/r^2).
+    [[0, -r], [1/r, 0]], r = (1 - g)/(1 + g), g = t cos(theta), theta =
+    2 pi x; the nonvanishing Nijenhuis components have norms |r'|, |r'|/r,
+    |r'|/r^2, so the ceiling is the maximum over theta of |r'| max(1, 1/r,
+    1/r^2). With r' = 4 pi t sin(theta) / (1 + g)^2 and the largest factor
+    1/r^2 where g > 0 and 1 where g < 0, that is the maximum of
+
+        F = 4 pi a s / (1 - a c)^2,  a = |t|, c = |cos theta|, s = sqrt(1 - c^2).
+
+    d log F / dc = -c / (1 - c^2) + 2a / (1 - a c) = 0 gives
+    a c^2 + c - 2a = 0, whose root in (0, 1) is
+    c* = (sqrt(1 + 8 a^2) - 1) / (2a) = 4a / (1 + sqrt(1 + 8 a^2));
+    the second spelling has no cancellation at small a. dF/dc has the
+    sign of 2a - c - a c^2, positive below c* and negative above it, so
+    F(c*) is the maximum.
     """
-    x = np.linspace(0.0, 1.0, 400_001)
-    g = t * np.cos(2 * np.pi * x)
-    r = (1 - g) / (1 + g)
-    r_prime = 4 * np.pi * t * np.sin(2 * np.pi * x) / (1 + g) ** 2
-    factor = np.maximum.reduce([np.ones_like(r), 1 / np.abs(r), 1 / np.abs(r) ** 2])
-    return float(np.max(np.abs(r_prime) * factor))
+    a = abs(t)
+    c = 4 * a / (1 + np.sqrt(1 + 8 * a * a))
+    return float(4 * np.pi * a * np.sqrt(1 - c * c) / (1 - a * c) ** 2)
 
 
 def _testbed_nonclosed(cfg: SuiteConfig):
     t = complex(cfg.t_value).real
     continuum = _nonclosed_continuum_max(t)
-    values, measured = {}, []
-    for grid_n, control in testbed_inputs(cfg)[1].items():
-        structure = deformed_structure_field(control, t, cfg.tol)
-        value = nijenhuis_norm(structure.field)
-        values[grid_n] = value
+    controls = testbed_inputs(cfg)[1]
+    structure = deformed_structure_field(controls[cfg.grid_n], t, cfg.tol)
+    structures = _coarse_and_fine(structure)
+    node_norms = {grid_n: nijenhuis_node_norms(s.field) for grid_n, s in structures.items()}
+    values = {grid_n: float(np.max(norms)) for grid_n, norms in node_norms.items()}
+    measured = []
+    for grid_n, structure_n in structures.items():
+        value = values[grid_n]
         deviation = abs(value - continuum) / continuum
-        ok = structure.bad_nodes == 0 and deviation <= 0.05 and value >= continuum / 2
+        ok = structure_n.bad_nodes == 0 and deviation <= 0.05 and value >= continuum / 2
         detail = f"value={value} continuum={continuum}"
         measured.append(("nonclosed-nijenhuis", grid_n * grid_n, deviation, ok, grid_n, detail))
-        d_norm = exterior_derivative_fd(control).max_abs()
+        d_norm = exterior_derivative_fd(controls[grid_n]).max_abs()
         # the non-closedness is macroscopic: |d eta| -> 2 pi
         measured.append(("nonclosed-derivative", grid_n * grid_n, d_norm, d_norm >= np.pi, grid_n))
     n = cfg.grid_n
     stability = abs(values[n] - values[n // 2]) / continuum
     measured.append(("nonclosed-stability", 2, stability, stability <= 0.05, 0))
-    return _rows(cfg, measured)
+    return (*_rows(cfg, measured), NodeTable(structure.field.grid, np.zeros((n, n)), node_norms[n]))
 
 
-def testbed_node_csv(cfg: SuiteConfig) -> str:
-    """Per-node residual table (x, y, holomorphy residual, Nijenhuis norm)
-    for external plotting."""
-    section, fields = testbed_inputs(cfg)
-    grid = fields[cfg.grid_n].grid
-    if section is None:
-        structure = deformed_structure_field(fields[cfg.grid_n], complex(cfg.t_value).real, cfg.tol)
-        holomorphy_nodes = np.zeros((grid.n, grid.n))
-        nijenhuis_nodes = nijenhuis_node_norms(structure.field)
-    else:
-        certificate = verify_section_holomorphic(section, fields[cfg.grid_n], cfg.tol)
-        holomorphy_nodes = certificate.node_residuals
-        nijenhuis_nodes = nijenhuis_node_norms(certificate.structure.field)
+def testbed_node_csv(report: SuiteReport) -> str:
+    """Per-node residual table (x, y, holomorphy residual, Nijenhuis norm) of
+    a testbed run's fine grid, for external plotting."""
+    nodes = report.nodes
     lines = ["x,y,holomorphy_residual,nijenhuis_norm"]
-    axis = grid.axes()
-    for i in range(grid.n):
-        for j in range(grid.n):
+    axis = nodes.grid.axes()
+    for i in range(nodes.grid.n):
+        for j in range(nodes.grid.n):
             lines.append(
-                f"{axis[i]:.8f},{axis[j]:.8f},{holomorphy_nodes[i, j]:.12e},{nijenhuis_nodes[i, j]:.12e}"
+                f"{axis[i]:.8f},{axis[j]:.8f},{nodes.holomorphy[i, j]:.12e},{nodes.nijenhuis[i, j]:.12e}"
             )
     return "\n".join(lines) + "\n"
 
@@ -571,7 +600,8 @@ def testbed_node_csv(cfg: SuiteConfig) -> str:
 
 class Suite(NamedTuple):
     """A suite's runner ``cfg -> (check rows, failure case or None)`` and its
-    default sample count and dims. Suites that fix the dim of their own rows
+    default sample count and dims; the testbed's runners return its
+    ``NodeTable`` third. Suites that fix the dim of their own rows
     have ``dims=None``; the others validate ``SuiteConfig.dims``."""
 
     run: Callable
@@ -607,7 +637,7 @@ SUITES = {
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     start = time.monotonic()
-    checks, failure = SUITES[cfg.suite].run(cfg)
+    checks, failure, *nodes = SUITES[cfg.suite].run(cfg)
     passed = all(row["pass"] for row in checks)
     return SuiteReport(
         suite=cfg.suite,
@@ -616,6 +646,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         checks=checks,
         wall_time_s=time.monotonic() - start,
         failure_case=failure,
+        nodes=nodes[0] if nodes else None,
     )
 
 

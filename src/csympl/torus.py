@@ -160,6 +160,16 @@ class GridField:
     def max_abs(self) -> float:
         return max_abs(self.values)
 
+    def restrict(self) -> "GridField":
+        """The field on ``TorusGrid(n // 2)``, read off the even nodes.
+
+        Coarse node i sits at i / (n/2), the same float as fine node 2i at
+        2i / n (both are the correctly rounded quotient of one real), so
+        any field evaluated pointwise from the node coordinates restricts
+        bit for bit.
+        """
+        return GridField(TorusGrid(self.grid.n // 2), self.kind, self.ambient, self.values[::2, ::2])
+
 
 def lift_base_form(field: GridField) -> GridField:
     """pi^* of a base 2-form: its coefficient lands in the (x1, y1) slot."""
@@ -272,10 +282,16 @@ def exterior_derivative_fd(field: GridField) -> GridField:
 
 @dataclass(frozen=True)
 class StructureField:
-    """Induced structure per node and the count of nodes without one."""
+    """Induced structure per node and the count of nodes without one;
+    those nodes, and only those, hold a NaN structure."""
 
     field: GridField
     bad_nodes: int
+
+    def restrict(self) -> "StructureField":
+        """The structure field on the even nodes, its failures recounted there."""
+        field = self.field.restrict()
+        return StructureField(field, int(np.sum(np.isnan(field.values).any(axis=(-1, -2)))))
 
 
 def deformed_structure_field(
@@ -306,14 +322,14 @@ def nijenhuis_node_norms(structure_field: GridField) -> np.ndarray:
     grid = structure_field.grid
     h = grid.h
     ind = structure_field.values  # (n, n, 4, 4)
-    d = np.zeros((4,) + ind.shape)
-    for axis in range(2):
-        d[axis] = (np.roll(ind, -1, axis=axis) - np.roll(ind, 1, axis=axis)) / (2 * h)
+    # base partials d_0, d_1 only; the fiber partials d_2, d_3 are zero
+    d = np.stack([(np.roll(ind, -1, axis=axis) - np.roll(ind, 1, axis=axis)) / (2 * h) for axis in range(2)])
     # [Ie_a, Ie_b]^i = I_{ja} d_j I_{ib} - I_{jb} d_j I_{ia}
-    term1 = np.einsum("xyja,jxyib->xyiab", ind[:, :, :2, :], d[:2])
+    term1 = np.einsum("xyja,jxyib->xyiab", ind[:, :, :2, :], d)
     term1 = term1 - np.swapaxes(term1, -1, -2)
-    # -I[Ie_a, e_b] - I[e_a, Ie_b] = I_{ik} (d_b I_{ka} - d_a I_{kb})
-    term2 = np.einsum("xyik,bxyka->xyiab", ind, d)
+    # -I[Ie_a, e_b] - I[e_a, Ie_b] = I_{ik} (d_b I_{ka} - d_a I_{kb}), zero for fiber b
+    term2 = np.zeros(ind.shape + (4,))
+    term2[..., :2] = np.einsum("xyik,bxyka->xyiab", ind, d)
     term2 = term2 - np.swapaxes(term2, -1, -2)
     nijenhuis = term1 + term2
     return np.sqrt(np.max(np.sum(nijenhuis**2, axis=2), axis=(-1, -2)))

@@ -223,7 +223,7 @@ def test_closed_testbed_builds_each_structure_field_once(monkeypatch):
     monkeypatch.setattr(suites, "deformed_structure_field", lambda eta, *a: grids.append(eta.grid.n) or build(eta, *a))
     monkeypatch.setattr(torus, "deformed_structure_field", suites.deformed_structure_field)
     assert run_suite(SuiteConfig(suite="testbed-nijenhuis", grid_n=64)).passed
-    assert sorted(grids) == [32, 32, 64, 64]
+    assert sorted(grids) == [64, 64]
 
 
 def test_closed_testbed_samples_each_section_form_once(monkeypatch):
@@ -232,7 +232,25 @@ def test_closed_testbed_samples_each_section_form_once(monkeypatch):
     monkeypatch.setattr(suites, "sample_section_form", lambda sigma, grid: grids.append(grid.n) or sample(sigma, grid))
     monkeypatch.setattr(torus, "sample_section_form", suites.sample_section_form)
     assert run_suite(SuiteConfig(suite="testbed-nijenhuis", grid_n=64)).passed
-    assert grids == [32, 64]
+    assert grids == [64]
+
+
+@pytest.mark.parametrize("control", [["--control", "closed"], ["--control", "nonclosed", "--t", "0.5"]])
+def test_nodes_csv_reuses_the_run(control, tmp_path, monkeypatch, capsys):
+    calls = []
+    for name in ("deformed_structure_field", "sample_section_form", "verify_section_holomorphic"):
+        original = getattr(torus, name)
+        counted = lambda *a, name=name, original=original, **k: calls.append(name) or original(*a, **k)
+        monkeypatch.setattr(torus, name, counted)
+        monkeypatch.setattr(suites, name, counted)
+    monkeypatch.chdir(tmp_path)
+    args = ["run", "--suite", "testbed-nijenhuis", "--grid", "32", *control]
+    code = main(args)
+    without = sorted(calls)
+    calls.clear()
+    assert main([*args, "--nodes-csv", "nodes.csv"]) == code
+    assert sorted(calls) == without and "deformed_structure_field" in without
+    assert len((tmp_path / "nodes.csv").read_text().splitlines()) == 1 + 32 * 32
 
 
 def test_failure_case_serialized(tmp_path, monkeypatch):
@@ -312,7 +330,7 @@ def test_nonclosed_node_csv_uses_the_suite_t():
         return SuiteConfig(suite="testbed-nijenhuis", grid_n=16, control="nonclosed", t_value=t)
 
     def node_table(t):
-        return np.loadtxt(io.StringIO(suites.testbed_node_csv(nonclosed(t))), delimiter=",", skiprows=1)
+        return np.loadtxt(io.StringIO(suites.testbed_node_csv(run_suite(nonclosed(t)))), delimiter=",", skiprows=1)
 
     assert not np.array_equal(node_table(0.3), node_table(0.5))
     for t in (0.3, -0.7):
@@ -325,7 +343,7 @@ def test_nonclosed_node_csv_uses_the_suite_t():
 def test_node_csv_matches_the_suite_fields():
     def node_table(**kwargs):
         cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=16, **kwargs)
-        return cfg, np.loadtxt(io.StringIO(suites.testbed_node_csv(cfg)), delimiter=",", skiprows=1)
+        return cfg, np.loadtxt(io.StringIO(suites.testbed_node_csv(run_suite(cfg))), delimiter=",", skiprows=1)
 
     cfg, closed = node_table()
     fine = [row for row in run_suite(cfg).checks if row["check"] == "section-nijenhuis"][-1]

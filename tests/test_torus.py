@@ -5,6 +5,7 @@ import pytest
 
 from csympl.csymplectic import Q_BLOCK, induced_complex_structure
 from csympl.forms import ComplexTwoForm
+from csympl.suites import _nonclosed_continuum_max
 from csympl.torus import (
     BASE_J,
     PAIRS,
@@ -173,6 +174,38 @@ def test_structure_field_counts_nodes_with_real_kernel_vectors():
     assert np.isnan(nijenhuis_norm(result.field))
 
 
+#: The fields the testbed deforms by, sampled on a given grid.
+TESTBED_FORMS = {
+    "section-0": lambda grid: sample_section_form(SmoothSection.random(np.random.default_rng([0, 0])), grid),
+    "section-1": lambda grid: sample_section_form(SmoothSection.random(np.random.default_rng([1, 0])), grid),
+    "closed-control": closed_control_form,
+    "nonclosed-control": nonclosed_control_form,
+}
+
+
+@pytest.mark.parametrize("form", TESTBED_FORMS)
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_coarse_grid_is_the_fine_grids_even_nodes(n, form):
+    fine, coarse = TorusGrid(n), TorusGrid(n // 2)
+    field = TESTBED_FORMS[form](fine)
+    restricted = field.restrict()
+    assert restricted.grid == coarse
+    sampled = TESTBED_FORMS[form](coarse)
+    assert np.array_equal(sampled.values, restricted.values)
+    for t in (-1.0, 0.5, 1.0):
+        direct = deformed_structure_field(sampled, t)
+        read_off = deformed_structure_field(field, t).restrict()
+        assert np.array_equal(direct.field.values, read_off.field.values, equal_nan=True)
+        assert direct.bad_nodes == read_off.bad_nodes
+
+
+def test_restricted_structure_recounts_its_failing_nodes():
+    # the nonclosed control at t = 1 fails on the rows x = 0 and x = 1/2,
+    # both even: n nodes of the fine grid's 2n remain on the coarse grid
+    structure = deformed_structure_field(nonclosed_control_form(TorusGrid(16)), 1.0)
+    assert structure.bad_nodes == 32 and structure.restrict().bad_nodes == 16
+
+
 def test_structure_field_preserves_fiber_pointwise():
     grid = TorusGrid(32)
     rng = np.random.default_rng(5)
@@ -253,6 +286,33 @@ def test_nonclosed_control_nijenhuis_bounded_below_and_stable():
         assert abs(values[n] - continuum) / continuum < 0.05
         assert values[n] > continuum / 2
     assert abs(values[64] - values[32]) / continuum < 0.05
+
+
+def nijenhuis_node_norms_reference(structure_field):
+    """The stencil over all four partials, fiber partials included as zeros."""
+    ind, h = structure_field.values, structure_field.grid.h
+    d = np.zeros((4,) + ind.shape)
+    for axis in range(2):
+        d[axis] = (np.roll(ind, -1, axis=axis) - np.roll(ind, 1, axis=axis)) / (2 * h)
+    term1 = np.einsum("xyja,jxyib->xyiab", ind[:, :, :2, :], d[:2])
+    term1 = term1 - np.swapaxes(term1, -1, -2)
+    term2 = np.einsum("xyik,bxyka->xyiab", ind, d)
+    term2 = term2 - np.swapaxes(term2, -1, -2)
+    return np.sqrt(np.max(np.sum((term1 + term2) ** 2, axis=2), axis=(-1, -2)))
+
+
+@pytest.mark.parametrize("form, t", [("closed-control", 1.0), ("nonclosed-control", 0.5), ("section-0", -1.0)])
+def test_nijenhuis_base_partial_stencil_matches_the_four_partial_reference(form, t):
+    for n in (32, 64):
+        field = deformed_structure_field(TESTBED_FORMS[form](TorusGrid(n)), t).field
+        assert np.array_equal(nijenhuis_node_norms(field), nijenhuis_node_norms_reference(field))
+
+
+@pytest.mark.parametrize("t", [0.01, -0.01, 0.3, 0.5, -0.7, 0.99])
+def test_nonclosed_ceiling_closed_form_bounds_the_dense_sweep(t):
+    sweep = float(np.max(nonclosed_continuum_norms(t, np.linspace(0.0, 1.0, 400_001))))
+    ceiling = _nonclosed_continuum_max(t)
+    assert sweep <= ceiling <= sweep * (1 + 2e-9)
 
 
 def test_nonclosed_control_nijenhuis_pointwise_against_oracle():
