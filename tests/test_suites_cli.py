@@ -236,7 +236,7 @@ def test_closed_testbed_samples_each_section_form_once(monkeypatch):
 
 
 @pytest.mark.parametrize("control", [["--control", "closed"], ["--control", "nonclosed", "--t", "0.5"]])
-def test_nodes_csv_reuses_the_run(control, tmp_path, monkeypatch, capsys):
+def test_nodes_csv_reuses_the_run(control, tmp_path, monkeypatch):
     calls = []
     for name in ("deformed_structure_field", "sample_section_form", "verify_section_holomorphic"):
         original = getattr(torus, name)
