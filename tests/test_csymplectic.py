@@ -6,6 +6,7 @@ import pytest
 from csympl.csymplectic import (
     CSymplecticSpace,
     Q_BLOCK,
+    _structure_accepted,
     c_symplectic_basis,
     hodge_decompose,
     induced_complex_structure,
@@ -19,9 +20,10 @@ from csympl.csymplectic import (
     quotient_complex_structure,
     quotient_model,
     random_c_symplectic,
+    structures_from_kernels,
 )
 from csympl.forms import ComplexKForm, ComplexTwoForm, pullback
-from csympl.linalg import ComplexStructure, Subspace
+from csympl.linalg import DEFAULT_TOL, ComplexStructure, Subspace, numerical_rank, real_span_rank
 
 STANDARD_J = ComplexStructure(
     4, np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
@@ -143,6 +145,65 @@ def test_stacked_verdict_matches_the_single_form_path():
                 assert np.max(np.abs(structure - induced_complex_structure(omega).matrix)) <= 1e-12
             else:
                 assert np.isnan(structure).all()
+
+
+def undeduplicated_induced_structures(omegas, tol=DEFAULT_TOL):
+    """``induced_structures`` deciding every form, repeated or not: the reference."""
+    m = omegas.shape[-1]
+    half = m // 2
+    _, s, vh = np.linalg.svd(omegas)
+    kernels = np.swapaxes(vh[..., half:, :].conj(), -1, -2)
+    ok = (numerical_rank(s, tol) == m - half) & (real_span_rank(kernels, tol) == m)
+    real, realness, square, linearity = structures_from_kernels(omegas[ok], kernels[ok])
+    passed = _structure_accepted(realness, square, linearity, tol)
+    structures = np.full(omegas.shape, np.nan)
+    structures[ok] = np.where(passed[:, None, None], real, np.nan)
+    ok[ok] = passed
+    return structures, ok
+
+
+def repeated_stack(rng, forms, count):
+    return np.stack([omega.matrix for omega in forms])[rng.integers(len(forms), size=count)]
+
+
+def signed_zero_pair():
+    negative = Q_BLOCK.copy()
+    negative[0, 0] = complex(-0.0, 0.0)
+    return np.stack([Q_BLOCK, negative])
+
+
+def stacked_cases():
+    from csympl.suites import mixed_two_form
+    from csympl.torus import TorusGrid, closed_control_form, two_form_matrices
+
+    rng = np.random.default_rng(15)
+    passing = [random_c_symplectic(rng, 8)[0] for _ in range(5)]
+    # kinds 0-1 pass, kinds 2-4 fail and get NaN structures
+    mixed = [mixed_two_form(np.random.default_rng([4, i]), 4) for i in range(40)]
+    return {
+        "repeated-c-symplectic": repeated_stack(rng, passing, 300),
+        "repeated-mixed": repeated_stack(rng, mixed, 300),
+        "signed-zeros": signed_zero_pair(),
+        "empty": np.zeros((0, 4, 4), dtype=np.complex128),
+        "torus-batch": Q_BLOCK + 0.5 * two_form_matrices(closed_control_form(TorusGrid(16), amplitude=0.2)),
+    }
+
+
+@pytest.mark.parametrize("omegas", [pytest.param(v, id=k) for k, v in stacked_cases().items()])
+def test_stacked_verdict_is_bitwise_the_undeduplicated_one(omegas):
+    structures, ok = induced_structures(omegas)
+    expected, expected_ok = undeduplicated_induced_structures(omegas)
+    assert structures.shape == omegas.shape and ok.shape == omegas.shape[:-2]
+    assert np.array_equal(structures, expected, equal_nan=True)
+    assert structures.tobytes() == expected.tobytes()
+    assert np.array_equal(ok, expected_ok)
+    assert np.isnan(structures[~ok]).all()
+
+
+def test_signed_zero_forms_decide_differently():
+    # so value keys, which would merge the pair, would change a node's bits
+    structures, ok = undeduplicated_induced_structures(signed_zero_pair())
+    assert ok.all() and structures[0].tobytes() != structures[1].tobytes()
 
 
 def test_induced_structure_on_q_block():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from csympl import suites, torus
+from csympl.csymplectic import Q_BLOCK
 from csympl.cli import main
 from csympl.linalg import ComplexStructure
 from csympl.suites import SuiteConfig, replay_case, run_suite
@@ -224,6 +225,32 @@ def test_closed_testbed_builds_each_structure_field_once(monkeypatch):
     monkeypatch.setattr(torus, "deformed_structure_field", suites.deformed_structure_field)
     assert run_suite(SuiteConfig(suite="testbed-nijenhuis", grid_n=64)).passed
     assert sorted(grids) == [64, 64]
+
+
+def distinct_nodes(eta, t):
+    """Distinct node matrices of the stack a structure field is built from."""
+    if eta.ambient == 2:
+        eta = torus.lift_base_form(eta)
+    stack = Q_BLOCK + complex(t) * torus.two_form_matrices(eta)
+    return len({node.tobytes() for node in stack.reshape(-1, 4, 4)})
+
+
+@pytest.mark.parametrize("control", ["closed", "nonclosed"])
+def test_testbed_decides_each_distinct_node_once(control, monkeypatch):
+    stacks = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **k: stacks.append(a.shape[:-2]) or svd(a, *args, **k))
+    t = 0.5 if control == "nonclosed" else -1.0
+    cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=64, control=control, t_value=t)
+    assert run_suite(cfg).passed
+    eta = suites.testbed_inputs(cfg)[1][64]
+    if control == "closed":  # the section's field at t = -1, then the closed control's at t = 1
+        fields = [distinct_nodes(eta, t), distinct_nodes(torus.closed_control_form(eta.grid), 1.0)]
+    else:
+        fields = [distinct_nodes(eta, t)]
+    assert fields[-1] < 64 * 64
+    # each field's full SVD and its kernels' real-span SVD
+    assert stacks == [(count,) for count in fields for _ in range(2)]
 
 
 def test_closed_testbed_samples_each_section_form_once(monkeypatch):
