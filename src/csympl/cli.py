@@ -220,6 +220,9 @@ def _cmd_lattice(args) -> int:
         print(json.dumps({"t_re": t.real, "t_im": t.imag, "substitution_residual": residual}))
         return 0
     # curve sweep over the standard period point
+    if args.grid < 1 or not np.isfinite(args.extent):
+        print(f"--grid must be at least 1 and --extent finite, got {args.grid} and {args.extent}", file=sys.stderr)
+        return 2
     point = PeriodPoint.standard(lattice)
     e = [0] * lattice.rank
     e[4] = 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import multiindex
 from .forms import ComplexKForm, ComplexTwoForm, FormKernel, form_kernel, power, wedge
-from .linalg import DEFAULT_TOL, ComplexStructure, Subspace, max_abs, null_space, numerical_rank, real_span_rank
+from .linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space, numerical_rank, real_span_rank
 
 #: Canonical 4x4 block of a c-symplectic form in a basis (u1, I u1, u2, I u2).
 Q_BLOCK = np.array(
@@ -300,7 +300,7 @@ def c_symplectic_basis(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> np.nd
         pairings = u1 @ a_cur.matrix
         j = int(np.argmax(np.abs(pairings)))
         if abs(pairings[j]) <= tol * max(a_cur.norm(), 1e-300):
-            raise RuntimeError("internal consistency error: no partner with Omega(u1, x) != 0")
+            raise PostconditionError("internal consistency error: no partner with Omega(u1, x) != 0")
         x = np.zeros(m_cur)
         x[j] = 1.0
         z = 1.0 / pairings[j]
@@ -323,7 +323,7 @@ def c_symplectic_basis(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> np.nd
     target = q_block_form(m // 4).matrix
     residual = max_abs(b.T @ omega.matrix @ b - target)
     if residual > 1e-6 * max(omega.norm(), 1e-300):
-        raise RuntimeError(f"internal consistency error: basis residual {residual:.3e}")
+        raise PostconditionError(f"internal consistency error: basis residual {residual:.3e}")
     return b
 
 

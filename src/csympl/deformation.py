@@ -128,11 +128,6 @@ class LinearSection:
     def graph(self) -> Subspace:
         return Subspace(self.map, field="R")
 
-    def fiber_part(self) -> np.ndarray:
-        b = self.projection.fiber.orthonormal_basis()
-        w = self.projection.base_model.orthonormal_basis()
-        return b.T @ (self.map - w)
-
 
 @dataclass(frozen=True)
 class SectionForm:

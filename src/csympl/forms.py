@@ -2,8 +2,8 @@
 
 Forms carry one coefficient per strictly increasing multi-index, so
 antisymmetry is structural.  The module provides the wedge product,
-interior product, powers of 2-forms, pullback along linear maps, and
-numerical kernels of 2-forms.  Intended scale is dim <= 32 with the sweet
+powers of 2-forms, pullback along linear maps, and numerical kernels of
+2-forms.  Intended scale is dim <= 32 with the sweet
 spot well below that; everything is double-precision complex.
 """
 
@@ -93,10 +93,6 @@ class ComplexKForm:
     def scalar(cls, dim: int, value: complex) -> "ComplexKForm":
         return cls(dim, 0, np.array([value], dtype=np.complex128))
 
-    @classmethod
-    def volume(cls, dim: int) -> "ComplexKForm":
-        return cls.basis(dim, tuple(range(dim)))
-
     # -- algebra --------------------------------------------------------
 
     def __add__(self, other: "ComplexKForm") -> "ComplexKForm":
@@ -159,25 +155,6 @@ class ComplexKForm:
 
     def __repr__(self):
         return f"ComplexKForm(dim={self.dim}, degree={self.degree}, |coeffs|={self.norm():.3e})"
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        tuples = multiindex.index_tuples(self.dim, self.degree)
-        coeffs = [
-            {"idx": list(tuples[p]), "re": float(c.real), "im": float(c.imag)}
-            for p, c in enumerate(self.coeffs)
-            if c != 0
-        ]
-        return {"dim": self.dim, "degree": self.degree, "coeffs": coeffs}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ComplexKForm":
-        entries = {
-            tuple(item["idx"]): complex(item.get("re", 0.0), item.get("im", 0.0))
-            for item in data.get("coeffs", [])
-        }
-        return cls.from_dict(data["dim"], data["degree"], entries)
 
 
 class ComplexTwoForm:
@@ -242,23 +219,6 @@ class ComplexTwoForm:
     def __repr__(self):
         return f"ComplexTwoForm(dim={self.dim}, |A|={self.norm():.3e})"
 
-    def to_json(self, style: str = "matrix") -> dict:
-        if style == "matrix":
-            return {
-                "dim": self.dim,
-                "matrix_re": self.matrix.real.tolist(),
-                "matrix_im": self.matrix.imag.tolist(),
-            }
-        return self.to_kform().to_json()
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ComplexTwoForm":
-        if "matrix_re" in data or "matrix_im" in data:
-            re = np.array(data.get("matrix_re", 0.0), dtype=float)
-            im = np.array(data.get("matrix_im", 0.0), dtype=float)
-            return cls(re + 1j * im)
-        return cls.from_kform(ComplexKForm.from_json(data))
-
 
 def _as_kform(a) -> ComplexKForm:
     return a.to_kform() if isinstance(a, ComplexTwoForm) else a
@@ -274,20 +234,6 @@ def wedge(a, b) -> ComplexKForm:
         return ComplexKForm.zero(a.dim, degree)
     ia, ib, sign = multiindex.wedge_table(a.dim, a.degree, b.degree)
     return ComplexKForm(a.dim, degree, kernels.wedge_scatter(ia, ib, sign, a.coeffs, b.coeffs))
-
-
-def contract(v, a) -> ComplexKForm:
-    """Interior product iota_v a; linear in v, degree drops by one."""
-    a = _as_kform(a)
-    if a.degree < 1:
-        raise ValueError("cannot contract a 0-form")
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if v.shape[0] != a.dim:
-        raise ValueError("vector length does not match dim")
-    icomp, iin, sign = multiindex.contraction_table(a.dim, a.degree)
-    # the table leaves the (-1)^i of moving index i into place to v
-    v = np.where(np.arange(a.dim) % 2, -v, v)
-    return ComplexKForm(a.dim, a.degree - 1, kernels.wedge_scatter(icomp, iin, sign, v, a.coeffs))
 
 
 def power(a, k: int) -> ComplexKForm:

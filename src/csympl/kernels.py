@@ -20,9 +20,8 @@ def wedge_scatter(ix, iy, sign, x, y):
 
     With ``W = len(sign)``, output coefficient r is
     ``sum_w sign[w] * x[ix[r*W + w]] * y[iy[r*W + w]]``.  The wedge
-    ``a ^ b`` is ``wedge_scatter(*wedge_table(...), a, b)``, and the
-    contraction uses the same kernel with its own table.  Rows are reduced
-    a block of at most `BLOCK` products at a time.
+    ``a ^ b`` is ``wedge_scatter(*wedge_table(...), a, b)``.  Rows are
+    reduced a block of at most `BLOCK` products at a time.
     """
     width = len(sign)
     nout = len(ix) // width

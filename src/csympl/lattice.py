@@ -139,16 +139,6 @@ class IntegralLattice:
                     row[i] -= f * row[k]
         return pos, neg, zero
 
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "gram": [list(row) for row in self.gram]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "IntegralLattice":
-        lat = cls(data["gram"])
-        if lat.rank != data.get("rank", lat.rank):
-            raise ValueError("rank field disagrees with Gram size")
-        return lat
-
     def __repr__(self):
         return f"IntegralLattice(rank={self.rank})"
 
@@ -174,10 +164,6 @@ def block_diagonal(*blocks) -> IntegralLattice:
                 gram[offset + i][offset + j] = int(b[i][j])
         offset += r
     return IntegralLattice(gram)
-
-
-def hyperbolic_plane() -> IntegralLattice:
-    return IntegralLattice(U_GRAM)
 
 
 def standard_k3_lattice() -> IntegralLattice:

@@ -123,24 +123,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim}, field={self.field!r})"
 
-    def to_json(self) -> dict:
-        cols = [
-            [[float(x.real), float(x.imag)] for x in col] if self.field == "C" else [float(x) for x in col]
-            for col in self.basis.T
-        ]
-        return {"ambient": self.ambient_dim, "field": self.field, "basis": cols}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Subspace":
-        field = data["field"]
-        cols = data["basis"]
-        if field == "C":
-            basis = np.array([[complex(re, im) for re, im in col] for col in cols]).T
-        else:
-            basis = np.array(cols, dtype=float).T
-        basis = basis.reshape(len(cols[0]) if cols else data["ambient"], len(cols))
-        return cls(basis, field=field)
-
 
 @dataclass(frozen=True)
 class ComplexStructure:
@@ -175,10 +157,3 @@ class ComplexStructure:
 
     def isclose(self, other: "ComplexStructure", tol: float = DEFAULT_TOL) -> bool:
         return self.dim == other.dim and max_abs(self.matrix - other.matrix) <= tol
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "matrix": self.matrix.tolist()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ComplexStructure":
-        return cls(dim=data["dim"], matrix=np.array(data["matrix"], dtype=float))

@@ -2,8 +2,8 @@
 
 A k-form on R^m is stored as one complex coefficient per strictly
 increasing index tuple, ordered as ``itertools.combinations(range(m), k)``
-produces them.  The tables built here turn wedge products and contractions
-into fixed-width gather-reduce tables for :func:`csympl.kernels.wedge_scatter`:
+produces them.  The tables built here turn wedge products into
+fixed-width gather-reduce tables for :func:`csympl.kernels.wedge_scatter`:
 each output coefficient is a signed sum of the same number W of products,
 so a table is two flat gather arrays of W entries per output, in output
 order, plus the W signs every output shares.  Tables are cached per shape
@@ -90,33 +90,6 @@ def wedge_table(dim: int, deg_a: int, deg_b: int):
     ia = _subtuple_ranks(dim, out, left).reshape(-1)
     ib = _subtuple_ranks(dim, out, right).reshape(-1)
     return _read_only(ia, ib, sign)
-
-
-@lru_cache(maxsize=None)
-def contraction_table(dim: int, degree: int):
-    """Gather-reduce table for the interior product with a vector.
-
-    Returns (icomp, iin, sign): output coefficient J (degree - 1) is
-    ``sum_w sign[w] * s[icomp[r*W + w]] * a[iin[r*W + w]]`` over the
-    W = dim - degree + 1 indices i_0 < ... < i_{W-1} not in J, with
-    ``iin`` the position of J + {i_w} and ``s[i] = (-1)^i v[i]``.
-    Moving i_w into J + {i_w} passes #{j in J : j < i_w} = i_w - w slots,
-    so the (-1)^w of that sign is the table's and the (-1)^(i_w) goes onto v.
-    """
-    rows = index_array(dim, degree - 1)
-    width = dim - degree + 1
-    taken = np.zeros((len(rows), dim), dtype=bool)
-    taken[np.arange(len(rows))[:, None], rows] = True
-    # the indices not in each J, ascending, row by row
-    icomp = np.nonzero(~taken)[1]
-    union = np.concatenate(
-        [np.broadcast_to(rows[:, None, :], (len(rows), width, degree - 1)), icomp.reshape(-1, width, 1)],
-        axis=2,
-    ).reshape(-1, degree)
-    union.sort(axis=1)
-    iin = _subtuple_ranks(dim, union, np.arange(degree)[None, :]).reshape(-1)
-    sign = np.where(np.arange(width) % 2, -1.0, 1.0)
-    return _read_only(icomp, iin, sign)
 
 
 def coefficient_count(dim: int, degree: int) -> int:

@@ -101,6 +101,8 @@ class SuiteConfig:
         if self.control == "closed" and self.modes < 1:
             raise ValueError(f"modes must be at least 1, got {self.modes}")
         t = complex(self.t_value)
+        if not np.isfinite(t):
+            raise ValueError(f"t must be finite, got {self.t_value}")
         if self.control == "nonclosed" and (t.imag != 0 or not 0 < abs(t.real) < 1):
             raise ValueError(f"t must be real with 0 < |t| < 1 for the non-closed control, got {self.t_value}")
 
@@ -238,10 +240,6 @@ def random_lagrangian(space: CSymplecticSpace, rng: np.random.Generator, tol=1e-
         pairing = a @ v
         conditions = np.vstack([conditions, pairing.real[None, :], pairing.imag[None, :]])
     return Subspace(np.column_stack(vectors))
-
-
-def random_projection(space: CSymplecticSpace, rng: np.random.Generator, tol=1e-9):
-    return LagrangianProjection.build(space, random_lagrangian(space, rng, tol), tol)
 
 
 # -- case functions ------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from csympl import csymplectic
 from csympl.csymplectic import (
     CSymplecticSpace,
     Q_BLOCK,
@@ -23,7 +24,7 @@ from csympl.csymplectic import (
     structures_from_kernels,
 )
 from csympl.forms import ComplexKForm, ComplexTwoForm, pullback
-from csympl.linalg import DEFAULT_TOL, ComplexStructure, Subspace, numerical_rank, real_span_rank
+from csympl.linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, numerical_rank, real_span_rank
 
 STANDARD_J = ComplexStructure(
     4, np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
@@ -397,6 +398,14 @@ def test_basis_residuals_random_instances(dim):
 def test_basis_rejects_non_c_symplectic():
     with pytest.raises(ValueError):
         c_symplectic_basis(ComplexTwoForm(np.zeros((4, 4))))
+
+
+def test_basis_residual_check_raises_postcondition_error(monkeypatch):
+    # a target the basis cannot meet forces the final residual check
+    omega = q_block_form(1)
+    monkeypatch.setattr(csymplectic, "q_block_form", lambda n: 2.0 * omega)
+    with pytest.raises(PostconditionError, match="basis residual"):
+        c_symplectic_basis(omega)
 
 
 # -- isotropic / Lagrangian -------------------------------------------------------

@@ -28,7 +28,7 @@ from csympl.deformation import (
 )
 from csympl.forms import ComplexTwoForm, form_kernel, pullback
 from csympl.linalg import PostconditionError, Subspace
-from csympl.suites import random_projection
+from csympl.suites import random_lagrangian
 
 
 def q_projection():
@@ -40,7 +40,7 @@ def q_projection():
 def random_setup(dim, seed):
     rng = np.random.default_rng(seed)
     space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0])
-    return random_projection(space, rng), rng
+    return LagrangianProjection.build(space, random_lagrangian(space, rng)), rng
 
 
 # -- projections and sections -------------------------------------------------
@@ -70,7 +70,8 @@ def test_sections_differ_by_fiber_offsets():
     proj, rng = random_setup(8, 0)
     tau = rng.standard_normal((4, 4))
     section = LinearSection.from_fiber_part(proj, tau)
-    assert np.allclose(section.fiber_part(), tau, atol=1e-12)
+    offset = section.map - proj.base_model.orthonormal_basis()
+    assert np.allclose(proj.fiber.orthonormal_basis().T @ offset, tau, atol=1e-12)
 
 
 # -- section forms ---------------------------------------------------------------
@@ -314,7 +315,7 @@ def test_residual_folds_keep_a_nan():
 
 def test_projection_builds_its_quotient_once(monkeypatch):
     space = CSymplecticSpace.from_form(random_c_symplectic(np.random.default_rng(33), 8)[0])
-    fiber = random_projection(space, np.random.default_rng(34)).fiber
+    fiber = random_lagrangian(space, np.random.default_rng(34))
     calls = []
     complement, lagrangian = Subspace.orthogonal_complement, csymplectic.is_c_lagrangian
     monkeypatch.setattr(Subspace, "orthogonal_complement", lambda self: calls.append("complement") or complement(self))

@@ -42,23 +42,6 @@ def oracle_wedge_table(dim, deg_a, deg_b):
     )
 
 
-def oracle_contraction_table(dim, degree):
-    pos_out = multiindex.index_positions(dim, degree - 1)
-    iin, icomp, iout, sign = [], [], [], []
-    for in_pos, idx in enumerate(multiindex.index_tuples(dim, degree)):
-        for slot, component in enumerate(idx):
-            iin.append(in_pos)
-            icomp.append(component)
-            iout.append(pos_out[idx[:slot] + idx[slot + 1 :]])
-            sign.append(-1.0 if slot % 2 else 1.0)
-    return (
-        np.asarray(iin, dtype=np.intp),
-        np.asarray(icomp, dtype=np.intp),
-        np.asarray(iout, dtype=np.intp),
-        np.asarray(sign, dtype=np.float64),
-    )
-
-
 #: Every wedge shape the suites build (the power criterion at dims 4/8/12),
 #: then larger and edge shapes: empty degrees, degree sums above dim, dim 0.
 SUITE_WEDGE_SHAPES = (
@@ -69,14 +52,12 @@ EDGE_WEDGE_SHAPES = (
     (12, 6, 6), (16, 4, 4), (6, 0, 3), (6, 3, 0), (5, 1, 1), (10, 3, 5),
     (4, 0, 0), (20, 2, 2), (24, 2, 2), (4, 3, 3), (0, 0, 0),
 )
-CONTRACTION_SHAPES = ((5, 3), (12, 6), (4, 1), (8, 8), (16, 5), (1, 1))
 
 
 def assert_reduction_of(table, gathers, iout, sign):
     """The oracle's scatter entries ``(gathers, iout, sign)`` are ``table``'s
     fixed-width rows: the same flat gathers, output r owning entries
-    r*W .. r*W + W - 1, and the entry signs given (the table's W signs,
-    tiled, unless the caller folded more into them)."""
+    r*W .. r*W + W - 1, and the entry signs the table's W signs, tiled."""
     *table_gathers, table_sign = table
     width = len(table_sign)
     assert table_sign.dtype == np.float64 and table_sign.shape == (width,)
@@ -101,32 +82,14 @@ def test_wedge_table_matches_oracle(shape):
     assert_reduction_of(multiindex.wedge_table(*shape), (ia, ib), iout, sign)
 
 
-@pytest.mark.parametrize("shape", CONTRACTION_SHAPES)
-def test_contraction_table_matches_oracle(shape):
-    # the oracle lists entries by input coefficient; the table by output
-    # coefficient, then by the index i added to it, ascending
-    iin, icomp, iout, sign = oracle_contraction_table(*shape)
-    order = np.lexsort((icomp, iout))
-    iin, icomp, iout, sign = iin[order], icomp[order], iout[order], sign[order]
-    # the table keeps (-1)^w of the entry's (-1)^(i - w); (-1)^i goes onto v
-    sign = np.where(icomp % 2, -sign, sign)
-    assert_reduction_of(multiindex.contraction_table(*shape), (icomp, iin), iout, sign)
-
-
 def test_cached_tables_are_read_only():
-    arrays = (
-        *multiindex.wedge_table(6, 2, 2),
-        *multiindex.contraction_table(5, 3),
-        multiindex.index_array(6, 2),
-    )
+    arrays = (*multiindex.wedge_table(6, 2, 2), multiindex.index_array(6, 2))
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 0
     # freezing a table leaves the shared index arrays it was built from alone
-    for table in (multiindex.wedge_table(6, 2, 2), multiindex.contraction_table(5, 3)):
-        for array in table:
-            assert not np.shares_memory(array, multiindex.index_array(5, 2))
-            assert not np.shares_memory(array, multiindex.index_array(6, 4))
+    for array in multiindex.wedge_table(6, 2, 2):
+        assert not np.shares_memory(array, multiindex.index_array(6, 4))
 
 
 def test_wedge_table_build_peaks_at_its_own_size():
@@ -156,15 +119,6 @@ def test_wedge_table_counts():
     assert table_bytes <= 0.51 * 4 * 495 * 70 * 8
 
 
-def test_contraction_table_counts():
-    icomp, iin, sign = multiindex.contraction_table(5, 3)
-    # each output 2-set gathers from its union with each of the 3 indices
-    # left out, as many products as C(5, 3) inputs times their 3 slots
-    assert len(sign) == 3
-    assert len(iin) == len(icomp) == multiindex.coefficient_count(5, 2) * 3
-    assert len(iin) == multiindex.coefficient_count(5, 3) * 3
-
-
 def unblocked(ix, iy, sign, x, y):
     """wedge_scatter in one block: every row reduced by one matrix product."""
     return (x[ix] * y[iy]).reshape(-1, len(sign)) @ sign
@@ -180,12 +134,6 @@ def test_blocked_reduction_matches_unblocked_exactly():
         a = rng.standard_normal(multiindex.coefficient_count(dim, p)) * (1 + 1j)
         b = rng.standard_normal(multiindex.coefficient_count(dim, q)) * (1 - 2j)
         assert np.array_equal(kernels.wedge_scatter(*table, a, b), unblocked(*table, a, b))
-    # dim 12, iota_v of a 6-form: 792 outputs of 7 products, two blocks
-    table = multiindex.contraction_table(12, 6)
-    assert len(table[0]) > kernels.BLOCK
-    v = rng.standard_normal(12) * (2 + 1j)
-    a = rng.standard_normal(multiindex.coefficient_count(12, 6)) * (1 - 1j)
-    assert np.array_equal(kernels.wedge_scatter(*table, v, a), unblocked(*table, v, a))
 
 
 def test_traced_wedge_counts_the_products_it_computes():

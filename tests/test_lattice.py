@@ -10,10 +10,10 @@ from csympl.lattice import (
     PeriodPoint,
     PostconditionError,
     TwistorCurve,
+    U_GRAM,
     _root_pool,
     dual_vector,
     find_section_class,
-    hyperbolic_plane,
     is_primitive_isotropic,
     random_isometry_images,
     random_primitive_isotropic,
@@ -51,7 +51,7 @@ def test_k3_signature_by_exact_inertia():
 
 
 def test_hyperbolic_plane_pairings():
-    u = hyperbolic_plane()
+    u = IntegralLattice(U_GRAM)
     assert u.pair([1, 0], [0, 1]) == 1
     assert u.pair([1, 0], [1, 0]) == 0
     assert u.pair([1, 1], [1, 1]) == 2
@@ -142,13 +142,6 @@ def test_determinant_is_computed_once_per_instance(monkeypatch):
     assert lat.is_unimodular()
 
 
-def test_lattice_json_roundtrip():
-    data = K3.to_json()
-    assert data["rank"] == 22
-    back = IntegralLattice.from_json(data)
-    assert back.gram == K3.gram
-
-
 # -- primitivity and isotropy -------------------------------------------------------
 
 
@@ -165,7 +158,7 @@ def test_primitive_isotropic_examples():
 
 
 def test_dual_vector_in_u_block():
-    u = hyperbolic_plane()
+    u = IntegralLattice(U_GRAM)
     b = dual_vector(u, [1, 0])
     assert u.pair(b, [1, 0]) == 1
     assert b == [0, 1]
@@ -195,7 +188,7 @@ def test_dual_vector_rejects_imprimitive():
 
 def test_square_minus_two_u_block_hand_oracle():
     # Gram [[0,1],[1,0]]: e = (1,0), b = (0,1), (b,b) = 0, so a = b - e
-    u = hyperbolic_plane()
+    u = IntegralLattice(U_GRAM)
     a = square_minus_two(u, [1, 0], [0, 1])
     assert a == [-1, 1]
     assert u.pair(a, [1, 0]) == 1
@@ -204,7 +197,7 @@ def test_square_minus_two_u_block_hand_oracle():
 
 def test_square_minus_two_fixed_point_is_minus_two_vector():
     # when (b, b) = -2 the correction coefficient vanishes and a = b
-    u = hyperbolic_plane()
+    u = IntegralLattice(U_GRAM)
     b = [-1, 1]
     assert u.pair(b, b) == -2
     assert u.pair(b, [1, 0]) == 1
@@ -212,7 +205,7 @@ def test_square_minus_two_fixed_point_is_minus_two_vector():
 
 
 def test_square_minus_two_requires_unit_pairing():
-    u = hyperbolic_plane()
+    u = IntegralLattice(U_GRAM)
     with pytest.raises(ValueError):
         square_minus_two(u, [1, 0], [1, 0])
 

@@ -327,6 +327,8 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
         ),
         pytest.param(["--suite", "testbed-nijenhuis", "--control", "nonclosed", "--t", "0"], "t must", id="nonclosed-zero-t"),
         pytest.param(["--suite", "testbed-nijenhuis", "--control", "nonclosed", "--t", "2.5"], "t must", id="nonclosed-t-2.5"),
+        pytest.param(["--suite", "testbed-nijenhuis", "--t", "nan"], "t must be finite", id="nan-t"),
+        pytest.param(["--suite", "testbed-nijenhuis", "--t", "inf,0"], "t must be finite", id="inf-t"),
         pytest.param(["--suite", "testbed-nijenhuis", "--grid", "50"], "grid resolution", id="grid-50"),
         pytest.param(["--suite", "testbed-nijenhuis", "--control", "bogus"], "control must", id="unknown-control"),
         pytest.param(
@@ -542,6 +544,13 @@ def test_lattice_curve_cli(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["positive_definite"] is True
     assert data["max_gram_deviation"] < 1e-12
+
+
+@pytest.mark.parametrize("option, value", [("--grid", "0"), ("--grid", "-1"), ("--extent", "nan"), ("--extent", "inf")])
+def test_lattice_curve_rejects_bad_grid_or_extent(option, value, capsys):
+    assert main(["lattice", "curve", option, value]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--grid must be at least 1 and --extent finite" in out.err
 
 
 def test_twistor_plane_grams_are_exact_on_a_seed_that_rounded_past_the_bound():
