@@ -16,7 +16,9 @@ import numpy as np
 
 from . import multiindex
 from .forms import ComplexKForm, ComplexTwoForm, FormKernel, form_kernel, power, wedge
-from .linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space, numerical_rank, real_span_rank
+from .linalg import (
+    DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space, numerical_rank, real_span_rank
+)
 
 #: Canonical 4x4 block of a c-symplectic form in a basis (u1, I u1, u2, I u2).
 Q_BLOCK = np.array(

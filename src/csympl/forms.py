@@ -3,8 +3,8 @@
 Forms carry one coefficient per strictly increasing multi-index, so
 antisymmetry is structural.  The module provides the wedge product,
 powers of 2-forms, pullback along linear maps, and numerical kernels of
-2-forms.  Intended scale is dim <= 32 with the sweet
-spot well below that; everything is double-precision complex.
+2-forms.  Intended scale is dim <= 32 with the sweet spot well below
+that; everything is double-precision complex.
 """
 
 from dataclasses import dataclass
