@@ -2,7 +2,8 @@
 
 Exit status: 0 when every check passes, 1 on a failed assertion (with the
 first failing case serialized next to the report for `csympl replay`) or a
-suite that raises, 2 on usage errors, unknown suites, or malformed case files.
+suite that raises, 2 on usage errors, unknown suites, malformed case files, or
+output that cannot be written.
 """
 
 import argparse
@@ -129,6 +130,10 @@ def _cmd_run(args) -> int:
     if args.nodes_csv is not None and args.suite != "testbed-nijenhuis":
         print("--nodes-csv only applies to the testbed-nijenhuis suite", file=sys.stderr)
         return 2
+    for option, path in (("--out", args.out), ("--nodes-csv", args.nodes_csv)):
+        if path is not None and not path.parent.is_dir():
+            print(f"{option}: directory {path.parent} does not exist", file=sys.stderr)
+            return 2
     fields = {f.name for f in dataclasses.fields(SuiteConfig)}
     given = {name: value for name, value in vars(args).items() if name in fields and value is not None}
     try:
@@ -141,6 +146,16 @@ def _cmd_run(args) -> int:
     except (ValueError, PostconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        return _write_run(args, report)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _write_run(args, report) -> int:
+    """Write the report, the node table and the failure case of a finished
+    run, print its verdict lines, and return its exit status."""
     _emit(report, args.out, args.format)
     if args.nodes_csv is not None:
         from .suites import testbed_node_csv

@@ -232,7 +232,6 @@ class PreservanceReport:
     max_fiber_restriction_residual: float
     max_quotient_residual: float
     max_invariance_residual: float
-    details: tuple
 
     @property
     def max_residual(self) -> float:
@@ -261,31 +260,22 @@ def verify_preservance(
     base_restriction, base_inv = projection.space.structure.restrict(projection.fiber)
     base_quotient = projection.quotient_structure.matrix
     fiber_ok = True
-    details = []
+    restriction_residuals, quotient_residuals, invariances = [], [], [base_inv]
     w = projection.base_model.orthonormal_basis()
     for t in t_samples:
         space_t = family.space(t, tol)
         if not is_c_lagrangian(projection.fiber, space_t.omega, max(tol, 1e-8)):
             fiber_ok = False
         restriction_t, invariance = space_t.structure.restrict(projection.fiber)
-        restriction_residual = max_abs(restriction_t - base_restriction)
-        quotient_t = w.T @ space_t.structure.matrix @ w
-        quotient_residual = max_abs(quotient_t - base_quotient)
-        details.append(
-            {
-                "t": complex(t),
-                "fiber_restriction_residual": restriction_residual,
-                "quotient_residual": quotient_residual,
-                "invariance_residual": invariance,
-            }
-        )
+        restriction_residuals.append(max_abs(restriction_t - base_restriction))
+        quotient_residuals.append(max_abs(w.T @ space_t.structure.matrix @ w - base_quotient))
+        invariances.append(invariance)
     return PreservanceReport(
         t_samples=tuple(complex(t) for t in t_samples),
         fiber_lagrangian_ok=fiber_ok,
-        max_fiber_restriction_residual=max_abs([d["fiber_restriction_residual"] for d in details]),
-        max_quotient_residual=max_abs([d["quotient_residual"] for d in details]),
-        max_invariance_residual=max_abs([base_inv] + [d["invariance_residual"] for d in details]),
-        details=tuple(details),
+        max_fiber_restriction_residual=max_abs(restriction_residuals),
+        max_quotient_residual=max_abs(quotient_residuals),
+        max_invariance_residual=max_abs(invariances),
     )
 
 

@@ -18,8 +18,6 @@ from .csymplectic import Q_BLOCK, induced_structures
 from .linalg import DEFAULT_TOL, max_abs
 from .multiindex import index_tuples
 
-#: Index pairs of 2-form components on R^4, lex order.
-PAIRS = index_tuples(4, 2)
 #: Index triples of 3-form components on R^4.
 TRIPLES = index_tuples(4, 3)
 
@@ -130,32 +128,26 @@ class SmoothSection:
 
 @dataclass(frozen=True)
 class GridField:
-    """Tensor field sampled per base node.
+    """Tensor field on R^4 sampled per base node.
 
-    kinds: 'two_form' (ambient 2: one complex component, the dx1 ^ dy1
-    coefficient; ambient 4: six components over PAIRS), 'three_form'
-    (ambient 4: four components over TRIPLES), 'endomorphism' (real
-    4x4 per node).
+    kinds: 'two_form' (complex skew 4x4 matrix per node; forms from the
+    base are stored lifted), 'three_form' (four components over TRIPLES),
+    'endomorphism' (real 4x4 per node).
     """
 
     grid: TorusGrid
     kind: str
-    ambient: int
     values: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
         n = self.grid.n
-        expected = {
-            ("two_form", 2): (n, n),
-            ("two_form", 4): (n, n, 6),
-            ("three_form", 4): (n, n, 4),
-            ("endomorphism", 4): (n, n, 4, 4),
-        }
-        key = (self.kind, self.ambient)
-        if key not in expected:
-            raise ValueError(f"unsupported field kind {key}")
-        if self.values.shape != expected[key]:
-            raise ValueError(f"values shape {self.values.shape} != {expected[key]}")
+        expected = {"two_form": (n, n, 4, 4), "three_form": (n, n, 4), "endomorphism": (n, n, 4, 4)}
+        if self.kind not in expected:
+            raise ValueError(f"unsupported field kind {self.kind!r}")
+        if self.values.shape != expected[self.kind]:
+            raise ValueError(f"values shape {self.values.shape} != {expected[self.kind]}")
+        if self.kind == "two_form" and max_abs(self.values + np.swapaxes(self.values, -1, -2)) != 0:
+            raise ValueError("two-form values are not skew")
 
     def max_abs(self) -> float:
         return max_abs(self.values)
@@ -168,42 +160,23 @@ class GridField:
         any field evaluated pointwise from the node coordinates restricts
         bit for bit.
         """
-        return GridField(TorusGrid(self.grid.n // 2), self.kind, self.ambient, self.values[::2, ::2])
-
-
-def lift_base_form(field: GridField) -> GridField:
-    """pi^* of a base 2-form: its coefficient lands in the (x1, y1) slot."""
-    if (field.kind, field.ambient) != ("two_form", 2):
-        raise ValueError("expected a base 2-form field")
-    n = field.grid.n
-    values = np.zeros((n, n, 6), dtype=np.complex128)
-    values[..., PAIRS.index((0, 1))] = field.values
-    return GridField(field.grid, "two_form", 4, values)
-
-
-def two_form_matrices(field: GridField) -> np.ndarray:
-    """(n, n, 4, 4) skew matrices of an ambient-4 two-form field."""
-    if (field.kind, field.ambient) != ("two_form", 4):
-        raise ValueError("expected an ambient-4 two-form field")
-    n = field.grid.n
-    mats = np.zeros((n, n, 4, 4), dtype=np.complex128)
-    for p, (i, j) in enumerate(PAIRS):
-        mats[..., i, j] = field.values[..., p]
-        mats[..., j, i] = -field.values[..., p]
-    return mats
+        return GridField(TorusGrid(self.grid.n // 2), self.kind, self.values[::2, ::2])
 
 
 def sample_section_form(sigma: SmoothSection, grid: TorusGrid) -> GridField:
-    """eta = sigma^* (dz1 ^ dz2), evaluated from the exact differential.
+    """pi^* eta for eta = sigma^* (dz1 ^ dz2), from the exact differential.
 
     On a one-complex-dimensional base every 2-form is of type (1,1), so
     the Hodge-type requirement on eta holds structurally; the pointwise
-    value is Omega(d sigma e1, d sigma e2).
+    value is Omega(d sigma e1, d sigma e2), the dx1 ^ dy1 coefficient.
     """
     x, y = grid.mesh()
     d = sigma.differential(x, y)
     eta = np.einsum("...a,ab,...b->...", d[..., 0], Q_BLOCK, d[..., 1])
-    return GridField(grid, "two_form", 2, eta)
+    values = np.zeros(eta.shape + (4, 4), dtype=np.complex128)
+    values[..., 0, 1] = eta
+    values[..., 1, 0] = -eta
+    return GridField(grid, "two_form", values)
 
 
 def nonclosed_control_form(grid: TorusGrid) -> GridField:
@@ -215,11 +188,7 @@ def nonclosed_control_form(grid: TorusGrid) -> GridField:
     """
     x, _ = grid.mesh()
     f = np.cos(2 * np.pi * x)
-    n = grid.n
-    values = np.zeros((n, n, 6), dtype=np.complex128)
-    for p, (i, j) in enumerate(PAIRS):
-        values[..., p] = f * R_BLOCK[i, j]
-    return GridField(grid, "two_form", 4, values)
+    return GridField(grid, "two_form", f[..., None, None] * R_BLOCK)
 
 
 #: Matrix of dz1conj ^ dz2, the (1,1) pairing used by the closed control.
@@ -251,11 +220,8 @@ def closed_control_form(
     u_y = -2 * np.pi * k2 * amplitude * np.sin(phase)
     u_z = (u_x - 1j * u_y) / 2.0
     u_zbar = (u_x + 1j * u_y) / 2.0
-    n = grid.n
-    values = np.zeros((n, n, 6), dtype=np.complex128)
-    for p, (i, j) in enumerate(PAIRS):
-        values[..., p] = u_z * Q_BLOCK[i, j] + u_zbar * S_BLOCK[i, j]
-    return GridField(grid, "two_form", 4, values)
+    values = u_z[..., None, None] * Q_BLOCK + u_zbar[..., None, None] * S_BLOCK
+    return GridField(grid, "two_form", values)
 
 
 def exterior_derivative_fd(field: GridField) -> GridField:
@@ -266,18 +232,16 @@ def exterior_derivative_fd(field: GridField) -> GridField:
     """
     if field.kind != "two_form":
         raise ValueError("expected a two-form field")
-    if field.ambient == 2:
-        field = lift_base_form(field)
     n = field.grid.n
     h = field.grid.h
-    comp = two_form_matrices(field)  # (n, n, 4, 4), alpha_{ij}
+    comp = field.values  # (n, n, 4, 4), alpha_{ij}
     partials = np.zeros((4,) + comp.shape, dtype=np.complex128)
     for axis in range(2):
         partials[axis] = (np.roll(comp, -1, axis=axis) - np.roll(comp, 1, axis=axis)) / (2 * h)
     out = np.zeros((n, n, 4), dtype=np.complex128)
     for p, (a, b, c) in enumerate(TRIPLES):
         out[..., p] = partials[a, ..., b, c] - partials[b, ..., a, c] + partials[c, ..., a, b]
-    return GridField(field.grid, "three_form", 4, out)
+    return GridField(field.grid, "three_form", out)
 
 
 @dataclass(frozen=True)
@@ -297,17 +261,17 @@ class StructureField:
 def deformed_structure_field(
     eta: GridField, t: complex, tol: float = DEFAULT_TOL
 ) -> StructureField:
-    """Pointwise induced structure of Omega + t * eta (eta lifted if on base).
+    """Pointwise induced structure of Omega + t * eta.
 
     One stacked call of the c-symplectic core over all nodes.  A node
     fails when its kernel rank or real span is wrong or its structure
     misses the single-form realness, square or linearity threshold; it
     counts in ``bad_nodes`` and its structure is NaN.
     """
-    if eta.ambient == 2:
-        eta = lift_base_form(eta)
-    structures, ok = induced_structures(Q_BLOCK + complex(t) * two_form_matrices(eta), tol)
-    return StructureField(GridField(eta.grid, "endomorphism", 4, structures), int(np.sum(~ok)))
+    # eta.values is never a temporary, so numpy never computes this product
+    # in place, which at complex t rounds differently and only on large grids
+    structures, ok = induced_structures(Q_BLOCK + complex(t) * eta.values, tol)
+    return StructureField(GridField(eta.grid, "endomorphism", structures), int(np.sum(~ok)))
 
 
 def nijenhuis_node_norms(structure_field: GridField) -> np.ndarray:
@@ -354,8 +318,8 @@ def verify_section_holomorphic(
 ) -> SectionHolomorphyCertificate:
     """Check d sigma o J_base = I' o d sigma at every node of ``eta.grid`` for t = -1.
 
-    eta = sigma^* Omega, as sampled by ``sample_section_form``, and I' the
-    structure induced by Omega - pi^* eta; the differential is exact, so
+    eta = pi^* sigma^* Omega, as sampled by ``sample_section_form``, and I'
+    the structure induced by Omega - eta; the differential is exact, so
     the residual is pure linear algebra.
     """
     structure = deformed_structure_field(eta, -1.0, tol)

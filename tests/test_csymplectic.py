@@ -175,7 +175,7 @@ def signed_zero_pair():
 
 def stacked_cases():
     from csympl.suites import mixed_two_form
-    from csympl.torus import TorusGrid, closed_control_form, two_form_matrices
+    from csympl.torus import TorusGrid, closed_control_form
 
     rng = np.random.default_rng(15)
     passing = [random_c_symplectic(rng, 8)[0] for _ in range(5)]
@@ -186,7 +186,7 @@ def stacked_cases():
         "repeated-mixed": repeated_stack(rng, mixed, 300),
         "signed-zeros": signed_zero_pair(),
         "empty": np.zeros((0, 4, 4), dtype=np.complex128),
-        "torus-batch": Q_BLOCK + 0.5 * two_form_matrices(closed_control_form(TorusGrid(16), amplitude=0.2)),
+        "torus-batch": Q_BLOCK + 0.5 * closed_control_form(TorusGrid(16), amplitude=0.2).values,
     }
 
 

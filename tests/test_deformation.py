@@ -307,8 +307,8 @@ def test_preservance_svds_each_deformed_form_once(svd_inputs):
 
 def test_residual_folds_keep_a_nan():
     nan = float("nan")
-    assert np.isnan(PreservanceReport((), True, 0.0, nan, 0.0, ()).max_residual)
-    assert not PreservanceReport((), True, 1e-12, 0.0, nan, ()).ok()
+    assert np.isnan(PreservanceReport((), True, 0.0, nan, 0.0).max_residual)
+    assert not PreservanceReport((), True, 1e-12, 0.0, nan).ok()
     assert np.isnan(HolomorphizationCertificate(1e-12, True, nan).max_residual)
     assert not HolomorphizationCertificate(0.0, True, nan).ok()
 

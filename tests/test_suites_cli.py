@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from csympl import suites, torus
+from csympl import cli, suites, torus
 from csympl.csymplectic import Q_BLOCK
 from csympl.cli import main
 from csympl.linalg import ComplexStructure
@@ -32,6 +32,25 @@ def test_nodes_csv_with_another_suite_exits_2_before_running(out, tmp_path, monk
     captured = capsys.readouterr()
     assert captured.out == "" and "--nodes-csv only applies" in captured.err
     assert not list(tmp_path.iterdir())  # no report, node table or failure case
+
+
+@pytest.mark.parametrize("option", ["--out", "--nodes-csv"])
+def test_output_in_a_missing_directory_exits_2_before_running(option, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("the suite ran"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--suite", "testbed-nijenhuis", "--grid", "16", option, "missing/out.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{option}: directory missing does not exist" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option", ["--out", "--nodes-csv"])
+def test_output_that_cannot_be_written_exits_2_with_an_error(option, tmp_path, capsys):
+    # the path is an existing directory: the run finishes, its write fails
+    assert main(["run", "--suite", "testbed-nijenhuis", "--grid", "16", option, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ") and "Is a directory" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_suite_runner_rejects_unknown_name():
@@ -229,9 +248,7 @@ def test_closed_testbed_builds_each_structure_field_once(monkeypatch):
 
 def distinct_nodes(eta, t):
     """Distinct node matrices of the stack a structure field is built from."""
-    if eta.ambient == 2:
-        eta = torus.lift_base_form(eta)
-    stack = Q_BLOCK + complex(t) * torus.two_form_matrices(eta)
+    stack = Q_BLOCK + complex(t) * eta.values
     return len({node.tobytes() for node in stack.reshape(-1, 4, 4)})
 
 
@@ -251,6 +268,17 @@ def test_testbed_decides_each_distinct_node_once(control, monkeypatch):
     assert fields[-1] < 64 * 64
     # each field's full SVD and its kernels' real-span SVD
     assert stacks == [(count,) for count in fields for _ in range(2)]
+
+
+def test_coarse_rows_at_complex_t_are_the_half_grid_runs_fine_rows():
+    # the coarse grid is read off the fine one; its rows must be bit for bit
+    # those of a run on the coarse grid itself, at complex t too
+    def section_rows(grid_n):
+        cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=grid_n, modes=2, t_value=0.3 + 0.2j, seed=1)
+        return {row["samples"]: row for row in run_suite(cfg).checks if row["check"] == "section-nijenhuis"}
+
+    coarse, fine = section_rows(32)[16 * 16], section_rows(16)[16 * 16]
+    assert coarse["max_residual"].hex() == fine["max_residual"].hex() and coarse == fine
 
 
 def test_closed_testbed_samples_each_section_form_once(monkeypatch):

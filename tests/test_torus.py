@@ -8,7 +8,6 @@ from csympl.forms import ComplexTwoForm
 from csympl.suites import _nonclosed_continuum_max
 from csympl.torus import (
     BASE_J,
-    PAIRS,
     GridField,
     SmoothSection,
     TorusGrid,
@@ -31,6 +30,24 @@ def test_grid_validation():
     assert TorusGrid(8).h == 0.125
 
 
+def test_grid_field_rejects_a_non_skew_two_form():
+    values = np.zeros((8, 8, 4, 4), dtype=np.complex128)
+    values[3, 5, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="not skew"):
+        GridField(TorusGrid(8), "two_form", values)
+    values[3, 5, 1, 0] = -1.0
+    GridField(TorusGrid(8), "two_form", values)
+    values[0, 0, 2, 2] = 1e-300  # skew means a zero diagonal, to the bit
+    with pytest.raises(ValueError, match="not skew"):
+        GridField(TorusGrid(8), "two_form", values)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 6), (8, 8)], ids=["six-pair-coefficients", "base-coefficient"])
+def test_grid_field_rejects_the_retired_two_form_shapes(shape):
+    with pytest.raises(ValueError, match="shape"):
+        GridField(TorusGrid(8), "two_form", np.zeros(shape, dtype=np.complex128))
+
+
 # -- sampled section forms -----------------------------------------------------
 
 
@@ -49,7 +66,12 @@ def test_single_mode_matches_symbolic_pullback():
     eta = sample_section_form(section, grid)
     x, y = grid.mesh()
     expected = 2j * np.pi * c * (k2 - 1j * k1) * np.exp(2j * np.pi * (k1 * x + k2 * y))
-    assert np.max(np.abs(eta.values - expected)) < 1e-12
+    assert np.max(np.abs(eta.values[..., 0, 1] - expected)) < 1e-12
+    # the field is the lift pi^* eta: its only other entry is the (y1, x1) one
+    assert np.array_equal(eta.values[..., 1, 0], -eta.values[..., 0, 1])
+    rest = eta.values.copy()
+    rest[..., [0, 1], [1, 0]] = 0
+    assert not rest.any()
 
 
 def test_section_form_type_certificate_pointwise():
@@ -58,14 +80,14 @@ def test_section_form_type_certificate_pointwise():
     grid = TorusGrid(8)
     rng = np.random.default_rng(0)
     section = SmoothSection.random(rng, 2, amplitude=0.1)
-    eta = sample_section_form(section, grid)
+    coefficient = sample_section_form(section, grid).values[..., 0, 1]
     base_structure = BASE_J
     thetas = 2 * np.pi * np.arange(6) / 6
-    anti = np.zeros_like(eta.values)
+    anti = np.zeros_like(coefficient)
     for theta in thetas:
         rot = np.cos(theta) * np.eye(2) + np.sin(theta) * base_structure
         # pullback of c dx ^ dy under rot scales by det(rot) = 1
-        anti += np.exp(2j * theta) * np.linalg.det(rot) * eta.values
+        anti += np.exp(2j * theta) * np.linalg.det(rot) * coefficient
     assert np.max(np.abs(anti / 6)) < 1e-12
 
 
@@ -86,8 +108,9 @@ def test_section_derivatives_are_exact():
 
 def test_fd_derivative_of_constant_field_is_zero():
     grid = TorusGrid(16)
-    values = np.full((16, 16, 6), 1.3 - 0.2j, dtype=np.complex128)
-    field = GridField(grid, "two_form", 4, values)
+    upper = np.triu(np.full((4, 4), 1.3 - 0.2j), 1)
+    values = np.tile(upper - upper.T, (16, 16, 1, 1))
+    field = GridField(grid, "two_form", values)
     assert exterior_derivative_fd(field).max_abs() == 0.0
 
 
@@ -108,9 +131,10 @@ def test_fd_derivative_single_mode_against_closed_form():
     for n in (32, 64):
         grid = TorusGrid(n)
         _, y = grid.mesh()
-        values = np.zeros((n, n, 6), dtype=np.complex128)
-        values[..., PAIRS.index((0, 2))] = np.sin(2 * np.pi * y)
-        field = GridField(grid, "two_form", 4, values)
+        values = np.zeros((n, n, 4, 4), dtype=np.complex128)
+        values[..., 0, 2] = np.sin(2 * np.pi * y)
+        values[..., 2, 0] = -np.sin(2 * np.pi * y)
+        field = GridField(grid, "two_form", values)
         out = exterior_derivative_fd(field)
         expected = np.zeros((n, n, 4), dtype=np.complex128)
         expected[..., 0] = -2 * np.pi * np.cos(2 * np.pi * y)  # triple (0,1,2)
@@ -142,7 +166,7 @@ def test_structure_field_at_zero_is_constant_standard():
 
 def test_structure_field_zero_eta_any_t():
     grid = TorusGrid(16)
-    eta = GridField(grid, "two_form", 2, np.zeros((16, 16), dtype=np.complex128))
+    eta = GridField(grid, "two_form", np.zeros((16, 16, 4, 4), dtype=np.complex128))
     result = deformed_structure_field(eta, 2.3 - 0.7j)
     standard = induced_complex_structure(ComplexTwoForm(Q_BLOCK)).matrix
     assert np.max(np.abs(result.field.values - standard)) < 1e-12
@@ -157,7 +181,7 @@ def test_structure_field_pointwise_matches_single_space_construction():
     e01 = np.zeros((4, 4), dtype=np.complex128)
     e01[0, 1], e01[1, 0] = 1.0, -1.0
     for i, j in ((0, 0), (3, 7), (10, 2), (15, 15)):
-        omega_node = ComplexTwoForm(Q_BLOCK - eta.values[i, j] * e01)
+        omega_node = ComplexTwoForm(Q_BLOCK - eta.values[i, j, 0, 1] * e01)
         direct = induced_complex_structure(omega_node).matrix
         assert np.max(np.abs(result.field.values[i, j] - direct)) < 1e-12
 
@@ -192,7 +216,7 @@ def test_coarse_grid_is_the_fine_grids_even_nodes(n, form):
     assert restricted.grid == coarse
     sampled = TESTBED_FORMS[form](coarse)
     assert np.array_equal(sampled.values, restricted.values)
-    for t in (-1.0, 0.5, 1.0):
+    for t in (-1.0, 0.5, 1.0, 0.3 + 0.2j):
         direct = deformed_structure_field(sampled, t)
         read_off = deformed_structure_field(field, t).restrict()
         assert np.array_equal(direct.field.values, read_off.field.values, equal_nan=True)
@@ -225,7 +249,7 @@ def test_structure_field_preserves_fiber_pointwise():
 def test_nijenhuis_constant_structure_zero():
     grid = TorusGrid(16)
     standard = induced_complex_structure(ComplexTwoForm(Q_BLOCK)).matrix
-    field = GridField(grid, "endomorphism", 4, np.tile(standard, (16, 16, 1, 1)))
+    field = GridField(grid, "endomorphism", np.tile(standard, (16, 16, 1, 1)))
     assert nijenhuis_norm(field) == 0.0
 
 

@@ -9,9 +9,9 @@ once with ``--trace 0`` and once with ``--trace 1``, and keeps each run's
 detail line (provenance and the details behind the metrics) and result
 line as they were printed. It adds the Tier-1 wall time, the time of every
 suite at the sample sizes of ``tests/test_acceptance.py`` (best of
-SUITE_REPEATS in one process, with a digest of its check rows), and where
-the ``lattice`` workload's pairings come from, for the note on
-``lattice.pair_per_class``.
+SUITE_REPEATS in one process, with a digest of its check rows and, for the
+testbed, of its node table), and where the ``lattice`` workload's pairings
+come from, for the note on ``lattice.pair_per_class``.
 """
 
 import argparse
@@ -56,7 +56,7 @@ def tier1() -> dict:
 
 
 def acceptance_suites() -> list:
-    from csympl.suites import SuiteConfig, run_suite
+    from csympl.suites import SuiteConfig, run_suite, testbed_node_csv
 
     rows = []
     for config in ACCEPTANCE_RUNS:
@@ -66,7 +66,10 @@ def acceptance_suites() -> list:
             report = run_suite(SuiteConfig(seed=ACCEPTANCE_SEED, **config))
             times.append(time.perf_counter() - start)
         digest = hashlib.sha256(json.dumps(report.checks, sort_keys=True).encode()).hexdigest()
-        rows.append({"config": config, "best_s": min(times), "runs_s": times, "passed": report.passed, "checks_sha256": digest})
+        row = {"config": config, "best_s": min(times), "runs_s": times, "passed": report.passed, "checks_sha256": digest}
+        if report.nodes is not None:
+            row["nodes_sha256"] = hashlib.sha256(testbed_node_csv(report).encode()).hexdigest()
+        rows.append(row)
     return rows
 
 
