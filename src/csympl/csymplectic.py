@@ -7,7 +7,7 @@ Omega ^ conj(Omega) does not.  Such a form determines a unique complex
 structure (multiplication by -i on the kernel), and this module builds it,
 splits 2-forms into Hodge components, produces canonical bases with the
 4x4 block Q on the diagonal, and handles c-isotropic / c-Lagrangian
-subspaces and quotient structures.
+subspaces.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -331,11 +331,10 @@ def c_symplectic_basis(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> np.nd
 
 @dataclass(frozen=True)
 class CSymplecticSpace:
-    """A validated c-symplectic form with its cached structure and kernel."""
+    """A validated c-symplectic form with its cached structure and verdict."""
 
     omega: ComplexTwoForm
     structure: ComplexStructure = dc_field(repr=False)
-    half_kernel: Subspace = dc_field(repr=False)
     verdict: CSymplecticVerdict = dc_field(repr=False)
 
     @classmethod
@@ -351,11 +350,9 @@ class CSymplecticSpace:
             failing = "rank" if not verdict.rank.ok else "power"
             reason = verdict.rank.reason or verdict.power.reason
             raise ValueError(f"not c-symplectic ({failing} criterion): {reason}")
-        kernel = verdict.rank.kernel
         return cls(
             omega=omega,
-            structure=_structure_from_kernel(omega, kernel, tol),
-            half_kernel=kernel.subspace,
+            structure=_structure_from_kernel(omega, verdict.rank.kernel, tol),
             verdict=verdict,
         )
 
@@ -366,36 +363,6 @@ class CSymplecticSpace:
     @property
     def n(self) -> int:
         return self.omega.dim // 4
-
-
-def quotient_model(fiber: Subspace) -> Subspace:
-    """Euclidean orthocomplement used as the concrete model of V / L."""
-    return fiber.orthogonal_complement()
-
-
-def quotient_complex_structure(
-    space: CSymplecticSpace, fiber: Subspace, tol: float = DEFAULT_TOL
-) -> ComplexStructure:
-    """Structure inherited on the quotient model K of V / L.
-
-    Defined by pi(I v) = I_quot(pi v) with pi the orthogonal projection
-    onto K; well-defined because c-Lagrangian subspaces are I-invariant.
-    """
-    if not is_c_lagrangian(fiber, space.omega, tol):
-        raise ValueError("fiber is not c-Lagrangian")
-    return quotient_structure_on(space, quotient_model(fiber), tol)
-
-
-def quotient_structure_on(space: CSymplecticSpace, base: Subspace, tol: float = DEFAULT_TOL) -> ComplexStructure:
-    """The inherited structure W^T I W on a quotient model K = L^perp
-    already built for a c-Lagrangian fiber L, checked for compatibility."""
-    w = base.orthonormal_basis()
-    mat = w.T @ space.structure.matrix @ w
-    # projection compatibility: W^T I = I_quot W^T on all of V
-    residual = max_abs(w.T @ space.structure.matrix - mat @ w.T)
-    if residual > _structure_tol(tol) * max(1.0, max_abs(space.structure.matrix)):
-        raise ValueError(f"quotient structure not well-defined (residual {residual:.3e})")
-    return ComplexStructure(w.shape[1], mat, tol=_structure_tol(tol))
 
 
 def random_c_symplectic(rng: np.random.Generator, dim: int, cond_max: float = 1e3):

@@ -16,11 +16,10 @@ import numpy as np
 from .csymplectic import (
     CSymplecticSpace,
     CSymplecticVerdict,
+    _structure_tol,
     is_c_lagrangian,
     is_c_symplectic,
     hodge_decompose,
-    quotient_model,
-    quotient_structure_on,
 )
 from .forms import ComplexTwoForm
 from .linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space
@@ -58,22 +57,32 @@ class LagrangianProjection:
 
     space: CSymplecticSpace
     fiber: Subspace
-    base_model: Subspace = dc_field(repr=False)
     projection: np.ndarray = dc_field(repr=False)  # (2n, 4n), = W^T in K coordinates
     quotient_structure: ComplexStructure = dc_field(repr=False)
 
     @classmethod
     def build(cls, space: CSymplecticSpace, fiber: Subspace, tol: float = DEFAULT_TOL):
+        """The quotient model K of V / L with its inherited structure.
+
+        With W an orthonormal basis of K, I_quot = W^T I W is defined by
+        pi(I v) = I_quot(pi v); it is well-defined because c-Lagrangian
+        subspaces are I-invariant, and W^T I = I_quot W^T is checked on
+        all of V.
+        """
         if not is_c_lagrangian(fiber, space.omega, tol):
             raise ValueError("fiber is not c-Lagrangian for the given form")
-        base = quotient_model(fiber)
-        w = base.orthonormal_basis()
+        w = fiber.orthogonal_complement().orthonormal_basis()
+        structure = space.structure.matrix
+        mat = w.T @ structure @ w
+        residual = max_abs(w.T @ structure - mat @ w.T)
+        loose = _structure_tol(tol)
+        if residual > loose * max(1.0, max_abs(structure)):
+            raise ValueError(f"quotient structure not well-defined (residual {residual:.3e})")
         return cls(
             space=space,
             fiber=fiber,
-            base_model=base,
             projection=w.T,
-            quotient_structure=quotient_structure_on(space, base, tol),
+            quotient_structure=ComplexStructure(w.shape[1], mat, tol=loose),
         )
 
     @property
@@ -99,7 +108,7 @@ class LinearSection:
     @classmethod
     def from_fiber_part(cls, projection: LagrangianProjection, fiber_coeffs: np.ndarray):
         """Section W + B_L T: base inclusion plus a fiber-valued offset T."""
-        w = projection.base_model.orthonormal_basis()
+        w = projection.projection.T
         b = projection.fiber.orthonormal_basis()
         return cls(projection=projection, map=w + b @ np.asarray(fiber_coeffs, dtype=float))
 
@@ -261,7 +270,7 @@ def verify_preservance(
     base_quotient = projection.quotient_structure.matrix
     fiber_ok = True
     restriction_residuals, quotient_residuals, invariances = [], [], [base_inv]
-    w = projection.base_model.orthonormal_basis()
+    w = projection.projection.T
     for t in t_samples:
         space_t = family.space(t, tol)
         if not is_c_lagrangian(projection.fiber, space_t.omega, max(tol, 1e-8)):

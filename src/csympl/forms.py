@@ -99,20 +99,10 @@ class ComplexKForm:
         self._check_same_shape(other)
         return ComplexKForm(self.dim, self.degree, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "ComplexKForm") -> "ComplexKForm":
-        self._check_same_shape(other)
-        return ComplexKForm(self.dim, self.degree, self.coeffs - other.coeffs)
-
     def __mul__(self, scalar) -> "ComplexKForm":
         return ComplexKForm(self.dim, self.degree, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "ComplexKForm":
-        return ComplexKForm(self.dim, self.degree, -self.coeffs)
-
-    def conjugate(self) -> "ComplexKForm":
-        return ComplexKForm(self.dim, self.degree, self.coeffs.conj())
 
     def norm(self) -> float:
         """Max-coefficient norm."""
@@ -188,16 +178,8 @@ class ComplexTwoForm:
         rows = multiindex.index_array(self.dim, 2)
         return ComplexKForm(self.dim, 2, self.matrix[rows[:, 0], rows[:, 1]])
 
-    def __call__(self, u, v) -> complex:
-        u = np.asarray(u, dtype=np.complex128)
-        v = np.asarray(v, dtype=np.complex128)
-        return complex(u @ self.matrix @ v)
-
     def __add__(self, other: "ComplexTwoForm") -> "ComplexTwoForm":
         return ComplexTwoForm(self.matrix + other.matrix)
-
-    def __sub__(self, other: "ComplexTwoForm") -> "ComplexTwoForm":
-        return ComplexTwoForm(self.matrix - other.matrix)
 
     def __mul__(self, scalar) -> "ComplexTwoForm":
         return ComplexTwoForm(self.matrix * complex(scalar))
@@ -209,12 +191,6 @@ class ComplexTwoForm:
 
     def norm(self) -> float:
         return max_abs(self.matrix)
-
-    def isclose(self, other: "ComplexTwoForm", tol: float = DEFAULT_TOL) -> bool:
-        if self.dim != other.dim:
-            return False
-        scale = max(self.norm(), other.norm(), 1e-300)
-        return max_abs(self.matrix - other.matrix) <= tol * scale
 
     def __repr__(self):
         return f"ComplexTwoForm(dim={self.dim}, |A|={self.norm():.3e})"
@@ -301,8 +277,6 @@ def form_kernel(a: ComplexTwoForm, tol: float = DEFAULT_TOL) -> FormKernel:
     within a factor 10 of that cutoff, in (cutoff/10, 10 cutoff], sets the
     ``ill_conditioned`` flag.
     """
-    if isinstance(a, ComplexKForm):
-        a = ComplexTwoForm.from_kform(a)
     u, s, vh = np.linalg.svd(a.matrix)
     return FormKernel(
         subspace=Subspace.from_orthonormal(vh[numerical_rank(s, tol) :].conj().T, field="C"),

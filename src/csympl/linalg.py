@@ -154,6 +154,3 @@ class ComplexStructure:
         restricted = q.conj().T @ image
         residual = max_abs(image - q @ restricted)
         return restricted, residual
-
-    def isclose(self, other: "ComplexStructure", tol: float = DEFAULT_TOL) -> bool:
-        return self.dim == other.dim and max_abs(self.matrix - other.matrix) <= tol

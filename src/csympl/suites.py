@@ -51,7 +51,7 @@ from .lattice import (
     standard_k3_lattice,
     twistor_parameter,
 )
-from .linalg import Subspace, max_abs, null_space
+from .linalg import Subspace, max_abs, null_space, numerical_rank
 from .torus import (
     SmoothSection,
     StructureField,
@@ -88,6 +88,8 @@ class SuiteConfig:
         self.dims = entry.dims if self.dims is None else self.dims
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 < self.tol < 1:
             raise ValueError(f"tol must be finite with 0 < tol < 1, got {self.tol}")
         # the form suites draw c-symplectic forms, which live on R^{4n}
@@ -360,7 +362,7 @@ def _brute_force_maximal(subspace: Subspace, omega, rng: np.random.Generator, at
         if v is None:
             break
         candidate = np.column_stack([basis, v])
-        if np.linalg.matrix_rank(candidate, tol=1e-8) <= subspace.dim:
+        if numerical_rank(np.linalg.svd(candidate, compute_uv=False), 1e-8) <= subspace.dim:
             continue
         if is_c_isotropic(Subspace(candidate), omega, 1e-8):
             return False

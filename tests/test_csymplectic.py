@@ -18,11 +18,10 @@ from csympl.csymplectic import (
     is_c_symplectic_power,
     is_c_symplectic_rank,
     q_block_form,
-    quotient_complex_structure,
-    quotient_model,
     random_c_symplectic,
     structures_from_kernels,
 )
+from csympl.deformation import LagrangianProjection
 from csympl.forms import ComplexKForm, ComplexTwoForm, pullback
 from csympl.linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, numerical_rank, real_span_rank
 
@@ -463,11 +462,12 @@ def test_hitchin_invariance_of_found_lagrangians():
 def test_quotient_structure_on_q_block():
     space = CSymplecticSpace.from_form(q_block_form(1))
     fiber = Subspace(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    quot = quotient_complex_structure(space, fiber)
+    projection = LagrangianProjection.build(space, fiber)
+    quot = projection.quotient_structure
     # complement model is span(u1, I u1); structure sends u1 -> I u1
     assert np.allclose(np.abs(quot.matrix), np.array([[0, 1], [1, 0]]), atol=1e-12)
     assert np.allclose(quot.matrix @ quot.matrix, -np.eye(2), atol=1e-12)
-    w = quotient_model(fiber).orthonormal_basis()
+    w = projection.projection.T
     assert np.allclose(w.T @ space.structure.matrix, quot.matrix @ w.T, atol=1e-12)
 
 
@@ -477,7 +477,7 @@ def test_quotient_structure_squares_to_minus_identity():
     rng = np.random.default_rng(8)
     space = CSymplecticSpace.from_form(random_c_symplectic(rng, 8)[0])
     fiber = random_lagrangian(space, rng)
-    quot = quotient_complex_structure(space, fiber)
+    quot = LagrangianProjection.build(space, fiber).quotient_structure
     assert np.allclose(quot.matrix @ quot.matrix, -np.eye(4), atol=1e-10)
 
 
@@ -490,17 +490,10 @@ def test_quotient_structure_on_canonical_basis_fibers():
     b = c_symplectic_basis(omega)
     fiber = Subspace(b[:, [2, 3, 6, 7]])
     assert is_c_lagrangian(fiber, omega)
-    quot = quotient_complex_structure(space, fiber)
-    w = quotient_model(fiber).orthonormal_basis()
+    projection = LagrangianProjection.build(space, fiber)
+    quot = projection.quotient_structure
+    w = projection.projection.T
     assert np.max(np.abs(w.T @ space.structure.matrix - quot.matrix @ w.T)) < 1e-9
-
-
-def test_quotient_structure_rejects_non_lagrangian():
-    space = CSymplecticSpace.from_form(q_block_form(1))
-    bad = Subspace(np.eye(4)[:, :2])  # span(u1, I u1) is fine; use span(u1, u2)
-    bad = Subspace(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        quotient_complex_structure(space, bad)
 
 
 def test_quotient_independent_of_complement_model():
@@ -510,8 +503,9 @@ def test_quotient_independent_of_complement_model():
     rng = np.random.default_rng(9)
     space = CSymplecticSpace.from_form(random_c_symplectic(rng, 8)[0])
     fiber = random_lagrangian(space, rng)
-    quot = quotient_complex_structure(space, fiber)
-    w = quotient_model(fiber).orthonormal_basis()
+    projection = LagrangianProjection.build(space, fiber)
+    quot = projection.quotient_structure
+    w = projection.projection.T
     b = fiber.orthonormal_basis()
     other = w + b @ rng.standard_normal((4, 4))  # random complement of the fiber
     # identification K' -> V/L -> K is w^T restricted to K'
@@ -530,7 +524,7 @@ def test_c_symplectic_space_caches_validated_data():
     omega, _ = random_c_symplectic(rng, 8)
     space = CSymplecticSpace.from_form(omega)
     assert space.verdict.ok
-    assert space.half_kernel.dim == 4
+    assert space.verdict.rank.kernel.dim == 4
     assert np.allclose(
         space.structure.matrix, induced_complex_structure(omega).matrix, atol=1e-12
     )

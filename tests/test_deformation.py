@@ -1,5 +1,7 @@
 """Deformation family Omega_t, preservation statements, section theorem."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from csympl.csymplectic import (
     c_symplectic_basis,
     hodge_decompose,
     induced_complex_structure,
+    is_c_lagrangian,
     is_c_symplectic,
     q_block_form,
     random_c_symplectic,
@@ -27,7 +30,7 @@ from csympl.deformation import (
     verify_preservance,
 )
 from csympl.forms import ComplexTwoForm, form_kernel, pullback
-from csympl.linalg import PostconditionError, Subspace
+from csympl.linalg import ComplexStructure, PostconditionError, Subspace
 from csympl.suites import random_lagrangian
 
 
@@ -48,8 +51,7 @@ def random_setup(dim, seed):
 
 def test_projection_kernel_is_fiber_and_identity_on_base():
     proj = q_projection()
-    w = proj.base_model.orthonormal_basis()
-    assert np.allclose(proj.projection @ w, np.eye(2), atol=1e-12)
+    assert np.allclose(proj.projection @ proj.projection.T, np.eye(2), atol=1e-12)
     assert np.allclose(proj.projection @ proj.fiber.orthonormal_basis(), 0.0, atol=1e-12)
 
 
@@ -60,17 +62,29 @@ def test_projection_rejects_non_lagrangian_fiber():
         LagrangianProjection.build(space, bad)
 
 
+def test_projection_rejects_an_incompatible_quotient_structure():
+    # conjugating I by R = Id + eps A keeps Omega, so the fiber stays
+    # c-Lagrangian, but the new structure no longer preserves the fiber
+    proj, rng = random_setup(8, 35)
+    r = np.eye(8) + 1e-4 * rng.standard_normal((8, 8))
+    conjugated = ComplexStructure(8, r @ proj.space.structure.matrix @ np.linalg.inv(r))
+    space = dataclasses.replace(proj.space, structure=conjugated)
+    assert is_c_lagrangian(proj.fiber, space.omega)
+    with pytest.raises(ValueError, match="quotient structure not well-defined"):
+        LagrangianProjection.build(space, proj.fiber)
+
+
 def test_section_must_invert_projection():
     proj = q_projection()
     with pytest.raises(ValueError):
-        LinearSection(proj, 0.5 * proj.base_model.orthonormal_basis())
+        LinearSection(proj, 0.5 * proj.projection.T)
 
 
 def test_sections_differ_by_fiber_offsets():
     proj, rng = random_setup(8, 0)
     tau = rng.standard_normal((4, 4))
     section = LinearSection.from_fiber_part(proj, tau)
-    offset = section.map - proj.base_model.orthonormal_basis()
+    offset = section.map - proj.projection.T
     assert np.allclose(proj.fiber.orthonormal_basis().T @ offset, tau, atol=1e-12)
 
 
@@ -236,7 +250,7 @@ def test_kernel_of_deformed_form_is_fiber_shift_of_original():
 
     proj, rng = random_setup(8, 17)
     gamma = random_base_form(proj, rng)
-    w = proj.base_model.orthonormal_basis()
+    w = proj.projection.T
     fiber = proj.fiber.orthonormal_basis().astype(complex)
     base_kernel = form_kernel(proj.space.omega).subspace.basis
     shifted_span = column_span(np.hstack([base_kernel, fiber]))

@@ -173,6 +173,10 @@ def test_replay_malformed_file_exits_2(tmp_path, capsys):
     case = {"suite": "gram-schmidt", "check": "q-block-residual", "dim": 4, "seed": 0, "index": 0}
     mistyped.write_text(json.dumps({**case, "config": {"samples": "many"}}))
     assert main(["replay", str(mistyped)]) == 2
+    negative = tmp_path / "negative-seed.json"
+    negative.write_text(json.dumps({**case, "seed": -1}))
+    assert main(["replay", str(negative)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_replay_unknown_control_exits_2(tmp_path, capsys):
@@ -342,6 +346,7 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
         pytest.param(["--suite", "criteria-equivalence", "--n", "5", "--tol", "nan"], "tol must", id="nan-tol"),
         pytest.param(["--suite", "criteria-equivalence", "--n", "0"], "samples must", id="zero-samples"),
         pytest.param(["--suite", "lattice-sections", "--n", "-3"], "samples must", id="negative-samples"),
+        pytest.param(["--suite", "gram-schmidt", "--n", "2", "--seed", "-1"], "seed must", id="negative-seed"),
         pytest.param(["--suite", "criteria-equivalence", "--dims", "0"], "dims must", id="zero-dim"),
         pytest.param(["--suite", "induced-structure", "--dims", "6"], "dims must", id="dim-6"),
         pytest.param(["--suite", "induced-structure", "--dims", "2"], "dims must", id="dim-2"),
