@@ -102,14 +102,25 @@ class SmoothSection:
         return out
 
     def derivatives(self, x, y):
-        """Exact (ds/dx, ds/dy) from the Fourier series."""
+        """Exact (ds/dx, ds/dy) from the Fourier series.
+
+        Each mode is the product exp(2 pi i k1 x) exp(2 pi i k2 y), so one
+        exponential per distinct wave number and coordinate serves every
+        mode; on a grid, pass the broadcast axes ``x[:, None], y[None, :]``.
+        The modes are summed pointwise in their dict order, and each term
+        multiplies its scalar into an axis-sized array before the outer
+        product, never into a grid-sized temporary (which numpy would
+        multiply in place, to other last bits), so a node's value does not
+        depend on the grid size.
+        """
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        ex = {k: np.exp(2j * np.pi * k * x) for k in {k1 for k1, _ in self.modes}}
+        ey = {k: np.exp(2j * np.pi * k * y) for k in {k2 for _, k2 in self.modes}}
         sx = np.zeros(np.broadcast(x, y).shape, dtype=np.complex128)
         sy = np.zeros_like(sx)
         for (k1, k2), c in self.modes.items():
-            phase = c * np.exp(2j * np.pi * (k1 * x + k2 * y))
-            sx += 2j * np.pi * k1 * phase
-            sy += 2j * np.pi * k2 * phase
+            sx += (2j * np.pi * k1 * c * ex[k1]) * ey[k2]
+            sy += (2j * np.pi * k2 * c * ex[k1]) * ey[k2]
         return sx, sy
 
     def differential(self, x, y):
@@ -170,8 +181,8 @@ def sample_section_form(sigma: SmoothSection, grid: TorusGrid) -> GridField:
     the Hodge-type requirement on eta holds structurally; the pointwise
     value is Omega(d sigma e1, d sigma e2), the dx1 ^ dy1 coefficient.
     """
-    x, y = grid.mesh()
-    d = sigma.differential(x, y)
+    x = grid.axes()
+    d = sigma.differential(x[:, None], x[None, :])
     eta = np.einsum("...a,ab,...b->...", d[..., 0], Q_BLOCK, d[..., 1])
     values = np.zeros(eta.shape + (4, 4), dtype=np.complex128)
     values[..., 0, 1] = eta
@@ -228,19 +239,22 @@ def exterior_derivative_fd(field: GridField) -> GridField:
     """Centered-difference exterior derivative, periodic, O(h^2).
 
     Fields are constant along the fiber, so fiber partials vanish exactly;
-    base partials use the periodic centered stencil.
+    base partials use the periodic centered stencil.  For a < b < c the
+    component (d alpha)_abc = d_a alpha_bc - d_b alpha_ac + d_c alpha_ab
+    keeps d_b only for a base direction b, and c is always a fiber direction.
     """
     if field.kind != "two_form":
         raise ValueError("expected a two-form field")
     n = field.grid.n
     h = field.grid.h
-    comp = field.values  # (n, n, 4, 4), alpha_{ij}
-    partials = np.zeros((4,) + comp.shape, dtype=np.complex128)
-    for axis in range(2):
-        partials[axis] = (np.roll(comp, -1, axis=axis) - np.roll(comp, 1, axis=axis)) / (2 * h)
-    out = np.zeros((n, n, 4), dtype=np.complex128)
+
+    def partial(axis, i, j):
+        comp = field.values[..., i, j]
+        return (np.roll(comp, -1, axis=axis) - np.roll(comp, 1, axis=axis)) / (2 * h)
+
+    out = np.empty((n, n, 4), dtype=np.complex128)
     for p, (a, b, c) in enumerate(TRIPLES):
-        out[..., p] = partials[a, ..., b, c] - partials[b, ..., a, c] + partials[c, ..., a, b]
+        out[..., p] = partial(a, b, c) - partial(b, a, c) if b < 2 else partial(a, b, c)
     return GridField(field.grid, "three_form", out)
 
 
@@ -279,24 +293,39 @@ def nijenhuis_node_norms(structure_field: GridField) -> np.ndarray:
 
     N(X, Y) = [IX, IY] - I[IX, Y] - I[X, IY] - [X, Y] on coordinate
     fields, with derivatives of I by periodic centered differences (the
-    field varies over the base only, so fiber partials vanish).
+    field varies over the base only, so fiber partials vanish).  N is
+    antisymmetric, so only the pairs a < b are evaluated.
     """
     if structure_field.kind != "endomorphism":
         raise ValueError("expected an endomorphism field")
-    grid = structure_field.grid
-    h = grid.h
+    h = structure_field.grid.h
     ind = structure_field.values  # (n, n, 4, 4)
     # base partials d_0, d_1 only; the fiber partials d_2, d_3 are zero
-    d = np.stack([(np.roll(ind, -1, axis=axis) - np.roll(ind, 1, axis=axis)) / (2 * h) for axis in range(2)])
+    d = [(np.roll(ind, -1, axis=axis) - np.roll(ind, 1, axis=axis)) / (2 * h) for axis in range(2)]
+    a, b = np.triu_indices(4, 1)
+
+    def flow(p, q):  # I_{jp} d_j I_{iq}, summed over the base directions j
+        return ind[..., None, 0, p] * d[0][..., q] + ind[..., None, 1, p] * d[1][..., q]
+
+    def twisted(dj):  # (I d_j I)_{ik} = I_{il} d_j I_{lk}, summed in order of l
+        out = ind[..., :, 0, None] * dj[..., None, 0, :]
+        for l in range(1, 4):
+            out += ind[..., :, l, None] * dj[..., None, l, :]
+        return out
+
     # [Ie_a, Ie_b]^i = I_{ja} d_j I_{ib} - I_{jb} d_j I_{ia}
-    term1 = np.einsum("xyja,jxyib->xyiab", ind[:, :, :2, :], d)
-    term1 = term1 - np.swapaxes(term1, -1, -2)
-    # -I[Ie_a, e_b] - I[e_a, Ie_b] = I_{ik} (d_b I_{ka} - d_a I_{kb}), zero for fiber b
-    term2 = np.zeros(ind.shape + (4,))
-    term2[..., :2] = np.einsum("xyik,bxyka->xyiab", ind, d)
-    term2 = term2 - np.swapaxes(term2, -1, -2)
-    nijenhuis = term1 + term2
-    return np.sqrt(np.max(np.sum(nijenhuis**2, axis=2), axis=(-1, -2)))
+    bracket = flow(a, b) - flow(b, a)
+    # -I[Ie_a, e_b] - I[e_a, Ie_b] = (I d_b I)_{ia} - (I d_a I)_{ib}, where
+    # each term is zero for a fiber direction b or a
+    twists = [twisted(dj) for dj in d]
+    term2 = np.zeros_like(bracket)
+    for pair, (p, q) in enumerate(zip(a, b)):
+        if q < 2:
+            term2[..., pair] = twists[q][..., p]
+        if p < 2:
+            term2[..., pair] -= twists[p][..., q]
+    squares = (bracket + term2) ** 2  # summed over i in order
+    return np.sqrt(np.max(squares[..., 0, :] + squares[..., 1, :] + squares[..., 2, :] + squares[..., 3, :], axis=-1))
 
 
 def nijenhuis_norm(structure_field: GridField) -> float:
@@ -323,8 +352,8 @@ def verify_section_holomorphic(
     the residual is pure linear algebra.
     """
     structure = deformed_structure_field(eta, -1.0, tol)
-    x, y = eta.grid.mesh()
-    d = sigma.differential(x, y)
+    x = eta.grid.axes()
+    d = sigma.differential(x[:, None], x[None, :])
     lhs = d @ BASE_J
     rhs = structure.field.values @ d
     residuals = np.max(np.abs(lhs - rhs), axis=(-1, -2))

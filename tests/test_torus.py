@@ -8,6 +8,7 @@ from csympl.forms import ComplexTwoForm
 from csympl.suites import _nonclosed_continuum_max
 from csympl.torus import (
     BASE_J,
+    TRIPLES,
     GridField,
     SmoothSection,
     TorusGrid,
@@ -151,6 +152,19 @@ def test_fd_derivative_of_nonclosed_control_matches_symbolic_max():
     assert out.max_abs() == pytest.approx(2 * np.pi, rel=1e-2)
 
 
+def exterior_derivative_fd_reference(field):
+    """The stencil over all four partials, fiber partials included as zeros."""
+    n, h = field.grid.n, field.grid.h
+    comp = field.values
+    partials = np.zeros((4,) + comp.shape, dtype=np.complex128)
+    for axis in range(2):
+        partials[axis] = (np.roll(comp, -1, axis=axis) - np.roll(comp, 1, axis=axis)) / (2 * h)
+    out = np.zeros((n, n, 4), dtype=np.complex128)
+    for p, (a, b, c) in enumerate(TRIPLES):
+        out[..., p] = partials[a, ..., b, c] - partials[b, ..., a, c] + partials[c, ..., a, b]
+    return out
+
+
 # -- structure fields ---------------------------------------------------------------
 
 
@@ -221,6 +235,16 @@ def test_coarse_grid_is_the_fine_grids_even_nodes(n, form):
         read_off = deformed_structure_field(field, t).restrict()
         assert np.array_equal(direct.field.values, read_off.field.values, equal_nan=True)
         assert direct.bad_nodes == read_off.bad_nodes
+
+
+@pytest.mark.parametrize("form", ["section-0", "section-1"])
+@pytest.mark.parametrize("n", [128, 256])
+def test_coarse_section_sample_is_the_fine_samples_even_nodes_on_large_grids(n, form):
+    # above 16,384 nodes numpy multiplies a complex scalar into a temporary
+    # in place, to other last bits; the Fourier sum never does so
+    fine = TESTBED_FORMS[form](TorusGrid(n))
+    coarse = TESTBED_FORMS[form](TorusGrid(n // 2))
+    assert np.array_equal(fine.restrict().values, coarse.values)
 
 
 def test_restricted_structure_recounts_its_failing_nodes():
@@ -330,6 +354,13 @@ def test_nijenhuis_base_partial_stencil_matches_the_four_partial_reference(form,
     for n in (32, 64):
         field = deformed_structure_field(TESTBED_FORMS[form](TorusGrid(n)), t).field
         assert np.array_equal(nijenhuis_node_norms(field), nijenhuis_node_norms_reference(field))
+
+
+@pytest.mark.parametrize("form", TESTBED_FORMS)
+def test_exterior_derivative_base_partials_match_the_four_partial_reference(form):
+    for n in (32, 64):
+        field = TESTBED_FORMS[form](TorusGrid(n))
+        assert np.array_equal(exterior_derivative_fd(field).values, exterior_derivative_fd_reference(field))
 
 
 @pytest.mark.parametrize("t", [0.01, -0.01, 0.3, 0.5, -0.7, 0.99])

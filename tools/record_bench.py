@@ -3,6 +3,7 @@
 
 Usage:
     python3 tools/record_bench.py --pr N [--seed S] [--seconds T]
+        [--parent REV --workload W [--pairs K]]
 
 Runs ``perfbench/run.py`` unchanged on every workload of BENCHMARK.json,
 once with ``--trace 0`` and once with ``--trace 1``, and keeps each run's
@@ -12,21 +13,33 @@ suite at the sample sizes of ``tests/test_acceptance.py`` (best of
 SUITE_REPEATS in one process, with a digest of its check rows and, for the
 testbed, of its node table), and where the ``lattice`` workload's pairings
 come from, for the note on ``lattice.pair_per_class``.
+
+With ``--parent REV`` it also writes a ``claim`` block. It checks REV out
+with ``git worktree add`` into a temporary directory (removed afterwards,
+also on failure) and runs K pairs on workload W: in each pair, REV's own
+``perfbench/run.py --trace 0`` and this checkout's, on one seed, the side
+that runs first alternating from pair to pair. The seeds are
+``PAIR_SEEDS_PER_PR * N + 1`` onwards, so no two PRs share one. For every
+end-to-end metric the block gives both sides' median and quartiles, the
+pairs the change won (ties count for neither side), and whether the medians
+differ by more than the parent's quartile distance.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from baseline import run_once  # noqa: E402  (perfbench/baseline.py)
+from baseline import run_once, summarise  # noqa: E402  (perfbench/baseline.py)
 
 #: The suite runs of tests/test_acceptance.py, at its seed and sizes.
 ACCEPTANCE_SEED = 20260810
@@ -45,6 +58,8 @@ ACCEPTANCE_RUNS = (
 SUITE_REPEATS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 PAIR = "lattice.IntegralLattice.pair"
+#: Pair seeds of PR N start at PAIR_SEEDS_PER_PR * N + 1.
+PAIR_SEEDS_PER_PR = 1000
 
 
 def tier1() -> dict:
@@ -97,13 +112,95 @@ def lattice_pairings(seed: int) -> dict:
     return {"pair_calls_by_suite": counts, "classes": classes}
 
 
+@contextlib.contextmanager
+def worktree(rev: str):
+    """A detached checkout of ``rev`` in a temporary directory."""
+
+    def git(*args):
+        subprocess.run(["git", "worktree", *args], cwd=ROOT, check=True, capture_output=True)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "parent"
+        git("add", "--detach", str(path), rev)
+        try:
+            yield path
+        finally:
+            git("remove", "--force", str(path))
+
+
+def run_checkout(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 0`` run of the ``perfbench/run.py`` of checkout ``root``."""
+    command = [
+        sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
+    ]  # fmt: skip
+    proc = subprocess.run(command, cwd=root, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {
+        "seed": seed,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+    }
+
+
+def claim_metrics(end_to_end: list, parent_runs: list, change_runs: list) -> dict:
+    """Per end-to-end metric: both sides' median and quartiles, the pairs
+    the change won, and whether the medians differ by more than the
+    parent's quartile distance."""
+    metrics = {}
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        parent = [run["metrics"][name] for run in parent_runs]
+        change = [run["metrics"][name] for run in change_runs]
+        parent_summary, change_summary = summarise(parent), summarise(change)
+        shift = change_summary["median"] - parent_summary["median"]
+        metrics[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "parent": parent_summary,
+            "change": change_summary,
+            "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "pairs": len(parent),
+            "median_ratio": change_summary["median"] / parent_summary["median"],
+            "beyond_parent_iqr": abs(shift) > parent_summary["q3"] - parent_summary["q1"],
+        }
+    return metrics
+
+
+def pair_claim(spec: dict, parent: str, workload: str, pairs: int, seconds: float, pr: int) -> dict:
+    commit = subprocess.run(["git", "rev-parse", parent], cwd=ROOT, check=True, capture_output=True, text=True)
+    seeds = range(PAIR_SEEDS_PER_PR * pr + 1, PAIR_SEEDS_PER_PR * pr + pairs + 1)
+    runs = {"parent": [], "change": []}
+    with worktree(parent) as parent_root:
+        for i, seed in enumerate(seeds):
+            sides = [("parent", parent_root), ("change", ROOT)]
+            for side, root in sides[:: 1 if i % 2 == 0 else -1]:
+                runs[side].append(run_checkout(root, workload, seed, seconds))
+    return {
+        "parent_commit": commit.stdout.strip(),
+        "workload": workload,
+        "seconds": seconds,
+        "seeds": list(seeds),
+        "metrics": claim_metrics(spec["end_to_end"], runs["parent"], runs["change"]),
+        "failed": {side: sum(run["failed"] for run in side_runs) for side, side_runs in runs.items()},
+        "runs": runs,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    parser.add_argument("--parent", help="revision to claim against, run in pairs with this checkout")
+    parser.add_argument("--workload", choices=[entry["name"] for entry in spec["workloads"]])
+    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.parent is not None and (args.workload is None or args.pairs < 2):
+        parser.error("--parent needs --workload and at least 2 --pairs")
 
     workloads = {}
     for workload in (entry["name"] for entry in spec["workloads"]):
@@ -112,13 +209,17 @@ def main(argv=None):
             detail, result = run_once(workload, args.seed, args.seconds, trace)
             workloads[workload][f"trace{trace}"] = {"detail": detail, "result": result}
 
+    claim = pair_claim(spec, args.parent, args.workload, args.pairs, args.seconds, args.pr) if args.parent else None
     pairings = lattice_pairings(args.seed)
     twistor = pairings["pair_calls_by_suite"].get("twistor-curve", 0)
     total = sum(pairings["pair_calls_by_suite"].values())
+    command = f"python3 tools/record_bench.py --pr {args.pr} --seed {args.seed} --seconds {args.seconds:g}"
+    if claim:
+        command += f" --parent {args.parent} --workload {args.workload} --pairs {args.pairs}"
     record = {
         "pr": args.pr,
         "git_commit": workloads["recognition"]["trace0"]["detail"]["provenance"]["git_commit"],
-        "command": f"python3 tools/record_bench.py --pr {args.pr} --seed {args.seed} --seconds {args.seconds:g}",
+        "command": command,
         "workloads": workloads,
         "tier1": tier1(),
         "acceptance_suites": acceptance_suites(),
@@ -134,6 +235,8 @@ def main(argv=None):
             ),
         },
     }
+    if claim:
+        record["claim"] = claim
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
