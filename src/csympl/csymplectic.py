@@ -2,12 +2,12 @@
 
 A complex-valued 2-form on R^{4n} is c-symplectic when its kernel inside
 the complexification has complex dimension 2n and contains no real vector;
-equivalently its (n+1)-st wedge power vanishes while the n-th power of
-Omega ^ conj(Omega) does not.  Such a form determines a unique complex
-structure (multiplication by -i on the kernel), and this module builds it,
-splits 2-forms into Hodge components, produces canonical bases with the
-4x4 block Q on the diagonal, and handles c-isotropic / c-Lagrangian
-subspaces.
+equivalently its (n+1)-st wedge power vanishes while Omega^n ^ conj(Omega^n)
+= (Omega ^ conj Omega)^n (even-degree forms commute) does not.  Such a form
+determines a unique complex structure (multiplication by -i on the kernel),
+and this module builds it, splits 2-forms into Hodge components, produces
+canonical bases with the 4x4 block Q on the diagonal, and handles
+c-isotropic / c-Lagrangian subspaces.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -60,6 +60,7 @@ class PowerCriterion:
     ok: bool
     reason: str
     power_norm: float
+    #: |Omega^n ^ conj(Omega^n)| = |(Omega ^ conj Omega)^n|: even-degree forms commute.
     pairing_norm: float
     form_norm: float
 
@@ -101,7 +102,8 @@ def is_c_symplectic_rank(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> Ran
 
 
 def is_c_symplectic_power(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> PowerCriterion:
-    """Power criterion: Omega^{n+1} = 0 while (Omega ^ conj Omega)^n != 0."""
+    """Power criterion: Omega^{n+1} = 0 while Omega^n ^ conj(Omega^n) != 0,
+    the pairing (Omega ^ conj Omega)^n, since even-degree forms commute."""
     m = omega.dim
     if m % 4:
         return PowerCriterion(False, "dimension not 4n", -1.0, -1.0, omega.norm())
@@ -109,12 +111,9 @@ def is_c_symplectic_power(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> Po
     scale = omega.norm()
     if scale == 0.0:
         return PowerCriterion(False, "zero form", 0.0, 0.0, 0.0)
-    top_power = power(omega, n + 1).norm()
-    pairing = wedge(omega, omega.conjugate())
-    pairing_top = pairing
-    for _ in range(n - 1):
-        pairing_top = wedge(pairing_top, pairing)
-    pairing_norm = pairing_top.norm()
+    omega_n = power(omega, n)
+    top_power = wedge(omega_n, omega).norm()
+    pairing_norm = wedge(omega_n, ComplexKForm(m, 2 * n, omega_n.coeffs.conj())).norm()
     power_ok = top_power <= tol * scale ** (n + 1)
     pairing_ok = pairing_norm > tol * scale ** (2 * n)
     if not power_ok:

@@ -186,9 +186,6 @@ class ComplexTwoForm:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "ComplexTwoForm":
-        return ComplexTwoForm(self.matrix.conj())
-
     def norm(self) -> float:
         return max_abs(self.matrix)
 

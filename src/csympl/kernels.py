@@ -7,8 +7,8 @@ BACKEND = "python"
 
 #: Products handled per block.  A block's temporaries hold at most 4096
 #: complex values (64 KiB) each, which glibc serves from memory the heap
-#: already holds.  Whole-table temporaries (550 KiB on the dim-12 4 ^ 4
-#: table) are fresh pages from the OS in some processes (mmap, or a heap
+#: already holds.  Whole-table temporaries (217 KiB on the dim-12 4 ^ 2
+#: and 6 ^ 2 tables) are fresh pages from the OS in some processes (mmap, or a heap
 #: top trimmed on every free) and not in others, depending on the
 #: allocation history; unblocked, the dim-12 4 ^ 2 and 4 ^ 4 wedges ran
 #: up to 2x slower.

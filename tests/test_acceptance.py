@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from csympl.csymplectic import is_c_symplectic_power, is_c_symplectic_rank, q_block_form
-from csympl.forms import wedge
+from csympl.forms import ComplexTwoForm, wedge
 from csympl.suites import SuiteConfig, run_suite
 
 MASTER_SEED = 20260810
@@ -45,7 +45,7 @@ def test_criterion_02_q_block_ground_truth():
     q = q_block_form(1)
     rank_ok = bool(is_c_symplectic_rank(q))
     power_ok = bool(is_c_symplectic_power(q))
-    value = wedge(q, q.conjugate())(*np.eye(4))
+    value = wedge(q, ComplexTwoForm(q.matrix.conj()))(*np.eye(4))
     value_ok = abs(value - 4.0) <= 1e-12
     verdict(
         2,

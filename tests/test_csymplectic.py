@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csympl import csymplectic
+from csympl import csymplectic, kernels
 from csympl.csymplectic import (
     CSymplecticSpace,
     Q_BLOCK,
@@ -22,7 +22,7 @@ from csympl.csymplectic import (
     structures_from_kernels,
 )
 from csympl.deformation import LagrangianProjection
-from csympl.forms import ComplexKForm, ComplexTwoForm, pullback
+from csympl.forms import ComplexKForm, ComplexTwoForm, power, pullback, wedge
 from csympl.linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, numerical_rank, real_span_rank
 
 STANDARD_J = ComplexStructure(
@@ -69,8 +69,6 @@ def test_random_gaussian_form_generically_fails():
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     form = ComplexTwoForm(a)
     # Pfaffian oracle: Omega^2 = 2 Pf(A) vol on R^4
-    from csympl.forms import power
-
     square = power(form, 2)
     assert square.coefficient((0, 1, 2, 3)) == pytest.approx(
         2 * pfaffian_4(form.matrix), rel=1e-12
@@ -127,6 +125,84 @@ def test_criteria_agree_under_perturbations_off_the_boundary():
         rank = is_c_symplectic_rank(perturbed)
         power = is_c_symplectic_power(perturbed)
         assert bool(rank) == bool(power) == expected, (eps, rank.reason, power.reason)
+
+
+# -- power criterion: the pairing as Omega^n ^ conj(Omega^n) ------------------
+
+
+def pairing_chain_reference(omega):
+    """|(Omega ^ conj Omega)^n| as the n-fold wedge chain of the pairing."""
+    pairing = wedge(omega, ComplexTwoForm(omega.matrix.conj()))
+    pairing_top = pairing
+    for _ in range(omega.dim // 4 - 1):
+        pairing_top = wedge(pairing_top, pairing)
+    return pairing_top.norm()
+
+
+def complex_gaussian_form(rng, dim):
+    return ComplexTwoForm(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_pairing_matches_the_pairing_chain_reference(dim):
+    for i in range(10):
+        rng = np.random.default_rng([dim, i])
+        for omega in (random_c_symplectic(rng, dim)[0], complex_gaussian_form(rng, dim)):
+            power_check = is_c_symplectic_power(omega)
+            reference = pairing_chain_reference(omega)
+            if dim == 4:
+                assert power_check.pairing_norm == reference
+            else:
+                assert power_check.pairing_norm == pytest.approx(reference, rel=1e-12, abs=0)
+            assert power_check.power_norm == power(omega, dim // 4 + 1).norm()
+
+
+@pytest.fixture
+def wedge_work(monkeypatch):
+    """[wedge_scatter calls, products, np.linalg.svd calls] while the test runs."""
+    work = [0, 0, 0]
+    scatter, svd = kernels.wedge_scatter, np.linalg.svd
+
+    def counting_scatter(ix, iy, sign, x, y):
+        work[0] += 1
+        work[1] += len(ix)
+        return scatter(ix, iy, sign, x, y)
+
+    def counting_svd(*args, **kwargs):
+        work[2] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "wedge_scatter", counting_scatter)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return work
+
+
+@pytest.mark.parametrize("dim, wedges, products", [(4, 2, 12), (8, 3, 910), (12, 4, 31_614)])
+def test_power_criterion_builds_omega_n_once_and_makes_no_rank_decision(wedge_work, dim, wedges, products):
+    omega = random_c_symplectic(np.random.default_rng(dim), dim)[0]
+    wedge_work[:] = [0, 0, 0]
+    assert is_c_symplectic_power(omega).ok
+    assert wedge_work == [wedges, products, 0]
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_pairing_decides_every_mixture_kind_far_from_its_bound(dim):
+    from csympl.suites import mixed_two_form
+
+    ratios = {}
+    for i in range(60):
+        kind = int(np.random.default_rng([dim, i]).integers(5))
+        omega = mixed_two_form(np.random.default_rng([dim, i]), dim)
+        power_check = is_c_symplectic_power(omega)
+        ratio = power_check.pairing_norm / (DEFAULT_TOL * power_check.form_norm ** (dim // 2))
+        ratios.setdefault(kind, []).append(ratio)
+        if kind in (2, 3):  # Gaussian skew forms fail before the pairing check
+            assert power_check.reason == "Omega^{n+1} != 0"
+        elif kind == 4:  # real forms of rank 2n reach it
+            assert power_check.reason == "(Omega ^ conj Omega)^n = 0"
+    assert sorted(ratios) == [0, 1, 2, 3, 4]
+    assert max(ratios[4]) < 1e-3
+    assert min(ratios[0] + ratios[1]) > 1e3
 
 
 # -- induced structure --------------------------------------------------------

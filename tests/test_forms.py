@@ -110,7 +110,7 @@ def test_wedge_one_form_with_itself_vanishes():
 def test_q_wedge_conjugate_on_standard_tuple_is_four():
     # value reported in the source analysis of the canonical block
     q = q_block_form(1)
-    qq = wedge(q, q.conjugate())
+    qq = wedge(q, ComplexTwoForm(q.matrix.conj()))
     value = qq(*np.eye(4))
     assert value == pytest.approx(4.0, abs=1e-12)
 

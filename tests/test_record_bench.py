@@ -39,3 +39,17 @@ def test_claim_is_not_beyond_the_parent_iqr_inside_its_quartiles():
     claim = record_bench.claim_metrics(END_TO_END, parent, change)
     assert not claim["throughput_rps"]["beyond_parent_iqr"]
     assert claim["latency_p50_s"]["wins"] == 0 and not claim["latency_p50_s"]["beyond_parent_iqr"]
+
+
+def test_guard_verdict_holds_each_metric_to_its_bound_in_its_direction():
+    parent = runs([5.0, 5.0, 5.0, 5.0], [0.10, 0.10, 0.10, 0.10])
+    within = record_bench.claim_metrics(END_TO_END, parent, runs([4.1, 4.1, 4.1, 4.1], [0.119, 0.119, 0.119, 0.119]))
+    assert within["throughput_rps"]["worse_by"] == pytest.approx(0.18)
+    assert within["latency_p50_s"]["worse_by"] == pytest.approx(0.19)
+    assert not within["throughput_rps"]["worse_beyond_bound"] and not within["latency_p50_s"]["worse_beyond_bound"]
+    beyond = record_bench.claim_metrics(END_TO_END, parent, runs([3.9, 3.9, 3.9, 3.9], [0.121, 0.121, 0.121, 0.121]))
+    assert beyond["throughput_rps"]["worse_beyond_bound"] and beyond["latency_p50_s"]["worse_beyond_bound"]
+    # a gain is never worse: higher throughput and lower latency read negative
+    better = record_bench.claim_metrics(END_TO_END, parent, runs([9.0, 9.0, 9.0, 9.0], [0.01, 0.01, 0.01, 0.01]))
+    assert better["throughput_rps"]["worse_by"] < 0 and better["latency_p50_s"]["worse_by"] < 0
+    assert not better["throughput_rps"]["worse_beyond_bound"] and not better["latency_p50_s"]["worse_beyond_bound"]

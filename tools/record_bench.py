@@ -14,15 +14,19 @@ SUITE_REPEATS in one process, with a digest of its check rows and, for the
 testbed, of its node table), and where the ``lattice`` workload's pairings
 come from, for the note on ``lattice.pair_per_class``.
 
-With ``--parent REV`` it also writes a ``claim`` block. It checks REV out
-with ``git worktree add`` into a temporary directory (removed afterwards,
-also on failure) and runs K pairs on workload W: in each pair, REV's own
-``perfbench/run.py --trace 0`` and this checkout's, on one seed, the side
-that runs first alternating from pair to pair. The seeds are
+With ``--parent REV`` it also writes a ``claim`` and a ``guards`` block. It
+checks REV out with ``git worktree add`` into a temporary directory (removed
+afterwards, also on failure) and runs K pairs on every workload: in each
+pair, REV's own ``perfbench/run.py --trace 0`` and this checkout's, on one
+seed, the side that runs first alternating from pair to pair. The seeds are
 ``PAIR_SEEDS_PER_PR * N + 1`` onwards, so no two PRs share one. For every
-end-to-end metric the block gives both sides' median and quartiles, the
-pairs the change won (ties count for neither side), and whether the medians
-differ by more than the parent's quartile distance.
+end-to-end metric both blocks give both sides' median and quartiles, the
+pairs the change won (ties count for neither side), whether the medians
+differ by more than the parent's quartile distance, and whether the
+change's median is worse than the parent's by more than the metric's
+``bound`` in BENCHMARK.json. ``claim`` holds workload W, the one the change
+claims a gain on; ``guards`` holds every other workload, where the change
+must not get worse beyond a bound.
 """
 
 import argparse
@@ -147,8 +151,9 @@ def run_checkout(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def claim_metrics(end_to_end: list, parent_runs: list, change_runs: list) -> dict:
     """Per end-to-end metric: both sides' median and quartiles, the pairs
-    the change won, and whether the medians differ by more than the
-    parent's quartile distance."""
+    the change won, whether the medians differ by more than the parent's
+    quartile distance, and how much worse the change's median is than the
+    parent's, as a share of the parent's, against the metric's bound."""
     metrics = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -156,6 +161,7 @@ def claim_metrics(end_to_end: list, parent_runs: list, change_runs: list) -> dic
         change = [run["metrics"][name] for run in change_runs]
         parent_summary, change_summary = summarise(parent), summarise(change)
         shift = change_summary["median"] - parent_summary["median"]
+        worse_by = -sign * shift / parent_summary["median"]
         metrics[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -165,28 +171,34 @@ def claim_metrics(end_to_end: list, parent_runs: list, change_runs: list) -> dic
             "pairs": len(parent),
             "median_ratio": change_summary["median"] / parent_summary["median"],
             "beyond_parent_iqr": abs(shift) > parent_summary["q3"] - parent_summary["q1"],
+            "worse_by": worse_by,
+            "bound": metric["bound"],
+            "worse_beyond_bound": worse_by > metric["bound"],
         }
     return metrics
 
 
-def pair_claim(spec: dict, parent: str, workload: str, pairs: int, seconds: float, pr: int) -> dict:
+def pair_claim(spec: dict, parent: str, workload: str, pairs: int, seconds: float, pr: int) -> tuple:
+    """The ``claim`` block for ``workload`` and the ``guards`` block for
+    every other workload, from ``pairs`` alternating pairs on each."""
     commit = subprocess.run(["git", "rev-parse", parent], cwd=ROOT, check=True, capture_output=True, text=True)
     seeds = range(PAIR_SEEDS_PER_PR * pr + 1, PAIR_SEEDS_PER_PR * pr + pairs + 1)
-    runs = {"parent": [], "change": []}
+    blocks = {}
     with worktree(parent) as parent_root:
-        for i, seed in enumerate(seeds):
-            sides = [("parent", parent_root), ("change", ROOT)]
-            for side, root in sides[:: 1 if i % 2 == 0 else -1]:
-                runs[side].append(run_checkout(root, workload, seed, seconds))
-    return {
-        "parent_commit": commit.stdout.strip(),
-        "workload": workload,
-        "seconds": seconds,
-        "seeds": list(seeds),
-        "metrics": claim_metrics(spec["end_to_end"], runs["parent"], runs["change"]),
-        "failed": {side: sum(run["failed"] for run in side_runs) for side, side_runs in runs.items()},
-        "runs": runs,
-    }
+        for name in (entry["name"] for entry in spec["workloads"]):
+            runs = {"parent": [], "change": []}
+            for i, seed in enumerate(seeds):
+                sides = [("parent", parent_root), ("change", ROOT)]
+                for side, root in sides[:: 1 if i % 2 == 0 else -1]:
+                    runs[side].append(run_checkout(root, name, seed, seconds))
+            blocks[name] = {
+                "metrics": claim_metrics(spec["end_to_end"], runs["parent"], runs["change"]),
+                "failed": {side: sum(run["failed"] for run in side_runs) for side, side_runs in runs.items()},
+                "runs": runs,
+            }
+    provenance = {"parent_commit": commit.stdout.strip(), "seconds": seconds, "seeds": list(seeds)}
+    claim = {**provenance, "workload": workload, **blocks.pop(workload)}
+    return claim, {**provenance, "workloads": blocks}
 
 
 def main(argv=None):
@@ -209,7 +221,9 @@ def main(argv=None):
             detail, result = run_once(workload, args.seed, args.seconds, trace)
             workloads[workload][f"trace{trace}"] = {"detail": detail, "result": result}
 
-    claim = pair_claim(spec, args.parent, args.workload, args.pairs, args.seconds, args.pr) if args.parent else None
+    claim = guards = None
+    if args.parent:
+        claim, guards = pair_claim(spec, args.parent, args.workload, args.pairs, args.seconds, args.pr)
     pairings = lattice_pairings(args.seed)
     twistor = pairings["pair_calls_by_suite"].get("twistor-curve", 0)
     total = sum(pairings["pair_calls_by_suite"].values())
@@ -237,6 +251,7 @@ def main(argv=None):
     }
     if claim:
         record["claim"] = claim
+        record["guards"] = guards
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
