@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n", dest="samples", metavar="N", type=int, help="samples per dimension")
     seed = os.environ.get("CSYMPL_SEED", "0")  # a string default goes through type=int
     run.add_argument("--seed", type=int, default=seed, help="master seed (fallback: CSYMPL_SEED)")
-    run.add_argument("--tol", type=float)
     run.add_argument("--out", type=Path, default=None, help="report path (default: stdout)")
     run.add_argument("--format", choices=("json", "csv"), default="json")
     run.add_argument("--grid", dest="grid_n", metavar="GRID", type=int, help="testbed resolution N")

@@ -17,7 +17,8 @@ import numpy as np
 from . import multiindex
 from .forms import ComplexKForm, ComplexTwoForm, FormKernel, form_kernel, power, wedge
 from .linalg import (
-    DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space, numerical_rank, real_span_rank
+    DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space, numerical_rank,
+    real_span_rank,
 )
 
 #: Canonical 4x4 block of a c-symplectic form in a basis (u1, I u1, u2, I u2).
@@ -81,7 +82,7 @@ class CSymplecticVerdict:
         return self.ok
 
 
-def is_c_symplectic_rank(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> RankCriterion:
+def is_c_symplectic_rank(omega: ComplexTwoForm) -> RankCriterion:
     """Kernel criterion: dim_C ker = 2n and ker meets R^{4n} only at 0.
 
     The real-intersection test runs as a rank check: the real span of the
@@ -91,17 +92,17 @@ def is_c_symplectic_rank(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> Ran
     if m % 4:
         return RankCriterion(False, "dimension not 4n", -1, -1, False)
     n = m // 4
-    ker = form_kernel(omega, tol)
+    ker = form_kernel(omega)
     span_rank = -1
     if ker.dim != 2 * n:
         reason = f"kernel dimension {ker.dim} != {2 * n}"
     else:
-        span_rank = ker.subspace.real_span_rank(tol)
+        span_rank = ker.subspace.real_span_rank()
         reason = "" if span_rank == m else "kernel contains real vectors"
     return RankCriterion(not reason, reason, ker.dim, span_rank, ker.ill_conditioned, ker)
 
 
-def is_c_symplectic_power(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> PowerCriterion:
+def is_c_symplectic_power(omega: ComplexTwoForm) -> PowerCriterion:
     """Power criterion: Omega^{n+1} = 0 while Omega^n ^ conj(Omega^n) != 0,
     the pairing (Omega ^ conj Omega)^n, since even-degree forms commute."""
     m = omega.dim
@@ -114,8 +115,8 @@ def is_c_symplectic_power(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> Po
     omega_n = power(omega, n)
     top_power = wedge(omega_n, omega).norm()
     pairing_norm = wedge(omega_n, ComplexKForm(m, 2 * n, omega_n.coeffs.conj())).norm()
-    power_ok = top_power <= tol * scale ** (n + 1)
-    pairing_ok = pairing_norm > tol * scale ** (2 * n)
+    power_ok = top_power <= DEFAULT_TOL * scale ** (n + 1)
+    pairing_ok = pairing_norm > DEFAULT_TOL * scale ** (2 * n)
     if not power_ok:
         reason = "Omega^{n+1} != 0"
     elif not pairing_ok:
@@ -125,46 +126,37 @@ def is_c_symplectic_power(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> Po
     return PowerCriterion(power_ok and pairing_ok, reason, top_power, pairing_norm, scale)
 
 
-def is_c_symplectic(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> CSymplecticVerdict:
+def is_c_symplectic(omega: ComplexTwoForm) -> CSymplecticVerdict:
     """Both criteria; they agree on every input (numerically witnessed)."""
-    return CSymplecticVerdict(
-        rank=is_c_symplectic_rank(omega, tol),
-        power=is_c_symplectic_power(omega, tol),
-    )
+    return CSymplecticVerdict(rank=is_c_symplectic_rank(omega), power=is_c_symplectic_power(omega))
 
 
-def induced_complex_structure(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> ComplexStructure:
+def induced_complex_structure(omega: ComplexTwoForm) -> ComplexStructure:
     """The unique complex structure making omega a nondegenerate (2,0)-form.
 
     Acts as multiplication by -i on ker(omega) and by +i on the conjugate
     kernel; realness follows from self-conjugacy of that prescription.
     Raises on non-c-symplectic input, naming the failing criterion.
     """
-    rank_check = is_c_symplectic_rank(omega, tol)
+    rank_check = is_c_symplectic_rank(omega)
     if not rank_check:
         raise ValueError(f"not c-symplectic (rank criterion): {rank_check.reason}")
-    return _structure_from_kernel(omega, rank_check.kernel, tol)
+    return _structure_from_kernel(omega, rank_check.kernel)
 
 
-def _structure_from_kernel(omega: ComplexTwoForm, kernel: FormKernel, tol: float) -> ComplexStructure:
+def _structure_from_kernel(omega: ComplexTwoForm, kernel: FormKernel) -> ComplexStructure:
     """Induced structure of omega from the kernel of a passing rank check."""
     real, realness, square, linearity = structures_from_kernels(omega.matrix, kernel.subspace.basis)
-    if not _structure_accepted(realness, square, linearity, tol):
+    if not _structure_accepted(realness, square, linearity):
         raise ValueError(
             f"induced structure rejected: realness {realness:.3e}, I^2 + Id {square:.3e}, linearity {linearity:.3e}"
         )
-    return ComplexStructure(omega.dim, real, tol=_structure_tol(tol))
+    return ComplexStructure(omega.dim, real)
 
 
-def _structure_tol(tol: float) -> float:
-    """Bound on a structure's I^2 = -Id and complex-linearity residuals."""
-    return max(tol, 1e-8)
-
-
-def _structure_accepted(realness, square, linearity, tol: float):
+def _structure_accepted(realness, square, linearity):
     """Acceptance of single or stacked ``structures_from_kernels`` residuals."""
-    loose = _structure_tol(tol)
-    return (realness <= tol) & (square <= loose) & (linearity <= loose)
+    return (realness <= DEFAULT_TOL) & (square <= STRUCTURE_TOL) & (linearity <= STRUCTURE_TOL)
 
 
 def structures_from_kernels(omegas: np.ndarray, kernels: np.ndarray):
@@ -190,10 +182,10 @@ def _stack_max(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=(-2, -1), initial=0.0)
 
 
-def induced_structures(omegas: np.ndarray, tol: float = DEFAULT_TOL):
+def induced_structures(omegas: np.ndarray):
     """Stacked rank verdict and induced structures of forms (..., m, m).
 
-    A form passes when exactly m/2 singular values are <= tol * sigma_max,
+    A form passes when exactly m/2 singular values are <= DEFAULT_TOL * sigma_max,
     its kernel's real span fills R^m and its structure meets the
     single-form thresholds; failing forms are not inverted and get NaN.
     Returns (structures, ok).
@@ -214,9 +206,9 @@ def induced_structures(omegas: np.ndarray, tol: float = DEFAULT_TOL):
     distinct = flat[first]
     _, s, vh = np.linalg.svd(distinct)
     kernels = np.swapaxes(vh[..., half:, :].conj(), -1, -2)
-    ok = (numerical_rank(s, tol) == m - half) & (real_span_rank(kernels, tol) == m)
+    ok = (numerical_rank(s) == m - half) & (real_span_rank(kernels) == m)
     real, realness, square, linearity = structures_from_kernels(distinct[ok], kernels[ok])
-    passed = _structure_accepted(realness, square, linearity, tol)
+    passed = _structure_accepted(realness, square, linearity)
     structures = np.full(distinct.shape, np.nan)
     structures[ok] = np.where(passed[:, None, None], real, np.nan)
     ok[ok] = passed
@@ -273,7 +265,7 @@ def is_c_lagrangian(subspace: Subspace, omega: ComplexTwoForm, tol: float = DEFA
     return subspace.dim == omega.dim // 2 and is_c_isotropic(subspace, omega, tol)
 
 
-def c_symplectic_basis(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> np.ndarray:
+def c_symplectic_basis(omega: ComplexTwoForm) -> np.ndarray:
     """Real invertible B with B^T A B = blkdiag(Q, ..., Q).
 
     Symplectic Gram-Schmidt: pick u1 (pivoted for stability), adjoin
@@ -281,7 +273,7 @@ def c_symplectic_basis(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> np.nd
     through I, adjoin I u2, then recurse on the Omega-orthogonal
     complement of the block.
     """
-    rank_check = is_c_symplectic_rank(omega, tol)
+    rank_check = is_c_symplectic_rank(omega)
     if not rank_check:
         raise ValueError(f"not c-symplectic: {rank_check.reason}")
     m = omega.dim
@@ -291,16 +283,16 @@ def c_symplectic_basis(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> np.nd
         a_cur = ComplexTwoForm(carrier.T @ omega.matrix @ carrier)
         m_cur = a_cur.dim
         if columns:
-            structure = induced_complex_structure(a_cur, tol)
+            structure = induced_complex_structure(a_cur)
         else:  # the first a_cur is omega itself: reuse the rank check's kernel
-            structure = _structure_from_kernel(omega, rank_check.kernel, tol)
+            structure = _structure_from_kernel(omega, rank_check.kernel)
         row_norms = np.linalg.norm(a_cur.matrix, axis=1)
         u1 = np.zeros(m_cur)
         u1[int(np.argmax(row_norms))] = 1.0
         v1 = structure.matrix @ u1
         pairings = u1 @ a_cur.matrix
         j = int(np.argmax(np.abs(pairings)))
-        if abs(pairings[j]) <= tol * max(a_cur.norm(), 1e-300):
+        if abs(pairings[j]) <= DEFAULT_TOL * max(a_cur.norm(), 1e-300):
             raise PostconditionError("internal consistency error: no partner with Omega(u1, x) != 0")
         x = np.zeros(m_cur)
         x[j] = 1.0
@@ -319,7 +311,7 @@ def c_symplectic_basis(omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> np.nd
                 (a_cur.matrix @ u2).imag,
             ]
         )
-        carrier = carrier @ null_space(cond, tol)
+        carrier = carrier @ null_space(cond)
     b = np.hstack(columns)
     target = q_block_form(m // 4).matrix
     residual = max_abs(b.T @ omega.matrix @ b - target)
@@ -337,13 +329,11 @@ class CSymplecticSpace:
     verdict: CSymplecticVerdict = dc_field(repr=False)
 
     @classmethod
-    def from_form(cls, omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> "CSymplecticSpace":
-        return cls.from_verdict(omega, is_c_symplectic(omega, tol), tol)
+    def from_form(cls, omega: ComplexTwoForm) -> "CSymplecticSpace":
+        return cls.from_verdict(omega, is_c_symplectic(omega))
 
     @classmethod
-    def from_verdict(
-        cls, omega: ComplexTwoForm, verdict: CSymplecticVerdict, tol: float = DEFAULT_TOL
-    ) -> "CSymplecticSpace":
+    def from_verdict(cls, omega: ComplexTwoForm, verdict: CSymplecticVerdict) -> "CSymplecticSpace":
         """Validate by a verdict already computed on omega, reusing its kernel."""
         if not verdict.ok:
             failing = "rank" if not verdict.rank.ok else "power"
@@ -351,7 +341,7 @@ class CSymplecticSpace:
             raise ValueError(f"not c-symplectic ({failing} criterion): {reason}")
         return cls(
             omega=omega,
-            structure=_structure_from_kernel(omega, verdict.rank.kernel, tol),
+            structure=_structure_from_kernel(omega, verdict.rank.kernel),
             verdict=verdict,
         )
 

@@ -16,13 +16,12 @@ import numpy as np
 from .csymplectic import (
     CSymplecticSpace,
     CSymplecticVerdict,
-    _structure_tol,
     is_c_lagrangian,
     is_c_symplectic,
     hodge_decompose,
 )
 from .forms import ComplexTwoForm
-from .linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space
+from .linalg import DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space
 
 #: Default complex deformation parameters probed by verification sweeps.
 DEFAULT_T_SAMPLES = (1.0, -1.0, 1j, -1j, 0.5 + 0.5j)
@@ -37,8 +36,8 @@ class HodgeTypeCertificate:
     norm_02: float
     scale: float
 
-    def anti_holomorphic_ok(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.norm_02 <= tol * max(self.scale, 1e-300)
+    def anti_holomorphic_ok(self) -> bool:
+        return self.norm_02 <= STRUCTURE_TOL * max(self.scale, 1e-300)
 
 
 def _hodge_certificate(two_form: ComplexTwoForm, structure: ComplexStructure, scale: float):
@@ -61,7 +60,7 @@ class LagrangianProjection:
     quotient_structure: ComplexStructure = dc_field(repr=False)
 
     @classmethod
-    def build(cls, space: CSymplecticSpace, fiber: Subspace, tol: float = DEFAULT_TOL):
+    def build(cls, space: CSymplecticSpace, fiber: Subspace):
         """The quotient model K of V / L with its inherited structure.
 
         With W an orthonormal basis of K, I_quot = W^T I W is defined by
@@ -69,20 +68,19 @@ class LagrangianProjection:
         subspaces are I-invariant, and W^T I = I_quot W^T is checked on
         all of V.
         """
-        if not is_c_lagrangian(fiber, space.omega, tol):
+        if not is_c_lagrangian(fiber, space.omega):
             raise ValueError("fiber is not c-Lagrangian for the given form")
         w = fiber.orthogonal_complement().orthonormal_basis()
         structure = space.structure.matrix
         mat = w.T @ structure @ w
         residual = max_abs(w.T @ structure - mat @ w.T)
-        loose = _structure_tol(tol)
-        if residual > loose * max(1.0, max_abs(structure)):
+        if residual > STRUCTURE_TOL * max(1.0, max_abs(structure)):
             raise ValueError(f"quotient structure not well-defined (residual {residual:.3e})")
         return cls(
             space=space,
             fiber=fiber,
             projection=w.T,
-            quotient_structure=ComplexStructure(w.shape[1], mat, tol=loose),
+            quotient_structure=ComplexStructure(w.shape[1], mat),
         )
 
     @property
@@ -118,7 +116,7 @@ class LinearSection:
         return cls.from_fiber_part(projection, scale * rng.standard_normal((k, k)))
 
     @classmethod
-    def complex_linear(cls, projection: LagrangianProjection, tol: float = DEFAULT_TOL):
+    def complex_linear(cls, projection: LagrangianProjection):
         """A section whose image is an I-invariant complement of the fiber.
 
         Uses the I-averaged metric g = (g0 + I^T g0 I)/2: its orthogonal
@@ -129,7 +127,7 @@ class LinearSection:
         metric = (np.eye(structure.shape[0]) + structure.T @ structure) / 2.0
         b = projection.fiber.orthonormal_basis()
         # complement = g-orthogonal of L: vectors x with b^T g x = 0
-        comp = null_space(b.T @ metric, tol)
+        comp = null_space(b.T @ metric)
         m = projection.projection @ comp
         section = comp @ np.linalg.inv(m)
         return cls(projection=projection, map=section)
@@ -144,7 +142,7 @@ class SectionForm:
     certificate: HodgeTypeCertificate
 
 
-def section_form(section: LinearSection, tol: float = DEFAULT_TOL) -> SectionForm:
+def section_form(section: LinearSection) -> SectionForm:
     """Pullback of Omega to the base model along a section.
 
     The certificate records the Hodge component norms w.r.t. the inherited
@@ -156,7 +154,7 @@ def section_form(section: LinearSection, tol: float = DEFAULT_TOL) -> SectionFor
     omega_sigma = ComplexTwoForm(s.T @ p.space.omega.matrix @ s)
     scale = p.space.omega.norm() * float(np.linalg.norm(s, 2)) ** 2
     certificate = _hodge_certificate(omega_sigma, p.quotient_structure, scale)
-    if not certificate.anti_holomorphic_ok(max(tol, 1e-8)):
+    if not certificate.anti_holomorphic_ok():
         raise PostconditionError(
             f"(0,2) component of a section form is {certificate.norm_02:.3e}; "
             "this contradicts the Hodge-type property"
@@ -164,25 +162,20 @@ def section_form(section: LinearSection, tol: float = DEFAULT_TOL) -> SectionFor
     return SectionForm(two_form=omega_sigma, certificate=certificate)
 
 
-def deform(
-    projection: LagrangianProjection,
-    gamma: ComplexTwoForm,
-    t: complex,
-    tol: float = DEFAULT_TOL,
-) -> ComplexTwoForm:
+def deform(projection: LagrangianProjection, gamma: ComplexTwoForm, t: complex) -> ComplexTwoForm:
     """Omega_t = Omega + t pi^* gamma for a (2,0)+(1,1) form gamma on K.
 
     Rejects gamma with an anti-holomorphic component above tolerance and
     verifies c-symplecticity of the result by both criteria.
     """
-    return DeformationFamily.build(projection, gamma, tol)(t, tol)
+    return DeformationFamily.build(projection, gamma)(t)
 
 
-def _certify_gamma(projection: LagrangianProjection, gamma: ComplexTwoForm, tol: float):
+def _certify_gamma(projection: LagrangianProjection, gamma: ComplexTwoForm):
     if gamma.dim != projection.half_dim:
         raise ValueError("gamma must live on the base model")
     certificate = _hodge_certificate(gamma, projection.quotient_structure, gamma.norm())
-    if not certificate.anti_holomorphic_ok(max(tol, 1e-8)):
+    if not certificate.anti_holomorphic_ok():
         raise ValueError(
             f"gamma has a (0,2) component of norm {certificate.norm_02:.3e}; "
             "deformation requires Hodge type (2,0)+(1,1)"
@@ -190,8 +183,8 @@ def _certify_gamma(projection: LagrangianProjection, gamma: ComplexTwoForm, tol:
     return certificate
 
 
-def _deformed_verdict(omega_t: ComplexTwoForm, tol: float) -> CSymplecticVerdict:
-    verdict = is_c_symplectic(omega_t, tol)
+def _deformed_verdict(omega_t: ComplexTwoForm) -> CSymplecticVerdict:
+    verdict = is_c_symplectic(omega_t)
     if not verdict.ok:
         raise PostconditionError(
             "deformed form failed c-symplecticity: "
@@ -213,8 +206,8 @@ class DeformationFamily:
     certificate: HodgeTypeCertificate = dc_field(repr=False)
 
     @classmethod
-    def build(cls, projection: LagrangianProjection, gamma: ComplexTwoForm, tol: float = DEFAULT_TOL):
-        return cls(projection=projection, gamma=gamma, certificate=_certify_gamma(projection, gamma, tol))
+    def build(cls, projection: LagrangianProjection, gamma: ComplexTwoForm):
+        return cls(projection=projection, gamma=gamma, certificate=_certify_gamma(projection, gamma))
 
     def form(self, t: complex) -> ComplexTwoForm:
         """The member Omega + t pi^* gamma, not checked for c-symplecticity."""
@@ -222,16 +215,16 @@ class DeformationFamily:
         pulled = w.T @ self.gamma.matrix @ w
         return ComplexTwoForm(self.projection.space.omega.matrix + complex(t) * pulled)
 
-    def __call__(self, t: complex, tol: float = DEFAULT_TOL) -> ComplexTwoForm:
+    def __call__(self, t: complex) -> ComplexTwoForm:
         omega_t = self.form(t)
-        _deformed_verdict(omega_t, tol)
+        _deformed_verdict(omega_t)
         return omega_t
 
-    def space(self, t: complex, tol: float = DEFAULT_TOL) -> CSymplecticSpace:
+    def space(self, t: complex) -> CSymplecticSpace:
         """Omega_t checked once by both criteria, with its induced structure
         built from the rank check's kernel."""
         omega_t = self.form(t)
-        return CSymplecticSpace.from_verdict(omega_t, _deformed_verdict(omega_t, tol), tol)
+        return CSymplecticSpace.from_verdict(omega_t, _deformed_verdict(omega_t))
 
 
 @dataclass(frozen=True)
@@ -249,15 +242,12 @@ class PreservanceReport:
             [self.max_fiber_restriction_residual, self.max_quotient_residual, self.max_invariance_residual]
         )
 
-    def ok(self, tol: float = 1e-9) -> bool:
-        return self.fiber_lagrangian_ok and self.max_residual <= tol
+    def ok(self) -> bool:
+        return self.fiber_lagrangian_ok and self.max_residual <= DEFAULT_TOL
 
 
 def verify_preservance(
-    projection: LagrangianProjection,
-    gamma: ComplexTwoForm,
-    t_samples=DEFAULT_T_SAMPLES,
-    tol: float = DEFAULT_TOL,
+    projection: LagrangianProjection, gamma: ComplexTwoForm, t_samples=DEFAULT_T_SAMPLES
 ) -> PreservanceReport:
     """Check that the deformation fixes the fiber and quotient structures.
 
@@ -265,15 +255,15 @@ def verify_preservance(
     induced structure to L matches the t = 0 restriction, and the
     inherited quotient structure matches as well.
     """
-    family = DeformationFamily.build(projection, gamma, tol)
+    family = DeformationFamily.build(projection, gamma)
     base_restriction, base_inv = projection.space.structure.restrict(projection.fiber)
     base_quotient = projection.quotient_structure.matrix
     fiber_ok = True
     restriction_residuals, quotient_residuals, invariances = [], [], [base_inv]
     w = projection.projection.T
     for t in t_samples:
-        space_t = family.space(t, tol)
-        if not is_c_lagrangian(projection.fiber, space_t.omega, max(tol, 1e-8)):
+        space_t = family.space(t)
+        if not is_c_lagrangian(projection.fiber, space_t.omega, STRUCTURE_TOL):
             fiber_ok = False
         restriction_t, invariance = space_t.structure.restrict(projection.fiber)
         restriction_residuals.append(max_abs(restriction_t - base_restriction))
@@ -298,8 +288,8 @@ class HolomorphizationCertificate:
     def max_residual(self) -> float:
         return max_abs([self.graph_restriction_norm, self.intertwining_residual])
 
-    def ok(self, tol: float = 1e-9) -> bool:
-        return self.graph_is_lagrangian and self.max_residual <= tol
+    def ok(self) -> bool:
+        return self.graph_is_lagrangian and self.max_residual <= DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -309,7 +299,7 @@ class HolomorphizedSection:
     certificate: HolomorphizationCertificate
 
 
-def holomorphize_section(section: LinearSection, tol: float = DEFAULT_TOL) -> HolomorphizedSection:
+def holomorphize_section(section: LinearSection) -> HolomorphizedSection:
     """Deform by the section's own pullback form at t = -1.
 
     Certifies that the deformed form vanishes on the section's image, the
@@ -318,14 +308,14 @@ def holomorphize_section(section: LinearSection, tol: float = DEFAULT_TOL) -> Ho
     i.e. becomes complex-linear.
     """
     p = section.projection
-    eta = section_form(section, tol).two_form
-    space_prime = DeformationFamily.build(p, eta, tol).space(-1.0, tol)
+    eta = section_form(section).two_form
+    space_prime = DeformationFamily.build(p, eta).space(-1.0)
     omega_prime = space_prime.omega
     s = section.map
     scale = max(p.space.omega.norm(), 1e-300) * float(np.linalg.norm(s, 2)) ** 2
     restriction = max_abs(s.T @ omega_prime.matrix @ s) / scale
     graph = section.graph()
-    lagrangian = is_c_lagrangian(graph, omega_prime, max(tol, 1e-8))
+    lagrangian = is_c_lagrangian(graph, omega_prime, STRUCTURE_TOL)
     intertwine = max_abs(
         s @ p.quotient_structure.matrix - space_prime.structure.matrix @ s
     ) / max(1.0, float(np.linalg.norm(s, 2)))

@@ -202,11 +202,8 @@ def wedge(a, b) -> ComplexKForm:
     a, b = _as_kform(a), _as_kform(b)
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    degree = a.degree + b.degree
-    if degree > a.dim:
-        return ComplexKForm.zero(a.dim, degree)
     ia, ib, sign = multiindex.wedge_table(a.dim, a.degree, b.degree)
-    return ComplexKForm(a.dim, degree, kernels.wedge_scatter(ia, ib, sign, a.coeffs, b.coeffs))
+    return ComplexKForm(a.dim, a.degree + b.degree, kernels.wedge_scatter(ia, ib, sign, a.coeffs, b.coeffs))
 
 
 def power(a, k: int) -> ComplexKForm:
@@ -226,7 +223,9 @@ def pullback(f: np.ndarray, a) -> ComplexKForm:
     """Pullback along the linear map with matrix f: R^src -> R^tgt.
 
     (f^* a)(v_1, ..., v_k) = a(f v_1, ..., f v_k); coefficients are minor
-    sums, evaluated in blocks to bound memory.
+    sums, evaluated in blocks to bound memory.  A 0-form's one minor is the
+    empty determinant 1, and a degree above src has no minors, giving the
+    collapsed zero form.
     """
     a = _as_kform(a)
     f = np.asarray(f, dtype=np.complex128)
@@ -236,10 +235,6 @@ def pullback(f: np.ndarray, a) -> ComplexKForm:
     if a.dim != m_tgt:
         raise ValueError(f"form lives on R^{a.dim}, map lands in R^{m_tgt}")
     k = a.degree
-    if k == 0:
-        return ComplexKForm(m_src, 0, a.coeffs.copy())
-    if k > m_src:
-        return ComplexKForm.zero(m_src, k)
     rows = multiindex.index_array(m_tgt, k)
     cols = multiindex.index_array(m_src, k)
     n_out = cols.shape[0]
@@ -267,16 +262,16 @@ class FormKernel:
         return self.subspace.dim
 
 
-def form_kernel(a: ComplexTwoForm, tol: float = DEFAULT_TOL) -> FormKernel:
+def form_kernel(a: ComplexTwoForm) -> FormKernel:
     """Kernel of a 2-form on V tensor C via SVD thresholding.
 
-    Singular values at or below tol * sigma_max count as zero; a value
+    Singular values at or below DEFAULT_TOL * sigma_max count as zero; a value
     within a factor 10 of that cutoff, in (cutoff/10, 10 cutoff], sets the
     ``ill_conditioned`` flag.
     """
     u, s, vh = np.linalg.svd(a.matrix)
     return FormKernel(
-        subspace=Subspace.from_orthonormal(vh[numerical_rank(s, tol) :].conj().T, field="C"),
+        subspace=Subspace.from_orthonormal(vh[numerical_rank(s) :].conj().T, field="C"),
         singular_values=s,
-        ill_conditioned=bool(numerical_rank(s, tol / 10) != numerical_rank(s, 10 * tol)),
+        ill_conditioned=bool(numerical_rank(s, DEFAULT_TOL / 10) != numerical_rank(s, 10 * DEFAULT_TOL)),
     )

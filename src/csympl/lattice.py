@@ -332,7 +332,6 @@ class PeriodPoint:
 
     lattice: IntegralLattice
     omega_class: np.ndarray = dc_field(repr=False)
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         omega = np.asarray(self.omega_class, dtype=np.complex128).reshape(-1)
@@ -341,7 +340,7 @@ class PeriodPoint:
         square = self.lattice.pair(omega, omega)
         norm = self.lattice.pair(omega, omega.conj())
         scale = max(abs(self.lattice.pair(omega.real, omega.real)), abs(norm), 1e-300)
-        if abs(square) > self.tol * scale:
+        if abs(square) > DEFAULT_TOL * scale:
             raise ValueError(f"(Omega, Omega) = {square} != 0")
         if not norm.real > 0:
             raise ValueError(f"(Omega, conj Omega) = {norm} is not positive")
@@ -392,7 +391,6 @@ class TwistorCurve:
 
     point: PeriodPoint
     e: list
-    tol: float = DEFAULT_TOL
     #: ((a, a), (a, b), (b, b), (a, e), (b, e), (e, e)) in exact integers,
     #: or None for a non-integral period point.
     _pairings: tuple = dc_field(init=False, repr=False, compare=False)
@@ -407,7 +405,7 @@ class TwistorCurve:
         scale = max(float(np.abs(lattice.pair(omega, omega.conj()))), 1e-300)
         for label, vec in (("Re Omega", omega.real), ("Im Omega", omega.imag)):
             pairing = float(lattice.pair(e, vec))
-            if abs(pairing) > self.tol * scale:
+            if abs(pairing) > DEFAULT_TOL * scale:
                 raise ValueError(f"(e, {label}) = {pairing} != 0")
         object.__setattr__(self, "e", e)
         pairings = None
@@ -455,9 +453,7 @@ class TwistorCurve:
         return np.array([[v1v1 / (qx * qx), off], [off, v2v2 / (qy * qy)]], dtype=float)
 
 
-def twistor_curve_plane(
-    point: PeriodPoint, e, x: float, y: float, tol: float = DEFAULT_TOL
-) -> TwistorPlane:
-    """One plane of the curve ``TwistorCurve(point, e, tol)``; sweeps over
+def twistor_curve_plane(point: PeriodPoint, e, x: float, y: float) -> TwistorPlane:
+    """One plane of the curve ``TwistorCurve(point, e)``; sweeps over
     many planes build the curve once and call its ``plane``."""
-    return TwistorCurve(point, e, tol).plane(x, y)
+    return TwistorCurve(point, e).plane(x, y)

@@ -10,8 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Default relative comparison tolerance, overridable per call.
+#: Relative tolerance of the rank cutoff, the power criterion and every
+#: comparison without its own bound.
 DEFAULT_TOL = 1e-9
+
+#: Looser bound of a complex structure's I^2 = -Id and complex-linearity
+#: residuals, and of the c-Lagrangian and (0,2) checks of a deformation.
+STRUCTURE_TOL = 1e-8
 
 
 class PostconditionError(RuntimeError):
@@ -40,35 +45,36 @@ def null_space(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vh[numerical_rank(s, tol) :].conj().T
 
 
-def real_span_rank(bases: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def real_span_rank(bases: np.ndarray) -> np.ndarray:
     """Real dimension of span_R(Re basis, Im basis) per stacked basis (..., m, k)."""
     stacked = np.concatenate([bases.real, bases.imag], axis=-1)
-    return numerical_rank(np.linalg.svd(stacked, compute_uv=False), tol)
+    return numerical_rank(np.linalg.svd(stacked, compute_uv=False))
 
 
 class Subspace:
     """Linear subspace of R^m or C^m given by a full-column-rank basis."""
 
-    def __init__(self, basis, field: str = "R", tol: float = DEFAULT_TOL):
+    def __init__(self, basis, field: str = "R"):
         basis = self._set_basis(basis, field)
         if basis.shape[1]:
-            if numerical_rank(np.linalg.svd(basis, compute_uv=False), tol) < basis.shape[1]:
+            if numerical_rank(np.linalg.svd(basis, compute_uv=False)) < basis.shape[1]:
                 raise ValueError("basis columns are not linearly independent")
             self._ortho = np.linalg.qr(basis)[0]
         else:
             self._ortho = basis
 
     @classmethod
-    def from_orthonormal(cls, q, field: str = "R", tol: float = DEFAULT_TOL) -> "Subspace":
+    def from_orthonormal(cls, q, field: str = "R") -> "Subspace":
         """Subspace of a basis that is orthonormal by construction.
 
-        The basis is checked (max |Q^H Q - Id| <= tol) and kept as its own
-        orthonormal basis, without the independence SVD and QR of ``__init__``.
+        The basis is checked (max |Q^H Q - Id| <= DEFAULT_TOL) and kept as its
+        own orthonormal basis, without the independence SVD and QR of
+        ``__init__``.
         """
         self = cls.__new__(cls)
         q = self._set_basis(q, field)
         residual = max_abs(q.conj().T @ q - np.eye(q.shape[1]))
-        if not residual <= tol:
+        if not residual <= DEFAULT_TOL:
             raise PostconditionError(f"basis is not orthonormal (residual {residual:.3e})")
         self._ortho = q
         return self
@@ -116,9 +122,9 @@ class Subspace:
         u = np.linalg.svd(self.basis, full_matrices=True)[0]
         return Subspace.from_orthonormal(u[:, self.dim :], field=self.field)
 
-    def real_span_rank(self, tol: float = DEFAULT_TOL) -> int:
+    def real_span_rank(self) -> int:
         """Real dimension of span_R(Re basis, Im basis)."""
-        return int(real_span_rank(self.basis, tol))
+        return int(real_span_rank(self.basis))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim}, field={self.field!r})"
@@ -130,7 +136,6 @@ class ComplexStructure:
 
     dim: int
     matrix: np.ndarray = field(repr=False)
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=np.float64)
@@ -139,7 +144,7 @@ class ComplexStructure:
         if self.dim % 2:
             raise ValueError("a complex structure needs even dimension")
         residual = max_abs(mat @ mat + np.eye(self.dim))
-        if residual > self.tol * max(1.0, max_abs(mat) ** 2):
+        if residual > STRUCTURE_TOL * max(1.0, max_abs(mat) ** 2):
             raise ValueError(f"I^2 != -Id (residual {residual:.3e})")
         object.__setattr__(self, "matrix", mat)
 

@@ -14,6 +14,7 @@ its named inputs and its ``(check, value, ok[, detail])`` measurements.
 ``csympl replay`` rebuilds a case by calling the same function.
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -51,7 +52,7 @@ from .lattice import (
     standard_k3_lattice,
     twistor_parameter,
 )
-from .linalg import Subspace, max_abs, null_space, numerical_rank
+from .linalg import DEFAULT_TOL, Subspace, max_abs, null_space, numerical_rank
 from .torus import (
     SmoothSection,
     StructureField,
@@ -76,7 +77,6 @@ class SuiteConfig:
     dims: tuple = None
     samples: int = None
     seed: int = 0
-    tol: float = 1e-9
     grid_n: int = 64
     modes: int = 3
     t_value: complex = -1.0
@@ -86,12 +86,14 @@ class SuiteConfig:
         entry = SUITES[self.suite]
         self.samples = entry.samples if self.samples is None else self.samples
         self.dims = entry.dims if self.dims is None else self.dims
+        counts = [("seed", self.seed), ("samples", self.samples), ("grid", self.grid_n), ("modes", self.modes)]
+        for name, value in counts + [("dims", dim) for dim in self.dims or ()]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0 < self.tol < 1:
-            raise ValueError(f"tol must be finite with 0 < tol < 1, got {self.tol}")
         # the form suites draw c-symplectic forms, which live on R^{4n}
         if entry.dims and not (self.dims and all(d > 0 and d % 4 == 0 for d in self.dims)):
             raise ValueError(f"dims must be positive multiples of 4, got {self.dims}")
@@ -149,7 +151,6 @@ def _case_rng(cfg: SuiteConfig, *stream):
 #: ``t_value`` is stored as ``[re, im]``.
 CASE_CONFIG = {
     "samples": "samples",
-    "tol": "tol",
     "grid": "grid_n",
     "modes": "modes",
     "t": "t_value",
@@ -226,7 +227,7 @@ def mixed_two_form(rng: np.random.Generator, dim: int) -> ComplexTwoForm:
     return ComplexTwoForm(p.T @ block @ p)
 
 
-def random_lagrangian(space: CSymplecticSpace, rng: np.random.Generator, tol=1e-9) -> Subspace:
+def random_lagrangian(space: CSymplecticSpace, rng: np.random.Generator) -> Subspace:
     """Random c-Lagrangian by the greedy isotropic construction: each new
     generator is drawn from the joint kernel of the pairings with the
     previous ones, then completed with its structure image."""
@@ -235,7 +236,7 @@ def random_lagrangian(space: CSymplecticSpace, rng: np.random.Generator, tol=1e-
     vectors = []
     conditions = np.zeros((0, space.dim))
     for _ in range(space.n):
-        basis = null_space(conditions, tol) if conditions.size else np.eye(space.dim)
+        basis = null_space(conditions) if conditions.size else np.eye(space.dim)
         v = basis @ rng.standard_normal(basis.shape[1])
         v /= np.linalg.norm(v)
         vectors.extend([v, structure @ v])
@@ -249,8 +250,8 @@ def random_lagrangian(space: CSymplecticSpace, rng: np.random.Generator, tol=1e-
 
 def _criteria_case(cfg: SuiteConfig, dim, index):
     omega = mixed_two_form(_case_rng(cfg, dim, index), dim)
-    rank_ok = bool(is_c_symplectic_rank(omega, cfg.tol))
-    power_ok = bool(is_c_symplectic_power(omega, cfg.tol))
+    rank_ok = bool(is_c_symplectic_rank(omega))
+    power_ok = bool(is_c_symplectic_power(omega))
     agree = rank_ok == power_ok
     return {"omega": omega.matrix}, [("criteria-agree", float(not agree), agree, f"rank={rank_ok} power={power_ok}")]
 
@@ -260,7 +261,7 @@ def _induced_case(cfg: SuiteConfig, dim, index):
     dim also rescale the form by a random lambda."""
     rng = _case_rng(cfg, dim, index)
     structure, omega = _structure_with_form(rng, dim)
-    induced = induced_complex_structure(omega, cfg.tol).matrix
+    induced = induced_complex_structure(omega).matrix
     residual = max_abs(induced - structure)
     inputs = {"omega": omega.matrix, "structure": structure}
     measurements = [("uniqueness", residual, residual <= 1e-8)]
@@ -269,8 +270,8 @@ def _induced_case(cfg: SuiteConfig, dim, index):
         while abs(lam) < 1e-3:
             lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
         inputs["lambda"] = lam
-        scale_residual = max_abs(induced_complex_structure(omega * lam, cfg.tol).matrix - induced)
-        measurements.append(("scaling-invariance", scale_residual, scale_residual <= cfg.tol))
+        scale_residual = max_abs(induced_complex_structure(omega * lam).matrix - induced)
+        measurements.append(("scaling-invariance", scale_residual, scale_residual <= DEFAULT_TOL))
     return inputs, measurements
 
 
@@ -300,7 +301,7 @@ def _structure_with_form(rng: np.random.Generator, dim: int):
 
 def _gram_schmidt_case(cfg: SuiteConfig, dim, index):
     omega = random_c_symplectic(_case_rng(cfg, dim, index), dim)[0]
-    b = c_symplectic_basis(omega, cfg.tol)
+    b = c_symplectic_basis(omega)
     residual = max_abs(b.T @ omega.matrix @ b - q_block_form(dim // 4).matrix) / omega.norm()
     return {"omega": omega.matrix}, [("q-block-residual", residual, residual <= 1e-8)]
 
@@ -309,8 +310,8 @@ def _lagrangian_instance(cfg: SuiteConfig, dim, index):
     """Generator, space and random c-Lagrangian fiber shared by the hitchin,
     preservance and section-theorem cases."""
     rng = _case_rng(cfg, dim, index)
-    space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0], cfg.tol)
-    fiber = random_lagrangian(space, rng, cfg.tol)
+    space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0])
+    fiber = random_lagrangian(space, rng)
     return rng, space, fiber, {"omega": space.omega.matrix, "fiber basis": fiber.basis}
 
 
@@ -319,14 +320,14 @@ def _hitchin_case(cfg: SuiteConfig, dim, index):
     q = fiber.orthonormal_basis()
     image = space.structure.matrix @ q
     residual = max_abs(image - q @ (q.T @ image)) / max(max_abs(image), 1e-300)
-    return inputs, [("structure-invariance", residual, residual <= cfg.tol)]
+    return inputs, [("structure-invariance", residual, residual <= DEFAULT_TOL)]
 
 
 def _maximality_case(cfg: SuiteConfig, dim, index):
     """Dimension test of maximality against a brute-force extension search,
     on its own stream (seed, dim, 10000 + index)."""
     rng = _case_rng(cfg, dim, 10_000 + index)
-    space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0], cfg.tol)
+    space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0])
     subspace = _random_candidate_subspace(space, rng)
     by_dimension = is_c_lagrangian(subspace, space.omega, 1e-8)
     by_search = _brute_force_maximal(subspace, space.omega, rng)
@@ -371,19 +372,19 @@ def _brute_force_maximal(subspace: Subspace, omega, rng: np.random.Generator, at
 
 def _preservance_case(cfg: SuiteConfig, dim, index):
     rng, space, fiber, inputs = _lagrangian_instance(cfg, dim, index)
-    projection = LagrangianProjection.build(space, fiber, cfg.tol)
+    projection = LagrangianProjection.build(space, fiber)
     gamma = random_base_form(projection, rng, scale=0.5)
     inputs["gamma"] = gamma.matrix
-    report = verify_preservance(projection, gamma, DEFAULT_T_SAMPLES, cfg.tol)
-    return inputs, [("preservance", report.max_residual, report.ok(cfg.tol))]
+    report = verify_preservance(projection, gamma, DEFAULT_T_SAMPLES)
+    return inputs, [("preservance", report.max_residual, report.ok())]
 
 
 def _section_theorem_case(cfg: SuiteConfig, dim, index):
     rng, space, fiber, inputs = _lagrangian_instance(cfg, dim, index)
-    section = LinearSection.random(LagrangianProjection.build(space, fiber, cfg.tol), rng)
+    section = LinearSection.random(LagrangianProjection.build(space, fiber), rng)
     inputs["section map"] = section.map
-    certificate = holomorphize_section(section, cfg.tol).certificate
-    return inputs, [("holomorphize", certificate.max_residual, certificate.ok(cfg.tol))]
+    certificate = holomorphize_section(section).certificate
+    return inputs, [("holomorphize", certificate.max_residual, certificate.ok())]
 
 
 def _section_class_case(cfg: SuiteConfig, dim, index, lattice=None):
@@ -503,12 +504,12 @@ def _testbed_closed(cfg: SuiteConfig):
     section, etas = testbed_inputs(cfg)
     eta = etas[cfg.grid_n]
 
-    holomorphy = verify_section_holomorphic(section, eta, cfg.tol)
-    measured = [("section-holomorphy", cfg.grid_n**2, holomorphy.max_residual, holomorphy.ok(1e-8), 0)]
+    holomorphy = verify_section_holomorphic(section, eta)
+    measured = [("section-holomorphy", cfg.grid_n**2, holomorphy.max_residual, holomorphy.ok(), 0)]
     if cfg.t_value == -1:  # the field holomorphy was checked on
         structure = holomorphy.structure
     else:
-        structure = deformed_structure_field(eta, cfg.t_value, cfg.tol)
+        structure = deformed_structure_field(eta, cfg.t_value)
     structures = _coarse_and_fine(structure)
     node_norms = {grid_n: nijenhuis_node_norms(s.field) for grid_n, s in structures.items()}
     for grid_n, structure_n in structures.items():
@@ -526,7 +527,7 @@ def _testbed_closed(cfg: SuiteConfig):
     # a pullback from the base is structurally closed and its structure
     # field has no finite-difference truncation error; the second-order
     # decay is measured on a generic closed (2,0)+(1,1) deformation
-    control = deformed_structure_field(closed_control_form(eta.grid), 1.0, cfg.tol)
+    control = deformed_structure_field(closed_control_form(eta.grid), 1.0)
     coarse_norm, fine_norm = (nijenhuis_norm(s.field) for s in _coarse_and_fine(control).values())
     ratio = coarse_norm / max(fine_norm, 1e-300)
     rate_ok = RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1] and fine_norm <= 1e-4
@@ -562,7 +563,7 @@ def _testbed_nonclosed(cfg: SuiteConfig):
     t = complex(cfg.t_value).real
     continuum = _nonclosed_continuum_max(t)
     controls = testbed_inputs(cfg)[1]
-    structure = deformed_structure_field(controls[cfg.grid_n], t, cfg.tol)
+    structure = deformed_structure_field(controls[cfg.grid_n], t)
     structures = _coarse_and_fine(structure)
     node_norms = {grid_n: nijenhuis_node_norms(s.field) for grid_n, s in structures.items()}
     values = {grid_n: float(np.max(norms)) for grid_n, norms in node_norms.items()}
@@ -673,17 +674,20 @@ def describe_case(case: dict, cfg: SuiteConfig):
 
 def case_config(case: dict) -> SuiteConfig:
     """The suite configuration a serialized case was recorded under; keys
-    its ``config`` lacks take the ``SuiteConfig`` defaults. Raises
+    its ``config`` lacks take the ``SuiteConfig`` defaults. A ``tol`` stored
+    by earlier versions must be the pinned ``DEFAULT_TOL``. Raises
     ``KeyError`` or ``ValueError`` for a malformed case."""
     for key in ("suite", "check", "seed", "dim", "index"):
         if key not in case:
             raise ValueError(f"malformed case file: missing {key!r}")
     stored = case.get("config", {})
+    if stored.get("tol", DEFAULT_TOL) != DEFAULT_TOL:
+        raise ValueError(f"tol {stored['tol']!r} is not the pinned tolerance {DEFAULT_TOL}")
     given = {field: stored[key] for key, field in CASE_CONFIG.items() if key in stored}
     if "t_value" in given:
         given["t_value"] = complex(*given["t_value"])
     dims = (case["dim"],) if case["dim"] else None
-    return SuiteConfig(suite=case["suite"], dims=dims, seed=int(case["seed"]), **given)
+    return SuiteConfig(suite=case["suite"], dims=dims, seed=case["seed"], **given)
 
 
 def replay_case(case: dict) -> SuiteReport:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .csymplectic import Q_BLOCK, induced_structures
-from .linalg import DEFAULT_TOL, max_abs
+from .linalg import max_abs
 from .multiindex import index_tuples
 
 #: Index triples of 3-form components on R^4.
@@ -272,9 +272,7 @@ class StructureField:
         return StructureField(field, int(np.sum(np.isnan(field.values).any(axis=(-1, -2)))))
 
 
-def deformed_structure_field(
-    eta: GridField, t: complex, tol: float = DEFAULT_TOL
-) -> StructureField:
+def deformed_structure_field(eta: GridField, t: complex) -> StructureField:
     """Pointwise induced structure of Omega + t * eta.
 
     One stacked call of the c-symplectic core over all nodes.  A node
@@ -284,7 +282,7 @@ def deformed_structure_field(
     """
     # eta.values is never a temporary, so numpy never computes this product
     # in place, which at complex t rounds differently and only on large grids
-    structures, ok = induced_structures(Q_BLOCK + complex(t) * eta.values, tol)
+    structures, ok = induced_structures(Q_BLOCK + complex(t) * eta.values)
     return StructureField(GridField(eta.grid, "endomorphism", structures), int(np.sum(~ok)))
 
 
@@ -338,20 +336,18 @@ class SectionHolomorphyCertificate:
     node_residuals: np.ndarray = dc_field(repr=False)
     structure: StructureField = dc_field(repr=False)
 
-    def ok(self, tol: float = 1e-8) -> bool:
-        return self.structure.bad_nodes == 0 and self.max_residual <= tol
+    def ok(self) -> bool:
+        return self.structure.bad_nodes == 0 and self.max_residual <= 1e-8
 
 
-def verify_section_holomorphic(
-    sigma: SmoothSection, eta: GridField, tol: float = DEFAULT_TOL
-) -> SectionHolomorphyCertificate:
+def verify_section_holomorphic(sigma: SmoothSection, eta: GridField) -> SectionHolomorphyCertificate:
     """Check d sigma o J_base = I' o d sigma at every node of ``eta.grid`` for t = -1.
 
     eta = pi^* sigma^* Omega, as sampled by ``sample_section_form``, and I'
     the structure induced by Omega - eta; the differential is exact, so
     the residual is pure linear algebra.
     """
-    structure = deformed_structure_field(eta, -1.0, tol)
+    structure = deformed_structure_field(eta, -1.0)
     x = eta.grid.axes()
     d = sigma.differential(x[:, None], x[None, :])
     lhs = d @ BASE_J

@@ -223,15 +223,15 @@ def test_stacked_verdict_matches_the_single_form_path():
                 assert np.isnan(structure).all()
 
 
-def undeduplicated_induced_structures(omegas, tol=DEFAULT_TOL):
+def undeduplicated_induced_structures(omegas):
     """``induced_structures`` deciding every form, repeated or not: the reference."""
     m = omegas.shape[-1]
     half = m // 2
     _, s, vh = np.linalg.svd(omegas)
     kernels = np.swapaxes(vh[..., half:, :].conj(), -1, -2)
-    ok = (numerical_rank(s, tol) == m - half) & (real_span_rank(kernels, tol) == m)
+    ok = (numerical_rank(s) == m - half) & (real_span_rank(kernels) == m)
     real, realness, square, linearity = structures_from_kernels(omegas[ok], kernels[ok])
-    passed = _structure_accepted(realness, square, linearity, tol)
+    passed = _structure_accepted(realness, square, linearity)
     structures = np.full(omegas.shape, np.nan)
     structures[ok] = np.where(passed[:, None, None], real, np.nan)
     ok[ok] = passed

@@ -357,7 +357,7 @@ def test_holomorphize_fixed_point():
     result = holomorphize_section(section)
     assert result.eta.norm() < 1e-12
     assert np.allclose(result.omega_prime.matrix, proj.space.omega.matrix, atol=1e-12)
-    assert result.certificate.ok(1e-9)
+    assert result.certificate.ok()
 
 
 def test_holomorphize_random_sections_dim4():
@@ -376,7 +376,7 @@ def test_holomorphize_certificate_bulk():
             proj, rng = random_setup(dim, 300 + i)
             section = LinearSection.random(proj, rng)
             result = holomorphize_section(section)
-            assert result.certificate.ok(1e-9)
+            assert result.certificate.ok()
 
 
 def test_full_pipeline_at_dim_twelve():
@@ -385,7 +385,7 @@ def test_full_pipeline_at_dim_twelve():
     report = verify_preservance(proj, gamma, t_samples=(1.0, -1j))
     assert report.fiber_lagrangian_ok and report.max_residual < 1e-9
     section = LinearSection.random(proj, rng)
-    assert holomorphize_section(section).certificate.ok(1e-9)
+    assert holomorphize_section(section).certificate.ok()
 
 
 def test_eta_linear_in_fiber_perturbation():
@@ -422,7 +422,7 @@ def test_section_form_raises_on_a_02_component(monkeypatch):
 
     proj, rng = random_setup(4, 5)
     section = LinearSection.random(proj, rng)
-    monkeypatch.setattr(deformation.HodgeTypeCertificate, "anti_holomorphic_ok", lambda self, tol: False)
+    monkeypatch.setattr(deformation.HodgeTypeCertificate, "anti_holomorphic_ok", lambda self: False)
     with pytest.raises(PostconditionError, match="contradicts the Hodge-type property"):
         section_form(section)
 
@@ -433,8 +433,8 @@ def test_deformed_form_failing_c_symplecticity_raises(monkeypatch):
     proj, rng = random_setup(4, 6)
     gamma = random_base_form(proj, rng)
 
-    def degenerate(omega, tol):
-        return is_c_symplectic(ComplexTwoForm(np.zeros_like(omega.matrix)), tol)
+    def degenerate(omega):
+        return is_c_symplectic(ComplexTwoForm(np.zeros_like(omega.matrix)))
 
     monkeypatch.setattr(deformation, "is_c_symplectic", degenerate)
     with pytest.raises(PostconditionError, match="deformed form failed c-symplecticity"):

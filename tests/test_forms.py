@@ -229,10 +229,15 @@ def test_pullback_functorial():
     rng = np.random.default_rng(11)
     f = rng.standard_normal((5, 4))
     g = rng.standard_normal((6, 5))
-    a = random_kform(rng, 6, 2)
-    composed = pullback(g @ f, a)
-    staged = pullback(f, pullback(g, a))
-    assert composed.isclose(staged, tol=1e-11)
+    for degree in (2, 0, 5):
+        a = random_kform(rng, 6, degree)
+        composed = pullback(g @ f, a)
+        staged = pullback(f, pullback(g, a))
+        assert composed.isclose(staged, tol=1e-11) and composed.degree == degree
+        if degree == 0:  # the one minor is the empty determinant 1
+            assert composed.coeffs.tobytes() == staged.coeffs.tobytes() == a.coeffs.tobytes()
+        if degree == 5:  # above R^4: no minors, the collapsed zero form
+            assert composed.coeffs.shape == staged.coeffs.shape == (0,)
 
 
 def test_pullback_two_form_matches_matrix_congruence():
@@ -285,7 +290,7 @@ def test_form_kernel_conditioning_warning():
     matrix = np.zeros((4, 4), dtype=complex)
     matrix[:2, :2] = rot
     matrix[2:, 2:] = 5e-9 * rot
-    result = form_kernel(ComplexTwoForm(matrix), tol=1e-9)
+    result = form_kernel(ComplexTwoForm(matrix))
     assert result.dim == 0
     assert result.ill_conditioned
 

@@ -53,3 +53,34 @@ def test_guard_verdict_holds_each_metric_to_its_bound_in_its_direction():
     better = record_bench.claim_metrics(END_TO_END, parent, runs([9.0, 9.0, 9.0, 9.0], [0.01, 0.01, 0.01, 0.01]))
     assert better["throughput_rps"]["worse_by"] < 0 and better["latency_p50_s"]["worse_by"] < 0
     assert not better["throughput_rps"]["worse_beyond_bound"] and not better["latency_p50_s"]["worse_beyond_bound"]
+
+
+#: BENCH_20.json's ten lattice latency_tail_s runs per side, in seconds.
+LATTICE_TAIL = {
+    "parent": [0.01676, 0.02890, 0.02186, 0.02053, 0.01800, 0.01642, 0.01872, 0.02647, 0.03126, 0.03841],
+    "change": [0.01555, 0.01977, 0.01963, 0.01451, 0.01662, 0.01570, 0.01800, 0.02016, 0.02795, 0.03325],
+}
+TAIL = [{"name": "latency_tail_s", "unit": "s", "better": "lower", "bound": 0.25}]
+
+
+def tail_runs(values):
+    return [{"metrics": {"latency_tail_s": value}} for value in values]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    parent = tail_runs(LATTICE_TAIL["parent"])
+    tail = record_bench.claim_metrics(TAIL, parent, tail_runs(LATTICE_TAIL["change"]))["latency_tail_s"]
+    summary = tail["parent"]
+    assert (summary["q1"], summary["median"], summary["q3"]) == pytest.approx((0.0177, 0.0212, 0.0295), abs=1e-4)
+    assert summary["spread"] == pytest.approx(0.557, abs=1e-3) and summary["spread"] > tail["bound"]
+    # the change won all ten pairs, but its slowest run is slower than the
+    # parent's fastest, and its median is no verdict inside a 56 % spread
+    assert tail["wins"] == 10 and not tail["worse_beyond_bound"]
+    assert tail["unresolved"]
+    # separated runs resolve any spread; a spread within the bound needs no separation
+    separated = record_bench.claim_metrics(TAIL, parent, tail_runs([0.0160] * 10))["latency_tail_s"]
+    assert not separated["unresolved"]
+    narrow = tail_runs([0.020, 0.021, 0.022, 0.021])
+    unseparated = tail_runs([0.019, 0.030, 0.020, 0.021])
+    assert not record_bench.claim_metrics(TAIL, narrow, unseparated)["latency_tail_s"]["unresolved"]
+

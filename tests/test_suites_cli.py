@@ -9,7 +9,7 @@ import pytest
 from csympl import cli, suites, torus
 from csympl.csymplectic import Q_BLOCK
 from csympl.cli import main
-from csympl.linalg import ComplexStructure
+from csympl.linalg import ComplexStructure, PostconditionError
 from csympl.suites import SuiteConfig, replay_case, run_suite
 
 
@@ -137,7 +137,7 @@ def test_synthetic_failure_roundtrip(tmp_path, capsys):
         "index": 2,
         "residual": 1.0,
         "detail": "synthetic",
-        "config": {"samples": 4, "tol": 1e-9},
+        "config": {"samples": 4, "tol": 1e-9},  # older case files store the pinned tol
     }
     path = tmp_path / "case.json"
     path.write_text(json.dumps(case))
@@ -177,6 +177,22 @@ def test_replay_malformed_file_exits_2(tmp_path, capsys):
     negative.write_text(json.dumps({**case, "seed": -1}))
     assert main(["replay", str(negative)]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+    testbed = {"suite": "testbed-nijenhuis", "check": "section-nijenhuis", "dim": 4, "seed": 0, "index": 16}
+    # replayed as written or not at all: no value is cast or dropped
+    for name, bad, message in [
+        ("fractional-seed", {**case, "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("boolean-seed", {**case, "seed": True}, "seed must be an integer, got True"),
+        ("fractional-samples", {**case, "config": {"samples": 2.5}}, "samples must be an integer, got 2.5"),
+        ("fractional-dim", {**case, "dim": 4.0}, "dims must be an integer, got 4.0"),
+        ("float-grid", {**testbed, "config": {"grid": 16.0}}, "grid must be an integer, got 16.0"),
+        ("float-modes", {**testbed, "config": {"modes": 3.0}}, "modes must be an integer, got 3.0"),
+        ("other-tol", {**case, "config": {"samples": 2, "tol": 1e-8}}, "tol 1e-08 is not the pinned tolerance 1e-09"),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        assert main(["replay", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("malformed case file: ") and message in err, name
 
 
 def test_replay_unknown_control_exits_2(tmp_path, capsys):
@@ -192,24 +208,35 @@ def passing_report(cfg):
     return suites.SuiteReport(cfg.suite, cfg.seed, True, [], 0.0)
 
 
-@pytest.mark.parametrize("tol", ["0.5", "1e-17"])
-def test_suite_that_raises_exits_1(tol, tmp_path, monkeypatch, capsys):
-    # a valid configuration whose forms the rank criterion rejects mid-run
+@pytest.fixture
+def raising_preservance_case(monkeypatch):
+    """Make every preservance case raise mid-run, as a broken postcondition would."""
+
+    def raising(cfg, dim, index):
+        raise PostconditionError("deformed form failed c-symplecticity")
+
+    monkeypatch.setattr(suites, "_preservance_case", raising)
+    monkeypatch.setitem(suites.CASES, "preservance", raising)
+
+
+def test_suite_that_raises_exits_1(raising_preservance_case, tmp_path, monkeypatch, capsys):
+    # a valid configuration whose suite raises mid-run
     monkeypatch.chdir(tmp_path)
-    assert main(["run", "--suite", "preservance", "--dims", "4", "--n", "3", "--tol", tol]) == 1
+    assert main(["run", "--suite", "preservance", "--dims", "4", "--n", "3"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: not c-symplectic") and "invalid configuration" not in err
+    assert err.startswith("error: deformed form failed") and "invalid configuration" not in err
     assert not list(tmp_path.iterdir())
 
 
-def test_replay_of_a_case_whose_suite_raises_exits_1(tmp_path, capsys):
+def test_replay_of_a_case_whose_suite_raises_exits_1(raising_preservance_case, tmp_path, capsys):
     case = {"suite": "preservance", "check": "preservance", "dim": 4, "seed": 0, "index": 0,
-            "config": {"samples": 3, "tol": 0.5}}
+            "config": {"samples": 3}}
     path = tmp_path / "case.json"
     path.write_text(json.dumps(case))
     assert main(["replay", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: not c-symplectic") and "malformed" not in err
+    assert err.startswith("error: deformed form failed") and "malformed" not in err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("suite", list(suites.SUITES))
@@ -222,7 +249,7 @@ def test_run_without_size_flags_uses_the_suite_defaults(suite, monkeypatch, caps
 
 
 def test_case_file_round_trips_every_stored_field(monkeypatch, capsys):
-    cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=32, modes=2, t_value=0.3 + 0.2j, tol=1e-8, seed=3)
+    cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=32, modes=2, t_value=0.3 + 0.2j, seed=3)
     case = json.loads(json.dumps(suites._failure(cfg, "section-nijenhuis", 4, 32, 0.0)))
     replayed = []
     monkeypatch.setattr(suites, "run_suite", lambda cfg: replayed.append(cfg) or passing_report(cfg))
@@ -327,7 +354,7 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
         ]
         return checks, {"suite": cfg.suite, "check": "criteria-agree", "dim": 4,
                         "seed": cfg.seed, "index": 0, "residual": 1.0, "detail": "",
-                        "config": {"samples": 5, "tol": cfg.tol}}
+                        "config": {"samples": 5}}
 
     monkeypatch.setitem(suites.SUITES, "criteria-equivalence", suites.Suite(broken, 5, (4,)))
     monkeypatch.chdir(tmp_path)
@@ -342,8 +369,6 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "args, message",
     [
-        pytest.param(["--suite", "criteria-equivalence", "--n", "5", "--tol", "-1"], "tol must", id="negative-tol"),
-        pytest.param(["--suite", "criteria-equivalence", "--n", "5", "--tol", "nan"], "tol must", id="nan-tol"),
         pytest.param(["--suite", "criteria-equivalence", "--n", "0"], "samples must", id="zero-samples"),
         pytest.param(["--suite", "lattice-sections", "--n", "-3"], "samples must", id="negative-samples"),
         pytest.param(["--suite", "gram-schmidt", "--n", "2", "--seed", "-1"], "seed must", id="negative-seed"),
@@ -375,6 +400,14 @@ def test_invalid_configuration_exits_2(args, message, tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert "invalid configuration" in err and message in err
     assert not list(tmp_path.iterdir())  # no report, node table or failure case
+
+
+def test_tol_option_is_gone(capsys):
+    # tolerances are pinned: --tol is an unknown argument, not a setting
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--suite", "criteria-equivalence", "--tol", "1e-9"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
 def test_nonclosed_t_rule():
@@ -417,7 +450,7 @@ def test_node_csv_matches_the_suite_fields():
 
 
 def test_nan_residual_fails_its_row(monkeypatch):
-    monkeypatch.setattr(suites, "c_symplectic_basis", lambda omega, tol: np.full((4, 4), np.nan))
+    monkeypatch.setattr(suites, "c_symplectic_basis", lambda omega: np.full((4, 4), np.nan))
     report = run_suite(SuiteConfig(suite="gram-schmidt", dims=(4,), samples=3, seed=0))
     assert not report.passed and np.isnan(report.checks[0]["max_residual"])
     assert report.failure_case["check"] == "q-block-residual" and report.failure_case["index"] == 0

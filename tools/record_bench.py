@@ -22,9 +22,10 @@ seed, the side that runs first alternating from pair to pair. The seeds are
 ``PAIR_SEEDS_PER_PR * N + 1`` onwards, so no two PRs share one. For every
 end-to-end metric both blocks give both sides' median and quartiles, the
 pairs the change won (ties count for neither side), whether the medians
-differ by more than the parent's quartile distance, and whether the
+differ by more than the parent's quartile distance, whether the
 change's median is worse than the parent's by more than the metric's
-``bound`` in BENCHMARK.json. ``claim`` holds workload W, the one the change
+``bound`` in BENCHMARK.json, and whether the parent's own spread is too
+wide to tell against that bound. ``claim`` holds workload W, the one the change
 claims a gain on; ``guards`` holds every other workload, where the change
 must not get worse beyond a bound.
 """
@@ -153,7 +154,11 @@ def claim_metrics(end_to_end: list, parent_runs: list, change_runs: list) -> dic
     """Per end-to-end metric: both sides' median and quartiles, the pairs
     the change won, whether the medians differ by more than the parent's
     quartile distance, and how much worse the change's median is than the
-    parent's, as a share of the parent's, against the metric's bound."""
+    parent's, as a share of the parent's, against the metric's bound.
+
+    A metric is ``unresolved`` when the parent's spread (q3 - q1) / median
+    exceeds the bound, so that its median alone cannot tell a change of that
+    size, unless every change run is better than every parent run."""
     metrics = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -174,6 +179,8 @@ def claim_metrics(end_to_end: list, parent_runs: list, change_runs: list) -> dic
             "worse_by": worse_by,
             "bound": metric["bound"],
             "worse_beyond_bound": worse_by > metric["bound"],
+            "unresolved": parent_summary["spread"] > metric["bound"]
+            and not all(sign * (c - p) > 0 for c in change for p in parent),
         }
     return metrics
 
