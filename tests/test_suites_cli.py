@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from csympl import cli, suites, torus
+from csympl import cli, csymplectic, forms, linalg, suites, torus
 from csympl.csymplectic import Q_BLOCK
 from csympl.cli import main
 from csympl.linalg import ComplexStructure, PostconditionError
@@ -219,7 +219,25 @@ def raising_preservance_case(monkeypatch):
     monkeypatch.setitem(suites.CASES, "preservance", raising)
 
 
-def test_suite_that_raises_exits_1(raising_preservance_case, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("tol", ["0.5", "1e-17"])
+def test_suite_that_raises_exits_1(tol, tmp_path, monkeypatch, capsys):
+    # a valid configuration whose forms the rank criterion rejects mid-run:
+    # the pinned rank cutoff is swapped for one far too loose or too tight
+    pinned = linalg.numerical_rank
+
+    def rank_at_tol(s, cutoff=linalg.DEFAULT_TOL):
+        return pinned(s, float(tol) if cutoff == linalg.DEFAULT_TOL else cutoff)
+
+    for module in (linalg, forms, csymplectic):
+        monkeypatch.setattr(module, "numerical_rank", rank_at_tol)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--suite", "preservance", "--dims", "4", "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not c-symplectic") and "invalid configuration" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_suite_whose_case_raises_exits_1(raising_preservance_case, tmp_path, monkeypatch, capsys):
     # a valid configuration whose suite raises mid-run
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--suite", "preservance", "--dims", "4", "--n", "3"]) == 1
