@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -64,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITES)}")
     run.add_argument("--dims", type=_parse_dims, help="comma list, e.g. 4,8,12")
     run.add_argument("--n", dest="samples", metavar="N", type=int, help="samples per dimension")
-    seed = os.environ.get("CSYMPL_SEED", "0")  # a string default goes through type=int
-    run.add_argument("--seed", type=int, default=seed, help="master seed (fallback: CSYMPL_SEED)")
+    run.add_argument("--seed", type=int, help="master seed (default: 0)")
     run.add_argument("--out", type=Path, default=None, help="report path (default: stdout)")
     run.add_argument("--format", choices=("json", "csv"), default="json")
     run.add_argument("--grid", dest="grid_n", metavar="GRID", type=int, help="testbed resolution N")

@@ -183,12 +183,12 @@ def _stack_max(x: np.ndarray) -> np.ndarray:
 
 
 def induced_structures(omegas: np.ndarray):
-    """Stacked rank verdict and induced structures of forms (..., m, m).
+    """Induced structures of stacked forms (..., m, m), NaN where a form fails.
 
     A form passes when exactly m/2 singular values are <= DEFAULT_TOL * sigma_max,
     its kernel's real span fills R^m and its structure meets the
-    single-form thresholds; failing forms are not inverted and get NaN.
-    Returns (structures, ok).
+    single-form thresholds; failing forms are not inverted, and their NaN
+    structure is the only record of the failure.
 
     Each distinct matrix is decided once and its result scattered back to
     every form that repeats it; torus structure fields repeat most nodes
@@ -211,8 +211,7 @@ def induced_structures(omegas: np.ndarray):
     passed = _structure_accepted(realness, square, linearity)
     structures = np.full(distinct.shape, np.nan)
     structures[ok] = np.where(passed[:, None, None], real, np.nan)
-    ok[ok] = passed
-    return structures[inverse].reshape(omegas.shape), ok[inverse].reshape(omegas.shape[:-2])
+    return structures[inverse].reshape(omegas.shape)
 
 
 def hodge_decompose(a: ComplexTwoForm | ComplexKForm, structure: ComplexStructure) -> dict:
@@ -271,21 +270,16 @@ def c_symplectic_basis(omega: ComplexTwoForm) -> np.ndarray:
     Symplectic Gram-Schmidt: pick u1 (pivoted for stability), adjoin
     I u1, pick u2 with Omega(u1, u2) = 1 by a complex rescaling realized
     through I, adjoin I u2, then recurse on the Omega-orthogonal
-    complement of the block.
+    complement of the block.  Raises ``ValueError`` on non-c-symplectic
+    input, from the first block's ``induced_complex_structure``.
     """
-    rank_check = is_c_symplectic_rank(omega)
-    if not rank_check:
-        raise ValueError(f"not c-symplectic: {rank_check.reason}")
     m = omega.dim
     carrier = np.eye(m)  # orthonormal basis of the still-unreduced subspace
     columns = []
     while carrier.shape[1] > 0:
         a_cur = ComplexTwoForm(carrier.T @ omega.matrix @ carrier)
         m_cur = a_cur.dim
-        if columns:
-            structure = induced_complex_structure(a_cur)
-        else:  # the first a_cur is omega itself: reuse the rank check's kernel
-            structure = _structure_from_kernel(omega, rank_check.kernel)
+        structure = induced_complex_structure(a_cur)
         row_norms = np.linalg.norm(a_cur.matrix, axis=1)
         u1 = np.zeros(m_cur)
         u1[int(np.argmax(row_norms))] = 1.0

@@ -55,11 +55,11 @@ from .lattice import (
 from .linalg import DEFAULT_TOL, Subspace, max_abs, null_space, numerical_rank
 from .torus import (
     SmoothSection,
-    StructureField,
     TorusGrid,
     closed_control_form,
     deformed_structure_field,
     exterior_derivative_fd,
+    failed_nodes,
     nijenhuis_node_norms,
     nijenhuis_norm,
     nonclosed_control_form,
@@ -144,7 +144,7 @@ def _check_row(check, dim, samples, max_residual, ok, seed):
 
 
 def _case_rng(cfg: SuiteConfig, *stream):
-    return np.random.default_rng([cfg.seed, *[int(s) for s in stream]])
+    return np.random.default_rng([cfg.seed, *stream])
 
 
 #: SuiteConfig field stored under each key of a failure case's ``config``;
@@ -462,28 +462,32 @@ def testbed_inputs(cfg: SuiteConfig):
     """The testbed's seeded section (None for the non-closed control) and
     the 2-form field the structure is deformed by, keyed by grid size, at
     the coarse grid ``grid_n // 2`` and the fine grid ``grid_n``. The field
-    is sampled on the fine grid only; the coarse one is its restriction to
-    the even nodes, which is exactly the coarse sample."""
+    is sampled on the fine grid only (see ``_coarse_and_fine``)."""
     grid = TorusGrid(cfg.grid_n)
     if cfg.control == "nonclosed":
         section, field = None, nonclosed_control_form(grid)
     else:
         section = SmoothSection.random(_case_rng(cfg, 0), cfg.modes)
         field = sample_section_form(section, grid)
-    return section, {grid.n // 2: field.restrict(), grid.n: field}
+    return section, _coarse_and_fine(field)
 
 
-def _coarse_and_fine(structure: StructureField):
-    """A fine-grid structure field and its coarse restriction, keyed by grid
-    size in the order of ``testbed_inputs``."""
-    return {structure.field.grid.n // 2: structure.restrict(), structure.field.grid.n: structure}
+def _coarse_and_fine(field: np.ndarray):
+    """A fine-grid node array and the coarse grid's, keyed by grid size.
+
+    The coarse field is the fine field's even nodes: coarse node i sits at
+    i / (n/2), the same float as fine node 2i at 2i / n (both are the
+    correctly rounded quotient of one real), so any field evaluated
+    pointwise from the node coordinates restricts bit for bit, and a
+    failed node keeps its NaN structure."""
+    n = len(field)
+    return {n // 2: field[::2, ::2], n: field}
 
 
 @dataclass(frozen=True)
 class NodeTable:
     """Per-node residuals of the testbed's fine grid, for ``--nodes-csv``."""
 
-    grid: TorusGrid
     holomorphy: np.ndarray
     nijenhuis: np.ndarray
 
@@ -511,24 +515,24 @@ def _testbed_closed(cfg: SuiteConfig):
     else:
         structure = deformed_structure_field(eta, cfg.t_value)
     structures = _coarse_and_fine(structure)
-    node_norms = {grid_n: nijenhuis_node_norms(s.field) for grid_n, s in structures.items()}
+    node_norms = {grid_n: nijenhuis_node_norms(s) for grid_n, s in structures.items()}
     for grid_n, structure_n in structures.items():
         norm = float(np.max(node_norms[grid_n]))
-        d_eta = exterior_derivative_fd(etas[grid_n]).max_abs()
-        ok = norm <= 1e-4 and structure_n.bad_nodes == 0 and d_eta <= 1e-10
+        d_eta = max_abs(exterior_derivative_fd(etas[grid_n]))
+        ok = norm <= 1e-4 and failed_nodes(structure_n) == 0 and d_eta <= 1e-10
         measured.append(("section-nijenhuis", grid_n * grid_n, norm, ok, grid_n))
     # the node table shows the section theorem's structure, at t = -1
     if structure is holomorphy.structure:
         theorem_norms = node_norms[cfg.grid_n]
     else:
-        theorem_norms = nijenhuis_node_norms(holomorphy.structure.field)
-    nodes = NodeTable(eta.grid, holomorphy.node_residuals, theorem_norms)
+        theorem_norms = nijenhuis_node_norms(holomorphy.structure)
+    nodes = NodeTable(holomorphy.node_residuals, theorem_norms)
 
     # a pullback from the base is structurally closed and its structure
     # field has no finite-difference truncation error; the second-order
     # decay is measured on a generic closed (2,0)+(1,1) deformation
-    control = deformed_structure_field(closed_control_form(eta.grid), 1.0)
-    coarse_norm, fine_norm = (nijenhuis_norm(s.field) for s in _coarse_and_fine(control).values())
+    control = deformed_structure_field(closed_control_form(TorusGrid(cfg.grid_n)), 1.0)
+    coarse_norm, fine_norm = (nijenhuis_norm(s) for s in _coarse_and_fine(control).values())
     ratio = coarse_norm / max(fine_norm, 1e-300)
     rate_ok = RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1] and fine_norm <= 1e-4
     measured.append(("closed-decay-rate", 2, ratio, rate_ok, 0))
@@ -565,22 +569,22 @@ def _testbed_nonclosed(cfg: SuiteConfig):
     controls = testbed_inputs(cfg)[1]
     structure = deformed_structure_field(controls[cfg.grid_n], t)
     structures = _coarse_and_fine(structure)
-    node_norms = {grid_n: nijenhuis_node_norms(s.field) for grid_n, s in structures.items()}
+    node_norms = {grid_n: nijenhuis_node_norms(s) for grid_n, s in structures.items()}
     values = {grid_n: float(np.max(norms)) for grid_n, norms in node_norms.items()}
     measured = []
     for grid_n, structure_n in structures.items():
         value = values[grid_n]
         deviation = abs(value - continuum) / continuum
-        ok = structure_n.bad_nodes == 0 and deviation <= 0.05 and value >= continuum / 2
+        ok = failed_nodes(structure_n) == 0 and deviation <= 0.05 and value >= continuum / 2
         detail = f"value={value} continuum={continuum}"
         measured.append(("nonclosed-nijenhuis", grid_n * grid_n, deviation, ok, grid_n, detail))
-        d_norm = exterior_derivative_fd(controls[grid_n]).max_abs()
+        d_norm = max_abs(exterior_derivative_fd(controls[grid_n]))
         # the non-closedness is macroscopic: |d eta| -> 2 pi
         measured.append(("nonclosed-derivative", grid_n * grid_n, d_norm, d_norm >= np.pi, grid_n))
     n = cfg.grid_n
     stability = abs(values[n] - values[n // 2]) / continuum
     measured.append(("nonclosed-stability", 2, stability, stability <= 0.05, 0))
-    return (*_rows(cfg, measured), NodeTable(structure.field.grid, np.zeros((n, n)), node_norms[n]))
+    return (*_rows(cfg, measured), NodeTable(np.zeros((n, n)), node_norms[n]))
 
 
 def testbed_node_csv(report: SuiteReport) -> str:
@@ -588,9 +592,9 @@ def testbed_node_csv(report: SuiteReport) -> str:
     a testbed run's fine grid, for external plotting."""
     nodes = report.nodes
     lines = ["x,y,holomorphy_residual,nijenhuis_norm"]
-    axis = nodes.grid.axes()
-    for i in range(nodes.grid.n):
-        for j in range(nodes.grid.n):
+    axis = TorusGrid(len(nodes.holomorphy)).axes()
+    for i in range(len(axis)):
+        for j in range(len(axis)):
             lines.append(
                 f"{axis[i]:.8f},{axis[j]:.8f},{nodes.holomorphy[i, j]:.12e},{nodes.nijenhuis[i, j]:.12e}"
             )
@@ -658,7 +662,7 @@ def describe_case(case: dict, cfg: SuiteConfig):
     """
     if case["suite"] == "testbed-nijenhuis":
         section, fields = testbed_inputs(cfg)
-        inputs = {f"field at grid {n}": field.values for n, field in fields.items()}
+        inputs = {f"field at grid {n}": field for n, field in fields.items()}
         if section is not None:
             inputs = {"section modes": section.modes, **inputs}
         measurements = []
@@ -680,6 +684,9 @@ def case_config(case: dict) -> SuiteConfig:
     for key in ("suite", "check", "seed", "dim", "index"):
         if key not in case:
             raise ValueError(f"malformed case file: missing {key!r}")
+    index = case["index"]
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral) or index < 0:
+        raise ValueError(f"index must be a non-negative integer, got {index!r}")
     stored = case.get("config", {})
     if stored.get("tol", DEFAULT_TOL) != DEFAULT_TOL:
         raise ValueError(f"tol {stored['tol']!r} is not the pinned tolerance {DEFAULT_TOL}")

@@ -7,7 +7,10 @@ their pullback forms and differentials are evaluated analytically; finite
 differences enter only where no analytic expression exists (exterior
 derivative of sampled fields, Nijenhuis tensor of the deformed structure
 field).  All sampled fields depend on the base point alone, so they are
-stored per base node.
+stored per base node: a field on ``TorusGrid(n)`` is an ``(n, n, 4, 4)``
+array, a complex skew matrix per node for a 2-form (a base form stored
+lifted), a real endomorphism per node for a structure field, and an
+``(n, n, 4)`` array over ``TRIPLES`` for a 3-form.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -46,10 +49,6 @@ class TorusGrid:
     def __post_init__(self):
         if self.n < 8 or self.n % 2:
             raise ValueError("grid resolution must be even and at least 8")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
 
     def axes(self) -> np.ndarray:
         return np.arange(self.n) / self.n
@@ -137,44 +136,7 @@ class SmoothSection:
         return d
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Tensor field on R^4 sampled per base node.
-
-    kinds: 'two_form' (complex skew 4x4 matrix per node; forms from the
-    base are stored lifted), 'three_form' (four components over TRIPLES),
-    'endomorphism' (real 4x4 per node).
-    """
-
-    grid: TorusGrid
-    kind: str
-    values: np.ndarray = dc_field(repr=False)
-
-    def __post_init__(self):
-        n = self.grid.n
-        expected = {"two_form": (n, n, 4, 4), "three_form": (n, n, 4), "endomorphism": (n, n, 4, 4)}
-        if self.kind not in expected:
-            raise ValueError(f"unsupported field kind {self.kind!r}")
-        if self.values.shape != expected[self.kind]:
-            raise ValueError(f"values shape {self.values.shape} != {expected[self.kind]}")
-        if self.kind == "two_form" and max_abs(self.values + np.swapaxes(self.values, -1, -2)) != 0:
-            raise ValueError("two-form values are not skew")
-
-    def max_abs(self) -> float:
-        return max_abs(self.values)
-
-    def restrict(self) -> "GridField":
-        """The field on ``TorusGrid(n // 2)``, read off the even nodes.
-
-        Coarse node i sits at i / (n/2), the same float as fine node 2i at
-        2i / n (both are the correctly rounded quotient of one real), so
-        any field evaluated pointwise from the node coordinates restricts
-        bit for bit.
-        """
-        return GridField(TorusGrid(self.grid.n // 2), self.kind, self.values[::2, ::2])
-
-
-def sample_section_form(sigma: SmoothSection, grid: TorusGrid) -> GridField:
+def sample_section_form(sigma: SmoothSection, grid: TorusGrid) -> np.ndarray:
     """pi^* eta for eta = sigma^* (dz1 ^ dz2), from the exact differential.
 
     On a one-complex-dimensional base every 2-form is of type (1,1), so
@@ -187,10 +149,10 @@ def sample_section_form(sigma: SmoothSection, grid: TorusGrid) -> GridField:
     values = np.zeros(eta.shape + (4, 4), dtype=np.complex128)
     values[..., 0, 1] = eta
     values[..., 1, 0] = -eta
-    return GridField(grid, "two_form", values)
+    return values
 
 
-def nonclosed_control_form(grid: TorusGrid) -> GridField:
+def nonclosed_control_form(grid: TorusGrid) -> np.ndarray:
     """cos(2 pi x1) dz1 ^ dz2conj: pointwise (1,1) on the total space, not closed.
 
     Base 2-forms are automatically closed (the base is a surface), so the
@@ -199,7 +161,7 @@ def nonclosed_control_form(grid: TorusGrid) -> GridField:
     """
     x, _ = grid.mesh()
     f = np.cos(2 * np.pi * x)
-    return GridField(grid, "two_form", f[..., None, None] * R_BLOCK)
+    return f[..., None, None] * R_BLOCK
 
 
 #: Matrix of dz1conj ^ dz2, the (1,1) pairing used by the closed control.
@@ -216,7 +178,7 @@ S_BLOCK = np.array(
 
 def closed_control_form(
     grid: TorusGrid, wave=(1, 2), amplitude: float = 5e-4
-) -> GridField:
+) -> np.ndarray:
     """d(u dz2) = u_z1 dz1 ^ dz2 + u_z1conj dz1conj ^ dz2 for a cosine u.
 
     Exact, hence closed, of pointwise type (2,0)+(1,1), and with genuinely
@@ -231,62 +193,62 @@ def closed_control_form(
     u_y = -2 * np.pi * k2 * amplitude * np.sin(phase)
     u_z = (u_x - 1j * u_y) / 2.0
     u_zbar = (u_x + 1j * u_y) / 2.0
-    values = u_z[..., None, None] * Q_BLOCK + u_zbar[..., None, None] * S_BLOCK
-    return GridField(grid, "two_form", values)
+    return u_z[..., None, None] * Q_BLOCK + u_zbar[..., None, None] * S_BLOCK
 
 
-def exterior_derivative_fd(field: GridField) -> GridField:
-    """Centered-difference exterior derivative, periodic, O(h^2).
+def _grid_size(field: np.ndarray) -> int:
+    """n of an ``(n, n, 4, 4)`` node array; raises for any other shape."""
+    if field.ndim != 4 or field.shape[1:] != (len(field), 4, 4):
+        raise ValueError(f"expected an (n, n, 4, 4) node array, got shape {field.shape}")
+    return len(field)
+
+
+def exterior_derivative_fd(field: np.ndarray) -> np.ndarray:
+    """Centered-difference exterior derivative of a 2-form field, periodic, O(h^2).
 
     Fields are constant along the fiber, so fiber partials vanish exactly;
-    base partials use the periodic centered stencil.  For a < b < c the
-    component (d alpha)_abc = d_a alpha_bc - d_b alpha_ac + d_c alpha_ab
-    keeps d_b only for a base direction b, and c is always a fiber direction.
+    base partials use the periodic centered stencil with h = 1/n.  For
+    a < b < c the component (d alpha)_abc = d_a alpha_bc - d_b alpha_ac +
+    d_c alpha_ab keeps d_b only for a base direction b, and c is always a
+    fiber direction.  Only the coefficients above the diagonal are read, so
+    skewness is not checked here.  Returns the ``(n, n, 4)`` 3-form.
     """
-    if field.kind != "two_form":
-        raise ValueError("expected a two-form field")
-    n = field.grid.n
-    h = field.grid.h
+    n = _grid_size(field)
+    h = 1.0 / n
 
     def partial(axis, i, j):
-        comp = field.values[..., i, j]
+        comp = field[..., i, j]
         return (np.roll(comp, -1, axis=axis) - np.roll(comp, 1, axis=axis)) / (2 * h)
 
     out = np.empty((n, n, 4), dtype=np.complex128)
     for p, (a, b, c) in enumerate(TRIPLES):
         out[..., p] = partial(a, b, c) - partial(b, a, c) if b < 2 else partial(a, b, c)
-    return GridField(field.grid, "three_form", out)
+    return out
 
 
-@dataclass(frozen=True)
-class StructureField:
-    """Induced structure per node and the count of nodes without one;
-    those nodes, and only those, hold a NaN structure."""
-
-    field: GridField
-    bad_nodes: int
-
-    def restrict(self) -> "StructureField":
-        """The structure field on the even nodes, its failures recounted there."""
-        field = self.field.restrict()
-        return StructureField(field, int(np.sum(np.isnan(field.values).any(axis=(-1, -2)))))
-
-
-def deformed_structure_field(eta: GridField, t: complex) -> StructureField:
-    """Pointwise induced structure of Omega + t * eta.
+def deformed_structure_field(eta: np.ndarray, t: complex) -> np.ndarray:
+    """Pointwise induced structure of Omega + t * eta, for an exactly skew
+    2-form field eta.
 
     One stacked call of the c-symplectic core over all nodes.  A node
     fails when its kernel rank or real span is wrong or its structure
-    misses the single-form realness, square or linearity threshold; it
-    counts in ``bad_nodes`` and its structure is NaN.
+    misses the single-form realness, square or linearity threshold; its
+    structure is NaN (see ``failed_nodes``).
     """
-    # eta.values is never a temporary, so numpy never computes this product
-    # in place, which at complex t rounds differently and only on large grids
-    structures, ok = induced_structures(Q_BLOCK + complex(t) * eta.values)
-    return StructureField(GridField(eta.grid, "endomorphism", structures), int(np.sum(~ok)))
+    _grid_size(eta)
+    if max_abs(eta + np.swapaxes(eta, -1, -2)) != 0:
+        raise ValueError("two-form field is not skew")
+    # eta is never a temporary, so numpy never computes this product in
+    # place, which at complex t rounds differently and only on large grids
+    return induced_structures(Q_BLOCK + complex(t) * eta)
 
 
-def nijenhuis_node_norms(structure_field: GridField) -> np.ndarray:
+def failed_nodes(structures: np.ndarray) -> int:
+    """Number of nodes without an induced structure, the ones holding NaN."""
+    return int(np.sum(np.isnan(structures).any(axis=(-1, -2))))
+
+
+def nijenhuis_node_norms(structures: np.ndarray) -> np.ndarray:
     """Per-node max over coordinate pairs of |N(e_a, e_b)|.
 
     N(X, Y) = [IX, IY] - I[IX, Y] - I[X, IY] - [X, Y] on coordinate
@@ -294,10 +256,8 @@ def nijenhuis_node_norms(structure_field: GridField) -> np.ndarray:
     field varies over the base only, so fiber partials vanish).  N is
     antisymmetric, so only the pairs a < b are evaluated.
     """
-    if structure_field.kind != "endomorphism":
-        raise ValueError("expected an endomorphism field")
-    h = structure_field.grid.h
-    ind = structure_field.values  # (n, n, 4, 4)
+    h = 1.0 / _grid_size(structures)
+    ind = structures
     # base partials d_0, d_1 only; the fiber partials d_2, d_3 are zero
     d = [(np.roll(ind, -1, axis=axis) - np.roll(ind, 1, axis=axis)) / (2 * h) for axis in range(2)]
     a, b = np.triu_indices(4, 1)
@@ -326,32 +286,32 @@ def nijenhuis_node_norms(structure_field: GridField) -> np.ndarray:
     return np.sqrt(np.max(squares[..., 0, :] + squares[..., 1, :] + squares[..., 2, :] + squares[..., 3, :], axis=-1))
 
 
-def nijenhuis_norm(structure_field: GridField) -> float:
-    return float(np.max(nijenhuis_node_norms(structure_field)))
+def nijenhuis_norm(structures: np.ndarray) -> float:
+    return float(np.max(nijenhuis_node_norms(structures)))
 
 
 @dataclass(frozen=True)
 class SectionHolomorphyCertificate:
     max_residual: float
     node_residuals: np.ndarray = dc_field(repr=False)
-    structure: StructureField = dc_field(repr=False)
+    structure: np.ndarray = dc_field(repr=False)
 
     def ok(self) -> bool:
-        return self.structure.bad_nodes == 0 and self.max_residual <= 1e-8
+        return failed_nodes(self.structure) == 0 and self.max_residual <= 1e-8
 
 
-def verify_section_holomorphic(sigma: SmoothSection, eta: GridField) -> SectionHolomorphyCertificate:
-    """Check d sigma o J_base = I' o d sigma at every node of ``eta.grid`` for t = -1.
+def verify_section_holomorphic(sigma: SmoothSection, eta: np.ndarray) -> SectionHolomorphyCertificate:
+    """Check d sigma o J_base = I' o d sigma at every node of eta's grid for t = -1.
 
     eta = pi^* sigma^* Omega, as sampled by ``sample_section_form``, and I'
     the structure induced by Omega - eta; the differential is exact, so
     the residual is pure linear algebra.
     """
     structure = deformed_structure_field(eta, -1.0)
-    x = eta.grid.axes()
+    x = TorusGrid(len(eta)).axes()
     d = sigma.differential(x[:, None], x[None, :])
     lhs = d @ BASE_J
-    rhs = structure.field.values @ d
+    rhs = structure @ d
     residuals = np.max(np.abs(lhs - rhs), axis=(-1, -2))
     return SectionHolomorphyCertificate(
         max_residual=float(np.max(residuals)),

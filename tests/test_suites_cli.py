@@ -119,11 +119,12 @@ def test_negative_complex_t_parses(tmp_path):
     assert code == 0
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("CSYMPL_SEED", "77")
-    out = tmp_path / "r.json"
-    main(["run", "--suite", "gram-schmidt", "--dims", "4", "--n", "3", "--out", str(out)])
-    assert json.loads(out.read_text())["seed"] == 77
+def test_seed_is_not_read_from_the_environment(monkeypatch):
+    built = []
+    monkeypatch.setenv("CSYMPL_SEED", "5")
+    monkeypatch.setattr("csympl.cli.run_suite", lambda cfg: built.append(cfg) or passing_report(cfg))
+    assert main(["run", "--suite", "gram-schmidt", "--n", "1"]) == 0
+    assert built == [SuiteConfig(suite="gram-schmidt", samples=1, seed=0)]
 
 
 def test_synthetic_failure_roundtrip(tmp_path, capsys):
@@ -187,6 +188,10 @@ def test_replay_malformed_file_exits_2(tmp_path, capsys):
         ("float-grid", {**testbed, "config": {"grid": 16.0}}, "grid must be an integer, got 16.0"),
         ("float-modes", {**testbed, "config": {"modes": 3.0}}, "modes must be an integer, got 3.0"),
         ("other-tol", {**case, "config": {"samples": 2, "tol": 1e-8}}, "tol 1e-08 is not the pinned tolerance 1e-09"),
+        ("fractional-index", {**case, "index": 1.5}, "index must be a non-negative integer, got 1.5"),
+        ("negative-index", {**case, "index": -1}, "index must be a non-negative integer, got -1"),
+        ("boolean-index", {**case, "index": True}, "index must be a non-negative integer, got True"),
+        ("string-index", {**case, "index": "1"}, "index must be a non-negative integer, got '1'"),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
@@ -260,7 +265,6 @@ def test_replay_of_a_case_whose_suite_raises_exits_1(raising_preservance_case, t
 @pytest.mark.parametrize("suite", list(suites.SUITES))
 def test_run_without_size_flags_uses_the_suite_defaults(suite, monkeypatch, capsys):
     built = []
-    monkeypatch.delenv("CSYMPL_SEED", raising=False)
     monkeypatch.setattr("csympl.cli.run_suite", lambda cfg: built.append(cfg) or passing_report(cfg))
     assert main(["run", "--suite", suite]) == 0
     assert built == [SuiteConfig(suite=suite, seed=0)]
@@ -289,7 +293,7 @@ def test_nonclosed_failure_records_the_row_deviation():
 def test_closed_testbed_builds_each_structure_field_once(monkeypatch):
     grids = []
     build = suites.deformed_structure_field
-    monkeypatch.setattr(suites, "deformed_structure_field", lambda eta, *a: grids.append(eta.grid.n) or build(eta, *a))
+    monkeypatch.setattr(suites, "deformed_structure_field", lambda eta, *a: grids.append(len(eta)) or build(eta, *a))
     monkeypatch.setattr(torus, "deformed_structure_field", suites.deformed_structure_field)
     assert run_suite(SuiteConfig(suite="testbed-nijenhuis", grid_n=64)).passed
     assert sorted(grids) == [64, 64]
@@ -297,7 +301,7 @@ def test_closed_testbed_builds_each_structure_field_once(monkeypatch):
 
 def distinct_nodes(eta, t):
     """Distinct node matrices of the stack a structure field is built from."""
-    stack = Q_BLOCK + complex(t) * eta.values
+    stack = Q_BLOCK + complex(t) * eta
     return len({node.tobytes() for node in stack.reshape(-1, 4, 4)})
 
 
@@ -311,7 +315,7 @@ def test_testbed_decides_each_distinct_node_once(control, monkeypatch):
     assert run_suite(cfg).passed
     eta = suites.testbed_inputs(cfg)[1][64]
     if control == "closed":  # the section's field at t = -1, then the closed control's at t = 1
-        fields = [distinct_nodes(eta, t), distinct_nodes(torus.closed_control_form(eta.grid), 1.0)]
+        fields = [distinct_nodes(eta, t), distinct_nodes(torus.closed_control_form(torus.TorusGrid(len(eta))), 1.0)]
     else:
         fields = [distinct_nodes(eta, t)]
     assert fields[-1] < 64 * 64
@@ -544,7 +548,7 @@ def test_testbed_replay_rebuilds_the_suite_fields(monkeypatch, capsys):
         case = {"suite": cfg.suite, "check": "section-nijenhuis", "dim": 4, "index": 16}
         replayed = suites.describe_case(case, cfg)[0]
         assert replayed.pop("section modes", None) == getattr(section, "modes", None)
-        assert_same_inputs(replayed, {f"field at grid {n}": field.values for n, field in fields.items()})
+        assert_same_inputs(replayed, {f"field at grid {n}": field for n, field in fields.items()})
 
 
 # -- lattice subcommands ------------------------------------------------------------

@@ -9,12 +9,12 @@ from csympl.suites import _nonclosed_continuum_max
 from csympl.torus import (
     BASE_J,
     TRIPLES,
-    GridField,
     SmoothSection,
     TorusGrid,
     closed_control_form,
     deformed_structure_field,
     exterior_derivative_fd,
+    failed_nodes,
     nijenhuis_node_norms,
     nijenhuis_norm,
     nonclosed_control_form,
@@ -28,25 +28,33 @@ def test_grid_validation():
         TorusGrid(6)
     with pytest.raises(ValueError):
         TorusGrid(33)
-    assert TorusGrid(8).h == 0.125
+    assert np.array_equal(TorusGrid(8).axes(), np.arange(8) * 0.125)
 
 
-def test_grid_field_rejects_a_non_skew_two_form():
+def test_structure_field_rejects_a_non_skew_two_form():
     values = np.zeros((8, 8, 4, 4), dtype=np.complex128)
     values[3, 5, 0, 1] = 1.0
     with pytest.raises(ValueError, match="not skew"):
-        GridField(TorusGrid(8), "two_form", values)
+        deformed_structure_field(values, 0.5)
     values[3, 5, 1, 0] = -1.0
-    GridField(TorusGrid(8), "two_form", values)
+    deformed_structure_field(values, 0.5)
     values[0, 0, 2, 2] = 1e-300  # skew means a zero diagonal, to the bit
     with pytest.raises(ValueError, match="not skew"):
-        GridField(TorusGrid(8), "two_form", values)
+        deformed_structure_field(values, 0.5)
 
 
-@pytest.mark.parametrize("shape", [(8, 8, 6), (8, 8)], ids=["six-pair-coefficients", "base-coefficient"])
-def test_grid_field_rejects_the_retired_two_form_shapes(shape):
+@pytest.mark.parametrize(
+    "shape", [(8, 8, 6), (8, 8), (8, 8, 4), (8, 4, 4, 4)],
+    ids=["six-pair-coefficients", "base-coefficient", "three-form", "non-square"],
+)
+@pytest.mark.parametrize(
+    "consumer",
+    [exterior_derivative_fd, lambda eta: deformed_structure_field(eta, 0.5), nijenhuis_node_norms],
+    ids=["exterior-derivative", "structure-field", "nijenhuis"],
+)
+def test_field_consumers_reject_other_node_array_shapes(consumer, shape):
     with pytest.raises(ValueError, match="shape"):
-        GridField(TorusGrid(8), "two_form", np.zeros(shape, dtype=np.complex128))
+        consumer(np.zeros(shape, dtype=np.complex128))
 
 
 # -- sampled section forms -----------------------------------------------------
@@ -55,7 +63,7 @@ def test_grid_field_rejects_the_retired_two_form_shapes(shape):
 def test_constant_section_gives_zero_form():
     grid = TorusGrid(16)
     eta = sample_section_form(SmoothSection.constant(0.3 + 0.4j), grid)
-    assert eta.max_abs() == 0.0
+    assert np.max(np.abs(eta)) == 0.0
 
 
 def test_single_mode_matches_symbolic_pullback():
@@ -67,10 +75,10 @@ def test_single_mode_matches_symbolic_pullback():
     eta = sample_section_form(section, grid)
     x, y = grid.mesh()
     expected = 2j * np.pi * c * (k2 - 1j * k1) * np.exp(2j * np.pi * (k1 * x + k2 * y))
-    assert np.max(np.abs(eta.values[..., 0, 1] - expected)) < 1e-12
+    assert np.max(np.abs(eta[..., 0, 1] - expected)) < 1e-12
     # the field is the lift pi^* eta: its only other entry is the (y1, x1) one
-    assert np.array_equal(eta.values[..., 1, 0], -eta.values[..., 0, 1])
-    rest = eta.values.copy()
+    assert np.array_equal(eta[..., 1, 0], -eta[..., 0, 1])
+    rest = eta.copy()
     rest[..., [0, 1], [1, 0]] = 0
     assert not rest.any()
 
@@ -81,7 +89,7 @@ def test_section_form_type_certificate_pointwise():
     grid = TorusGrid(8)
     rng = np.random.default_rng(0)
     section = SmoothSection.random(rng, 2, amplitude=0.1)
-    coefficient = sample_section_form(section, grid).values[..., 0, 1]
+    coefficient = sample_section_form(section, grid)[..., 0, 1]
     base_structure = BASE_J
     thetas = 2 * np.pi * np.arange(6) / 6
     anti = np.zeros_like(coefficient)
@@ -108,11 +116,9 @@ def test_section_derivatives_are_exact():
 
 
 def test_fd_derivative_of_constant_field_is_zero():
-    grid = TorusGrid(16)
     upper = np.triu(np.full((4, 4), 1.3 - 0.2j), 1)
-    values = np.tile(upper - upper.T, (16, 16, 1, 1))
-    field = GridField(grid, "two_form", values)
-    assert exterior_derivative_fd(field).max_abs() == 0.0
+    field = np.tile(upper - upper.T, (16, 16, 1, 1))
+    assert np.max(np.abs(exterior_derivative_fd(field))) == 0.0
 
 
 def test_fd_derivative_of_lifted_base_form_is_structurally_zero():
@@ -122,7 +128,7 @@ def test_fd_derivative_of_lifted_base_form_is_structurally_zero():
     grid = TorusGrid(32)
     rng = np.random.default_rng(2)
     eta = sample_section_form(SmoothSection.random(rng, 3, amplitude=0.3), grid)
-    assert exterior_derivative_fd(eta).max_abs() < 1e-15
+    assert np.max(np.abs(exterior_derivative_fd(eta))) < 1e-15
 
 
 def test_fd_derivative_single_mode_against_closed_form():
@@ -135,11 +141,10 @@ def test_fd_derivative_single_mode_against_closed_form():
         values = np.zeros((n, n, 4, 4), dtype=np.complex128)
         values[..., 0, 2] = np.sin(2 * np.pi * y)
         values[..., 2, 0] = -np.sin(2 * np.pi * y)
-        field = GridField(grid, "two_form", values)
-        out = exterior_derivative_fd(field)
+        out = exterior_derivative_fd(values)
         expected = np.zeros((n, n, 4), dtype=np.complex128)
         expected[..., 0] = -2 * np.pi * np.cos(2 * np.pi * y)  # triple (0,1,2)
-        errors[n] = np.max(np.abs(out.values - expected))
+        errors[n] = np.max(np.abs(out - expected))
     assert errors[64] < 2e-2
     assert 3.0 < errors[32] / errors[64] < 5.0  # second order
 
@@ -149,13 +154,13 @@ def test_fd_derivative_of_nonclosed_control_matches_symbolic_max():
     # sup norm of the coefficient is 2 pi
     grid = TorusGrid(64)
     out = exterior_derivative_fd(nonclosed_control_form(grid))
-    assert out.max_abs() == pytest.approx(2 * np.pi, rel=1e-2)
+    assert np.max(np.abs(out)) == pytest.approx(2 * np.pi, rel=1e-2)
 
 
 def exterior_derivative_fd_reference(field):
     """The stencil over all four partials, fiber partials included as zeros."""
-    n, h = field.grid.n, field.grid.h
-    comp = field.values
+    n, h = len(field), 1.0 / len(field)
+    comp = field
     partials = np.zeros((4,) + comp.shape, dtype=np.complex128)
     for axis in range(2):
         partials[axis] = (np.roll(comp, -1, axis=axis) - np.roll(comp, 1, axis=axis)) / (2 * h)
@@ -174,16 +179,15 @@ def test_structure_field_at_zero_is_constant_standard():
     eta = sample_section_form(SmoothSection.random(rng, 2), grid)
     result = deformed_structure_field(eta, 0.0)
     standard = induced_complex_structure(ComplexTwoForm(Q_BLOCK)).matrix
-    assert result.bad_nodes == 0
-    assert np.max(np.abs(result.field.values - standard)) < 1e-12
+    assert failed_nodes(result) == 0
+    assert np.max(np.abs(result - standard)) < 1e-12
 
 
 def test_structure_field_zero_eta_any_t():
-    grid = TorusGrid(16)
-    eta = GridField(grid, "two_form", np.zeros((16, 16, 4, 4), dtype=np.complex128))
+    eta = np.zeros((16, 16, 4, 4), dtype=np.complex128)
     result = deformed_structure_field(eta, 2.3 - 0.7j)
     standard = induced_complex_structure(ComplexTwoForm(Q_BLOCK)).matrix
-    assert np.max(np.abs(result.field.values - standard)) < 1e-12
+    assert np.max(np.abs(result - standard)) < 1e-12
 
 
 def test_structure_field_pointwise_matches_single_space_construction():
@@ -195,9 +199,9 @@ def test_structure_field_pointwise_matches_single_space_construction():
     e01 = np.zeros((4, 4), dtype=np.complex128)
     e01[0, 1], e01[1, 0] = 1.0, -1.0
     for i, j in ((0, 0), (3, 7), (10, 2), (15, 15)):
-        omega_node = ComplexTwoForm(Q_BLOCK - eta.values[i, j, 0, 1] * e01)
+        omega_node = ComplexTwoForm(Q_BLOCK - eta[i, j, 0, 1] * e01)
         direct = induced_complex_structure(omega_node).matrix
-        assert np.max(np.abs(result.field.values[i, j] - direct)) < 1e-12
+        assert np.max(np.abs(result[i, j] - direct)) < 1e-12
 
 
 def test_structure_field_counts_nodes_with_real_kernel_vectors():
@@ -205,11 +209,11 @@ def test_structure_field_counts_nodes_with_real_kernel_vectors():
     # rows x = 0 and x = 1/2; those nodes are counted and carry no structure
     grid = TorusGrid(16)
     result = deformed_structure_field(nonclosed_control_form(grid), 1.0)
-    assert result.bad_nodes == 32
-    bad = np.isnan(result.field.values).any(axis=(-1, -2))
+    assert failed_nodes(result) == 32
+    bad = np.isnan(result).any(axis=(-1, -2))
     assert bad.sum() == 32 and bad[[0, 8]].all()
-    assert np.isfinite(np.delete(result.field.values, [0, 8], axis=0)).all()
-    assert np.isnan(nijenhuis_norm(result.field))
+    assert np.isfinite(np.delete(result, [0, 8], axis=0)).all()
+    assert np.isnan(nijenhuis_norm(result))
 
 
 #: The fields the testbed deforms by, sampled on a given grid.
@@ -226,15 +230,14 @@ TESTBED_FORMS = {
 def test_coarse_grid_is_the_fine_grids_even_nodes(n, form):
     fine, coarse = TorusGrid(n), TorusGrid(n // 2)
     field = TESTBED_FORMS[form](fine)
-    restricted = field.restrict()
-    assert restricted.grid == coarse
+    restricted = field[::2, ::2]
     sampled = TESTBED_FORMS[form](coarse)
-    assert np.array_equal(sampled.values, restricted.values)
+    assert np.array_equal(sampled, restricted)
     for t in (-1.0, 0.5, 1.0, 0.3 + 0.2j):
         direct = deformed_structure_field(sampled, t)
-        read_off = deformed_structure_field(field, t).restrict()
-        assert np.array_equal(direct.field.values, read_off.field.values, equal_nan=True)
-        assert direct.bad_nodes == read_off.bad_nodes
+        read_off = deformed_structure_field(field, t)[::2, ::2]
+        assert np.array_equal(direct, read_off, equal_nan=True)
+        assert failed_nodes(direct) == failed_nodes(read_off)
 
 
 @pytest.mark.parametrize("form", ["section-0", "section-1"])
@@ -244,23 +247,22 @@ def test_coarse_section_sample_is_the_fine_samples_even_nodes_on_large_grids(n, 
     # in place, to other last bits; the Fourier sum never does so
     fine = TESTBED_FORMS[form](TorusGrid(n))
     coarse = TESTBED_FORMS[form](TorusGrid(n // 2))
-    assert np.array_equal(fine.restrict().values, coarse.values)
+    assert np.array_equal(fine[::2, ::2], coarse)
 
 
 def test_restricted_structure_recounts_its_failing_nodes():
     # the nonclosed control at t = 1 fails on the rows x = 0 and x = 1/2,
     # both even: n nodes of the fine grid's 2n remain on the coarse grid
     structure = deformed_structure_field(nonclosed_control_form(TorusGrid(16)), 1.0)
-    assert structure.bad_nodes == 32 and structure.restrict().bad_nodes == 16
+    assert failed_nodes(structure) == 32 and failed_nodes(structure[::2, ::2]) == 16
 
 
 def test_structure_field_preserves_fiber_pointwise():
     grid = TorusGrid(32)
     rng = np.random.default_rng(5)
     eta = sample_section_form(SmoothSection.random(rng, 3), grid)
-    result = deformed_structure_field(eta, -1.0)
-    assert result.bad_nodes == 0
-    values = result.field.values
+    values = deformed_structure_field(eta, -1.0)
+    assert failed_nodes(values) == 0
     fiber_block = values[..., 2:, 2:]
     off_block = values[..., :2, 2:]
     assert np.max(np.abs(fiber_block - BASE_J)) < 1e-12
@@ -271,10 +273,8 @@ def test_structure_field_preserves_fiber_pointwise():
 
 
 def test_nijenhuis_constant_structure_zero():
-    grid = TorusGrid(16)
     standard = induced_complex_structure(ComplexTwoForm(Q_BLOCK)).matrix
-    field = GridField(grid, "endomorphism", np.tile(standard, (16, 16, 1, 1)))
-    assert nijenhuis_norm(field) == 0.0
+    assert nijenhuis_norm(np.tile(standard, (16, 16, 1, 1))) == 0.0
 
 
 def test_nijenhuis_closed_case_below_threshold():
@@ -284,15 +284,15 @@ def test_nijenhuis_closed_case_below_threshold():
         grid = TorusGrid(n)
         eta = sample_section_form(section, grid)
         result = deformed_structure_field(eta, -1.0)
-        assert nijenhuis_norm(result.field) < 1e-4
+        assert nijenhuis_norm(result) < 1e-4
 
 
 def test_nijenhuis_generic_closed_deformation_second_order():
     norms = {}
     for n in (32, 64):
         result = deformed_structure_field(closed_control_form(TorusGrid(n)), 1.0)
-        assert result.bad_nodes == 0
-        norms[n] = nijenhuis_norm(result.field)
+        assert failed_nodes(result) == 0
+        norms[n] = nijenhuis_norm(result)
     assert norms[64] < 1e-4
     assert 2.5 < norms[32] / norms[64] < 6.0
 
@@ -313,11 +313,10 @@ def nonclosed_continuum_norms(t, x):
 
 def test_nonclosed_control_structure_matches_analytic_blocks():
     grid = TorusGrid(32)
-    result = deformed_structure_field(nonclosed_control_form(grid), 0.5)
+    values = deformed_structure_field(nonclosed_control_form(grid), 0.5)
     x, _ = grid.mesh()
     g = 0.5 * np.cos(2 * np.pi * x)
     r = (1 - g) / (1 + g)
-    values = result.field.values
     assert np.max(np.abs(values[..., :2, :2] - BASE_J)) < 1e-10
     assert np.max(np.abs(values[..., :2, 2:])) < 1e-10
     assert np.max(np.abs(values[..., 2:, :2])) < 1e-10
@@ -330,7 +329,7 @@ def test_nonclosed_control_nijenhuis_bounded_below_and_stable():
     values = {}
     for n in (32, 64):
         result = deformed_structure_field(nonclosed_control_form(TorusGrid(n)), 0.5)
-        values[n] = nijenhuis_norm(result.field)
+        values[n] = nijenhuis_norm(result)
         assert abs(values[n] - continuum) / continuum < 0.05
         assert values[n] > continuum / 2
     assert abs(values[64] - values[32]) / continuum < 0.05
@@ -338,7 +337,7 @@ def test_nonclosed_control_nijenhuis_bounded_below_and_stable():
 
 def nijenhuis_node_norms_reference(structure_field):
     """The stencil over all four partials, fiber partials included as zeros."""
-    ind, h = structure_field.values, structure_field.grid.h
+    ind, h = structure_field, 1.0 / len(structure_field)
     d = np.zeros((4,) + ind.shape)
     for axis in range(2):
         d[axis] = (np.roll(ind, -1, axis=axis) - np.roll(ind, 1, axis=axis)) / (2 * h)
@@ -352,7 +351,7 @@ def nijenhuis_node_norms_reference(structure_field):
 @pytest.mark.parametrize("form, t", [("closed-control", 1.0), ("nonclosed-control", 0.5), ("section-0", -1.0)])
 def test_nijenhuis_base_partial_stencil_matches_the_four_partial_reference(form, t):
     for n in (32, 64):
-        field = deformed_structure_field(TESTBED_FORMS[form](TorusGrid(n)), t).field
+        field = deformed_structure_field(TESTBED_FORMS[form](TorusGrid(n)), t)
         assert np.array_equal(nijenhuis_node_norms(field), nijenhuis_node_norms_reference(field))
 
 
@@ -360,7 +359,7 @@ def test_nijenhuis_base_partial_stencil_matches_the_four_partial_reference(form,
 def test_exterior_derivative_base_partials_match_the_four_partial_reference(form):
     for n in (32, 64):
         field = TESTBED_FORMS[form](TorusGrid(n))
-        assert np.array_equal(exterior_derivative_fd(field).values, exterior_derivative_fd_reference(field))
+        assert np.array_equal(exterior_derivative_fd(field), exterior_derivative_fd_reference(field))
 
 
 @pytest.mark.parametrize("t", [0.01, -0.01, 0.3, 0.5, -0.7, 0.99])
@@ -373,7 +372,7 @@ def test_nonclosed_ceiling_closed_form_bounds_the_dense_sweep(t):
 def test_nonclosed_control_nijenhuis_pointwise_against_oracle():
     grid = TorusGrid(64)
     result = deformed_structure_field(nonclosed_control_form(grid), 0.5)
-    norms = nijenhuis_node_norms(result.field)
+    norms = nijenhuis_node_norms(result)
     x, _ = grid.mesh()
     expected = nonclosed_continuum_norms(0.5, x)
     assert np.max(np.abs(norms - expected)) < 0.35  # FD truncation only
@@ -408,5 +407,5 @@ def test_without_deformation_generic_section_is_not_holomorphic():
     structure = deformed_structure_field(eta, 0.0)
     x, y = grid.mesh()
     d = section.differential(x, y)
-    residual = np.max(np.abs(d @ BASE_J - structure.field.values @ d))
+    residual = np.max(np.abs(d @ BASE_J - structure @ d))
     assert residual > 1e-3
