@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import multiindex
-from .forms import ComplexKForm, ComplexTwoForm, FormKernel, form_kernel, power, wedge
+from .forms import ComplexKForm, ComplexTwoForm, form_kernel, power, wedge
 from .linalg import (
     DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space, numerical_rank,
     real_span_rank,
@@ -48,9 +48,6 @@ class RankCriterion:
     kernel_dim: int
     real_span_rank: int
     ill_conditioned: bool
-    #: The form's kernel the verdict was read from (None when the dimension
-    #: check failed first); structures are built from it, not recomputed.
-    kernel: FormKernel | None = dc_field(default=None, repr=False, compare=False)
 
     def __bool__(self):
         return self.ok
@@ -64,19 +61,6 @@ class PowerCriterion:
     #: |Omega^n ^ conj(Omega^n)| = |(Omega ^ conj Omega)^n|: even-degree forms commute.
     pairing_norm: float
     form_norm: float
-
-    def __bool__(self):
-        return self.ok
-
-
-@dataclass(frozen=True)
-class CSymplecticVerdict:
-    rank: RankCriterion
-    power: PowerCriterion
-
-    @property
-    def ok(self) -> bool:
-        return self.rank.ok and self.power.ok
 
     def __bool__(self):
         return self.ok
@@ -99,7 +83,7 @@ def is_c_symplectic_rank(omega: ComplexTwoForm) -> RankCriterion:
     else:
         span_rank = ker.subspace.real_span_rank()
         reason = "" if span_rank == m else "kernel contains real vectors"
-    return RankCriterion(not reason, reason, ker.dim, span_rank, ker.ill_conditioned, ker)
+    return RankCriterion(not reason, reason, ker.dim, span_rank, ker.ill_conditioned)
 
 
 def is_c_symplectic_power(omega: ComplexTwoForm) -> PowerCriterion:
@@ -126,36 +110,23 @@ def is_c_symplectic_power(omega: ComplexTwoForm) -> PowerCriterion:
     return PowerCriterion(power_ok and pairing_ok, reason, top_power, pairing_norm, scale)
 
 
-def is_c_symplectic(omega: ComplexTwoForm) -> CSymplecticVerdict:
-    """Both criteria; they agree on every input (numerically witnessed)."""
-    return CSymplecticVerdict(rank=is_c_symplectic_rank(omega), power=is_c_symplectic_power(omega))
-
-
 def induced_complex_structure(omega: ComplexTwoForm) -> ComplexStructure:
     """The unique complex structure making omega a nondegenerate (2,0)-form.
 
     Acts as multiplication by -i on ker(omega) and by +i on the conjugate
     kernel; realness follows from self-conjugacy of that prescription.
-    Raises on non-c-symplectic input, naming the failing criterion.
+    This is ``induced_structures`` on a stack of one.  Raises on
+    non-c-symplectic input, naming the failing criterion.
     """
-    rank_check = is_c_symplectic_rank(omega)
-    if not rank_check:
-        raise ValueError(f"not c-symplectic (rank criterion): {rank_check.reason}")
-    return _structure_from_kernel(omega, rank_check.kernel)
-
-
-def _structure_from_kernel(omega: ComplexTwoForm, kernel: FormKernel) -> ComplexStructure:
-    """Induced structure of omega from the kernel of a passing rank check."""
-    real, realness, square, linearity = structures_from_kernels(omega.matrix, kernel.subspace.basis)
-    if not _structure_accepted(realness, square, linearity):
-        raise ValueError(
-            f"induced structure rejected: realness {realness:.3e}, I^2 + Id {square:.3e}, linearity {linearity:.3e}"
-        )
-    return ComplexStructure(omega.dim, real)
+    structure = induced_structures(omega.matrix[None])[0]
+    if np.isnan(structure).any():
+        reason = is_c_symplectic_rank(omega).reason or "induced structure rejected"
+        raise ValueError(f"not c-symplectic (rank criterion): {reason}")
+    return ComplexStructure(omega.dim, structure)
 
 
 def _structure_accepted(realness, square, linearity):
-    """Acceptance of single or stacked ``structures_from_kernels`` residuals."""
+    """Acceptance of stacked ``structures_from_kernels`` residuals."""
     return (realness <= DEFAULT_TOL) & (square <= STRUCTURE_TOL) & (linearity <= STRUCTURE_TOL)
 
 
@@ -165,7 +136,7 @@ def structures_from_kernels(omegas: np.ndarray, kernels: np.ndarray):
     -i on the kernel and +i on its conjugate: I = (P D) P^{-1}, P = [K, conj K].
     Returns Re I and, per matrix, the max-norm residuals of realness,
     I^2 = -Id and I^T A = i A, relative to max(1, |I|), max(1, |Re I|^2)
-    and max(1, |A|) as the single-form checks hold them.
+    and max(1, |A|).
     """
     m, half = kernels.shape[-2:]
     p = np.concatenate([kernels, kernels.conj()], axis=-1)
@@ -185,9 +156,11 @@ def _stack_max(x: np.ndarray) -> np.ndarray:
 def induced_structures(omegas: np.ndarray):
     """Induced structures of stacked forms (..., m, m), NaN where a form fails.
 
-    A form passes when exactly m/2 singular values are <= DEFAULT_TOL * sigma_max,
-    its kernel's real span fills R^m and its structure meets the
-    single-form thresholds; failing forms are not inverted, and their NaN
+    This is the one place an induced structure is built and accepted;
+    ``induced_complex_structure`` is this call on a stack of one.  A form
+    passes when exactly m/2 singular values are <= DEFAULT_TOL * sigma_max,
+    its kernel's real span fills R^m and its structure meets
+    ``_structure_accepted``; failing forms are not inverted, and their NaN
     structure is the only record of the failure.
 
     Each distinct matrix is decided once and its result scattered back to
@@ -201,8 +174,10 @@ def induced_structures(omegas: np.ndarray):
     m = omegas.shape[-1]
     half = m // 2
     flat = np.ascontiguousarray(omegas).reshape(-1, m, m)
-    keys = flat.reshape(len(flat), m * m).view(np.dtype((np.void, flat.itemsize * m * m)))
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    first = inverse = np.arange(len(flat))
+    if len(flat) > 1:  # one form shares nothing; skip np.unique's fixed cost
+        keys = flat.reshape(len(flat), m * m).view(np.dtype((np.void, flat.itemsize * m * m)))
+        _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     distinct = flat[first]
     _, s, vh = np.linalg.svd(distinct)
     kernels = np.swapaxes(vh[..., half:, :].conj(), -1, -2)
@@ -316,28 +291,20 @@ def c_symplectic_basis(omega: ComplexTwoForm) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CSymplecticSpace:
-    """A validated c-symplectic form with its cached structure and verdict."""
+    """A validated c-symplectic form with its cached induced structure."""
 
     omega: ComplexTwoForm
     structure: ComplexStructure = dc_field(repr=False)
-    verdict: CSymplecticVerdict = dc_field(repr=False)
 
     @classmethod
     def from_form(cls, omega: ComplexTwoForm) -> "CSymplecticSpace":
-        return cls.from_verdict(omega, is_c_symplectic(omega))
-
-    @classmethod
-    def from_verdict(cls, omega: ComplexTwoForm, verdict: CSymplecticVerdict) -> "CSymplecticSpace":
-        """Validate by a verdict already computed on omega, reusing its kernel."""
-        if not verdict.ok:
-            failing = "rank" if not verdict.rank.ok else "power"
-            reason = verdict.rank.reason or verdict.power.reason
-            raise ValueError(f"not c-symplectic ({failing} criterion): {reason}")
-        return cls(
-            omega=omega,
-            structure=_structure_from_kernel(omega, verdict.rank.kernel),
-            verdict=verdict,
-        )
+        """Validate omega by both criteria, the rank criterion (read off the
+        induced structure) first."""
+        structure = induced_complex_structure(omega)
+        power_check = is_c_symplectic_power(omega)
+        if not power_check:
+            raise ValueError(f"not c-symplectic (power criterion): {power_check.reason}")
+        return cls(omega=omega, structure=structure)
 
     @property
     def dim(self) -> int:

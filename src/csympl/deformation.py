@@ -15,10 +15,11 @@ import numpy as np
 
 from .csymplectic import (
     CSymplecticSpace,
-    CSymplecticVerdict,
-    is_c_lagrangian,
-    is_c_symplectic,
     hodge_decompose,
+    induced_structures,
+    is_c_lagrangian,
+    is_c_symplectic_power,
+    is_c_symplectic_rank,
 )
 from .forms import ComplexTwoForm
 from .linalg import DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space
@@ -168,7 +169,9 @@ def deform(projection: LagrangianProjection, gamma: ComplexTwoForm, t: complex) 
     Rejects gamma with an anti-holomorphic component above tolerance and
     verifies c-symplecticity of the result by both criteria.
     """
-    return DeformationFamily.build(projection, gamma)(t)
+    family = DeformationFamily.build(projection, gamma)
+    family.structures((t,))
+    return family.form(t)
 
 
 def _certify_gamma(projection: LagrangianProjection, gamma: ComplexTwoForm):
@@ -181,16 +184,6 @@ def _certify_gamma(projection: LagrangianProjection, gamma: ComplexTwoForm):
             "deformation requires Hodge type (2,0)+(1,1)"
         )
     return certificate
-
-
-def _deformed_verdict(omega_t: ComplexTwoForm) -> CSymplecticVerdict:
-    verdict = is_c_symplectic(omega_t)
-    if not verdict.ok:
-        raise PostconditionError(
-            "deformed form failed c-symplecticity: "
-            f"rank: {verdict.rank.reason or 'ok'}; power: {verdict.power.reason or 'ok'}"
-        )
-    return verdict
 
 
 @dataclass(frozen=True)
@@ -215,16 +208,22 @@ class DeformationFamily:
         pulled = w.T @ self.gamma.matrix @ w
         return ComplexTwoForm(self.projection.space.omega.matrix + complex(t) * pulled)
 
-    def __call__(self, t: complex) -> ComplexTwoForm:
-        omega_t = self.form(t)
-        _deformed_verdict(omega_t)
-        return omega_t
-
-    def space(self, t: complex) -> CSymplecticSpace:
-        """Omega_t checked once by both criteria, with its induced structure
-        built from the rank check's kernel."""
-        omega_t = self.form(t)
-        return CSymplecticSpace.from_verdict(omega_t, _deformed_verdict(omega_t))
+    def structures(self, t_samples) -> list:
+        """Induced structures of the members at ``t_samples``, checked by both
+        criteria: all members in one ``induced_structures`` call (the rank
+        criterion), each member by its own power criterion."""
+        forms = [self.form(t) for t in t_samples]
+        stacked = induced_structures(np.stack([omega_t.matrix for omega_t in forms]))
+        for omega_t, structure in zip(forms, stacked):
+            power_check = is_c_symplectic_power(omega_t)
+            rank_reason = "ok"
+            if np.isnan(structure).any():
+                rank_reason = is_c_symplectic_rank(omega_t).reason or "induced structure rejected"
+            if rank_reason != "ok" or not power_check:
+                raise PostconditionError(
+                    f"deformed form failed c-symplecticity: rank: {rank_reason}; power: {power_check.reason or 'ok'}"
+                )
+        return [ComplexStructure(omega_t.dim, structure) for omega_t, structure in zip(forms, stacked)]
 
 
 @dataclass(frozen=True)
@@ -261,13 +260,12 @@ def verify_preservance(
     fiber_ok = True
     restriction_residuals, quotient_residuals, invariances = [], [], [base_inv]
     w = projection.projection.T
-    for t in t_samples:
-        space_t = family.space(t)
-        if not is_c_lagrangian(projection.fiber, space_t.omega, STRUCTURE_TOL):
+    for t, structure_t in zip(t_samples, family.structures(t_samples)):
+        if not is_c_lagrangian(projection.fiber, family.form(t), STRUCTURE_TOL):
             fiber_ok = False
-        restriction_t, invariance = space_t.structure.restrict(projection.fiber)
+        restriction_t, invariance = structure_t.restrict(projection.fiber)
         restriction_residuals.append(max_abs(restriction_t - base_restriction))
-        quotient_residuals.append(max_abs(w.T @ space_t.structure.matrix @ w - base_quotient))
+        quotient_residuals.append(max_abs(w.T @ structure_t.matrix @ w - base_quotient))
         invariances.append(invariance)
     return PreservanceReport(
         t_samples=tuple(complex(t) for t in t_samples),
@@ -309,15 +307,16 @@ def holomorphize_section(section: LinearSection) -> HolomorphizedSection:
     """
     p = section.projection
     eta = section_form(section).two_form
-    space_prime = DeformationFamily.build(p, eta).space(-1.0)
-    omega_prime = space_prime.omega
+    family = DeformationFamily.build(p, eta)
+    (structure_prime,) = family.structures((-1.0,))
+    omega_prime = family.form(-1.0)
     s = section.map
     scale = max(p.space.omega.norm(), 1e-300) * float(np.linalg.norm(s, 2)) ** 2
     restriction = max_abs(s.T @ omega_prime.matrix @ s) / scale
     graph = section.graph()
     lagrangian = is_c_lagrangian(graph, omega_prime, STRUCTURE_TOL)
     intertwine = max_abs(
-        s @ p.quotient_structure.matrix - space_prime.structure.matrix @ s
+        s @ p.quotient_structure.matrix - structure_prime.matrix @ s
     ) / max(1.0, float(np.linalg.norm(s, 2)))
     return HolomorphizedSection(
         eta=eta,

@@ -683,7 +683,7 @@ def case_config(case: dict) -> SuiteConfig:
     ``KeyError`` or ``ValueError`` for a malformed case."""
     for key in ("suite", "check", "seed", "dim", "index"):
         if key not in case:
-            raise ValueError(f"malformed case file: missing {key!r}")
+            raise ValueError(f"missing {key!r}")
     index = case["index"]
     if isinstance(index, bool) or not isinstance(index, numbers.Integral) or index < 0:
         raise ValueError(f"index must be a non-negative integer, got {index!r}")

@@ -14,7 +14,6 @@ from csympl.csymplectic import (
     induced_structures,
     is_c_isotropic,
     is_c_lagrangian,
-    is_c_symplectic,
     is_c_symplectic_power,
     is_c_symplectic_rank,
     q_block_form,
@@ -22,7 +21,7 @@ from csympl.csymplectic import (
     structures_from_kernels,
 )
 from csympl.deformation import LagrangianProjection
-from csympl.forms import ComplexKForm, ComplexTwoForm, power, pullback, wedge
+from csympl.forms import ComplexKForm, ComplexTwoForm, form_kernel, power, pullback, wedge
 from csympl.linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace, numerical_rank, real_span_rank
 
 STANDARD_J = ComplexStructure(
@@ -79,7 +78,8 @@ def test_random_gaussian_form_generically_fails():
 
 
 def test_dz_form_is_c_symplectic():
-    assert is_c_symplectic(dz1_wedge_dz2()).ok
+    assert is_c_symplectic_rank(dz1_wedge_dz2()).ok
+    assert is_c_symplectic_power(dz1_wedge_dz2()).ok
 
 
 def test_dimension_not_multiple_of_four_rejected():
@@ -276,6 +276,55 @@ def test_stacked_verdict_is_bitwise_the_undeduplicated_one(omegas):
     assert structures.tobytes() == expected.tobytes()
     assert np.array_equal(ok, expected_ok)
     assert np.isnan(structures[~ok]).all()
+
+
+def single_form_structure(omega):
+    """The per-form path that ``induced_structures`` replaced, as the reference:
+    the rank criterion, ``form_kernel``'s basis, ``structures_from_kernels``
+    and the acceptance; None where that path raised."""
+    if not is_c_symplectic_rank(omega):
+        return None
+    real, *residuals = structures_from_kernels(omega.matrix, form_kernel(omega).subspace.basis)
+    return real if _structure_accepted(*residuals) else None
+
+
+def oracle_forms(dim):
+    from csympl.suites import _structure_with_form, mixed_two_form
+
+    for i in range(40):
+        yield random_c_symplectic(np.random.default_rng([dim, i]), dim)[0]
+        yield _structure_with_form(np.random.default_rng([dim, i]), dim)[1]
+        yield mixed_two_form(np.random.default_rng([dim, i]), dim)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_induced_structure_is_bitwise_the_single_form_path(dim):
+    failures = 0
+    for omega in oracle_forms(dim):
+        expected = single_form_structure(omega)
+        if expected is None:
+            failures += 1
+            with pytest.raises(ValueError, match="rank criterion"):
+                induced_complex_structure(omega)
+        else:
+            assert induced_complex_structure(omega).matrix.tobytes() == expected.tobytes()
+    assert 0 < failures < 40
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_family_structures_are_bitwise_the_single_form_path(dim):
+    from csympl.deformation import DEFAULT_T_SAMPLES, DeformationFamily, random_base_form
+    from csympl.suites import random_lagrangian
+
+    for i in range(20):
+        rng = np.random.default_rng([dim, i])
+        space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0])
+        projection = LagrangianProjection.build(space, random_lagrangian(space, rng))
+        family = DeformationFamily.build(projection, random_base_form(projection, rng, scale=0.5))
+        structures = family.structures(DEFAULT_T_SAMPLES)
+        assert len(structures) == len(DEFAULT_T_SAMPLES)
+        for t, structure in zip(DEFAULT_T_SAMPLES, structures):
+            assert structure.matrix.tobytes() == single_form_structure(family.form(t)).tobytes()
 
 
 def test_signed_zero_forms_decide_differently():
@@ -597,14 +646,19 @@ def test_quotient_independent_of_complement_model():
     assert np.allclose(w.T @ space.structure.matrix @ probe, quot.matrix @ (w.T @ probe), atol=1e-9)
 
 
-def test_c_symplectic_space_caches_validated_data():
+def test_c_symplectic_space_caches_validated_data(monkeypatch):
     rng = np.random.default_rng(10)
     omega, _ = random_c_symplectic(rng, 8)
     space = CSymplecticSpace.from_form(omega)
-    assert space.verdict.ok
-    assert space.verdict.rank.kernel.dim == 4
+    assert is_c_symplectic_rank(space.omega).ok and is_c_symplectic_power(space.omega).ok
+    assert is_c_symplectic_rank(space.omega).kernel_dim == 4
     assert np.allclose(
         space.structure.matrix, induced_complex_structure(omega).matrix, atol=1e-12
     )
-    with pytest.raises(ValueError):
+    # the rank failure is reported first, then the power failure
+    with pytest.raises(ValueError, match=r"\(rank criterion\): kernel dimension 4 != 2"):
         CSymplecticSpace.from_form(ComplexTwoForm(np.zeros((4, 4))))
+    zero_power = is_c_symplectic_power(ComplexTwoForm(np.zeros((8, 8))))
+    monkeypatch.setattr(csymplectic, "is_c_symplectic_power", lambda form: zero_power)
+    with pytest.raises(ValueError, match=r"\(power criterion\): zero form"):
+        CSymplecticSpace.from_form(omega)

@@ -11,8 +11,10 @@ from csympl.csymplectic import (
     c_symplectic_basis,
     hodge_decompose,
     induced_complex_structure,
+    induced_structures,
     is_c_lagrangian,
-    is_c_symplectic,
+    is_c_symplectic_power,
+    is_c_symplectic_rank,
     q_block_form,
     random_c_symplectic,
 )
@@ -168,8 +170,7 @@ def test_deform_postcondition_both_criteria():
     # the (1,1) form dual to the inherited structure on the base model
     gamma = ComplexTwoForm(quot.matrix - quot.matrix.T)
     omega_1 = deform(proj, gamma, 1.0)
-    verdict = is_c_symplectic(omega_1)
-    assert verdict.rank.ok and verdict.power.ok
+    assert is_c_symplectic_rank(omega_1).ok and is_c_symplectic_power(omega_1).ok
 
 
 def test_deform_rejects_anti_holomorphic_gamma():
@@ -298,7 +299,9 @@ def svd_inputs(monkeypatch):
 
 
 def svd_count(seen, matrix):
-    return sum(1 for m in seen if m.shape == matrix.shape and np.array_equal(m, matrix))
+    """How often ``matrix`` was decomposed, counting each slice of a stacked input."""
+    slices = (m for stack in seen for m in stack.reshape(-1, *stack.shape[-2:]))
+    return sum(1 for m in slices if m.shape == matrix.shape and np.array_equal(m, matrix))
 
 
 def test_space_and_structure_svd_the_form_once(svd_inputs):
@@ -339,13 +342,14 @@ def test_projection_builds_its_quotient_once(monkeypatch):
     assert sorted(calls) == ["complement", "is_c_lagrangian"]
 
 
-def test_family_space_is_checked_member():
+def test_family_structures_are_checked_members():
     proj, rng = random_setup(8, 32)
     family = DeformationFamily.build(proj, random_base_form(proj, rng))
-    space = family.space(0.5 + 0.5j)
-    assert np.array_equal(space.omega.matrix, family(0.5 + 0.5j).matrix)
-    assert space.verdict.ok
-    assert np.array_equal(space.structure.matrix, induced_complex_structure(space.omega).matrix)
+    (structure,) = family.structures((0.5 + 0.5j,))
+    omega_t = family.form(0.5 + 0.5j)
+    assert np.array_equal(omega_t.matrix, deform(proj, family.gamma, 0.5 + 0.5j).matrix)
+    assert is_c_symplectic_rank(omega_t).ok and is_c_symplectic_power(omega_t).ok
+    assert np.array_equal(structure.matrix, induced_complex_structure(omega_t).matrix)
 
 # -- section holomorphization --------------------------------------------------------
 
@@ -433,9 +437,11 @@ def test_deformed_form_failing_c_symplecticity_raises(monkeypatch):
     proj, rng = random_setup(4, 6)
     gamma = random_base_form(proj, rng)
 
-    def degenerate(omega):
-        return is_c_symplectic(ComplexTwoForm(np.zeros_like(omega.matrix)))
-
-    monkeypatch.setattr(deformation, "is_c_symplectic", degenerate)
-    with pytest.raises(PostconditionError, match="deformed form failed c-symplecticity"):
+    with monkeypatch.context() as patch:
+        patch.setattr(deformation, "induced_structures", lambda omegas: induced_structures(np.zeros_like(omegas)))
+        with pytest.raises(PostconditionError, match="deformed form failed c-symplecticity: rank: induced structure"):
+            deform(proj, gamma, 0.5)
+    zero_power = is_c_symplectic_power(ComplexTwoForm(np.zeros((4, 4))))
+    monkeypatch.setattr(deformation, "is_c_symplectic_power", lambda omega: zero_power)
+    with pytest.raises(PostconditionError, match="deformed form failed c-symplecticity: rank: ok; power: zero form"):
         deform(proj, gamma, 0.5)

@@ -169,7 +169,9 @@ def test_replay_malformed_file_exits_2(tmp_path, capsys):
     assert main(["replay", str(bad)]) == 2
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"suite": "gram-schmidt"}))
+    capsys.readouterr()
     assert main(["replay", str(incomplete)]) == 2
+    assert capsys.readouterr().err == "malformed case file: missing 'check'\n"
     mistyped = tmp_path / "mistyped.json"
     case = {"suite": "gram-schmidt", "check": "q-block-residual", "dim": 4, "seed": 0, "index": 0}
     mistyped.write_text(json.dumps({**case, "config": {"samples": "many"}}))
@@ -198,6 +200,7 @@ def test_replay_malformed_file_exits_2(tmp_path, capsys):
         assert main(["replay", str(path)]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("malformed case file: ") and message in err, name
+        assert err.count("malformed case file") == 1, name
 
 
 def test_replay_unknown_control_exits_2(tmp_path, capsys):
