@@ -218,10 +218,14 @@ def _cmd_lattice(args) -> int:
         )
         return 0
     if args.lattice_command == "twistor-param":
-        omega = np.asarray(args.omega_re, dtype=float) + 1j * np.asarray(args.omega_im, dtype=float)
-        if any(len(v) != lattice.rank for v in (args.s, args.e)) or omega.shape[0] != lattice.rank:
+        if any(len(v) != lattice.rank for v in (args.s, args.e, args.omega_re, args.omega_im)):
             print(f"all vectors must have length {lattice.rank}", file=sys.stderr)
             return 2
+        for option, values in (("--omega-re", args.omega_re), ("--omega-im", args.omega_im)):
+            if not np.isfinite(values).all():
+                print(f"{option} entries must be finite, got {values}", file=sys.stderr)
+                return 2
+        omega = np.asarray(args.omega_re, dtype=float) + 1j * np.asarray(args.omega_im, dtype=float)
         try:
             PeriodPoint(lattice, omega)
             t = twistor_parameter(lattice, args.s, args.e, omega)
@@ -231,16 +235,21 @@ def _cmd_lattice(args) -> int:
         residual = abs(lattice.pair(np.asarray(args.s), omega - t * np.asarray(args.e, dtype=float)))
         print(json.dumps({"t_re": t.real, "t_im": t.imag, "substitution_residual": residual}))
         return 0
-    # curve sweep over the standard period point
-    if args.grid < 1 or not np.isfinite(args.extent):
-        print(f"--grid must be at least 1 and --extent finite, got {args.grid} and {args.extent}", file=sys.stderr)
+    # curve sweep over the standard period point; an extent near the float
+    # maximum overflows linspace's step into NaN points
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = np.linspace(-args.extent, args.extent, max(args.grid, 1))
+    if args.grid < 1 or not np.isfinite(span).all():
+        print(
+            f"--grid must be at least 1 and --extent finite with finite sweep points, got {args.grid} and {args.extent}",
+            file=sys.stderr,
+        )
         return 2
     point = PeriodPoint.standard(lattice)
     e = [0] * lattice.rank
     e[4] = 1
     curve = TwistorCurve(point, e)
     grams = []
-    span = np.linspace(-args.extent, args.extent, args.grid)
     for x in span:
         for y in span:
             grams.append(curve.plane(float(x), float(y)).gram)

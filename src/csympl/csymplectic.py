@@ -11,11 +11,14 @@ c-isotropic / c-Lagrangian subspaces.
 """
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import multiindex
-from .forms import ComplexKForm, ComplexTwoForm, form_kernel, power, wedge
+# form_kernel is not called here; the benchmark's tracer test checks that the
+# name stays bound in this module (perfbench/tests/test_perfbench.py)
+from .forms import ComplexKForm, ComplexTwoForm, form_kernel, power, wedge  # noqa: F401
 from .linalg import (
     DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space, numerical_rank,
     real_span_rank,
@@ -66,24 +69,81 @@ class PowerCriterion:
         return self.ok
 
 
-def is_c_symplectic_rank(omega: ComplexTwoForm) -> RankCriterion:
-    """Kernel criterion: dim_C ker = 2n and ker meets R^{4n} only at 0.
+class RankVerdicts(NamedTuple):
+    """The rank criterion of a stack of forms (N, m, m), one entry per form.
 
-    The real-intersection test runs as a rank check: the real span of the
-    kernel basis' real and imaginary parts must fill all of R^{4n}.
+    ``real_span_rank`` is -1 where the kernel dimension is not m/2.
+    ``singular_values`` (N, m) are each form's, in descending order.
+    ``kernels`` (N, m, m/2) holds the conjugated right singular vectors of
+    the m/2 smallest singular values: an orthonormal kernel basis of each
+    form whose ``kernel_dim`` is m/2.  When m is not a multiple of 4 every
+    form fails undecided: ``kernel_dim`` and ``real_span_rank`` are -1, the
+    singular values and kernels are NaN, and no form is ill-conditioned.
     """
-    m = omega.dim
+
+    ok: np.ndarray
+    kernel_dim: np.ndarray
+    real_span_rank: np.ndarray
+    singular_values: np.ndarray
+    kernels: np.ndarray
+
+    @property
+    def ill_conditioned(self) -> np.ndarray:
+        """A singular value in (cutoff/10, 10 cutoff], cutoff = DEFAULT_TOL *
+        sigma_max: exactly where ``numerical_rank`` at DEFAULT_TOL / 10 and at
+        10 DEFAULT_TOL differ.  Computed on demand; ``induced_structures``
+        does not read it."""
+        s = self.singular_values
+        top = s[:, :1]
+        return ((s > DEFAULT_TOL / 10 * top) != (s > 10 * DEFAULT_TOL * top)).any(axis=-1)
+
+    def criterion(self, i: int) -> RankCriterion:
+        """Form ``i``'s verdict with its reason."""
+        m = self.kernels.shape[-2]
+        kernel_dim, span_rank = int(self.kernel_dim[i]), int(self.real_span_rank[i])
+        if m % 4:
+            reason = "dimension not 4n"
+        elif kernel_dim != m // 2:
+            reason = f"kernel dimension {kernel_dim} != {m // 2}"
+        elif span_rank != m:
+            reason = "kernel contains real vectors"
+        else:
+            reason = ""
+        return RankCriterion(not reason, reason, kernel_dim, span_rank, bool(self.ill_conditioned[i]))
+
+
+def rank_verdicts(omegas: np.ndarray) -> RankVerdicts:
+    """Kernel criterion of stacked forms (N, m, m): dim_C ker = m/2 and ker
+    meets R^m only at 0, in one kernel SVD and one real-span SVD.
+
+    This is the one place a rank verdict is computed; ``is_c_symplectic_rank``
+    is this call on a stack of one, and ``induced_structures`` takes its mask
+    and kernels from it.  A singular value counts as zero at or below
+    DEFAULT_TOL * sigma_max; one in (cutoff/10, 10 cutoff] sets
+    ``ill_conditioned``.  The real-intersection test is a rank check: the
+    real span of the kernel basis' real and imaginary parts must fill R^m.
+    Raises ``PostconditionError`` when max |K^H K - Id| > DEFAULT_TOL over the
+    stack.
+    """
+    count, m = omegas.shape[:2]
+    half = m // 2
     if m % 4:
-        return RankCriterion(False, "dimension not 4n", -1, -1, False)
-    n = m // 4
-    ker = form_kernel(omega)
-    span_rank = -1
-    if ker.dim != 2 * n:
-        reason = f"kernel dimension {ker.dim} != {2 * n}"
-    else:
-        span_rank = ker.subspace.real_span_rank()
-        reason = "" if span_rank == m else "kernel contains real vectors"
-    return RankCriterion(not reason, reason, ker.dim, span_rank, ker.ill_conditioned)
+        unset = np.full(count, -1)
+        nan_kernels = np.full((count, m, half), np.nan + 0j)
+        return RankVerdicts(np.zeros(count, dtype=bool), unset, unset, np.full((count, m), np.nan), nan_kernels)
+    _, s, vh = np.linalg.svd(omegas)
+    kernels = np.swapaxes(vh[:, half:].conj(), -1, -2)
+    residual = max_abs(vh[:, half:] @ kernels - np.eye(half))
+    if not residual <= DEFAULT_TOL:
+        raise PostconditionError(f"kernel bases are not orthonormal (residual {residual:.3e})")
+    kernel_dim = m - numerical_rank(s)
+    span_rank = np.where(kernel_dim == half, real_span_rank(kernels), -1)
+    return RankVerdicts(span_rank == m, kernel_dim, span_rank, s, kernels)
+
+
+def is_c_symplectic_rank(omega: ComplexTwoForm) -> RankCriterion:
+    """Kernel criterion of one form: ``rank_verdicts`` on a stack of one."""
+    return rank_verdicts(omega.matrix[None]).criterion(0)
 
 
 def is_c_symplectic_power(omega: ComplexTwoForm) -> PowerCriterion:
@@ -158,10 +218,9 @@ def induced_structures(omegas: np.ndarray):
 
     This is the one place an induced structure is built and accepted;
     ``induced_complex_structure`` is this call on a stack of one.  A form
-    passes when exactly m/2 singular values are <= DEFAULT_TOL * sigma_max,
-    its kernel's real span fills R^m and its structure meets
-    ``_structure_accepted``; failing forms are not inverted, and their NaN
-    structure is the only record of the failure.
+    passes when ``rank_verdicts`` accepts it and the structure built from its
+    kernel meets ``_structure_accepted``; failing forms are not inverted, and
+    their NaN structure is the only record of the failure.
 
     Each distinct matrix is decided once and its result scattered back to
     every form that repeats it; torus structure fields repeat most nodes
@@ -172,17 +231,15 @@ def induced_structures(omegas: np.ndarray):
     would get decided on its own.
     """
     m = omegas.shape[-1]
-    half = m // 2
     flat = np.ascontiguousarray(omegas).reshape(-1, m, m)
     first = inverse = np.arange(len(flat))
     if len(flat) > 1:  # one form shares nothing; skip np.unique's fixed cost
         keys = flat.reshape(len(flat), m * m).view(np.dtype((np.void, flat.itemsize * m * m)))
         _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     distinct = flat[first]
-    _, s, vh = np.linalg.svd(distinct)
-    kernels = np.swapaxes(vh[..., half:, :].conj(), -1, -2)
-    ok = (numerical_rank(s) == m - half) & (real_span_rank(kernels) == m)
-    real, realness, square, linearity = structures_from_kernels(distinct[ok], kernels[ok])
+    verdicts = rank_verdicts(distinct)
+    ok = verdicts.ok
+    real, realness, square, linearity = structures_from_kernels(distinct[ok], verdicts.kernels[ok])
     passed = _structure_accepted(realness, square, linearity)
     structures = np.full(distinct.shape, np.nan)
     structures[ok] = np.where(passed[:, None, None], real, np.nan)

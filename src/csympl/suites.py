@@ -9,15 +9,16 @@ reproduce identical reports; failing cases serialize enough to replay the
 exact code path.
 
 Every suite except the testbed is a sweep over case functions
-``case(cfg, dim, index) -> (inputs, measurements)``: one seeded instance,
-its named inputs and its ``(check, value, ok[, detail])`` measurements.
-``csympl replay`` rebuilds a case by calling the same function.
+``case(cfg, dim, indices) -> [(inputs, measurements), ...]``: per index of a
+dim's index range, one seeded instance, its named inputs and its
+``(check, value, ok[, detail])`` measurements.  ``csympl replay`` rebuilds a
+case by calling the same function on ``range(index, index + 1)``.
 """
 
 import numbers
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,9 +30,9 @@ from .csymplectic import (
     is_c_isotropic,
     is_c_lagrangian,
     is_c_symplectic_power,
-    is_c_symplectic_rank,
     q_block_form,
     random_c_symplectic,
+    rank_verdicts,
 )
 from .deformation import (
     DEFAULT_T_SAMPLES,
@@ -178,15 +179,16 @@ COUNT_CHECKS = ("criteria-agree", "maximality-brute-force", "section-class")
 
 
 def _sweep(cfg: SuiteConfig, *parts):
-    """Run each part ``(case, dims, samples)`` over its dims and sample
-    indices and fold the measurements into one row per (check, dim), in
-    first-seen order. A row passes when every measurement in it was ok; the
-    first failing measurement in loop order is the failure case."""
+    """Run each part ``(case, dims, samples)`` on each of its dims with the
+    index range ``range(samples)`` and fold the measurements into one row per
+    (check, dim), in first-seen order. A row passes when every measurement in
+    it was ok; the first failing measurement in index order is the failure
+    case."""
     rows, failure = {}, None
     for case, dims, samples in parts:
         for dim in dims:
-            for index in range(samples):
-                for check, value, ok, *detail in case(cfg, dim, index)[1]:
+            for index, (_, measurements) in enumerate(case(cfg, dim, range(samples))):
+                for check, value, ok, *detail in measurements:
                     rows.setdefault((check, dim), []).append((value, ok))
                     if not ok and failure is None:
                         failure = _failure(cfg, check, dim, index, value, *detail)
@@ -248,14 +250,33 @@ def random_lagrangian(space: CSymplecticSpace, rng: np.random.Generator) -> Subs
 # -- case functions ------------------------------------------------------
 
 
-def _criteria_case(cfg: SuiteConfig, dim, index):
-    omega = mixed_two_form(_case_rng(cfg, dim, index), dim)
-    rank_ok = bool(is_c_symplectic_rank(omega))
-    power_ok = bool(is_c_symplectic_power(omega))
-    agree = rank_ok == power_ok
-    return {"omega": omega.matrix}, [("criteria-agree", float(not agree), agree, f"rank={rank_ok} power={power_ok}")]
+def _per_index(case):
+    """Case function over an index range from one ``case(cfg, dim, index)``
+    that builds a single instance."""
+
+    @wraps(case)
+    def cases(cfg: SuiteConfig, dim, indices, **kwargs):
+        return [case(cfg, dim, index, **kwargs) for index in indices]
+
+    return cases
 
 
+def _criteria_case(cfg: SuiteConfig, dim, indices):
+    """Both criteria on mixed forms, each drawn from its own stream: the rank
+    verdicts of the whole range in one stacked call, and each form's power
+    criterion on its own."""
+    omegas = [mixed_two_form(_case_rng(cfg, dim, index), dim) for index in indices]
+    rank_ok = rank_verdicts(np.stack([omega.matrix for omega in omegas])).ok
+    cases = []
+    for omega, rank in zip(omegas, rank_ok.tolist()):
+        power = bool(is_c_symplectic_power(omega))
+        agree = rank == power
+        measurements = [("criteria-agree", float(not agree), agree, f"rank={rank} power={power}")]
+        cases.append(({"omega": omega.matrix}, measurements))
+    return cases
+
+
+@_per_index
 def _induced_case(cfg: SuiteConfig, dim, index):
     """Recover a known structure from its form; the first 20 cases of each
     dim also rescale the form by a random lambda."""
@@ -299,6 +320,7 @@ def _structure_with_form(rng: np.random.Generator, dim: int):
     return structure, omega
 
 
+@_per_index
 def _gram_schmidt_case(cfg: SuiteConfig, dim, index):
     omega = random_c_symplectic(_case_rng(cfg, dim, index), dim)[0]
     b = c_symplectic_basis(omega)
@@ -315,6 +337,7 @@ def _lagrangian_instance(cfg: SuiteConfig, dim, index):
     return rng, space, fiber, {"omega": space.omega.matrix, "fiber basis": fiber.basis}
 
 
+@_per_index
 def _hitchin_case(cfg: SuiteConfig, dim, index):
     _, space, fiber, inputs = _lagrangian_instance(cfg, dim, index)
     q = fiber.orthonormal_basis()
@@ -323,6 +346,7 @@ def _hitchin_case(cfg: SuiteConfig, dim, index):
     return inputs, [("structure-invariance", residual, residual <= DEFAULT_TOL)]
 
 
+@_per_index
 def _maximality_case(cfg: SuiteConfig, dim, index):
     """Dimension test of maximality against a brute-force extension search,
     on its own stream (seed, dim, 10000 + index)."""
@@ -370,6 +394,7 @@ def _brute_force_maximal(subspace: Subspace, omega, rng: np.random.Generator, at
     return True
 
 
+@_per_index
 def _preservance_case(cfg: SuiteConfig, dim, index):
     rng, space, fiber, inputs = _lagrangian_instance(cfg, dim, index)
     projection = LagrangianProjection.build(space, fiber)
@@ -379,6 +404,7 @@ def _preservance_case(cfg: SuiteConfig, dim, index):
     return inputs, [("preservance", report.max_residual, report.ok())]
 
 
+@_per_index
 def _section_theorem_case(cfg: SuiteConfig, dim, index):
     rng, space, fiber, inputs = _lagrangian_instance(cfg, dim, index)
     section = LinearSection.random(LagrangianProjection.build(space, fiber), rng)
@@ -387,6 +413,7 @@ def _section_theorem_case(cfg: SuiteConfig, dim, index):
     return inputs, [("holomorphize", certificate.max_residual, certificate.ok())]
 
 
+@_per_index
 def _section_class_case(cfg: SuiteConfig, dim, index, lattice=None):
     lattice = standard_k3_lattice() if lattice is None else lattice
     e = random_primitive_isotropic(lattice, _case_rng(cfg, index))
@@ -403,6 +430,7 @@ def _section_class_case(cfg: SuiteConfig, dim, index, lattice=None):
 TWISTOR_BASE = ([1, 1] + [0] * 20, [0, 0, 1, 1] + [0] * 18, [0] * 4 + [1] + [0] * 17)
 
 
+@_per_index
 def _twistor_case(cfg: SuiteConfig, dim, index, lattice=None):
     """One twistor curve: the parameter substitution, then one measurement
     per plane of a 10 x 10 sweep, its Gram matrix's deviation from the first
@@ -667,7 +695,8 @@ def describe_case(case: dict, cfg: SuiteConfig):
             inputs = {"section modes": section.modes, **inputs}
         measurements = []
     else:
-        inputs, measurements = CASES[case["check"]](cfg, case["dim"], case["index"])
+        index = case["index"]
+        inputs, measurements = CASES[case["check"]](cfg, case["dim"], range(index, index + 1))[0]
     with np.printoptions(precision=6, suppress=False, linewidth=140):
         for name, value in inputs.items():
             print(f"{name}:\n{value}")

@@ -1,12 +1,15 @@
 """Recognition criteria, induced structures, canonical bases, Lagrangians."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from csympl import csymplectic, kernels
+from csympl import csymplectic, kernels, suites
 from csympl.csymplectic import (
     CSymplecticSpace,
     Q_BLOCK,
+    RankCriterion,
     _structure_accepted,
     c_symplectic_basis,
     hodge_decompose,
@@ -18,6 +21,7 @@ from csympl.csymplectic import (
     is_c_symplectic_rank,
     q_block_form,
     random_c_symplectic,
+    rank_verdicts,
     structures_from_kernels,
 )
 from csympl.deformation import LagrangianProjection
@@ -125,6 +129,179 @@ def test_criteria_agree_under_perturbations_off_the_boundary():
         rank = is_c_symplectic_rank(perturbed)
         power = is_c_symplectic_power(perturbed)
         assert bool(rank) == bool(power) == expected, (eps, rank.reason, power.reason)
+
+
+# -- stacked rank verdicts ----------------------------------------------------
+
+
+def rank_criterion_reference(omega):
+    """The per-form rank criterion that ``rank_verdicts`` replaced: the kernel
+    of ``form_kernel`` and the real-span rank of ``Subspace.real_span_rank``."""
+    m = omega.dim
+    if m % 4:
+        return RankCriterion(False, "dimension not 4n", -1, -1, False)
+    n = m // 4
+    ker = form_kernel(omega)
+    span_rank = -1
+    if ker.dim != 2 * n:
+        reason = f"kernel dimension {ker.dim} != {2 * n}"
+    else:
+        span_rank = ker.subspace.real_span_rank()
+        reason = "" if span_rank == m else "kernel contains real vectors"
+    return RankCriterion(not reason, reason, ker.dim, span_rank, ker.ill_conditioned)
+
+
+def assert_verdicts_are_the_reference(forms):
+    """Each form's stacked verdict, and ``is_c_symplectic_rank``, equal the
+    reference in all five fields, with exactly typed values; each kernel
+    whose dimension is m/2 is ``form_kernel``'s basis, bit for bit.
+    Returns the reference verdicts."""
+    verdicts = rank_verdicts(np.stack([omega.matrix for omega in forms]))
+    references = []
+    for i, omega in enumerate(forms):
+        expected = rank_criterion_reference(omega)
+        for got in (verdicts.criterion(i), is_c_symplectic_rank(omega)):
+            assert got == expected
+            assert [type(value) for value in dataclasses.astuple(got)] == [bool, str, int, int, bool]
+        if expected.kernel_dim == omega.dim // 2:
+            assert verdicts.kernels[i].tobytes() == form_kernel(omega).subspace.basis.tobytes()
+        references.append(expected)
+    return references
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_rank_verdicts_are_the_per_form_path_on_mixed_forms(dim):
+    forms = [suites.mixed_two_form(np.random.default_rng([dim, i]), dim) for i in range(200)]
+    references = assert_verdicts_are_the_reference(forms)
+    reasons = {reference.reason for reference in references}
+    assert reasons == {"", f"kernel dimension 0 != {dim // 2}", "kernel contains real vectors"}
+
+
+def near_cutoff_witnesses(dim, count=3, steps=41):
+    """omega + eps B for c-symplectic omega and a complex skew B with
+    |B| = |omega|, at log-spaced eps in [1e-14, 1e-4], seeds [2026, dim, k]:
+    the rank cutoff flips inside that range."""
+    forms = []
+    for k in range(count):
+        rng = np.random.default_rng([2026, dim, k])
+        omega = random_c_symplectic(rng, dim)[0]
+        noise = complex_gaussian_form(rng, dim)
+        noise = noise * (omega.norm() / noise.norm())
+        forms.extend(omega + noise * eps for eps in np.logspace(-14, -4, steps))
+    return forms
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_rank_verdicts_are_the_per_form_path_near_the_cutoff(dim):
+    references = assert_verdicts_are_the_reference(near_cutoff_witnesses(dim))
+    flags = [reference.ill_conditioned for reference in references]
+    oks = [reference.ok for reference in references]
+    assert any(flags) and not all(flags)
+    assert any(oks) and not all(oks)
+
+
+@pytest.mark.parametrize("dim", [2, 6, 7])
+def test_rank_verdicts_are_the_per_form_path_off_multiples_of_four(dim):
+    forms = [complex_gaussian_form(np.random.default_rng([dim, i]), dim) for i in range(5)]
+    forms.append(ComplexTwoForm(np.zeros((dim, dim))))
+    references = assert_verdicts_are_the_reference(forms)
+    assert {reference.reason for reference in references} == {"dimension not 4n"}
+    assert np.isnan(rank_verdicts(np.stack([omega.matrix for omega in forms])).kernels).all()
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_a_forms_verdict_in_a_stack_is_its_verdict_alone(dim):
+    forms = [suites.mixed_two_form(np.random.default_rng([dim, 1000 + i]), dim) for i in range(50)]
+    stack = np.stack([omega.matrix for omega in forms])
+    verdicts = rank_verdicts(stack)
+    for i in range(len(forms)):
+        alone = rank_verdicts(stack[i : i + 1])
+        assert verdicts.criterion(i) == alone.criterion(0)
+        assert verdicts.kernels[i].tobytes() == alone.kernels[0].tobytes()
+    assert 0 < verdicts.ok.sum() < len(forms)
+
+
+def test_empty_stack_has_no_verdicts():
+    verdicts = rank_verdicts(np.zeros((0, 8, 8), dtype=np.complex128))
+    assert [len(field) for field in verdicts] == [0, 0, 0, 0, 0]
+    assert verdicts.kernels.shape == (0, 8, 4)
+
+
+@pytest.mark.parametrize("scale", [1.5, np.nan])
+def test_rank_verdicts_check_their_kernel_bases_are_orthonormal(scale, monkeypatch):
+    svd = np.linalg.svd
+
+    def scaled_svd(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        return u, s, vh * scale
+
+    monkeypatch.setattr(np.linalg, "svd", scaled_svd)
+    with pytest.raises(PostconditionError, match="not orthonormal"):
+        rank_verdicts(np.stack([Q_BLOCK, 2 * Q_BLOCK]))
+    with pytest.raises(PostconditionError, match="not orthonormal"):
+        is_c_symplectic_rank(q_block_form(2))
+
+
+def reference_criteria_sweep(cfg, power_verdicts):
+    """``criteria-equivalence`` case by case: each form's rank verdict from
+    the reference and its power verdict from ``power_verdicts``, by matrix
+    bytes, folded into rows and a first failure as the sweep folds them."""
+    rows, failure = [], None
+    for dim in cfg.dims:
+        failing = 0
+        for index in range(cfg.samples):
+            omega = suites.mixed_two_form(np.random.default_rng([cfg.seed, dim, index]), dim)
+            rank, power = rank_criterion_reference(omega).ok, power_verdicts[omega.matrix.tobytes()]
+            if rank != power:
+                failing += 1
+                if failure is None:
+                    failure = suites._failure(cfg, "criteria-agree", dim, index, 1.0, f"rank={rank} power={power}")
+        rows.append(suites._check_row("criteria-agree", dim, cfg.samples, failing, failing == 0, cfg.seed))
+    return rows, failure
+
+
+def recording_power(monkeypatch, fail_on=None):
+    """Patch the suite's power criterion to record each form's verdict by its
+    matrix bytes, and to fail the form whose bytes are ``fail_on``."""
+    verdicts, power = {}, suites.is_c_symplectic_power
+
+    def record(omega):
+        verdict = power(omega)
+        if omega.matrix.tobytes() == fail_on:
+            verdict = dataclasses.replace(verdict, ok=False, reason="forced")
+        verdicts[omega.matrix.tobytes()] = verdict.ok
+        return verdict
+
+    monkeypatch.setattr(suites, "is_c_symplectic_power", record)
+    return verdicts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20260810])
+def test_criteria_equivalence_is_the_per_case_sweep_at_acceptance_size(seed, monkeypatch):
+    # the power verdicts are the suite's own, recorded, so that each of the
+    # 1500 forms runs its wedge chain once; the rank verdicts and the folding
+    # are the reference's
+    cfg = suites.SuiteConfig(suite="criteria-equivalence", seed=seed)
+    assert (cfg.dims, cfg.samples) == ((4, 8, 12), 500)
+    power_verdicts = recording_power(monkeypatch)
+    report = suites.run_suite(cfg)
+    assert len(power_verdicts) == 1500
+    assert (report.checks, report.failure_case) == reference_criteria_sweep(cfg, power_verdicts)
+
+
+def test_a_forced_disagreement_replays_with_the_sweeps_detail(monkeypatch, capsys):
+    cfg = suites.SuiteConfig(suite="criteria-equivalence", dims=(4, 8), samples=20, seed=1)
+    forms = [suites.mixed_two_form(np.random.default_rng([1, 8, index]), 8) for index in range(20)]
+    index = next(i for i in range(5, 20) if rank_criterion_reference(forms[i]).ok)
+    power_verdicts = recording_power(monkeypatch, fail_on=forms[index].matrix.tobytes())
+    report = suites.run_suite(cfg)
+    assert (report.checks, report.failure_case) == reference_criteria_sweep(cfg, power_verdicts)
+    case = report.failure_case
+    assert (case["dim"], case["index"], case["detail"]) == (8, index, "rank=True power=False")
+    assert [row["max_residual"] for row in report.checks] == [0.0, 1.0]
+    capsys.readouterr()
+    suites.describe_case(case, suites.case_config(case))
+    assert f"criteria-agree: 1.000000e+00 ok=False {case['detail']}" in capsys.readouterr().out.splitlines()
 
 
 # -- power criterion: the pairing as Omega^n ^ conj(Omega^n) ------------------
@@ -280,9 +457,10 @@ def test_stacked_verdict_is_bitwise_the_undeduplicated_one(omegas):
 
 def single_form_structure(omega):
     """The per-form path that ``induced_structures`` replaced, as the reference:
-    the rank criterion, ``form_kernel``'s basis, ``structures_from_kernels``
-    and the acceptance; None where that path raised."""
-    if not is_c_symplectic_rank(omega):
+    the reference rank criterion, ``form_kernel``'s basis,
+    ``structures_from_kernels`` and the acceptance; None where that path
+    raised."""
+    if not rank_criterion_reference(omega):
         return None
     real, *residuals = structures_from_kernels(omega.matrix, form_kernel(omega).subspace.basis)
     return real if _structure_accepted(*residuals) else None

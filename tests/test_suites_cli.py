@@ -220,7 +220,7 @@ def passing_report(cfg):
 def raising_preservance_case(monkeypatch):
     """Make every preservance case raise mid-run, as a broken postcondition would."""
 
-    def raising(cfg, dim, index):
+    def raising(cfg, dim, indices):
         raise PostconditionError("deformed form failed c-symplecticity")
 
     monkeypatch.setattr(suites, "_preservance_case", raising)
@@ -516,11 +516,12 @@ def test_replay_rebuilds_the_inputs_each_check_measured(monkeypatch, capsys):
     used = {}
 
     def recording(case):
-        def record(cfg, dim, index, **kwargs):
-            inputs, measurements = case(cfg, dim, index, **kwargs)
-            for check, *_ in measurements:
-                used[cfg.suite, check, dim, index] = inputs
-            return inputs, measurements
+        def record(cfg, dim, indices, **kwargs):
+            cases = case(cfg, dim, indices, **kwargs)
+            for index, (inputs, measurements) in zip(indices, cases, strict=True):
+                for check, *_ in measurements:
+                    used[cfg.suite, check, dim, index] = inputs
+            return cases
 
         return record
 
@@ -598,7 +599,7 @@ def test_invalid_twistor_direction_fails_every_plane(monkeypatch):
         raise ValueError("(e, e) != 0: direction must be isotropic")
 
     monkeypatch.setattr(suites, "TwistorCurve", reject)
-    _, measurements = suites._twistor_case(SuiteConfig(suite="twistor-curve", samples=10, seed=0), 22, 0)
+    _, measurements = suites._twistor_case(SuiteConfig(suite="twistor-curve", samples=10, seed=0), 22, range(1))[0]
     planes = [m for m in measurements if m[0] == "plane-gram-constant"]
     assert len(planes) == 100
     for _, deviation, ok, detail in planes:
@@ -606,28 +607,51 @@ def test_invalid_twistor_direction_fails_every_plane(monkeypatch):
         assert detail.startswith("plane (") and detail.endswith("): (e, e) != 0: direction must be isotropic")
 
 
-def test_lattice_twistor_param_cli(capsys):
+def twistor_param_args(omega_re_first="1", omega_im_first="0"):
+    """``lattice twistor-param`` at the standard period point, with the first
+    entries of --omega-re and --omega-im given."""
     zeros = ["0"] * 22
     omega_re = list(zeros)
-    omega_re[0] = omega_re[1] = "1"
+    omega_re[0], omega_re[1] = omega_re_first, "1"
     omega_im = list(zeros)
+    omega_im[0] = omega_im_first
     omega_im[2] = omega_im[3] = "1"
     s_vec = list(zeros)
     e_vec = list(zeros)
     e_vec[4] = "1"
     s_vec[5] = "1"  # (s, e) = 1 via the U pairing
-    code = main(
-        [
-            "lattice", "twistor-param",
-            "--s", ",".join(s_vec),
-            "--e", ",".join(e_vec),
-            "--omega-re", ",".join(omega_re),
-            "--omega-im", ",".join(omega_im),
-        ]
-    )
-    assert code == 0
+    return [
+        "lattice", "twistor-param",
+        "--s", ",".join(s_vec),
+        "--e", ",".join(e_vec),
+        "--omega-re=" + ",".join(omega_re),  # "=" so that a leading "-inf" is not read as an option
+        "--omega-im=" + ",".join(omega_im),
+    ]
+
+
+def test_lattice_twistor_param_cli(capsys):
+    assert main(twistor_param_args()) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["substitution_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("option", ["--omega-re", "--omega-im"])
+@pytest.mark.parametrize("value", ["1", "1,1"])
+def test_lattice_twistor_param_rejects_a_short_period(option, value, capsys):
+    # a period vector of length 1 must not broadcast against the other one
+    args = [arg for arg in twistor_param_args() if not arg.startswith(option)] + [option, value]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "all vectors must have length 22" in out.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["--omega-re", "--omega-im"])
+def test_lattice_twistor_param_rejects_a_non_finite_period(option, value, capsys):
+    args = twistor_param_args(**{"omega_re_first" if option == "--omega-re" else "omega_im_first": value})
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"{option} entries must be finite" in out.err
 
 
 def test_lattice_curve_cli(capsys):
@@ -642,6 +666,14 @@ def test_lattice_curve_rejects_bad_grid_or_extent(option, value, capsys):
     assert main(["lattice", "curve", option, value]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "--grid must be at least 1 and --extent finite" in out.err
+
+
+@pytest.mark.parametrize("extent, grid", [("1e308", "2"), ("1e308", "1"), ("-1e308", "10"), ("1.7e308", "3")])
+def test_lattice_curve_rejects_an_extent_whose_sweep_overflows(extent, grid, capsys):
+    # finite, but linspace's step overflows and the sweep points are NaN
+    assert main(["lattice", "curve", f"--extent={extent}", "--grid", grid]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--extent finite with finite sweep points" in out.err
 
 
 def test_twistor_plane_grams_are_exact_on_a_seed_that_rounded_past_the_bound():
