@@ -19,7 +19,6 @@ from .csymplectic import (
     induced_structures,
     is_c_lagrangian,
     is_c_symplectic_power,
-    is_c_symplectic_rank,
 )
 from .forms import ComplexTwoForm
 from .linalg import DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space
@@ -213,12 +212,12 @@ class DeformationFamily:
         criteria: all members in one ``induced_structures`` call (the rank
         criterion), each member by its own power criterion."""
         forms = [self.form(t) for t in t_samples]
-        stacked = induced_structures(np.stack([omega_t.matrix for omega_t in forms]))
-        for omega_t, structure in zip(forms, stacked):
+        stacked, verdicts = induced_structures(np.stack([omega_t.matrix for omega_t in forms]))
+        for i, (omega_t, structure) in enumerate(zip(forms, stacked)):
             power_check = is_c_symplectic_power(omega_t)
             rank_reason = "ok"
             if np.isnan(structure).any():
-                rank_reason = is_c_symplectic_rank(omega_t).reason or "induced structure rejected"
+                rank_reason = verdicts.criterion(i).reason or "induced structure rejected"
             if rank_reason != "ok" or not power_check:
                 raise PostconditionError(
                     f"deformed form failed c-symplecticity: rank: {rank_reason}; power: {power_check.reason or 'ok'}"

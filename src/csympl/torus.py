@@ -240,7 +240,7 @@ def deformed_structure_field(eta: np.ndarray, t: complex) -> np.ndarray:
         raise ValueError("two-form field is not skew")
     # eta is never a temporary, so numpy never computes this product in
     # place, which at complex t rounds differently and only on large grids
-    return induced_structures(Q_BLOCK + complex(t) * eta)
+    return induced_structures(Q_BLOCK + complex(t) * eta)[0]
 
 
 def failed_nodes(structures: np.ndarray) -> int:

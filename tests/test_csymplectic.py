@@ -390,7 +390,7 @@ def test_stacked_verdict_matches_the_single_form_path():
 
     for dim in (4, 8, 12):
         forms = [mixed_two_form(np.random.default_rng([dim, i]), dim) for i in range(150)]
-        structures = induced_structures(np.stack([omega.matrix for omega in forms]))
+        structures, _ = induced_structures(np.stack([omega.matrix for omega in forms]))
         ok = ~np.isnan(structures).any(axis=(-1, -2))
         assert ok.tolist() == [is_c_symplectic_rank(omega).ok for omega in forms]
         assert 0 < ok.sum() < len(forms)
@@ -445,7 +445,7 @@ def stacked_cases():
 
 @pytest.mark.parametrize("omegas", [pytest.param(v, id=k) for k, v in stacked_cases().items()])
 def test_stacked_verdict_is_bitwise_the_undeduplicated_one(omegas):
-    structures = induced_structures(omegas)
+    structures, _ = induced_structures(omegas)
     ok = ~np.isnan(structures).any(axis=(-1, -2))
     expected, expected_ok = undeduplicated_induced_structures(omegas)
     assert structures.shape == omegas.shape and ok.shape == omegas.shape[:-2]
@@ -453,6 +453,129 @@ def test_stacked_verdict_is_bitwise_the_undeduplicated_one(omegas):
     assert structures.tobytes() == expected.tobytes()
     assert np.array_equal(ok, expected_ok)
     assert np.isnan(structures[~ok]).all()
+
+
+def section_field_stack():
+    """The grid-64 section form's t = -1 stack, 4096 distinct nodes."""
+    cfg = suites.SuiteConfig(suite="testbed-nijenhuis", grid_n=64)
+    return Q_BLOCK + complex(-1.0) * suites.testbed_inputs(cfg)[1][64]
+
+
+@pytest.mark.parametrize(
+    "omegas",
+    [pytest.param(v, id=k) for k, v in stacked_cases().items()] + [pytest.param(section_field_stack(), id="grid-64")],
+)
+def test_chunked_verdict_is_bitwise_the_undeduplicated_one(omegas, monkeypatch):
+    import threading
+
+    expected, _ = undeduplicated_induced_structures(omegas)
+    expected_verdicts = rank_verdicts(omegas.reshape(-1, *omegas.shape[-2:]))
+    decide, threads = csymplectic._decide_distinct, []
+
+    def recording(chunk):
+        threads.append(threading.get_ident())
+        return decide(chunk)
+
+    monkeypatch.setattr(csymplectic, "_decide_distinct", recording)
+    for chunk in (1, 7):
+        for cpus in (1, 3):
+            threads.clear()
+            monkeypatch.setattr(csymplectic, "CHUNK", chunk)
+            monkeypatch.setattr(csymplectic, "_cpu_count", lambda: cpus)
+            structures, verdicts = induced_structures(omegas)
+            assert structures.tobytes() == expected.tobytes()
+            assert [field.tobytes() for field in verdicts] == [field.tobytes() for field in expected_verdicts]
+            # one CPU or one chunk runs on the calling thread alone, else the pool shares the chunks
+            assert threading.get_ident() in threads
+            assert (len(set(threads)) == 1) == (cpus == 1 or len(threads) == 1)
+
+
+def test_a_postcondition_in_a_worker_chunk_reaches_the_caller(monkeypatch):
+    import threading
+
+    svd, caller = np.linalg.svd, threading.get_ident()
+
+    def scaled_svd(a, *args, **kwargs):  # scales the kernel SVDs of the pool's chunks only
+        if threading.get_ident() == caller or kwargs.get("compute_uv") is False:
+            return svd(a, *args, **kwargs)
+        u, s, vh = svd(a, *args, **kwargs)
+        return u, s, vh * 1.5
+
+    monkeypatch.setattr(csymplectic, "CHUNK", 1)
+    monkeypatch.setattr(csymplectic, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(np.linalg, "svd", scaled_svd)
+    with pytest.raises(PostconditionError, match="not orthonormal"):
+        induced_structures(np.stack([Q_BLOCK, 2 * Q_BLOCK, 3 * Q_BLOCK]))
+
+
+def test_concurrent_callers_share_one_pool_and_keep_their_bits(monkeypatch):
+    import concurrent.futures
+    import sys
+    import threading
+    import time
+
+    stacks = list(stacked_cases().values())
+    expected = [undeduplicated_induced_structures(omegas)[0].tobytes() for omegas in stacks]
+    pools, executor = [], concurrent.futures.ThreadPoolExecutor
+
+    def slow_executor(**kwargs):  # widens the window between finding no pool and storing one
+        time.sleep(0.01)
+        pools.append(executor(**kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", slow_executor)
+    monkeypatch.setattr(csymplectic, "_pool", [])
+    monkeypatch.setattr(csymplectic, "CHUNK", 7)
+    monkeypatch.setattr(csymplectic, "_cpu_count", lambda: 3)
+    got, start = {}, threading.Barrier(3 * len(stacks))
+
+    def call(i):
+        start.wait(timeout=60)
+        got[i] = induced_structures(stacks[i % len(stacks)])[0].tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(3 * len(stacks))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in pools:
+            pool.shutdown()
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(pools) == 1
+    assert got == {i: expected[i % len(stacks)] for i in range(3 * len(stacks))}
+
+
+def test_small_runs_never_import_concurrent_futures(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import csympl
+
+    package_root = str(Path(csympl.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from csympl.cli import main\n"
+        "for suite in ('criteria-equivalence', 'induced-structure'):\n"
+        "    main(['run', '--suite', suite, '--dims', '4,8', '--n', '5', '--out', suite + '.json'])\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def single_form_structure(omega):

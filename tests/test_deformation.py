@@ -322,6 +322,22 @@ def test_preservance_svds_each_deformed_form_once(svd_inputs):
         assert svd_count(svd_inputs, family.form(t).matrix) == 1
 
 
+def test_a_failing_form_is_decomposed_once(svd_inputs, monkeypatch):
+    # a failure's reason is read off the verdict that decided the form
+    omega = ComplexTwoForm(np.kron(np.diag([1.0, 0.0]), q_block_form(1).matrix))
+    with pytest.raises(ValueError, match=r"\(rank criterion\): kernel dimension 6 != 4$"):
+        induced_complex_structure(omega)
+    assert svd_count(svd_inputs, omega.matrix) == 1
+    proj, rng = random_setup(8, 32)
+    family = DeformationFamily.build(proj, random_base_form(proj, rng))
+    monkeypatch.setattr(csymplectic, "_structure_accepted", lambda realness, *_: np.zeros(len(realness), dtype=bool))
+    svd_inputs.clear()
+    with pytest.raises(PostconditionError, match="rank: induced structure rejected; power: ok$"):
+        family.structures(DEFAULT_T_SAMPLES)
+    for t in DEFAULT_T_SAMPLES:
+        assert svd_count(svd_inputs, family.form(t).matrix) == 1
+
+
 def test_residual_folds_keep_a_nan():
     nan = float("nan")
     assert np.isnan(PreservanceReport((), True, 0.0, nan, 0.0).max_residual)
@@ -438,8 +454,14 @@ def test_deformed_form_failing_c_symplecticity_raises(monkeypatch):
     gamma = random_base_form(proj, rng)
 
     with monkeypatch.context() as patch:
-        patch.setattr(deformation, "induced_structures", lambda omegas: induced_structures(np.zeros_like(omegas)))
+        # the rank verdict passes and the acceptance rejects the structure
+        patch.setattr(csymplectic, "_structure_accepted", lambda realness, *_: np.zeros(len(realness), dtype=bool))
         with pytest.raises(PostconditionError, match="deformed form failed c-symplecticity: rank: induced structure"):
+            deform(proj, gamma, 0.5)
+    with monkeypatch.context() as patch:
+        # the reason is the verdict of the form decided, here a zero form
+        patch.setattr(deformation, "induced_structures", lambda omegas: induced_structures(np.zeros_like(omegas)))
+        with pytest.raises(PostconditionError, match="rank: kernel dimension 4 != 2; power: ok$"):
             deform(proj, gamma, 0.5)
     zero_power = is_c_symplectic_power(ComplexTwoForm(np.zeros((4, 4))))
     monkeypatch.setattr(deformation, "is_c_symplectic_power", lambda omega: zero_power)

@@ -1,6 +1,8 @@
 """The claim arithmetic of tools/record_bench.py's pair mode."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -84,3 +86,30 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     unseparated = tail_runs([0.019, 0.030, 0.020, 0.021])
     assert not record_bench.claim_metrics(TAIL, narrow, unseparated)["latency_tail_s"]["unresolved"]
 
+
+
+def test_a_pair_run_keeps_the_cpus_it_ran_on(monkeypatch, tmp_path):
+    detail = {"workload": "testbed", "provenance": {"cpu": "Example CPU", "nproc": 2, "numpy": "2.4.6"}}
+    metrics = {"throughput_rps": {"value": 8.9, "unit": "1/s"}}
+    result = {"correct": True, "attempted": 12, "failed": 0, "metrics": metrics}
+    stdout = json.dumps(detail) + "\n" + json.dumps(result) + "\n"
+    commands = []
+
+    def run(command, **kwargs):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(record_bench.subprocess, "run", run)
+    got = record_bench.run_checkout(tmp_path, "testbed", 25001, 12.0)
+    assert got == {
+        "seed": 25001,
+        "provenance": {"cpu": "Example CPU", "nproc": 2},
+        "correct": True,
+        "attempted": 12,
+        "failed": 0,
+        "metrics": {"throughput_rps": 8.9},
+    }
+    assert commands[0][1:] == [
+        str(tmp_path / "perfbench" / "run.py"), "--workload", "testbed", "--seed", "25001", "--seconds", "12.0",
+        "--trace", "0",
+    ]  # fmt: skip

@@ -310,20 +310,37 @@ def distinct_nodes(eta, t):
 
 @pytest.mark.parametrize("control", ["closed", "nonclosed"])
 def test_testbed_decides_each_distinct_node_once(control, monkeypatch):
-    stacks = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **k: stacks.append(a.shape[:-2]) or svd(a, *args, **k))
+    # one list per structure field: the stack sizes of its kernel SVDs (complex
+    # forms) and of its real-span SVDs (real), appended by the chunks' threads
+    fields = []
+    svd, induce = np.linalg.svd, torus.induced_structures
+
+    def recording_svd(a, *args, **kwargs):
+        fields[-1]["kernel" if np.iscomplexobj(a) else "real-span"].append(a.shape[:-2])
+        return svd(a, *args, **kwargs)
+
+    def recording_induce(omegas):
+        fields.append({"kernel": [], "real-span": []})
+        return induce(omegas)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(torus, "induced_structures", recording_induce)
     t = 0.5 if control == "nonclosed" else -1.0
     cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=64, control=control, t_value=t)
     assert run_suite(cfg).passed
     eta = suites.testbed_inputs(cfg)[1][64]
     if control == "closed":  # the section's field at t = -1, then the closed control's at t = 1
-        fields = [distinct_nodes(eta, t), distinct_nodes(torus.closed_control_form(torus.TorusGrid(len(eta))), 1.0)]
+        counts = [distinct_nodes(eta, t), distinct_nodes(torus.closed_control_form(torus.TorusGrid(len(eta))), 1.0)]
     else:
-        fields = [distinct_nodes(eta, t)]
-    assert fields[-1] < 64 * 64
-    # each field's full SVD and its kernels' real-span SVD
-    assert stacks == [(count,) for count in fields for _ in range(2)]
+        counts = [distinct_nodes(eta, t)]
+    assert counts[-1] < 64 * 64
+    assert len(fields) == len(counts)
+    for field, count in zip(fields, counts):
+        # each distinct node in exactly one kernel SVD chunk, and each chunk's
+        # kernels in one real-span SVD of the same size
+        sizes = [size for (size,) in field["kernel"]]
+        assert sum(sizes) == count and max(sizes) <= csymplectic.CHUNK
+        assert sorted(field["real-span"]) == sorted(field["kernel"])
 
 
 def test_coarse_rows_at_complex_t_are_the_half_grid_runs_fine_rows():

@@ -134,15 +134,17 @@ def worktree(rev: str):
 
 
 def run_checkout(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run of the ``perfbench/run.py`` of checkout ``root``."""
+    """One ``--trace 0`` run of the ``perfbench/run.py`` of checkout ``root``,
+    with the CPU model and CPU count of its detail line's provenance."""
     command = [
         sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0",
     ]  # fmt: skip
     proc = subprocess.run(command, cwd=root, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    detail, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
     return {
         "seed": seed,
+        "provenance": {key: detail["provenance"][key] for key in ("cpu", "nproc")},
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
