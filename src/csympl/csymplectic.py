@@ -4,10 +4,12 @@ A complex-valued 2-form on R^{4n} is c-symplectic when its kernel inside
 the complexification has complex dimension 2n and contains no real vector;
 equivalently its (n+1)-st wedge power vanishes while Omega^n ^ conj(Omega^n)
 = (Omega ^ conj Omega)^n (even-degree forms commute) does not.  Such a form
-determines a unique complex structure (multiplication by -i on the kernel),
-and this module builds it, splits 2-forms into Hodge components, produces
-canonical bases with the 4x4 block Q on the diagonal, and handles
-c-isotropic / c-Lagrangian subspaces.
+determines a unique complex structure I, the one with I^T Omega = i Omega:
+with Omega = R + iJ (R, J real) that is I = -R^{-1} J.  R is invertible:
+Omega(x, Iy) = i Omega(x, y) gives J(x, y) = -R(x, Iy), so R x = 0 for a
+real x would put x in ker Omega.  This module builds it, splits 2-forms
+into Hodge components, produces canonical bases with the 4x4 block Q on
+the diagonal, and handles c-isotropic / c-Lagrangian subspaces.
 """
 
 import os
@@ -75,19 +77,16 @@ class RankVerdicts(NamedTuple):
     """The rank criterion of a stack of forms (N, m, m), one entry per form.
 
     ``real_span_rank`` is -1 where the kernel dimension is not m/2.
-    ``singular_values`` (N, m) are each form's, in descending order.
-    ``kernels`` (N, m, m/2) holds the conjugated right singular vectors of
-    the m/2 smallest singular values: an orthonormal kernel basis of each
-    form whose ``kernel_dim`` is m/2.  When m is not a multiple of 4 every
-    form fails undecided: ``kernel_dim`` and ``real_span_rank`` are -1, the
-    singular values and kernels are NaN, and no form is ill-conditioned.
+    ``singular_values`` (N, m) are each form's, in descending order.  When
+    m is not a multiple of 4 every form fails undecided: ``kernel_dim`` and
+    ``real_span_rank`` are -1, the singular values are NaN, and no form is
+    ill-conditioned.
     """
 
     ok: np.ndarray
     kernel_dim: np.ndarray
     real_span_rank: np.ndarray
     singular_values: np.ndarray
-    kernels: np.ndarray
 
     @property
     def ill_conditioned(self) -> np.ndarray:
@@ -101,7 +100,7 @@ class RankVerdicts(NamedTuple):
 
     def criterion(self, i: int) -> RankCriterion:
         """Form ``i``'s verdict with its reason."""
-        m = self.kernels.shape[-2]
+        m = self.singular_values.shape[-1]
         kernel_dim, span_rank = int(self.kernel_dim[i]), int(self.real_span_rank[i])
         if m % 4:
             reason = "dimension not 4n"
@@ -120,7 +119,7 @@ def rank_verdicts(omegas: np.ndarray) -> RankVerdicts:
 
     This is the one place a rank verdict is computed; ``is_c_symplectic_rank``
     is this call on a stack of one, and ``induced_structures`` takes its mask
-    and kernels from it.  A singular value counts as zero at or below
+    from it.  A singular value counts as zero at or below
     DEFAULT_TOL * sigma_max; one in (cutoff/10, 10 cutoff] sets
     ``ill_conditioned``.  The real-intersection test is a rank check: the
     real span of the kernel basis' real and imaginary parts must fill R^m.
@@ -131,8 +130,7 @@ def rank_verdicts(omegas: np.ndarray) -> RankVerdicts:
     half = m // 2
     if m % 4:
         unset = np.full(count, -1)
-        nan_kernels = np.full((count, m, half), np.nan + 0j)
-        return RankVerdicts(np.zeros(count, dtype=bool), unset, unset, np.full((count, m), np.nan), nan_kernels)
+        return RankVerdicts(np.zeros(count, dtype=bool), unset, unset, np.full((count, m), np.nan))
     _, s, vh = np.linalg.svd(omegas)
     kernels = np.swapaxes(vh[:, half:].conj(), -1, -2)
     residual = max_abs(vh[:, half:] @ kernels - np.eye(half))
@@ -140,7 +138,7 @@ def rank_verdicts(omegas: np.ndarray) -> RankVerdicts:
         raise PostconditionError(f"kernel bases are not orthonormal (residual {residual:.3e})")
     kernel_dim = m - numerical_rank(s)
     span_rank = np.where(kernel_dim == half, real_span_rank(kernels), -1)
-    return RankVerdicts(span_rank == m, kernel_dim, span_rank, s, kernels)
+    return RankVerdicts(span_rank == m, kernel_dim, span_rank, s)
 
 
 def is_c_symplectic_rank(omega: ComplexTwoForm) -> RankCriterion:
@@ -175,9 +173,8 @@ def is_c_symplectic_power(omega: ComplexTwoForm) -> PowerCriterion:
 def induced_complex_structure(omega: ComplexTwoForm) -> ComplexStructure:
     """The unique complex structure making omega a nondegenerate (2,0)-form.
 
-    Acts as multiplication by -i on ker(omega) and by +i on the conjugate
-    kernel; realness follows from self-conjugacy of that prescription.
-    This is ``induced_structures`` on a stack of one.  Raises on
+    The real I with I^T omega = i omega, so -i on ker(omega) and +i on its
+    conjugate.  This is ``induced_structures`` on a stack of one.  Raises on
     non-c-symplectic input, naming the failing criterion from the verdict
     that call made.
     """
@@ -188,28 +185,25 @@ def induced_complex_structure(omega: ComplexTwoForm) -> ComplexStructure:
     return ComplexStructure(omega.dim, structures[0])
 
 
-def _structure_accepted(realness, square, linearity):
-    """Acceptance of stacked ``structures_from_kernels`` residuals."""
-    return (realness <= DEFAULT_TOL) & (square <= STRUCTURE_TOL) & (linearity <= STRUCTURE_TOL)
+def _structure_accepted(square, linearity):
+    """Acceptance of stacked ``structures_from_forms`` residuals."""
+    return (square <= STRUCTURE_TOL) & (linearity <= STRUCTURE_TOL)
 
 
-def structures_from_kernels(omegas: np.ndarray, kernels: np.ndarray):
-    """Induced structures of stacked forms (..., m, m) from kernel bases (..., m, m/2).
+def structures_from_forms(omegas: np.ndarray):
+    """Induced structures of stacked forms (..., m, m) whose real parts are
+    invertible, as every c-symplectic form's is.
 
-    -i on the kernel and +i on its conjugate: I = (P D) P^{-1}, P = [K, conj K].
-    Returns Re I and, per matrix, the max-norm residuals of realness,
-    I^2 = -Id and I^T A = i A, relative to max(1, |I|), max(1, |Re I|^2)
-    and max(1, |A|).
+    With A = R + iJ, I^T A = i A reads I^T R = -J and I^T J = R; R and J
+    are skew, so the first is I = -R^{-1} J, one real solve per form.
+    Returns I and, per matrix, the max-norm residuals of I^2 = -Id and
+    I^T A = i A (of which I^T J = R is the half the solve does not impose),
+    relative to max(1, |I|^2) and max(1, |A|).
     """
-    m, half = kernels.shape[-2:]
-    p = np.concatenate([kernels, kernels.conj()], axis=-1)
-    d = np.repeat([-1j, 1j], half)
-    mats = (p * d) @ np.linalg.inv(p)
-    real = mats.real
-    realness = _stack_max(mats.imag) / np.maximum(1.0, _stack_max(mats))
-    square = _stack_max(real @ real + np.eye(m)) / np.maximum(1.0, _stack_max(real) ** 2)
+    real = -np.linalg.solve(omegas.real, omegas.imag)
+    square = _stack_max(real @ real + np.eye(omegas.shape[-1])) / np.maximum(1.0, _stack_max(real) ** 2)
     linearity = _stack_max(np.swapaxes(real, -1, -2) @ omegas - 1j * omegas) / np.maximum(1.0, _stack_max(omegas))
-    return real, realness, square, linearity
+    return real, square, linearity
 
 
 def _stack_max(x: np.ndarray) -> np.ndarray:
@@ -278,8 +272,9 @@ def _decide_distinct(distinct: np.ndarray):
     """Structures (NaN where a form fails) and rank verdicts of distinct forms."""
     verdicts = rank_verdicts(distinct)
     ok = verdicts.ok
-    real, realness, square, linearity = structures_from_kernels(distinct[ok], verdicts.kernels[ok])
-    passed = _structure_accepted(realness, square, linearity)
+    # only rank-accepted forms are solved: a failing form's R may be singular
+    real, square, linearity = structures_from_forms(distinct[ok])
+    passed = _structure_accepted(square, linearity)
     structures = np.full(distinct.shape, np.nan)
     structures[ok] = np.where(passed[:, None, None], real, np.nan)
     return structures, verdicts
@@ -291,8 +286,8 @@ def induced_structures(omegas: np.ndarray):
 
     This is the one place an induced structure is built and accepted;
     ``induced_complex_structure`` is this call on a stack of one.  A form
-    passes when ``rank_verdicts`` accepts it and the structure built from its
-    kernel meets ``_structure_accepted``; failing forms are not inverted.  A
+    passes when ``rank_verdicts`` accepts it and the structure solved from it
+    meets ``_structure_accepted``; failing forms are not solved.  A
     NaN structure marks a failure, and its verdict's ``criterion(i).reason``
     names a rank failure (empty when the structure was rejected).
 

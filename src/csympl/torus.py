@@ -232,8 +232,8 @@ def deformed_structure_field(eta: np.ndarray, t: complex) -> np.ndarray:
 
     One stacked call of the c-symplectic core over all nodes.  A node
     fails when its kernel rank or real span is wrong or its structure
-    misses the single-form realness, square or linearity threshold; its
-    structure is NaN (see ``failed_nodes``).
+    misses the single-form square or linearity threshold; its structure
+    is NaN (see ``failed_nodes``).
     """
     _grid_size(eta)
     if max_abs(eta + np.swapaxes(eta, -1, -2)) != 0:

@@ -330,7 +330,7 @@ def test_a_failing_form_is_decomposed_once(svd_inputs, monkeypatch):
     assert svd_count(svd_inputs, omega.matrix) == 1
     proj, rng = random_setup(8, 32)
     family = DeformationFamily.build(proj, random_base_form(proj, rng))
-    monkeypatch.setattr(csymplectic, "_structure_accepted", lambda realness, *_: np.zeros(len(realness), dtype=bool))
+    monkeypatch.setattr(csymplectic, "_structure_accepted", lambda square, linearity: np.zeros(len(square), dtype=bool))
     svd_inputs.clear()
     with pytest.raises(PostconditionError, match="rank: induced structure rejected; power: ok$"):
         family.structures(DEFAULT_T_SAMPLES)
@@ -455,7 +455,7 @@ def test_deformed_form_failing_c_symplecticity_raises(monkeypatch):
 
     with monkeypatch.context() as patch:
         # the rank verdict passes and the acceptance rejects the structure
-        patch.setattr(csymplectic, "_structure_accepted", lambda realness, *_: np.zeros(len(realness), dtype=bool))
+        patch.setattr(csymplectic, "_structure_accepted", lambda square, linearity: np.zeros(len(square), dtype=bool))
         with pytest.raises(PostconditionError, match="deformed form failed c-symplecticity: rank: induced structure"):
             deform(proj, gamma, 0.5)
     with monkeypatch.context() as patch:
