@@ -248,12 +248,8 @@ def _cmd_lattice(args) -> int:
     point = PeriodPoint.standard(lattice)
     e = [0] * lattice.rank
     e[4] = 1
-    curve = TwistorCurve(point, e)
-    grams = []
-    for x in span:
-        for y in span:
-            grams.append(curve.plane(float(x), float(y)).gram)
-    grams = np.asarray(grams)
+    x, y = np.meshgrid(span, span, indexing="ij")
+    grams, eigenvalues = TwistorCurve(point, e).sweep(x.ravel(), y.ravel())
     deviation = float(np.max(np.abs(grams - grams[0])))
     print(
         json.dumps(
@@ -261,7 +257,7 @@ def _cmd_lattice(args) -> int:
                 "grid": args.grid,
                 "gram": grams[0].tolist(),
                 "max_gram_deviation": deviation,
-                "positive_definite": bool(np.all(np.linalg.eigvalsh(grams[0]) > 0)),
+                "positive_definite": bool(np.all(eigenvalues > 0)),
             }
         )
     )

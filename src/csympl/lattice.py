@@ -8,8 +8,10 @@ classes, and the module produces section classes s with (s, e) = 1,
 the two-plane sweeps of degenerate twistor curves in the period domain.
 """
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -56,13 +58,15 @@ def _det_exact(rows) -> int:
 class IntegralLattice:
     """Integer lattice with pairing (v, w) = v^T G w.
 
-    The Gram matrix is read once: the exact pairing sums over its non-zero
-    entries, kept as (i, j, g_ij) triples, and the float pairing uses a float
-    copy.  Do not modify ``gram`` after construction.
+    The Gram matrix is read once and kept immutable: ``gram`` is a tuple of
+    tuples of ints, the exact pairing sums over its non-zero entries, kept
+    as (i, j, g_ij) triples, and the float pairing uses a read-only float
+    copy.  The determinant and the root pool are computed on first use and
+    kept on the instance.
     """
 
     def __init__(self, gram):
-        rows = [list(map(int, row)) for row in gram]
+        rows = tuple(tuple(map(int, row)) for row in gram)
         r = len(rows)
         if any(len(row) != r for row in rows):
             raise ValueError("Gram matrix must be square")
@@ -76,17 +80,22 @@ class IntegralLattice:
         self._gram_float = np.asarray(rows, dtype=float)
         self._gram_float.setflags(write=False)
         self._determinant = None
+        self._roots = None
 
     def pair(self, v, w):
         """Exact integer pairing for integer vectors; floats allowed for
         real or complex cohomology-class vectors.
 
-        Integer entries become Python ints first, so numpy int64 input
-        cannot overflow."""
-        if _is_int_vector(v) and _is_int_vector(w):
-            v, w = _as_int_list(v), _as_int_list(w)
-            return sum(v[i] * g * w[j] for i, j, g in self._nonzeros)
-        return np.asarray(v) @ self._gram_float @ np.asarray(w)
+        The exact path takes integer-dtype arrays and sequences whose every
+        entry is a Python int or bool or a numpy integer; their entries
+        become Python ints in one pass, so numpy int64 input cannot
+        overflow.  Anything else, ``np.bool_`` entries included, pairs in
+        floats."""
+        try:
+            vi, wi = _int_entries(v), _int_entries(w)
+        except TypeError:
+            return np.asarray(v) @ self._gram_float @ np.asarray(w)
+        return sum(vi[i] * g * wi[j] for i, j, g in self._nonzeros)
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -143,10 +152,14 @@ class IntegralLattice:
         return f"IntegralLattice(rank={self.rank})"
 
 
-def _is_int_vector(v) -> bool:
+def _int_entries(v) -> list:
+    """Entries of an integer vector as Python ints, in one pass; TypeError
+    for an array of non-integer dtype or an entry that is not an integer."""
     if isinstance(v, np.ndarray):
-        return issubclass(v.dtype.type, np.integer)
-    return all(isinstance(x, (int, np.integer)) for x in v)
+        if not issubclass(v.dtype.type, np.integer):
+            raise TypeError(f"{v.dtype} is not an integer dtype")
+        return v.tolist()
+    return list(map(operator.index, v))
 
 
 def _as_int_list(v):
@@ -166,8 +179,12 @@ def block_diagonal(*blocks) -> IntegralLattice:
     return IntegralLattice(gram)
 
 
+@cache
 def standard_k3_lattice() -> IntegralLattice:
-    """U^3 + E8(-1)^2, rank 22, even, unimodular, signature (3, 19)."""
+    """U^3 + E8(-1)^2, rank 22, even, unimodular, signature (3, 19).
+
+    Built and checked once per process: every call returns the same
+    instance, whose Gram matrix cannot be changed."""
     lat = block_diagonal(U_GRAM, U_GRAM, U_GRAM, E8_MINUS_GRAM, E8_MINUS_GRAM)
     if not (lat.is_even() and lat.is_unimodular()):
         raise PostconditionError("U^3 + E8(-1)^2 is not even unimodular")
@@ -281,20 +298,23 @@ def _root_pool(lattice: IntegralLattice):
     G_ii + 2c G_ij + G_jj is read off the Gram matrix.  Single basis
     vectors are not in the pool, although the E8(-1) basis vectors are
     roots.  On the K3 lattice the pool holds 110 sums and 99 differences.
-    Random reflection words index into this list, so its content and order
-    fix every seeded lattice report.
+    Random reflection words index into this tuple, so its content and order
+    fix every seeded lattice report.  Read once per lattice and kept on it,
+    as tuples that no caller can change.
     """
-    gram, rank = lattice.gram, lattice.rank
-    pool = []
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            for c in (1, -1):
-                if gram[i][i] + 2 * c * gram[i][j] + gram[j][j] == -2:
-                    v = [0] * rank
-                    v[i] = 1
-                    v[j] = c
-                    pool.append(v)
-    return pool
+    if lattice._roots is None:
+        gram, rank = lattice.gram, lattice.rank
+        pool = []
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                for c in (1, -1):
+                    if gram[i][i] + 2 * c * gram[i][j] + gram[j][j] == -2:
+                        v = [0] * rank
+                        v[i] = 1
+                        v[j] = c
+                        pool.append(tuple(v))
+        lattice._roots = tuple(pool)
+    return lattice._roots
 
 
 def random_primitive_isotropic(
@@ -386,7 +406,9 @@ class TwistorCurve:
     When Re Omega and Im Omega are integral, the plane vectors are
     v1 = a + 2x e and v2 = b - 2y e with integer classes a = 2 Re Omega and
     b = -2 Im Omega, so each plane's Gram follows by bilinearity from six
-    exact pairings made here; other period points pair v1 and v2 in floats.
+    exact pairings made here; other period points pair v1 and v2 in floats,
+    four pairings per plane.  ``sweep`` decides any number of planes with
+    one ``np.linalg.eigvalsh`` call; ``plane`` is a sweep of one point.
     """
 
     point: PeriodPoint
@@ -416,44 +438,60 @@ class TwistorCurve:
             pairings = (pair(a, a), pair(a, b), pair(b, b), pair(a, e), pair(b, e), e_square)
         object.__setattr__(self, "_pairings", pairings)
 
+    def sweep(self, x, y):
+        """Gram matrices of the planes at the points (x[k], y[k]) and their
+        eigenvalues, of shapes (n, 2, 2) and (n, 2), from one
+        ``np.linalg.eigvalsh`` call.  Plane k is positive when both
+        ``eigenvalues[k]`` are > 0; the caller decides what a plane that is
+        not does (``not_positive`` says why it is rejected)."""
+        points = [(float(xk), float(yk)) for xk, yk in zip(x, y, strict=True)]
+        if self._pairings is None:
+            grams = [self._float_gram(*self._vectors(xk, yk)) for xk, yk in points]
+        else:
+            grams = [self._exact_gram(xk, yk) for xk, yk in points]
+        grams = np.array(grams, dtype=float)
+        return grams, np.linalg.eigvalsh(grams)
+
     def plane(self, x: float, y: float) -> TwistorPlane:
         """Plane spanned by (Omega + conj Omega) + 2x e and
-        i (Omega - conj Omega) - 2y e."""
-        lattice = self.point.lattice
+        i (Omega - conj Omega) - 2y e; ValueError unless it is positive."""
+        grams, eigenvalues = self.sweep([x], [y])
+        if not np.all(eigenvalues > 0):
+            raise ValueError(not_positive(eigenvalues[0]))
+        v1, v2 = self._vectors(float(x), float(y))
+        return TwistorPlane(v1=v1, v2=v2, gram=grams[0])
+
+    def _vectors(self, x: float, y: float):
         omega = self.point.omega_class
         e_arr = np.asarray(self.e, dtype=float)
         v1 = (omega + omega.conj()).real + 2.0 * x * e_arr
         v2 = (1j * (omega - omega.conj())).real - 2.0 * y * e_arr
-        if self._pairings is None:
-            gram = np.array(
-                [
-                    [lattice.pair(v1, v1), lattice.pair(v1, v2)],
-                    [lattice.pair(v2, v1), lattice.pair(v2, v2)],
-                ],
-                dtype=float,
-            )
-        else:
-            gram = self._exact_gram(x, y)
-        eigenvalues = np.linalg.eigvalsh(gram)
-        if not np.all(eigenvalues > 0):
-            raise ValueError(f"plane is not positive: Gram eigenvalues {eigenvalues}")
-        return TwistorPlane(v1=v1, v2=v2, gram=gram)
+        return v1, v2
 
-    def _exact_gram(self, x: float, y: float) -> np.ndarray:
+    def _float_gram(self, v1, v2):
+        pair = self.point.lattice.pair
+        return [[pair(v1, v1), pair(v1, v2)], [pair(v2, v1), pair(v2, v2)]]
+
+    def _exact_gram(self, x: float, y: float):
         """Gram of v1 = a + 2x e, v2 = b - 2y e with x = px/qx and
         y = py/qy exact dyadic rationals: each entry is one integer over
         qx^2, qx qy or qy^2, divided once with correct rounding."""
         aa, ab, bb, ae, be, ee = self._pairings
-        px, qx = float(x).as_integer_ratio()
-        py, qy = float(y).as_integer_ratio()
+        px, qx = x.as_integer_ratio()
+        py, qy = y.as_integer_ratio()
         v1v1 = aa * qx * qx + 4 * px * qx * ae + 4 * px * px * ee
         v1v2 = ab * qx * qy - 2 * py * qx * ae + 2 * px * qy * be - 4 * px * py * ee
         v2v2 = bb * qy * qy - 4 * py * qy * be + 4 * py * py * ee
         off = v1v2 / (qx * qy)
-        return np.array([[v1v1 / (qx * qx), off], [off, v2v2 / (qy * qy)]], dtype=float)
+        return [[v1v1 / (qx * qx), off], [off, v2v2 / (qy * qy)]]
+
+
+def not_positive(eigenvalues) -> str:
+    """Why a twistor plane with these Gram eigenvalues is rejected."""
+    return f"plane is not positive: Gram eigenvalues {eigenvalues}"
 
 
 def twistor_curve_plane(point: PeriodPoint, e, x: float, y: float) -> TwistorPlane:
     """One plane of the curve ``TwistorCurve(point, e)``; sweeps over
-    many planes build the curve once and call its ``plane``."""
+    many planes build the curve once and call its ``sweep``."""
     return TwistorCurve(point, e).plane(x, y)

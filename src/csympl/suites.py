@@ -18,7 +18,7 @@ case by calling the same function on ``range(index, index + 1)``.
 import numbers
 import time
 from dataclasses import dataclass
-from functools import partial, wraps
+from functools import wraps
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,6 +48,7 @@ from .lattice import (
     PostconditionError,
     TwistorCurve,
     find_section_class,
+    not_positive,
     random_isometry_images,
     random_primitive_isotropic,
     standard_k3_lattice,
@@ -414,8 +415,8 @@ def _section_theorem_case(cfg: SuiteConfig, dim, index):
 
 
 @_per_index
-def _section_class_case(cfg: SuiteConfig, dim, index, lattice=None):
-    lattice = standard_k3_lattice() if lattice is None else lattice
+def _section_class_case(cfg: SuiteConfig, dim, index):
+    lattice = standard_k3_lattice()
     e = random_primitive_isotropic(lattice, _case_rng(cfg, index))
     try:
         s = find_section_class(lattice, e)
@@ -431,11 +432,11 @@ TWISTOR_BASE = ([1, 1] + [0] * 20, [0, 0, 1, 1] + [0] * 18, [0] * 4 + [1] + [0] 
 
 
 @_per_index
-def _twistor_case(cfg: SuiteConfig, dim, index, lattice=None):
+def _twistor_case(cfg: SuiteConfig, dim, index):
     """One twistor curve: the parameter substitution, then one measurement
     per plane of a 10 x 10 sweep, its Gram matrix's deviation from the first
     positive plane's."""
-    lattice = standard_k3_lattice() if lattice is None else lattice
+    lattice = standard_k3_lattice()
     re, im, e = random_isometry_images(lattice, _case_rng(cfg, index), TWISTOR_BASE)
     omega = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
     point = PeriodPoint(lattice, omega)
@@ -451,11 +452,12 @@ def _twistor_case(cfg: SuiteConfig, dim, index, lattice=None):
     except ValueError as exc:  # a bad direction fails every plane
         errors = {k: f"plane ({x}, {y}): {exc}" for k, (x, y) in enumerate(planes)}
     else:
-        for k, (x, y) in enumerate(planes):
-            try:
-                grams[k] = curve.plane(float(x), float(y)).gram
-            except ValueError as exc:  # the plane keeps a NaN Gram, so it fails
-                errors[k] = f"plane ({x}, {y}): {exc}"
+        swept, eigenvalues = curve.sweep(*zip(*planes))
+        positive = np.all(eigenvalues > 0, axis=1)
+        grams[positive] = swept[positive]  # a plane that is not positive keeps a NaN Gram, so it fails
+        errors = {
+            k: f"plane ({x}, {y}): {not_positive(eigenvalues[k])}" for k, (x, y) in enumerate(planes) if not positive[k]
+        }
     first = next((gram for gram in grams if not np.isnan(gram).any()), grams[0])
     deviations = np.max(np.abs(grams - first), axis=(1, 2)) / max(float(np.max(np.abs(first))), 1e-300)
     for k, deviation in enumerate(deviations):
@@ -642,7 +644,6 @@ class Suite(NamedTuple):
     dims: tuple = None
 
 
-# Each lattice suite builds the K3 lattice once per run and hands it to its cases.
 SUITES = {
     "criteria-equivalence": Suite(lambda cfg: _sweep(cfg, (_criteria_case, cfg.dims, cfg.samples)), 500, (4, 8, 12)),
     "induced-structure": Suite(lambda cfg: _sweep(cfg, (_induced_case, cfg.dims, cfg.samples)), 200, (4, 8)),
@@ -655,16 +656,8 @@ SUITES = {
     "testbed-nijenhuis": Suite(
         lambda cfg: (_testbed_nonclosed if cfg.control == "nonclosed" else _testbed_closed)(cfg), 1
     ),
-    "lattice-sections": Suite(
-        lambda cfg: _sweep(cfg, (partial(_section_class_case, lattice=standard_k3_lattice()), (22,), cfg.samples)),
-        100,
-    ),
-    "twistor-curve": Suite(
-        lambda cfg: _sweep(
-            cfg, (partial(_twistor_case, lattice=standard_k3_lattice()), (22,), max(1, cfg.samples // 10))
-        ),
-        100,
-    ),
+    "lattice-sections": Suite(lambda cfg: _sweep(cfg, (_section_class_case, (22,), cfg.samples)), 100),
+    "twistor-curve": Suite(lambda cfg: _sweep(cfg, (_twistor_case, (22,), max(1, cfg.samples // 10))), 100),
 }
 
 

@@ -103,6 +103,37 @@ def test_sparse_pair_equals_dense_double_sum(case):
     assert lat.pair(vf, wf) == vf @ np.asarray(gram, dtype=float) @ wf
 
 
+U = IntegralLattice(U_GRAM)
+BIG = 2**62 - 1
+
+
+@pytest.mark.parametrize(
+    "v, w, exact",
+    [
+        ([1, 0], [0, 1], True),
+        ([True, False], [False, True], True),
+        ([np.int64(1), np.int32(2)], [np.uint8(3), np.int16(-1)], True),
+        (np.array([1, 2]), np.array([3, -1], dtype=np.int8), True),
+        (np.array([BIG, BIG - 1], dtype=np.int64), np.array([BIG, -BIG], dtype=np.int64), True),
+        ((1, 2), np.array([3, 4], dtype=np.uint64), True),
+        ([1.0, 0.0], [0.0, 1.0], False),
+        ([1, 0], [0.0, 1.0], False),
+        ([np.True_, np.False_], [1, 0], False),
+        (np.array([True, False]), [0, 1], False),
+        ([1, 2.5], [1, 1], False),
+        (np.array([1.0, 2.0]), np.array([3, 4]), False),
+        (np.array([1 + 1j, 2]), np.array([3, 4]), False),
+    ],
+)
+def test_pair_dispatch(v, w, exact):
+    # the exact path returns a Python int, also where int64 products would
+    # overflow; every other input pairs in floats
+    value = U.pair(v, w)
+    assert (type(value) is int) is exact
+    reference = _dense_pair(U_GRAM, v, w) if exact else np.asarray(v) @ np.asarray(U_GRAM, dtype=float) @ np.asarray(w)
+    assert value == reference
+
+
 def _reference_root_pool(lattice):
     """The enumeration the pool was first defined by: e_i + c e_j over
     j >= i (only c = 1 when i == j), kept when the full pairing gives -2."""
@@ -120,7 +151,8 @@ def _reference_root_pool(lattice):
 
 def test_root_pool_matches_reference_enumeration():
     pool = _root_pool(K3)
-    assert pool == _reference_root_pool(K3)
+    assert [list(v) for v in pool] == _reference_root_pool(K3)
+    assert _root_pool(K3) is pool  # read once per lattice
     assert len(pool) == 209
     assert sum(-1 not in v for v in pool) == 110  # sums e_i + e_j
     assert all(K3.pair(v, v) == -2 for v in pool)
@@ -129,7 +161,17 @@ def test_root_pool_matches_reference_enumeration():
 def test_root_pool_on_small_lattices():
     for gram in ([[-2, 1], [1, -2]], [[0, 1], [1, 0]], [[-2, 0, 1], [0, 0, 3], [1, 3, -4]]):
         lat = IntegralLattice(gram)
-        assert _root_pool(lat) == _reference_root_pool(lat)
+        assert [list(v) for v in _root_pool(lat)] == _reference_root_pool(lat)
+
+
+def test_standard_k3_lattice_is_one_immutable_instance():
+    lat = standard_k3_lattice()
+    assert standard_k3_lattice() is lat
+    with pytest.raises(TypeError):
+        lat.gram[0][1] = 5
+    with pytest.raises(TypeError):
+        lat.gram[0] = (0,) * 22
+    assert lat.gram[0][:2] == (0, 1)
 
 
 def test_determinant_is_computed_once_per_instance(monkeypatch):
@@ -288,8 +330,12 @@ def test_postconditions_raise(monkeypatch):
     with pytest.raises(PostconditionError, match=r"\(a, a\)"):
         square_minus_two(IntegralLattice([[1, 1], [1, 0]]), [0, 1], [1, 0])
     monkeypatch.setattr(lattice.IntegralLattice, "is_unimodular", lambda self: False)
-    with pytest.raises(PostconditionError, match="not even unimodular"):
-        standard_k3_lattice()
+    standard_k3_lattice.cache_clear()  # a cached lattice is never rebuilt, so its check would not run
+    try:
+        with pytest.raises(PostconditionError, match="not even unimodular"):
+            standard_k3_lattice()
+    finally:
+        standard_k3_lattice.cache_clear()  # later calls get a lattice that passed its check
 
 
 def test_postcondition_survives_python_O(tmp_path):
@@ -471,6 +517,30 @@ def test_twistor_planes_of_non_integral_points_pair_in_floats():
     # 4 Gram(0.3 Re Omega, -0.3 Im Omega) of the standard point: 0.72 Id
     assert np.allclose(grams, 0.72 * np.eye(2), rtol=0, atol=1e-12)
     assert np.all(np.linalg.eigvalsh(grams) > 0)
+
+
+def test_twistor_sweep_grams_are_the_plane_grams():
+    # five integral curves (exact Grams) and one non-integral one (float
+    # pairings); the one stacked eigvalsh gives each plane's own eigenvalues
+    rng = np.random.default_rng(11)
+    base = ([1, 1] + [0] * 20, [0, 0, 1, 1] + [0] * 18, unit(4))
+    curves = []
+    for _ in range(5):
+        re, im, e = random_isometry_images(K3, rng, base)
+        curves.append(TwistorCurve(PeriodPoint(K3, np.asarray(re) + 1j * np.asarray(im)), e))
+    curves.append(TwistorCurve(PeriodPoint(K3, 0.3 * PeriodPoint.standard(K3).omega_class), unit(4)))
+    x, y = (axis.ravel() for axis in np.meshgrid(np.linspace(-2, 2, 10), np.linspace(-2, 2, 10), indexing="ij"))
+    for curve in curves:
+        grams, eigenvalues = curve.sweep(x, y)
+        assert grams.shape == (100, 2, 2) and eigenvalues.shape == (100, 2)
+        for k in range(100):
+            plane = curve.plane(float(x[k]), float(y[k]))
+            assert np.array_equal(grams[k], plane.gram)
+            assert np.array_equal(eigenvalues[k], np.linalg.eigvalsh(plane.gram))
+            if curve._pairings is None:
+                pair = K3.pair
+                v1, v2 = plane.v1, plane.v2
+                assert np.array_equal(grams[k], [[pair(v1, v1), pair(v1, v2)], [pair(v2, v1), pair(v2, v2)]])
 
 
 def test_twistor_curve_rejects_bad_directions_when_built():

@@ -624,6 +624,34 @@ def test_invalid_twistor_direction_fails_every_plane(monkeypatch):
         assert detail.startswith("plane (") and detail.endswith("): (e, e) != 0: direction must be isotropic")
 
 
+def test_a_twistor_plane_that_is_not_positive_fails_alone(monkeypatch):
+    class Tilted(suites.TwistorCurve):
+        # (a, e) = -(a, a)/4 makes (v1, v1) = (a, a)(1 - x), so the planes
+        # of large x are not positive while those of small x are
+        def __post_init__(self):
+            super().__post_init__()
+            aa, ab, bb, _, be, ee = self._pairings
+            object.__setattr__(self, "_pairings", (aa, ab, bb, -(aa // 4), be, ee))
+
+    monkeypatch.setattr(suites, "TwistorCurve", Tilted)
+    inputs, measurements = suites._twistor_case(SuiteConfig(suite="twistor-curve", samples=10, seed=0), 22, range(1))[0]
+    curve = Tilted(suites.PeriodPoint(suites.standard_k3_lattice(), inputs["omega"]), inputs["e"])
+    planes = [(x, y) for x in np.linspace(-2, 2, 10) for y in np.linspace(-2, 2, 10)]
+    rows = [m for m in measurements if m[0] == "plane-gram-constant"]
+    rejected = 0
+    for (x, y), (_, deviation, ok, detail) in zip(planes, rows, strict=True):
+        try:
+            curve.plane(float(x), float(y))
+        except ValueError as exc:
+            rejected += 1
+            assert str(exc).startswith("plane is not positive: Gram eigenvalues [")
+            assert detail == f"plane ({x}, {y}): {exc}"
+            assert not ok and np.isnan(deviation)
+        else:
+            assert detail == "" and np.isfinite(deviation)
+    assert 0 < rejected < len(planes)
+
+
 def twistor_param_args(omega_re_first="1", omega_im_first="0"):
     """``lattice twistor-param`` at the standard period point, with the first
     entries of --omega-re and --omega-im given."""
@@ -673,9 +701,9 @@ def test_lattice_twistor_param_rejects_a_non_finite_period(option, value, capsys
 
 def test_lattice_curve_cli(capsys):
     assert main(["lattice", "curve", "--grid", "10"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["positive_definite"] is True
-    assert data["max_gram_deviation"] < 1e-12
+    assert capsys.readouterr().out == (
+        '{"grid": 10, "gram": [[8.0, 0.0], [0.0, 8.0]], "max_gram_deviation": 0.0, "positive_definite": true}\n'
+    )
 
 
 @pytest.mark.parametrize("option, value", [("--grid", "0"), ("--grid", "-1"), ("--extent", "nan"), ("--extent", "inf")])
