@@ -182,7 +182,7 @@ def induced_complex_structure(omega: ComplexTwoForm) -> ComplexStructure:
     if np.isnan(structures[0]).any():
         reason = verdicts.criterion(0).reason or "induced structure rejected"
         raise ValueError(f"not c-symplectic (rank criterion): {reason}")
-    return ComplexStructure(omega.dim, structures[0])
+    return ComplexStructure.from_accepted(omega.dim, structures[0])
 
 
 def _structure_accepted(square, linearity):

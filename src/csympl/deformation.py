@@ -222,7 +222,7 @@ class DeformationFamily:
                 raise PostconditionError(
                     f"deformed form failed c-symplecticity: rank: {rank_reason}; power: {power_check.reason or 'ok'}"
                 )
-        return [ComplexStructure(omega_t.dim, structure) for omega_t, structure in zip(forms, stacked)]
+        return [ComplexStructure.from_accepted(omega_t.dim, structure) for omega_t, structure in zip(forms, stacked)]
 
 
 @dataclass(frozen=True)

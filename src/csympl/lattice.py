@@ -287,6 +287,13 @@ def reflect(lattice: IntegralLattice, root, v):
     root, v = _as_int_list(root), _as_int_list(v)
     if lattice.pair(root, root) != -2:
         raise ValueError("reflections need (root, root) = -2")
+    return _reflect(lattice, root, v)
+
+
+def _reflect(lattice: IntegralLattice, root, v):
+    """``reflect`` of an int vector in a root known to have (root, root) = -2,
+    as every ``_root_pool`` entry has by construction; the norm is not
+    re-checked."""
     p = lattice.pair(v, root)
     return [vi + p * ri for vi, ri in zip(v, root)]
 
@@ -327,7 +334,7 @@ def random_primitive_isotropic(
     pool = _root_pool(lattice)
     for _ in range(steps):
         root = pool[int(rng.integers(len(pool)))]
-        e = reflect(lattice, root, e)
+        e = _reflect(lattice, root, e)
     if not is_primitive_isotropic(lattice, e):
         raise PostconditionError(f"reflection image {e} is not primitive isotropic")
     return e
@@ -341,7 +348,7 @@ def random_isometry_images(lattice: IntegralLattice, rng: np.random.Generator, v
     for v in vectors:
         image = _as_int_list(v)
         for root in word:
-            image = reflect(lattice, root, image)
+            image = _reflect(lattice, root, image)
         out.append(image)
     return out
 

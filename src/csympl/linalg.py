@@ -138,15 +138,32 @@ class ComplexStructure:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64)
+        mat = self._set_matrix(self.matrix)
+        residual = max_abs(mat @ mat + np.eye(self.dim))
+        if residual > STRUCTURE_TOL * max(1.0, max_abs(mat) ** 2):
+            raise ValueError(f"I^2 != -Id (residual {residual:.3e})")
+
+    @classmethod
+    def from_accepted(cls, dim: int, matrix) -> "ComplexStructure":
+        """Structure that ``induced_structures`` has accepted.
+
+        Its I^2 = -Id residual already met the same ``STRUCTURE_TOL`` bound
+        there, so it is not recomputed; shape and dimension are checked as
+        in ``__init__``.
+        """
+        self = cls.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        self._set_matrix(matrix)
+        return self
+
+    def _set_matrix(self, matrix) -> np.ndarray:
+        mat = np.asarray(matrix, dtype=np.float64)
         if mat.shape != (self.dim, self.dim):
             raise ValueError("matrix shape does not match dim")
         if self.dim % 2:
             raise ValueError("a complex structure needs even dimension")
-        residual = max_abs(mat @ mat + np.eye(self.dim))
-        if residual > STRUCTURE_TOL * max(1.0, max_abs(mat) ** 2):
-            raise ValueError(f"I^2 != -Id (residual {residual:.3e})")
         object.__setattr__(self, "matrix", mat)
+        return mat
 
     def rotation(self, theta: float) -> np.ndarray:
         """exp(theta I) = cos(theta) Id + sin(theta) I."""

@@ -255,35 +255,46 @@ def nijenhuis_node_norms(structures: np.ndarray) -> np.ndarray:
     fields, with derivatives of I by periodic centered differences (the
     field varies over the base only, so fiber partials vanish).  N is
     antisymmetric, so only the pairs a < b are evaluated.
+
+    The stencil runs node-last: the field is transposed once to
+    ``(4, 4, n, n)``, so every product and sum runs over the contiguous
+    node axes.  Of the twists I d_j I it forms only the six columns the
+    pairs read, and it folds each pair's squared norm into a running
+    maximum.  Each product, sum and difference keeps its operands and their
+    order, so a node's norm does not depend on the layout, bit for bit.
     """
     h = 1.0 / _grid_size(structures)
-    ind = structures
+    ind = np.ascontiguousarray(structures.transpose(2, 3, 0, 1))
     # base partials d_0, d_1 only; the fiber partials d_2, d_3 are zero
-    d = [(np.roll(ind, -1, axis=axis) - np.roll(ind, 1, axis=axis)) / (2 * h) for axis in range(2)]
-    a, b = np.triu_indices(4, 1)
+    d = [(np.roll(ind, -1, axis=axis) - np.roll(ind, 1, axis=axis)) / (2 * h) for axis in (2, 3)]
 
-    def flow(p, q):  # I_{jp} d_j I_{iq}, summed over the base directions j
-        return ind[..., None, 0, p] * d[0][..., q] + ind[..., None, 1, p] * d[1][..., q]
+    def flow(p, q):  # I_{jp} d_j I_{iq} over i, summed over the base directions j
+        return ind[0, p] * d[0][:, q] + ind[1, p] * d[1][:, q]
 
-    def twisted(dj):  # (I d_j I)_{ik} = I_{il} d_j I_{lk}, summed in order of l
-        out = ind[..., :, 0, None] * dj[..., None, 0, :]
+    def twisted(j, k):  # (I d_j I)_{ik} = I_{il} d_j I_{lk} over i, summed in order of l
+        out = ind[:, 0] * d[j][0, k]
         for l in range(1, 4):
-            out += ind[..., :, l, None] * dj[..., None, l, :]
+            out += ind[:, l] * d[j][l, k]
         return out
 
-    # [Ie_a, Ie_b]^i = I_{ja} d_j I_{ib} - I_{jb} d_j I_{ia}
-    bracket = flow(a, b) - flow(b, a)
     # -I[Ie_a, e_b] - I[e_a, Ie_b] = (I d_b I)_{ia} - (I d_a I)_{ib}, where
-    # each term is zero for a fiber direction b or a
-    twists = [twisted(dj) for dj in d]
-    term2 = np.zeros_like(bracket)
-    for pair, (p, q) in enumerate(zip(a, b)):
+    # each term is zero for a fiber direction b or a: only the columns
+    # k = 1, 2, 3 of I d_0 I and k = 0, 2, 3 of I d_1 I are read
+    twists = {(j, k): twisted(j, k) for j, k in ((0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3))}
+    peak = None
+    for p, q in zip(*np.triu_indices(4, 1)):
+        # [Ie_a, Ie_b]^i = I_{ja} d_j I_{ib} - I_{jb} d_j I_{ia}
+        bracket = flow(p, q) - flow(q, p)
         if q < 2:
-            term2[..., pair] = twists[q][..., p]
-        if p < 2:
-            term2[..., pair] -= twists[p][..., q]
-    squares = (bracket + term2) ** 2  # summed over i in order
-    return np.sqrt(np.max(squares[..., 0, :] + squares[..., 1, :] + squares[..., 2, :] + squares[..., 3, :], axis=-1))
+            column = bracket + (twists[q, p] - twists[p, q])
+        elif p < 2:
+            column = bracket - twists[p, q]
+        else:
+            column = bracket
+        squares = column**2  # summed over i in order
+        norm2 = squares[0] + squares[1] + squares[2] + squares[3]
+        peak = norm2 if peak is None else np.maximum(peak, norm2)
+    return np.sqrt(peak)
 
 
 def nijenhuis_norm(structures: np.ndarray) -> float:

@@ -367,6 +367,15 @@ def test_family_structures_are_checked_members():
     assert is_c_symplectic_rank(omega_t).ok and is_c_symplectic_power(omega_t).ok
     assert np.array_equal(structure.matrix, induced_complex_structure(omega_t).matrix)
 
+
+def test_family_structures_are_not_rechecked(monkeypatch):
+    proj, rng = random_setup(8, 32)
+    family = DeformationFamily.build(proj, random_base_form(proj, rng))
+    checked = [ComplexStructure(8, s.matrix) for s in family.structures((0.25, 0.5 + 0.5j))]
+    monkeypatch.setattr(ComplexStructure, "__post_init__", lambda self: pytest.fail("accepted structure re-checked"))
+    accepted = family.structures((0.25, 0.5 + 0.5j))
+    assert all(np.array_equal(a.matrix, c.matrix) for a, c in zip(accepted, checked))
+
 # -- section holomorphization --------------------------------------------------------
 
 

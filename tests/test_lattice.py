@@ -300,6 +300,23 @@ def test_reflections_are_isometries():
         assert K3.pair(reflect(K3, root, v), reflect(K3, root, w)) == K3.pair(v, w)
 
 
+def test_pool_words_reflect_without_rechecking_the_root_norm(monkeypatch):
+    with pytest.raises(ValueError, match=r"\(root, root\) = -2"):
+        reflect(K3, [1, 0] + [0] * 20, [0, 1] + [0] * 20)  # public reflect still checks
+    pool, rng = _root_pool(K3), np.random.default_rng(5)
+    word = [pool[int(rng.integers(len(pool)))] for _ in range(8)]
+    vectors = [[1, 0] + [0] * 20, [0, 1, 1] + [0] * 19]
+    expected = []
+    for image in vectors:
+        for root in word:
+            image = reflect(K3, root, image)
+        expected.append(image)
+    calls, pair = [], IntegralLattice.pair
+    monkeypatch.setattr(IntegralLattice, "pair", lambda self, v, w: calls.append((v, w)) or pair(self, v, w))
+    assert random_isometry_images(K3, np.random.default_rng(5), vectors) == expected
+    assert len(calls) == 2 * 8  # one (v, root) pairing per vector and root, no (root, root)
+
+
 def test_seeded_classes_pinned():
     # literals from the dense-pairing implementation; the reflection words
     # and every seeded lattice report depend on them
@@ -322,7 +339,7 @@ def test_postconditions_raise(monkeypatch):
     # (b, e) = 1 but e is not isotropic: (a, e) = 1 - c (e, e) = -1
     with pytest.raises(PostconditionError, match=r"\(a, e\) = -1"):
         square_minus_two(IntegralLattice([[2, 1], [1, 0]]), [1, 0], [0, 1])
-    monkeypatch.setattr(lattice, "reflect", lambda lat, root, v: [1, 1] + [0] * 20)
+    monkeypatch.setattr(lattice, "_reflect", lambda lat, root, v: [1, 1] + [0] * 20)
     with pytest.raises(PostconditionError, match="not primitive isotropic"):
         random_primitive_isotropic(K3, np.random.default_rng(0))
     monkeypatch.undo()

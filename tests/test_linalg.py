@@ -4,10 +4,11 @@ one rank decision every kernel, null space and span rank makes."""
 import numpy as np
 import pytest
 
-from csympl.csymplectic import random_c_symplectic
+from csympl.csymplectic import induced_complex_structure, random_c_symplectic
 from csympl.forms import ComplexTwoForm, form_kernel
 from csympl.linalg import (
     DEFAULT_TOL,
+    ComplexStructure,
     PostconditionError,
     Subspace,
     null_space,
@@ -69,6 +70,29 @@ def test_orthonormal_constructions_make_no_qr(monkeypatch):
     for subspace in subspaces:
         subspace.orthogonal_complement()
     assert calls == []
+
+
+def test_complex_structure_checks_its_square_unless_accepted(monkeypatch):
+    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"I\^2 != -Id"):
+        ComplexStructure(2, np.eye(2))
+    for construct in (ComplexStructure, ComplexStructure.from_accepted):
+        with pytest.raises(ValueError, match="shape"):
+            construct(4, j2)
+        with pytest.raises(ValueError, match="even"):
+            construct(3, np.eye(3))
+    omega = random_c_symplectic(np.random.default_rng(7), 8)[0]
+    checked = ComplexStructure(8, induced_complex_structure(omega).matrix)
+
+    def square_check(self):
+        raise AssertionError("accepted structure re-checked")
+
+    monkeypatch.setattr(ComplexStructure, "__post_init__", square_check)
+    accepted = induced_complex_structure(omega)  # builds no second I^2 product
+    assert accepted.dim == 8 and accepted.matrix.dtype == np.float64
+    assert np.array_equal(accepted.matrix, checked.matrix)
+    with pytest.raises(AssertionError, match="re-checked"):
+        ComplexStructure(2, j2)
 
 
 #: Multiples of the cutoff DEFAULT_TOL * sigma_max straddling it, with the

@@ -348,11 +348,36 @@ def nijenhuis_node_norms_reference(structure_field):
     return np.sqrt(np.max(np.sum((term1 + term2) ** 2, axis=2), axis=(-1, -2)))
 
 
-@pytest.mark.parametrize("form, t", [("closed-control", 1.0), ("nonclosed-control", 0.5), ("section-0", -1.0)])
+#: Every kind of structure field the suites hand the stencil: the section
+#: theorem's at t = -1 and at a complex t, both controls, and the
+#: non-closed control at t = 1, where the 2n nodes with x = 0 or 1/2 fail.
+STENCIL_FIELDS = [
+    ("closed-control", 1.0),
+    ("nonclosed-control", 0.5),
+    ("nonclosed-control", 1.0),
+    ("section-0", -1.0),
+    ("section-0", 0.3 + 0.2j),
+]
+
+
+@pytest.mark.parametrize("form, t", STENCIL_FIELDS)
 def test_nijenhuis_base_partial_stencil_matches_the_four_partial_reference(form, t):
-    for n in (32, 64):
+    for n in (8, 32, 64):
         field = deformed_structure_field(TESTBED_FORMS[form](TorusGrid(n)), t)
-        assert np.array_equal(nijenhuis_node_norms(field), nijenhuis_node_norms_reference(field))
+        assert failed_nodes(field) == (2 * n if t == 1.0 and form == "nonclosed-control" else 0)
+        # the fine field, and the strided coarse view the testbed suites pass in
+        for structures in (field, field[::2, ::2]):
+            norms = nijenhuis_node_norms(structures)
+            assert np.array_equal(norms, nijenhuis_node_norms_reference(structures), equal_nan=True)
+
+
+@pytest.mark.parametrize("form, t", STENCIL_FIELDS)
+def test_nijenhuis_stencil_leaves_its_input_unchanged(form, t):
+    field = deformed_structure_field(TESTBED_FORMS[form](TorusGrid(16)), t)
+    for structures in (field, field[::2, ::2]):
+        before = structures.copy()
+        nijenhuis_node_norms(structures)
+        assert structures.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("form", TESTBED_FORMS)
