@@ -235,13 +235,10 @@ class PreservanceReport:
 
     @property
     def max_residual(self) -> float:
-        # max_abs, unlike max, propagates a NaN residual so that ok() fails
+        # max_abs, unlike max, propagates a NaN residual, which fails any bound
         return max_abs(
             [self.max_fiber_restriction_residual, self.max_quotient_residual, self.max_invariance_residual]
         )
-
-    def ok(self) -> bool:
-        return self.fiber_lagrangian_ok and self.max_residual <= DEFAULT_TOL
 
 
 def verify_preservance(
@@ -284,9 +281,6 @@ class HolomorphizationCertificate:
     @property
     def max_residual(self) -> float:
         return max_abs([self.graph_restriction_norm, self.intertwining_residual])
-
-    def ok(self) -> bool:
-        return self.graph_is_lagrangian and self.max_residual <= DEFAULT_TOL
 
 
 @dataclass(frozen=True)

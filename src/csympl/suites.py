@@ -11,8 +11,11 @@ exact code path.
 Every suite except the testbed is a sweep over case functions
 ``case(cfg, dim, indices) -> [(inputs, measurements), ...]``: per index of a
 dim's index range, one seeded instance, its named inputs and its
-``(check, value, ok[, detail])`` measurements.  ``csympl replay`` rebuilds a
-case by calling the same function on ``range(index, index + 1)``.
+``(check, value[, detail])`` measurements.  ``csympl replay`` rebuilds a
+case by calling the same function on ``range(index, index + 1)``.  Case
+functions and testbed runners measure; the table ``CHECKS`` decides: it
+holds each row's bound, how its values fold into the row, and its case
+function.
 """
 
 import numbers
@@ -61,7 +64,6 @@ from .torus import (
     closed_control_form,
     deformed_structure_field,
     exterior_derivative_fd,
-    failed_nodes,
     nijenhuis_node_norms,
     nijenhuis_norm,
     nonclosed_control_form,
@@ -175,29 +177,24 @@ def _failure(cfg: SuiteConfig, check, dim, index, residual, detail=""):
     }
 
 
-#: Checks whose row value is the number of failing cases, not the largest value.
-COUNT_CHECKS = ("criteria-agree", "maximality-brute-force", "section-class")
-
-
 def _sweep(cfg: SuiteConfig, *parts):
     """Run each part ``(case, dims, samples)`` on each of its dims with the
     index range ``range(samples)`` and fold the measurements into one row per
-    (check, dim), in first-seen order. A row passes when every measurement in
-    it was ok; the first failing measurement in index order is the failure
-    case."""
+    (check, dim), in first-seen order, as ``CHECKS`` says. The first
+    measurement in index order that fails its bound is the failure case."""
     rows, failure = {}, None
     for case, dims, samples in parts:
         for dim in dims:
             for index, (_, measurements) in enumerate(case(cfg, dim, range(samples))):
-                for check, value, ok, *detail in measurements:
-                    rows.setdefault((check, dim), []).append((value, ok))
-                    if not ok and failure is None:
+                for check, value, *detail in measurements:
+                    rows.setdefault((check, dim), []).append(value)
+                    if failure is None and not CHECKS[check].passes(value):
                         failure = _failure(cfg, check, dim, index, value, *detail)
     checks = []
-    for (check, dim), measured in rows.items():
-        values, oks = zip(*measured)
-        value = oks.count(False) if check in COUNT_CHECKS else np.max(values)
-        checks.append(_check_row(check, dim, len(measured), value, all(oks), cfg.seed))
+    for (check, dim), values in rows.items():
+        entry = CHECKS[check]
+        value = entry.row_value(values)
+        checks.append(_check_row(check, dim, len(values), value, entry.passes(value), cfg.seed))
     return checks, failure
 
 
@@ -272,7 +269,7 @@ def _criteria_case(cfg: SuiteConfig, dim, indices):
     for omega, rank in zip(omegas, rank_ok.tolist()):
         power = bool(is_c_symplectic_power(omega))
         agree = rank == power
-        measurements = [("criteria-agree", float(not agree), agree, f"rank={rank} power={power}")]
+        measurements = [("criteria-agree", float(not agree), f"rank={rank} power={power}")]
         cases.append(({"omega": omega.matrix}, measurements))
     return cases
 
@@ -286,14 +283,14 @@ def _induced_case(cfg: SuiteConfig, dim, index):
     induced = induced_complex_structure(omega).matrix
     residual = max_abs(induced - structure)
     inputs = {"omega": omega.matrix, "structure": structure}
-    measurements = [("uniqueness", residual, residual <= 1e-8)]
+    measurements = [("uniqueness", residual)]
     if index < 20:
         lam = 0j
         while abs(lam) < 1e-3:
             lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
         inputs["lambda"] = lam
         scale_residual = max_abs(induced_complex_structure(omega * lam).matrix - induced)
-        measurements.append(("scaling-invariance", scale_residual, scale_residual <= DEFAULT_TOL))
+        measurements.append(("scaling-invariance", scale_residual))
     return inputs, measurements
 
 
@@ -326,7 +323,7 @@ def _gram_schmidt_case(cfg: SuiteConfig, dim, index):
     omega = random_c_symplectic(_case_rng(cfg, dim, index), dim)[0]
     b = c_symplectic_basis(omega)
     residual = max_abs(b.T @ omega.matrix @ b - q_block_form(dim // 4).matrix) / omega.norm()
-    return {"omega": omega.matrix}, [("q-block-residual", residual, residual <= 1e-8)]
+    return {"omega": omega.matrix}, [("q-block-residual", residual)]
 
 
 def _lagrangian_instance(cfg: SuiteConfig, dim, index):
@@ -344,7 +341,7 @@ def _hitchin_case(cfg: SuiteConfig, dim, index):
     q = fiber.orthonormal_basis()
     image = space.structure.matrix @ q
     residual = max_abs(image - q @ (q.T @ image)) / max(max_abs(image), 1e-300)
-    return inputs, [("structure-invariance", residual, residual <= DEFAULT_TOL)]
+    return inputs, [("structure-invariance", residual)]
 
 
 @_per_index
@@ -356,9 +353,8 @@ def _maximality_case(cfg: SuiteConfig, dim, index):
     subspace = _random_candidate_subspace(space, rng)
     by_dimension = is_c_lagrangian(subspace, space.omega, 1e-8)
     by_search = _brute_force_maximal(subspace, space.omega, rng)
-    agree = bool(by_dimension == by_search)
     inputs = {"omega": space.omega.matrix, "candidate basis": subspace.basis}
-    return inputs, [("maximality-brute-force", float(not agree), agree)]
+    return inputs, [("maximality-brute-force", float(by_dimension != by_search))]
 
 
 def _random_candidate_subspace(space: CSymplecticSpace, rng: np.random.Generator) -> Subspace:
@@ -402,7 +398,10 @@ def _preservance_case(cfg: SuiteConfig, dim, index):
     gamma = random_base_form(projection, rng, scale=0.5)
     inputs["gamma"] = gamma.matrix
     report = verify_preservance(projection, gamma, DEFAULT_T_SAMPLES)
-    return inputs, [("preservance", report.max_residual, report.ok())]
+    return inputs, [
+        ("preservance", report.max_residual),
+        ("preservance-fiber-lagrangian", float(not report.fiber_lagrangian_ok)),
+    ]
 
 
 @_per_index
@@ -411,7 +410,10 @@ def _section_theorem_case(cfg: SuiteConfig, dim, index):
     section = LinearSection.random(LagrangianProjection.build(space, fiber), rng)
     inputs["section map"] = section.map
     certificate = holomorphize_section(section).certificate
-    return inputs, [("holomorphize", certificate.max_residual, certificate.ok())]
+    return inputs, [
+        ("holomorphize", certificate.max_residual),
+        ("holomorphize-graph-lagrangian", float(not certificate.graph_is_lagrangian)),
+    ]
 
 
 @_per_index
@@ -423,7 +425,7 @@ def _section_class_case(cfg: SuiteConfig, dim, index):
         exact = lattice.pair(s, e) == 1 and lattice.pair(s, s) == -2
     except (ValueError, PostconditionError):
         exact = False
-    return {"e": e}, [("section-class", float(not exact), exact, f"e={e}")]
+    return {"e": e}, [("section-class", float(not exact), f"e={e}")]
 
 
 #: Period (real and imaginary part) and fiber class that random isometries
@@ -444,7 +446,7 @@ def _twistor_case(cfg: SuiteConfig, dim, index):
     t = twistor_parameter(lattice, s, e, omega)
     scale = max(abs(lattice.pair(omega, omega.conj())), 1.0)
     subst = abs(lattice.pair(np.asarray(s), omega - t * np.asarray(e, dtype=float))) / scale
-    measurements = [("parameter-substitution", subst, subst <= 1e-12)]
+    measurements = [("parameter-substitution", subst)]
     planes = [(x, y) for x in np.linspace(-2, 2, 10) for y in np.linspace(-2, 2, 10)]
     grams, errors = np.full((len(planes), 2, 2), np.nan), {}
     try:
@@ -461,31 +463,69 @@ def _twistor_case(cfg: SuiteConfig, dim, index):
     first = next((gram for gram in grams if not np.isnan(gram).any()), grams[0])
     deviations = np.max(np.abs(grams - first), axis=(1, 2)) / max(float(np.max(np.abs(first))), 1e-300)
     for k, deviation in enumerate(deviations):
-        measurements.append(("plane-gram-constant", deviation, deviation <= 1e-12, errors.get(k, "")))
+        measurements.append(("plane-gram-constant", deviation, errors.get(k, "")))
     return {"omega": omega, "e": e}, measurements
 
 
-#: Case function of every check a per-sample suite emits, for replay.
-CASES = {
-    "criteria-agree": _criteria_case,
-    "uniqueness": _induced_case,
-    "scaling-invariance": _induced_case,
-    "q-block-residual": _gram_schmidt_case,
-    "structure-invariance": _hitchin_case,
-    "maximality-brute-force": _maximality_case,
-    "preservance": _preservance_case,
-    "holomorphize": _section_theorem_case,
-    "section-class": _section_class_case,
-    "parameter-substitution": _twistor_case,
-    "plane-gram-constant": _twistor_case,
+# -- check table -----------------------------------------------------------
+
+
+class Check(NamedTuple):
+    """How one check's rows are decided.
+
+    ``suite`` is the suite that emits the check, ``control`` the testbed
+    control that does (None outside the testbed), and ``case`` the case
+    function that measures it, None for the testbed's rows. ``fold`` turns
+    a row's measured values into its value: ``"max"``, the largest (NaN if
+    any is NaN), or ``"count"``, the number of values that fail the bound.
+    A value passes when ``low <= value <= high``, so NaN fails."""
+
+    suite: str
+    case: Callable
+    fold: str
+    low: float
+    high: float
+    control: str = None
+
+    def passes(self, value) -> bool:
+        return bool(self.low <= value <= self.high)
+
+    def row_value(self, values):
+        if self.fold == "count":
+            return sum(not self.passes(value) for value in values)
+        return np.max(values)
+
+
+#: Every check a suite emits, in the order the suites emit them. A count
+#: row's case value is 1.0 for a failing case and 0.0 otherwise.
+CHECKS = {
+    "criteria-agree": Check("criteria-equivalence", _criteria_case, "count", -np.inf, 0),
+    "uniqueness": Check("induced-structure", _induced_case, "max", -np.inf, 1e-8),
+    "scaling-invariance": Check("induced-structure", _induced_case, "max", -np.inf, DEFAULT_TOL),
+    "q-block-residual": Check("gram-schmidt", _gram_schmidt_case, "max", -np.inf, 1e-8),
+    "structure-invariance": Check("hitchin", _hitchin_case, "max", -np.inf, DEFAULT_TOL),
+    "maximality-brute-force": Check("hitchin", _maximality_case, "count", -np.inf, 0),
+    "preservance": Check("preservance", _preservance_case, "max", -np.inf, DEFAULT_TOL),
+    "preservance-fiber-lagrangian": Check("preservance", _preservance_case, "count", -np.inf, 0),
+    "holomorphize": Check("section-theorem", _section_theorem_case, "max", -np.inf, DEFAULT_TOL),
+    "holomorphize-graph-lagrangian": Check("section-theorem", _section_theorem_case, "count", -np.inf, 0),
+    "section-holomorphy": Check("testbed-nijenhuis", None, "max", -np.inf, 1e-8, "closed"),
+    "section-nijenhuis": Check("testbed-nijenhuis", None, "max", -np.inf, 1e-4, "closed"),
+    "section-closedness": Check("testbed-nijenhuis", None, "max", -np.inf, 1e-10, "closed"),
+    # Richardson window accepted as second order between successive grids
+    "closed-decay-rate": Check("testbed-nijenhuis", None, "max", 2.5, 6.0, "closed"),
+    "closed-control-nijenhuis": Check("testbed-nijenhuis", None, "max", -np.inf, 1e-4, "closed"),
+    "nonclosed-nijenhuis": Check("testbed-nijenhuis", None, "max", -np.inf, 0.05, "nonclosed"),
+    # the non-closedness is macroscopic: |d eta| -> 2 pi
+    "nonclosed-derivative": Check("testbed-nijenhuis", None, "max", np.pi, np.inf, "nonclosed"),
+    "nonclosed-stability": Check("testbed-nijenhuis", None, "max", -np.inf, 0.05, "nonclosed"),
+    "section-class": Check("lattice-sections", _section_class_case, "count", -np.inf, 0),
+    "parameter-substitution": Check("twistor-curve", _twistor_case, "max", -np.inf, 1e-12),
+    "plane-gram-constant": Check("twistor-curve", _twistor_case, "max", -np.inf, 1e-12),
 }
 
 
 # -- torus testbed ---------------------------------------------------------
-
-
-#: Richardson window accepted as second order between successive grids.
-RICHARDSON_WINDOW = (2.5, 6.0)
 
 
 def testbed_inputs(cfg: SuiteConfig):
@@ -522,35 +562,37 @@ class NodeTable:
     nijenhuis: np.ndarray
 
 
-def _rows(cfg: SuiteConfig, measured):
-    """Fold the testbed's measurements ``(check, samples, value, ok, index[,
-    detail])``, all at dim 4, into one row each; the first failing one is the
-    failure case."""
+def _testbed(cfg: SuiteConfig):
+    """Run the testbed's control and turn its measurements ``(check, samples,
+    value, index[, detail])``, all at dim 4, into one row each; the first
+    that fails its bound is the failure case."""
+    measured, nodes = (_testbed_nonclosed if cfg.control == "nonclosed" else _testbed_closed)(cfg)
     checks, failure = [], None
-    for check, samples, value, ok, index, *detail in measured:
+    for check, samples, value, index, *detail in measured:
+        ok = CHECKS[check].passes(value)
         checks.append(_check_row(check, 4, samples, value, ok, cfg.seed))
         if not ok and failure is None:
             failure = _failure(cfg, check, 4, index, value, *detail)
-    return checks, failure
+    return checks, failure, nodes
 
 
 def _testbed_closed(cfg: SuiteConfig):
+    """The closed testbed's measurements and node table. A failed node is
+    NaN and the node maxima carry it, so the rows need no failed-node count."""
     section, etas = testbed_inputs(cfg)
     eta = etas[cfg.grid_n]
 
     holomorphy = verify_section_holomorphic(section, eta)
-    measured = [("section-holomorphy", cfg.grid_n**2, holomorphy.max_residual, holomorphy.ok(), 0)]
+    measured = [("section-holomorphy", cfg.grid_n**2, holomorphy.max_residual, 0)]
     if cfg.t_value == -1:  # the field holomorphy was checked on
         structure = holomorphy.structure
     else:
         structure = deformed_structure_field(eta, cfg.t_value)
-    structures = _coarse_and_fine(structure)
-    node_norms = {grid_n: nijenhuis_node_norms(s) for grid_n, s in structures.items()}
-    for grid_n, structure_n in structures.items():
-        norm = float(np.max(node_norms[grid_n]))
+    node_norms = {grid_n: nijenhuis_node_norms(s) for grid_n, s in _coarse_and_fine(structure).items()}
+    for grid_n, norms in node_norms.items():
+        measured.append(("section-nijenhuis", grid_n * grid_n, float(np.max(norms)), grid_n))
         d_eta = max_abs(exterior_derivative_fd(etas[grid_n]))
-        ok = norm <= 1e-4 and failed_nodes(structure_n) == 0 and d_eta <= 1e-10
-        measured.append(("section-nijenhuis", grid_n * grid_n, norm, ok, grid_n))
+        measured.append(("section-closedness", grid_n * grid_n, d_eta, grid_n))
     # the node table shows the section theorem's structure, at t = -1
     if structure is holomorphy.structure:
         theorem_norms = node_norms[cfg.grid_n]
@@ -563,10 +605,9 @@ def _testbed_closed(cfg: SuiteConfig):
     # decay is measured on a generic closed (2,0)+(1,1) deformation
     control = deformed_structure_field(closed_control_form(TorusGrid(cfg.grid_n)), 1.0)
     coarse_norm, fine_norm = (nijenhuis_norm(s) for s in _coarse_and_fine(control).values())
-    ratio = coarse_norm / max(fine_norm, 1e-300)
-    rate_ok = RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1] and fine_norm <= 1e-4
-    measured.append(("closed-decay-rate", 2, ratio, rate_ok, 0))
-    return (*_rows(cfg, measured), nodes)
+    measured.append(("closed-decay-rate", 2, coarse_norm / max(fine_norm, 1e-300), 0))
+    measured.append(("closed-control-nijenhuis", cfg.grid_n**2, fine_norm, cfg.grid_n))
+    return measured, nodes
 
 
 def _nonclosed_continuum_max(t: float) -> float:
@@ -594,27 +635,26 @@ def _nonclosed_continuum_max(t: float) -> float:
 
 
 def _testbed_nonclosed(cfg: SuiteConfig):
+    """The non-closed control's measurements and node table. A deviation
+    of at most 0.05 keeps the value above 0.95 times the continuum ceiling,
+    and a failed node makes it NaN."""
     t = complex(cfg.t_value).real
     continuum = _nonclosed_continuum_max(t)
     controls = testbed_inputs(cfg)[1]
     structure = deformed_structure_field(controls[cfg.grid_n], t)
-    structures = _coarse_and_fine(structure)
-    node_norms = {grid_n: nijenhuis_node_norms(s) for grid_n, s in structures.items()}
+    node_norms = {grid_n: nijenhuis_node_norms(s) for grid_n, s in _coarse_and_fine(structure).items()}
     values = {grid_n: float(np.max(norms)) for grid_n, norms in node_norms.items()}
     measured = []
-    for grid_n, structure_n in structures.items():
-        value = values[grid_n]
+    for grid_n, value in values.items():
         deviation = abs(value - continuum) / continuum
-        ok = failed_nodes(structure_n) == 0 and deviation <= 0.05 and value >= continuum / 2
         detail = f"value={value} continuum={continuum}"
-        measured.append(("nonclosed-nijenhuis", grid_n * grid_n, deviation, ok, grid_n, detail))
+        measured.append(("nonclosed-nijenhuis", grid_n * grid_n, deviation, grid_n, detail))
         d_norm = max_abs(exterior_derivative_fd(controls[grid_n]))
-        # the non-closedness is macroscopic: |d eta| -> 2 pi
-        measured.append(("nonclosed-derivative", grid_n * grid_n, d_norm, d_norm >= np.pi, grid_n))
+        measured.append(("nonclosed-derivative", grid_n * grid_n, d_norm, grid_n))
     n = cfg.grid_n
     stability = abs(values[n] - values[n // 2]) / continuum
-    measured.append(("nonclosed-stability", 2, stability, stability <= 0.05, 0))
-    return (*_rows(cfg, measured), NodeTable(np.zeros((n, n)), node_norms[n]))
+    measured.append(("nonclosed-stability", 2, stability, 0))
+    return measured, NodeTable(np.zeros((n, n)), node_norms[n])
 
 
 def testbed_node_csv(report: SuiteReport) -> str:
@@ -635,7 +675,7 @@ def testbed_node_csv(report: SuiteReport) -> str:
 
 class Suite(NamedTuple):
     """A suite's runner ``cfg -> (check rows, failure case or None)`` and its
-    default sample count and dims; the testbed's runners return its
+    default sample count and dims; the testbed's runner returns its
     ``NodeTable`` third. Suites that fix the dim of their own rows
     have ``dims=None``; the others validate ``SuiteConfig.dims``."""
 
@@ -653,9 +693,7 @@ SUITES = {
     ),
     "preservance": Suite(lambda cfg: _sweep(cfg, (_preservance_case, cfg.dims, cfg.samples)), 200, (4, 8)),
     "section-theorem": Suite(lambda cfg: _sweep(cfg, (_section_theorem_case, cfg.dims, cfg.samples)), 200, (4, 8)),
-    "testbed-nijenhuis": Suite(
-        lambda cfg: (_testbed_nonclosed if cfg.control == "nonclosed" else _testbed_closed)(cfg), 1
-    ),
+    "testbed-nijenhuis": Suite(_testbed, 1),
     "lattice-sections": Suite(lambda cfg: _sweep(cfg, (_section_class_case, (22,), cfg.samples)), 100),
     "twistor-curve": Suite(lambda cfg: _sweep(cfg, (_twistor_case, (22,), max(1, cfg.samples // 10))), 100),
 }
@@ -681,7 +719,8 @@ def describe_case(case: dict, cfg: SuiteConfig):
     serialized case, from the case function the suite itself ran; for the
     testbed, its section modes and deformation fields.
     """
-    if case["suite"] == "testbed-nijenhuis":
+    case_function = CHECKS[case["check"]].case
+    if case_function is None:
         section, fields = testbed_inputs(cfg)
         inputs = {f"field at grid {n}": field for n, field in fields.items()}
         if section is not None:
@@ -689,20 +728,21 @@ def describe_case(case: dict, cfg: SuiteConfig):
         measurements = []
     else:
         index = case["index"]
-        inputs, measurements = CASES[case["check"]](cfg, case["dim"], range(index, index + 1))[0]
+        inputs, measurements = case_function(cfg, case["dim"], range(index, index + 1))[0]
     with np.printoptions(precision=6, suppress=False, linewidth=140):
         for name, value in inputs.items():
             print(f"{name}:\n{value}")
-        for check, value, ok, *detail in measurements:
-            print(f"{check}: {value:.6e} ok={ok}", *detail)
+        for check, value, *detail in measurements:
+            print(f"{check}: {value:.6e} ok={CHECKS[check].passes(value)}", *detail)
     return inputs, measurements
 
 
 def case_config(case: dict) -> SuiteConfig:
     """The suite configuration a serialized case was recorded under; keys
     its ``config`` lacks take the ``SuiteConfig`` defaults. A ``tol`` stored
-    by earlier versions must be the pinned ``DEFAULT_TOL``. Raises
-    ``KeyError`` or ``ValueError`` for a malformed case."""
+    by earlier versions must be the pinned ``DEFAULT_TOL``, and the check
+    must be one that ``CHECKS`` says the suite (and the testbed's control)
+    emits. Raises ``KeyError`` or ``ValueError`` for a malformed case."""
     for key in ("suite", "check", "seed", "dim", "index"):
         if key not in case:
             raise ValueError(f"missing {key!r}")
@@ -716,7 +756,13 @@ def case_config(case: dict) -> SuiteConfig:
     if "t_value" in given:
         given["t_value"] = complex(*given["t_value"])
     dims = (case["dim"],) if case["dim"] else None
-    return SuiteConfig(suite=case["suite"], dims=dims, seed=case["seed"], **given)
+    cfg = SuiteConfig(suite=case["suite"], dims=dims, seed=case["seed"], **given)
+    entry = CHECKS.get(case["check"])
+    if entry is None or entry.suite != cfg.suite:
+        raise ValueError(f"suite {cfg.suite!r} emits no check {case['check']!r}")
+    if entry.control not in (None, cfg.control):
+        raise ValueError(f"the {cfg.control} control emits no check {case['check']!r}")
+    return cfg
 
 
 def replay_case(case: dict) -> SuiteReport:

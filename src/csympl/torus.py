@@ -307,9 +307,6 @@ class SectionHolomorphyCertificate:
     node_residuals: np.ndarray = dc_field(repr=False)
     structure: np.ndarray = dc_field(repr=False)
 
-    def ok(self) -> bool:
-        return failed_nodes(self.structure) == 0 and self.max_residual <= 1e-8
-
 
 def verify_section_holomorphic(sigma: SmoothSection, eta: np.ndarray) -> SectionHolomorphyCertificate:
     """Check d sigma o J_base = I' o d sigma at every node of eta's grid for t = -1.

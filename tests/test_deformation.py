@@ -32,14 +32,21 @@ from csympl.deformation import (
     verify_preservance,
 )
 from csympl.forms import ComplexTwoForm, form_kernel, pullback
-from csympl.linalg import ComplexStructure, PostconditionError, Subspace
-from csympl.suites import random_lagrangian
+from csympl.linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace
+from csympl.suites import CHECKS, random_lagrangian
 
 
 def q_projection():
     space = CSymplecticSpace.from_form(q_block_form(1))
     fiber = Subspace(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     return LagrangianProjection.build(space, fiber)
+
+
+def holomorphized(certificate):
+    """The section theorem's two conditions: the graph is c-Lagrangian for
+    Omega', and the graph restriction and intertwining residuals are at
+    most DEFAULT_TOL."""
+    return certificate.graph_is_lagrangian and certificate.max_residual <= DEFAULT_TOL
 
 
 def random_setup(dim, seed):
@@ -341,9 +348,9 @@ def test_a_failing_form_is_decomposed_once(svd_inputs, monkeypatch):
 def test_residual_folds_keep_a_nan():
     nan = float("nan")
     assert np.isnan(PreservanceReport((), True, 0.0, nan, 0.0).max_residual)
-    assert not PreservanceReport((), True, 1e-12, 0.0, nan).ok()
+    assert not CHECKS["preservance"].passes(PreservanceReport((), True, 1e-12, 0.0, nan).max_residual)
     assert np.isnan(HolomorphizationCertificate(1e-12, True, nan).max_residual)
-    assert not HolomorphizationCertificate(0.0, True, nan).ok()
+    assert not CHECKS["holomorphize"].passes(HolomorphizationCertificate(0.0, True, nan).max_residual)
 
 
 def test_projection_builds_its_quotient_once(monkeypatch):
@@ -386,7 +393,7 @@ def test_holomorphize_fixed_point():
     result = holomorphize_section(section)
     assert result.eta.norm() < 1e-12
     assert np.allclose(result.omega_prime.matrix, proj.space.omega.matrix, atol=1e-12)
-    assert result.certificate.ok()
+    assert holomorphized(result.certificate)
 
 
 def test_holomorphize_random_sections_dim4():
@@ -405,7 +412,7 @@ def test_holomorphize_certificate_bulk():
             proj, rng = random_setup(dim, 300 + i)
             section = LinearSection.random(proj, rng)
             result = holomorphize_section(section)
-            assert result.certificate.ok()
+            assert holomorphized(result.certificate)
 
 
 def test_full_pipeline_at_dim_twelve():
@@ -414,7 +421,7 @@ def test_full_pipeline_at_dim_twelve():
     report = verify_preservance(proj, gamma, t_samples=(1.0, -1j))
     assert report.fiber_lagrangian_ok and report.max_residual < 1e-9
     section = LinearSection.random(proj, rng)
-    assert holomorphize_section(section).certificate.ok()
+    assert holomorphized(holomorphize_section(section).certificate)
 
 
 def test_eta_linear_in_fiber_perturbation():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from csympl import cli, csymplectic, forms, linalg, suites, torus
+from csympl import cli, csymplectic, deformation, forms, linalg, suites, torus
 from csympl.csymplectic import Q_BLOCK
 from csympl.cli import main
 from csympl.linalg import ComplexStructure, PostconditionError
@@ -203,6 +203,32 @@ def test_replay_malformed_file_exits_2(tmp_path, capsys):
         assert err.count("malformed case file") == 1, name
 
 
+@pytest.mark.parametrize("check", ["uniqueness", "section-nijenhuis", "bogus"])
+def test_replay_of_a_check_its_suite_never_emits_exits_2(check, tmp_path, monkeypatch, capsys):
+    # neither the case is rebuilt nor the suite re-run
+    monkeypatch.setattr(suites, "run_suite", lambda cfg: pytest.fail("the suite ran"))
+    case = {"suite": "preservance", "check": check, "dim": 4, "seed": 0, "index": 0, "config": {"samples": 2}}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    assert main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"malformed case file: suite 'preservance' emits no check {check!r}\n"
+
+
+@pytest.mark.parametrize("control, check", [("closed", "nonclosed-nijenhuis"), ("nonclosed", "section-nijenhuis")])
+def test_replay_of_a_check_the_testbed_control_never_emits_exits_2(control, check, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(suites, "run_suite", lambda cfg: pytest.fail("the suite ran"))
+    case = {"suite": "testbed-nijenhuis", "check": check, "dim": 4, "seed": 0, "index": 16,
+            "config": {"grid": 16, "control": control, "t": [0.5, 0.0]}}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    assert main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"malformed case file: the {control} control emits no check {check!r}\n"
+
+
 def test_replay_unknown_control_exits_2(tmp_path, capsys):
     case = {"suite": "testbed-nijenhuis", "check": "section-nijenhuis", "dim": 4, "seed": 0, "index": 16,
             "config": {"grid": 16, "control": "bogus"}}
@@ -224,7 +250,7 @@ def raising_preservance_case(monkeypatch):
         raise PostconditionError("deformed form failed c-symplecticity")
 
     monkeypatch.setattr(suites, "_preservance_case", raising)
-    monkeypatch.setitem(suites.CASES, "preservance", raising)
+    monkeypatch.setitem(suites.CHECKS, "preservance", suites.CHECKS["preservance"]._replace(case=raising))
 
 
 @pytest.mark.parametrize("tol", ["0.5", "1e-17"])
@@ -542,10 +568,11 @@ def test_replay_rebuilds_the_inputs_each_check_measured(monkeypatch, capsys):
 
         return record
 
-    for case in set(suites.CASES.values()):
+    per_sample = {check for check, entry in suites.CHECKS.items() if entry.case is not None}
+    for case in {suites.CHECKS[check].case for check in per_sample}:
         monkeypatch.setattr(suites, case.__name__, recording(case))
     emitted = {row["check"] for cfg in REPLAY_RUNS for row in run_suite(cfg).checks}
-    assert emitted == set(suites.CASES)
+    assert emitted == per_sample
 
     configs = {cfg.suite: cfg for cfg in REPLAY_RUNS}
     replayed = set()
@@ -554,7 +581,7 @@ def test_replay_rebuilds_the_inputs_each_check_measured(monkeypatch, capsys):
             case = {"suite": suite, "check": check, "dim": dim, "index": index}
             assert_same_inputs(suites.describe_case(case, configs[suite])[0], inputs)
             replayed.add(check)
-    assert replayed == set(suites.CASES)
+    assert replayed == per_sample
     assert ("hitchin", "maximality-brute-force", 4, 3) in used
 
 
@@ -570,6 +597,113 @@ def test_testbed_replay_rebuilds_the_suite_fields(monkeypatch, capsys):
         replayed = suites.describe_case(case, cfg)[0]
         assert replayed.pop("section modes", None) == getattr(section, "modes", None)
         assert_same_inputs(replayed, {f"field at grid {n}": field for n, field in fields.items()})
+
+
+# -- check table ---------------------------------------------------------------------
+
+
+#: Small runs of every suite, both testbed controls included.
+SMALL_RUNS = REPLAY_RUNS + (
+    SuiteConfig(suite="testbed-nijenhuis", grid_n=16, seed=0),
+    SuiteConfig(suite="testbed-nijenhuis", grid_n=16, control="nonclosed", t_value=0.5, seed=0),
+)
+
+
+def test_every_row_is_decided_by_its_suites_table_entry():
+    emitted = set()
+    for cfg in SMALL_RUNS:
+        for row in run_suite(cfg).checks:
+            entry = suites.CHECKS[row["check"]]
+            assert entry.suite == cfg.suite, row
+            assert entry.control == (cfg.control if cfg.suite == "testbed-nijenhuis" else None), row
+            assert row["pass"] == entry.passes(row["max_residual"]), row
+            emitted.add(row["check"])
+    assert emitted == set(suites.CHECKS)
+
+
+@pytest.mark.parametrize("check", list(suites.CHECKS))
+def test_a_nan_value_fails_every_check(check):
+    entry = suites.CHECKS[check]
+    assert not entry.passes(np.nan)
+    passing = entry.low if np.isfinite(entry.low) else entry.high
+    assert entry.passes(passing)
+    # beside a passing case, a NaN case is one failing case, or the row's maximum
+    folded = entry.row_value([passing, np.nan])
+    assert folded == 1 if entry.fold == "count" else entry.fold == "max" and np.isnan(folded)
+
+
+@pytest.mark.parametrize(
+    "control, t, checks",
+    [("closed", -1.0, ("section-holomorphy", "section-nijenhuis")), ("nonclosed", 0.5, ("nonclosed-nijenhuis",))],
+)
+def test_one_failed_node_fails_the_testbed_rows_by_value(control, t, checks, monkeypatch):
+    cfg = SuiteConfig(suite="testbed-nijenhuis", grid_n=64, control=control, t_value=t)
+    assert run_suite(cfg).passed
+    build = torus.deformed_structure_field
+
+    def one_failed_node(eta, t):
+        structure = build(eta, t)
+        structure[0, 0] = np.nan  # a node of the coarse grid too
+        return structure
+
+    for module in (torus, suites):
+        monkeypatch.setattr(module, "deformed_structure_field", one_failed_node)
+    report = run_suite(cfg)
+    rows = [row for row in report.checks if row["check"] in checks]
+    assert {row["check"] for row in rows} == set(checks)
+    for row in rows:
+        assert np.isnan(row["max_residual"]) and not row["pass"], row
+    assert not report.passed
+
+
+def rows_of(report, check):
+    return [row for row in report.checks if row["check"] == check]
+
+
+@pytest.mark.parametrize(
+    "suite, split, kept", [("preservance", "preservance-fiber-lagrangian", "preservance"),
+                           ("section-theorem", "holomorphize-graph-lagrangian", "holomorphize")]
+)
+def test_a_subspace_that_is_not_c_lagrangian_fails_its_own_row(suite, split, kept, monkeypatch):
+    # the fiber under Omega_t and the graph under Omega' are checked at
+    # STRUCTURE_TOL; hand those checks a generic subspace of the same dimension
+    lagrangian = deformation.is_c_lagrangian
+    rng = np.random.default_rng(0)
+
+    def generic(subspace, omega, tol=linalg.DEFAULT_TOL):
+        if tol == linalg.STRUCTURE_TOL:
+            subspace = linalg.Subspace(rng.standard_normal(subspace.basis.shape))
+        return lagrangian(subspace, omega, tol)
+
+    monkeypatch.setattr(deformation, "is_c_lagrangian", generic)
+    report = run_suite(SuiteConfig(suite=suite, dims=(4,), samples=3, seed=0))
+    (row,) = rows_of(report, split)
+    assert row["max_residual"] == 3 and not row["pass"]
+    assert all(row["pass"] for row in rows_of(report, kept))
+    assert not report.passed and report.failure_case["check"] == split
+
+
+def test_an_eta_that_is_not_closed_fails_the_closedness_rows(monkeypatch):
+    derivative = suites.exterior_derivative_fd
+    monkeypatch.setattr(suites, "exterior_derivative_fd", lambda field: derivative(field) + 1e-9)
+    report = run_suite(SuiteConfig(suite="testbed-nijenhuis", grid_n=64))
+    closedness = rows_of(report, "section-closedness")
+    assert [row["samples"] for row in closedness] == [32 * 32, 64 * 64]
+    assert all(row["max_residual"] == 1e-9 and not row["pass"] for row in closedness)
+    assert all(row["pass"] for row in rows_of(report, "section-nijenhuis"))
+    assert not report.passed
+
+
+def test_a_rough_closed_control_fails_its_nijenhuis_row(monkeypatch):
+    control = torus.deformed_structure_field(torus.closed_control_form(torus.TorusGrid(64)), 1.0)
+    scale = 2e-4 / torus.nijenhuis_norm(control)
+    norm = suites.nijenhuis_norm
+    monkeypatch.setattr(suites, "nijenhuis_norm", lambda structures: scale * norm(structures))
+    report = run_suite(SuiteConfig(suite="testbed-nijenhuis", grid_n=64))
+    (row,) = rows_of(report, "closed-control-nijenhuis")
+    assert row["max_residual"] == pytest.approx(2e-4, rel=1e-12) and not row["pass"]
+    assert rows_of(report, "closed-decay-rate")[0]["pass"]
+    assert not report.passed
 
 
 # -- lattice subcommands ------------------------------------------------------------
@@ -619,8 +753,8 @@ def test_invalid_twistor_direction_fails_every_plane(monkeypatch):
     _, measurements = suites._twistor_case(SuiteConfig(suite="twistor-curve", samples=10, seed=0), 22, range(1))[0]
     planes = [m for m in measurements if m[0] == "plane-gram-constant"]
     assert len(planes) == 100
-    for _, deviation, ok, detail in planes:
-        assert not ok and np.isnan(deviation)
+    for _, deviation, detail in planes:
+        assert np.isnan(deviation) and not suites.CHECKS["plane-gram-constant"].passes(deviation)
         assert detail.startswith("plane (") and detail.endswith("): (e, e) != 0: direction must be isotropic")
 
 
@@ -639,14 +773,14 @@ def test_a_twistor_plane_that_is_not_positive_fails_alone(monkeypatch):
     planes = [(x, y) for x in np.linspace(-2, 2, 10) for y in np.linspace(-2, 2, 10)]
     rows = [m for m in measurements if m[0] == "plane-gram-constant"]
     rejected = 0
-    for (x, y), (_, deviation, ok, detail) in zip(planes, rows, strict=True):
+    for (x, y), (_, deviation, detail) in zip(planes, rows, strict=True):
         try:
             curve.plane(float(x), float(y))
         except ValueError as exc:
             rejected += 1
             assert str(exc).startswith("plane is not positive: Gram eigenvalues [")
             assert detail == f"plane ({x}, {y}): {exc}"
-            assert not ok and np.isnan(deviation)
+            assert np.isnan(deviation)
         else:
             assert detail == "" and np.isfinite(deviation)
     assert 0 < rejected < len(planes)

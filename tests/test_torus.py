@@ -418,7 +418,7 @@ def test_random_sections_become_holomorphic():
         rng = np.random.default_rng(700 + i)
         section = SmoothSection.random(rng, 3)
         certificate = verify_section_holomorphic(section, sample_section_form(section, TorusGrid(64)))
-        assert certificate.ok()
+        assert failed_nodes(certificate.structure) == 0 and certificate.max_residual <= 1e-8
         assert certificate.max_residual < 1e-10
 
 
