@@ -18,7 +18,7 @@ from .csymplectic import (
     hodge_decompose,
     induced_structures,
     is_c_lagrangian,
-    is_c_symplectic_power,
+    power_verdicts,
 )
 from .forms import ComplexTwoForm
 from .linalg import DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space
@@ -210,17 +210,19 @@ class DeformationFamily:
     def structures(self, t_samples) -> list:
         """Induced structures of the members at ``t_samples``, checked by both
         criteria: all members in one ``induced_structures`` call (the rank
-        criterion), each member by its own power criterion."""
+        criterion) and one ``power_verdicts`` call."""
         forms = [self.form(t) for t in t_samples]
-        stacked, verdicts = induced_structures(np.stack([omega_t.matrix for omega_t in forms]))
-        for i, (omega_t, structure) in enumerate(zip(forms, stacked)):
-            power_check = is_c_symplectic_power(omega_t)
+        stack = np.stack([omega_t.matrix for omega_t in forms])
+        stacked, verdicts = induced_structures(stack)
+        powers = power_verdicts(stack)
+        for i, structure in enumerate(stacked):
             rank_reason = "ok"
             if np.isnan(structure).any():
                 rank_reason = verdicts.criterion(i).reason or "induced structure rejected"
-            if rank_reason != "ok" or not power_check:
+            if rank_reason != "ok" or not powers.ok[i]:
                 raise PostconditionError(
-                    f"deformed form failed c-symplecticity: rank: {rank_reason}; power: {power_check.reason or 'ok'}"
+                    f"deformed form failed c-symplecticity: rank: {rank_reason}; "
+                    f"power: {powers.criterion(i).reason or 'ok'}"
                 )
         return [ComplexStructure.from_accepted(omega_t.dim, structure) for omega_t, structure in zip(forms, stacked)]
 

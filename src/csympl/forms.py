@@ -2,9 +2,10 @@
 
 Forms carry one coefficient per strictly increasing multi-index, so
 antisymmetry is structural.  The module provides the wedge product,
-powers of 2-forms, pullback along linear maps, and numerical kernels of
-2-forms.  Intended scale is dim <= 32 with the sweet spot well below
-that; everything is double-precision complex.
+powers of 2-forms (by the Pfaffian's first-row expansion), pullback along
+linear maps, and numerical kernels of 2-forms.  Intended scale is
+dim <= 32 with the sweet spot well below that; everything is
+double-precision complex.
 """
 
 from dataclasses import dataclass
@@ -206,17 +207,27 @@ def wedge(a, b) -> ComplexKForm:
     return ComplexKForm(a.dim, a.degree + b.degree, kernels.wedge_scatter(ia, ib, sign, a.coeffs, b.coeffs))
 
 
+def next_power(a_k: np.ndarray, a: np.ndarray, dim: int, k: int) -> np.ndarray:
+    """Coefficients of a^{k+1} from those of a^k and of the 2-form a on
+    R^dim, stacked alike on their leading axes: k + 1 times the gather-reduce
+    of ``multiindex.first_row_table``, the Pfaffian's first-row expansion,
+    which takes 1/(k + 1) of the full wedge table's products."""
+    out = kernels.wedge_scatter(*multiindex.first_row_table(dim, 2 * k), a_k, a)
+    out *= k + 1
+    return out
+
+
 def power(a, k: int) -> ComplexKForm:
-    """k-fold wedge of a 2-form with itself."""
+    """k-fold wedge of a 2-form with itself, one ``next_power`` at a time."""
     a = _as_kform(a)
     if a.degree != 2:
         raise ValueError("power is defined for 2-forms")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    result = a
-    for _ in range(k - 1):
-        result = wedge(result, a)
-    return result
+    coeffs = a.coeffs
+    for j in range(1, k):
+        coeffs = next_power(coeffs, a.coeffs, a.dim, j)
+    return ComplexKForm(a.dim, 2 * k, coeffs)
 
 
 def pullback(f: np.ndarray, a) -> ComplexKForm:

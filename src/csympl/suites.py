@@ -28,11 +28,11 @@ import numpy as np
 
 from .csymplectic import (
     CSymplecticSpace,
+    accepted_structures,
     c_symplectic_basis,
-    induced_complex_structure,
     is_c_isotropic,
     is_c_lagrangian,
-    is_c_symplectic_power,
+    power_verdicts,
     q_block_form,
     random_c_symplectic,
     rank_verdicts,
@@ -260,38 +260,47 @@ def _per_index(case):
 
 
 def _criteria_case(cfg: SuiteConfig, dim, indices):
-    """Both criteria on mixed forms, each drawn from its own stream: the rank
-    verdicts of the whole range in one stacked call, and each form's power
-    criterion on its own."""
+    """Both criteria on mixed forms, each drawn from its own stream: the
+    range's rank verdicts in one stacked call and its power verdicts in
+    another."""
     omegas = [mixed_two_form(_case_rng(cfg, dim, index), dim) for index in indices]
-    rank_ok = rank_verdicts(np.stack([omega.matrix for omega in omegas])).ok
+    stack = np.stack([omega.matrix for omega in omegas])
+    verdicts = zip(rank_verdicts(stack).ok.tolist(), power_verdicts(stack).ok.tolist())
     cases = []
-    for omega, rank in zip(omegas, rank_ok.tolist()):
-        power = bool(is_c_symplectic_power(omega))
-        agree = rank == power
-        measurements = [("criteria-agree", float(not agree), f"rank={rank} power={power}")]
+    for omega, (rank, power) in zip(omegas, verdicts):
+        measurements = [("criteria-agree", float(rank != power), f"rank={rank} power={power}")]
         cases.append(({"omega": omega.matrix}, measurements))
     return cases
 
 
-@_per_index
-def _induced_case(cfg: SuiteConfig, dim, index):
-    """Recover a known structure from its form; the first 20 cases of each
-    dim also rescale the form by a random lambda."""
-    rng = _case_rng(cfg, dim, index)
-    structure, omega = _structure_with_form(rng, dim)
-    induced = induced_complex_structure(omega).matrix
-    residual = max_abs(induced - structure)
-    inputs = {"omega": omega.matrix, "structure": structure}
-    measurements = [("uniqueness", residual)]
-    if index < 20:
-        lam = 0j
-        while abs(lam) < 1e-3:
-            lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        inputs["lambda"] = lam
-        scale_residual = max_abs(induced_complex_structure(omega * lam).matrix - induced)
-        measurements.append(("scaling-invariance", scale_residual))
-    return inputs, measurements
+def _induced_case(cfg: SuiteConfig, dim, indices):
+    """Recover a known structure from its form, each drawn from its own
+    stream; the cases at indices below 20 also rescale the form by a random
+    lambda.  The range's forms and rescalings are decided in one
+    ``accepted_structures`` call, in index order with each rescaling after
+    its form, so the first rejected form raises as it would on its own."""
+    instances, stack = [], []
+    for index in indices:
+        rng = _case_rng(cfg, dim, index)
+        structure, omega = _structure_with_form(rng, dim)
+        inputs = {"omega": omega.matrix, "structure": structure}
+        stack.append(omega.matrix)
+        if index < 20:
+            lam = 0j
+            while abs(lam) < 1e-3:
+                lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
+            inputs["lambda"] = lam
+            stack.append((omega * lam).matrix)
+        instances.append(inputs)
+    induced = iter(accepted_structures(np.stack(stack)))
+    cases = []
+    for inputs in instances:
+        own = next(induced)
+        measurements = [("uniqueness", max_abs(own - inputs["structure"]))]
+        if "lambda" in inputs:
+            measurements.append(("scaling-invariance", max_abs(next(induced) - own)))
+        cases.append((inputs, measurements))
+    return cases
 
 
 def _structure_with_form(rng: np.random.Generator, dim: int):

@@ -9,6 +9,7 @@ from csympl import csymplectic, kernels, suites
 from csympl.csymplectic import (
     CSymplecticSpace,
     Q_BLOCK,
+    PowerCriterion,
     RankCriterion,
     _structure_accepted,
     c_symplectic_basis,
@@ -19,6 +20,7 @@ from csympl.csymplectic import (
     is_c_lagrangian,
     is_c_symplectic_power,
     is_c_symplectic_rank,
+    power_verdicts,
     q_block_form,
     random_c_symplectic,
     rank_verdicts,
@@ -279,26 +281,27 @@ def reference_criteria_sweep(cfg, power_verdicts):
 
 
 def recording_power(monkeypatch, fail_on=None):
-    """Patch the suite's power criterion to record each form's verdict by its
-    matrix bytes, and to fail the form whose bytes are ``fail_on``."""
-    verdicts, power = {}, suites.is_c_symplectic_power
+    """Patch the suite's stacked power call to record each form's verdict by
+    its matrix bytes, and to fail the form whose bytes are ``fail_on``."""
+    verdicts, stacked = {}, suites.power_verdicts
 
-    def record(omega):
-        verdict = power(omega)
-        if omega.matrix.tobytes() == fail_on:
-            verdict = dataclasses.replace(verdict, ok=False, reason="forced")
-        verdicts[omega.matrix.tobytes()] = verdict.ok
-        return verdict
+    def record(omegas):
+        result = stacked(omegas)
+        ok = result.ok.copy()
+        for i, omega in enumerate(omegas):
+            ok[i] &= omega.tobytes() != fail_on
+            verdicts[omega.tobytes()] = bool(ok[i])
+        return result._replace(ok=ok)
 
-    monkeypatch.setattr(suites, "is_c_symplectic_power", record)
+    monkeypatch.setattr(suites, "power_verdicts", record)
     return verdicts
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 20260810])
 def test_criteria_equivalence_is_the_per_case_sweep_at_acceptance_size(seed, monkeypatch):
     # the power verdicts are the suite's own, recorded, so that each of the
-    # 1500 forms runs its wedge chain once; the rank verdicts and the folding
-    # are the reference's
+    # 1500 forms is decided once, by the suite's stacked call; the rank
+    # verdicts and the folding are the reference's
     cfg = suites.SuiteConfig(suite="criteria-equivalence", seed=seed)
     assert (cfg.dims, cfg.samples) == ((4, 8, 12), 500)
     power_verdicts = recording_power(monkeypatch)
@@ -372,12 +375,121 @@ def wedge_work(monkeypatch):
     return work
 
 
-@pytest.mark.parametrize("dim, wedges, products", [(4, 2, 12), (8, 3, 910), (12, 4, 31_614)])
+@pytest.mark.parametrize("dim, wedges, products", [(4, 2, 9), (8, 3, 420), (12, 4, 10_494)])
 def test_power_criterion_builds_omega_n_once_and_makes_no_rank_decision(wedge_work, dim, wedges, products):
+    # Omega^2 .. Omega^{n+1} by the first-row table, C(dim, 2k + 2) outputs
+    # of 2k + 1 products each, and the pairing by the full 2n ^ 2n table
     omega = random_c_symplectic(np.random.default_rng(dim), dim)[0]
     wedge_work[:] = [0, 0, 0]
     assert is_c_symplectic_power(omega).ok
     assert wedge_work == [wedges, products, 0]
+
+
+def power_chain_reference(omega):
+    """The per-form wedge chain that ``power_verdicts`` replaced: Omega^n by
+    n - 1 full-table wedges with Omega, then Omega^{n+1} = Omega^n ^ Omega and
+    the pairing Omega^n ^ conj(Omega^n)."""
+    m = omega.dim
+    if m % 4:
+        return PowerCriterion(False, "dimension not 4n", -1.0, -1.0, omega.norm())
+    n = m // 4
+    scale = omega.norm()
+    if scale == 0.0:
+        return PowerCriterion(False, "zero form", 0.0, 0.0, 0.0)
+    omega_n = omega.to_kform()
+    for _ in range(n - 1):
+        omega_n = wedge(omega_n, omega)
+    top_power = wedge(omega_n, omega).norm()
+    pairing_norm = wedge(omega_n, ComplexKForm(m, 2 * n, omega_n.coeffs.conj())).norm()
+    power_ok = top_power <= DEFAULT_TOL * scale ** (n + 1)
+    pairing_ok = pairing_norm > DEFAULT_TOL * scale ** (2 * n)
+    if not power_ok:
+        reason = "Omega^{n+1} != 0"
+    elif not pairing_ok:
+        reason = "(Omega ^ conj Omega)^n = 0"
+    else:
+        reason = ""
+    return PowerCriterion(power_ok and pairing_ok, reason, top_power, pairing_norm, scale)
+
+
+def assert_power_verdicts_are_the_reference(forms):
+    """Each form's stacked power verdict has the reference's verdict, reason
+    and form norm, exactly typed, and norms within 1e-12 of |Omega|^{n+1}
+    and |Omega|^{2n}.  Returns the reference verdicts."""
+    verdicts = power_verdicts(np.stack([omega.matrix for omega in forms]))
+    references = []
+    for i, omega in enumerate(forms):
+        got, expected = verdicts.criterion(i), power_chain_reference(omega)
+        assert [type(value) for value in dataclasses.astuple(got)] == [bool, str, float, float, float]
+        assert (got.ok, got.reason, got.form_norm) == (expected.ok, expected.reason, expected.form_norm)
+        n, scale = omega.dim // 4, expected.form_norm
+        if omega.dim % 4 or scale == 0.0:
+            assert got == expected
+        else:
+            assert abs(got.power_norm - expected.power_norm) <= 1e-12 * scale ** (n + 1)
+            assert abs(got.pairing_norm - expected.pairing_norm) <= 1e-12 * scale ** (2 * n)
+        references.append(expected)
+    return references
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_power_verdicts_are_the_wedge_chain_on_oracle_and_mixed_forms(dim):
+    forms = list(oracle_forms(dim))
+    forms += [suites.mixed_two_form(np.random.default_rng([dim, 2000 + i]), dim) for i in range(60)]
+    references = assert_power_verdicts_are_the_reference(forms)
+    reasons = {reference.reason for reference in references}
+    assert reasons == {"", "Omega^{n+1} != 0", "(Omega ^ conj Omega)^n = 0"}
+
+
+def test_power_verdicts_are_the_wedge_chain_on_zero_and_dim_six_forms():
+    zero = ComplexTwoForm(np.zeros((8, 8)))
+    six = complex_gaussian_form(np.random.default_rng(6), 6)
+    assert [reference.reason for reference in assert_power_verdicts_are_the_reference([zero])] == ["zero form"]
+    assert [reference.reason for reference in assert_power_verdicts_are_the_reference([six])] == ["dimension not 4n"]
+    assert is_c_symplectic_power(zero) == power_chain_reference(zero)
+    assert is_c_symplectic_power(six) == power_chain_reference(six)
+
+
+def verdict_bits(verdicts, i):
+    return tuple(np.asarray(field[i]).tobytes() for field in verdicts)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_a_forms_power_verdict_in_a_stack_is_its_verdict_alone(dim):
+    forms = [suites.mixed_two_form(np.random.default_rng([dim, 3000 + i]), dim) for i in range(500)]
+    stack = np.stack([omega.matrix for omega in forms])
+    alone = [verdict_bits(power_verdicts(stack[i : i + 1]), 0) for i in range(len(forms))]
+    for size in (1, 7, 500):
+        for order in (slice(None), slice(None, None, -1)):
+            part = np.arange(size)[order]
+            verdicts = power_verdicts(stack[part])
+            assert [verdict_bits(verdicts, j) for j in range(size)] == [alone[i] for i in part]
+    assert alone[0] == verdict_bits(power_verdicts(stack), 0)
+    assert 0 < power_verdicts(stack).ok.sum() < len(forms)
+
+
+def test_power_blocks_hold_at_most_block_products_and_coefficients(monkeypatch):
+    # a 500-form dim-12 stack takes 500 * 10,494 products, each gathering
+    # one coefficient of either operand; no gather, operand or intermediate
+    # power of a chunk exceeds kernels.BLOCK entries
+    gathers, operands, take, scatter = [], [], np.take, kernels.wedge_scatter
+
+    def counting_take(values, indices, *args, **kwargs):
+        gathers.append(len(values) * len(indices))
+        return take(values, indices, *args, **kwargs)
+
+    def sized_scatter(ix, iy, sign, x, y):
+        out = scatter(ix, iy, sign, x, y)
+        operands.extend([x.size, y.size, out.size])
+        return out
+
+    omegas = np.stack([suites.mixed_two_form(np.random.default_rng([12, i]), 12).matrix for i in range(500)])
+    monkeypatch.setattr(np, "take", counting_take)
+    monkeypatch.setattr(kernels, "wedge_scatter", sized_scatter)
+    power_verdicts(omegas)
+    assert sum(gathers) == 2 * 500 * 10_494
+    assert max(gathers) <= kernels.BLOCK
+    assert max(operands) <= kernels.BLOCK
 
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
@@ -1028,7 +1140,6 @@ def test_c_symplectic_space_caches_validated_data(monkeypatch):
     # the rank failure is reported first, then the power failure
     with pytest.raises(ValueError, match=r"\(rank criterion\): kernel dimension 4 != 2"):
         CSymplecticSpace.from_form(ComplexTwoForm(np.zeros((4, 4))))
-    zero_power = is_c_symplectic_power(ComplexTwoForm(np.zeros((8, 8))))
-    monkeypatch.setattr(csymplectic, "is_c_symplectic_power", lambda form: zero_power)
+    monkeypatch.setattr(csymplectic, "power_verdicts", lambda omegas: power_verdicts(np.zeros_like(omegas)))
     with pytest.raises(ValueError, match=r"\(power criterion\): zero form"):
         CSymplecticSpace.from_form(omega)

@@ -15,6 +15,7 @@ from csympl.csymplectic import (
     is_c_lagrangian,
     is_c_symplectic_power,
     is_c_symplectic_rank,
+    power_verdicts,
     q_block_form,
     random_c_symplectic,
 )
@@ -479,7 +480,7 @@ def test_deformed_form_failing_c_symplecticity_raises(monkeypatch):
         patch.setattr(deformation, "induced_structures", lambda omegas: induced_structures(np.zeros_like(omegas)))
         with pytest.raises(PostconditionError, match="rank: kernel dimension 4 != 2; power: ok$"):
             deform(proj, gamma, 0.5)
-    zero_power = is_c_symplectic_power(ComplexTwoForm(np.zeros((4, 4))))
-    monkeypatch.setattr(deformation, "is_c_symplectic_power", lambda omega: zero_power)
+    # the power verdicts of zero forms, in the members' place
+    monkeypatch.setattr(deformation, "power_verdicts", lambda omegas: power_verdicts(np.zeros_like(omegas)))
     with pytest.raises(PostconditionError, match="deformed form failed c-symplecticity: rank: ok; power: zero form"):
         deform(proj, gamma, 0.5)

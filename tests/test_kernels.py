@@ -119,6 +119,17 @@ def test_wedge_table_counts():
     assert table_bytes <= 0.51 * 4 * 495 * 70 * 8
 
 
+@pytest.mark.parametrize("dim, deg_a", [(4, 2), (8, 2), (8, 4), (8, 6), (12, 2), (12, 4), (12, 6), (12, 10), (6, 0)])
+def test_first_row_table_is_the_wedge_table_where_the_2_part_holds_the_smallest_index(dim, deg_a):
+    ia, ib, iout, sign = oracle_wedge_table(dim, deg_a, 2)
+    pairs = multiindex.index_tuples(dim, 2)
+    unions = multiindex.index_tuples(dim, deg_a + 2)
+    first = np.array([pairs[b][0] == unions[r][0] for b, r in zip(ib, iout)], dtype=bool)
+    assert first.sum() == (deg_a + 1) * len(unions)
+    iout = np.repeat(np.arange(len(unions)), deg_a + 1)
+    assert_reduction_of(multiindex.first_row_table(dim, deg_a), (ia[first], ib[first]), iout, sign[first])
+
+
 def unblocked(ix, iy, sign, x, y):
     """wedge_scatter in one block: every row reduced by one matrix product."""
     return (x[ix] * y[iy]).reshape(-1, len(sign)) @ sign
@@ -134,6 +145,24 @@ def test_blocked_reduction_matches_unblocked_exactly():
         a = rng.standard_normal(multiindex.coefficient_count(dim, p)) * (1 + 1j)
         b = rng.standard_normal(multiindex.coefficient_count(dim, q)) * (1 - 2j)
         assert np.array_equal(kernels.wedge_scatter(*table, a, b), unblocked(*table, a, b))
+
+
+@pytest.mark.parametrize("shape", [(12, 4, 4), (12, 6, 2), (8, 4, 2), (4, 2, 2)])
+def test_a_stacked_scatter_gives_each_form_the_bits_it_gets_alone(shape):
+    # whole forms share a block when one form's table fits, rows of one
+    # form do otherwise; in both, a form is reduced as it is alone
+    dim, p, q = shape
+    table = multiindex.wedge_table(*shape)
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((2, 3, multiindex.coefficient_count(dim, p))) * (1 + 1j)
+    b = rng.standard_normal((2, 3, multiindex.coefficient_count(dim, q))) * (1 - 2j)
+    stacked = kernels.wedge_scatter(*table, a, b)
+    assert stacked.shape == (2, 3, comb(dim, p + q))
+    for i in range(2):
+        for j in range(3):
+            assert stacked[i, j].tobytes() == kernels.wedge_scatter(*table, a[i, j], b[i, j]).tobytes()
+    empty = kernels.wedge_scatter(*table, a[:0, 0], b[:0, 0])
+    assert empty.shape == (0, comb(dim, p + q))
 
 
 def test_traced_wedge_counts_the_products_it_computes():

@@ -57,6 +57,27 @@ def test_guard_verdict_holds_each_metric_to_its_bound_in_its_direction():
     assert not better["throughput_rps"]["worse_beyond_bound"] and not better["latency_p50_s"]["worse_beyond_bound"]
 
 
+def test_pair_ratios_stay_tight_when_the_parent_drifts():
+    # the machine slows down after pair 6 and both sides slow alike: the
+    # parent's quartiles widen with the drift, each pair's ratio does not
+    parent = [9.2, 9.4, 9.3, 9.5, 9.1, 9.3, 7.0, 7.3, 6.9, 7.2]
+    change = [p * r for p, r in zip(parent, [1.20, 1.21, 1.19, 1.20, 1.22, 1.20, 1.21, 1.19, 1.20, 1.20])]
+    claim = record_bench.claim_metrics(END_TO_END, runs(parent, [0.1] * 10), runs(change, [0.1] * 10))
+    throughput = claim["throughput_rps"]
+    assert throughput["pair_ratios"] == pytest.approx([c / p for p, c in zip(parent, change)])
+    ratio = throughput["pair_ratio"]
+    assert ratio["median"] == pytest.approx(1.20) and ratio["q3"] - ratio["q1"] <= 0.02 and ratio["spread"] < 0.02
+    assert throughput["parent"]["spread"] > 0.2  # the drift, read as spread
+    # beyond_parent_iqr keeps its definition, the median shift against the
+    # parent's quartile distance, and the drift still hides the gain there
+    quartiles = throughput["parent"]["q3"] - throughput["parent"]["q1"]
+    shift = throughput["change"]["median"] - throughput["parent"]["median"]
+    assert throughput["beyond_parent_iqr"] == (abs(shift) > quartiles)
+    assert not throughput["beyond_parent_iqr"]
+    assert throughput["wins"] == 10 and throughput["median_ratio"] == pytest.approx(1.20, abs=0.01)
+    assert claim["latency_p50_s"]["pair_ratios"] == [1.0] * 10
+
+
 #: BENCH_20.json's ten lattice latency_tail_s runs per side, in seconds.
 LATTICE_TAIL = {
     "parent": [0.01676, 0.02890, 0.02186, 0.02053, 0.01800, 0.01642, 0.01872, 0.02647, 0.03126, 0.03841],

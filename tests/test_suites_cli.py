@@ -8,6 +8,7 @@ import pytest
 
 from csympl import cli, csymplectic, deformation, forms, linalg, suites, torus
 from csympl.csymplectic import Q_BLOCK
+from csympl.forms import ComplexTwoForm
 from csympl.cli import main
 from csympl.linalg import ComplexStructure, PostconditionError
 from csympl.suites import SuiteConfig, replay_case, run_suite
@@ -597,6 +598,96 @@ def test_testbed_replay_rebuilds_the_suite_fields(monkeypatch, capsys):
         replayed = suites.describe_case(case, cfg)[0]
         assert replayed.pop("section modes", None) == getattr(section, "modes", None)
         assert_same_inputs(replayed, {f"field at grid {n}": field for n, field in fields.items()})
+
+
+# -- induced-structure range case ----------------------------------------------------
+
+
+def induced_case_reference(cfg, dim, indices):
+    """The per-index ``induced-structure`` case that the range case replaced:
+    each form and its rescaling decided on its own by
+    ``induced_complex_structure``."""
+    cases = []
+    for index in indices:
+        rng = suites._case_rng(cfg, dim, index)
+        structure, omega = suites._structure_with_form(rng, dim)
+        induced = csymplectic.induced_complex_structure(omega).matrix
+        inputs = {"omega": omega.matrix, "structure": structure}
+        measurements = [("uniqueness", linalg.max_abs(induced - structure))]
+        if index < 20:
+            lam = 0j
+            while abs(lam) < 1e-3:
+                lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
+            inputs["lambda"] = lam
+            rescaled = csymplectic.induced_complex_structure(omega * lam).matrix
+            measurements.append(("scaling-invariance", linalg.max_abs(rescaled - induced)))
+        cases.append((inputs, measurements))
+    return cases
+
+
+def case_bits(case):
+    inputs, measurements = case
+    return (
+        {name: np.asarray(value).tobytes() for name, value in inputs.items()},
+        [(check, np.float64(value).tobytes()) for check, value in measurements],
+    )
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_the_induced_range_case_is_the_per_index_cases_bit_for_bit(dim):
+    cfg = SuiteConfig(suite="induced-structure", seed=3)
+    indices = range(30)  # the first 20 rescale their form
+    cases = suites._induced_case(cfg, dim, indices)
+    reference = induced_case_reference(cfg, dim, indices)
+    assert [case_bits(case) for case in cases] == [case_bits(case) for case in reference]
+    alone = [suites._induced_case(cfg, dim, range(index, index + 1))[0] for index in indices]
+    assert [case_bits(case) for case in cases] == [case_bits(case) for case in alone]
+
+
+@pytest.mark.parametrize(
+    "dim, reject, message",
+    [
+        (4, "form", "kernel dimension 4 != 2"),
+        (8, "form", "kernel dimension 8 != 4"),
+        (4, "structure", "induced structure rejected"),
+    ],
+)
+def test_a_non_c_symplectic_instance_raises_the_single_form_message(dim, reject, message, monkeypatch):
+    draw, drawn = suites._structure_with_form, []
+
+    def zero_at_the_sixth_draw(rng, dim):
+        structure, omega = draw(rng, dim)
+        drawn.append(dim)
+        return structure, ComplexTwoForm(np.zeros((dim, dim))) if len(drawn) == 6 else omega
+
+    if reject == "form":
+        monkeypatch.setattr(suites, "_structure_with_form", zero_at_the_sixth_draw)
+    else:
+        monkeypatch.setattr(csymplectic, "_structure_accepted", lambda square, linearity: np.zeros(len(square), bool))
+    cfg = SuiteConfig(suite="induced-structure", dims=(dim,), samples=10, seed=2)
+    with pytest.raises(ValueError) as stacked:
+        run_suite(cfg)
+    drawn.clear()
+    with pytest.raises(ValueError) as alone:
+        induced_case_reference(cfg, dim, range(10))
+    assert str(stacked.value) == str(alone.value) == f"not c-symplectic (rank criterion): {message}"
+
+
+@pytest.mark.parametrize("check, index", [("uniqueness", 23), ("scaling-invariance", 4)])
+def test_replay_of_an_induced_case_prints_what_the_per_index_case_prints(check, index, tmp_path, monkeypatch, capsys):
+    case = {"suite": "induced-structure", "check": check, "dim": 8, "seed": 5, "index": index, "residual": 0.0,
+            "config": {"samples": 25}}  # fmt: skip
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    assert main(["replay", str(path)]) == 0
+    replayed = capsys.readouterr().out
+    monkeypatch.setattr(suites, "_induced_case", induced_case_reference)
+    for name in ("uniqueness", "scaling-invariance"):
+        monkeypatch.setitem(suites.CHECKS, name, suites.CHECKS[name]._replace(case=induced_case_reference))
+    assert main(["replay", str(path)]) == 0
+    assert replayed == capsys.readouterr().out
+    measured = [line.split(":")[0] for line in replayed.splitlines() if " ok=" in line]
+    assert measured == (["uniqueness", "scaling-invariance"] if index < 20 else ["uniqueness"])
 
 
 # -- check table ---------------------------------------------------------------------

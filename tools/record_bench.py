@@ -25,7 +25,10 @@ pairs the change won (ties count for neither side), whether the medians
 differ by more than the parent's quartile distance, whether the
 change's median is worse than the parent's by more than the metric's
 ``bound`` in BENCHMARK.json, and whether the parent's own spread is too
-wide to tell against that bound. ``claim`` holds workload W, the one the change
+wide to tell against that bound. They also give each pair's change/parent
+ratio with the ratios' median and quartiles: both runs of a pair share the
+machine's load at that time, so the ratios do not read load drift between
+pairs as spread. ``claim`` holds workload W, the one the change
 claims a gain on; ``guards`` holds every other workload, where the change
 must not get worse beyond a bound.
 """
@@ -156,7 +159,9 @@ def claim_metrics(end_to_end: list, parent_runs: list, change_runs: list) -> dic
     """Per end-to-end metric: both sides' median and quartiles, the pairs
     the change won, whether the medians differ by more than the parent's
     quartile distance, and how much worse the change's median is than the
-    parent's, as a share of the parent's, against the metric's bound.
+    parent's, as a share of the parent's, against the metric's bound; and
+    each pair's change/parent ratio, in pair order, with the ratios' median
+    and quartiles.
 
     A metric is ``unresolved`` when the parent's spread (q3 - q1) / median
     exceeds the bound, so that its median alone cannot tell a change of that
@@ -166,6 +171,7 @@ def claim_metrics(end_to_end: list, parent_runs: list, change_runs: list) -> dic
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         parent = [run["metrics"][name] for run in parent_runs]
         change = [run["metrics"][name] for run in change_runs]
+        ratios = [c / p for p, c in zip(parent, change)]
         parent_summary, change_summary = summarise(parent), summarise(change)
         shift = change_summary["median"] - parent_summary["median"]
         worse_by = -sign * shift / parent_summary["median"]
@@ -183,6 +189,8 @@ def claim_metrics(end_to_end: list, parent_runs: list, change_runs: list) -> dic
             "worse_beyond_bound": worse_by > metric["bound"],
             "unresolved": parent_summary["spread"] > metric["bound"]
             and not all(sign * (c - p) > 0 for c in change for p in parent),
+            "pair_ratios": ratios,
+            "pair_ratio": summarise(ratios),
         }
     return metrics
 
