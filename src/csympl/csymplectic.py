@@ -138,12 +138,12 @@ def rank_verdicts(omegas: np.ndarray) -> RankVerdicts:
         unset = np.full(count, -1)
         return RankVerdicts(np.zeros(count, dtype=bool), unset, unset, np.full((count, m), np.nan))
     _, s, vh = np.linalg.svd(omegas)
-    kernels = np.swapaxes(vh[:, half:].conj(), -1, -2)
-    residual = max_abs(vh[:, half:] @ kernels - np.eye(half))
+    bases = np.swapaxes(vh[:, half:].conj(), -1, -2)
+    residual = max_abs(vh[:, half:] @ bases - np.eye(half))
     if not residual <= DEFAULT_TOL:
         raise PostconditionError(f"kernel bases are not orthonormal (residual {residual:.3e})")
     kernel_dim = m - numerical_rank(s)
-    span_rank = np.where(kernel_dim == half, real_span_rank(kernels), -1)
+    span_rank = np.where(kernel_dim == half, real_span_rank(bases), -1)
     return RankVerdicts(span_rank == m, kernel_dim, span_rank, s)
 
 
