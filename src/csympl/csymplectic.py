@@ -499,14 +499,27 @@ class CSymplecticSpace:
     structure: ComplexStructure = dc_field(repr=False)
 
     @classmethod
+    def from_forms(cls, omegas: list) -> list:
+        """Validate forms of one dimension by both criteria, the rank
+        criterion (read off the induced structures) first: every form in one
+        ``accepted_structures`` call and one ``power_verdicts`` call, each of
+        which gives a form the bits it gets on its own.  Raises ``ValueError``
+        for the first form that fails, as ``from_form`` would for it."""
+        stack = np.stack([omega.matrix for omega in omegas])
+        structures = accepted_structures(stack)
+        powers = power_verdicts(stack)
+        if not powers.ok.all():
+            reason = powers.criterion(int(np.argmin(powers.ok))).reason
+            raise ValueError(f"not c-symplectic (power criterion): {reason}")
+        return [
+            cls(omega=omega, structure=ComplexStructure.from_accepted(omega.dim, structure))
+            for omega, structure in zip(omegas, structures)
+        ]
+
+    @classmethod
     def from_form(cls, omega: ComplexTwoForm) -> "CSymplecticSpace":
-        """Validate omega by both criteria, the rank criterion (read off the
-        induced structure) first."""
-        structure = induced_complex_structure(omega)
-        power_check = power_verdicts(omega.matrix[None]).criterion(0)
-        if not power_check:
-            raise ValueError(f"not c-symplectic (power criterion): {power_check.reason}")
-        return cls(omega=omega, structure=structure)
+        """Validate one form: ``from_forms`` on a stack of one."""
+        return cls.from_forms([omega])[0]
 
     @property
     def dim(self) -> int:

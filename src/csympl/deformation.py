@@ -168,9 +168,8 @@ def deform(projection: LagrangianProjection, gamma: ComplexTwoForm, t: complex) 
     Rejects gamma with an anti-holomorphic component above tolerance and
     verifies c-symplecticity of the result by both criteria.
     """
-    family = DeformationFamily.build(projection, gamma)
-    family.structures((t,))
-    return family.form(t)
+    ((omega_t, _),) = decide_members([(DeformationFamily.build(projection, gamma), t)])
+    return omega_t
 
 
 def _certify_gamma(projection: LagrangianProjection, gamma: ComplexTwoForm):
@@ -189,42 +188,58 @@ def _certify_gamma(projection: LagrangianProjection, gamma: ComplexTwoForm):
 class DeformationFamily:
     """The affine family t -> Omega + t pi^* gamma with a validated gamma.
 
-    gamma's Hodge type is certified once, in ``build``; members of the
-    family are not re-certified.
+    gamma's Hodge type is certified once, and its pullback pi^* gamma =
+    W gamma W^T built once, in ``build``; members of the family are not
+    re-certified.
     """
 
     projection: LagrangianProjection
     gamma: ComplexTwoForm
     certificate: HodgeTypeCertificate = dc_field(repr=False)
+    pulled: np.ndarray = dc_field(repr=False)  # pi^* gamma on V, (4n, 4n)
 
     @classmethod
     def build(cls, projection: LagrangianProjection, gamma: ComplexTwoForm):
-        return cls(projection=projection, gamma=gamma, certificate=_certify_gamma(projection, gamma))
+        certificate = _certify_gamma(projection, gamma)
+        w = projection.projection  # (2n, 4n)
+        return cls(projection=projection, gamma=gamma, certificate=certificate, pulled=w.T @ gamma.matrix @ w)
 
     def form(self, t: complex) -> ComplexTwoForm:
         """The member Omega + t pi^* gamma, not checked for c-symplecticity."""
-        w = self.projection.projection  # (2n, 4n)
-        pulled = w.T @ self.gamma.matrix @ w
-        return ComplexTwoForm(self.projection.space.omega.matrix + complex(t) * pulled)
+        return ComplexTwoForm(self.projection.space.omega.matrix + complex(t) * self.pulled)
 
     def structures(self, t_samples) -> list:
         """Induced structures of the members at ``t_samples``, checked by both
-        criteria: all members in one ``induced_structures`` call (the rank
-        criterion) and one ``power_verdicts`` call."""
-        forms = [self.form(t) for t in t_samples]
-        stack = np.stack([omega_t.matrix for omega_t in forms])
-        stacked, verdicts = induced_structures(stack)
-        powers = power_verdicts(stack)
-        for i, structure in enumerate(stacked):
-            rank_reason = "ok"
-            if np.isnan(structure).any():
-                rank_reason = verdicts.criterion(i).reason or "induced structure rejected"
-            if rank_reason != "ok" or not powers.ok[i]:
-                raise PostconditionError(
-                    f"deformed form failed c-symplecticity: rank: {rank_reason}; "
-                    f"power: {powers.criterion(i).reason or 'ok'}"
-                )
-        return [ComplexStructure.from_accepted(omega_t.dim, structure) for omega_t, structure in zip(forms, stacked)]
+        criteria: ``decide_members`` on this family alone."""
+        return [structure for _, structure in decide_members([(self, t) for t in t_samples])]
+
+
+def decide_members(members) -> list:
+    """The form Omega_t and induced structure of each member ``(family, t)``,
+    checked by both criteria: every member in one ``induced_structures`` call
+    (the rank criterion) and one ``power_verdicts`` call.
+
+    The members may come from many families of one dimension; each stacked
+    call gives a form the bits it gets on its own.  Raises
+    ``PostconditionError`` for the first member that fails, with both
+    reasons.
+    """
+    forms = [family.form(t) for family, t in members]
+    stack = np.stack([omega_t.matrix for omega_t in forms])
+    stacked, verdicts = induced_structures(stack)
+    powers = power_verdicts(stack)
+    for i, structure in enumerate(stacked):
+        rank_reason = "ok"
+        if np.isnan(structure).any():
+            rank_reason = verdicts.criterion(i).reason or "induced structure rejected"
+        if rank_reason != "ok" or not powers.ok[i]:
+            raise PostconditionError(
+                f"deformed form failed c-symplecticity: rank: {rank_reason}; "
+                f"power: {powers.criterion(i).reason or 'ok'}"
+            )
+    return [
+        (omega_t, ComplexStructure.from_accepted(omega_t.dim, structure)) for omega_t, structure in zip(forms, stacked)
+    ]
 
 
 @dataclass(frozen=True)
@@ -246,32 +261,46 @@ class PreservanceReport:
 def verify_preservance(
     projection: LagrangianProjection, gamma: ComplexTwoForm, t_samples=DEFAULT_T_SAMPLES
 ) -> PreservanceReport:
-    """Check that the deformation fixes the fiber and quotient structures.
+    """``verify_preservances`` of one family."""
+    return verify_preservances([projection], [gamma], t_samples)[0]
 
-    For each t: L stays c-Lagrangian for Omega_t, the restriction of the
-    induced structure to L matches the t = 0 restriction, and the
-    inherited quotient structure matches as well.
+
+def verify_preservances(projections, gammas, t_samples=DEFAULT_T_SAMPLES) -> list:
+    """Check that each deformation fixes the fiber and quotient structures.
+
+    For each family (projection, gamma) and each t: L stays c-Lagrangian for
+    Omega_t, the restriction of the induced structure to L matches the t = 0
+    restriction, and the inherited quotient structure matches as well.  The
+    members of every family are decided in one ``decide_members`` call, and
+    the forms it built are the ones checked.
     """
-    family = DeformationFamily.build(projection, gamma)
-    base_restriction, base_inv = projection.space.structure.restrict(projection.fiber)
-    base_quotient = projection.quotient_structure.matrix
-    fiber_ok = True
-    restriction_residuals, quotient_residuals, invariances = [], [], [base_inv]
-    w = projection.projection.T
-    for t, structure_t in zip(t_samples, family.structures(t_samples)):
-        if not is_c_lagrangian(projection.fiber, family.form(t), STRUCTURE_TOL):
-            fiber_ok = False
-        restriction_t, invariance = structure_t.restrict(projection.fiber)
-        restriction_residuals.append(max_abs(restriction_t - base_restriction))
-        quotient_residuals.append(max_abs(w.T @ structure_t.matrix @ w - base_quotient))
-        invariances.append(invariance)
-    return PreservanceReport(
-        t_samples=tuple(complex(t) for t in t_samples),
-        fiber_lagrangian_ok=fiber_ok,
-        max_fiber_restriction_residual=max_abs(restriction_residuals),
-        max_quotient_residual=max_abs(quotient_residuals),
-        max_invariance_residual=max_abs(invariances),
-    )
+    t_samples = tuple(t_samples)
+    families = [DeformationFamily.build(projection, gamma) for projection, gamma in zip(projections, gammas)]
+    members = iter(decide_members([(family, t) for family in families for t in t_samples]))
+    reports = []
+    for projection in projections:
+        base_restriction, base_inv = projection.space.structure.restrict(projection.fiber)
+        base_quotient = projection.quotient_structure.matrix
+        fiber_ok = True
+        restriction_residuals, quotient_residuals, invariances = [], [], [base_inv]
+        w = projection.projection.T
+        for omega_t, structure_t in (next(members) for _ in t_samples):
+            if not is_c_lagrangian(projection.fiber, omega_t, STRUCTURE_TOL):
+                fiber_ok = False
+            restriction_t, invariance = structure_t.restrict(projection.fiber)
+            restriction_residuals.append(max_abs(restriction_t - base_restriction))
+            quotient_residuals.append(max_abs(w.T @ structure_t.matrix @ w - base_quotient))
+            invariances.append(invariance)
+        reports.append(
+            PreservanceReport(
+                t_samples=tuple(complex(t) for t in t_samples),
+                fiber_lagrangian_ok=fiber_ok,
+                max_fiber_restriction_residual=max_abs(restriction_residuals),
+                max_quotient_residual=max_abs(quotient_residuals),
+                max_invariance_residual=max_abs(invariances),
+            )
+        )
+    return reports
 
 
 @dataclass(frozen=True)
@@ -293,35 +322,45 @@ class HolomorphizedSection:
 
 
 def holomorphize_section(section: LinearSection) -> HolomorphizedSection:
-    """Deform by the section's own pullback form at t = -1.
+    """``holomorphize_sections`` of one section."""
+    return holomorphize_sections([section])[0]
+
+
+def holomorphize_sections(sections) -> list:
+    """Deform each section's space by the section's own pullback form at t = -1.
 
     Certifies that the deformed form vanishes on the section's image, the
     image is c-Lagrangian (hence invariant under the new structure), and
     the section intertwines the quotient structure with the new one,
-    i.e. becomes complex-linear.
+    i.e. becomes complex-linear.  Every section's Omega' is decided in one
+    ``decide_members`` call, and the forms it built are the ones certified.
     """
-    p = section.projection
-    eta = section_form(section).two_form
-    family = DeformationFamily.build(p, eta)
-    (structure_prime,) = family.structures((-1.0,))
-    omega_prime = family.form(-1.0)
-    s = section.map
-    scale = max(p.space.omega.norm(), 1e-300) * float(np.linalg.norm(s, 2)) ** 2
-    restriction = max_abs(s.T @ omega_prime.matrix @ s) / scale
-    graph = section.graph()
-    lagrangian = is_c_lagrangian(graph, omega_prime, STRUCTURE_TOL)
-    intertwine = max_abs(
-        s @ p.quotient_structure.matrix - structure_prime.matrix @ s
-    ) / max(1.0, float(np.linalg.norm(s, 2)))
-    return HolomorphizedSection(
-        eta=eta,
-        omega_prime=omega_prime,
-        certificate=HolomorphizationCertificate(
-            graph_restriction_norm=restriction,
-            graph_is_lagrangian=lagrangian,
-            intertwining_residual=intertwine,
-        ),
-    )
+    etas = [section_form(section).two_form for section in sections]
+    families = [DeformationFamily.build(section.projection, eta) for section, eta in zip(sections, etas)]
+    members = decide_members([(family, -1.0) for family in families])
+    results = []
+    for section, eta, (omega_prime, structure_prime) in zip(sections, etas, members):
+        p = section.projection
+        s = section.map
+        scale = max(p.space.omega.norm(), 1e-300) * float(np.linalg.norm(s, 2)) ** 2
+        restriction = max_abs(s.T @ omega_prime.matrix @ s) / scale
+        graph = section.graph()
+        lagrangian = is_c_lagrangian(graph, omega_prime, STRUCTURE_TOL)
+        intertwine = max_abs(
+            s @ p.quotient_structure.matrix - structure_prime.matrix @ s
+        ) / max(1.0, float(np.linalg.norm(s, 2)))
+        results.append(
+            HolomorphizedSection(
+                eta=eta,
+                omega_prime=omega_prime,
+                certificate=HolomorphizationCertificate(
+                    graph_restriction_norm=restriction,
+                    graph_is_lagrangian=lagrangian,
+                    intertwining_residual=intertwine,
+                ),
+            )
+        )
+    return results
 
 
 def random_base_form(

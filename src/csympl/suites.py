@@ -41,9 +41,9 @@ from .deformation import (
     DEFAULT_T_SAMPLES,
     LagrangianProjection,
     LinearSection,
-    holomorphize_section,
+    holomorphize_sections,
     random_base_form,
-    verify_preservance,
+    verify_preservances,
 )
 from .forms import ComplexTwoForm
 from .lattice import (
@@ -335,35 +335,47 @@ def _gram_schmidt_case(cfg: SuiteConfig, dim, index):
     return {"omega": omega.matrix}, [("q-block-residual", residual)]
 
 
-def _lagrangian_instance(cfg: SuiteConfig, dim, index):
-    """Generator, space and random c-Lagrangian fiber shared by the hitchin,
-    preservance and section-theorem cases."""
-    rng = _case_rng(cfg, dim, index)
-    space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0])
-    fiber = random_lagrangian(space, rng)
-    return rng, space, fiber, {"omega": space.omega.matrix, "fiber basis": fiber.basis}
+def _spaces(cfg: SuiteConfig, dim, streams):
+    """Each stream's generator and the space of the form it draws first.
+    Every stream ``(seed, dim, stream)`` draws its own form, and the forms
+    are decided in one ``CSymplecticSpace.from_forms`` call."""
+    rngs = [_case_rng(cfg, dim, stream) for stream in streams]
+    return rngs, CSymplecticSpace.from_forms([random_c_symplectic(rng, dim)[0] for rng in rngs])
 
 
-@_per_index
-def _hitchin_case(cfg: SuiteConfig, dim, index):
-    _, space, fiber, inputs = _lagrangian_instance(cfg, dim, index)
-    q = fiber.orthonormal_basis()
-    image = space.structure.matrix @ q
-    residual = max_abs(image - q @ (q.T @ image)) / max(max_abs(image), 1e-300)
-    return inputs, [("structure-invariance", residual)]
+def _lagrangian_instances(cfg: SuiteConfig, dim, indices):
+    """Generator, space and random c-Lagrangian fiber of each index, shared
+    by the hitchin, preservance and section-theorem cases: the range's
+    ``_spaces`` on the streams ``(seed, dim, index)``, then each stream goes
+    on to draw its index's fiber."""
+    instances = []
+    for rng, space in zip(*_spaces(cfg, dim, indices)):
+        fiber = random_lagrangian(space, rng)
+        instances.append((rng, space, fiber, {"omega": space.omega.matrix, "fiber basis": fiber.basis}))
+    return instances
 
 
-@_per_index
-def _maximality_case(cfg: SuiteConfig, dim, index):
+def _hitchin_case(cfg: SuiteConfig, dim, indices):
+    cases = []
+    for _, space, fiber, inputs in _lagrangian_instances(cfg, dim, indices):
+        q = fiber.orthonormal_basis()
+        image = space.structure.matrix @ q
+        residual = max_abs(image - q @ (q.T @ image)) / max(max_abs(image), 1e-300)
+        cases.append((inputs, [("structure-invariance", residual)]))
+    return cases
+
+
+def _maximality_case(cfg: SuiteConfig, dim, indices):
     """Dimension test of maximality against a brute-force extension search,
-    on its own stream (seed, dim, 10000 + index)."""
-    rng = _case_rng(cfg, dim, 10_000 + index)
-    space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0])
-    subspace = _random_candidate_subspace(space, rng)
-    by_dimension = is_c_lagrangian(subspace, space.omega, 1e-8)
-    by_search = _brute_force_maximal(subspace, space.omega, rng)
-    inputs = {"omega": space.omega.matrix, "candidate basis": subspace.basis}
-    return inputs, [("maximality-brute-force", float(by_dimension != by_search))]
+    each index on its own stream (seed, dim, 10000 + index)."""
+    cases = []
+    for rng, space in zip(*_spaces(cfg, dim, [10_000 + index for index in indices])):
+        subspace = _random_candidate_subspace(space, rng)
+        by_dimension = is_c_lagrangian(subspace, space.omega, 1e-8)
+        by_search = _brute_force_maximal(subspace, space.omega, rng)
+        inputs = {"omega": space.omega.matrix, "candidate basis": subspace.basis}
+        cases.append((inputs, [("maximality-brute-force", float(by_dimension != by_search))]))
+    return cases
 
 
 def _random_candidate_subspace(space: CSymplecticSpace, rng: np.random.Generator) -> Subspace:
@@ -400,29 +412,46 @@ def _brute_force_maximal(subspace: Subspace, omega, rng: np.random.Generator, at
     return True
 
 
-@_per_index
-def _preservance_case(cfg: SuiteConfig, dim, index):
-    rng, space, fiber, inputs = _lagrangian_instance(cfg, dim, index)
-    projection = LagrangianProjection.build(space, fiber)
-    gamma = random_base_form(projection, rng, scale=0.5)
-    inputs["gamma"] = gamma.matrix
-    report = verify_preservance(projection, gamma, DEFAULT_T_SAMPLES)
-    return inputs, [
-        ("preservance", report.max_residual),
-        ("preservance-fiber-lagrangian", float(not report.fiber_lagrangian_ok)),
-    ]
+def _preservance_case(cfg: SuiteConfig, dim, indices):
+    """Preservance of a random (2,0)+(1,1) family per instance; every
+    family member of the range is decided in one ``verify_preservances``
+    call."""
+    instances = _lagrangian_instances(cfg, dim, indices)
+    projections, gammas = [], []
+    for rng, space, fiber, inputs in instances:
+        projection = LagrangianProjection.build(space, fiber)
+        gamma = random_base_form(projection, rng, scale=0.5)
+        inputs["gamma"] = gamma.matrix
+        projections.append(projection)
+        gammas.append(gamma)
+    cases = []
+    for (*_, inputs), report in zip(instances, verify_preservances(projections, gammas, DEFAULT_T_SAMPLES)):
+        measurements = [
+            ("preservance", report.max_residual),
+            ("preservance-fiber-lagrangian", float(not report.fiber_lagrangian_ok)),
+        ]
+        cases.append((inputs, measurements))
+    return cases
 
 
-@_per_index
-def _section_theorem_case(cfg: SuiteConfig, dim, index):
-    rng, space, fiber, inputs = _lagrangian_instance(cfg, dim, index)
-    section = LinearSection.random(LagrangianProjection.build(space, fiber), rng)
-    inputs["section map"] = section.map
-    certificate = holomorphize_section(section).certificate
-    return inputs, [
-        ("holomorphize", certificate.max_residual),
-        ("holomorphize-graph-lagrangian", float(not certificate.graph_is_lagrangian)),
-    ]
+def _section_theorem_case(cfg: SuiteConfig, dim, indices):
+    """The section theorem for a random section per instance; every Omega'
+    of the range is decided in one ``holomorphize_sections`` call."""
+    instances = _lagrangian_instances(cfg, dim, indices)
+    sections = []
+    for rng, space, fiber, inputs in instances:
+        section = LinearSection.random(LagrangianProjection.build(space, fiber), rng)
+        inputs["section map"] = section.map
+        sections.append(section)
+    cases = []
+    for (*_, inputs), result in zip(instances, holomorphize_sections(sections)):
+        certificate = result.certificate
+        measurements = [
+            ("holomorphize", certificate.max_residual),
+            ("holomorphize-graph-lagrangian", float(not certificate.graph_is_lagrangian)),
+        ]
+        cases.append((inputs, measurements))
+    return cases
 
 
 @_per_index

@@ -376,6 +376,37 @@ def test_family_structures_are_checked_members():
     assert np.array_equal(structure.matrix, induced_complex_structure(omega_t).matrix)
 
 
+def test_a_family_pulls_gamma_back_once():
+    proj, rng = random_setup(8, 35)
+    gamma = random_base_form(proj, rng)
+    family = DeformationFamily.build(proj, gamma)
+    w = proj.projection
+    assert np.array_equal(family.pulled, w.T @ gamma.matrix @ w)
+    # a member is Omega + t pi^* gamma from the stored pullback alone
+    blind = dataclasses.replace(family, projection=dataclasses.replace(proj, projection=np.full_like(w, np.nan)))
+    for t in DEFAULT_T_SAMPLES:
+        assert blind.form(t).matrix.tobytes() == family.form(t).matrix.tobytes()
+
+
+def test_members_of_many_families_decide_as_each_family_alone():
+    setups = [random_setup(8, seed) for seed in (36, 37, 38)]
+    projections = [proj for proj, _ in setups]
+    gammas = [random_base_form(proj, rng) for proj, rng in setups]
+    families = [DeformationFamily.build(proj, gamma) for proj, gamma in zip(projections, gammas)]
+    members = deformation.decide_members([(family, t) for family in families for t in DEFAULT_T_SAMPLES])
+    alone = [pair for family in families for pair in zip(map(family.form, DEFAULT_T_SAMPLES),
+                                                         family.structures(DEFAULT_T_SAMPLES))]  # fmt: skip
+    assert len(members) == len(alone) == 15
+    for (form, structure), (form_alone, structure_alone) in zip(members, alone):
+        assert form.matrix.tobytes() == form_alone.matrix.tobytes()
+        assert structure.matrix.tobytes() == structure_alone.matrix.tobytes()
+    reports = deformation.verify_preservances(projections, gammas)
+    assert reports == [verify_preservance(proj, gamma) for proj, gamma in zip(projections, gammas)]
+    sections = [LinearSection.random(proj, rng) for proj, rng in setups]
+    certificates = [result.certificate for result in deformation.holomorphize_sections(sections)]
+    assert certificates == [holomorphize_section(section).certificate for section in sections]
+
+
 def test_family_structures_are_not_rechecked(monkeypatch):
     proj, rng = random_setup(8, 32)
     family = DeformationFamily.build(proj, random_base_form(proj, rng))

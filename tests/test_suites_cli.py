@@ -1,7 +1,10 @@
 """Suite runner determinism, exit-status contract, replay, lattice CLI."""
 
+import importlib.util
 import io
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from csympl.forms import ComplexTwoForm
 from csympl.cli import main
 from csympl.linalg import ComplexStructure, PostconditionError
 from csympl.suites import SuiteConfig, replay_case, run_suite
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def strip_volatile(report_json):
@@ -688,6 +693,223 @@ def test_replay_of_an_induced_case_prints_what_the_per_index_case_prints(check, 
     assert replayed == capsys.readouterr().out
     measured = [line.split(":")[0] for line in replayed.splitlines() if " ok=" in line]
     assert measured == (["uniqueness", "scaling-invariance"] if index < 20 else ["uniqueness"])
+
+
+# -- deformation range cases ---------------------------------------------------------
+
+
+def lagrangian_instance_reference(cfg, dim, index):
+    """One index's generator, space and fiber, its form decided on its own."""
+    rng = suites._case_rng(cfg, dim, index)
+    space = csymplectic.CSymplecticSpace.from_form(csymplectic.random_c_symplectic(rng, dim)[0])
+    fiber = suites.random_lagrangian(space, rng)
+    return rng, space, fiber, {"omega": space.omega.matrix, "fiber basis": fiber.basis}
+
+
+def hitchin_case_reference(cfg, dim, indices):
+    """The per-index ``structure-invariance`` case that the range case replaced."""
+    cases = []
+    for index in indices:
+        _, space, fiber, inputs = lagrangian_instance_reference(cfg, dim, index)
+        q = fiber.orthonormal_basis()
+        image = space.structure.matrix @ q
+        residual = linalg.max_abs(image - q @ (q.T @ image)) / max(linalg.max_abs(image), 1e-300)
+        cases.append((inputs, [("structure-invariance", residual)]))
+    return cases
+
+
+def preservance_case_reference(cfg, dim, indices):
+    """The per-index ``preservance`` case that the range case replaced: each
+    instance's family decided on its own by ``verify_preservance``."""
+    cases = []
+    for index in indices:
+        rng, space, fiber, inputs = lagrangian_instance_reference(cfg, dim, index)
+        projection = deformation.LagrangianProjection.build(space, fiber)
+        gamma = deformation.random_base_form(projection, rng, scale=0.5)
+        inputs["gamma"] = gamma.matrix
+        report = deformation.verify_preservance(projection, gamma, deformation.DEFAULT_T_SAMPLES)
+        measurements = [
+            ("preservance", report.max_residual),
+            ("preservance-fiber-lagrangian", float(not report.fiber_lagrangian_ok)),
+        ]
+        cases.append((inputs, measurements))
+    return cases
+
+
+def section_theorem_case_reference(cfg, dim, indices):
+    """The per-index ``section-theorem`` case that the range case replaced:
+    each section holomorphized on its own by ``holomorphize_section``."""
+    cases = []
+    for index in indices:
+        rng, space, fiber, inputs = lagrangian_instance_reference(cfg, dim, index)
+        section = deformation.LinearSection.random(deformation.LagrangianProjection.build(space, fiber), rng)
+        inputs["section map"] = section.map
+        certificate = deformation.holomorphize_section(section).certificate
+        measurements = [
+            ("holomorphize", certificate.max_residual),
+            ("holomorphize-graph-lagrangian", float(not certificate.graph_is_lagrangian)),
+        ]
+        cases.append((inputs, measurements))
+    return cases
+
+
+def maximality_case_reference(cfg, dim, indices):
+    """The per-index ``maximality-brute-force`` case that the range case replaced."""
+    cases = []
+    for index in indices:
+        rng = suites._case_rng(cfg, dim, 10_000 + index)
+        space = csymplectic.CSymplecticSpace.from_form(csymplectic.random_c_symplectic(rng, dim)[0])
+        subspace = suites._random_candidate_subspace(space, rng)
+        by_dimension = csymplectic.is_c_lagrangian(subspace, space.omega, 1e-8)
+        by_search = suites._brute_force_maximal(subspace, space.omega, rng)
+        inputs = {"omega": space.omega.matrix, "candidate basis": subspace.basis}
+        cases.append((inputs, [("maximality-brute-force", float(by_dimension != by_search))]))
+    return cases
+
+
+#: Each range case that decides its spaces in one call, by name: its suite
+#: and its per-index reference.
+SPACE_CASES = {
+    "_hitchin_case": ("hitchin", hitchin_case_reference),
+    "_maximality_case": ("hitchin", maximality_case_reference),
+    "_preservance_case": ("preservance", preservance_case_reference),
+    "_section_theorem_case": ("section-theorem", section_theorem_case_reference),
+}
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+@pytest.mark.parametrize("name", list(SPACE_CASES))
+def test_a_space_range_case_is_the_per_index_cases_bit_for_bit(name, dim):
+    suite, reference = SPACE_CASES[name]
+    case = getattr(suites, name)
+    cfg = SuiteConfig(suite=suite, seed=3)
+    indices = range(30)
+    cases = [case_bits(case) for case in case(cfg, dim, indices)]
+    assert cases == [case_bits(case) for case in reference(cfg, dim, indices)]
+    assert cases == [case_bits(case(cfg, dim, range(index, index + 1))[0]) for index in indices]
+
+
+#: The modules that bind each stacked decision the deformation suites make.
+DECISIONS = {
+    "induced_structures": (csymplectic, deformation),
+    "power_verdicts": (csymplectic, deformation),
+}
+
+
+def recorded_stacks(name, cfg, dim, index, monkeypatch):
+    """The stacks handed to ``induced_structures`` when ``index``'s case is
+    built alone: its space's form, then (outside hitchin) its family members."""
+    stacks = []
+    decide = csymplectic.induced_structures
+    with monkeypatch.context() as patch:
+        for module in DECISIONS["induced_structures"]:
+            patch.setattr(module, "induced_structures", lambda omegas: stacks.append(omegas.copy()) or decide(omegas))
+        SPACE_CASES[name][1](cfg, dim, range(index, index + 1))
+    return stacks
+
+
+def fail_the_form(kind, target, monkeypatch):
+    """Make the criteria fail on the one form ``target`` wherever it is
+    decided: ``rank`` and ``power`` decide a zero form in its place, and
+    ``structure`` rejects the structure solved from it."""
+    hit = lambda omegas: (omegas == target).all(axis=(-2, -1))
+    if kind == "structure":
+        solve = csymplectic.structures_from_forms
+
+        def rejecting(omegas):
+            real, square, linearity = solve(omegas)
+            return real, square, np.where(hit(omegas), np.inf, linearity)
+
+        monkeypatch.setattr(csymplectic, "structures_from_forms", rejecting)
+        return
+    name = "rank_verdicts" if kind == "rank" else "power_verdicts"
+    decide = getattr(csymplectic, name)
+    zeroed = lambda omegas: decide(np.where(hit(omegas)[:, None, None], 0, omegas))
+    for module in (csymplectic, deformation):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, zeroed)
+
+
+SPACE_FAILURES = {
+    "rank": "not c-symplectic (rank criterion): kernel dimension 4 != 2",
+    "power": "not c-symplectic (power criterion): zero form",
+    "structure": "not c-symplectic (rank criterion): induced structure rejected",
+}
+MEMBER_FAILURES = {
+    "rank": "deformed form failed c-symplecticity: rank: kernel dimension 4 != 2; power: ok",
+    "power": "deformed form failed c-symplecticity: rank: ok; power: zero form",
+    "structure": "deformed form failed c-symplecticity: rank: induced structure rejected; power: ok",
+}
+
+
+@pytest.mark.parametrize("kind", ["rank", "power", "structure"])
+@pytest.mark.parametrize(
+    "name, phase", [("_hitchin_case", 0), ("_maximality_case", 0), ("_preservance_case", 0), ("_preservance_case", 1),
+                    ("_section_theorem_case", 0), ("_section_theorem_case", 1)]
+)  # fmt: skip
+def test_a_failing_instance_raises_in_the_range_what_it_raises_alone(name, phase, kind, monkeypatch):
+    # instance 6 of 10: in phase 0 its space's form fails, in phase 1 the
+    # last of its family members
+    suite, reference = SPACE_CASES[name]
+    case = getattr(suites, name)
+    cfg = SuiteConfig(suite=suite, dims=(4,), samples=10, seed=2)
+    target = recorded_stacks(name, cfg, 4, 6, monkeypatch)[phase][-1]
+    fail_the_form(kind, target, monkeypatch)
+    error = ValueError if phase == 0 else PostconditionError
+    with pytest.raises(error) as stacked:
+        case(cfg, 4, range(10))
+    with pytest.raises(error) as alone:
+        reference(cfg, 4, range(10))
+    with pytest.raises(error) as own_range:
+        case(cfg, 4, range(6, 7))
+    expected = (SPACE_FAILURES if phase == 0 else MEMBER_FAILURES)[kind]
+    assert str(stacked.value) == str(alone.value) == str(own_range.value) == expected
+    case(cfg, 4, range(6))  # the instances before it pass
+
+
+@pytest.mark.parametrize(
+    "name, check, dim, index",
+    [("_preservance_case", "preservance-fiber-lagrangian", 8, 7), ("_section_theorem_case", "holomorphize", 8, 12),
+     ("_hitchin_case", "structure-invariance", 8, 3), ("_maximality_case", "maximality-brute-force", 4, 11)],
+)  # fmt: skip
+def test_replay_of_a_space_case_prints_what_the_per_index_case_prints(
+    name, check, dim, index, tmp_path, monkeypatch, capsys
+):
+    suite, reference = SPACE_CASES[name]
+    case = {"suite": suite, "check": check, "dim": dim, "seed": 5, "index": index, "residual": 0.0,
+            "config": {"samples": 15}}  # fmt: skip
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    assert main(["replay", str(path)]) == 0
+    replayed = capsys.readouterr().out
+    monkeypatch.setattr(suites, name, reference)
+    for check_name, entry in suites.CHECKS.items():
+        if entry.case is not None and entry.case.__name__ == name:
+            monkeypatch.setitem(suites.CHECKS, check_name, entry._replace(case=reference))
+    assert main(["replay", str(path)]) == 0
+    assert replayed == capsys.readouterr().out
+    assert f"\n{check}: " in replayed
+
+
+def test_a_deformation_request_decides_each_suite_dim_in_two_calls_of_each(monkeypatch):
+    # the benchmark's deformation workload: per (suite, dim) one call for the
+    # spaces and one for the family members, against one per instance before
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls, counts = [], Counter()
+    for name, modules in DECISIONS.items():
+        decide = getattr(csymplectic, name)
+        counted = lambda omegas, name=name, decide=decide: calls.append((omegas.shape[-1], name)) or decide(omegas)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    configs = workloads.WORKLOADS["deformation"]
+    for config in configs:
+        calls.clear()
+        assert run_suite(SuiteConfig(seed=1, **config)).passed
+        counts.update((config["suite"], dim, name) for dim, name in calls)
+    assert set(counts) == {(cfg["suite"], dim, name) for cfg in configs for dim in cfg["dims"] for name in DECISIONS}
+    assert max(counts.values()) <= 2, counts
 
 
 # -- check table ---------------------------------------------------------------------
