@@ -798,7 +798,8 @@ DECISIONS = {
 
 def recorded_stacks(name, cfg, dim, index, monkeypatch):
     """The stacks handed to ``induced_structures`` when ``index``'s case is
-    built alone: its space's form, then (outside hitchin) its family members."""
+    built alone: its space's form, then, in preservance and section-theorem,
+    its family members."""
     stacks = []
     decide = csymplectic.induced_structures
     with monkeypatch.context() as patch:
