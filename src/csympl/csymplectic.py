@@ -30,8 +30,7 @@ from . import kernels, multiindex
 # name stays bound in this module (perfbench/tests/test_perfbench.py)
 from .forms import ComplexKForm, ComplexTwoForm, form_kernel, next_power  # noqa: F401
 from .linalg import (
-    DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space, numerical_rank,
-    real_span_rank,
+    DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, numerical_rank, real_span_rank,
 )
 
 #: Canonical 4x4 block of a c-symplectic form in a basis (u1, I u1, u2, I u2).
@@ -442,53 +441,87 @@ def is_c_lagrangian(subspace: Subspace, omega: ComplexTwoForm, tol: float = DEFA
 
 
 def c_symplectic_basis(omega: ComplexTwoForm) -> np.ndarray:
-    """Real invertible B with B^T A B = blkdiag(Q, ..., Q).
+    """Real invertible B with B^T A B = blkdiag(Q, ..., Q): ``c_symplectic_bases``
+    on a stack of one."""
+    return c_symplectic_bases(omega.matrix[None])[0]
+
+
+def c_symplectic_bases(omegas: np.ndarray) -> np.ndarray:
+    """Real invertible B with B^T A B = blkdiag(Q, ..., Q) for each of the
+    stacked forms A (N, m, m), as an (N, m, m) stack.
 
     Symplectic Gram-Schmidt: pick u1 (pivoted for stability), adjoin
     I u1, pick u2 with Omega(u1, u2) = 1 by a complex rescaling realized
     through I, adjoin I u2, then recurse on the Omega-orthogonal
-    complement of the block.  Raises ``ValueError`` on non-c-symplectic
-    input, from the first block's ``induced_complex_structure``.
+    complement of the block.  This is the one place a canonical basis is
+    built; ``c_symplectic_basis`` is its stack of one.
+
+    Every form's structure I is decided once, in one ``accepted_structures``
+    call, which raises ``ValueError`` on non-c-symplectic input; an empty
+    stack raises ``ValueError`` too.  No block decides a structure again:
+    the complement W of an I-invariant block is I-invariant, since
+    Omega(I w, u) = i Omega(w, u) vanishes with Omega(w, u).  So for an
+    orthonormal basis C of W,
+    I C = C (C^T I C), and C^T I C is the structure of the sub-form C^T A C:
+    (C^T I C)^T C^T A C = (I C)^T A C = C^T (I^T A) C = i C^T A C.  Each
+    step checks that its four conditions have rank 4 and that its carrier C
+    is I-invariant, |I C - C (C^T I C)| <= STRUCTURE_TOL max(1, |I|), and
+    raises ``PostconditionError`` otherwise.
+
+    Each step runs on the whole stack (pivots, rescalings, the null-space
+    SVD of the conditions), and every product and decomposition takes one
+    matrix at a time, so a form's basis has the same bits in any stack.
     """
-    m = omega.dim
-    carrier = np.eye(m)  # orthonormal basis of the still-unreduced subspace
+    if not len(omegas):
+        raise ValueError("no forms to build canonical bases for")
+    count, m = omegas.shape[0], omegas.shape[-1]
+    structures = accepted_structures(omegas)
+    invariance_bound = STRUCTURE_TOL * np.maximum(1.0, _stack_max(structures))
+    forms = np.arange(count)
+    # the current sub-forms, their structures and their carriers, orthonormal
+    # bases of the still-unreduced subspaces (None while that is all of R^m)
+    a_cur, i_cur, carrier = omegas, structures, None
     columns = []
-    while carrier.shape[1] > 0:
-        a_cur = ComplexTwoForm(carrier.T @ omega.matrix @ carrier)
-        m_cur = a_cur.dim
-        structure = induced_complex_structure(a_cur)
-        row_norms = np.linalg.norm(a_cur.matrix, axis=1)
-        u1 = np.zeros(m_cur)
-        u1[int(np.argmax(row_norms))] = 1.0
-        v1 = structure.matrix @ u1
-        pairings = u1 @ a_cur.matrix
-        j = int(np.argmax(np.abs(pairings)))
-        if abs(pairings[j]) <= DEFAULT_TOL * max(a_cur.norm(), 1e-300):
+    while a_cur.shape[-1]:
+        m_cur = a_cur.shape[-1]
+        pivot = np.argmax(np.linalg.norm(a_cur, axis=-1), axis=-1)
+        pairings = a_cur[forms, pivot]  # Omega(u1, .) for u1 = e_pivot
+        partner = np.argmax(np.abs(pairings), axis=-1)
+        paired = pairings[forms, partner]
+        if (np.abs(paired) <= DEFAULT_TOL * np.maximum(_stack_max(a_cur), 1e-300)).any():
             raise PostconditionError("internal consistency error: no partner with Omega(u1, x) != 0")
-        x = np.zeros(m_cur)
-        x[j] = 1.0
-        z = 1.0 / pairings[j]
-        u2 = z.real * x + z.imag * (structure.matrix @ x)
-        v2 = structure.matrix @ u2
-        block = np.column_stack([u1, v1, u2, v2])
-        columns.append(carrier @ block)
+        u1 = np.zeros((count, m_cur))
+        u1[forms, pivot] = 1.0
+        z = 1.0 / paired
+        u2 = z.imag[:, None] * i_cur[forms, :, partner]  # z x realized through I, x = e_partner
+        u2[forms, partner] += z.real
+        v2 = (i_cur @ u2[..., None])[..., 0]
+        block = np.stack([u1, i_cur[forms, :, pivot], u2, v2], axis=-1)
+        columns.append(block if carrier is None else carrier @ block)
         # Omega-orthogonal of the block: Omega(w, u1) = Omega(w, u2) = 0
         # (conditions against I u1, I u2 are the same rows times i).
-        cond = np.vstack(
-            [
-                (a_cur.matrix @ u1).real,
-                (a_cur.matrix @ u1).imag,
-                (a_cur.matrix @ u2).real,
-                (a_cur.matrix @ u2).imag,
-            ]
-        )
-        carrier = carrier @ null_space(cond)
-    b = np.hstack(columns)
+        a_u1, a_u2 = a_cur[forms, :, pivot], (a_cur @ u2[..., None])[..., 0]
+        _, s, vh = np.linalg.svd(np.stack([a_u1.real, a_u1.imag, a_u2.real, a_u2.imag], axis=1))
+        rank = numerical_rank(s)
+        if (rank != 4).any():
+            first = rank[np.argmax(rank != 4)]
+            raise PostconditionError(f"internal consistency error: block conditions have rank {first}, not 4")
+        complement = np.swapaxes(vh[:, 4:], -1, -2)
+        carrier = complement if carrier is None else carrier @ complement
+        transposed = np.swapaxes(carrier, -1, -2)
+        a_cur, i_cur = transposed @ omegas @ carrier, transposed @ structures @ carrier
+        invariance = _stack_max(structures @ carrier - carrier @ i_cur)
+        failed = invariance > invariance_bound
+        if failed.any():
+            first = invariance[np.argmax(failed)]
+            raise PostconditionError(f"internal consistency error: carrier is not I-invariant (residual {first:.3e})")
+    bases = np.concatenate(columns, axis=-1)
     target = q_block_form(m // 4).matrix
-    residual = max_abs(b.T @ omega.matrix @ b - target)
-    if residual > 1e-6 * max(omega.norm(), 1e-300):
-        raise PostconditionError(f"internal consistency error: basis residual {residual:.3e}")
-    return b
+    residual = _stack_max(np.swapaxes(bases, -1, -2) @ omegas @ bases - target)
+    failed = residual > 1e-6 * np.maximum(_stack_max(omegas), 1e-300)
+    if failed.any():
+        raise PostconditionError(f"internal consistency error: basis residual {residual[np.argmax(failed)]:.3e}")
+    return bases
 
 
 @dataclass(frozen=True)
@@ -504,7 +537,10 @@ class CSymplecticSpace:
         criterion (read off the induced structures) first: every form in one
         ``accepted_structures`` call and one ``power_verdicts`` call, each of
         which gives a form the bits it gets on its own.  Raises ``ValueError``
-        for the first form that fails, as ``from_form`` would for it."""
+        for the first form that fails, as ``from_form`` would for it, and for
+        an empty list."""
+        if not omegas:
+            raise ValueError("no forms to validate")
         stack = np.stack([omega.matrix for omega in omegas])
         structures = accepted_structures(stack)
         powers = power_verdicts(stack)

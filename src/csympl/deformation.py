@@ -222,9 +222,11 @@ def decide_members(members) -> list:
     The members may come from many families of one dimension; each stacked
     call gives a form the bits it gets on its own.  Raises
     ``PostconditionError`` for the first member that fails, with both
-    reasons.
+    reasons, and ``ValueError`` for no members.
     """
     forms = [family.form(t) for family, t in members]
+    if not forms:
+        raise ValueError("no family members to decide")
     stack = np.stack([omega_t.matrix for omega_t in forms])
     stacked, verdicts = induced_structures(stack)
     powers = power_verdicts(stack)
@@ -272,9 +274,12 @@ def verify_preservances(projections, gammas, t_samples=DEFAULT_T_SAMPLES) -> lis
     Omega_t, the restriction of the induced structure to L matches the t = 0
     restriction, and the inherited quotient structure matches as well.  The
     members of every family are decided in one ``decide_members`` call, and
-    the forms it built are the ones checked.
+    the forms it built are the ones checked.  Raises ``ValueError`` for
+    empty ``t_samples``.
     """
     t_samples = tuple(t_samples)
+    if not t_samples:
+        raise ValueError("no t samples to verify preservance at")
     families = [DeformationFamily.build(projection, gamma) for projection, gamma in zip(projections, gammas)]
     members = iter(decide_members([(family, t) for family in families for t in t_samples]))
     reports = []

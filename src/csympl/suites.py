@@ -29,7 +29,7 @@ import numpy as np
 from .csymplectic import (
     CSymplecticSpace,
     accepted_structures,
-    c_symplectic_basis,
+    c_symplectic_bases,
     is_c_isotropic,
     is_c_lagrangian,
     power_verdicts,
@@ -327,12 +327,17 @@ def _structure_with_form(rng: np.random.Generator, dim: int):
     return structure, omega
 
 
-@_per_index
-def _gram_schmidt_case(cfg: SuiteConfig, dim, index):
-    omega = random_c_symplectic(_case_rng(cfg, dim, index), dim)[0]
-    b = c_symplectic_basis(omega)
-    residual = max_abs(b.T @ omega.matrix @ b - q_block_form(dim // 4).matrix) / omega.norm()
-    return {"omega": omega.matrix}, [("q-block-residual", residual)]
+def _gram_schmidt_case(cfg: SuiteConfig, dim, indices):
+    """Canonical bases of random forms, each drawn from its own stream; the
+    range's bases are built in one ``c_symplectic_bases`` call."""
+    omegas = [random_c_symplectic(_case_rng(cfg, dim, index), dim)[0] for index in indices]
+    bases = c_symplectic_bases(np.stack([omega.matrix for omega in omegas]))
+    target = q_block_form(dim // 4).matrix
+    cases = []
+    for omega, b in zip(omegas, bases):
+        residual = max_abs(b.T @ omega.matrix @ b - target) / omega.norm()
+        cases.append(({"omega": omega.matrix}, [("q-block-residual", residual)]))
+    return cases
 
 
 def _spaces(cfg: SuiteConfig, dim, streams):

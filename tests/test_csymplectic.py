@@ -13,6 +13,7 @@ from csympl.csymplectic import (
     RankCriterion,
     _structure_accepted,
     c_symplectic_basis,
+    c_symplectic_bases,
     hodge_decompose,
     induced_complex_structure,
     induced_structures,
@@ -29,7 +30,8 @@ from csympl.csymplectic import (
 from csympl.deformation import LagrangianProjection
 from csympl.forms import ComplexKForm, ComplexTwoForm, form_kernel, power, pullback, wedge
 from csympl.linalg import (
-    DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, numerical_rank, real_span_rank,
+    DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, null_space, numerical_rank,
+    real_span_rank,
 )
 
 STANDARD_J = ComplexStructure(
@@ -1016,6 +1018,67 @@ def test_basis_residual_check_raises_postcondition_error(monkeypatch):
         c_symplectic_basis(omega)
 
 
+def per_block_basis_reference(omega):
+    """The Gram-Schmidt that ``c_symplectic_bases`` replaced: one form at a
+    time, deciding every shrinking block's sub-form structure on its own by
+    ``induced_complex_structure``."""
+    m = omega.dim
+    carrier = np.eye(m)
+    columns = []
+    while carrier.shape[1] > 0:
+        a_cur = ComplexTwoForm(carrier.T @ omega.matrix @ carrier)
+        structure = induced_complex_structure(a_cur).matrix
+        u1 = np.zeros(a_cur.dim)
+        u1[int(np.argmax(np.linalg.norm(a_cur.matrix, axis=1)))] = 1.0
+        pairings = u1 @ a_cur.matrix
+        j = int(np.argmax(np.abs(pairings)))
+        x = np.zeros(a_cur.dim)
+        x[j] = 1.0
+        z = 1.0 / pairings[j]
+        u2 = z.real * x + z.imag * (structure @ x)
+        columns.append(carrier @ np.column_stack([u1, structure @ u1, u2, structure @ u2]))
+        a_u1, a_u2 = a_cur.matrix @ u1, a_cur.matrix @ u2
+        carrier = carrier @ null_space(np.vstack([a_u1.real, a_u1.imag, a_u2.real, a_u2.imag]))
+    return np.hstack(columns)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_bases_in_stacks_of_seven_are_each_form_alone_bit_for_bit(dim):
+    omegas = [random_c_symplectic(np.random.default_rng([41, dim, i]), dim)[0] for i in range(100)]
+    stack = np.stack([omega.matrix for omega in omegas])
+    bases = np.concatenate([c_symplectic_bases(stack[start : start + 7]) for start in range(0, 100, 7)])
+    target = q_block_form(dim // 4).matrix
+    for omega, b in zip(omegas, bases):
+        assert b.tobytes() == c_symplectic_basis(omega).tobytes()
+        assert np.max(np.abs(b.T @ omega.matrix @ b - target)) / omega.norm() <= 1e-8
+        # the first block uses the form's own structure, as the per-block
+        # loop did; later blocks may take another null-space basis
+        assert b[:, :4].tobytes() == per_block_basis_reference(omega)[:, :4].tobytes()
+
+
+def test_bases_of_no_forms_raise_a_value_error():
+    with pytest.raises(ValueError, match="no forms to build canonical bases for"):
+        c_symplectic_bases(np.zeros((0, 8, 8), dtype=complex))
+
+
+def test_bases_raise_for_a_carrier_that_is_not_invariant(monkeypatch):
+    # the structure of another form leaves the first complement non-invariant
+    omega = random_c_symplectic(np.random.default_rng(43), 8)[0]
+    other = random_c_symplectic(np.random.default_rng(44), 8)[0]
+    accept = csymplectic.accepted_structures
+    monkeypatch.setattr(csymplectic, "accepted_structures", lambda omegas: accept(other.matrix[None]))
+    with pytest.raises(PostconditionError, match="carrier is not I-invariant"):
+        c_symplectic_bases(omega.matrix[None])
+
+
+def test_bases_raise_when_the_block_conditions_lose_rank(monkeypatch):
+    # at dim 8 only the block conditions have four singular values
+    rank = csymplectic.numerical_rank
+    monkeypatch.setattr(csymplectic, "numerical_rank", lambda s, tol=DEFAULT_TOL: rank(s, tol) - (s.shape[-1] == 4))
+    with pytest.raises(PostconditionError, match="block conditions have rank 3, not 4"):
+        c_symplectic_bases(random_c_symplectic(np.random.default_rng(45), 8)[0].matrix[None])
+
+
 # -- isotropic / Lagrangian -------------------------------------------------------
 
 
@@ -1143,3 +1206,8 @@ def test_c_symplectic_space_caches_validated_data(monkeypatch):
     monkeypatch.setattr(csymplectic, "power_verdicts", lambda omegas: power_verdicts(np.zeros_like(omegas)))
     with pytest.raises(ValueError, match=r"\(power criterion\): zero form"):
         CSymplecticSpace.from_form(omega)
+
+
+def test_spaces_of_no_forms_raise_a_value_error():
+    with pytest.raises(ValueError, match="no forms to validate"):
+        CSymplecticSpace.from_forms([])

@@ -28,6 +28,7 @@ from csympl.deformation import (
     PreservanceReport,
     deform,
     holomorphize_section,
+    holomorphize_sections,
     random_base_form,
     section_form,
     verify_preservance,
@@ -230,6 +231,14 @@ def test_preservance_at_t_zero_is_exact():
     report = verify_preservance(proj, gamma, t_samples=(0.0,))
     assert report.max_fiber_restriction_residual == 0.0
     assert report.max_quotient_residual == 0.0
+
+
+def test_preservance_at_no_t_samples_raises_a_value_error():
+    proj, rng = random_setup(8, 10)
+    with pytest.raises(ValueError, match="no t samples to verify preservance at"):
+        verify_preservance(proj, random_base_form(proj, rng), t_samples=())
+    with pytest.raises(ValueError, match="no family members to decide"):
+        holomorphize_sections([])
 
 
 def test_preservance_with_zero_gamma_full_matrix():

@@ -524,7 +524,7 @@ def test_node_csv_matches_the_suite_fields():
 
 
 def test_nan_residual_fails_its_row(monkeypatch):
-    monkeypatch.setattr(suites, "c_symplectic_basis", lambda omega: np.full((4, 4), np.nan))
+    monkeypatch.setattr(suites, "c_symplectic_bases", lambda omegas: np.full(omegas.shape, np.nan))
     report = run_suite(SuiteConfig(suite="gram-schmidt", dims=(4,), samples=3, seed=0))
     assert not report.passed and np.isnan(report.checks[0]["max_residual"])
     assert report.failure_case["check"] == "q-block-residual" and report.failure_case["index"] == 0
@@ -693,6 +693,61 @@ def test_replay_of_an_induced_case_prints_what_the_per_index_case_prints(check, 
     assert replayed == capsys.readouterr().out
     measured = [line.split(":")[0] for line in replayed.splitlines() if " ok=" in line]
     assert measured == (["uniqueness", "scaling-invariance"] if index < 20 else ["uniqueness"])
+
+
+# -- gram-schmidt range case ---------------------------------------------------------
+
+
+def gram_schmidt_case_reference(cfg, dim, indices):
+    """The per-index ``q-block-residual`` case that the range case replaced:
+    each form's basis built on its own by ``c_symplectic_basis``."""
+    cases = []
+    for index in indices:
+        omega = csymplectic.random_c_symplectic(suites._case_rng(cfg, dim, index), dim)[0]
+        b = csymplectic.c_symplectic_basis(omega)
+        residual = linalg.max_abs(b.T @ omega.matrix @ b - csymplectic.q_block_form(dim // 4).matrix) / omega.norm()
+        cases.append(({"omega": omega.matrix}, [("q-block-residual", residual)]))
+    return cases
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_the_gram_schmidt_range_case_is_the_per_index_cases_bit_for_bit(dim):
+    cfg = SuiteConfig(suite="gram-schmidt", seed=3)
+    indices = range(30)
+    cases = [case_bits(case) for case in suites._gram_schmidt_case(cfg, dim, indices)]
+    assert cases == [case_bits(case) for case in gram_schmidt_case_reference(cfg, dim, indices)]
+    assert cases == [case_bits(suites._gram_schmidt_case(cfg, dim, range(index, index + 1))[0]) for index in indices]
+
+
+@pytest.mark.parametrize("dim, index", [(8, 11), (12, 4)])
+def test_replay_of_a_gram_schmidt_case_prints_what_the_range_case_measured(dim, index, tmp_path, monkeypatch, capsys):
+    case = {"suite": "gram-schmidt", "check": "q-block-residual", "dim": dim, "seed": 5, "index": index,
+            "residual": 0.0, "config": {"samples": 15}}  # fmt: skip
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    assert main(["replay", str(path)]) == 0
+    replayed = capsys.readouterr().out
+    cfg = SuiteConfig(suite="gram-schmidt", dims=(dim,), samples=15, seed=5)
+    (_, ((_, measured),)) = suites._gram_schmidt_case(cfg, dim, range(15))[index]
+    assert f"\nq-block-residual: {measured:.6e} ok=True\n" in replayed
+    monkeypatch.setattr(suites, "_gram_schmidt_case", gram_schmidt_case_reference)
+    entry = suites.CHECKS["q-block-residual"]
+    monkeypatch.setitem(suites.CHECKS, "q-block-residual", entry._replace(case=gram_schmidt_case_reference))
+    assert main(["replay", str(path)]) == 0
+    assert replayed == capsys.readouterr().out
+
+
+def test_a_gram_schmidt_request_decides_one_structure_stack_per_dim(monkeypatch):
+    # the benchmark's recognition workload: one induced_structures call per
+    # dim, against one per 4x4 block of every form (42) before
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    decide, calls = csymplectic.induced_structures, []
+    monkeypatch.setattr(csymplectic, "induced_structures", lambda omegas: calls.append(omegas.shape) or decide(omegas))
+    (config,) = [config for config in workloads.WORKLOADS["recognition"] if config["suite"] == "gram-schmidt"]
+    assert run_suite(SuiteConfig(seed=1, **config)).passed
+    assert calls == [(config["samples"], dim, dim) for dim in config["dims"]]
 
 
 # -- deformation range cases ---------------------------------------------------------
