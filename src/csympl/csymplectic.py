@@ -461,8 +461,8 @@ def c_symplectic_bases(omegas: np.ndarray) -> np.ndarray:
     stack raises ``ValueError`` too.  No block decides a structure again:
     the complement W of an I-invariant block is I-invariant, since
     Omega(I w, u) = i Omega(w, u) vanishes with Omega(w, u).  So for an
-    orthonormal basis C of W,
-    I C = C (C^T I C), and C^T I C is the structure of the sub-form C^T A C:
+    orthonormal basis C of W, I C = C (C^T I C), and C^T I C is the
+    structure of the sub-form C^T A C:
     (C^T I C)^T C^T A C = (I C)^T A C = C^T (I^T A) C = i C^T A C.  Each
     step checks that its four conditions have rank 4 and that its carrier C
     is I-invariant, |I C - C (C^T I C)| <= STRUCTURE_TOL max(1, |I|), and
@@ -483,14 +483,13 @@ def c_symplectic_bases(omegas: np.ndarray) -> np.ndarray:
     a_cur, i_cur, carrier = omegas, structures, None
     columns = []
     while a_cur.shape[-1]:
-        m_cur = a_cur.shape[-1]
         pivot = np.argmax(np.linalg.norm(a_cur, axis=-1), axis=-1)
         pairings = a_cur[forms, pivot]  # Omega(u1, .) for u1 = e_pivot
         partner = np.argmax(np.abs(pairings), axis=-1)
         paired = pairings[forms, partner]
         if (np.abs(paired) <= DEFAULT_TOL * np.maximum(_stack_max(a_cur), 1e-300)).any():
             raise PostconditionError("internal consistency error: no partner with Omega(u1, x) != 0")
-        u1 = np.zeros((count, m_cur))
+        u1 = np.zeros(a_cur.shape[:-1])
         u1[forms, pivot] = 1.0
         z = 1.0 / paired
         u2 = z.imag[:, None] * i_cur[forms, :, partner]  # z x realized through I, x = e_partner
