@@ -31,6 +31,7 @@ from . import kernels, multiindex
 from .forms import ComplexKForm, ComplexTwoForm, form_kernel, next_power  # noqa: F401
 from .linalg import (
     DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, numerical_rank, real_span_rank,
+    stack_max,
 )
 
 #: Canonical 4x4 block of a c-symplectic form in a basis (u1, I u1, u2, I u2).
@@ -197,7 +198,7 @@ def power_verdicts(omegas: np.ndarray) -> PowerVerdicts:
     bits in any chunk, so a form's verdict is its verdict alone.
     """
     count, m = omegas.shape[0], omegas.shape[-1]
-    form_norm = _stack_max(omegas)
+    form_norm = stack_max(omegas)
     if m % 4:
         unset = np.full(count, -1.0)
         return PowerVerdicts(np.zeros(count, dtype=bool), np.zeros(count, dtype=bool), unset, unset, form_norm)
@@ -269,13 +270,9 @@ def structures_from_forms(omegas: np.ndarray):
     relative to max(1, |I|^2) and max(1, |A|).
     """
     real = -np.linalg.solve(omegas.real, omegas.imag)
-    square = _stack_max(real @ real + np.eye(omegas.shape[-1])) / np.maximum(1.0, _stack_max(real) ** 2)
-    linearity = _stack_max(np.swapaxes(real, -1, -2) @ omegas - 1j * omegas) / np.maximum(1.0, _stack_max(omegas))
+    square = stack_max(real @ real + np.eye(omegas.shape[-1])) / np.maximum(1.0, stack_max(real) ** 2)
+    linearity = stack_max(np.swapaxes(real, -1, -2) @ omegas - 1j * omegas) / np.maximum(1.0, stack_max(omegas))
     return real, square, linearity
-
-
-def _stack_max(x: np.ndarray) -> np.ndarray:
-    return np.abs(x).max(axis=(-2, -1), initial=0.0)
 
 
 #: Distinct forms per chunk of ``induced_structures``.  The chunks are shared
@@ -391,12 +388,10 @@ def induced_structures(omegas: np.ndarray):
 
 
 def hodge_decompose(a: ComplexTwoForm | ComplexKForm, structure: ComplexStructure) -> dict:
-    """Split a 2-form into its (2,0), (1,1) and (0,2) components.
+    """Split a 2-form into its (2,0), (1,1) and (0,2) components:
+    ``hodge_parts`` on a stack of one.
 
-    ``a`` is a ``ComplexTwoForm`` or a degree-2 ``ComplexKForm``.  With A
-    its matrix and P = (Id - iI)/2 the projector onto the (1,0)
-    directions: A20 = P^T A P, A02 = conj(P)^T A conj(P) and
-    A11 = A - A20 - A02 (Huybrechts, Complex Geometry, 1.2).
+    ``a`` is a ``ComplexTwoForm`` or a degree-2 ``ComplexKForm``.
     """
     if isinstance(a, ComplexKForm):
         if a.degree != 2:
@@ -404,26 +399,48 @@ def hodge_decompose(a: ComplexTwoForm | ComplexKForm, structure: ComplexStructur
         a = ComplexTwoForm.from_kform(a)
     if a.dim != structure.dim:
         raise ValueError("form and structure dimensions differ")
-    proj = (np.eye(a.dim) - 1j * structure.matrix) / 2.0
-    rows = multiindex.index_array(a.dim, 2)
-    c20 = (proj.T @ a.matrix @ proj)[rows[:, 0], rows[:, 1]]
-    c02 = (proj.conj().T @ a.matrix @ proj.conj())[rows[:, 0], rows[:, 1]]
+    c20, c11, c02 = hodge_parts(a.matrix[None], structure.matrix[None])
     return {
-        (0, 2): ComplexKForm(a.dim, 2, c02),
-        (1, 1): ComplexKForm(a.dim, 2, a.matrix[rows[:, 0], rows[:, 1]] - c20 - c02),
-        (2, 0): ComplexKForm(a.dim, 2, c20),
+        (0, 2): ComplexKForm(a.dim, 2, c02[0]),
+        (1, 1): ComplexKForm(a.dim, 2, c11[0]),
+        (2, 0): ComplexKForm(a.dim, 2, c20[0]),
     }
+
+
+def hodge_parts(matrices: np.ndarray, structures: np.ndarray) -> tuple:
+    """Coefficients (..., C) of the (2,0), (1,1) and (0,2) components of
+    stacked 2-form matrices (..., m, m) w.r.t. stacked structures, on the
+    increasing pairs of ``multiindex.index_array(m, 2)``.
+
+    This is the one place a Hodge split is computed.  With A a form's
+    matrix and P = (Id - iI)/2 the projector onto the (1,0) directions:
+    A20 = P^T A P, A02 = conj(P)^T A conj(P) and A11 = A - A20 - A02
+    (Huybrechts, Complex Geometry, 1.2).  Every product takes one matrix
+    at a time, so a form's split has the same bits in any stack.
+    """
+    m = matrices.shape[-1]
+    proj = (np.eye(m) - 1j * structures) / 2.0
+    conj = proj.conj()
+    rows = multiindex.index_array(m, 2)
+    c20 = (np.swapaxes(proj, -1, -2) @ matrices @ proj)[..., rows[:, 0], rows[:, 1]]
+    c02 = (np.swapaxes(conj, -1, -2) @ matrices @ conj)[..., rows[:, 0], rows[:, 1]]
+    return c20, matrices[..., rows[:, 0], rows[:, 1]] - c20 - c02, c02
+
+
+def c_isotropic(bases: np.ndarray, omegas: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Whether each form vanishes on the span of its orthonormal basis, for
+    stacked bases (..., m, k) and forms (..., m, m) that broadcast: the Gram
+    residual max |Q^T A Q| against tol * max(|A|, 1e-300).  This is the one
+    place isotropy is decided; ``is_c_isotropic`` is its stack of one."""
+    gram = np.swapaxes(bases, -1, -2) @ omegas @ bases
+    return stack_max(gram) <= tol * np.maximum(stack_max(omegas), 1e-300)
 
 
 def is_c_isotropic(subspace: Subspace, omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> bool:
     """True when omega vanishes on the subspace (Gram residual test)."""
     if subspace.ambient_dim != omega.dim:
         raise ValueError("ambient dimension mismatch")
-    if subspace.dim == 0:
-        return True
-    q = subspace.orthonormal_basis()
-    gram = q.T @ omega.matrix @ q
-    return max_abs(gram) <= tol * max(omega.norm(), 1e-300)
+    return bool(c_isotropic(subspace.orthonormal_basis()[None], omega.matrix[None], tol)[0])
 
 
 def is_c_lagrangian(subspace: Subspace, omega: ComplexTwoForm, tol: float = DEFAULT_TOL) -> bool:
@@ -476,7 +493,7 @@ def c_symplectic_bases(omegas: np.ndarray) -> np.ndarray:
         raise ValueError("no forms to build canonical bases for")
     count, m = omegas.shape[0], omegas.shape[-1]
     structures = accepted_structures(omegas)
-    invariance_bound = STRUCTURE_TOL * np.maximum(1.0, _stack_max(structures))
+    invariance_bound = STRUCTURE_TOL * np.maximum(1.0, stack_max(structures))
     forms = np.arange(count)
     # the current sub-forms, their structures and their carriers, orthonormal
     # bases of the still-unreduced subspaces (None while that is all of R^m)
@@ -487,7 +504,7 @@ def c_symplectic_bases(omegas: np.ndarray) -> np.ndarray:
         pairings = a_cur[forms, pivot]  # Omega(u1, .) for u1 = e_pivot
         partner = np.argmax(np.abs(pairings), axis=-1)
         paired = pairings[forms, partner]
-        if (np.abs(paired) <= DEFAULT_TOL * np.maximum(_stack_max(a_cur), 1e-300)).any():
+        if (np.abs(paired) <= DEFAULT_TOL * np.maximum(stack_max(a_cur), 1e-300)).any():
             raise PostconditionError("internal consistency error: no partner with Omega(u1, x) != 0")
         u1 = np.zeros(a_cur.shape[:-1])
         u1[forms, pivot] = 1.0
@@ -509,15 +526,15 @@ def c_symplectic_bases(omegas: np.ndarray) -> np.ndarray:
         carrier = complement if carrier is None else carrier @ complement
         transposed = np.swapaxes(carrier, -1, -2)
         a_cur, i_cur = transposed @ omegas @ carrier, transposed @ structures @ carrier
-        invariance = _stack_max(structures @ carrier - carrier @ i_cur)
+        invariance = stack_max(structures @ carrier - carrier @ i_cur)
         failed = invariance > invariance_bound
         if failed.any():
             first = invariance[np.argmax(failed)]
             raise PostconditionError(f"internal consistency error: carrier is not I-invariant (residual {first:.3e})")
     bases = np.concatenate(columns, axis=-1)
     target = q_block_form(m // 4).matrix
-    residual = _stack_max(np.swapaxes(bases, -1, -2) @ omegas @ bases - target)
-    failed = residual > 1e-6 * np.maximum(_stack_max(omegas), 1e-300)
+    residual = stack_max(np.swapaxes(bases, -1, -2) @ omegas @ bases - target)
+    failed = residual > 1e-6 * np.maximum(stack_max(omegas), 1e-300)
     if failed.any():
         raise PostconditionError(f"internal consistency error: basis residual {residual[np.argmax(failed)]:.3e}")
     return bases

@@ -13,15 +13,23 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .csymplectic import (
-    CSymplecticSpace,
-    hodge_decompose,
-    induced_structures,
-    is_c_lagrangian,
-    power_verdicts,
+from .csymplectic import CSymplecticSpace, c_isotropic, hodge_parts, induced_structures, power_verdicts
+from .forms import ComplexTwoForm, skew_matrices, two_form_matrices
+from .linalg import (
+    DEFAULT_TOL,
+    STRUCTURE_TOL,
+    ComplexStructure,
+    PostconditionError,
+    Subspace,
+    complement_bases,
+    max_abs,
+    null_space,
+    orthonormality_residuals,
+    restrictions,
+    same_lengths,
+    square_residuals,
+    stack_max,
 )
-from .forms import ComplexTwoForm
-from .linalg import DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, null_space
 
 #: Default complex deformation parameters probed by verification sweeps.
 DEFAULT_T_SAMPLES = (1.0, -1.0, 1j, -1j, 0.5 + 0.5j)
@@ -40,14 +48,33 @@ class HodgeTypeCertificate:
         return self.norm_02 <= STRUCTURE_TOL * max(self.scale, 1e-300)
 
 
-def _hodge_certificate(two_form: ComplexTwoForm, structure: ComplexStructure, scale: float):
-    comps = hodge_decompose(two_form, structure)
-    return HodgeTypeCertificate(
-        norm_20=comps[(2, 0)].norm(),
-        norm_11=comps[(1, 1)].norm(),
-        norm_02=comps[(0, 2)].norm(),
-        scale=max(scale, two_form.norm()),
-    )
+def _hodge_certificates(matrices: np.ndarray, structures: np.ndarray, scales) -> list:
+    """The certificate of each stacked 2-form matrix w.r.t. its structure,
+    from one ``hodge_parts`` split; a certificate's scale is the larger of
+    the given scale and the form's own norm."""
+    norms = [np.abs(part).max(axis=-1, initial=0.0).tolist() for part in hodge_parts(matrices, structures)]
+    return [
+        HodgeTypeCertificate(norm_20=n20, norm_11=n11, norm_02=n02, scale=max(scale, own))
+        for n20, n11, n02, scale, own in zip(*norms, scales, stack_max(matrices).tolist())
+    ]
+
+
+def _raise_first(failures) -> None:
+    """Raise the error of a range's first failing instance, at its first
+    failing stage, so that a range raises what that instance raises alone.
+
+    ``failures`` holds, in stage order, pairs ``(failed, error)``: a boolean
+    mask over the range's instances, and a function from an instance's
+    index to the exception that stage raises for it."""
+    failed = np.array([mask for mask, _ in failures])
+    if failed.any():
+        index = int(np.argmax(failed.any(axis=0)))
+        raise failures[int(np.argmax(failed[:, index]))][1](index)
+
+
+def _spectral_norms(maps: np.ndarray) -> list:
+    """|S|_2 of each stacked map (N, m, k), as Python floats."""
+    return np.linalg.norm(maps, 2, axis=(-2, -1)).tolist()
 
 
 @dataclass(frozen=True)
@@ -61,27 +88,65 @@ class LagrangianProjection:
 
     @classmethod
     def build(cls, space: CSymplecticSpace, fiber: Subspace):
-        """The quotient model K of V / L with its inherited structure.
+        """The quotient model K of V / L with its inherited structure:
+        ``build_many`` on a stack of one."""
+        return cls.build_many([space], [fiber])[0]
+
+    @classmethod
+    def build_many(cls, spaces, fibers) -> list:
+        """The projection of each (space, fiber) pair, spaces of one
+        dimension, built on the whole range at once.
 
         With W an orthonormal basis of K, I_quot = W^T I W is defined by
         pi(I v) = I_quot(pi v); it is well-defined because c-Lagrangian
         subspaces are I-invariant, and W^T I = I_quot W^T is checked on
-        all of V.
+        all of V.  The range takes one stacked c-Lagrangian Gram check, one
+        complement SVD (its bases checked orthonormal), one W^T I W with its
+        well-definedness residual, and one I_quot^2 = -Id check; every
+        product and decomposition takes one matrix at a time, so a
+        projection has the same bits in any range.
+
+        A fiber that is not real, not in the space or not of half its
+        dimension raises ``ValueError`` first; otherwise the range raises
+        for its first failing pair what ``build`` raises for it.  Raises
+        ``ValueError`` for no pairs and for lists of different lengths.
         """
-        if not is_c_lagrangian(fiber, space.omega):
-            raise ValueError("fiber is not c-Lagrangian for the given form")
-        w = fiber.orthogonal_complement().orthonormal_basis()
-        structure = space.structure.matrix
-        mat = w.T @ structure @ w
-        residual = max_abs(w.T @ structure - mat @ w.T)
-        if residual > STRUCTURE_TOL * max(1.0, max_abs(structure)):
-            raise ValueError(f"quotient structure not well-defined (residual {residual:.3e})")
-        return cls(
-            space=space,
-            fiber=fiber,
-            projection=w.T,
-            quotient_structure=ComplexStructure(w.shape[1], mat),
-        )
+        if not same_lengths(spaces=spaces, fibers=fibers):
+            raise ValueError("no fibers to project along")
+        omegas = np.stack([space.omega.matrix for space in spaces])
+        m = omegas.shape[-1]
+        if m % 4:
+            raise ValueError("omega does not live on R^{4n}")
+        for fiber in fibers:
+            if fiber.field != "R":
+                raise ValueError("c-Lagrangian subspaces are real")
+            if fiber.ambient_dim != m:
+                raise ValueError("ambient dimension mismatch")
+            if fiber.dim != m // 2:
+                raise ValueError("fiber is not c-Lagrangian for the given form")
+        lagrangian = c_isotropic(np.stack([fiber.orthonormal_basis() for fiber in fibers]), omegas)
+        w = complement_bases(np.stack([fiber.basis for fiber in fibers]))
+        complement_residual = orthonormality_residuals(w)
+        structures = np.stack([space.structure.matrix for space in spaces])
+        w_t = np.swapaxes(w, -1, -2)
+        left = w_t @ structures
+        mats = left @ w
+        quotient_residual = stack_max(left - mats @ w_t)
+        square_residual, not_square = square_residuals(mats)
+        _raise_first(
+            [
+                (~lagrangian, lambda i: ValueError("fiber is not c-Lagrangian for the given form")),
+                (~(complement_residual <= DEFAULT_TOL), lambda i: PostconditionError(
+                    f"basis is not orthonormal (residual {complement_residual[i]:.3e})")),
+                (quotient_residual > STRUCTURE_TOL * np.maximum(1.0, stack_max(structures)), lambda i: ValueError(
+                    f"quotient structure not well-defined (residual {quotient_residual[i]:.3e})")),
+                (not_square, lambda i: ValueError(f"I^2 != -Id (residual {square_residual[i]:.3e})")),
+            ]
+        )  # fmt: skip
+        return [
+            cls(space=space, fiber=fiber, projection=p, quotient_structure=ComplexStructure.from_accepted(m // 2, mat))
+            for space, fiber, p, mat in zip(spaces, fibers, w_t, mats)
+        ]
 
     @property
     def half_dim(self) -> int:
@@ -132,9 +197,6 @@ class LinearSection:
         section = comp @ np.linalg.inv(m)
         return cls(projection=projection, map=section)
 
-    def graph(self) -> Subspace:
-        return Subspace(self.map, field="R")
-
 
 @dataclass(frozen=True)
 class SectionForm:
@@ -143,23 +205,38 @@ class SectionForm:
 
 
 def section_form(section: LinearSection) -> SectionForm:
-    """Pullback of Omega to the base model along a section.
+    """Pullback of Omega to the base model along a section: ``section_forms``
+    on a stack of one."""
+    return section_forms([section])[0]
+
+
+def section_forms(sections) -> list:
+    """Pullback of Omega to the base model along each section, all of one
+    dimension, built on the whole range at once.
 
     The certificate records the Hodge component norms w.r.t. the inherited
     quotient structure and asserts the vanishing of the (0,2) part, which
-    is the content of the pulled-back form having type (2,0)+(1,1).
+    is the content of the pulled-back form having type (2,0)+(1,1).  The
+    range takes one stacked pullback and one ``hodge_parts`` split, and
+    raises ``PostconditionError`` for its first section whose (0,2) part
+    does not vanish, as ``section_form`` does for it; ``ValueError`` for no
+    sections.
     """
-    p = section.projection
-    s = section.map
-    omega_sigma = ComplexTwoForm(s.T @ p.space.omega.matrix @ s)
-    scale = p.space.omega.norm() * float(np.linalg.norm(s, 2)) ** 2
-    certificate = _hodge_certificate(omega_sigma, p.quotient_structure, scale)
-    if not certificate.anti_holomorphic_ok():
-        raise PostconditionError(
-            f"(0,2) component of a section form is {certificate.norm_02:.3e}; "
-            "this contradicts the Hodge-type property"
-        )
-    return SectionForm(two_form=omega_sigma, certificate=certificate)
+    if not sections:
+        raise ValueError("no sections to pull the form back along")
+    maps = np.stack([section.map for section in sections])
+    spaces = [section.projection.space for section in sections]
+    pulled = skew_matrices(np.swapaxes(maps, -1, -2) @ np.stack([space.omega.matrix for space in spaces]) @ maps)
+    scales = [space.omega.norm() * norm**2 for space, norm in zip(spaces, _spectral_norms(maps))]
+    quotients = np.stack([section.projection.quotient_structure.matrix for section in sections])
+    certificates = _hodge_certificates(pulled, quotients, scales)
+    for certificate in certificates:
+        if not certificate.anti_holomorphic_ok():
+            raise PostconditionError(
+                f"(0,2) component of a section form is {certificate.norm_02:.3e}; "
+                "this contradicts the Hodge-type property"
+            )
+    return [SectionForm(two_form=form, certificate=c) for form, c in zip(ComplexTwoForm.from_skew(pulled), certificates)]
 
 
 def deform(projection: LagrangianProjection, gamma: ComplexTwoForm, t: complex) -> ComplexTwoForm:
@@ -168,20 +245,28 @@ def deform(projection: LagrangianProjection, gamma: ComplexTwoForm, t: complex) 
     Rejects gamma with an anti-holomorphic component above tolerance and
     verifies c-symplecticity of the result by both criteria.
     """
-    ((omega_t, _),) = decide_members([(DeformationFamily.build(projection, gamma), t)])
-    return omega_t
+    forms, _ = decide_members([(DeformationFamily.build(projection, gamma), t)])
+    return ComplexTwoForm.from_skew(forms)[0]
 
 
-def _certify_gamma(projection: LagrangianProjection, gamma: ComplexTwoForm):
-    if gamma.dim != projection.half_dim:
-        raise ValueError("gamma must live on the base model")
-    certificate = _hodge_certificate(gamma, projection.quotient_structure, gamma.norm())
-    if not certificate.anti_holomorphic_ok():
-        raise ValueError(
-            f"gamma has a (0,2) component of norm {certificate.norm_02:.3e}; "
-            "deformation requires Hodge type (2,0)+(1,1)"
-        )
-    return certificate
+def _certify_gammas(projections, gammas) -> list:
+    """Hodge certificates of gammas on their projections' base models, one
+    ``hodge_parts`` split for the range.  A gamma off its base model raises
+    ``ValueError`` first; otherwise the first gamma with a (0,2) component
+    does."""
+    for projection, gamma in zip(projections, gammas):
+        if gamma.dim != projection.half_dim:
+            raise ValueError("gamma must live on the base model")
+    matrices = np.stack([gamma.matrix for gamma in gammas])
+    quotients = np.stack([projection.quotient_structure.matrix for projection in projections])
+    certificates = _hodge_certificates(matrices, quotients, [gamma.norm() for gamma in gammas])
+    for certificate in certificates:
+        if not certificate.anti_holomorphic_ok():
+            raise ValueError(
+                f"gamma has a (0,2) component of norm {certificate.norm_02:.3e}; "
+                "deformation requires Hodge type (2,0)+(1,1)"
+            )
+    return certificates
 
 
 @dataclass(frozen=True)
@@ -200,48 +285,70 @@ class DeformationFamily:
 
     @classmethod
     def build(cls, projection: LagrangianProjection, gamma: ComplexTwoForm):
-        certificate = _certify_gamma(projection, gamma)
-        w = projection.projection  # (2n, 4n)
-        return cls(projection=projection, gamma=gamma, certificate=certificate, pulled=w.T @ gamma.matrix @ w)
+        """The family of one gamma: ``build_many`` on a stack of one."""
+        return cls.build_many([projection], [gamma])[0]
+
+    @classmethod
+    def build_many(cls, projections, gammas) -> list:
+        """The family of each (projection, gamma) pair, all of one dimension:
+        one Hodge certification and one stacked pullback for the range.
+        Raises ``ValueError`` for the first gamma that fails, as ``build``
+        does for it, for no pairs and for lists of different lengths."""
+        if not same_lengths(projections=projections, gammas=gammas):
+            raise ValueError("no gammas to build families of")
+        certificates = _certify_gammas(projections, gammas)
+        w = np.stack([projection.projection.T for projection in projections])  # (N, 4n, 2n)
+        pulled = w @ np.stack([gamma.matrix for gamma in gammas]) @ np.swapaxes(w, -1, -2)
+        return [
+            cls(projection=projection, gamma=gamma, certificate=certificate, pulled=p)
+            for projection, gamma, certificate, p in zip(projections, gammas, certificates, pulled)
+        ]
 
     def form(self, t: complex) -> ComplexTwoForm:
         """The member Omega + t pi^* gamma, not checked for c-symplecticity."""
-        return ComplexTwoForm(self.projection.space.omega.matrix + complex(t) * self.pulled)
+        return ComplexTwoForm.from_skew(_member_forms([(self, t)]))[0]
 
     def structures(self, t_samples) -> list:
         """Induced structures of the members at ``t_samples``, checked by both
         criteria: ``decide_members`` on this family alone."""
-        return [structure for _, structure in decide_members([(self, t) for t in t_samples])]
+        _, structures = decide_members([(self, t) for t in t_samples])
+        return [ComplexStructure.from_accepted(len(structure), structure) for structure in structures]
 
 
-def decide_members(members) -> list:
-    """The form Omega_t and induced structure of each member ``(family, t)``,
-    checked by both criteria: every member in one ``induced_structures`` call
-    (the rank criterion) and one ``power_verdicts`` call.
+def _member_forms(members) -> np.ndarray:
+    """Omega + t pi^* gamma of each member ``(family, t)``, as one stacked
+    expression whose products and sums are taken entry by entry."""
+    omegas = np.stack([family.projection.space.omega.matrix for family, _ in members])
+    pulled = np.stack([family.pulled for family, _ in members])
+    ts = np.array([complex(t) for _, t in members])
+    return skew_matrices(omegas + ts[:, None, None] * pulled)
+
+
+def decide_members(members) -> tuple:
+    """The forms Omega_t (N, m, m) and induced structures (N, m, m) of the
+    members ``(family, t)``, checked by both criteria: every member in one
+    ``induced_structures`` call (the rank criterion) and one
+    ``power_verdicts`` call.
 
     The members may come from many families of one dimension; each stacked
     call gives a form the bits it gets on its own.  Raises
     ``PostconditionError`` for the first member that fails, with both
     reasons, and ``ValueError`` for no members.
     """
-    forms = [family.form(t) for family, t in members]
-    if not forms:
+    if not members:
         raise ValueError("no family members to decide")
-    stack = np.stack([omega_t.matrix for omega_t in forms])
-    stacked, verdicts = induced_structures(stack)
-    powers = power_verdicts(stack)
-    for i, structure in enumerate(stacked):
-        rank_reason = "ok"
-        if np.isnan(structure).any():
-            rank_reason = verdicts.criterion(i).reason or "induced structure rejected"
-        if rank_reason != "ok" or not powers.ok[i]:
-            raise PostconditionError(
-                f"deformed form failed c-symplecticity: rank: {rank_reason}; "
-                f"power: {powers.criterion(i).reason or 'ok'}"
-            )
-    return [
-        (omega_t, ComplexStructure.from_accepted(omega_t.dim, structure)) for omega_t, structure in zip(forms, stacked)
-    ]
+    forms = _member_forms(members)
+    structures, verdicts = induced_structures(forms)
+    powers = power_verdicts(forms)
+    rejected = np.isnan(structures).any(axis=(-2, -1))
+    failed = rejected | ~powers.ok
+    if failed.any():
+        i = int(np.argmax(failed))
+        rank_reason = (verdicts.criterion(i).reason or "induced structure rejected") if rejected[i] else "ok"
+        raise PostconditionError(
+            f"deformed form failed c-symplecticity: rank: {rank_reason}; power: {powers.criterion(i).reason or 'ok'}"
+        )
+    return forms, structures
 
 
 @dataclass(frozen=True)
@@ -273,39 +380,39 @@ def verify_preservances(projections, gammas, t_samples=DEFAULT_T_SAMPLES) -> lis
     For each family (projection, gamma) and each t: L stays c-Lagrangian for
     Omega_t, the restriction of the induced structure to L matches the t = 0
     restriction, and the inherited quotient structure matches as well.  The
-    members of every family are decided in one ``decide_members`` call, and
-    the forms it built are the ones checked.  Raises ``ValueError`` for
-    empty ``t_samples``.
+    families are built by one ``DeformationFamily.build_many`` call, their
+    members decided in one ``decide_members`` call, and the forms it built
+    are the ones checked, each check one array expression over (family, t).
+    Raises ``ValueError`` for empty ``t_samples`` and for lists of different
+    lengths.
     """
     t_samples = tuple(t_samples)
     if not t_samples:
         raise ValueError("no t samples to verify preservance at")
-    families = [DeformationFamily.build(projection, gamma) for projection, gamma in zip(projections, gammas)]
-    members = iter(decide_members([(family, t) for family in families for t in t_samples]))
-    reports = []
-    for projection in projections:
-        base_restriction, base_inv = projection.space.structure.restrict(projection.fiber)
-        base_quotient = projection.quotient_structure.matrix
-        fiber_ok = True
-        restriction_residuals, quotient_residuals, invariances = [], [], [base_inv]
-        w = projection.projection.T
-        for omega_t, structure_t in (next(members) for _ in t_samples):
-            if not is_c_lagrangian(projection.fiber, omega_t, STRUCTURE_TOL):
-                fiber_ok = False
-            restriction_t, invariance = structure_t.restrict(projection.fiber)
-            restriction_residuals.append(max_abs(restriction_t - base_restriction))
-            quotient_residuals.append(max_abs(w.T @ structure_t.matrix @ w - base_quotient))
-            invariances.append(invariance)
-        reports.append(
-            PreservanceReport(
-                t_samples=tuple(complex(t) for t in t_samples),
-                fiber_lagrangian_ok=fiber_ok,
-                max_fiber_restriction_residual=max_abs(restriction_residuals),
-                max_quotient_residual=max_abs(quotient_residuals),
-                max_invariance_residual=max_abs(invariances),
-            )
+    families = DeformationFamily.build_many(projections, gammas)
+    forms, structures = decide_members([(family, t) for family in families for t in t_samples])
+    shape = (len(families), len(t_samples)) + forms.shape[1:]
+    forms, structures = forms.reshape(shape), structures.reshape(shape)
+    fibers = np.stack([projection.fiber.orthonormal_basis() for projection in projections])[:, None]
+    base_structures = np.stack([projection.space.structure.matrix for projection in projections])[:, None]
+    base_restriction, base_invariance = restrictions(base_structures, fibers)
+    restriction, invariance = restrictions(structures, fibers)
+    w = np.stack([projection.projection.T for projection in projections])[:, None]  # (N, 1, 4n, 2n)
+    quotients = np.stack([projection.quotient_structure.matrix for projection in projections])[:, None]
+    quotient_residuals = stack_max(np.swapaxes(w, -1, -2) @ structures @ w - quotients)
+    fiber_ok = c_isotropic(fibers, forms, STRUCTURE_TOL).all(axis=-1)
+    return [
+        PreservanceReport(
+            t_samples=tuple(complex(t) for t in t_samples),
+            fiber_lagrangian_ok=bool(ok),
+            max_fiber_restriction_residual=max_abs(restriction_residuals),
+            max_quotient_residual=max_abs(quotient_residual),
+            max_invariance_residual=max_abs(np.concatenate([base, invariances])),
         )
-    return reports
+        for ok, restriction_residuals, quotient_residual, base, invariances in zip(
+            fiber_ok, stack_max(restriction - base_restriction), quotient_residuals, base_invariance, invariance
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -337,44 +444,56 @@ def holomorphize_sections(sections) -> list:
     Certifies that the deformed form vanishes on the section's image, the
     image is c-Lagrangian (hence invariant under the new structure), and
     the section intertwines the quotient structure with the new one,
-    i.e. becomes complex-linear.  Every section's Omega' is decided in one
-    ``decide_members`` call, and the forms it built are the ones certified.
+    i.e. becomes complex-linear.  The sections, all of one dimension, are
+    pulled back by one ``section_forms`` call, every Omega' is decided in
+    one ``decide_members`` call, and the forms it built are the ones
+    certified, each check one array expression over the range.
     """
-    etas = [section_form(section).two_form for section in sections]
-    families = [DeformationFamily.build(section.projection, eta) for section, eta in zip(sections, etas)]
-    members = decide_members([(family, -1.0) for family in families])
-    results = []
-    for section, eta, (omega_prime, structure_prime) in zip(sections, etas, members):
-        p = section.projection
-        s = section.map
-        scale = max(p.space.omega.norm(), 1e-300) * float(np.linalg.norm(s, 2)) ** 2
-        restriction = max_abs(s.T @ omega_prime.matrix @ s) / scale
-        graph = section.graph()
-        lagrangian = is_c_lagrangian(graph, omega_prime, STRUCTURE_TOL)
-        intertwine = max_abs(
-            s @ p.quotient_structure.matrix - structure_prime.matrix @ s
-        ) / max(1.0, float(np.linalg.norm(s, 2)))
-        results.append(
-            HolomorphizedSection(
-                eta=eta,
-                omega_prime=omega_prime,
-                certificate=HolomorphizationCertificate(
-                    graph_restriction_norm=restriction,
-                    graph_is_lagrangian=lagrangian,
-                    intertwining_residual=intertwine,
-                ),
-            )
+    etas = [form.two_form for form in section_forms(sections)]
+    families = DeformationFamily.build_many([section.projection for section in sections], etas)
+    omega_primes, structure_primes = decide_members([(family, -1.0) for family in families])
+    maps = np.stack([section.map for section in sections])
+    norms = _spectral_norms(maps)
+    scales = [max(section.projection.space.omega.norm(), 1e-300) * norm**2 for section, norm in zip(sections, norms)]
+    graph_restrictions = stack_max(np.swapaxes(maps, -1, -2) @ omega_primes @ maps).tolist()
+    graphs = Subspace.from_bases(maps)
+    lagrangian = c_isotropic(np.stack([graph.orthonormal_basis() for graph in graphs]), omega_primes, STRUCTURE_TOL)
+    quotients = np.stack([section.projection.quotient_structure.matrix for section in sections])
+    intertwining = stack_max(maps @ quotients - structure_primes @ maps).tolist()
+    return [
+        HolomorphizedSection(
+            eta=eta,
+            omega_prime=omega_prime,
+            certificate=HolomorphizationCertificate(
+                graph_restriction_norm=restriction / scale,
+                graph_is_lagrangian=bool(ok),
+                intertwining_residual=intertwine / max(1.0, norm),
+            ),
         )
-    return results
+        for eta, omega_prime, restriction, scale, ok, intertwine, norm in zip(
+            etas, ComplexTwoForm.from_skew(omega_primes), graph_restrictions, scales, lagrangian, intertwining, norms
+        )
+    ]
 
 
 def random_base_form(
     projection: LagrangianProjection, rng: np.random.Generator, scale: float = 1.0
 ) -> ComplexTwoForm:
-    """Random (2,0)+(1,1) form on the base model, for family sweeps."""
-    k = projection.half_dim
-    raw = scale * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-    raw_form = ComplexTwoForm(raw)
-    comps = hodge_decompose(raw_form, projection.quotient_structure)
-    cleaned = comps[(2, 0)] + comps[(1, 1)]
-    return ComplexTwoForm.from_kform(cleaned)
+    """Random (2,0)+(1,1) form on the base model: ``random_base_forms`` on a
+    stack of one."""
+    return random_base_forms([projection], [rng], scale)[0]
+
+
+def random_base_forms(projections, rngs, scale: float = 1.0) -> list:
+    """Random (2,0)+(1,1) form on each projection's base model, all of one
+    dimension, for family sweeps.  Each generator draws its own raw form;
+    the range is split by one ``hodge_parts`` call.  Raises ``ValueError``
+    for no projections and for lists of different lengths."""
+    if not same_lengths(projections=projections, rngs=rngs):
+        raise ValueError("no base models to draw forms on")
+    k = projections[0].half_dim
+    raw = skew_matrices(
+        np.stack([scale * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) for rng in rngs])
+    )
+    c20, c11, _ = hodge_parts(raw, np.stack([projection.quotient_structure.matrix for projection in projections]))
+    return ComplexTwoForm.from_skew(two_form_matrices(c20 + c11, k))

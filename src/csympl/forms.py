@@ -148,6 +148,29 @@ class ComplexKForm:
         return f"ComplexKForm(dim={self.dim}, degree={self.degree}, |coeffs|={self.norm():.3e})"
 
 
+def skew_matrices(matrices: np.ndarray) -> np.ndarray:
+    """The skew parts (A - A^T)/2 of stacked complex matrices (..., m, m),
+    checked to be exactly skew: the one place a 2-form's matrix is made.
+
+    ``ComplexTwoForm(matrix)`` is this on one matrix.  Raises
+    ``ValueError`` when an entry is not finite."""
+    skew = (matrices - matrices.swapaxes(-1, -2)) / 2.0
+    # exact in IEEE arithmetic unless an entry is inf or nan
+    if not max_abs(skew + skew.swapaxes(-1, -2)) == 0.0:
+        raise ValueError("matrix is not exactly skew after antisymmetrization: entries must be finite")
+    return skew
+
+
+def two_form_matrices(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """Skew matrices (..., dim, dim) of stacked 2-form coefficients (..., C)
+    on the increasing pairs of ``multiindex.index_array(dim, 2)``."""
+    mat = np.zeros(coeffs.shape[:-1] + (dim, dim), dtype=np.complex128)
+    rows = multiindex.index_array(dim, 2)
+    mat[..., rows[:, 0], rows[:, 1]] = coeffs
+    mat[..., rows[:, 1], rows[:, 0]] = -coeffs
+    return skew_matrices(mat)
+
+
 class ComplexTwoForm:
     """Degree-2 form as an exactly skew complex matrix: a(u, v) = u^T A v."""
 
@@ -157,23 +180,25 @@ class ComplexTwoForm:
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
-        matrix = (matrix - matrix.T) / 2.0
-        # exact in IEEE arithmetic unless an entry is inf or nan
-        if not max_abs(matrix + matrix.T) == 0.0:
-            raise ValueError("matrix is not exactly skew after antisymmetrization: entries must be finite")
         self.dim = matrix.shape[0]
-        self.matrix = matrix
+        self.matrix = skew_matrices(matrix)
+
+    @classmethod
+    def from_skew(cls, matrices: np.ndarray) -> list:
+        """Forms of the stacked matrices (N, m, m) that ``skew_matrices``
+        made, which are not antisymmetrized again."""
+        forms = []
+        for matrix in matrices:
+            form = cls.__new__(cls)
+            form.dim, form.matrix = matrix.shape[0], matrix
+            forms.append(form)
+        return forms
 
     @classmethod
     def from_kform(cls, form: ComplexKForm) -> "ComplexTwoForm":
         if form.degree != 2:
             raise ValueError("expected a 2-form")
-        m = form.dim
-        mat = np.zeros((m, m), dtype=np.complex128)
-        rows = multiindex.index_array(m, 2)
-        mat[rows[:, 0], rows[:, 1]] = form.coeffs
-        mat[rows[:, 1], rows[:, 0]] = -form.coeffs
-        return cls(mat)
+        return cls.from_skew(two_form_matrices(form.coeffs[None], form.dim))[0]
 
     def to_kform(self) -> ComplexKForm:
         rows = multiindex.index_array(self.dim, 2)

@@ -30,6 +30,20 @@ def max_abs(x) -> float:
     return float(np.abs(x).max(initial=0.0))
 
 
+def stack_max(x: np.ndarray) -> np.ndarray:
+    """``max_abs`` of each matrix of a stack (..., m, k)."""
+    return np.abs(x).max(axis=(-2, -1), initial=0.0)
+
+
+def same_lengths(**inputs) -> int:
+    """The common length of parallel inputs, given by name; raises
+    ``ValueError`` naming each input's length when they differ."""
+    lengths = {name: len(value) for name, value in inputs.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError("parallel inputs differ in length: " + ", ".join(f"{n} {name}" for name, n in lengths.items()))
+    return next(iter(lengths.values()))
+
+
 def numerical_rank(s: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Count of singular values above tol * sigma_max along the last axis of
     descending spectra ``s``: the rank decision of every kernel and span."""
@@ -45,23 +59,66 @@ def null_space(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vh[numerical_rank(s, tol) :].conj().T
 
 
+def orthonormality_residuals(bases: np.ndarray) -> np.ndarray:
+    """max |Q^H Q - Id| of each basis of a stack (..., m, k)."""
+    return stack_max(np.swapaxes(bases.conj(), -1, -2) @ bases - np.eye(bases.shape[-1]))
+
+
+def complement_bases(bases: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (..., m, m - k) of the orthogonal complements of the
+    spans of stacked full-column-rank bases (..., m, k): the trailing left
+    singular vectors of one full SVD."""
+    return np.linalg.svd(bases, full_matrices=True)[0][..., bases.shape[-1] :]
+
+
 def real_span_rank(bases: np.ndarray) -> np.ndarray:
     """Real dimension of span_R(Re basis, Im basis) per stacked basis (..., m, k)."""
     stacked = np.concatenate([bases.real, bases.imag], axis=-1)
     return numerical_rank(np.linalg.svd(stacked, compute_uv=False))
 
 
+def _field_dtype(field: str):
+    if field not in ("R", "C"):
+        raise ValueError(f"field must be 'R' or 'C', got {field!r}")
+    return np.complex128 if field == "C" else np.float64
+
+
+def _orthonormalized(bases: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the spans of stacked bases (N, m, k), checked to
+    be linearly independent: one stacked SVD and one stacked QR."""
+    if not bases.shape[-1]:
+        return bases
+    if (numerical_rank(np.linalg.svd(bases, compute_uv=False)) < bases.shape[-1]).any():
+        raise ValueError("basis columns are not linearly independent")
+    return np.linalg.qr(bases)[0]
+
+
 class Subspace:
     """Linear subspace of R^m or C^m given by a full-column-rank basis."""
 
     def __init__(self, basis, field: str = "R"):
+        """The span of one basis: ``from_bases`` on a stack of one."""
         basis = self._set_basis(basis, field)
-        if basis.shape[1]:
-            if numerical_rank(np.linalg.svd(basis, compute_uv=False)) < basis.shape[1]:
-                raise ValueError("basis columns are not linearly independent")
-            self._ortho = np.linalg.qr(basis)[0]
-        else:
-            self._ortho = basis
+        self._ortho = _orthonormalized(basis[None])[0]
+
+    @classmethod
+    def from_bases(cls, bases, field: str = "R") -> list:
+        """Subspaces of stacked full-column-rank bases (N, m, k).
+
+        The stack takes one independence SVD and one QR, each of which
+        decomposes one matrix at a time, so a basis gets the orthonormal
+        basis it gets alone.  Raises ``ValueError`` as ``__init__`` does.
+        """
+        bases = np.asarray(bases, dtype=_field_dtype(field))
+        if bases.ndim != 3:
+            raise ValueError("bases must be a 3-d stack of column-vector bases")
+        subspaces = []
+        for basis, ortho in zip(bases, _orthonormalized(bases)):
+            subspace = cls.__new__(cls)
+            subspace._set_basis(basis, field)
+            subspace._ortho = ortho
+            subspaces.append(subspace)
+        return subspaces
 
     @classmethod
     def from_orthonormal(cls, q, field: str = "R") -> "Subspace":
@@ -73,16 +130,14 @@ class Subspace:
         """
         self = cls.__new__(cls)
         q = self._set_basis(q, field)
-        residual = max_abs(q.conj().T @ q - np.eye(q.shape[1]))
+        residual = float(orthonormality_residuals(q))
         if not residual <= DEFAULT_TOL:
             raise PostconditionError(f"basis is not orthonormal (residual {residual:.3e})")
         self._ortho = q
         return self
 
     def _set_basis(self, basis, field: str) -> np.ndarray:
-        if field not in ("R", "C"):
-            raise ValueError(f"field must be 'R' or 'C', got {field!r}")
-        basis = np.asarray(basis, dtype=np.complex128 if field == "C" else np.float64)
+        basis = np.asarray(basis, dtype=_field_dtype(field))
         if basis.ndim != 2:
             raise ValueError("basis must be a 2-d array of column vectors")
         self.ambient_dim = basis.shape[0]
@@ -119,8 +174,7 @@ class Subspace:
     def orthogonal_complement(self) -> "Subspace":
         if self.dim == 0:
             return Subspace.from_orthonormal(np.eye(self.ambient_dim), field=self.field)
-        u = np.linalg.svd(self.basis, full_matrices=True)[0]
-        return Subspace.from_orthonormal(u[:, self.dim :], field=self.field)
+        return Subspace.from_orthonormal(complement_bases(self.basis), field=self.field)
 
     def real_span_rank(self) -> int:
         """Real dimension of span_R(Re basis, Im basis)."""
@@ -139,13 +193,14 @@ class ComplexStructure:
 
     def __post_init__(self):
         mat = self._set_matrix(self.matrix)
-        residual = max_abs(mat @ mat + np.eye(self.dim))
-        if residual > STRUCTURE_TOL * max(1.0, max_abs(mat) ** 2):
-            raise ValueError(f"I^2 != -Id (residual {residual:.3e})")
+        residual, failed = square_residuals(mat[None])
+        if failed[0]:
+            raise ValueError(f"I^2 != -Id (residual {residual[0]:.3e})")
 
     @classmethod
     def from_accepted(cls, dim: int, matrix) -> "ComplexStructure":
-        """Structure that ``induced_structures`` has accepted.
+        """Structure that ``induced_structures`` has accepted, or whose
+        ``square_residuals`` a stacked builder has checked.
 
         Its I^2 = -Id residual already met the same ``STRUCTURE_TOL`` bound
         there, so it is not recomputed; shape and dimension are checked as
@@ -169,10 +224,19 @@ class ComplexStructure:
         """exp(theta I) = cos(theta) Id + sin(theta) I."""
         return np.cos(theta) * np.eye(self.dim) + np.sin(theta) * self.matrix
 
-    def restrict(self, subspace: Subspace):
-        """Matrix of I on an invariant subspace, plus the invariance residual."""
-        q = subspace.orthonormal_basis()
-        image = self.matrix @ q
-        restricted = q.conj().T @ image
-        residual = max_abs(image - q @ restricted)
-        return restricted, residual
+
+def square_residuals(structures: np.ndarray):
+    """The I^2 = -Id residuals max |I^2 + Id| of stacked structures (..., d, d)
+    and where they exceed ``STRUCTURE_TOL`` max(1, |I|^2): the one check a
+    complex structure's square is held to."""
+    residual = stack_max(structures @ structures + np.eye(structures.shape[-1]))
+    return residual, residual > STRUCTURE_TOL * np.maximum(1.0, stack_max(structures) ** 2)
+
+
+def restrictions(structures: np.ndarray, bases: np.ndarray):
+    """Matrices Q^H I Q of stacked structures (..., m, m) on the subspaces of
+    orthonormal bases Q (..., m, k), and the invariance residuals
+    max |I Q - Q (Q^H I Q)|; the two stacks broadcast against each other."""
+    image = structures @ bases
+    restricted = np.swapaxes(bases.conj(), -1, -2) @ image
+    return restricted, stack_max(image - bases @ restricted)

@@ -42,7 +42,7 @@ from .deformation import (
     LagrangianProjection,
     LinearSection,
     holomorphize_sections,
-    random_base_form,
+    random_base_forms,
     verify_preservances,
 )
 from .forms import ComplexTwoForm
@@ -57,7 +57,7 @@ from .lattice import (
     standard_k3_lattice,
     twistor_parameter,
 )
-from .linalg import DEFAULT_TOL, Subspace, max_abs, null_space, numerical_rank
+from .linalg import DEFAULT_TOL, Subspace, max_abs, null_space, numerical_rank, same_lengths
 from .torus import (
     SmoothSection,
     TorusGrid,
@@ -228,21 +228,52 @@ def mixed_two_form(rng: np.random.Generator, dim: int) -> ComplexTwoForm:
 
 
 def random_lagrangian(space: CSymplecticSpace, rng: np.random.Generator) -> Subspace:
-    """Random c-Lagrangian by the greedy isotropic construction: each new
-    generator is drawn from the joint kernel of the pairings with the
-    previous ones, then completed with its structure image."""
-    structure = space.structure.matrix
-    a = space.omega.matrix
+    """Random c-Lagrangian of one space: ``random_lagrangians`` on a stack of
+    one."""
+    return random_lagrangians([space], [rng])[0]
+
+
+def random_lagrangians(spaces, rngs) -> list:
+    """Random c-Lagrangian of each space, all of one dimension, by the greedy
+    isotropic construction: each new generator is drawn from the joint
+    kernel of the pairings with the previous ones, then completed with its
+    structure image.
+
+    Each generator draws its own normals in its own order.  Every step
+    takes the range's joint kernels from one stacked SVD, and the fibers
+    are built by one ``Subspace.from_bases`` call; every product takes one
+    matrix at a time, so a fiber has the same bits in any range.  The 2j
+    conditions of step j have rank 2j, since Re Omega is nondegenerate and
+    the generators so far span a 2j-dimensional space, and the step raises
+    ``PostconditionError`` when they do not.  Raises ``ValueError`` for no
+    spaces and for lists of different lengths.
+    """
+    count = same_lengths(spaces=spaces, rngs=rngs)
+    if not count:
+        raise ValueError("no spaces to draw c-Lagrangians in")
+    structures = np.stack([space.structure.matrix for space in spaces])
+    forms = np.stack([space.omega.matrix for space in spaces])
+    dim = forms.shape[-1]
     vectors = []
-    conditions = np.zeros((0, space.dim))
-    for _ in range(space.n):
-        basis = null_space(conditions) if conditions.size else np.eye(space.dim)
-        v = basis @ rng.standard_normal(basis.shape[1])
-        v /= np.linalg.norm(v)
-        vectors.extend([v, structure @ v])
-        pairing = a @ v
-        conditions = np.vstack([conditions, pairing.real[None, :], pairing.imag[None, :]])
-    return Subspace(np.column_stack(vectors))
+    conditions = np.zeros((count, 0, dim))
+    for step in range(dim // 4):
+        normals = np.stack([rng.standard_normal(dim - 2 * step) for rng in rngs])
+        v = normals
+        if step:
+            _, s, vh = np.linalg.svd(conditions)
+            rank = numerical_rank(s)
+            if (rank != 2 * step).any():
+                first = rank[np.argmax(rank != 2 * step)]
+                raise PostconditionError(
+                    f"internal consistency error: isotropy conditions have rank {first}, not {2 * step}"
+                )
+            v = (np.swapaxes(vh[:, 2 * step :].conj(), -1, -2) @ normals[..., None])[..., 0]
+        # each norm is the dot product np.linalg.norm takes of one vector
+        v = v / np.sqrt(v[:, None, :] @ v[..., None])[..., 0]
+        vectors += [v, (structures @ v[..., None])[..., 0]]
+        pairing = (forms @ v[..., None])[..., 0]
+        conditions = np.concatenate([conditions, pairing.real[:, None], pairing.imag[:, None]], axis=1)
+    return Subspace.from_bases(np.stack(vectors, axis=-1))
 
 
 # -- case functions ------------------------------------------------------
@@ -352,12 +383,12 @@ def _lagrangian_instances(cfg: SuiteConfig, dim, indices):
     """Generator, space and random c-Lagrangian fiber of each index, shared
     by the hitchin, preservance and section-theorem cases: the range's
     ``_spaces`` on the streams ``(seed, dim, index)``, then each stream goes
-    on to draw its index's fiber."""
-    instances = []
-    for rng, space in zip(*_spaces(cfg, dim, indices)):
-        fiber = random_lagrangian(space, rng)
-        instances.append((rng, space, fiber, {"omega": space.omega.matrix, "fiber basis": fiber.basis}))
-    return instances
+    on to draw its index's fiber, in one ``random_lagrangians`` call."""
+    rngs, spaces = _spaces(cfg, dim, indices)
+    return [
+        (rng, space, fiber, {"omega": space.omega.matrix, "fiber basis": fiber.basis})
+        for rng, space, fiber in zip(rngs, spaces, random_lagrangians(spaces, rngs))
+    ]
 
 
 def _hitchin_case(cfg: SuiteConfig, dim, indices):
@@ -418,19 +449,15 @@ def _brute_force_maximal(subspace: Subspace, omega, rng: np.random.Generator, at
 
 
 def _preservance_case(cfg: SuiteConfig, dim, indices):
-    """Preservance of a random (2,0)+(1,1) family per instance; every
-    family member of the range is decided in one ``verify_preservances``
-    call."""
-    instances = _lagrangian_instances(cfg, dim, indices)
-    projections, gammas = [], []
-    for rng, space, fiber, inputs in instances:
-        projection = LagrangianProjection.build(space, fiber)
-        gamma = random_base_form(projection, rng, scale=0.5)
-        inputs["gamma"] = gamma.matrix
-        projections.append(projection)
-        gammas.append(gamma)
+    """Preservance of a random (2,0)+(1,1) family per instance; the range's
+    projections, gammas and reports are each built in one stacked call."""
+    rngs, spaces, fibers, instances = zip(*_lagrangian_instances(cfg, dim, indices))
+    projections = LagrangianProjection.build_many(spaces, fibers)
+    gammas = random_base_forms(projections, rngs, scale=0.5)
     cases = []
-    for (*_, inputs), report in zip(instances, verify_preservances(projections, gammas, DEFAULT_T_SAMPLES)):
+    reports = verify_preservances(projections, gammas, DEFAULT_T_SAMPLES)
+    for inputs, gamma, report in zip(instances, gammas, reports):
+        inputs["gamma"] = gamma.matrix
         measurements = [
             ("preservance", report.max_residual),
             ("preservance-fiber-lagrangian", float(not report.fiber_lagrangian_ok)),
@@ -440,16 +467,15 @@ def _preservance_case(cfg: SuiteConfig, dim, indices):
 
 
 def _section_theorem_case(cfg: SuiteConfig, dim, indices):
-    """The section theorem for a random section per instance; every Omega'
-    of the range is decided in one ``holomorphize_sections`` call."""
-    instances = _lagrangian_instances(cfg, dim, indices)
-    sections = []
-    for rng, space, fiber, inputs in instances:
-        section = LinearSection.random(LagrangianProjection.build(space, fiber), rng)
-        inputs["section map"] = section.map
-        sections.append(section)
+    """The section theorem for a random section per instance; the range's
+    projections are built in one stacked call, and every section is
+    holomorphized in one ``holomorphize_sections`` call."""
+    rngs, spaces, fibers, instances = zip(*_lagrangian_instances(cfg, dim, indices))
+    projections = LagrangianProjection.build_many(spaces, fibers)
+    sections = [LinearSection.random(projection, rng) for projection, rng in zip(projections, rngs)]
     cases = []
-    for (*_, inputs), result in zip(instances, holomorphize_sections(sections)):
+    for inputs, section, result in zip(instances, sections, holomorphize_sections(sections)):
+        inputs["section map"] = section.map
         certificate = result.certificate
         measurements = [
             ("holomorphize", certificate.max_residual),

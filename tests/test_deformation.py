@@ -1,11 +1,13 @@
 """Deformation family Omega_t, preservation statements, section theorem."""
 
+import copy
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from csympl import csymplectic, deformation
+from csympl import csymplectic, deformation, suites
 from csympl.csymplectic import (
     CSymplecticSpace,
     c_symplectic_basis,
@@ -30,12 +32,15 @@ from csympl.deformation import (
     holomorphize_section,
     holomorphize_sections,
     random_base_form,
+    random_base_forms,
     section_form,
+    section_forms,
     verify_preservance,
+    verify_preservances,
 )
 from csympl.forms import ComplexTwoForm, form_kernel, pullback
 from csympl.linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace
-from csympl.suites import CHECKS, random_lagrangian
+from csympl.suites import CHECKS, SuiteConfig, random_lagrangian, random_lagrangians
 
 
 def q_projection():
@@ -238,6 +243,8 @@ def test_preservance_at_no_t_samples_raises_a_value_error():
     with pytest.raises(ValueError, match="no t samples to verify preservance at"):
         verify_preservance(proj, random_base_form(proj, rng), t_samples=())
     with pytest.raises(ValueError, match="no family members to decide"):
+        deformation.decide_members([])
+    with pytest.raises(ValueError, match="no sections to pull the form back along"):
         holomorphize_sections([])
 
 
@@ -363,16 +370,17 @@ def test_residual_folds_keep_a_nan():
     assert not CHECKS["holomorphize"].passes(HolomorphizationCertificate(0.0, True, nan).max_residual)
 
 
-def test_projection_builds_its_quotient_once(monkeypatch):
-    space = CSymplecticSpace.from_form(random_c_symplectic(np.random.default_rng(33), 8)[0])
-    fiber = random_lagrangian(space, np.random.default_rng(34))
+@pytest.mark.parametrize("count", [1, 3])
+def test_projection_builds_its_quotient_once(count, monkeypatch):
+    # one complement and one c-Lagrangian check for the whole range
+    spaces = CSymplecticSpace.from_forms([random_c_symplectic(np.random.default_rng(33 + i), 8)[0] for i in range(count)])
+    fibers = [random_lagrangian(space, np.random.default_rng(34 + i)) for i, space in enumerate(spaces)]
     calls = []
-    complement, lagrangian = Subspace.orthogonal_complement, csymplectic.is_c_lagrangian
-    monkeypatch.setattr(Subspace, "orthogonal_complement", lambda self: calls.append("complement") or complement(self))
-    for module in (csymplectic, deformation):
-        monkeypatch.setattr(module, "is_c_lagrangian", lambda *a: calls.append("is_c_lagrangian") or lagrangian(*a))
-    LagrangianProjection.build(space, fiber)
-    assert sorted(calls) == ["complement", "is_c_lagrangian"]
+    complement, isotropic = deformation.complement_bases, deformation.c_isotropic
+    monkeypatch.setattr(deformation, "complement_bases", lambda b: calls.append("complement") or complement(b))
+    monkeypatch.setattr(deformation, "c_isotropic", lambda *a: calls.append("c_isotropic") or isotropic(*a))
+    LagrangianProjection.build_many(spaces, fibers)
+    assert sorted(calls) == ["c_isotropic", "complement"]
 
 
 def test_family_structures_are_checked_members():
@@ -402,18 +410,127 @@ def test_members_of_many_families_decide_as_each_family_alone():
     projections = [proj for proj, _ in setups]
     gammas = [random_base_form(proj, rng) for proj, rng in setups]
     families = [DeformationFamily.build(proj, gamma) for proj, gamma in zip(projections, gammas)]
-    members = deformation.decide_members([(family, t) for family in families for t in DEFAULT_T_SAMPLES])
+    forms, structures = deformation.decide_members([(family, t) for family in families for t in DEFAULT_T_SAMPLES])
     alone = [pair for family in families for pair in zip(map(family.form, DEFAULT_T_SAMPLES),
                                                          family.structures(DEFAULT_T_SAMPLES))]  # fmt: skip
-    assert len(members) == len(alone) == 15
-    for (form, structure), (form_alone, structure_alone) in zip(members, alone):
-        assert form.matrix.tobytes() == form_alone.matrix.tobytes()
-        assert structure.matrix.tobytes() == structure_alone.matrix.tobytes()
+    assert len(forms) == len(structures) == len(alone) == 15
+    for form, structure, (form_alone, structure_alone) in zip(forms, structures, alone):
+        assert form.tobytes() == form_alone.matrix.tobytes()
+        assert structure.tobytes() == structure_alone.matrix.tobytes()
     reports = deformation.verify_preservances(projections, gammas)
     assert reports == [verify_preservance(proj, gamma) for proj, gamma in zip(projections, gammas)]
     sections = [LinearSection.random(proj, rng) for proj, rng in setups]
     certificates = [result.certificate for result in deformation.holomorphize_sections(sections)]
     assert certificates == [holomorphize_section(section).certificate for section in sections]
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """How often np.linalg.svd and np.linalg.qr were called while the test runs."""
+    calls = Counter()
+    for name in ("svd", "qr"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+@pytest.mark.parametrize("name", ["_preservance_case", "_section_theorem_case"])
+def test_a_deformation_range_decomposes_as_often_at_any_sample_count(name, dim, linalg_calls):
+    # each layer is one stacked call per (suite, dim), not one per instance
+    cfg = SuiteConfig(suite="preservance" if name == "_preservance_case" else "section-theorem", seed=1)
+    counts = {}
+    for samples in (3, 30):
+        linalg_calls.clear()
+        getattr(suites, name)(cfg, dim, range(samples))
+        counts[samples] = dict(linalg_calls)
+    assert counts[3] == counts[30] and counts[3]["svd"] and counts[3]["qr"], counts
+
+
+def stacked_instances(dim, count):
+    """Generators and spaces of ``count`` instances, and copies of the
+    generators in the same state, for the stack-of-one calls."""
+    rngs = [np.random.default_rng([50, dim, index]) for index in range(count)]
+    spaces = CSymplecticSpace.from_forms([random_c_symplectic(rng, dim)[0] for rng in rngs])
+    return spaces, rngs, copy.deepcopy(rngs)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_each_stacked_builder_is_its_stack_of_one_bit_for_bit(dim):
+    spaces, rngs, alone_rngs = stacked_instances(dim, 30)
+    fibers = random_lagrangians(spaces, rngs)
+    fibers_alone = [random_lagrangian(space, rng) for space, rng in zip(spaces, alone_rngs)]
+    spans = Subspace.from_bases(np.stack([fiber.basis for fiber in fibers]))
+    for fiber, alone, span in zip(fibers, fibers_alone, spans):
+        assert same_bits(fiber.basis, alone.basis) and same_bits(fiber.orthonormal_basis(), alone.orthonormal_basis())
+        assert same_bits(span.orthonormal_basis(), Subspace(fiber.basis).orthonormal_basis())
+    projections = LagrangianProjection.build_many(spaces, fibers)
+    for projection, space, fiber in zip(projections, spaces, fibers):
+        alone = LagrangianProjection.build(space, fiber)
+        assert same_bits(projection.projection, alone.projection)
+        assert same_bits(projection.quotient_structure.matrix, alone.quotient_structure.matrix)
+    if dim == 12:
+        return
+    gammas = random_base_forms(projections, rngs, scale=0.5)
+    families = DeformationFamily.build_many(projections, gammas)
+    sections = [LinearSection.random(projection, rng) for projection, rng in zip(projections, rngs)]
+    pulled_back = section_forms(sections)
+    reports = verify_preservances(projections, gammas)
+    results = holomorphize_sections(sections)
+    for i, (projection, rng) in enumerate(zip(projections, alone_rngs)):
+        gamma = random_base_form(projection, rng, scale=0.5)
+        assert same_bits(gammas[i].matrix, gamma.matrix)
+        family = DeformationFamily.build(projection, gamma)
+        assert same_bits(families[i].pulled, family.pulled) and families[i].certificate == family.certificate
+        section = LinearSection.random(projection, rng)
+        assert same_bits(sections[i].map, section.map)
+        alone = section_form(section)
+        assert same_bits(pulled_back[i].two_form.matrix, alone.two_form.matrix)
+        assert pulled_back[i].certificate == alone.certificate
+        assert reports[i] == verify_preservance(projection, gamma)
+        result = holomorphize_section(section)
+        assert results[i].certificate == result.certificate
+        assert same_bits(results[i].eta.matrix, result.eta.matrix)
+        assert same_bits(results[i].omega_prime.matrix, result.omega_prime.matrix)
+
+
+def test_parallel_inputs_of_different_lengths_raise_a_value_error():
+    spaces, rngs, _ = stacked_instances(8, 3)
+    projections = LagrangianProjection.build_many(spaces, random_lagrangians(spaces, rngs))
+    gammas = random_base_forms(projections, rngs)
+    calls = [
+        (lambda: verify_preservances(projections, gammas[:2]), "3 projections, 2 gammas"),
+        (lambda: verify_preservances(projections[:2], gammas), "2 projections, 3 gammas"),
+        (lambda: random_lagrangians(spaces, rngs[:1]), "3 spaces, 1 rngs"),
+        (lambda: LagrangianProjection.build_many(spaces[:2], [p.fiber for p in projections]), "2 spaces, 3 fibers"),
+        (lambda: random_base_forms(projections, rngs[:2]), "3 projections, 2 rngs"),
+        (lambda: DeformationFamily.build_many(projections[:1], gammas), "1 projections, 3 gammas"),
+    ]
+    for call, lengths in calls:
+        with pytest.raises(ValueError, match=f"^parallel inputs differ in length: {lengths}$"):
+            call()
+
+
+def test_stacked_builders_of_no_instances_raise_a_value_error():
+    calls = [
+        (lambda: random_lagrangians([], []), "no spaces to draw c-Lagrangians in"),
+        (lambda: LagrangianProjection.build_many([], []), "no fibers to project along"),
+        (lambda: random_base_forms([], []), "no base models to draw forms on"),
+        (lambda: DeformationFamily.build_many([], []), "no gammas to build families of"),
+        (lambda: section_forms([]), "no sections to pull the form back along"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_family_structures_are_not_rechecked(monkeypatch):

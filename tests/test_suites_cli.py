@@ -13,7 +13,7 @@ from csympl import cli, csymplectic, deformation, forms, linalg, suites, torus
 from csympl.csymplectic import Q_BLOCK
 from csympl.forms import ComplexTwoForm
 from csympl.cli import main
-from csympl.linalg import ComplexStructure, PostconditionError
+from csympl.linalg import PostconditionError
 from csympl.suites import SuiteConfig, replay_case, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -531,13 +531,13 @@ def test_nan_residual_fails_its_row(monkeypatch):
 
 
 def test_nan_fiber_restriction_fails_the_preservance_row(monkeypatch):
-    restrict = ComplexStructure.restrict
+    restrict = deformation.restrictions
 
-    def nan_restriction(self, subspace):
-        restricted, residual = restrict(self, subspace)
+    def nan_restriction(structures, bases):
+        restricted, residual = restrict(structures, bases)
         return np.full_like(restricted, np.nan), residual
 
-    monkeypatch.setattr(ComplexStructure, "restrict", nan_restriction)
+    monkeypatch.setattr(deformation, "restrictions", nan_restriction)
     report = run_suite(SuiteConfig(suite="preservance", dims=(4,), samples=3, seed=0))
     assert not report.passed and np.isnan(report.checks[0]["max_residual"])
 
@@ -923,6 +923,85 @@ def test_a_failing_instance_raises_in_the_range_what_it_raises_alone(name, phase
     case(cfg, 4, range(6))  # the instances before it pass
 
 
+def recorded_splits(name, cfg, dim, index, monkeypatch):
+    """The matrices handed to ``hodge_parts`` when ``index``'s case is built
+    alone: in preservance its raw base form, then its gamma; in
+    section-theorem its section form, then the same form as gamma."""
+    splits = []
+    split = deformation.hodge_parts
+    with monkeypatch.context() as patch:
+        patch.setattr(deformation, "hodge_parts", lambda m, s: splits.append(m.copy()) or split(m, s))
+        SPACE_CASES[name][1](cfg, dim, range(index, index + 1))
+    return splits
+
+
+def fail_the_phase(phase, target, monkeypatch):
+    """Make ``phase`` fail for the one instance whose input is ``target``:
+    ``fiber`` finds its fiber basis dependent, ``projection`` finds its
+    fiber not c-Lagrangian for its form, and ``gamma`` and ``section-form``
+    find a (0,2) part of norm 1 in its split."""
+    hit = lambda matrices: (matrices == target).all(axis=(-2, -1))
+    if phase == "fiber":
+        svd = np.linalg.svd
+
+        def dependent(a, *args, compute_uv=True, **kwargs):
+            result = svd(a, *args, compute_uv=compute_uv, **kwargs)
+            if compute_uv or a.shape[-2:] != target.shape:
+                return result
+            return np.where(hit(a)[..., None], 0.0, result)
+
+        monkeypatch.setattr(np.linalg, "svd", dependent)
+    elif phase == "projection":
+        isotropic = deformation.c_isotropic
+        monkeypatch.setattr(deformation, "c_isotropic", lambda b, omegas, *tol: isotropic(b, omegas, *tol) & ~hit(omegas))
+    else:
+        split = deformation.hodge_parts
+
+        def anti_holomorphic(matrices, structures):
+            c20, c11, c02 = split(matrices, structures)
+            return c20, c11, np.where(hit(matrices)[..., None], c02 + 1.0, c02)
+
+        monkeypatch.setattr(deformation, "hodge_parts", anti_holomorphic)
+
+
+#: Per build phase of the deformation cases: the error it raises and the
+#: index into the inputs recorded alone (an input name or a ``hodge_parts`` call).
+PHASE_FAILURES = {
+    "fiber": (ValueError, "basis columns are not linearly independent", "fiber basis"),
+    "projection": (ValueError, "fiber is not c-Lagrangian for the given form", "omega"),
+    "gamma": (ValueError, "gamma has a (0,2) component of norm 1.000e+00; deformation requires Hodge type (2,0)+(1,1)",
+              -1),
+    "section-form": (PostconditionError, "(0,2) component of a section form is 1.000e+00; this contradicts the "
+                     "Hodge-type property", 0),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "name, phase", [("_hitchin_case", "fiber"), ("_preservance_case", "fiber"), ("_preservance_case", "projection"),
+                    ("_preservance_case", "gamma"), ("_section_theorem_case", "fiber"),
+                    ("_section_theorem_case", "projection"), ("_section_theorem_case", "section-form")]
+)  # fmt: skip
+def test_a_failing_instance_raises_in_the_range_what_it_raises_alone_in_each_build_phase(name, phase, monkeypatch):
+    # instance 6 of 10 fails the phase's check, as in the decisions' test above
+    suite, reference = SPACE_CASES[name]
+    case = getattr(suites, name)
+    cfg = SuiteConfig(suite=suite, dims=(4,), samples=10, seed=2)
+    error, expected, source = PHASE_FAILURES[phase]
+    if isinstance(source, str):
+        target = reference(cfg, 4, range(6, 7))[0][0][source]
+    else:
+        target = recorded_splits(name, cfg, 4, 6, monkeypatch)[source]
+    fail_the_phase(phase, target, monkeypatch)
+    with pytest.raises(error) as stacked:
+        case(cfg, 4, range(10))
+    with pytest.raises(error) as alone:
+        reference(cfg, 4, range(10))
+    with pytest.raises(error) as own_range:
+        case(cfg, 4, range(6, 7))
+    assert str(stacked.value) == str(alone.value) == str(own_range.value) == expected
+    case(cfg, 4, range(6))  # the instances before it pass
+
+
 @pytest.mark.parametrize(
     "name, check, dim, index",
     [("_preservance_case", "preservance-fiber-lagrangian", 8, 7), ("_section_theorem_case", "holomorphize", 8, 12),
@@ -1036,15 +1115,15 @@ def rows_of(report, check):
 def test_a_subspace_that_is_not_c_lagrangian_fails_its_own_row(suite, split, kept, monkeypatch):
     # the fiber under Omega_t and the graph under Omega' are checked at
     # STRUCTURE_TOL; hand those checks a generic subspace of the same dimension
-    lagrangian = deformation.is_c_lagrangian
+    isotropic = deformation.c_isotropic
     rng = np.random.default_rng(0)
 
-    def generic(subspace, omega, tol=linalg.DEFAULT_TOL):
+    def generic(bases, omegas, tol=linalg.DEFAULT_TOL):
         if tol == linalg.STRUCTURE_TOL:
-            subspace = linalg.Subspace(rng.standard_normal(subspace.basis.shape))
-        return lagrangian(subspace, omega, tol)
+            bases = np.linalg.qr(rng.standard_normal(bases.shape))[0]
+        return isotropic(bases, omegas, tol)
 
-    monkeypatch.setattr(deformation, "is_c_lagrangian", generic)
+    monkeypatch.setattr(deformation, "c_isotropic", generic)
     report = run_suite(SuiteConfig(suite=suite, dims=(4,), samples=3, seed=0))
     (row,) = rows_of(report, split)
     assert row["max_residual"] == 3 and not row["pass"]

@@ -1,0 +1,64 @@
+"""The report sweep of tools/sweep_reports.py: its comparison of two trees
+and its worst value per (check, dim)."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = importlib.util.spec_from_file_location("sweep_reports", ROOT / "tools" / "sweep_reports.py")
+sweep_reports = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(sweep_reports)
+
+#: A canned sweep small enough for Tier-1: two form suites and a coarse testbed.
+CANNED_RUNS = [
+    dict(suite="preservance", dims=(4,), samples=5),
+    dict(suite="section-theorem", dims=(4,), samples=5),
+    dict(suite="testbed-nijenhuis", grid_n=16, modes=3, control="closed"),
+]
+
+
+def test_a_tree_compared_with_itself_reads_no_changes():
+    first = sweep_reports.sweep(ROOT, [0, 3], CANNED_RUNS)
+    second = sweep_reports.sweep(ROOT, [0, 3], CANNED_RUNS)
+    assert sorted(first) == sorted(second) == sorted(
+        (label, seed) for label in ("preservance", "section-theorem", "testbed-nijenhuis/closed") for seed in (0, 3)
+    )
+    assert sweep_reports.compare(first, second) == {"changed": [], "flipped": []}
+    assert first[("testbed-nijenhuis/closed", 0)]["digest"].count("/") == 1  # the node table's digest
+    worst = sweep_reports.worst_values(first)
+    assert {check for check, dim in worst} == {
+        "preservance", "preservance-fiber-lagrangian", "holomorphize", "holomorphize-graph-lagrangian",
+        "section-holomorphy", "section-nijenhuis", "section-closedness", "closed-decay-rate",
+        "closed-control-nijenhuis",
+    }  # fmt: skip
+
+
+def report(digest, *rows):
+    return {"digest": digest, "rows": [dict(zip(("check", "dim", "max_residual", "pass", "bounds"), row)) for row in rows]}
+
+
+def test_compare_names_changed_reports_and_flipped_rows():
+    bound = [-math.inf, 1e-9]
+    this = {("preservance", 0): report("a", ("preservance", 4, 2e-9, False, bound)), ("hitchin", 0): report("h")}
+    other = {("preservance", 0): report("b", ("preservance", 4, 1e-12, True, bound)), ("gram-schmidt", 1): report("g")}
+    found = sweep_reports.compare(this, other)
+    assert found["changed"] == [("gram-schmidt", 1), ("hitchin", 0), ("preservance", 0)]
+    assert found["flipped"] == [("preservance", 0, "preservance", 4, True, False)]
+
+
+def test_the_worst_value_is_the_one_nearest_a_bound():
+    reports = {
+        ("a", 0): report("x", ("upper", 4, 1e-12, True, [-math.inf, 1e-9]), ("lower", 4, 5.0, True, [math.pi, math.inf]),
+                         ("window", 4, 3.0, True, [2.5, 6.0]), ("nan", 4, 0.0, True, [-math.inf, 1.0])),
+        ("a", 1): report("y", ("upper", 4, 3e-10, True, [-math.inf, 1e-9]), ("lower", 4, 4.0, True, [math.pi, math.inf]),
+                         ("window", 4, 5.9, True, [2.5, 6.0]), ("nan", 4, math.nan, False, [-math.inf, 1.0])),
+    }  # fmt: skip
+    worst = sweep_reports.worst_values(reports)
+    assert worst[("upper", 4)] == 3e-10 and worst[("lower", 4)] == 4.0 and worst[("window", 4)] == 5.9
+    assert math.isnan(worst[("nan", 4)])
+
+
+def test_seeds_are_values_and_inclusive_ranges():
+    assert sweep_reports.parse_seeds("0-2,7,10-10") == [0, 1, 2, 7, 10]
+    assert len(sweep_reports.parse_seeds(sweep_reports.DEFAULT_SEEDS)) == 41
