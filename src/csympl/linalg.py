@@ -200,7 +200,7 @@ class ComplexStructure:
     @classmethod
     def from_accepted(cls, dim: int, matrix) -> "ComplexStructure":
         """Structure that ``induced_structures`` has accepted, or whose
-        ``square_residuals`` a stacked builder has checked.
+        ``square_residuals`` its caller has already checked.
 
         Its I^2 = -Id residual already met the same ``STRUCTURE_TOL`` bound
         there, so it is not recomputed; shape and dimension are checked as

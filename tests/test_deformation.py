@@ -90,6 +90,26 @@ def test_projection_rejects_an_incompatible_quotient_structure():
         LagrangianProjection.build(space, proj.fiber)
 
 
+def test_a_projection_range_raises_for_its_first_failing_pair():
+    # pair 1's quotient structure is not well-defined and pair 2's fiber is
+    # not c-Lagrangian: the range raises pair 1's error, as building the
+    # pairs one at a time would
+    setups = [random_setup(8, seed) for seed in (35, 36, 37)]
+    spaces, fibers = [proj.space for proj, _ in setups], [proj.fiber for proj, _ in setups]
+    r = np.eye(8) + 1e-4 * setups[1][1].standard_normal((8, 8))
+    conjugated = ComplexStructure(8, r @ spaces[1].structure.matrix @ np.linalg.inv(r))
+    spaces[1] = dataclasses.replace(spaces[1], structure=conjugated)
+    fibers[2] = Subspace(setups[2][1].standard_normal((8, 4)))
+    with pytest.raises(ValueError, match="quotient structure not well-defined"):
+        LagrangianProjection.build(spaces[1], fibers[1])
+    with pytest.raises(ValueError, match="fiber is not c-Lagrangian"):
+        LagrangianProjection.build(spaces[2], fibers[2])
+    with pytest.raises(ValueError, match="quotient structure not well-defined"):
+        LagrangianProjection.build_many(spaces, fibers)
+    with pytest.raises(ValueError, match="fiber is not c-Lagrangian"):
+        LagrangianProjection.build_many(spaces[::2], fibers[::2])
+
+
 def test_section_must_invert_projection():
     proj = q_projection()
     with pytest.raises(ValueError):
@@ -501,6 +521,14 @@ def test_each_stacked_builder_is_its_stack_of_one_bit_for_bit(dim):
         assert results[i].certificate == result.certificate
         assert same_bits(results[i].eta.matrix, result.eta.matrix)
         assert same_bits(results[i].omega_prime.matrix, result.omega_prime.matrix)
+
+
+def test_fibers_raise_when_the_isotropy_conditions_lose_rank(monkeypatch):
+    spaces, rngs, _ = stacked_instances(8, 3)
+    rank = suites.numerical_rank
+    monkeypatch.setattr(suites, "numerical_rank", lambda s, *tol: rank(s, *tol) - 1)
+    with pytest.raises(PostconditionError, match="isotropy conditions have rank 1, not 2$"):
+        random_lagrangians(spaces, rngs)
 
 
 def test_parallel_inputs_of_different_lengths_raise_a_value_error():
