@@ -28,10 +28,10 @@ import numpy as np
 from . import kernels, multiindex
 # form_kernel is not called here; the benchmark's tracer test checks that the
 # name stays bound in this module (perfbench/tests/test_perfbench.py)
-from .forms import ComplexKForm, ComplexTwoForm, form_kernel, next_power  # noqa: F401
+from .forms import ComplexKForm, ComplexTwoForm, form_kernel, next_power, skew_matrices  # noqa: F401
 from .linalg import (
-    DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, max_abs, numerical_rank, real_span_rank,
-    stack_max,
+    DEFAULT_TOL, STRUCTURE_TOL, ComplexStructure, PostconditionError, Subspace, conditioned_draws, max_abs, numerical_rank,
+    real_span_rank, stack_max,
 )
 
 #: Canonical 4x4 block of a c-symplectic form in a basis (u1, I u1, u2, I u2).
@@ -583,16 +583,27 @@ class CSymplecticSpace:
 
 
 def random_c_symplectic(rng: np.random.Generator, dim: int, cond_max: float = 1e3):
-    """Random instance: pullback of blkdiag(Q,...) under a conditioned map.
+    """Random instance (omega, p): ``random_c_symplectics`` on a stack of one."""
+    omegas, ps = random_c_symplectics([rng], dim, cond_max)
+    return ComplexTwoForm.from_skew(omegas)[0], ps[0]
+
+
+def random_c_symplectics(rngs, dim: int, cond_max: float = 1e3):
+    """Random instances, one per generator: the pullback p^T blkdiag(Q, ...) p
+    of the canonical form under a conditioned map p.
 
     Every c-symplectic form arises this way; rejecting condition numbers
-    above ``cond_max`` keeps instances numerically comfortable.  Returns
-    (omega, p) with omega the form and p the change of basis used.
+    above ``cond_max`` keeps instances numerically comfortable.  The maps
+    come from ``conditioned_draws``, so each generator draws, and ends in the
+    state, as it would alone.  The range takes one ``q_block_form`` and one
+    ``skew_matrices`` call, and each product takes one matrix at a time, so
+    a form has the same bits in any range.  Returns the forms' matrices and
+    the maps p, each an (N, dim, dim) stack.  Raises ``ValueError`` for a
+    dim that is not a positive multiple of 4, for no generators and for a
+    ``cond_max`` below 1.
     """
-    if dim % 4:
-        raise ValueError("dim must be a multiple of 4")
+    if dim <= 0 or dim % 4:
+        raise ValueError(f"dim must be a positive multiple of 4, got {dim}")
+    ps = conditioned_draws(rngs, lambda rng: rng.standard_normal((dim, dim)), cond_max)
     base = q_block_form(dim // 4).matrix
-    while True:
-        p = rng.standard_normal((dim, dim))
-        if np.linalg.cond(p) <= cond_max:
-            return ComplexTwoForm(p.T @ base @ p), p
+    return skew_matrices(np.swapaxes(ps, -1, -2) @ base @ ps), ps

@@ -170,15 +170,36 @@ class LinearSection:
 
     @classmethod
     def from_fiber_part(cls, projection: LagrangianProjection, fiber_coeffs: np.ndarray):
-        """Section W + B_L T: base inclusion plus a fiber-valued offset T."""
-        w = projection.projection.T
-        b = projection.fiber.orthonormal_basis()
-        return cls(projection=projection, map=w + b @ np.asarray(fiber_coeffs, dtype=float))
+        """Section W + B_L T: ``from_fiber_parts`` on a stack of one."""
+        return cls.from_fiber_parts([projection], np.asarray(fiber_coeffs, dtype=float)[None])[0]
+
+    @classmethod
+    def from_fiber_parts(cls, projections, fiber_coeffs: np.ndarray) -> list:
+        """Section W + B_L T of each projection, all of one dimension: base
+        inclusion plus a fiber-valued offset T from the stack (N, k, k).  The
+        range's maps take one stacked product, one matrix at a time, so a
+        map has the same bits in any range; each section is checked as it
+        is constructed."""
+        w = np.stack([projection.projection.T for projection in projections])
+        b = np.stack([projection.fiber.orthonormal_basis() for projection in projections])
+        maps = w + b @ np.asarray(fiber_coeffs, dtype=float)
+        return [cls(projection=projection, map=s) for projection, s in zip(projections, maps)]
 
     @classmethod
     def random(cls, projection: LagrangianProjection, rng: np.random.Generator, scale: float = 1.0):
-        k = projection.half_dim
-        return cls.from_fiber_part(projection, scale * rng.standard_normal((k, k)))
+        """Random section: ``random_many`` on a stack of one."""
+        return cls.random_many([projection], [rng], scale)[0]
+
+    @classmethod
+    def random_many(cls, projections, rngs, scale: float = 1.0) -> list:
+        """A random section of each projection, all of one dimension:
+        ``from_fiber_parts`` with Gaussian offsets T, each generator drawing
+        its own (k, k) normals.  Raises ``ValueError`` for no projections
+        and for lists of different lengths."""
+        if not same_lengths(projections=projections, rngs=rngs):
+            raise ValueError("no projections to draw sections of")
+        k = projections[0].half_dim
+        return cls.from_fiber_parts(projections, np.stack([scale * rng.standard_normal((k, k)) for rng in rngs]))
 
     @classmethod
     def complex_linear(cls, projection: LagrangianProjection):

@@ -44,6 +44,31 @@ def same_lengths(**inputs) -> int:
     return next(iter(lengths.values()))
 
 
+def conditioned_draws(rngs, draw, cond_max: float) -> np.ndarray:
+    """Stack of each generator's first ``draw(rng)``, a square matrix, whose
+    condition number is at most ``cond_max``.
+
+    A generator draws again only while its draw is rejected, so it draws,
+    and ends in the state, as a rejection loop on it alone would.  Each
+    rejection round tests the range's pending draws in one stacked
+    ``np.linalg.cond`` call, which decomposes one matrix at a time: the
+    rounds are 1 + the most redraws any generator needs.  Raises
+    ``ValueError`` for no generators, and for a ``cond_max`` below 1, which
+    no condition number is.
+    """
+    if not len(rngs):
+        raise ValueError("no generators to draw from")
+    if not cond_max >= 1:
+        raise ValueError(f"cond_max must be at least 1, got {cond_max}")
+    draws = np.stack([draw(rng) for rng in rngs])
+    pending = np.arange(len(rngs))
+    while pending.size:
+        pending = pending[~(np.linalg.cond(draws[pending]) <= cond_max)]
+        for i in pending:
+            draws[i] = draw(rngs[i])
+    return draws
+
+
 def numerical_rank(s: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Count of singular values above tol * sigma_max along the last axis of
     descending spectra ``s``: the rank decision of every kernel and span."""

@@ -34,7 +34,7 @@ from .csymplectic import (
     is_c_lagrangian,
     power_verdicts,
     q_block_form,
-    random_c_symplectic,
+    random_c_symplectics,
     rank_verdicts,
 )
 from .deformation import (
@@ -45,7 +45,7 @@ from .deformation import (
     random_base_forms,
     verify_preservances,
 )
-from .forms import ComplexTwoForm
+from .forms import ComplexTwoForm, skew_matrices
 from .lattice import (
     PeriodPoint,
     PostconditionError,
@@ -57,7 +57,7 @@ from .lattice import (
     standard_k3_lattice,
     twistor_parameter,
 )
-from .linalg import DEFAULT_TOL, Subspace, max_abs, null_space, numerical_rank, same_lengths
+from .linalg import DEFAULT_TOL, Subspace, conditioned_draws, max_abs, null_space, numerical_rank, same_lengths
 from .torus import (
     SmoothSection,
     TorusGrid,
@@ -202,29 +202,54 @@ def _sweep(cfg: SuiteConfig, *parts):
 
 
 def mixed_two_form(rng: np.random.Generator, dim: int) -> ComplexTwoForm:
-    """Mixture exercising both sides of the recognition criteria:
-    c-symplectic instances, complex/real Gaussian skew matrices, and real
-    degenerate forms of half rank (the case separating the naked kernel
-    count from full c-symplecticity)."""
-    kind = int(rng.integers(5))
-    if kind == 0:
-        return random_c_symplectic(rng, dim)[0]
-    if kind == 1:
-        scale = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        return random_c_symplectic(rng, dim)[0] * scale
-    if kind == 2:
-        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        return ComplexTwoForm(raw)
-    if kind == 3:
-        return ComplexTwoForm(rng.standard_normal((dim, dim)))
-    # real form of rank 2n: kernel dimension matches c-symplectic forms
-    # but the kernel is a complexified real space
-    block = np.zeros((dim, dim))
-    for pair in range(dim // 4):
-        block[2 * pair, 2 * pair + 1] = 1.0
-        block[2 * pair + 1, 2 * pair] = -1.0
-    p = rng.standard_normal((dim, dim))
-    return ComplexTwoForm(p.T @ block @ p)
+    """Random mixed form: ``mixed_two_forms`` on a stack of one."""
+    return ComplexTwoForm.from_skew(mixed_two_forms([rng], dim))[0]
+
+
+def mixed_two_forms(rngs, dim: int) -> np.ndarray:
+    """Mixture exercising both sides of the recognition criteria, one form
+    per generator as an (N, dim, dim) stack of matrices: c-symplectic
+    instances (kind 0, and kind 1 rescaled by a random complex scale),
+    complex and real Gaussian skew matrices (kinds 2 and 3), and real
+    degenerate forms of half rank (kind 4, the case separating the naked
+    kernel count from full c-symplecticity).
+
+    Each generator draws its kind, then kind 1 its scale, then its form.
+    Kinds 0 and 1 share one ``random_c_symplectics`` call, kind 4's
+    rank-2n block is built once, and the range is antisymmetrized by one
+    ``skew_matrices`` call; each generator draws as it would alone, and
+    every product takes one matrix at a time, so a form has the same bits
+    in any range.  Raises ``ValueError`` for no generators.
+    """
+    if not rngs:
+        raise ValueError("no generators to draw forms from")
+    kinds = [int(rng.integers(5)) for rng in rngs]
+    scales = {
+        i: complex(rng.standard_normal() + 1j * rng.standard_normal()) for i, rng in enumerate(rngs) if kinds[i] == 1
+    }
+    raw = np.empty((len(rngs), dim, dim), dtype=np.complex128)
+    symplectic = [i for i, kind in enumerate(kinds) if kind <= 1]
+    if symplectic:
+        for i, omega in zip(symplectic, random_c_symplectics([rngs[i] for i in symplectic], dim)[0]):
+            raw[i] = omega * scales[i] if i in scales else omega
+    degenerate = []
+    for i, kind in enumerate(kinds):
+        if kind == 2:
+            raw[i] = rngs[i].standard_normal((dim, dim)) + 1j * rngs[i].standard_normal((dim, dim))
+        elif kind == 3:
+            raw[i] = rngs[i].standard_normal((dim, dim))
+        elif kind == 4:
+            degenerate.append(i)
+    if degenerate:
+        # real form of rank 2n: kernel dimension matches c-symplectic forms
+        # but the kernel is a complexified real space
+        block = np.zeros((dim, dim))
+        for pair in range(dim // 4):
+            block[2 * pair, 2 * pair + 1] = 1.0
+            block[2 * pair + 1, 2 * pair] = -1.0
+        p = np.stack([rngs[i].standard_normal((dim, dim)) for i in degenerate])
+        raw[degenerate] = np.swapaxes(p, -1, -2) @ block @ p
+    return skew_matrices(raw)
 
 
 def random_lagrangian(space: CSymplecticSpace, rng: np.random.Generator) -> Subspace:
@@ -294,13 +319,12 @@ def _criteria_case(cfg: SuiteConfig, dim, indices):
     """Both criteria on mixed forms, each drawn from its own stream: the
     range's rank verdicts in one stacked call and its power verdicts in
     another."""
-    omegas = [mixed_two_form(_case_rng(cfg, dim, index), dim) for index in indices]
-    stack = np.stack([omega.matrix for omega in omegas])
-    verdicts = zip(rank_verdicts(stack).ok.tolist(), power_verdicts(stack).ok.tolist())
+    omegas = mixed_two_forms([_case_rng(cfg, dim, index) for index in indices], dim)
+    verdicts = zip(rank_verdicts(omegas).ok.tolist(), power_verdicts(omegas).ok.tolist())
     cases = []
     for omega, (rank, power) in zip(omegas, verdicts):
         measurements = [("criteria-agree", float(rank != power), f"rank={rank} power={power}")]
-        cases.append(({"omega": omega.matrix}, measurements))
+        cases.append(({"omega": omega}, measurements))
     return cases
 
 
@@ -309,19 +333,20 @@ def _induced_case(cfg: SuiteConfig, dim, indices):
     stream; the cases at indices below 20 also rescale the form by a random
     lambda.  The range's forms and rescalings are decided in one
     ``accepted_structures`` call, in index order with each rescaling after
-    its form, so the first rejected form raises as it would on its own."""
+    its form, so the first rejected form raises as it would on its own.
+    The range's structures and forms come from one ``_structures_with_forms``
+    call, and then each generator draws its lambda."""
+    rngs = [_case_rng(cfg, dim, index) for index in indices]
     instances, stack = [], []
-    for index in indices:
-        rng = _case_rng(cfg, dim, index)
-        structure, omega = _structure_with_form(rng, dim)
-        inputs = {"omega": omega.matrix, "structure": structure}
-        stack.append(omega.matrix)
+    for index, rng, structure, omega in zip(indices, rngs, *_structures_with_forms(rngs, dim)):
+        inputs = {"omega": omega, "structure": structure}
+        stack.append(omega)
         if index < 20:
             lam = 0j
             while abs(lam) < 1e-3:
                 lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
             inputs["lambda"] = lam
-            stack.append((omega * lam).matrix)
+            stack.append(skew_matrices(omega * lam))
         instances.append(inputs)
     induced = iter(accepted_structures(np.stack(stack)))
     cases = []
@@ -335,48 +360,66 @@ def _induced_case(cfg: SuiteConfig, dim, indices):
 
 
 def _structure_with_form(rng: np.random.Generator, dim: int):
-    """Random known complex structure J and a nondegenerate (2,0)-form for it."""
+    """Random known complex structure J and a nondegenerate (2,0)-form for
+    it: ``_structures_with_forms`` on a stack of one."""
+    structures, omegas = _structures_with_forms([rng], dim)
+    return structures[0], ComplexTwoForm.from_skew(omegas)[0]
+
+
+def _structures_with_forms(rngs, dim: int):
+    """Random known complex structure J = p J0 p^{-1} and a nondegenerate
+    (2,0)-form cov m cov^T for it, per generator, as stacks (N, dim, dim).
+
+    Each generator draws its conditioned map p (cond <= 100), then its skew
+    coefficient matrix m (cond <= 1e3), each by ``conditioned_draws``, so it
+    draws as it would alone.  The range takes one stacked inverse, one SVD
+    of the (1,0) candidates and one ``skew_matrices`` call; every product
+    and decomposition takes one matrix at a time, so an instance has the
+    same bits in any range.  Raises ``ValueError`` for a dim that is not a
+    positive multiple of 4, where no nondegenerate m exists, and for no
+    generators.
+    """
+    if dim <= 0 or dim % 4:
+        raise ValueError(f"dim must be a positive multiple of 4, got {dim}")
     j0 = np.zeros((dim, dim))
     for k in range(0, dim, 2):
         j0[k, k + 1] = -1.0
         j0[k + 1, k] = 1.0
-    while True:
-        p = rng.standard_normal((dim, dim))
-        if np.linalg.cond(p) <= 100.0:
-            break
-    structure = p @ j0 @ np.linalg.inv(p)
+    p = conditioned_draws(rngs, lambda rng: rng.standard_normal((dim, dim)), 100.0)
+    structures = p @ j0 @ np.linalg.inv(p)
     # (1,0) covectors are the +i eigenvectors of J^T; w - i J^T w spans them
-    candidates = np.eye(dim) - 1j * structure.T
-    cov = np.linalg.svd(candidates)[0][:, : dim // 2]
+    candidates = np.eye(dim) - 1j * np.swapaxes(structures, -1, -2)
     half = dim // 2
-    while True:
+    cov = np.linalg.svd(candidates)[0][..., :half]
+
+    def skew_normal(rng):
         m = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
-        m = m - m.T
-        if np.linalg.cond(m) <= 1e3:
-            break
-    omega = ComplexTwoForm(cov @ m @ cov.T)
-    return structure, omega
+        return m - m.T
+
+    m = conditioned_draws(rngs, skew_normal, 1e3)
+    return structures, skew_matrices(cov @ m @ np.swapaxes(cov, -1, -2))
 
 
 def _gram_schmidt_case(cfg: SuiteConfig, dim, indices):
     """Canonical bases of random forms, each drawn from its own stream; the
-    range's bases are built in one ``c_symplectic_bases`` call."""
-    omegas = [random_c_symplectic(_case_rng(cfg, dim, index), dim)[0] for index in indices]
-    bases = c_symplectic_bases(np.stack([omega.matrix for omega in omegas]))
+    range's forms are drawn by one ``random_c_symplectics`` call and their
+    bases built in one ``c_symplectic_bases`` call."""
+    omegas = random_c_symplectics([_case_rng(cfg, dim, index) for index in indices], dim)[0]
     target = q_block_form(dim // 4).matrix
     cases = []
-    for omega, b in zip(omegas, bases):
-        residual = max_abs(b.T @ omega.matrix @ b - target) / omega.norm()
-        cases.append(({"omega": omega.matrix}, [("q-block-residual", residual)]))
+    for omega, b in zip(omegas, c_symplectic_bases(omegas)):
+        residual = max_abs(b.T @ omega @ b - target) / max_abs(omega)
+        cases.append(({"omega": omega}, [("q-block-residual", residual)]))
     return cases
 
 
 def _spaces(cfg: SuiteConfig, dim, streams):
     """Each stream's generator and the space of the form it draws first.
-    Every stream ``(seed, dim, stream)`` draws its own form, and the forms
-    are decided in one ``CSymplecticSpace.from_forms`` call."""
+    Every stream ``(seed, dim, stream)`` draws its own form, in one
+    ``random_c_symplectics`` call, and the forms are decided in one
+    ``CSymplecticSpace.from_forms`` call."""
     rngs = [_case_rng(cfg, dim, stream) for stream in streams]
-    return rngs, CSymplecticSpace.from_forms([random_c_symplectic(rng, dim)[0] for rng in rngs])
+    return rngs, CSymplecticSpace.from_forms(ComplexTwoForm.from_skew(random_c_symplectics(rngs, dim)[0]))
 
 
 def _lagrangian_instances(cfg: SuiteConfig, dim, indices):
@@ -468,11 +511,11 @@ def _preservance_case(cfg: SuiteConfig, dim, indices):
 
 def _section_theorem_case(cfg: SuiteConfig, dim, indices):
     """The section theorem for a random section per instance; the range's
-    projections are built in one stacked call, and every section is
-    holomorphized in one ``holomorphize_sections`` call."""
+    projections and section maps are each built in one stacked call, and
+    every section is holomorphized in one ``holomorphize_sections`` call."""
     rngs, spaces, fibers, instances = zip(*_lagrangian_instances(cfg, dim, indices))
     projections = LagrangianProjection.build_many(spaces, fibers)
-    sections = [LinearSection.random(projection, rng) for projection, rng in zip(projections, rngs)]
+    sections = LinearSection.random_many(projections, rngs)
     cases = []
     for inputs, section, result in zip(instances, sections, holomorphize_sections(sections)):
         inputs["section map"] = section.map

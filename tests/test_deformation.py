@@ -502,7 +502,7 @@ def test_each_stacked_builder_is_its_stack_of_one_bit_for_bit(dim):
         return
     gammas = random_base_forms(projections, rngs, scale=0.5)
     families = DeformationFamily.build_many(projections, gammas)
-    sections = [LinearSection.random(projection, rng) for projection, rng in zip(projections, rngs)]
+    sections = LinearSection.random_many(projections, rngs)
     pulled_back = section_forms(sections)
     reports = verify_preservances(projections, gammas)
     results = holomorphize_sections(sections)

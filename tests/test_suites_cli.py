@@ -658,15 +658,20 @@ def test_the_induced_range_case_is_the_per_index_cases_bit_for_bit(dim):
     ],
 )
 def test_a_non_c_symplectic_instance_raises_the_single_form_message(dim, reject, message, monkeypatch):
-    draw, drawn = suites._structure_with_form, []
+    # the range case and the reference's stacks of one both draw through
+    # _structures_with_forms, so the sixth instance either draws is zeroed
+    draw, drawn = suites._structures_with_forms, []
 
-    def zero_at_the_sixth_draw(rng, dim):
-        structure, omega = draw(rng, dim)
-        drawn.append(dim)
-        return structure, ComplexTwoForm(np.zeros((dim, dim))) if len(drawn) == 6 else omega
+    def zero_at_the_sixth_draw(rngs, dim):
+        structures, omegas = draw(rngs, dim)
+        for k in range(len(rngs)):
+            drawn.append(dim)
+            if len(drawn) == 6:
+                omegas[k] = 0.0
+        return structures, omegas
 
     if reject == "form":
-        monkeypatch.setattr(suites, "_structure_with_form", zero_at_the_sixth_draw)
+        monkeypatch.setattr(suites, "_structures_with_forms", zero_at_the_sixth_draw)
     else:
         monkeypatch.setattr(csymplectic, "_structure_accepted", lambda square, linearity: np.zeros(len(square), bool))
     cfg = SuiteConfig(suite="induced-structure", dims=(dim,), samples=10, seed=2)

@@ -5,6 +5,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = importlib.util.spec_from_file_location("sweep_reports", ROOT / "tools" / "sweep_reports.py")
 sweep_reports = importlib.util.module_from_spec(SPEC)
@@ -62,3 +64,32 @@ def test_the_worst_value_is_the_one_nearest_a_bound():
 def test_seeds_are_values_and_inclusive_ranges():
     assert sweep_reports.parse_seeds("0-2,7,10-10") == [0, 1, 2, 7, 10]
     assert len(sweep_reports.parse_seeds(sweep_reports.DEFAULT_SEEDS)) == 41
+
+
+def test_scale_multiplies_each_runs_samples_and_leaves_the_testbed():
+    plain = sweep_reports.sweep(ROOT, [0], CANNED_RUNS)
+    scaled = sweep_reports.sweep(ROOT, [0], sweep_reports.scaled_runs(CANNED_RUNS, 2))
+    assert sorted(scaled) == sorted(plain)
+    for key, report in plain.items():
+        samples = [row["samples"] for row in report["rows"]]
+        expected = samples if key[0].startswith("testbed") else [2 * count for count in samples]
+        assert [row["samples"] for row in scaled[key]["rows"]] == expected
+    assert scaled[("testbed-nijenhuis/closed", 0)]["digest"] == plain[("testbed-nijenhuis/closed", 0)]["digest"]
+
+
+def test_main_sweeps_the_acceptance_runs_at_the_given_scale(monkeypatch, capsys):
+    swept = []
+    monkeypatch.setattr(sweep_reports, "sweep", lambda tree, seeds, runs: swept.append((seeds, runs)) or {})
+    sweep_reports.main(["--seeds", "3", "--scale", "3"])
+    from record_bench import ACCEPTANCE_RUNS
+
+    [(seeds, runs)] = swept
+    assert seeds == [3] and len(runs) == len(ACCEPTANCE_RUNS)
+    for run, base in zip(runs, ACCEPTANCE_RUNS):
+        assert run == ({**base, "samples": 3 * base["samples"]} if "samples" in base else base)
+    assert "scale: 3" in capsys.readouterr().out
+
+
+def test_a_scale_below_one_is_refused():
+    with pytest.raises(SystemExit):
+        sweep_reports.main(["--scale", "0"])

@@ -2,7 +2,7 @@
 """Sweep every acceptance-size suite over many seeds, and compare two trees.
 
 Usage:
-    python3 tools/sweep_reports.py [--seeds 0-39,20260810] [--compare REV]
+    python3 tools/sweep_reports.py [--seeds 0-39,20260810] [--scale K] [--compare REV]
 
 For every seed, a fresh process imports csympl from the tree's ``src/`` and
 runs each configuration of ``ACCEPTANCE_RUNS`` (``tools/record_bench.py``,
@@ -10,7 +10,8 @@ the sizes of ``tests/test_acceptance.py``) at that seed. A report is
 summarized as ``record_bench.py`` summarizes it: the sha256 of its check
 rows and, for the testbed, of its node table. The run prints the worst
 value of every (check, dim): the one closest to the check's bound in
-``suites.CHECKS``.
+``suites.CHECKS``. ``--scale K`` multiplies each run's ``samples`` by K;
+the testbed runs have no ``samples`` and stay as they are.
 
 With ``--compare REV`` it checks REV out with ``git worktree add`` into a
 temporary directory (removed afterwards, also on failure), sweeps it the
@@ -44,6 +45,11 @@ def parse_seeds(text: str) -> list:
 def run_label(config: dict) -> str:
     """The name of one acceptance run: its suite, and the testbed's control."""
     return config["suite"] + (f"/{config['control']}" if "control" in config else "")
+
+
+def scaled_runs(runs, scale: int) -> list:
+    """``runs`` with each ``samples`` multiplied by ``scale``."""
+    return [{**run, "samples": run["samples"] * scale} if "samples" in run else run for run in runs]
 
 
 def worker(job: dict) -> dict:
@@ -123,21 +129,24 @@ def print_worst(sides: dict) -> None:
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default=DEFAULT_SEEDS, help="comma-separated seeds and ranges a-b")
+    parser.add_argument("--scale", type=int, default=1, metavar="K", help="multiply each run's samples by K")
     parser.add_argument("--compare", metavar="REV", help="revision to sweep and compare with this checkout")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.scale < 1:
+        parser.error(f"--scale must be at least 1, got {args.scale}")
     if args.worker:
         print(json.dumps(worker(json.load(sys.stdin))))
         return
     sys.path.insert(0, str(ROOT / "tools"))
     from record_bench import ACCEPTANCE_RUNS, worktree
 
-    seeds = parse_seeds(args.seeds)
-    sides = {"this checkout": sweep(ROOT, seeds, ACCEPTANCE_RUNS)}
-    print(f"seeds: {args.seeds} ({len(seeds)}); runs per seed: {len(ACCEPTANCE_RUNS)}")
+    seeds, runs = parse_seeds(args.seeds), scaled_runs(ACCEPTANCE_RUNS, args.scale)
+    sides = {"this checkout": sweep(ROOT, seeds, runs)}
+    print(f"seeds: {args.seeds} ({len(seeds)}); runs per seed: {len(runs)}; scale: {args.scale}")
     if args.compare:
         with worktree(args.compare) as tree:
-            sides[args.compare] = sweep(tree, seeds, ACCEPTANCE_RUNS)
+            sides[args.compare] = sweep(tree, seeds, runs)
         found = compare(*sides.values())
         print(f"reports: {len(sides['this checkout'])}; changed: {len(found['changed'])}; "
               f"flipped rows: {len(found['flipped'])}")  # fmt: skip
