@@ -280,7 +280,7 @@ def test_a_mixed_range_tests_only_its_c_symplectic_draws(cond_sizes):
         (lambda rng: LinearSection.random_many([], []), "no projections to draw sections of"),
     ],
 )
-def test_generators_raise_a_value_error_for_arguments_no_draw_meets(call, message):
+def test_generators_raise_a_value_error_for_invalid_arguments(call, message):
     # cond_max = 0.5 drew forever and dim = 2 found no nondegenerate m, so
     # each call runs under a time limit
     with time_limit(10), pytest.raises(ValueError, match=f"^{message}$"):
