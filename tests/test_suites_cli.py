@@ -11,7 +11,6 @@ import pytest
 
 from csympl import cli, csymplectic, deformation, forms, linalg, suites, torus
 from csympl.csymplectic import Q_BLOCK
-from csympl.forms import ComplexTwoForm
 from csympl.cli import main
 from csympl.linalg import PostconditionError
 from csympl.suites import SuiteConfig, replay_case, run_suite
