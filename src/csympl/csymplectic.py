@@ -387,16 +387,9 @@ def induced_structures(omegas: np.ndarray):
     return structures.reshape(omegas.shape), verdicts
 
 
-def hodge_decompose(a: ComplexTwoForm | ComplexKForm, structure: ComplexStructure) -> dict:
+def hodge_decompose(a: ComplexTwoForm, structure: ComplexStructure) -> dict:
     """Split a 2-form into its (2,0), (1,1) and (0,2) components:
-    ``hodge_parts`` on a stack of one.
-
-    ``a`` is a ``ComplexTwoForm`` or a degree-2 ``ComplexKForm``.
-    """
-    if isinstance(a, ComplexKForm):
-        if a.degree != 2:
-            raise ValueError(f"hodge_decompose splits 2-forms, got a {a.degree}-form")
-        a = ComplexTwoForm.from_kform(a)
+    ``hodge_parts`` on a stack of one."""
     if a.dim != structure.dim:
         raise ValueError("form and structure dimensions differ")
     c20, c11, c02 = hodge_parts(a.matrix[None], structure.matrix[None])
@@ -580,12 +573,6 @@ class CSymplecticSpace:
     @property
     def n(self) -> int:
         return self.omega.dim // 4
-
-
-def random_c_symplectic(rng: np.random.Generator, dim: int, cond_max: float = 1e3):
-    """Random instance (omega, p): ``random_c_symplectics`` on a stack of one."""
-    omegas, ps = random_c_symplectics([rng], dim, cond_max)
-    return ComplexTwoForm.from_skew(omegas)[0], ps[0]
 
 
 def random_c_symplectics(rngs, dim: int, cond_max: float = 1e3):

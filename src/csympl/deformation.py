@@ -169,11 +169,6 @@ class LinearSection:
         object.__setattr__(self, "map", s)
 
     @classmethod
-    def from_fiber_part(cls, projection: LagrangianProjection, fiber_coeffs: np.ndarray):
-        """Section W + B_L T: ``from_fiber_parts`` on a stack of one."""
-        return cls.from_fiber_parts([projection], np.asarray(fiber_coeffs, dtype=float)[None])[0]
-
-    @classmethod
     def from_fiber_parts(cls, projections, fiber_coeffs: np.ndarray) -> list:
         """Section W + B_L T of each projection, all of one dimension: base
         inclusion plus a fiber-valued offset T from the stack (N, k, k).  The
@@ -184,11 +179,6 @@ class LinearSection:
         b = np.stack([projection.fiber.orthonormal_basis() for projection in projections])
         maps = w + b @ np.asarray(fiber_coeffs, dtype=float)
         return [cls(projection=projection, map=s) for projection, s in zip(projections, maps)]
-
-    @classmethod
-    def random(cls, projection: LagrangianProjection, rng: np.random.Generator, scale: float = 1.0):
-        """Random section: ``random_many`` on a stack of one."""
-        return cls.random_many([projection], [rng], scale)[0]
 
     @classmethod
     def random_many(cls, projections, rngs, scale: float = 1.0) -> list:
@@ -225,12 +215,6 @@ class SectionForm:
     certificate: HodgeTypeCertificate
 
 
-def section_form(section: LinearSection) -> SectionForm:
-    """Pullback of Omega to the base model along a section: ``section_forms``
-    on a stack of one."""
-    return section_forms([section])[0]
-
-
 def section_forms(sections) -> list:
     """Pullback of Omega to the base model along each section, all of one
     dimension, built on the whole range at once.
@@ -240,8 +224,7 @@ def section_forms(sections) -> list:
     is the content of the pulled-back form having type (2,0)+(1,1).  The
     range takes one stacked pullback and one ``hodge_parts`` split, and
     raises ``PostconditionError`` for its first section whose (0,2) part
-    does not vanish, as ``section_form`` does for it; ``ValueError`` for no
-    sections.
+    does not vanish; ``ValueError`` for no sections.
     """
     if not sections:
         raise ValueError("no sections to pull the form back along")
@@ -266,7 +249,7 @@ def deform(projection: LagrangianProjection, gamma: ComplexTwoForm, t: complex) 
     Rejects gamma with an anti-holomorphic component above tolerance and
     verifies c-symplecticity of the result by both criteria.
     """
-    forms, _ = decide_members([(DeformationFamily.build(projection, gamma), t)])
+    forms, _ = decide_members([(DeformationFamily.build_many([projection], [gamma])[0], t)])
     return ComplexTwoForm.from_skew(forms)[0]
 
 
@@ -295,7 +278,7 @@ class DeformationFamily:
     """The affine family t -> Omega + t pi^* gamma with a validated gamma.
 
     gamma's Hodge type is certified once, and its pullback pi^* gamma =
-    W gamma W^T built once, in ``build``; members of the family are not
+    W gamma W^T built once, in ``build_many``; members of the family are not
     re-certified.
     """
 
@@ -305,16 +288,11 @@ class DeformationFamily:
     pulled: np.ndarray = dc_field(repr=False)  # pi^* gamma on V, (4n, 4n)
 
     @classmethod
-    def build(cls, projection: LagrangianProjection, gamma: ComplexTwoForm):
-        """The family of one gamma: ``build_many`` on a stack of one."""
-        return cls.build_many([projection], [gamma])[0]
-
-    @classmethod
     def build_many(cls, projections, gammas) -> list:
         """The family of each (projection, gamma) pair, all of one dimension:
         one Hodge certification and one stacked pullback for the range.
-        Raises ``ValueError`` for the first gamma that fails, as ``build``
-        does for it, for no pairs and for lists of different lengths."""
+        Raises ``ValueError`` for the first gamma that fails, for no pairs
+        and for lists of different lengths."""
         if not same_lengths(projections=projections, gammas=gammas):
             raise ValueError("no gammas to build families of")
         certificates = _certify_gammas(projections, gammas)
@@ -324,16 +302,6 @@ class DeformationFamily:
             cls(projection=projection, gamma=gamma, certificate=certificate, pulled=p)
             for projection, gamma, certificate, p in zip(projections, gammas, certificates, pulled)
         ]
-
-    def form(self, t: complex) -> ComplexTwoForm:
-        """The member Omega + t pi^* gamma, not checked for c-symplecticity."""
-        return ComplexTwoForm.from_skew(_member_forms([(self, t)]))[0]
-
-    def structures(self, t_samples) -> list:
-        """Induced structures of the members at ``t_samples``, checked by both
-        criteria: ``decide_members`` on this family alone."""
-        _, structures = decide_members([(self, t) for t in t_samples])
-        return [ComplexStructure.from_accepted(len(structure), structure) for structure in structures]
 
 
 def _member_forms(members) -> np.ndarray:
@@ -495,14 +463,6 @@ def holomorphize_sections(sections) -> list:
             etas, ComplexTwoForm.from_skew(omega_primes), graph_restrictions, scales, lagrangian, intertwining, norms
         )
     ]
-
-
-def random_base_form(
-    projection: LagrangianProjection, rng: np.random.Generator, scale: float = 1.0
-) -> ComplexTwoForm:
-    """Random (2,0)+(1,1) form on the base model: ``random_base_forms`` on a
-    stack of one."""
-    return random_base_forms([projection], [rng], scale)[0]
 
 
 def random_base_forms(projections, rngs, scale: float = 1.0) -> list:

@@ -197,7 +197,7 @@ class ComplexTwoForm:
     @classmethod
     def from_kform(cls, form: ComplexKForm) -> "ComplexTwoForm":
         if form.degree != 2:
-            raise ValueError("expected a 2-form")
+            raise ValueError(f"a ComplexTwoForm holds 2-forms, got a {form.degree}-form")
         return cls.from_skew(two_form_matrices(form.coeffs[None], form.dim))[0]
 
     def to_kform(self) -> ComplexKForm:

@@ -21,7 +21,6 @@ function.
 import numbers
 import time
 from dataclasses import dataclass
-from functools import wraps
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -201,11 +200,6 @@ def _sweep(cfg: SuiteConfig, *parts):
 # -- instance generators -------------------------------------------------
 
 
-def mixed_two_form(rng: np.random.Generator, dim: int) -> ComplexTwoForm:
-    """Random mixed form: ``mixed_two_forms`` on a stack of one."""
-    return ComplexTwoForm.from_skew(mixed_two_forms([rng], dim))[0]
-
-
 def mixed_two_forms(rngs, dim: int) -> np.ndarray:
     """Mixture exercising both sides of the recognition criteria, one form
     per generator as an (N, dim, dim) stack of matrices: c-symplectic
@@ -250,12 +244,6 @@ def mixed_two_forms(rngs, dim: int) -> np.ndarray:
         p = np.stack([rngs[i].standard_normal((dim, dim)) for i in degenerate])
         raw[degenerate] = np.swapaxes(p, -1, -2) @ block @ p
     return skew_matrices(raw)
-
-
-def random_lagrangian(space: CSymplecticSpace, rng: np.random.Generator) -> Subspace:
-    """Random c-Lagrangian of one space: ``random_lagrangians`` on a stack of
-    one."""
-    return random_lagrangians([space], [rng])[0]
 
 
 def random_lagrangians(spaces, rngs) -> list:
@@ -304,17 +292,6 @@ def random_lagrangians(spaces, rngs) -> list:
 # -- case functions ------------------------------------------------------
 
 
-def _per_index(case):
-    """Case function over an index range from one ``case(cfg, dim, index)``
-    that builds a single instance."""
-
-    @wraps(case)
-    def cases(cfg: SuiteConfig, dim, indices, **kwargs):
-        return [case(cfg, dim, index, **kwargs) for index in indices]
-
-    return cases
-
-
 def _criteria_case(cfg: SuiteConfig, dim, indices):
     """Both criteria on mixed forms, each drawn from its own stream: the
     range's rank verdicts in one stacked call and its power verdicts in
@@ -357,13 +334,6 @@ def _induced_case(cfg: SuiteConfig, dim, indices):
             measurements.append(("scaling-invariance", max_abs(next(induced) - own)))
         cases.append((inputs, measurements))
     return cases
-
-
-def _structure_with_form(rng: np.random.Generator, dim: int):
-    """Random known complex structure J and a nondegenerate (2,0)-form for
-    it: ``_structures_with_forms`` on a stack of one."""
-    structures, omegas = _structures_with_forms([rng], dim)
-    return structures[0], ComplexTwoForm.from_skew(omegas)[0]
 
 
 def _structures_with_forms(rngs, dim: int):
@@ -462,7 +432,7 @@ def _random_candidate_subspace(space: CSymplecticSpace, rng: np.random.Generator
     if kind == 0:  # isotropic line: every line is isotropic, never maximal
         return Subspace(rng.standard_normal((space.dim, 1)))
     if kind == 1:  # honest c-Lagrangian
-        return random_lagrangian(space, rng)
+        return random_lagrangians([space], [rng])[0]
     return Subspace(rng.standard_normal((space.dim, 2)))  # generic plane
 
 
@@ -528,16 +498,18 @@ def _section_theorem_case(cfg: SuiteConfig, dim, indices):
     return cases
 
 
-@_per_index
-def _section_class_case(cfg: SuiteConfig, dim, index):
+def _section_class_case(cfg: SuiteConfig, dim, indices):
     lattice = standard_k3_lattice()
-    e = random_primitive_isotropic(lattice, _case_rng(cfg, index))
-    try:
-        s = find_section_class(lattice, e)
-        exact = lattice.pair(s, e) == 1 and lattice.pair(s, s) == -2
-    except (ValueError, PostconditionError):
-        exact = False
-    return {"e": e}, [("section-class", float(not exact), f"e={e}")]
+    cases = []
+    for index in indices:
+        e = random_primitive_isotropic(lattice, _case_rng(cfg, index))
+        try:
+            s = find_section_class(lattice, e)
+            exact = lattice.pair(s, e) == 1 and lattice.pair(s, s) == -2
+        except (ValueError, PostconditionError):
+            exact = False
+        cases.append(({"e": e}, [("section-class", float(not exact), f"e={e}")]))
+    return cases
 
 
 #: Period (real and imaginary part) and fiber class that random isometries
@@ -545,38 +517,42 @@ def _section_class_case(cfg: SuiteConfig, dim, index):
 TWISTOR_BASE = ([1, 1] + [0] * 20, [0, 0, 1, 1] + [0] * 18, [0] * 4 + [1] + [0] * 17)
 
 
-@_per_index
-def _twistor_case(cfg: SuiteConfig, dim, index):
-    """One twistor curve: the parameter substitution, then one measurement
-    per plane of a 10 x 10 sweep, its Gram matrix's deviation from the first
-    positive plane's."""
+def _twistor_case(cfg: SuiteConfig, dim, indices):
+    """One twistor curve per index: the parameter substitution, then one
+    measurement per plane of a 10 x 10 sweep, its Gram matrix's deviation
+    from the first positive plane's."""
     lattice = standard_k3_lattice()
-    re, im, e = random_isometry_images(lattice, _case_rng(cfg, index), TWISTOR_BASE)
-    omega = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    point = PeriodPoint(lattice, omega)
-    s = find_section_class(lattice, e)
-    t = twistor_parameter(lattice, s, e, omega)
-    scale = max(abs(lattice.pair(omega, omega.conj())), 1.0)
-    subst = abs(lattice.pair(np.asarray(s), omega - t * np.asarray(e, dtype=float))) / scale
-    measurements = [("parameter-substitution", subst)]
     planes = [(x, y) for x in np.linspace(-2, 2, 10) for y in np.linspace(-2, 2, 10)]
-    grams, errors = np.full((len(planes), 2, 2), np.nan), {}
-    try:
-        curve = TwistorCurve(point, e)
-    except ValueError as exc:  # a bad direction fails every plane
-        errors = {k: f"plane ({x}, {y}): {exc}" for k, (x, y) in enumerate(planes)}
-    else:
-        swept, eigenvalues = curve.sweep(*zip(*planes))
-        positive = np.all(eigenvalues > 0, axis=1)
-        grams[positive] = swept[positive]  # a plane that is not positive keeps a NaN Gram, so it fails
-        errors = {
-            k: f"plane ({x}, {y}): {not_positive(eigenvalues[k])}" for k, (x, y) in enumerate(planes) if not positive[k]
-        }
-    first = next((gram for gram in grams if not np.isnan(gram).any()), grams[0])
-    deviations = np.max(np.abs(grams - first), axis=(1, 2)) / max(float(np.max(np.abs(first))), 1e-300)
-    for k, deviation in enumerate(deviations):
-        measurements.append(("plane-gram-constant", deviation, errors.get(k, "")))
-    return {"omega": omega, "e": e}, measurements
+    cases = []
+    for index in indices:
+        re, im, e = random_isometry_images(lattice, _case_rng(cfg, index), TWISTOR_BASE)
+        omega = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        point = PeriodPoint(lattice, omega)
+        s = find_section_class(lattice, e)
+        t = twistor_parameter(lattice, s, e, omega)
+        scale = max(abs(lattice.pair(omega, omega.conj())), 1.0)
+        subst = abs(lattice.pair(np.asarray(s), omega - t * np.asarray(e, dtype=float))) / scale
+        measurements = [("parameter-substitution", subst)]
+        grams, errors = np.full((len(planes), 2, 2), np.nan), {}
+        try:
+            curve = TwistorCurve(point, e)
+        except ValueError as exc:  # a bad direction fails every plane
+            errors = {k: f"plane ({x}, {y}): {exc}" for k, (x, y) in enumerate(planes)}
+        else:
+            swept, eigenvalues = curve.sweep(*zip(*planes))
+            positive = np.all(eigenvalues > 0, axis=1)
+            grams[positive] = swept[positive]  # a plane that is not positive keeps a NaN Gram, so it fails
+            errors = {
+                k: f"plane ({x}, {y}): {not_positive(eigenvalues[k])}"
+                for k, (x, y) in enumerate(planes)
+                if not positive[k]
+            }
+        first = next((gram for gram in grams if not np.isnan(gram).any()), grams[0])
+        deviations = np.max(np.abs(grams - first), axis=(1, 2)) / max(float(np.max(np.abs(first))), 1e-300)
+        for k, deviation in enumerate(deviations):
+            measurements.append(("plane-gram-constant", deviation, errors.get(k, "")))
+        cases.append(({"omega": omega, "e": e}, measurements))
+    return cases
 
 
 # -- check table -----------------------------------------------------------

@@ -23,7 +23,7 @@ from csympl.csymplectic import (
     is_c_symplectic_rank,
     power_verdicts,
     q_block_form,
-    random_c_symplectic,
+    random_c_symplectics,
     rank_verdicts,
     structures_from_forms,
 )
@@ -114,12 +114,9 @@ def test_degenerate_real_half_rank_separates_naive_kernel_count():
 
 
 def test_criteria_agree_on_mixture():
-    from csympl.suites import mixed_two_form
-
     for dim in (4, 8):
-        for i in range(150):
-            rng = np.random.default_rng([dim, i])
-            omega = mixed_two_form(rng, dim)
+        rngs = [np.random.default_rng([dim, i]) for i in range(150)]
+        for omega in ComplexTwoForm.from_skew(suites.mixed_two_forms(rngs, dim)):
             assert bool(is_c_symplectic_rank(omega)) == bool(is_c_symplectic_power(omega))
 
 
@@ -127,7 +124,7 @@ def test_criteria_agree_under_perturbations_off_the_boundary():
     # perturbations well above the rank threshold break both criteria,
     # perturbations well below it break neither
     rng = np.random.default_rng(21)
-    omega, _ = random_c_symplectic(rng, 8)
+    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
     noise = ComplexTwoForm(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     noise = noise * (omega.norm() / noise.norm())
     for eps, expected in ((1e-4, False), (1e-6, False), (1e-13, True)):
@@ -195,7 +192,7 @@ def assert_verdicts_are_the_reference(forms):
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_rank_verdicts_are_the_per_form_path_on_mixed_forms(dim):
-    forms = [suites.mixed_two_form(np.random.default_rng([dim, i]), dim) for i in range(200)]
+    forms = ComplexTwoForm.from_skew(suites.mixed_two_forms([np.random.default_rng([dim, i]) for i in range(200)], dim))
     references = assert_verdicts_are_the_reference(forms)
     reasons = {reference.reason for reference in references}
     assert reasons == {"", f"kernel dimension 0 != {dim // 2}", "kernel contains real vectors"}
@@ -208,7 +205,7 @@ def near_cutoff_witnesses(dim, count=3, steps=41):
     forms = []
     for k in range(count):
         rng = np.random.default_rng([2026, dim, k])
-        omega = random_c_symplectic(rng, dim)[0]
+        omega = ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])[0]
         noise = complex_gaussian_form(rng, dim)
         noise = noise * (omega.norm() / noise.norm())
         forms.extend(omega + noise * eps for eps in np.logspace(-14, -4, steps))
@@ -235,13 +232,12 @@ def test_rank_verdicts_are_the_per_form_path_off_multiples_of_four(dim):
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_a_forms_verdict_in_a_stack_is_its_verdict_alone(dim):
-    forms = [suites.mixed_two_form(np.random.default_rng([dim, 1000 + i]), dim) for i in range(50)]
-    stack = np.stack([omega.matrix for omega in forms])
+    stack = suites.mixed_two_forms([np.random.default_rng([dim, 1000 + i]) for i in range(50)], dim)
     verdicts = rank_verdicts(stack)
-    for i in range(len(forms)):
+    for i in range(len(stack)):
         alone = rank_verdicts(stack[i : i + 1])
         assert verdicts.criterion(i) == alone.criterion(0)
-    assert 0 < verdicts.ok.sum() < len(forms)
+    assert 0 < verdicts.ok.sum() < len(stack)
 
 
 def test_empty_stack_has_no_verdicts():
@@ -272,7 +268,8 @@ def reference_criteria_sweep(cfg, power_verdicts):
     for dim in cfg.dims:
         failing = 0
         for index in range(cfg.samples):
-            omega = suites.mixed_two_form(np.random.default_rng([cfg.seed, dim, index]), dim)
+            rng = np.random.default_rng([cfg.seed, dim, index])
+            (omega,) = ComplexTwoForm.from_skew(suites.mixed_two_forms([rng], dim))
             rank, power = rank_criterion_reference(omega).ok, power_verdicts[omega.matrix.tobytes()]
             if rank != power:
                 failing += 1
@@ -314,7 +311,8 @@ def test_criteria_equivalence_is_the_per_case_sweep_at_acceptance_size(seed, mon
 
 def test_a_forced_disagreement_replays_with_the_sweeps_detail(monkeypatch, capsys):
     cfg = suites.SuiteConfig(suite="criteria-equivalence", dims=(4, 8), samples=20, seed=1)
-    forms = [suites.mixed_two_form(np.random.default_rng([1, 8, index]), 8) for index in range(20)]
+    rngs = [np.random.default_rng([1, 8, index]) for index in range(20)]
+    forms = ComplexTwoForm.from_skew(suites.mixed_two_forms(rngs, 8))
     index = next(i for i in range(5, 20) if rank_criterion_reference(forms[i]).ok)
     power_verdicts = recording_power(monkeypatch, fail_on=forms[index].matrix.tobytes())
     report = suites.run_suite(cfg)
@@ -347,7 +345,8 @@ def complex_gaussian_form(rng, dim):
 def test_pairing_matches_the_pairing_chain_reference(dim):
     for i in range(10):
         rng = np.random.default_rng([dim, i])
-        for omega in (random_c_symplectic(rng, dim)[0], complex_gaussian_form(rng, dim)):
+        (symplectic,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])
+        for omega in (symplectic, complex_gaussian_form(rng, dim)):
             power_check = is_c_symplectic_power(omega)
             reference = pairing_chain_reference(omega)
             if dim == 4:
@@ -381,7 +380,7 @@ def wedge_work(monkeypatch):
 def test_power_criterion_builds_omega_n_once_and_makes_no_rank_decision(wedge_work, dim, wedges, products):
     # Omega^2 .. Omega^{n+1} by the first-row table, C(dim, 2k + 2) outputs
     # of 2k + 1 products each, and the pairing by the full 2n ^ 2n table
-    omega = random_c_symplectic(np.random.default_rng(dim), dim)[0]
+    omega = ComplexTwoForm.from_skew(random_c_symplectics([np.random.default_rng(dim)], dim)[0])[0]
     wedge_work[:] = [0, 0, 0]
     assert is_c_symplectic_power(omega).ok
     assert wedge_work == [wedges, products, 0]
@@ -437,7 +436,8 @@ def assert_power_verdicts_are_the_reference(forms):
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_power_verdicts_are_the_wedge_chain_on_oracle_and_mixed_forms(dim):
     forms = list(oracle_forms(dim))
-    forms += [suites.mixed_two_form(np.random.default_rng([dim, 2000 + i]), dim) for i in range(60)]
+    rngs = [np.random.default_rng([dim, 2000 + i]) for i in range(60)]
+    forms += ComplexTwoForm.from_skew(suites.mixed_two_forms(rngs, dim))
     references = assert_power_verdicts_are_the_reference(forms)
     reasons = {reference.reason for reference in references}
     assert reasons == {"", "Omega^{n+1} != 0", "(Omega ^ conj Omega)^n = 0"}
@@ -458,16 +458,15 @@ def verdict_bits(verdicts, i):
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_a_forms_power_verdict_in_a_stack_is_its_verdict_alone(dim):
-    forms = [suites.mixed_two_form(np.random.default_rng([dim, 3000 + i]), dim) for i in range(500)]
-    stack = np.stack([omega.matrix for omega in forms])
-    alone = [verdict_bits(power_verdicts(stack[i : i + 1]), 0) for i in range(len(forms))]
+    stack = suites.mixed_two_forms([np.random.default_rng([dim, 3000 + i]) for i in range(500)], dim)
+    alone = [verdict_bits(power_verdicts(stack[i : i + 1]), 0) for i in range(len(stack))]
     for size in (1, 7, 500):
         for order in (slice(None), slice(None, None, -1)):
             part = np.arange(size)[order]
             verdicts = power_verdicts(stack[part])
             assert [verdict_bits(verdicts, j) for j in range(size)] == [alone[i] for i in part]
     assert alone[0] == verdict_bits(power_verdicts(stack), 0)
-    assert 0 < power_verdicts(stack).ok.sum() < len(forms)
+    assert 0 < power_verdicts(stack).ok.sum() < len(stack)
 
 
 def test_power_blocks_hold_at_most_block_products_and_coefficients(monkeypatch):
@@ -485,7 +484,7 @@ def test_power_blocks_hold_at_most_block_products_and_coefficients(monkeypatch):
         operands.extend([x.size, y.size, out.size])
         return out
 
-    omegas = np.stack([suites.mixed_two_form(np.random.default_rng([12, i]), 12).matrix for i in range(500)])
+    omegas = suites.mixed_two_forms([np.random.default_rng([12, i]) for i in range(500)], 12)
     monkeypatch.setattr(np, "take", counting_take)
     monkeypatch.setattr(kernels, "wedge_scatter", sized_scatter)
     power_verdicts(omegas)
@@ -496,12 +495,10 @@ def test_power_blocks_hold_at_most_block_products_and_coefficients(monkeypatch):
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_pairing_decides_every_mixture_kind_far_from_its_bound(dim):
-    from csympl.suites import mixed_two_form
-
     ratios = {}
-    for i in range(60):
+    omegas = ComplexTwoForm.from_skew(suites.mixed_two_forms([np.random.default_rng([dim, i]) for i in range(60)], dim))
+    for i, omega in enumerate(omegas):
         kind = int(np.random.default_rng([dim, i]).integers(5))
-        omega = mixed_two_form(np.random.default_rng([dim, i]), dim)
         power_check = is_c_symplectic_power(omega)
         ratio = power_check.pairing_norm / (DEFAULT_TOL * power_check.form_norm ** (dim // 2))
         ratios.setdefault(kind, []).append(ratio)
@@ -518,11 +515,10 @@ def test_pairing_decides_every_mixture_kind_far_from_its_bound(dim):
 
 
 def test_stacked_verdict_matches_the_single_form_path():
-    from csympl.suites import mixed_two_form
-
     for dim in (4, 8, 12):
-        forms = [mixed_two_form(np.random.default_rng([dim, i]), dim) for i in range(150)]
-        structures, _ = induced_structures(np.stack([omega.matrix for omega in forms]))
+        stack = suites.mixed_two_forms([np.random.default_rng([dim, i]) for i in range(150)], dim)
+        forms = ComplexTwoForm.from_skew(stack)
+        structures, _ = induced_structures(stack)
         ok = ~np.isnan(structures).any(axis=(-1, -2))
         assert ok.tolist() == [is_c_symplectic_rank(omega).ok for omega in forms]
         assert 0 < ok.sum() < len(forms)
@@ -559,13 +555,12 @@ def signed_zero_pair():
 
 
 def stacked_cases():
-    from csympl.suites import mixed_two_form
     from csympl.torus import TorusGrid, closed_control_form
 
     rng = np.random.default_rng(15)
-    passing = [random_c_symplectic(rng, 8)[0] for _ in range(5)]
+    passing = [ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])[0] for _ in range(5)]
     # kinds 0-1 pass, kinds 2-4 fail and get NaN structures
-    mixed = [mixed_two_form(np.random.default_rng([4, i]), 4) for i in range(40)]
+    mixed = ComplexTwoForm.from_skew(suites.mixed_two_forms([np.random.default_rng([4, i]) for i in range(40)], 4))
     return {
         "repeated-c-symplectic": repeated_stack(rng, passing, 300),
         "repeated-mixed": repeated_stack(rng, mixed, 300),
@@ -731,12 +726,15 @@ def solved_structure(omega):
 
 
 def oracle_forms(dim):
-    from csympl.suites import _structure_with_form, mixed_two_form
+    """A c-symplectic form, a form with a known structure and a mixed form
+    per seed [dim, i], each drawn from its own generator."""
 
-    for i in range(40):
-        yield random_c_symplectic(np.random.default_rng([dim, i]), dim)[0]
-        yield _structure_with_form(np.random.default_rng([dim, i]), dim)[1]
-        yield mixed_two_form(np.random.default_rng([dim, i]), dim)
+    def rngs():
+        return [np.random.default_rng([dim, i]) for i in range(40)]
+
+    draws = (random_c_symplectics(rngs(), dim)[0], suites._structures_with_forms(rngs(), dim)[1])
+    for triple in zip(*draws, suites.mixed_two_forms(rngs(), dim)):
+        yield from ComplexTwoForm.from_skew(np.stack(triple))
 
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
@@ -755,18 +753,17 @@ def test_induced_structure_is_bitwise_the_single_form_path(dim):
 
 @pytest.mark.parametrize("dim", [4, 8])
 def test_family_structures_are_bitwise_the_single_form_path(dim):
-    from csympl.deformation import DEFAULT_T_SAMPLES, DeformationFamily, random_base_form
-    from csympl.suites import random_lagrangian
+    from csympl.deformation import DEFAULT_T_SAMPLES, DeformationFamily, decide_members, random_base_forms
 
     for i in range(20):
         rng = np.random.default_rng([dim, i])
-        space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0])
-        projection = LagrangianProjection.build(space, random_lagrangian(space, rng))
-        family = DeformationFamily.build(projection, random_base_form(projection, rng, scale=0.5))
-        structures = family.structures(DEFAULT_T_SAMPLES)
+        space = CSymplecticSpace.from_form(ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])[0])
+        projection = LagrangianProjection.build(space, suites.random_lagrangians([space], [rng])[0])
+        (family,) = DeformationFamily.build_many([projection], random_base_forms([projection], [rng], scale=0.5))
+        forms, structures = decide_members([(family, t) for t in DEFAULT_T_SAMPLES])
         assert len(structures) == len(DEFAULT_T_SAMPLES)
-        for t, structure in zip(DEFAULT_T_SAMPLES, structures):
-            assert structure.matrix.tobytes() == solved_structure(family.form(t)).tobytes()
+        for form, structure in zip(ComplexTwoForm.from_skew(forms), structures):
+            assert structure.tobytes() == solved_structure(form).tobytes()
 
 
 def assert_structures_are_the_kernel_prescription(omegas):
@@ -800,7 +797,7 @@ def test_section_field_structures_agree_with_the_kernel_prescription():
 
 @pytest.mark.parametrize("dim", [4, 8])
 def test_failing_forms_are_never_solved(dim):
-    omegas = np.stack([suites.mixed_two_form(np.random.default_rng([dim, i]), dim).matrix for i in range(200)])
+    omegas = suites.mixed_two_forms([np.random.default_rng([dim, i]) for i in range(200)], dim)
     with pytest.raises(np.linalg.LinAlgError):
         structures_from_forms(omegas)  # the unmasked solve of this stack raises
     structures, verdicts = induced_structures(omegas)
@@ -847,7 +844,7 @@ def test_induced_structure_equivariance():
 
 def test_induced_structure_scaling_invariance():
     rng = np.random.default_rng(3)
-    omega, _ = random_c_symplectic(rng, 8)
+    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
     base = induced_complex_structure(omega).matrix
     for _ in range(20):
         lam = complex(rng.standard_normal(), rng.standard_normal())
@@ -866,7 +863,7 @@ def test_induced_structure_rejects_with_named_criterion():
 def test_induced_structure_against_least_squares_oracle():
     # independent construction: solve I^T [A | conj A] = [iA | -i conj A]
     rng = np.random.default_rng(4)
-    omega, _ = random_c_symplectic(rng, 8)
+    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
     a = omega.matrix
     lhs = np.hstack([a, a.conj()])
     rhs = np.hstack([1j * a, -1j * a.conj()])
@@ -880,7 +877,7 @@ def test_induced_structure_against_least_squares_oracle():
 
 
 def test_hodge_pure_20():
-    comps = hodge_decompose(dz1_wedge_dz2().to_kform(), STANDARD_J)
+    comps = hodge_decompose(dz1_wedge_dz2(), STANDARD_J)
     assert comps[(2, 0)].isclose(dz1_wedge_dz2().to_kform(), tol=1e-12)
     assert comps[(1, 1)].is_zero(1e-12) and comps[(0, 2)].is_zero(1e-12)
 
@@ -888,7 +885,7 @@ def test_hodge_pure_20():
 def test_hodge_pure_11():
     # dz1 ^ conj(dz1) = -2i dx1 ^ dy1
     form = ComplexKForm.from_dict(4, 2, {(0, 1): -2j})
-    comps = hodge_decompose(form, STANDARD_J)
+    comps = hodge_decompose(ComplexTwoForm.from_kform(form), STANDARD_J)
     assert comps[(1, 1)].isclose(form, tol=1e-12)
     assert comps[(2, 0)].is_zero(1e-12) and comps[(0, 2)].is_zero(1e-12)
 
@@ -896,7 +893,7 @@ def test_hodge_pure_11():
 def test_hodge_of_e13_exact_components():
     # brute-force projector values for dx1 ^ dx2 under the standard structure
     form = ComplexKForm.from_dict(4, 2, {(0, 2): 1.0})
-    comps = hodge_decompose(form, STANDARD_J)
+    comps = hodge_decompose(ComplexTwoForm.from_kform(form), STANDARD_J)
     quarter_dz12 = ComplexKForm.from_dict(
         4, 2, {(0, 2): 0.25, (0, 3): 0.25j, (1, 2): 0.25j, (1, 3): -0.25}
     )
@@ -910,7 +907,7 @@ def test_hodge_of_e13_exact_components():
 def test_hodge_components_transform_with_weight():
     rng = np.random.default_rng(5)
     form = ComplexKForm(4, 2, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    comps = hodge_decompose(form, STANDARD_J)
+    comps = hodge_decompose(ComplexTwoForm.from_kform(form), STANDARD_J)
     for (p, q), comp in comps.items():
         rotated = pullback(STANDARD_J.matrix, comp)
         assert rotated.isclose(comp * (1j) ** (p - q), tol=1e-11) or comp.is_zero(1e-12)
@@ -919,8 +916,8 @@ def test_hodge_components_transform_with_weight():
 def test_hodge_idempotent():
     rng = np.random.default_rng(6)
     form = ComplexKForm(4, 2, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    comps = hodge_decompose(form, STANDARD_J)
-    again = hodge_decompose(comps[(1, 1)], STANDARD_J)
+    comps = hodge_decompose(ComplexTwoForm.from_kform(form), STANDARD_J)
+    again = hodge_decompose(ComplexTwoForm.from_kform(comps[(1, 1)]), STANDARD_J)
     assert again[(1, 1)].isclose(comps[(1, 1)], tol=1e-12)
     assert again[(2, 0)].is_zero(1e-12) and again[(0, 2)].is_zero(1e-12)
 
@@ -942,9 +939,9 @@ def test_hodge_projector_split_matches_pullback_average(dim):
     rng = np.random.default_rng(dim)
     count = dim * (dim - 1) // 2
     for _ in range(5):
-        structure = induced_complex_structure(random_c_symplectic(rng, dim)[0])
+        structure = induced_complex_structure(ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])[0])
         form = ComplexKForm(dim, 2, rng.standard_normal(count) + 1j * rng.standard_normal(count))
-        comps = hodge_decompose(form, structure)
+        comps = hodge_decompose(ComplexTwoForm.from_kform(form), structure)
         reference = pullback_average(form, structure)
         assert list(comps) == list(reference)
         for key, coeffs in reference.items():
@@ -953,20 +950,11 @@ def test_hodge_projector_split_matches_pullback_average(dim):
 
 def test_hodge_takes_two_forms_only():
     rng = np.random.default_rng(7)
-    structure = induced_complex_structure(random_c_symplectic(rng, 8)[0])
+    structure = induced_complex_structure(ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])[0])
     form = ComplexKForm(8, 3, rng.standard_normal(56) + 1j * rng.standard_normal(56))
     with pytest.raises(ValueError, match="2-forms"):
-        hodge_decompose(form, structure)
+        hodge_decompose(ComplexTwoForm.from_kform(form), structure)
 
-
-def test_hodge_of_a_two_form_matrix_equals_its_kform():
-    rng = np.random.default_rng(8)
-    structure = induced_complex_structure(random_c_symplectic(rng, 8)[0])
-    form = ComplexTwoForm(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    from_matrix, from_kform = hodge_decompose(form, structure), hodge_decompose(form.to_kform(), structure)
-    assert list(from_matrix) == list(from_kform)
-    for key, comp in from_matrix.items():
-        assert np.array_equal(comp.coeffs, from_kform[key].coeffs)
 
 
 # -- canonical basis -------------------------------------------------------------
@@ -999,7 +987,7 @@ def test_basis_residuals_random_instances(dim):
     target = q_block_form(dim // 4).matrix
     for i in range(10):
         rng = np.random.default_rng([dim, i])
-        omega, _ = random_c_symplectic(rng, dim)
+        (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])
         b = c_symplectic_basis(omega)
         residual = np.max(np.abs(b.T @ omega.matrix @ b - target)) / omega.norm()
         assert residual < 1e-8
@@ -1044,8 +1032,8 @@ def per_block_basis_reference(omega):
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_bases_in_stacks_of_seven_are_each_form_alone_bit_for_bit(dim):
-    omegas = [random_c_symplectic(np.random.default_rng([41, dim, i]), dim)[0] for i in range(100)]
-    stack = np.stack([omega.matrix for omega in omegas])
+    stack = random_c_symplectics([np.random.default_rng([41, dim, i]) for i in range(100)], dim)[0]
+    omegas = ComplexTwoForm.from_skew(stack)
     bases = np.concatenate([c_symplectic_bases(stack[start : start + 7]) for start in range(0, 100, 7)])
     target = q_block_form(dim // 4).matrix
     for omega, b in zip(omegas, bases):
@@ -1063,8 +1051,8 @@ def test_bases_of_no_forms_raise_a_value_error():
 
 def test_bases_raise_for_a_carrier_that_is_not_invariant(monkeypatch):
     # the structure of another form leaves the first complement non-invariant
-    omega = random_c_symplectic(np.random.default_rng(43), 8)[0]
-    other = random_c_symplectic(np.random.default_rng(44), 8)[0]
+    rngs = [np.random.default_rng(43), np.random.default_rng(44)]
+    omega, other = ComplexTwoForm.from_skew(random_c_symplectics(rngs, 8)[0])
     accept = csymplectic.accepted_structures
     monkeypatch.setattr(csymplectic, "accepted_structures", lambda omegas: accept(other.matrix[None]))
     with pytest.raises(PostconditionError, match="carrier is not I-invariant"):
@@ -1076,7 +1064,7 @@ def test_bases_raise_when_the_block_conditions_lose_rank(monkeypatch):
     rank = csymplectic.numerical_rank
     monkeypatch.setattr(csymplectic, "numerical_rank", lambda s, tol=DEFAULT_TOL: rank(s, tol) - (s.shape[-1] == 4))
     with pytest.raises(PostconditionError, match="block conditions have rank 3, not 4"):
-        c_symplectic_bases(random_c_symplectic(np.random.default_rng(45), 8)[0].matrix[None])
+        c_symplectic_bases(random_c_symplectics([np.random.default_rng(45)], 8)[0])
 
 
 # -- isotropic / Lagrangian -------------------------------------------------------
@@ -1115,13 +1103,10 @@ def test_three_dims_not_lagrangian():
 
 
 def test_hitchin_invariance_of_found_lagrangians():
-    from csympl.suites import random_lagrangian
-
     for dim in (4, 8):
-        for i in range(20):
-            rng = np.random.default_rng([17, dim, i])
-            space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0])
-            lag = random_lagrangian(space, rng)
+        rngs = [np.random.default_rng([17, dim, i]) for i in range(20)]
+        spaces = CSymplecticSpace.from_forms(ComplexTwoForm.from_skew(random_c_symplectics(rngs, dim)[0]))
+        for space, lag in zip(spaces, suites.random_lagrangians(spaces, rngs)):
             q = lag.orthonormal_basis()
             image = space.structure.matrix @ q
             residual = np.max(np.abs(image - q @ (q.T @ image)))
@@ -1144,11 +1129,9 @@ def test_quotient_structure_on_q_block():
 
 
 def test_quotient_structure_squares_to_minus_identity():
-    from csympl.suites import random_lagrangian
-
     rng = np.random.default_rng(8)
-    space = CSymplecticSpace.from_form(random_c_symplectic(rng, 8)[0])
-    fiber = random_lagrangian(space, rng)
+    space = CSymplecticSpace.from_form(ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])[0])
+    (fiber,) = suites.random_lagrangians([space], [rng])
     quot = LagrangianProjection.build(space, fiber).quotient_structure
     assert np.allclose(quot.matrix @ quot.matrix, -np.eye(4), atol=1e-10)
 
@@ -1157,7 +1140,7 @@ def test_quotient_structure_on_canonical_basis_fibers():
     # each canonical block contributes a fiber pair (u2, I u2); their span
     # is c-Lagrangian and supports the inherited structure
     rng = np.random.default_rng(11)
-    omega, _ = random_c_symplectic(rng, 8)
+    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
     space = CSymplecticSpace.from_form(omega)
     b = c_symplectic_basis(omega)
     fiber = Subspace(b[:, [2, 3, 6, 7]])
@@ -1170,11 +1153,9 @@ def test_quotient_structure_on_canonical_basis_fibers():
 
 def test_quotient_independent_of_complement_model():
     # any complement with the identification maps gives a conjugate structure
-    from csympl.suites import random_lagrangian
-
     rng = np.random.default_rng(9)
-    space = CSymplecticSpace.from_form(random_c_symplectic(rng, 8)[0])
-    fiber = random_lagrangian(space, rng)
+    space = CSymplecticSpace.from_form(ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])[0])
+    (fiber,) = suites.random_lagrangians([space], [rng])
     projection = LagrangianProjection.build(space, fiber)
     quot = projection.quotient_structure
     w = projection.projection.T
@@ -1193,7 +1174,7 @@ def test_quotient_independent_of_complement_model():
 
 def test_c_symplectic_space_caches_validated_data(monkeypatch):
     rng = np.random.default_rng(10)
-    omega, _ = random_c_symplectic(rng, 8)
+    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
     space = CSymplecticSpace.from_form(omega)
     assert is_c_symplectic_rank(space.omega).ok and is_c_symplectic_power(space.omega).ok
     assert is_c_symplectic_rank(space.omega).kernel_dim == 4

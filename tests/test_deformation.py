@@ -19,7 +19,7 @@ from csympl.csymplectic import (
     is_c_symplectic_rank,
     power_verdicts,
     q_block_form,
-    random_c_symplectic,
+    random_c_symplectics,
 )
 from csympl.deformation import (
     DEFAULT_T_SAMPLES,
@@ -28,19 +28,18 @@ from csympl.deformation import (
     LagrangianProjection,
     LinearSection,
     PreservanceReport,
+    decide_members,
     deform,
     holomorphize_section,
     holomorphize_sections,
-    random_base_form,
     random_base_forms,
-    section_form,
     section_forms,
     verify_preservance,
     verify_preservances,
 )
 from csympl.forms import ComplexTwoForm, form_kernel, pullback
 from csympl.linalg import DEFAULT_TOL, ComplexStructure, PostconditionError, Subspace
-from csympl.suites import CHECKS, SuiteConfig, random_lagrangian, random_lagrangians
+from csympl.suites import CHECKS, SuiteConfig, random_lagrangians
 
 
 def q_projection():
@@ -58,8 +57,8 @@ def holomorphized(certificate):
 
 def random_setup(dim, seed):
     rng = np.random.default_rng(seed)
-    space = CSymplecticSpace.from_form(random_c_symplectic(rng, dim)[0])
-    return LagrangianProjection.build(space, random_lagrangian(space, rng)), rng
+    space = CSymplecticSpace.from_form(ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])[0])
+    return LagrangianProjection.build(space, random_lagrangians([space], [rng])[0]), rng
 
 
 # -- projections and sections -------------------------------------------------
@@ -119,7 +118,7 @@ def test_section_must_invert_projection():
 def test_sections_differ_by_fiber_offsets():
     proj, rng = random_setup(8, 0)
     tau = rng.standard_normal((4, 4))
-    section = LinearSection.from_fiber_part(proj, tau)
+    (section,) = LinearSection.from_fiber_parts([proj], tau[None])
     offset = section.map - proj.projection.T
     assert np.allclose(proj.fiber.orthonormal_basis().T @ offset, tau, atol=1e-12)
 
@@ -130,16 +129,16 @@ def test_sections_differ_by_fiber_offsets():
 def test_section_form_consistent_with_pullback():
     for i in range(20):
         proj, rng = random_setup(4 if i % 2 else 8, 100 + i)
-        section = LinearSection.random(proj, rng)
-        omega_sigma = section_form(section).two_form
+        section = LinearSection.random_many([proj], [rng])[0]
+        omega_sigma = section_forms([section])[0].two_form
         lifted = pullback(section.map, proj.space.omega.to_kform())
         assert omega_sigma.to_kform().isclose(lifted, tol=1e-12)
 
 
 def test_section_form_certificate_is_20_plus_11():
     proj, rng = random_setup(8, 1)
-    section = LinearSection.random(proj, rng)
-    certificate = section_form(section).certificate
+    section = LinearSection.random_many([proj], [rng])[0]
+    certificate = section_forms([section])[0].certificate
     assert certificate.norm_02 <= 1e-9 * certificate.scale
     assert certificate.norm_11 > 0  # generic real section has mixed type
 
@@ -147,7 +146,7 @@ def test_section_form_certificate_is_20_plus_11():
 def test_complex_linear_section_gives_pure_20():
     proj, rng = random_setup(8, 2)
     section = LinearSection.complex_linear(proj)
-    certificate = section_form(section).certificate
+    certificate = section_forms([section])[0].certificate
     assert certificate.norm_02 <= 1e-9 * certificate.scale
     assert certificate.norm_11 <= 1e-9 * certificate.scale
 
@@ -163,9 +162,9 @@ def test_fiber_valued_perturbation_drops_quadratic_term():
     def perturbed(scale):
         return LinearSection(proj, base.map + scale * (b @ tau))
 
-    f0 = section_form(base).two_form.matrix
-    f1 = section_form(perturbed(1.0)).two_form.matrix
-    f2 = section_form(perturbed(2.0)).two_form.matrix
+    f0 = section_forms([base])[0].two_form.matrix
+    f1 = section_forms([perturbed(1.0)])[0].two_form.matrix
+    f2 = section_forms([perturbed(2.0)])[0].two_form.matrix
     # exact linearity in tau: second difference vanishes
     assert np.max(np.abs(f2 - 2 * f1 + f0)) < 1e-10 * max(1.0, np.max(np.abs(f1)))
 
@@ -185,7 +184,7 @@ def test_three_term_expansion_cross_terms_only():
     )
     tau_tau = tau_map.T @ a @ tau_map
     assert np.max(np.abs(tau_tau)) < 1e-10 * max(1.0, np.max(np.abs(a)))
-    assert np.allclose(section_form(section).two_form.matrix, expansion, atol=1e-12)
+    assert np.allclose(section_forms([section])[0].two_form.matrix, expansion, atol=1e-12)
 
 
 # -- deform -----------------------------------------------------------------------
@@ -193,7 +192,7 @@ def test_three_term_expansion_cross_terms_only():
 
 def test_deform_at_zero_is_exact_identity():
     proj, rng = random_setup(8, 5)
-    gamma = random_base_form(proj, rng)
+    gamma = random_base_forms([proj], [rng])[0]
     omega_0 = deform(proj, gamma, 0.0)
     assert np.array_equal(omega_0.matrix, proj.space.omega.matrix)
 
@@ -210,7 +209,7 @@ def test_deform_postcondition_both_criteria():
 def test_deform_rejects_anti_holomorphic_gamma():
     proj, rng = random_setup(8, 7)
     raw = ComplexTwoForm(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    comps = hodge_decompose(raw.to_kform(), proj.quotient_structure)
+    comps = hodge_decompose(raw, proj.quotient_structure)
     bad = ComplexTwoForm.from_kform(comps[(0, 2)])
     assert bad.norm() > 1e-6
     with pytest.raises(ValueError, match=r"\(0,2\)"):
@@ -219,13 +218,13 @@ def test_deform_rejects_anti_holomorphic_gamma():
 
 def test_family_is_affine_in_t():
     proj, rng = random_setup(8, 8)
-    gamma = random_base_form(proj, rng)
-    family = DeformationFamily.build(proj, gamma)
+    (gamma,) = random_base_forms([proj], [rng])
+    (family,) = DeformationFamily.build_many([proj], [gamma])
     t1, t2 = 0.7 - 0.2j, -1.3 + 0.4j
-    direct = family.form(t1 + t2)
+    direct, first = ComplexTwoForm.from_skew(decide_members([(family, t1 + t2), (family, t1)])[0])
     w = proj.projection
     pulled = w.T @ gamma.matrix @ w
-    staged = ComplexTwoForm(family.form(t1).matrix + t2 * pulled)
+    staged = ComplexTwoForm(first.matrix + t2 * pulled)
     # identical up to one rounding of the scalar reassociation
     assert np.max(np.abs(direct.matrix - staged.matrix)) < 1e-14 * direct.norm()
 
@@ -233,16 +232,16 @@ def test_family_is_affine_in_t():
 def test_family_validates_gamma_at_construction():
     proj, rng = random_setup(8, 9)
     raw = ComplexTwoForm(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    comps = hodge_decompose(raw.to_kform(), proj.quotient_structure)
+    comps = hodge_decompose(raw, proj.quotient_structure)
     with pytest.raises(ValueError):
-        DeformationFamily.build(proj, ComplexTwoForm.from_kform(comps[(0, 2)]))
+        DeformationFamily.build_many([proj], [ComplexTwoForm.from_kform(comps[(0, 2)])])
 
 
 def test_deformed_forms_c_symplectic_in_bulk():
     for dim in (4, 8):
         for i in range(25):
             proj, rng = random_setup(dim, 200 + i)
-            gamma = random_base_form(proj, rng)
+            gamma = random_base_forms([proj], [rng])[0]
             t = complex(rng.standard_normal(), rng.standard_normal())
             deform(proj, gamma, t)  # raises if either criterion fails
 
@@ -252,7 +251,7 @@ def test_deformed_forms_c_symplectic_in_bulk():
 
 def test_preservance_at_t_zero_is_exact():
     proj, rng = random_setup(8, 10)
-    gamma = random_base_form(proj, rng)
+    gamma = random_base_forms([proj], [rng])[0]
     report = verify_preservance(proj, gamma, t_samples=(0.0,))
     assert report.max_fiber_restriction_residual == 0.0
     assert report.max_quotient_residual == 0.0
@@ -261,7 +260,7 @@ def test_preservance_at_t_zero_is_exact():
 def test_preservance_at_no_t_samples_raises_a_value_error():
     proj, rng = random_setup(8, 10)
     with pytest.raises(ValueError, match="no t samples to verify preservance at"):
-        verify_preservance(proj, random_base_form(proj, rng), t_samples=())
+        verify_preservance(proj, random_base_forms([proj], [rng])[0], t_samples=())
     with pytest.raises(ValueError, match="no family members to decide"):
         deformation.decide_members([])
     with pytest.raises(ValueError, match="no sections to pull the form back along"):
@@ -279,7 +278,7 @@ def test_preservance_with_zero_gamma_full_matrix():
 
 def test_preservance_random_families():
     proj, rng = random_setup(8, 12)
-    gamma = random_base_form(proj, rng)
+    gamma = random_base_forms([proj], [rng])[0]
     report = verify_preservance(proj, gamma, t_samples=(1.0, -1.0, 1j, -1j, 2 + 3j))
     assert report.fiber_lagrangian_ok
     assert report.max_residual < 1e-9
@@ -294,7 +293,7 @@ def test_kernel_of_deformed_form_is_fiber_shift_of_original():
         return Subspace(u[:, s > 1e-9 * s[0]], field="C")
 
     proj, rng = random_setup(8, 17)
-    gamma = random_base_form(proj, rng)
+    gamma = random_base_forms([proj], [rng])[0]
     w = proj.projection.T
     fiber = proj.fiber.orthonormal_basis().astype(complex)
     base_kernel = form_kernel(proj.space.omega).subspace.basis
@@ -313,7 +312,7 @@ def test_preservance_cross_checked_against_kernel_shift():
     # independent check of the fixed fiber restriction: the kernel of
     # Omega_t projected to the fiber coincides with the kernel of Omega
     proj, rng = random_setup(8, 13)
-    gamma = random_base_form(proj, rng)
+    gamma = random_base_forms([proj], [rng])[0]
     b = proj.fiber.orthonormal_basis()
     base_fiber_kernel = b.T @ form_kernel(proj.space.omega).subspace.basis
     for t in (1.0, 1j):
@@ -349,7 +348,7 @@ def svd_count(seen, matrix):
 
 
 def test_space_and_structure_svd_the_form_once(svd_inputs):
-    omega = random_c_symplectic(np.random.default_rng(30), 8)[0]
+    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([np.random.default_rng(30)], 8)[0])
     for analyse in (CSymplecticSpace.from_form, induced_complex_structure, c_symplectic_basis):
         svd_inputs.clear()
         analyse(omega)
@@ -358,12 +357,13 @@ def test_space_and_structure_svd_the_form_once(svd_inputs):
 
 def test_preservance_svds_each_deformed_form_once(svd_inputs):
     proj, rng = random_setup(8, 31)
-    gamma = random_base_form(proj, rng)
-    family = DeformationFamily.build(proj, gamma)
+    (gamma,) = random_base_forms([proj], [rng])
+    (family,) = DeformationFamily.build_many([proj], [gamma])
+    forms, _ = decide_members([(family, t) for t in DEFAULT_T_SAMPLES])
     svd_inputs.clear()
     verify_preservance(proj, gamma, DEFAULT_T_SAMPLES)
-    for t in DEFAULT_T_SAMPLES:
-        assert svd_count(svd_inputs, family.form(t).matrix) == 1
+    for form in forms:
+        assert svd_count(svd_inputs, form) == 1
 
 
 def test_a_failing_form_is_decomposed_once(svd_inputs, monkeypatch):
@@ -373,13 +373,15 @@ def test_a_failing_form_is_decomposed_once(svd_inputs, monkeypatch):
         induced_complex_structure(omega)
     assert svd_count(svd_inputs, omega.matrix) == 1
     proj, rng = random_setup(8, 32)
-    family = DeformationFamily.build(proj, random_base_form(proj, rng))
+    (family,) = DeformationFamily.build_many([proj], random_base_forms([proj], [rng]))
+    members = [(family, t) for t in DEFAULT_T_SAMPLES]
+    forms, _ = decide_members(members)
     monkeypatch.setattr(csymplectic, "_structure_accepted", lambda square, linearity: np.zeros(len(square), dtype=bool))
     svd_inputs.clear()
     with pytest.raises(PostconditionError, match="rank: induced structure rejected; power: ok$"):
-        family.structures(DEFAULT_T_SAMPLES)
-    for t in DEFAULT_T_SAMPLES:
-        assert svd_count(svd_inputs, family.form(t).matrix) == 1
+        decide_members(members)
+    for form in forms:
+        assert svd_count(svd_inputs, form) == 1
 
 
 def test_residual_folds_keep_a_nan():
@@ -393,8 +395,9 @@ def test_residual_folds_keep_a_nan():
 @pytest.mark.parametrize("count", [1, 3])
 def test_projection_builds_its_quotient_once(count, monkeypatch):
     # one complement and one c-Lagrangian check for the whole range
-    spaces = CSymplecticSpace.from_forms([random_c_symplectic(np.random.default_rng(33 + i), 8)[0] for i in range(count)])
-    fibers = [random_lagrangian(space, np.random.default_rng(34 + i)) for i, space in enumerate(spaces)]
+    omegas = random_c_symplectics([np.random.default_rng(33 + i) for i in range(count)], 8)[0]
+    spaces = CSymplecticSpace.from_forms(ComplexTwoForm.from_skew(omegas))
+    fibers = random_lagrangians(spaces, [np.random.default_rng(34 + i) for i in range(count)])
     calls = []
     complement, isotropic = deformation.complement_bases, deformation.c_isotropic
     monkeypatch.setattr(deformation, "complement_bases", lambda b: calls.append("complement") or complement(b))
@@ -405,41 +408,40 @@ def test_projection_builds_its_quotient_once(count, monkeypatch):
 
 def test_family_structures_are_checked_members():
     proj, rng = random_setup(8, 32)
-    family = DeformationFamily.build(proj, random_base_form(proj, rng))
-    (structure,) = family.structures((0.5 + 0.5j,))
-    omega_t = family.form(0.5 + 0.5j)
+    (family,) = DeformationFamily.build_many([proj], random_base_forms([proj], [rng]))
+    forms, (structure,) = decide_members([(family, 0.5 + 0.5j)])
+    (omega_t,) = ComplexTwoForm.from_skew(forms)
     assert np.array_equal(omega_t.matrix, deform(proj, family.gamma, 0.5 + 0.5j).matrix)
     assert is_c_symplectic_rank(omega_t).ok and is_c_symplectic_power(omega_t).ok
-    assert np.array_equal(structure.matrix, induced_complex_structure(omega_t).matrix)
+    assert np.array_equal(structure, induced_complex_structure(omega_t).matrix)
 
 
 def test_a_family_pulls_gamma_back_once():
     proj, rng = random_setup(8, 35)
-    gamma = random_base_form(proj, rng)
-    family = DeformationFamily.build(proj, gamma)
+    (gamma,) = random_base_forms([proj], [rng])
+    (family,) = DeformationFamily.build_many([proj], [gamma])
     w = proj.projection
     assert np.array_equal(family.pulled, w.T @ gamma.matrix @ w)
     # a member is Omega + t pi^* gamma from the stored pullback alone
     blind = dataclasses.replace(family, projection=dataclasses.replace(proj, projection=np.full_like(w, np.nan)))
-    for t in DEFAULT_T_SAMPLES:
-        assert blind.form(t).matrix.tobytes() == family.form(t).matrix.tobytes()
+    forms, _ = decide_members([(family, t) for t in DEFAULT_T_SAMPLES])
+    blind_forms, _ = decide_members([(blind, t) for t in DEFAULT_T_SAMPLES])
+    for blind_form, form in zip(blind_forms, forms):
+        assert blind_form.tobytes() == form.tobytes()
 
 
 def test_members_of_many_families_decide_as_each_family_alone():
-    setups = [random_setup(8, seed) for seed in (36, 37, 38)]
-    projections = [proj for proj, _ in setups]
-    gammas = [random_base_form(proj, rng) for proj, rng in setups]
-    families = [DeformationFamily.build(proj, gamma) for proj, gamma in zip(projections, gammas)]
-    forms, structures = deformation.decide_members([(family, t) for family in families for t in DEFAULT_T_SAMPLES])
-    alone = [pair for family in families for pair in zip(map(family.form, DEFAULT_T_SAMPLES),
-                                                         family.structures(DEFAULT_T_SAMPLES))]  # fmt: skip
-    assert len(forms) == len(structures) == len(alone) == 15
-    for form, structure, (form_alone, structure_alone) in zip(forms, structures, alone):
-        assert form.tobytes() == form_alone.matrix.tobytes()
-        assert structure.tobytes() == structure_alone.matrix.tobytes()
+    projections, rngs = zip(*(random_setup(8, seed) for seed in (36, 37, 38)))
+    gammas = random_base_forms(projections, rngs)
+    families = DeformationFamily.build_many(projections, gammas)
+    forms, structures = decide_members([(family, t) for family in families for t in DEFAULT_T_SAMPLES])
+    alone = [decide_members([(family, t) for t in DEFAULT_T_SAMPLES]) for family in families]
+    forms_alone, structures_alone = (np.concatenate(parts) for parts in zip(*alone))
+    assert len(forms) == len(structures) == len(forms_alone) == len(structures_alone) == 15
+    assert forms.tobytes() == forms_alone.tobytes() and structures.tobytes() == structures_alone.tobytes()
     reports = deformation.verify_preservances(projections, gammas)
     assert reports == [verify_preservance(proj, gamma) for proj, gamma in zip(projections, gammas)]
-    sections = [LinearSection.random(proj, rng) for proj, rng in setups]
+    sections = LinearSection.random_many(projections, rngs)
     certificates = [result.certificate for result in deformation.holomorphize_sections(sections)]
     assert certificates == [holomorphize_section(section).certificate for section in sections]
 
@@ -474,9 +476,9 @@ def test_a_deformation_range_decomposes_as_often_at_any_sample_count(name, dim, 
 
 def stacked_instances(dim, count):
     """Generators and spaces of ``count`` instances, and copies of the
-    generators in the same state, for the stack-of-one calls."""
+    generators in the same state, for the calls on one-element ranges."""
     rngs = [np.random.default_rng([50, dim, index]) for index in range(count)]
-    spaces = CSymplecticSpace.from_forms([random_c_symplectic(rng, dim)[0] for rng in rngs])
+    spaces = CSymplecticSpace.from_forms(ComplexTwoForm.from_skew(random_c_symplectics(rngs, dim)[0]))
     return spaces, rngs, copy.deepcopy(rngs)
 
 
@@ -488,7 +490,7 @@ def same_bits(a, b):
 def test_each_stacked_builder_is_its_stack_of_one_bit_for_bit(dim):
     spaces, rngs, alone_rngs = stacked_instances(dim, 30)
     fibers = random_lagrangians(spaces, rngs)
-    fibers_alone = [random_lagrangian(space, rng) for space, rng in zip(spaces, alone_rngs)]
+    fibers_alone = [random_lagrangians([space], [rng])[0] for space, rng in zip(spaces, alone_rngs)]
     spans = Subspace.from_bases(np.stack([fiber.basis for fiber in fibers]))
     for fiber, alone, span in zip(fibers, fibers_alone, spans):
         assert same_bits(fiber.basis, alone.basis) and same_bits(fiber.orthonormal_basis(), alone.orthonormal_basis())
@@ -507,13 +509,13 @@ def test_each_stacked_builder_is_its_stack_of_one_bit_for_bit(dim):
     reports = verify_preservances(projections, gammas)
     results = holomorphize_sections(sections)
     for i, (projection, rng) in enumerate(zip(projections, alone_rngs)):
-        gamma = random_base_form(projection, rng, scale=0.5)
+        (gamma,) = random_base_forms([projection], [rng], scale=0.5)
         assert same_bits(gammas[i].matrix, gamma.matrix)
-        family = DeformationFamily.build(projection, gamma)
+        (family,) = DeformationFamily.build_many([projection], [gamma])
         assert same_bits(families[i].pulled, family.pulled) and families[i].certificate == family.certificate
-        section = LinearSection.random(projection, rng)
+        (section,) = LinearSection.random_many([projection], [rng])
         assert same_bits(sections[i].map, section.map)
-        alone = section_form(section)
+        (alone,) = section_forms([section])
         assert same_bits(pulled_back[i].two_form.matrix, alone.two_form.matrix)
         assert pulled_back[i].certificate == alone.certificate
         assert reports[i] == verify_preservance(projection, gamma)
@@ -563,10 +565,11 @@ def test_stacked_builders_of_no_instances_raise_a_value_error():
 
 def test_family_structures_are_not_rechecked(monkeypatch):
     proj, rng = random_setup(8, 32)
-    family = DeformationFamily.build(proj, random_base_form(proj, rng))
-    checked = [ComplexStructure(8, s.matrix) for s in family.structures((0.25, 0.5 + 0.5j))]
+    (family,) = DeformationFamily.build_many([proj], random_base_forms([proj], [rng]))
+    _, structures = decide_members([(family, 0.25), (family, 0.5 + 0.5j)])
+    checked = [ComplexStructure(8, s) for s in structures]
     monkeypatch.setattr(ComplexStructure, "__post_init__", lambda self: pytest.fail("accepted structure re-checked"))
-    accepted = family.structures((0.25, 0.5 + 0.5j))
+    accepted = [ComplexStructure.from_accepted(8, s) for s in structures]
     assert all(np.array_equal(a.matrix, c.matrix) for a, c in zip(accepted, checked))
 
 # -- section holomorphization --------------------------------------------------------
@@ -586,7 +589,7 @@ def test_holomorphize_random_sections_dim4():
     proj = q_projection()
     rng = np.random.default_rng(14)
     for _ in range(20):
-        section = LinearSection.random(proj, rng)
+        section = LinearSection.random_many([proj], [rng])[0]
         result = holomorphize_section(section)
         assert result.certificate.graph_is_lagrangian
         assert result.certificate.max_residual < 1e-9
@@ -596,17 +599,17 @@ def test_holomorphize_certificate_bulk():
     for dim in (4, 8):
         for i in range(25):
             proj, rng = random_setup(dim, 300 + i)
-            section = LinearSection.random(proj, rng)
+            section = LinearSection.random_many([proj], [rng])[0]
             result = holomorphize_section(section)
             assert holomorphized(result.certificate)
 
 
 def test_full_pipeline_at_dim_twelve():
     proj, rng = random_setup(12, 999)
-    gamma = random_base_form(proj, rng, scale=0.5)
+    gamma = random_base_forms([proj], [rng], scale=0.5)[0]
     report = verify_preservance(proj, gamma, t_samples=(1.0, -1j))
     assert report.fiber_lagrangian_ok and report.max_residual < 1e-9
-    section = LinearSection.random(proj, rng)
+    section = LinearSection.random_many([proj], [rng])[0]
     assert holomorphized(holomorphize_section(section).certificate)
 
 
@@ -628,7 +631,7 @@ def test_eta_linear_in_fiber_perturbation():
 
 def test_holomorphized_section_intertwines_structures():
     proj, rng = random_setup(8, 16)
-    section = LinearSection.random(proj, rng)
+    section = LinearSection.random_many([proj], [rng])[0]
     result = holomorphize_section(section)
     structure_prime = induced_complex_structure(result.omega_prime)
     lhs = section.map @ proj.quotient_structure.matrix
@@ -643,17 +646,17 @@ def test_section_form_raises_on_a_02_component(monkeypatch):
     from csympl import deformation
 
     proj, rng = random_setup(4, 5)
-    section = LinearSection.random(proj, rng)
+    section = LinearSection.random_many([proj], [rng])[0]
     monkeypatch.setattr(deformation.HodgeTypeCertificate, "anti_holomorphic_ok", lambda self: False)
     with pytest.raises(PostconditionError, match="contradicts the Hodge-type property"):
-        section_form(section)
+        section_forms([section])[0]
 
 
 def test_deformed_form_failing_c_symplecticity_raises(monkeypatch):
     from csympl import deformation
 
     proj, rng = random_setup(4, 6)
-    gamma = random_base_form(proj, rng)
+    gamma = random_base_forms([proj], [rng])[0]
 
     with monkeypatch.context() as patch:
         # the rank verdict passes and the acceptance rejects the structure

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from csympl import suites
-from csympl.csymplectic import CSymplecticSpace, q_block_form, random_c_symplectic, random_c_symplectics
+from csympl.csymplectic import CSymplecticSpace, q_block_form, random_c_symplectics
 from csympl.deformation import LagrangianProjection, LinearSection
 from csympl.forms import ComplexTwoForm
-from csympl.suites import SuiteConfig, mixed_two_form, mixed_two_forms, random_lagrangians
+from csympl.suites import SuiteConfig, mixed_two_forms, random_lagrangians
 
 # -- the per-instance generators the range builders replaced -------------------------
 
@@ -95,7 +95,7 @@ def induced_inputs_reference(cfg, dim, indices):
 
 def generators(dim, count, tag=60):
     """Three independent copies of ``count`` generators in the same state:
-    for the range call, the stack-of-one calls and the reference."""
+    for the range call, the calls on one-element ranges and the reference."""
     rngs = [np.random.default_rng([tag, dim, index]) for index in range(count)]
     return rngs, copy.deepcopy(rngs), copy.deepcopy(rngs)
 
@@ -157,10 +157,10 @@ def test_c_symplectic_ranges_are_the_rejection_loop_bit_for_bit(dim, cond_max):
     omegas, ps = random_c_symplectics(rngs, dim, cond_max)
     draws = []
     for omega, p, alone_rng, reference_rng in zip(omegas, ps, alone_rngs, reference_rngs):
-        alone, alone_p = random_c_symplectic(alone_rng, dim, cond_max)
+        (alone,), (alone_p,) = random_c_symplectics([alone_rng], dim, cond_max)
         reference, reference_p, count = c_symplectic_reference(reference_rng, dim, cond_max)
         draws.append(count)
-        assert same_bits(omega, alone.matrix) and same_bits(omega, reference)
+        assert same_bits(omega, alone) and same_bits(omega, reference)
         assert same_bits(p, alone_p) and same_bits(p, reference_p)
     assert states(rngs) == states(alone_rngs) == states(reference_rngs)
     if cond_max < 1e3:
@@ -175,7 +175,7 @@ def test_mixed_ranges_are_the_per_instance_draws_bit_for_bit(dim):
     for omega, alone_rng, reference_rng in zip(omegas, alone_rngs, reference_rngs):
         kind, reference = mixed_reference(reference_rng, dim)
         kinds.append(kind)
-        assert same_bits(omega, mixed_two_form(alone_rng, dim).matrix) and same_bits(omega, reference)
+        assert same_bits(omega, mixed_two_forms([alone_rng], dim)[0]) and same_bits(omega, reference)
     assert states(rngs) == states(alone_rngs) == states(reference_rngs)
     assert sorted(set(kinds)) == [0, 1, 2, 3, 4]
 
@@ -186,11 +186,11 @@ def test_structure_ranges_are_the_per_instance_draws_bit_for_bit(dim):
     structures, omegas = suites._structures_with_forms(rngs, dim)
     redrawn = False
     for structure, omega, alone_rng, reference_rng in zip(structures, omegas, alone_rngs, reference_rngs):
-        alone_structure, alone = suites._structure_with_form(alone_rng, dim)
+        (alone_structure,), (alone,) = suites._structures_with_forms([alone_rng], dim)
         reference_structure, reference, draws = structure_reference(reference_rng, dim)
         redrawn |= max(draws) > 1
         assert same_bits(structure, alone_structure) and same_bits(structure, reference_structure)
-        assert same_bits(omega, alone.matrix) and same_bits(omega, reference)
+        assert same_bits(omega, alone) and same_bits(omega, reference)
     assert states(rngs) == states(alone_rngs) == states(reference_rngs)
     assert redrawn, "no stream drew again"
 
@@ -220,7 +220,7 @@ def test_section_ranges_are_the_per_instance_draws_bit_for_bit(dim):
         k = projection.half_dim
         offset = 0.5 * reference_rng.standard_normal((k, k))
         reference = projection.projection.T + projection.fiber.orthonormal_basis() @ offset
-        assert same_bits(section.map, LinearSection.random(projection, alone_rng, scale=0.5).map)
+        assert same_bits(section.map, LinearSection.random_many([projection], [alone_rng], scale=0.5)[0].map)
         assert same_bits(section.map, reference)
     assert states(rngs) == states(alone_rngs) == states(reference_rngs)
 
@@ -267,13 +267,13 @@ def test_a_mixed_range_tests_only_its_c_symplectic_draws(cond_sizes):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda rng: random_c_symplectic(rng, 4, cond_max=0.5), "cond_max must be at least 1, got 0.5"),
-        (lambda rng: random_c_symplectic(rng, 8, cond_max=float("nan")), "cond_max must be at least 1, got nan"),
-        (lambda rng: random_c_symplectic(rng, 0), "dim must be a positive multiple of 4, got 0"),
-        (lambda rng: random_c_symplectic(rng, -4), "dim must be a positive multiple of 4, got -4"),
-        (lambda rng: random_c_symplectic(rng, 6), "dim must be a positive multiple of 4, got 6"),
-        (lambda rng: suites._structure_with_form(rng, 2), "dim must be a positive multiple of 4, got 2"),
-        (lambda rng: suites._structure_with_form(rng, 0), "dim must be a positive multiple of 4, got 0"),
+        (lambda rng: random_c_symplectics([rng], 4, cond_max=0.5), "cond_max must be at least 1, got 0.5"),
+        (lambda rng: random_c_symplectics([rng], 8, cond_max=float("nan")), "cond_max must be at least 1, got nan"),
+        (lambda rng: random_c_symplectics([rng], 0), "dim must be a positive multiple of 4, got 0"),
+        (lambda rng: random_c_symplectics([rng], -4), "dim must be a positive multiple of 4, got -4"),
+        (lambda rng: random_c_symplectics([rng], 6), "dim must be a positive multiple of 4, got 6"),
+        (lambda rng: suites._structures_with_forms([rng], 2), "dim must be a positive multiple of 4, got 2"),
+        (lambda rng: suites._structures_with_forms([rng], 0), "dim must be a positive multiple of 4, got 0"),
         (lambda rng: random_c_symplectics([], 8), "no generators to draw from"),
         (lambda rng: suites._structures_with_forms([], 8), "no generators to draw from"),
         (lambda rng: mixed_two_forms([], 8), "no generators to draw forms from"),

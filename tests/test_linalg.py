@@ -4,7 +4,7 @@ one rank decision every kernel, null space and span rank makes."""
 import numpy as np
 import pytest
 
-from csympl.csymplectic import induced_complex_structure, random_c_symplectic
+from csympl.csymplectic import induced_complex_structure, random_c_symplectics
 from csympl.forms import ComplexTwoForm, form_kernel
 from csympl.linalg import (
     DEFAULT_TOL,
@@ -52,7 +52,7 @@ def test_from_orthonormal_agrees_with_the_full_constructor(field, k):
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_form_kernel_equals_the_fully_checked_kernel(dim):
-    omega = random_c_symplectic(np.random.default_rng(dim), dim)[0]
+    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([np.random.default_rng(dim)], dim)[0])
     kernel = form_kernel(omega).subspace
     assert kernel.dim == dim // 2
     assert kernel.equals(Subspace(kernel.basis, field="C"))
@@ -63,7 +63,7 @@ def test_orthonormal_constructions_make_no_qr(monkeypatch):
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
     rng = np.random.default_rng(3)
-    omega = random_c_symplectic(rng, 8)[0]
+    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
     subspaces = [Subspace(rng.standard_normal((8, 4))), Subspace(np.zeros((8, 0)), field="C")]
     calls.clear()
     form_kernel(omega)
@@ -81,7 +81,7 @@ def test_complex_structure_checks_its_square_unless_accepted(monkeypatch):
             construct(4, j2)
         with pytest.raises(ValueError, match="even"):
             construct(3, np.eye(3))
-    omega = random_c_symplectic(np.random.default_rng(7), 8)[0]
+    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([np.random.default_rng(7)], 8)[0])
     checked = ComplexStructure(8, induced_complex_structure(omega).matrix)
 
     def square_check(self):

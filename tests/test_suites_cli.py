@@ -614,7 +614,8 @@ def induced_case_reference(cfg, dim, indices):
     cases = []
     for index in indices:
         rng = suites._case_rng(cfg, dim, index)
-        structure, omega = suites._structure_with_form(rng, dim)
+        (structure,), omegas = suites._structures_with_forms([rng], dim)
+        (omega,) = forms.ComplexTwoForm.from_skew(omegas)
         induced = csymplectic.induced_complex_structure(omega).matrix
         inputs = {"omega": omega.matrix, "structure": structure}
         measurements = [("uniqueness", linalg.max_abs(induced - structure))]
@@ -707,7 +708,8 @@ def gram_schmidt_case_reference(cfg, dim, indices):
     each form's basis built on its own by ``c_symplectic_basis``."""
     cases = []
     for index in indices:
-        omega = csymplectic.random_c_symplectic(suites._case_rng(cfg, dim, index), dim)[0]
+        omegas = csymplectic.random_c_symplectics([suites._case_rng(cfg, dim, index)], dim)[0]
+        (omega,) = forms.ComplexTwoForm.from_skew(omegas)
         b = csymplectic.c_symplectic_basis(omega)
         residual = linalg.max_abs(b.T @ omega.matrix @ b - csymplectic.q_block_form(dim // 4).matrix) / omega.norm()
         cases.append(({"omega": omega.matrix}, [("q-block-residual", residual)]))
@@ -760,8 +762,9 @@ def test_a_gram_schmidt_request_decides_one_structure_stack_per_dim(monkeypatch)
 def lagrangian_instance_reference(cfg, dim, index):
     """One index's generator, space and fiber, its form decided on its own."""
     rng = suites._case_rng(cfg, dim, index)
-    space = csymplectic.CSymplecticSpace.from_form(csymplectic.random_c_symplectic(rng, dim)[0])
-    fiber = suites.random_lagrangian(space, rng)
+    (omega,) = forms.ComplexTwoForm.from_skew(csymplectic.random_c_symplectics([rng], dim)[0])
+    space = csymplectic.CSymplecticSpace.from_form(omega)
+    (fiber,) = suites.random_lagrangians([space], [rng])
     return rng, space, fiber, {"omega": space.omega.matrix, "fiber basis": fiber.basis}
 
 
@@ -784,7 +787,7 @@ def preservance_case_reference(cfg, dim, indices):
     for index in indices:
         rng, space, fiber, inputs = lagrangian_instance_reference(cfg, dim, index)
         projection = deformation.LagrangianProjection.build(space, fiber)
-        gamma = deformation.random_base_form(projection, rng, scale=0.5)
+        (gamma,) = deformation.random_base_forms([projection], [rng], scale=0.5)
         inputs["gamma"] = gamma.matrix
         report = deformation.verify_preservance(projection, gamma, deformation.DEFAULT_T_SAMPLES)
         measurements = [
@@ -801,7 +804,8 @@ def section_theorem_case_reference(cfg, dim, indices):
     cases = []
     for index in indices:
         rng, space, fiber, inputs = lagrangian_instance_reference(cfg, dim, index)
-        section = deformation.LinearSection.random(deformation.LagrangianProjection.build(space, fiber), rng)
+        projection = deformation.LagrangianProjection.build(space, fiber)
+        (section,) = deformation.LinearSection.random_many([projection], [rng])
         inputs["section map"] = section.map
         certificate = deformation.holomorphize_section(section).certificate
         measurements = [
@@ -817,7 +821,8 @@ def maximality_case_reference(cfg, dim, indices):
     cases = []
     for index in indices:
         rng = suites._case_rng(cfg, dim, 10_000 + index)
-        space = csymplectic.CSymplecticSpace.from_form(csymplectic.random_c_symplectic(rng, dim)[0])
+        (omega,) = forms.ComplexTwoForm.from_skew(csymplectic.random_c_symplectics([rng], dim)[0])
+        space = csymplectic.CSymplecticSpace.from_form(omega)
         subspace = suites._random_candidate_subspace(space, rng)
         by_dimension = csymplectic.is_c_lagrangian(subspace, space.omega, 1e-8)
         by_search = suites._brute_force_maximal(subspace, space.omega, rng)

@@ -3,6 +3,7 @@ and its worst value per (check, dim)."""
 
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,32 @@ def test_the_worst_value_is_the_one_nearest_a_bound():
 def test_seeds_are_values_and_inclusive_ranges():
     assert sweep_reports.parse_seeds("0-2,7,10-10") == [0, 1, 2, 7, 10]
     assert len(sweep_reports.parse_seeds(sweep_reports.DEFAULT_SEEDS)) == 41
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5-3", "range '5-3' is reversed"),
+        ("0-2,1", "seeds given more than once: 1"),
+        ("0-3,2-5,9,9", "seeds given more than once: 2, 3, 9"),
+        ("-1", "'-1' is not a non-negative seed or a range a-b of them"),
+        ("", "'' is not a non-negative seed or a range a-b of them"),
+        ("1,,2", "'' is not a non-negative seed or a range a-b of them"),
+        ("1-", "'1-' is not a non-negative seed or a range a-b of them"),
+        ("1-2-3", "'1-2-3' is not a non-negative seed or a range a-b of them"),
+        ("x", "'x' is not a non-negative seed or a range a-b of them"),
+    ],
+    ids=["reversed", "repeated", "repeated-in-ranges", "negative", "empty", "empty-part", "open-range", "three-bounds",
+         "not-a-number"],
+)  # fmt: skip
+def test_main_refuses_seeds_that_are_not_distinct_non_negative_values_and_ranges(text, message, monkeypatch, capsys):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep_reports.parse_seeds(text)
+    monkeypatch.setattr(sweep_reports, "sweep", lambda *args: pytest.fail("swept with refused seeds"))
+    with pytest.raises(SystemExit) as exit_status:
+        sweep_reports.main(["--seeds", text])
+    assert exit_status.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: --seeds: {message}\n")
 
 
 def test_scale_multiplies_each_runs_samples_and_leaves_the_testbed():

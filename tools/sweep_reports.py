@@ -25,8 +25,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,11 +36,21 @@ DEFAULT_SEEDS = "0-39,20260810"
 
 
 def parse_seeds(text: str) -> list:
-    """Seeds from comma-separated values and inclusive ranges ``a-b``."""
+    """Seeds from comma-separated non-negative values and inclusive ranges
+    ``a-b`` with ``a <= b``. Raises ``ValueError`` for any other part, for a
+    reversed range and for a seed given more than once."""
     seeds = []
     for part in text.split(","):
-        first, _, last = part.partition("-")
-        seeds.extend(range(int(first), int(last or first) + 1))
+        match = re.fullmatch(r"(\d+)(?:-(\d+))?", part, re.ASCII)
+        if not match:
+            raise ValueError(f"{part!r} is not a non-negative seed or a range a-b of them")
+        first, last = int(match[1]), int(match[2] or match[1])
+        if first > last:
+            raise ValueError(f"range {part!r} is reversed")
+        seeds.extend(range(first, last + 1))
+    repeated = sorted(seed for seed, count in Counter(seeds).items() if count > 1)
+    if repeated:
+        raise ValueError(f"seeds given more than once: {', '.join(map(str, repeated))}")
     return seeds
 
 
@@ -141,7 +153,11 @@ def main(argv=None):
     sys.path.insert(0, str(ROOT / "tools"))
     from record_bench import ACCEPTANCE_RUNS, worktree
 
-    seeds, runs = parse_seeds(args.seeds), scaled_runs(ACCEPTANCE_RUNS, args.scale)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as error:
+        parser.error(f"--seeds: {error}")
+    runs = scaled_runs(ACCEPTANCE_RUNS, args.scale)
     sides = {"this checkout": sweep(ROOT, seeds, runs)}
     print(f"seeds: {args.seeds} ({len(seeds)}); runs per seed: {len(runs)}; scale: {args.scale}")
     if args.compare:
