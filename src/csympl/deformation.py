@@ -7,23 +7,33 @@ by Omega_t = Omega + t pi^* gamma keeps the form c-symplectic, keeps the
 fiber and quotient structures fixed, and for gamma = section pullback with
 t = -1 turns the section into a complex-linear map.  Every statement is
 verified numerically, not assumed.
+
+Each stage holds a range of N instances of one dimension as arrays stacked
+on their first axis: a ``LagrangianProjection`` the range's forms,
+structures, fiber bases, projections W^T and quotient structures, a
+``LinearSection`` its section maps, a ``DeformationFamily`` its gammas and
+pullbacks pi^* gamma.  Every product and decomposition takes one matrix at
+a time, so an instance gets the same bits in any range.  Only the reports
+the suites read, ``PreservanceReport`` and ``HolomorphizationCertificate``,
+are built per instance.  ``LagrangianProjection.build``, ``deform``,
+``verify_preservance`` and ``holomorphize_section`` are the range calls on
+a range of one.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .csymplectic import CSymplecticSpace, c_isotropic, hodge_parts, induced_structures, power_verdicts
+from .csymplectic import c_isotropic, hodge_parts, induced_structures, power_verdicts
 from .forms import ComplexTwoForm, skew_matrices, two_form_matrices
 from .linalg import (
     DEFAULT_TOL,
     STRUCTURE_TOL,
-    ComplexStructure,
     PostconditionError,
-    Subspace,
     complement_bases,
     max_abs,
     null_space,
+    orthonormal_bases,
     orthonormality_residuals,
     restrictions,
     same_lengths,
@@ -35,28 +45,26 @@ from .linalg import (
 DEFAULT_T_SAMPLES = (1.0, -1.0, 1j, -1j, 0.5 + 0.5j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HodgeTypeCertificate:
-    """Component norms of a 2-form w.r.t. a quotient structure."""
+    """Component norms (N,) of a range of 2-forms w.r.t. their quotient
+    structures, with the scale each is held to."""
 
-    norm_20: float
-    norm_11: float
-    norm_02: float
-    scale: float
+    norm_20: np.ndarray
+    norm_11: np.ndarray
+    norm_02: np.ndarray
+    scale: np.ndarray
 
-    def anti_holomorphic_ok(self) -> bool:
-        return self.norm_02 <= STRUCTURE_TOL * max(self.scale, 1e-300)
+    @classmethod
+    def split(cls, matrices: np.ndarray, structures: np.ndarray, scales=0.0) -> "HodgeTypeCertificate":
+        """The certificates of stacked 2-form matrices w.r.t. their
+        structures, from one ``hodge_parts`` split; a form's scale is the
+        larger of the given scale and the form's own norm."""
+        norms = [np.abs(part).max(axis=-1, initial=0.0) for part in hodge_parts(matrices, structures)]
+        return cls(*norms, np.maximum(scales, stack_max(matrices)))
 
-
-def _hodge_certificates(matrices: np.ndarray, structures: np.ndarray, scales) -> list:
-    """The certificate of each stacked 2-form matrix w.r.t. its structure,
-    from one ``hodge_parts`` split; a certificate's scale is the larger of
-    the given scale and the form's own norm."""
-    norms = [np.abs(part).max(axis=-1, initial=0.0).tolist() for part in hodge_parts(matrices, structures)]
-    return [
-        HodgeTypeCertificate(norm_20=n20, norm_11=n11, norm_02=n02, scale=max(scale, own))
-        for n20, n11, n02, scale, own in zip(*norms, scales, stack_max(matrices).tolist())
-    ]
+    def anti_holomorphic_ok(self) -> np.ndarray:
+        return self.norm_02 <= STRUCTURE_TOL * np.maximum(self.scale, 1e-300)
 
 
 def _raise_first(failures) -> None:
@@ -77,34 +85,42 @@ def _spectral_norms(maps: np.ndarray) -> list:
     return np.linalg.norm(maps, 2, axis=(-2, -1)).tolist()
 
 
-@dataclass(frozen=True)
+def _scales(omegas: np.ndarray, norms: list, floor: float = 0.0) -> list:
+    """max(|Omega|, floor) |S|^2 of each instance, from the maps' spectral
+    norms, squared by Python's float power as the section checks have
+    always been scaled."""
+    return [max(omega_norm, floor) * norm**2 for omega_norm, norm in zip(stack_max(omegas).tolist(), norms)]
+
+
+@dataclass(frozen=True, eq=False)
 class LagrangianProjection:
-    """Projection V -> K along a c-Lagrangian fiber L (K = Euclidean L^perp)."""
+    """Projections V -> K along c-Lagrangian fibers L (K = Euclidean L^perp)
+    of a range of spaces of one dimension m = 4n."""
 
-    space: CSymplecticSpace
-    fiber: Subspace
-    projection: np.ndarray = dc_field(repr=False)  # (2n, 4n), = W^T in K coordinates
-    quotient_structure: ComplexStructure = dc_field(repr=False)
+    omegas: np.ndarray = dc_field(repr=False)  # Omega, (N, m, m)
+    structures: np.ndarray = dc_field(repr=False)  # I, (N, m, m)
+    fibers: np.ndarray = dc_field(repr=False)  # orthonormal bases of L, (N, m, 2n)
+    maps: np.ndarray = dc_field(repr=False)  # W^T in K coordinates, (N, 2n, m)
+    quotients: np.ndarray = dc_field(repr=False)  # I_quot, (N, 2n, 2n)
 
     @classmethod
-    def build(cls, space: CSymplecticSpace, fiber: Subspace):
+    def build(cls, space, fiber) -> "LagrangianProjection":
         """The quotient model K of V / L with its inherited structure:
-        ``build_many`` on a stack of one."""
-        return cls.build_many([space], [fiber])[0]
+        ``build_many`` on a range of one."""
+        return cls.build_many([space], [fiber])
 
     @classmethod
-    def build_many(cls, spaces, fibers) -> list:
-        """The projection of each (space, fiber) pair, spaces of one
-        dimension, built on the whole range at once.
+    def build_many(cls, spaces, fibers) -> "LagrangianProjection":
+        """The projection range of the (space, fiber) pairs, spaces of one
+        dimension.
 
         With W an orthonormal basis of K, I_quot = W^T I W is defined by
         pi(I v) = I_quot(pi v); it is well-defined because c-Lagrangian
         subspaces are I-invariant, and W^T I = I_quot W^T is checked on
-        all of V.  The range takes one stacked c-Lagrangian Gram check, one
-        complement SVD (its bases checked orthonormal), one W^T I W with its
-        well-definedness residual, and one I_quot^2 = -Id check; every
-        product and decomposition takes one matrix at a time, so a
-        projection has the same bits in any range.
+        all of V.  The inputs are stacked once; the range takes one stacked
+        c-Lagrangian Gram check, one complement SVD (its bases checked
+        orthonormal), one W^T I W with its well-definedness residual, and
+        one I_quot^2 = -Id check.
 
         A fiber that is not real, not in the space or not of half its
         dimension raises ``ValueError`` first; otherwise the range raises
@@ -124,15 +140,16 @@ class LagrangianProjection:
                 raise ValueError("ambient dimension mismatch")
             if fiber.dim != m // 2:
                 raise ValueError("fiber is not c-Lagrangian for the given form")
-        lagrangian = c_isotropic(np.stack([fiber.orthonormal_basis() for fiber in fibers]), omegas)
+        bases = np.stack([fiber.orthonormal_basis() for fiber in fibers])
+        lagrangian = c_isotropic(bases, omegas)
         w = complement_bases(np.stack([fiber.basis for fiber in fibers]))
         complement_residual = orthonormality_residuals(w)
         structures = np.stack([space.structure.matrix for space in spaces])
         w_t = np.swapaxes(w, -1, -2)
         left = w_t @ structures
-        mats = left @ w
-        quotient_residual = stack_max(left - mats @ w_t)
-        square_residual, not_square = square_residuals(mats)
+        quotients = left @ w
+        quotient_residual = stack_max(left - quotients @ w_t)
+        square_residual, not_square = square_residuals(quotients)
         _raise_first(
             [
                 (~lagrangian, lambda i: ValueError("fiber is not c-Lagrangian for the given form")),
@@ -143,192 +160,161 @@ class LagrangianProjection:
                 (not_square, lambda i: ValueError(f"I^2 != -Id (residual {square_residual[i]:.3e})")),
             ]
         )  # fmt: skip
-        return [
-            cls(space=space, fiber=fiber, projection=p, quotient_structure=ComplexStructure.from_accepted(m // 2, mat))
-            for space, fiber, p, mat in zip(spaces, fibers, w_t, mats)
-        ]
+        return cls(omegas=omegas, structures=structures, fibers=bases, maps=w_t, quotients=quotients)
+
+    def __len__(self) -> int:
+        return len(self.maps)
 
     @property
     def half_dim(self) -> int:
-        return self.projection.shape[0]
+        return self.maps.shape[-2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSection:
-    """Real-linear right inverse of a Lagrangian projection."""
+    """Real-linear right inverses of a projection range's projections."""
 
     projection: LagrangianProjection
-    map: np.ndarray = dc_field(repr=False)  # (4n, 2n)
+    maps: np.ndarray = dc_field(repr=False)  # (N, 4n, 2n)
 
     def __post_init__(self):
-        s = np.asarray(self.map, dtype=np.float64)
-        p = self.projection.projection
-        residual = max_abs(p @ s - np.eye(p.shape[0]))
-        if residual > DEFAULT_TOL * max(1.0, max_abs(s)):
-            raise ValueError(f"not a section: pi o sigma != id (residual {residual:.3e})")
-        object.__setattr__(self, "map", s)
+        s = np.asarray(self.maps, dtype=np.float64)
+        same_lengths(projections=self.projection, maps=s)
+        p = self.projection.maps
+        residual = stack_max(p @ s - np.eye(p.shape[-2]))
+        _raise_first(
+            [(residual > DEFAULT_TOL * np.maximum(1.0, stack_max(s)), lambda i: ValueError(
+                f"not a section: pi o sigma != id (residual {residual[i]:.3e})"))]
+        )  # fmt: skip
+        object.__setattr__(self, "maps", s)
 
     @classmethod
-    def from_fiber_parts(cls, projections, fiber_coeffs: np.ndarray) -> list:
-        """Section W + B_L T of each projection, all of one dimension: base
-        inclusion plus a fiber-valued offset T from the stack (N, k, k).  The
-        range's maps take one stacked product, one matrix at a time, so a
-        map has the same bits in any range; each section is checked as it
-        is constructed."""
-        w = np.stack([projection.projection.T for projection in projections])
-        b = np.stack([projection.fiber.orthonormal_basis() for projection in projections])
-        maps = w + b @ np.asarray(fiber_coeffs, dtype=float)
-        return [cls(projection=projection, map=s) for projection, s in zip(projections, maps)]
+    def from_fiber_parts(cls, projection: LagrangianProjection, fiber_coeffs: np.ndarray) -> "LinearSection":
+        """Section W + B_L T of each projection of the range: base inclusion
+        plus a fiber-valued offset T from the stack (N, k, k), in one
+        stacked product; the range is checked as it is constructed."""
+        maps = np.swapaxes(projection.maps, -1, -2) + projection.fibers @ np.asarray(fiber_coeffs, dtype=float)
+        return cls(projection=projection, maps=maps)
 
     @classmethod
-    def random_many(cls, projections, rngs, scale: float = 1.0) -> list:
-        """A random section of each projection, all of one dimension:
+    def random_many(cls, projection: LagrangianProjection, rngs, scale: float = 1.0) -> "LinearSection":
+        """A random section of each projection of the range:
         ``from_fiber_parts`` with Gaussian offsets T, each generator drawing
-        its own (k, k) normals.  Raises ``ValueError`` for no projections
-        and for lists of different lengths."""
-        if not same_lengths(projections=projections, rngs=rngs):
-            raise ValueError("no projections to draw sections of")
-        k = projections[0].half_dim
-        return cls.from_fiber_parts(projections, np.stack([scale * rng.standard_normal((k, k)) for rng in rngs]))
+        its own (k, k) normals.  Raises ``ValueError`` for a range and
+        generators of different lengths."""
+        same_lengths(projections=projection, rngs=rngs)
+        k = projection.half_dim
+        return cls.from_fiber_parts(projection, np.stack([scale * rng.standard_normal((k, k)) for rng in rngs]))
 
     @classmethod
-    def complex_linear(cls, projection: LagrangianProjection):
-        """A section whose image is an I-invariant complement of the fiber.
+    def complex_linear(cls, projection: LagrangianProjection) -> "LinearSection":
+        """Sections whose images are I-invariant complements of the fibers.
 
         Uses the I-averaged metric g = (g0 + I^T g0 I)/2: its orthogonal
         complement of L is I-invariant, and the induced section
         intertwines the quotient structure with I.
         """
-        structure = projection.space.structure.matrix
-        metric = (np.eye(structure.shape[0]) + structure.T @ structure) / 2.0
-        b = projection.fiber.orthonormal_basis()
+        structures = projection.structures
+        metrics = (np.eye(structures.shape[-1]) + np.swapaxes(structures, -1, -2) @ structures) / 2.0
         # complement = g-orthogonal of L: vectors x with b^T g x = 0
-        comp = null_space(b.T @ metric)
-        m = projection.projection @ comp
-        section = comp @ np.linalg.inv(m)
-        return cls(projection=projection, map=section)
+        comps = np.stack([null_space(b_g) for b_g in np.swapaxes(projection.fibers, -1, -2) @ metrics])
+        return cls(projection=projection, maps=comps @ np.linalg.inv(projection.maps @ comps))
 
 
-@dataclass(frozen=True)
-class SectionForm:
-    two_form: ComplexTwoForm
-    certificate: HodgeTypeCertificate
-
-
-def section_forms(sections) -> list:
-    """Pullback of Omega to the base model along each section, all of one
-    dimension, built on the whole range at once.
+def section_forms(sections: LinearSection) -> tuple:
+    """Pullback of Omega to the base model along each section of a range,
+    as stacked matrices (N, k, k), with their ``HodgeTypeCertificate``.
 
     The certificate records the Hodge component norms w.r.t. the inherited
     quotient structure and asserts the vanishing of the (0,2) part, which
     is the content of the pulled-back form having type (2,0)+(1,1).  The
     range takes one stacked pullback and one ``hodge_parts`` split, and
     raises ``PostconditionError`` for its first section whose (0,2) part
-    does not vanish; ``ValueError`` for no sections.
+    does not vanish.
     """
-    if not sections:
-        raise ValueError("no sections to pull the form back along")
-    maps = np.stack([section.map for section in sections])
-    spaces = [section.projection.space for section in sections]
-    pulled = skew_matrices(np.swapaxes(maps, -1, -2) @ np.stack([space.omega.matrix for space in spaces]) @ maps)
-    scales = [space.omega.norm() * norm**2 for space, norm in zip(spaces, _spectral_norms(maps))]
-    quotients = np.stack([section.projection.quotient_structure.matrix for section in sections])
-    certificates = _hodge_certificates(pulled, quotients, scales)
-    for certificate in certificates:
-        if not certificate.anti_holomorphic_ok():
-            raise PostconditionError(
-                f"(0,2) component of a section form is {certificate.norm_02:.3e}; "
-                "this contradicts the Hodge-type property"
-            )
-    return [SectionForm(two_form=form, certificate=c) for form, c in zip(ComplexTwoForm.from_skew(pulled), certificates)]
+    projection, maps = sections.projection, sections.maps
+    pulled = skew_matrices(np.swapaxes(maps, -1, -2) @ projection.omegas @ maps)
+    scales = _scales(projection.omegas, _spectral_norms(maps))
+    certificate = HodgeTypeCertificate.split(pulled, projection.quotients, scales)
+    _raise_first(
+        [(~certificate.anti_holomorphic_ok(), lambda i: PostconditionError(
+            f"(0,2) component of a section form is {certificate.norm_02[i]:.3e}; "
+            "this contradicts the Hodge-type property"))]
+    )  # fmt: skip
+    return pulled, certificate
 
 
 def deform(projection: LagrangianProjection, gamma: ComplexTwoForm, t: complex) -> ComplexTwoForm:
-    """Omega_t = Omega + t pi^* gamma for a (2,0)+(1,1) form gamma on K.
+    """Omega_t = Omega + t pi^* gamma for a (2,0)+(1,1) form gamma on K, on a
+    projection range of one.
 
     Rejects gamma with an anti-holomorphic component above tolerance and
     verifies c-symplecticity of the result by both criteria.
     """
-    forms, _ = decide_members([(DeformationFamily.build_many([projection], [gamma])[0], t)])
-    return ComplexTwoForm.from_skew(forms)[0]
+    forms, _ = decide_members(DeformationFamily.build_many(projection, gamma.matrix[None]), [[t]])
+    return ComplexTwoForm.from_skew(forms[0])[0]
 
 
-def _certify_gammas(projections, gammas) -> list:
-    """Hodge certificates of gammas on their projections' base models, one
-    ``hodge_parts`` split for the range.  A gamma off its base model raises
-    ``ValueError`` first; otherwise the first gamma with a (0,2) component
-    does."""
-    for projection, gamma in zip(projections, gammas):
-        if gamma.dim != projection.half_dim:
-            raise ValueError("gamma must live on the base model")
-    matrices = np.stack([gamma.matrix for gamma in gammas])
-    quotients = np.stack([projection.quotient_structure.matrix for projection in projections])
-    certificates = _hodge_certificates(matrices, quotients, [gamma.norm() for gamma in gammas])
-    for certificate in certificates:
-        if not certificate.anti_holomorphic_ok():
-            raise ValueError(
-                f"gamma has a (0,2) component of norm {certificate.norm_02:.3e}; "
-                "deformation requires Hodge type (2,0)+(1,1)"
-            )
-    return certificates
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeformationFamily:
-    """The affine family t -> Omega + t pi^* gamma with a validated gamma.
+    """The affine families t -> Omega + t pi^* gamma of a projection range,
+    with validated gammas.
 
-    gamma's Hodge type is certified once, and its pullback pi^* gamma =
-    W gamma W^T built once, in ``build_many``; members of the family are not
-    re-certified.
+    Each gamma's Hodge type is certified once, and its pullback pi^* gamma =
+    W gamma W^T built once, in ``build_many``; members of the families are
+    not re-certified.
     """
 
     projection: LagrangianProjection
-    gamma: ComplexTwoForm
+    gammas: np.ndarray = dc_field(repr=False)  # (N, 2n, 2n)
     certificate: HodgeTypeCertificate = dc_field(repr=False)
-    pulled: np.ndarray = dc_field(repr=False)  # pi^* gamma on V, (4n, 4n)
+    pulled: np.ndarray = dc_field(repr=False)  # pi^* gamma on V, (N, 4n, 4n)
 
     @classmethod
-    def build_many(cls, projections, gammas) -> list:
-        """The family of each (projection, gamma) pair, all of one dimension:
-        one Hodge certification and one stacked pullback for the range.
-        Raises ``ValueError`` for the first gamma that fails, for no pairs
-        and for lists of different lengths."""
-        if not same_lengths(projections=projections, gammas=gammas):
-            raise ValueError("no gammas to build families of")
-        certificates = _certify_gammas(projections, gammas)
-        w = np.stack([projection.projection.T for projection in projections])  # (N, 4n, 2n)
-        pulled = w @ np.stack([gamma.matrix for gamma in gammas]) @ np.swapaxes(w, -1, -2)
-        return [
-            cls(projection=projection, gamma=gamma, certificate=certificate, pulled=p)
-            for projection, gamma, certificate, p in zip(projections, gammas, certificates, pulled)
-        ]
+    def build_many(cls, projection: LagrangianProjection, gammas) -> "DeformationFamily":
+        """The family of each projection of the range and its gamma, from the
+        stacked skew matrices (N, k, k): one Hodge certification and one
+        stacked pullback.  Gammas off the base model raise ``ValueError``
+        first, then the first gamma with a (0,2) component does; raises
+        ``ValueError`` for a range and gammas of different lengths."""
+        same_lengths(projections=projection, gammas=gammas)
+        gammas = np.asarray(gammas, dtype=np.complex128)
+        if gammas.shape[1:] != projection.quotients.shape[1:]:
+            raise ValueError("gamma must live on the base model")
+        certificate = HodgeTypeCertificate.split(gammas, projection.quotients)
+        _raise_first(
+            [(~certificate.anti_holomorphic_ok(), lambda i: ValueError(
+                f"gamma has a (0,2) component of norm {certificate.norm_02[i]:.3e}; "
+                "deformation requires Hodge type (2,0)+(1,1)"))]
+        )  # fmt: skip
+        pulled = np.swapaxes(projection.maps, -1, -2) @ gammas @ projection.maps
+        return cls(projection=projection, gammas=gammas, certificate=certificate, pulled=pulled)
+
+    def __len__(self) -> int:
+        return len(self.gammas)
 
 
-def _member_forms(members) -> np.ndarray:
-    """Omega + t pi^* gamma of each member ``(family, t)``, as one stacked
-    expression whose products and sums are taken entry by entry."""
-    omegas = np.stack([family.projection.space.omega.matrix for family, _ in members])
-    pulled = np.stack([family.pulled for family, _ in members])
-    ts = np.array([complex(t) for _, t in members])
-    return skew_matrices(omegas + ts[:, None, None] * pulled)
-
-
-def decide_members(members) -> tuple:
-    """The forms Omega_t (N, m, m) and induced structures (N, m, m) of the
-    members ``(family, t)``, checked by both criteria: every member in one
+def decide_members(families: DeformationFamily, ts) -> tuple:
+    """The forms Omega_t (N, T, m, m) and induced structures (N, T, m, m) of
+    a family range's members at the parameters ``ts`` (N, T), family i at
+    ``ts[i]``, checked by both criteria: every member in one
     ``induced_structures`` call (the rank criterion) and one
     ``power_verdicts`` call.
 
-    The members may come from many families of one dimension; each stacked
-    call gives a form the bits it gets on its own.  Raises
-    ``PostconditionError`` for the first member that fails, with both
-    reasons, and ``ValueError`` for no members.
+    Each member's form is one entrywise expression, and each stacked call
+    gives a form the bits it gets on its own.  Raises
+    ``PostconditionError`` for the first member that fails, family by
+    family, with both reasons, and ``ValueError`` for no members and for
+    families and parameter rows of different lengths.
     """
-    if not members:
+    ts = np.asarray(ts, dtype=np.complex128)
+    same_lengths(families=families, ts=ts)
+    if not ts.shape[1]:
         raise ValueError("no family members to decide")
-    forms = _member_forms(members)
-    structures, verdicts = induced_structures(forms)
-    powers = power_verdicts(forms)
+    forms = skew_matrices(families.projection.omegas[:, None] + ts[..., None, None] * families.pulled[:, None])
+    flat = forms.reshape(-1, *forms.shape[-2:])
+    structures, verdicts = induced_structures(flat)
+    powers = power_verdicts(flat)
     rejected = np.isnan(structures).any(axis=(-2, -1))
     failed = rejected | ~powers.ok
     if failed.any():
@@ -337,7 +323,7 @@ def decide_members(members) -> tuple:
         raise PostconditionError(
             f"deformed form failed c-symplecticity: rank: {rank_reason}; power: {powers.criterion(i).reason or 'ok'}"
         )
-    return forms, structures
+    return forms, structures.reshape(forms.shape)
 
 
 @dataclass(frozen=True)
@@ -359,36 +345,34 @@ class PreservanceReport:
 def verify_preservance(
     projection: LagrangianProjection, gamma: ComplexTwoForm, t_samples=DEFAULT_T_SAMPLES
 ) -> PreservanceReport:
-    """``verify_preservances`` of one family."""
-    return verify_preservances([projection], [gamma], t_samples)[0]
+    """``verify_preservances`` of a projection range of one and its gamma."""
+    return verify_preservances(projection, gamma.matrix[None], t_samples)[0]
 
 
-def verify_preservances(projections, gammas, t_samples=DEFAULT_T_SAMPLES) -> list:
+def verify_preservances(projection: LagrangianProjection, gammas, t_samples=DEFAULT_T_SAMPLES) -> list:
     """Check that each deformation fixes the fiber and quotient structures.
 
-    For each family (projection, gamma) and each t: L stays c-Lagrangian for
-    Omega_t, the restriction of the induced structure to L matches the t = 0
-    restriction, and the inherited quotient structure matches as well.  The
-    families are built by one ``DeformationFamily.build_many`` call, their
-    members decided in one ``decide_members`` call, and the forms it built
-    are the ones checked, each check one array expression over (family, t).
-    Raises ``ValueError`` for empty ``t_samples`` and for lists of different
-    lengths.
+    For each family (projection, gamma) of the range and each t: L stays
+    c-Lagrangian for Omega_t, the restriction of the induced structure to L
+    matches the t = 0 restriction, and the inherited quotient structure
+    matches as well.  The families are built by one
+    ``DeformationFamily.build_many`` call, their members decided in one
+    ``decide_members`` call, and the forms it built are the ones checked,
+    each check one array expression over (family, t).  Raises
+    ``ValueError`` for empty ``t_samples`` and for a range and gammas of
+    different lengths.
     """
     t_samples = tuple(t_samples)
     if not t_samples:
         raise ValueError("no t samples to verify preservance at")
-    families = DeformationFamily.build_many(projections, gammas)
-    forms, structures = decide_members([(family, t) for family in families for t in t_samples])
-    shape = (len(families), len(t_samples)) + forms.shape[1:]
-    forms, structures = forms.reshape(shape), structures.reshape(shape)
-    fibers = np.stack([projection.fiber.orthonormal_basis() for projection in projections])[:, None]
-    base_structures = np.stack([projection.space.structure.matrix for projection in projections])[:, None]
-    base_restriction, base_invariance = restrictions(base_structures, fibers)
+    families = DeformationFamily.build_many(projection, gammas)
+    ts = np.broadcast_to(np.array([complex(t) for t in t_samples]), (len(families), len(t_samples)))
+    forms, structures = decide_members(families, ts)
+    fibers = projection.fibers[:, None]
+    base_restriction, base_invariance = restrictions(projection.structures[:, None], fibers)
     restriction, invariance = restrictions(structures, fibers)
-    w = np.stack([projection.projection.T for projection in projections])[:, None]  # (N, 1, 4n, 2n)
-    quotients = np.stack([projection.quotient_structure.matrix for projection in projections])[:, None]
-    quotient_residuals = stack_max(np.swapaxes(w, -1, -2) @ structures @ w - quotients)
+    w_t = projection.maps[:, None]
+    quotient_residuals = stack_max(w_t @ structures @ np.swapaxes(w_t, -1, -2) - projection.quotients[:, None])
     fiber_ok = c_isotropic(fibers, forms, STRUCTURE_TOL).all(axis=-1)
     return [
         PreservanceReport(
@@ -415,66 +399,57 @@ class HolomorphizationCertificate:
         return max_abs([self.graph_restriction_norm, self.intertwining_residual])
 
 
-@dataclass(frozen=True)
-class HolomorphizedSection:
-    eta: ComplexTwoForm
-    omega_prime: ComplexTwoForm
-    certificate: HolomorphizationCertificate
+def holomorphize_section(section: LinearSection) -> tuple:
+    """``holomorphize_sections`` of a section range of one: its eta,
+    Omega' and certificate."""
+    etas, omega_primes, (certificate,) = holomorphize_sections(section)
+    return etas[0], omega_primes[0], certificate
 
 
-def holomorphize_section(section: LinearSection) -> HolomorphizedSection:
-    """``holomorphize_sections`` of one section."""
-    return holomorphize_sections([section])[0]
-
-
-def holomorphize_sections(sections) -> list:
+def holomorphize_sections(sections: LinearSection) -> tuple:
     """Deform each section's space by the section's own pullback form at t = -1.
 
     Certifies that the deformed form vanishes on the section's image, the
     image is c-Lagrangian (hence invariant under the new structure), and
     the section intertwines the quotient structure with the new one,
-    i.e. becomes complex-linear.  The sections, all of one dimension, are
-    pulled back by one ``section_forms`` call, every Omega' is decided in
-    one ``decide_members`` call, and the forms it built are the ones
-    certified, each check one array expression over the range.
+    i.e. becomes complex-linear.  The range is pulled back by one
+    ``section_forms`` call, every Omega' is decided in one
+    ``decide_members`` call, and the forms it built are the ones certified,
+    each check one array expression over the range.  Returns the stacked
+    etas (N, k, k) and Omega' (N, m, m), and each section's
+    ``HolomorphizationCertificate``.
     """
-    etas = [form.two_form for form in section_forms(sections)]
-    families = DeformationFamily.build_many([section.projection for section in sections], etas)
-    omega_primes, structure_primes = decide_members([(family, -1.0) for family in families])
-    maps = np.stack([section.map for section in sections])
-    norms = _spectral_norms(maps)
-    scales = [max(section.projection.space.omega.norm(), 1e-300) * norm**2 for section, norm in zip(sections, norms)]
+    projection, maps = sections.projection, sections.maps
+    etas, _ = section_forms(sections)
+    families = DeformationFamily.build_many(projection, etas)
+    omega_primes, structure_primes = (stack[:, 0] for stack in decide_members(families, np.full((len(etas), 1), -1.0)))
     graph_restrictions = stack_max(np.swapaxes(maps, -1, -2) @ omega_primes @ maps).tolist()
-    graphs = Subspace.from_bases(maps)
-    lagrangian = c_isotropic(np.stack([graph.orthonormal_basis() for graph in graphs]), omega_primes, STRUCTURE_TOL)
-    quotients = np.stack([section.projection.quotient_structure.matrix for section in sections])
-    intertwining = stack_max(maps @ quotients - structure_primes @ maps).tolist()
-    return [
-        HolomorphizedSection(
-            eta=eta,
-            omega_prime=omega_prime,
-            certificate=HolomorphizationCertificate(
-                graph_restriction_norm=restriction / scale,
-                graph_is_lagrangian=bool(ok),
-                intertwining_residual=intertwine / max(1.0, norm),
-            ),
+    lagrangian = c_isotropic(orthonormal_bases(maps), omega_primes, STRUCTURE_TOL)
+    intertwining = stack_max(maps @ projection.quotients - structure_primes @ maps).tolist()
+    norms = _spectral_norms(maps)
+    certificates = [
+        HolomorphizationCertificate(
+            graph_restriction_norm=restriction / scale,
+            graph_is_lagrangian=bool(ok),
+            intertwining_residual=intertwine / max(1.0, norm),
         )
-        for eta, omega_prime, restriction, scale, ok, intertwine, norm in zip(
-            etas, ComplexTwoForm.from_skew(omega_primes), graph_restrictions, scales, lagrangian, intertwining, norms
+        for restriction, scale, ok, intertwine, norm in zip(
+            graph_restrictions, _scales(projection.omegas, norms, 1e-300), lagrangian, intertwining, norms
         )
     ]
+    return etas, omega_primes, certificates
 
 
-def random_base_forms(projections, rngs, scale: float = 1.0) -> list:
-    """Random (2,0)+(1,1) form on each projection's base model, all of one
-    dimension, for family sweeps.  Each generator draws its own raw form;
-    the range is split by one ``hodge_parts`` call.  Raises ``ValueError``
-    for no projections and for lists of different lengths."""
-    if not same_lengths(projections=projections, rngs=rngs):
-        raise ValueError("no base models to draw forms on")
-    k = projections[0].half_dim
+def random_base_forms(projection: LagrangianProjection, rngs, scale: float = 1.0) -> np.ndarray:
+    """Random (2,0)+(1,1) form on each base model of a projection range, as
+    stacked skew matrices (N, k, k), for family sweeps.  Each generator
+    draws its own raw form; the range is split by one ``hodge_parts`` call.
+    Raises ``ValueError`` for a range and generators of different
+    lengths."""
+    same_lengths(projections=projection, rngs=rngs)
+    k = projection.half_dim
     raw = skew_matrices(
         np.stack([scale * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) for rng in rngs])
     )
-    c20, c11, _ = hodge_parts(raw, np.stack([projection.quotient_structure.matrix for projection in projections]))
-    return ComplexTwoForm.from_skew(two_form_matrices(c20 + c11, k))
+    c20, c11, _ = hodge_parts(raw, projection.quotients)
+    return two_form_matrices(c20 + c11, k)

@@ -108,7 +108,7 @@ def _field_dtype(field: str):
     return np.complex128 if field == "C" else np.float64
 
 
-def _orthonormalized(bases: np.ndarray) -> np.ndarray:
+def orthonormal_bases(bases: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the spans of stacked bases (N, m, k), checked to
     be linearly independent: one stacked SVD and one stacked QR."""
     if not bases.shape[-1]:
@@ -124,7 +124,7 @@ class Subspace:
     def __init__(self, basis, field: str = "R"):
         """The span of one basis: ``from_bases`` on a stack of one."""
         basis = self._set_basis(basis, field)
-        self._ortho = _orthonormalized(basis[None])[0]
+        self._ortho = orthonormal_bases(basis[None])[0]
 
     @classmethod
     def from_bases(cls, bases, field: str = "R") -> list:
@@ -138,7 +138,7 @@ class Subspace:
         if bases.ndim != 3:
             raise ValueError("bases must be a 3-d stack of column-vector bases")
         subspaces = []
-        for basis, ortho in zip(bases, _orthonormalized(bases)):
+        for basis, ortho in zip(bases, orthonormal_bases(bases)):
             subspace = cls.__new__(cls)
             subspace._set_basis(basis, field)
             subspace._ortho = ortho

@@ -93,6 +93,8 @@ class SuiteConfig:
         for name, value in counts + [("dims", dim) for dim in self.dims or ()]:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.dims and len(set(self.dims)) < len(self.dims):
+            raise ValueError(f"dims must be distinct, got {self.dims}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         if self.seed < 0:
@@ -393,20 +395,21 @@ def _spaces(cfg: SuiteConfig, dim, streams):
 
 
 def _lagrangian_instances(cfg: SuiteConfig, dim, indices):
-    """Generator, space and random c-Lagrangian fiber of each index, shared
-    by the hitchin, preservance and section-theorem cases: the range's
-    ``_spaces`` on the streams ``(seed, dim, index)``, then each stream goes
-    on to draw its index's fiber, in one ``random_lagrangians`` call."""
+    """Generators, spaces and random c-Lagrangian fibers of an index range,
+    with each index's inputs, shared by the hitchin, preservance and
+    section-theorem cases: the range's ``_spaces`` on the streams
+    ``(seed, dim, index)``, then each stream goes on to draw its index's
+    fiber, in one ``random_lagrangians`` call."""
     rngs, spaces = _spaces(cfg, dim, indices)
-    return [
-        (rng, space, fiber, {"omega": space.omega.matrix, "fiber basis": fiber.basis})
-        for rng, space, fiber in zip(rngs, spaces, random_lagrangians(spaces, rngs))
-    ]
+    fibers = random_lagrangians(spaces, rngs)
+    inputs = [{"omega": space.omega.matrix, "fiber basis": fiber.basis} for space, fiber in zip(spaces, fibers)]
+    return rngs, spaces, fibers, inputs
 
 
 def _hitchin_case(cfg: SuiteConfig, dim, indices):
     cases = []
-    for _, space, fiber, inputs in _lagrangian_instances(cfg, dim, indices):
+    _, spaces, fibers, instances = _lagrangian_instances(cfg, dim, indices)
+    for space, fiber, inputs in zip(spaces, fibers, instances):
         q = fiber.orthonormal_basis()
         image = space.structure.matrix @ q
         residual = max_abs(image - q @ (q.T @ image)) / max(max_abs(image), 1e-300)
@@ -464,13 +467,12 @@ def _brute_force_maximal(subspace: Subspace, omega, rng: np.random.Generator, at
 def _preservance_case(cfg: SuiteConfig, dim, indices):
     """Preservance of a random (2,0)+(1,1) family per instance; the range's
     projections, gammas and reports are each built in one stacked call."""
-    rngs, spaces, fibers, instances = zip(*_lagrangian_instances(cfg, dim, indices))
-    projections = LagrangianProjection.build_many(spaces, fibers)
-    gammas = random_base_forms(projections, rngs, scale=0.5)
+    rngs, spaces, fibers, instances = _lagrangian_instances(cfg, dim, indices)
+    projection = LagrangianProjection.build_many(spaces, fibers)
+    gammas = random_base_forms(projection, rngs, scale=0.5)
     cases = []
-    reports = verify_preservances(projections, gammas, DEFAULT_T_SAMPLES)
-    for inputs, gamma, report in zip(instances, gammas, reports):
-        inputs["gamma"] = gamma.matrix
+    for inputs, gamma, report in zip(instances, gammas, verify_preservances(projection, gammas, DEFAULT_T_SAMPLES)):
+        inputs["gamma"] = gamma
         measurements = [
             ("preservance", report.max_residual),
             ("preservance-fiber-lagrangian", float(not report.fiber_lagrangian_ok)),
@@ -483,13 +485,12 @@ def _section_theorem_case(cfg: SuiteConfig, dim, indices):
     """The section theorem for a random section per instance; the range's
     projections and section maps are each built in one stacked call, and
     every section is holomorphized in one ``holomorphize_sections`` call."""
-    rngs, spaces, fibers, instances = zip(*_lagrangian_instances(cfg, dim, indices))
-    projections = LagrangianProjection.build_many(spaces, fibers)
-    sections = LinearSection.random_many(projections, rngs)
+    rngs, spaces, fibers, instances = _lagrangian_instances(cfg, dim, indices)
+    sections = LinearSection.random_many(LagrangianProjection.build_many(spaces, fibers), rngs)
+    _, _, certificates = holomorphize_sections(sections)
     cases = []
-    for inputs, section, result in zip(instances, sections, holomorphize_sections(sections)):
-        inputs["section map"] = section.map
-        certificate = result.certificate
+    for inputs, section_map, certificate in zip(instances, sections.maps, certificates):
+        inputs["section map"] = section_map
         measurements = [
             ("holomorphize", certificate.max_residual),
             ("holomorphize-graph-lagrangian", float(not certificate.graph_is_lagrangian)),
@@ -838,13 +839,14 @@ def case_config(case: dict) -> SuiteConfig:
     if isinstance(index, bool) or not isinstance(index, numbers.Integral) or index < 0:
         raise ValueError(f"index must be a non-negative integer, got {index!r}")
     stored = case.get("config", {})
+    if not isinstance(stored, dict):
+        raise ValueError(f"config must be a JSON object, got {stored!r}")
     if stored.get("tol", DEFAULT_TOL) != DEFAULT_TOL:
         raise ValueError(f"tol {stored['tol']!r} is not the pinned tolerance {DEFAULT_TOL}")
     given = {field: stored[key] for key, field in CASE_CONFIG.items() if key in stored}
     if "t_value" in given:
         given["t_value"] = complex(*given["t_value"])
-    dims = (case["dim"],) if case["dim"] else None
-    cfg = SuiteConfig(suite=case["suite"], dims=dims, seed=case["seed"], **given)
+    cfg = SuiteConfig(suite=case["suite"], dims=(case["dim"],), seed=case["seed"], **given)
     entry = CHECKS.get(case["check"])
     if entry is None or entry.suite != cfg.suite:
         raise ValueError(f"suite {cfg.suite!r} emits no check {case['check']!r}")

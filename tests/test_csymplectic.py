@@ -759,8 +759,8 @@ def test_family_structures_are_bitwise_the_single_form_path(dim):
         rng = np.random.default_rng([dim, i])
         space = CSymplecticSpace.from_form(ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])[0])
         projection = LagrangianProjection.build(space, suites.random_lagrangians([space], [rng])[0])
-        (family,) = DeformationFamily.build_many([projection], random_base_forms([projection], [rng], scale=0.5))
-        forms, structures = decide_members([(family, t) for t in DEFAULT_T_SAMPLES])
+        family = DeformationFamily.build_many(projection, random_base_forms(projection, [rng], scale=0.5))
+        (forms,), (structures,) = decide_members(family, [DEFAULT_T_SAMPLES])
         assert len(structures) == len(DEFAULT_T_SAMPLES)
         for form, structure in zip(ComplexTwoForm.from_skew(forms), structures):
             assert structure.tobytes() == solved_structure(form).tobytes()
@@ -1120,20 +1120,20 @@ def test_quotient_structure_on_q_block():
     space = CSymplecticSpace.from_form(q_block_form(1))
     fiber = Subspace(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     projection = LagrangianProjection.build(space, fiber)
-    quot = projection.quotient_structure
+    (quot,) = projection.quotients
     # complement model is span(u1, I u1); structure sends u1 -> I u1
-    assert np.allclose(np.abs(quot.matrix), np.array([[0, 1], [1, 0]]), atol=1e-12)
-    assert np.allclose(quot.matrix @ quot.matrix, -np.eye(2), atol=1e-12)
-    w = projection.projection.T
-    assert np.allclose(w.T @ space.structure.matrix, quot.matrix @ w.T, atol=1e-12)
+    assert np.allclose(np.abs(quot), np.array([[0, 1], [1, 0]]), atol=1e-12)
+    assert np.allclose(quot @ quot, -np.eye(2), atol=1e-12)
+    (w_t,) = projection.maps
+    assert np.allclose(w_t @ space.structure.matrix, quot @ w_t, atol=1e-12)
 
 
 def test_quotient_structure_squares_to_minus_identity():
     rng = np.random.default_rng(8)
     space = CSymplecticSpace.from_form(ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])[0])
     (fiber,) = suites.random_lagrangians([space], [rng])
-    quot = LagrangianProjection.build(space, fiber).quotient_structure
-    assert np.allclose(quot.matrix @ quot.matrix, -np.eye(4), atol=1e-10)
+    (quot,) = LagrangianProjection.build(space, fiber).quotients
+    assert np.allclose(quot @ quot, -np.eye(4), atol=1e-10)
 
 
 def test_quotient_structure_on_canonical_basis_fibers():
@@ -1146,9 +1146,9 @@ def test_quotient_structure_on_canonical_basis_fibers():
     fiber = Subspace(b[:, [2, 3, 6, 7]])
     assert is_c_lagrangian(fiber, omega)
     projection = LagrangianProjection.build(space, fiber)
-    quot = projection.quotient_structure
-    w = projection.projection.T
-    assert np.max(np.abs(w.T @ space.structure.matrix - quot.matrix @ w.T)) < 1e-9
+    (quot,) = projection.quotients
+    (w_t,) = projection.maps
+    assert np.max(np.abs(w_t @ space.structure.matrix - quot @ w_t)) < 1e-9
 
 
 def test_quotient_independent_of_complement_model():
@@ -1157,19 +1157,19 @@ def test_quotient_independent_of_complement_model():
     space = CSymplecticSpace.from_form(ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])[0])
     (fiber,) = suites.random_lagrangians([space], [rng])
     projection = LagrangianProjection.build(space, fiber)
-    quot = projection.quotient_structure
-    w = projection.projection.T
+    (quot,) = projection.quotients
+    w = projection.maps[0].T
     b = fiber.orthonormal_basis()
     other = w + b @ rng.standard_normal((4, 4))  # random complement of the fiber
     # identification K' -> V/L -> K is w^T restricted to K'
     ident = w.T @ other
     lifted = np.linalg.inv(ident)
     # structure transported from K: phi^{-1} I_quot phi where phi = w^T on K'
-    transported = ident @ (lifted @ quot.matrix @ ident) @ lifted
-    assert np.allclose(transported, quot.matrix, atol=1e-9)
+    transported = ident @ (lifted @ quot @ ident) @ lifted
+    assert np.allclose(transported, quot, atol=1e-9)
     # the genuinely model-independent statement: pi(I v) = I_quot pi(v)
     probe = rng.standard_normal((8, 5))
-    assert np.allclose(w.T @ space.structure.matrix @ probe, quot.matrix @ (w.T @ probe), atol=1e-9)
+    assert np.allclose(w.T @ space.structure.matrix @ probe, quot @ (w.T @ probe), atol=1e-9)
 
 
 def test_c_symplectic_space_caches_validated_data(monkeypatch):

@@ -199,6 +199,10 @@ def test_replay_malformed_file_exits_2(tmp_path, capsys):
         ("negative-index", {**case, "index": -1}, "index must be a non-negative integer, got -1"),
         ("boolean-index", {**case, "index": True}, "index must be a non-negative integer, got True"),
         ("string-index", {**case, "index": "1"}, "index must be a non-negative integer, got '1'"),
+        ("list-config", {**case, "config": []}, "config must be a JSON object, got []"),
+        ("null-config", {**case, "config": None}, "config must be a JSON object, got None"),
+        ("zero-dim", {**case, "dim": 0}, "dims must be positive multiples of 4, got (0,)"),
+        ("false-dim", {**case, "dim": False}, "dims must be an integer, got False"),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
@@ -446,6 +450,8 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
         pytest.param(["--suite", "lattice-sections", "--n", "-3"], "samples must", id="negative-samples"),
         pytest.param(["--suite", "gram-schmidt", "--n", "2", "--seed", "-1"], "seed must", id="negative-seed"),
         pytest.param(["--suite", "criteria-equivalence", "--dims", "0"], "dims must", id="zero-dim"),
+        pytest.param(["--suite", "gram-schmidt", "--dims", "4,4", "--n", "3"], "dims must be distinct, got (4, 4)",
+                     id="repeated-dim"),
         pytest.param(["--suite", "induced-structure", "--dims", "6"], "dims must", id="dim-6"),
         pytest.param(["--suite", "induced-structure", "--dims", "2"], "dims must", id="dim-2"),
         pytest.param(["--suite", "testbed-nijenhuis", "--modes", "0"], "modes must", id="zero-modes"),
@@ -787,7 +793,7 @@ def preservance_case_reference(cfg, dim, indices):
     for index in indices:
         rng, space, fiber, inputs = lagrangian_instance_reference(cfg, dim, index)
         projection = deformation.LagrangianProjection.build(space, fiber)
-        (gamma,) = deformation.random_base_forms([projection], [rng], scale=0.5)
+        (gamma,) = forms.ComplexTwoForm.from_skew(deformation.random_base_forms(projection, [rng], scale=0.5))
         inputs["gamma"] = gamma.matrix
         report = deformation.verify_preservance(projection, gamma, deformation.DEFAULT_T_SAMPLES)
         measurements = [
@@ -805,9 +811,9 @@ def section_theorem_case_reference(cfg, dim, indices):
     for index in indices:
         rng, space, fiber, inputs = lagrangian_instance_reference(cfg, dim, index)
         projection = deformation.LagrangianProjection.build(space, fiber)
-        (section,) = deformation.LinearSection.random_many([projection], [rng])
-        inputs["section map"] = section.map
-        certificate = deformation.holomorphize_section(section).certificate
+        section = deformation.LinearSection.random_many(projection, [rng])
+        inputs["section map"] = section.maps[0]
+        _, _, certificate = deformation.holomorphize_section(section)
         measurements = [
             ("holomorphize", certificate.max_residual),
             ("holomorphize-graph-lagrangian", float(not certificate.graph_is_lagrangian)),

@@ -1,6 +1,7 @@
 """The report sweep of tools/sweep_reports.py: its comparison of two trees
 and its worst value per (check, dim)."""
 
+import contextlib
 import importlib.util
 import math
 import re
@@ -48,6 +49,26 @@ def test_compare_names_changed_reports_and_flipped_rows():
     found = sweep_reports.compare(this, other)
     assert found["changed"] == [("gram-schmidt", 1), ("hitchin", 0), ("preservance", 0)]
     assert found["flipped"] == [("preservance", 0, "preservance", 4, True, False)]
+
+
+@pytest.mark.parametrize(
+    "digest, passes, status, counts",
+    [("a", True, 0, "changed: 0; flipped rows: 0"), ("b", True, 1, "changed: 1; flipped rows: 0"),
+     ("b", False, 1, "changed: 1; flipped rows: 1")],
+    ids=["identical", "changed", "flipped"],
+)  # fmt: skip
+def test_compare_exits_1_when_a_report_changed_or_a_row_flipped(digest, passes, status, counts, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import record_bench
+
+    bound = [-math.inf, 1e-9]
+    this = {("preservance", 0): report("a", ("preservance", 4, 1e-12, True, bound))}
+    other = {("preservance", 0): report(digest, ("preservance", 4, 1e-12 if passes else 2e-9, passes, bound))}
+    sides = iter([this, other])
+    monkeypatch.setattr(sweep_reports, "sweep", lambda tree, seeds, runs: next(sides))
+    monkeypatch.setattr(record_bench, "worktree", lambda rev: contextlib.nullcontext(ROOT))
+    assert sweep_reports.main(["--seeds", "0", "--compare", "REV"]) == status
+    assert f"reports: 1; {counts}\n" in capsys.readouterr().out
 
 
 def test_the_worst_value_is_the_one_nearest_a_bound():
@@ -107,7 +128,7 @@ def test_scale_multiplies_each_runs_samples_and_leaves_the_testbed():
 def test_main_sweeps_the_acceptance_runs_at_the_given_scale(monkeypatch, capsys):
     swept = []
     monkeypatch.setattr(sweep_reports, "sweep", lambda tree, seeds, runs: swept.append((seeds, runs)) or {})
-    sweep_reports.main(["--seeds", "3", "--scale", "3"])
+    assert sweep_reports.main(["--seeds", "3", "--scale", "3"]) == 0
     from record_bench import ACCEPTANCE_RUNS
 
     [(seeds, runs)] = swept

@@ -17,7 +17,9 @@ With ``--compare REV`` it checks REV out with ``git worktree add`` into a
 temporary directory (removed afterwards, also on failure), sweeps it the
 same way, and prints the reports whose digests differ, the rows whose
 pass/fail flipped, and the worst value of every (check, dim) on each side.
-The exit status is 0 either way; the printed counts are the result.
+It then exits with status 1 when a report changed or a row flipped, and 0
+otherwise, so a claim that every report stayed byte-identical is the
+status of one command.
 """
 
 import argparse
@@ -149,7 +151,7 @@ def main(argv=None):
         parser.error(f"--scale must be at least 1, got {args.scale}")
     if args.worker:
         print(json.dumps(worker(json.load(sys.stdin))))
-        return
+        return 0
     sys.path.insert(0, str(ROOT / "tools"))
     from record_bench import ACCEPTANCE_RUNS, worktree
 
@@ -160,6 +162,7 @@ def main(argv=None):
     runs = scaled_runs(ACCEPTANCE_RUNS, args.scale)
     sides = {"this checkout": sweep(ROOT, seeds, runs)}
     print(f"seeds: {args.seeds} ({len(seeds)}); runs per seed: {len(runs)}; scale: {args.scale}")
+    status = 0
     if args.compare:
         with worktree(args.compare) as tree:
             sides[args.compare] = sweep(tree, seeds, runs)
@@ -170,8 +173,10 @@ def main(argv=None):
             print(f"  changed: {label} seed {seed}")
         for label, seed, check, dim, before, after in found["flipped"]:
             print(f"  flipped: {label} seed {seed} {check} dim {dim}: pass {before} -> {after}")
+        status = int(bool(found["changed"] or found["flipped"]))
     print_worst(sides)
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
