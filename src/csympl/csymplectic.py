@@ -345,6 +345,47 @@ def _decide_distinct(distinct: np.ndarray):
     return structures, verdicts
 
 
+def _hash_multipliers(words: int) -> np.ndarray:
+    """Fixed odd multipliers of a row of ``words`` uint64 words; the row's
+    hash is its words' wrapping dot product with them.  An odd multiplier
+    is invertible modulo 2^64, so rows that differ in one word never share
+    a hash."""
+    return np.arange(1, 2 * words, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+
+
+def _repeat_groups(flat: np.ndarray):
+    """``(first, inverse)`` grouping the bitwise equal matrices of a stack
+    (N, m, m), or None when no two are equal.  ``first`` holds the index of
+    each group's first matrix, increasing, and ``inverse`` the group of
+    every matrix.
+
+    Each matrix's bytes, read as uint64 words, hash to one key.  A stable
+    sort by key brings equal matrices together in index order, and a group
+    starts wherever two neighbours differ in any word.  Two different
+    matrices never share a group, whatever the hash: a collision can only
+    split a group, so that one matrix is decided twice, with the same bits.
+    """
+    words = flat.reshape(len(flat), -1).view(np.uint64)
+    keys = words @ _hash_multipliers(words.shape[1])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.empty(len(flat), dtype=bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    tied = np.flatnonzero(~starts[1:])  # sorted neighbours tied + 1 and tied, one key
+    if len(tied):
+        starts[tied + 1] = (words[order[tied + 1]] != words[order[tied]]).any(axis=1)
+    if starts.all():
+        return None
+    heads = order[starts]  # each group's first matrix, in key order
+    is_first = np.zeros(len(flat), dtype=bool)
+    is_first[heads] = True
+    number = np.cumsum(is_first) - 1  # a first matrix's group, in index order
+    inverse = np.empty(len(flat), dtype=np.intp)
+    inverse[order] = number[heads][np.cumsum(starts) - 1]
+    return np.flatnonzero(is_first), inverse
+
+
 def induced_structures(omegas: np.ndarray):
     """Induced structures of stacked forms (..., m, m), NaN where a form fails,
     and the ``RankVerdicts`` of the flattened stack (N, m, m).
@@ -359,10 +400,14 @@ def induced_structures(omegas: np.ndarray):
     Each distinct matrix is decided once and its result scattered back to
     every form that repeats it; torus structure fields repeat most nodes
     (the testbed's two controls have 147 and 54 distinct nodes of 4096).
-    Matrices are keyed by their bytes, not their values: -0.0 and +0.0
-    compare equal but can decide differently, and value keys would also
-    merge NaN payloads.  With byte keys every form gets exactly the bits it
-    would get decided on its own.
+    ``_repeat_groups`` finds the repeats by hashing each matrix's bytes as
+    uint64 words and comparing the words of neighbours in hash order.
+    Matrices are compared by their bits, not their values: -0.0 and +0.0
+    compare equal but can decide differently, and value comparison would
+    also merge NaN payloads.  So every form gets exactly the bits it would
+    get decided on its own.  A stack with no repeats, such as the section
+    field's 4096 distinct nodes, is decided as it stands, with no gather
+    and no scatter.
 
     The distinct matrices are decided in chunks of ``CHUNK``, shared out
     over the process's CPUs by ``_map_chunks``.  Every step decomposes,
@@ -371,18 +416,17 @@ def induced_structures(omegas: np.ndarray):
     """
     m = omegas.shape[-1]
     distinct = flat = np.ascontiguousarray(omegas).reshape(-1, m, m)
-    inverse = None
-    if len(flat) > 1:  # one form shares nothing; skip np.unique's fixed cost
-        keys = flat.reshape(len(flat), m * m).view(np.dtype((np.void, flat.itemsize * m * m)))
-        _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        distinct = flat[first]
+    groups = _repeat_groups(flat) if len(flat) > 1 else None  # one form shares nothing
+    if groups is not None:
+        distinct = flat[groups[0]]
     chunks = [distinct[start : start + CHUNK] for start in range(0, max(len(distinct), 1), CHUNK)]
     parts = _map_chunks(_decide_distinct, chunks)
     structures, verdicts = parts[0]
     if len(parts) > 1:
         structures = np.concatenate([part[0] for part in parts])
         verdicts = RankVerdicts(*map(np.concatenate, zip(*(part[1] for part in parts))))
-    if inverse is not None:
+    if groups is not None:
+        inverse = groups[1]
         structures, verdicts = structures[inverse], RankVerdicts(*(field[inverse] for field in verdicts))
     return structures.reshape(omegas.shape), verdicts
 

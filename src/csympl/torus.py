@@ -68,6 +68,7 @@ class SmoothSection:
 
     def __init__(self, modes: dict):
         self.modes = {tuple(int(i) for i in k): complex(c) for k, c in modes.items()}
+        self._sampled = {}
 
     @classmethod
     def random(
@@ -135,6 +136,20 @@ class SmoothSection:
         d[..., 3, 1] = sy.imag
         return d
 
+    def grid_differential(self, grid: TorusGrid) -> np.ndarray:
+        """``differential`` at every node of ``grid``, (n, n, 4, 2), read-only.
+
+        Sampled once per grid and kept with the section, so that
+        ``sample_section_form`` and ``verify_section_holomorphic`` share one
+        evaluation.  It assumes ``modes`` does not change after
+        construction."""
+        if grid not in self._sampled:
+            x = grid.axes()
+            d = self.differential(x[:, None], x[None, :])
+            d.flags.writeable = False
+            self._sampled[grid] = d
+        return self._sampled[grid]
+
 
 def sample_section_form(sigma: SmoothSection, grid: TorusGrid) -> np.ndarray:
     """pi^* eta for eta = sigma^* (dz1 ^ dz2), from the exact differential.
@@ -143,8 +158,7 @@ def sample_section_form(sigma: SmoothSection, grid: TorusGrid) -> np.ndarray:
     the Hodge-type requirement on eta holds structurally; the pointwise
     value is Omega(d sigma e1, d sigma e2), the dx1 ^ dy1 coefficient.
     """
-    x = grid.axes()
-    d = sigma.differential(x[:, None], x[None, :])
+    d = sigma.grid_differential(grid)
     eta = np.einsum("...a,ab,...b->...", d[..., 0], Q_BLOCK, d[..., 1])
     values = np.zeros(eta.shape + (4, 4), dtype=np.complex128)
     values[..., 0, 1] = eta
@@ -316,8 +330,7 @@ def verify_section_holomorphic(sigma: SmoothSection, eta: np.ndarray) -> Section
     the residual is pure linear algebra.
     """
     structure = deformed_structure_field(eta, -1.0)
-    x = TorusGrid(len(eta)).axes()
-    d = sigma.differential(x[:, None], x[None, :])
+    d = sigma.grid_differential(TorusGrid(len(eta)))
     lhs = d @ BASE_J
     rhs = structure @ d
     residuals = np.max(np.abs(lhs - rhs), axis=(-1, -2))

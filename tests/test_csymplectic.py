@@ -617,6 +617,53 @@ def test_chunked_verdict_is_bitwise_the_undeduplicated_one(omegas, monkeypatch):
             assert (len(set(threads)) == 1) == (cpus == 1 or len(threads) == 1)
 
 
+@pytest.mark.parametrize(
+    "omegas",
+    [pytest.param(v, id=k) for k, v in stacked_cases().items()] + [pytest.param(section_field_stack(), id="grid-64")],
+)
+def test_grouping_does_not_depend_on_the_hash(omegas, monkeypatch):
+    # every row hashes alike, so only the word comparison tells rows apart
+    monkeypatch.setattr(csymplectic, "_hash_multipliers", lambda words: np.zeros(words, dtype=np.uint64))
+    expected, _ = undeduplicated_induced_structures(omegas)
+    expected_verdicts = rank_verdicts(omegas.reshape(-1, *omegas.shape[-2:]))
+    structures, verdicts = induced_structures(omegas)
+    assert structures.tobytes() == expected.tobytes()
+    assert [field.tobytes() for field in verdicts] == [field.tobytes() for field in expected_verdicts]
+
+
+def nan_payload_stack():
+    """Two NaN matrices whose payloads differ, each repeated, around the signed-zero pair."""
+    quiet, other = Q_BLOCK.copy(), Q_BLOCK.copy()
+    quiet.view(np.uint64)[0] = 0x7FF8000000000001
+    other.view(np.uint64)[0] = 0x7FF8000000000002
+    return np.stack([quiet, other, quiet, *signed_zero_pair(), other])
+
+
+@pytest.mark.parametrize("alike", [False, True], ids=["hashed", "every-row-alike"])
+def test_groups_hold_only_bitwise_equal_matrices(alike, monkeypatch):
+    if alike:
+        monkeypatch.setattr(csymplectic, "_hash_multipliers", lambda words: np.zeros(words, dtype=np.uint64))
+    stack = nan_payload_stack()
+    groups = csymplectic._repeat_groups(stack)
+    if alike:  # no two neighbours in index order are equal, so nothing is grouped
+        assert groups is None
+    else:
+        first, inverse = groups
+        assert first.tolist() == [0, 1, 3, 4] and inverse.tolist() == [0, 1, 0, 2, 3, 1]
+        assert stack[first][inverse].tobytes() == stack.tobytes()
+
+
+def test_a_stack_without_repeats_is_decided_with_no_gather_or_scatter(monkeypatch):
+    omegas = section_field_stack()
+    decide, chunks, groups = csymplectic._decide_distinct, [], []
+    repeat_groups = csymplectic._repeat_groups
+    monkeypatch.setattr(csymplectic, "_decide_distinct", lambda chunk: chunks.append(chunk) or decide(chunk))
+    monkeypatch.setattr(csymplectic, "_repeat_groups", lambda flat: groups.append(repeat_groups(flat)) or groups[-1])
+    induced_structures(omegas)
+    assert groups == [None] and len(chunks) == 4096 // csymplectic.CHUNK
+    assert all(np.shares_memory(chunk, omegas) for chunk in chunks)  # views of the caller's stack
+
+
 def test_a_postcondition_in_a_worker_chunk_reaches_the_caller(monkeypatch):
     import threading
 

@@ -134,3 +134,25 @@ def test_a_pair_run_keeps_the_cpus_it_ran_on(monkeypatch, tmp_path):
         str(tmp_path / "perfbench" / "run.py"), "--workload", "testbed", "--seed", "25001", "--seconds", "12.0",
         "--trace", "0",
     ]  # fmt: skip
+
+
+def test_each_pair_run_compiles_under_its_own_empty_pycache_prefix(monkeypatch, tmp_path):
+    # a stale __pycache__ in one checkout would otherwise cost only that side
+    detail = {"workload": "testbed", "provenance": {"cpu": "Example CPU", "nproc": 2}}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    stdout = json.dumps(detail) + "\n" + json.dumps(result) + "\n"
+    prefixes = []
+
+    def run(command, *, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert prefix.is_dir() and not any(prefix.iterdir())
+        assert env["PATH"] == record_bench.os.environ["PATH"]
+        prefixes.append(prefix)
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "shared"))
+    monkeypatch.setattr(record_bench.subprocess, "run", run)
+    for root in ("parent", "change"):
+        record_bench.run_checkout(tmp_path / root, "testbed", 1, 1.0)
+    assert len(set(prefixes)) == 2 and tmp_path / "shared" not in prefixes
+    assert not any(prefix.exists() for prefix in prefixes)  # removed after each run

@@ -390,12 +390,16 @@ def test_coarse_rows_at_complex_t_are_the_half_grid_runs_fine_rows():
 
 
 def test_closed_testbed_samples_each_section_form_once(monkeypatch):
-    grids = []
+    grids, differentials = [], []
     sample = suites.sample_section_form
     monkeypatch.setattr(suites, "sample_section_form", lambda sigma, grid: grids.append(grid.n) or sample(sigma, grid))
     monkeypatch.setattr(torus, "sample_section_form", suites.sample_section_form)
+    differential = torus.SmoothSection.differential
+    counted = lambda self, x, y: differentials.append(np.broadcast(x, y).shape) or differential(self, x, y)
+    monkeypatch.setattr(torus.SmoothSection, "differential", counted)
     assert run_suite(SuiteConfig(suite="testbed-nijenhuis", grid_n=64)).passed
-    assert grids == [64]
+    # the section form and the holomorphy check read one sample of d sigma
+    assert grids == [64] and differentials == [(64, 64)]
 
 
 @pytest.mark.parametrize("control", [["--control", "closed"], ["--control", "nonclosed", "--t", "0.5"]])
@@ -452,6 +456,9 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
         pytest.param(["--suite", "criteria-equivalence", "--dims", "0"], "dims must", id="zero-dim"),
         pytest.param(["--suite", "gram-schmidt", "--dims", "4,4", "--n", "3"], "dims must be distinct, got (4, 4)",
                      id="repeated-dim"),
+        pytest.param(["--suite", "gram-schmidt", "--dims", "4,,8,", "--n", "2"],
+                     "dims must be a comma list of integers, got '4,,8,'", id="empty-dim-parts"),
+        pytest.param(["--suite", "testbed-nijenhuis", "--dims", ","], "dims must be a comma list", id="empty-dims-ignored-suite"),
         pytest.param(["--suite", "induced-structure", "--dims", "6"], "dims must", id="dim-6"),
         pytest.param(["--suite", "induced-structure", "--dims", "2"], "dims must", id="dim-2"),
         pytest.param(["--suite", "testbed-nijenhuis", "--modes", "0"], "modes must", id="zero-modes"),
@@ -1181,6 +1188,30 @@ def test_lattice_find_section_cli(capsys):
 
 def test_lattice_find_section_wrong_length(capsys):
     assert main(["lattice", "find-section", "--e", "1,0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        pytest.param(",".join(["1", ""] + ["0"] * 21), id="empty-inner-part"),
+        pytest.param(",".join(["1"] + ["0"] * 21) + ",", id="trailing-comma"),
+    ],
+)
+def test_lattice_find_section_refuses_an_empty_part(e, capsys):
+    # 23 parts, one of them empty: never read as the 22-vector of the others
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lattice", "find-section", "--e", e])
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "argument --e: invalid" in out.err
+
+
+def test_lattice_twistor_param_refuses_an_empty_part(capsys):
+    args = [arg for arg in twistor_param_args() if not arg.startswith("--omega-im")]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*args, "--omega-im=" + ",".join(["0"] * 22) + ","])
+    assert exit_info.value.code == 2
+    assert "argument --omega-im: invalid" in capsys.readouterr().err
 
 
 def test_lattice_find_section_invalid_vector(capsys):

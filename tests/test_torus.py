@@ -434,3 +434,13 @@ def test_without_deformation_generic_section_is_not_holomorphic():
     d = section.differential(x, y)
     residual = np.max(np.abs(d @ BASE_J - structure @ d))
     assert residual > 1e-3
+
+
+def test_grid_differential_is_one_read_only_sample_per_grid():
+    section = SmoothSection.random(np.random.default_rng(9), 3)
+    grid = TorusGrid(16)
+    d = section.grid_differential(grid)
+    x, y = grid.mesh()
+    assert d.tobytes() == section.differential(x, y).tobytes()
+    assert section.grid_differential(TorusGrid(16)) is d and not d.flags.writeable
+    assert section.grid_differential(TorusGrid(32)).shape == (32, 32, 4, 2)

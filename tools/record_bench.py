@@ -18,7 +18,8 @@ With ``--parent REV`` it also writes a ``claim`` and a ``guards`` block. It
 checks REV out with ``git worktree add`` into a temporary directory (removed
 afterwards, also on failure) and runs K pairs on every workload: in each
 pair, REV's own ``perfbench/run.py --trace 0`` and this checkout's, on one
-seed, the side that runs first alternating from pair to pair. The seeds are
+seed, the side that runs first alternating from pair to pair. Each run
+compiles its modules under its own empty ``PYTHONPYCACHEPREFIX``. The seeds are
 ``PAIR_SEEDS_PER_PR * N + 1`` onwards, so no two PRs share one. For every
 end-to-end metric both blocks give both sides' median and quartiles, the
 pairs the change won (ties count for neither side), whether the medians
@@ -138,12 +139,20 @@ def worktree(rev: str):
 
 def run_checkout(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``--trace 0`` run of the ``perfbench/run.py`` of checkout ``root``,
-    with the CPU model and CPU count of its detail line's provenance."""
+    with the CPU model and CPU count of its detail line's provenance.
+
+    The run reads and writes bytecode under its own empty
+    ``PYTHONPYCACHEPREFIX``, never the checkout's ``__pycache__``. So a
+    checkout whose cache is stale, and that may not write bytecode
+    (``PYTHONDONTWRITEBYTECODE``), does not recompile its edited modules in
+    every worker while a fresh checkout does not: both sides compile alike."""
     command = [
         sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0",
     ]  # fmt: skip
-    proc = subprocess.run(command, cwd=root, capture_output=True, text=True, check=True)
+    with tempfile.TemporaryDirectory() as pycache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+        proc = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, check=True)
     detail, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
     return {
         "seed": seed,
