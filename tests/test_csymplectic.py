@@ -617,13 +617,16 @@ def test_chunked_verdict_is_bitwise_the_undeduplicated_one(omegas, monkeypatch):
             assert (len(set(threads)) == 1) == (cpus == 1 or len(threads) == 1)
 
 
+def hash_every_row_alike(monkeypatch):
+    monkeypatch.setattr(csymplectic, "_hash_multipliers", lambda words: np.zeros(words, dtype=np.uint64))
+
+
 @pytest.mark.parametrize(
     "omegas",
     [pytest.param(v, id=k) for k, v in stacked_cases().items()] + [pytest.param(section_field_stack(), id="grid-64")],
 )
 def test_grouping_does_not_depend_on_the_hash(omegas, monkeypatch):
-    # every row hashes alike, so only the word comparison tells rows apart
-    monkeypatch.setattr(csymplectic, "_hash_multipliers", lambda words: np.zeros(words, dtype=np.uint64))
+    hash_every_row_alike(monkeypatch)  # only the word comparison tells rows apart
     expected, _ = undeduplicated_induced_structures(omegas)
     expected_verdicts = rank_verdicts(omegas.reshape(-1, *omegas.shape[-2:]))
     structures, verdicts = induced_structures(omegas)
@@ -642,7 +645,7 @@ def nan_payload_stack():
 @pytest.mark.parametrize("alike", [False, True], ids=["hashed", "every-row-alike"])
 def test_groups_hold_only_bitwise_equal_matrices(alike, monkeypatch):
     if alike:
-        monkeypatch.setattr(csymplectic, "_hash_multipliers", lambda words: np.zeros(words, dtype=np.uint64))
+        hash_every_row_alike(monkeypatch)
     stack = nan_payload_stack()
     groups = csymplectic._repeat_groups(stack)
     if alike:  # no two neighbours in index order are equal, so nothing is grouped

@@ -458,7 +458,8 @@ def test_failure_case_serialized(tmp_path, monkeypatch):
                      id="repeated-dim"),
         pytest.param(["--suite", "gram-schmidt", "--dims", "4,,8,", "--n", "2"],
                      "dims must be a comma list of integers, got '4,,8,'", id="empty-dim-parts"),
-        pytest.param(["--suite", "testbed-nijenhuis", "--dims", ","], "dims must be a comma list", id="empty-dims-ignored-suite"),
+        pytest.param(["--suite", "testbed-nijenhuis", "--dims", ","], "dims must be a comma list",
+                     id="empty-dims-ignored-suite"),
         pytest.param(["--suite", "induced-structure", "--dims", "6"], "dims must", id="dim-6"),
         pytest.param(["--suite", "induced-structure", "--dims", "2"], "dims must", id="dim-2"),
         pytest.param(["--suite", "testbed-nijenhuis", "--modes", "0"], "modes must", id="zero-modes"),
