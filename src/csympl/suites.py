@@ -813,7 +813,7 @@ def describe_case(case: dict, cfg: SuiteConfig):
         section, fields = testbed_inputs(cfg)
         inputs = {f"field at grid {n}": field for n, field in fields.items()}
         if section is not None:
-            inputs = {"section modes": section.modes, **inputs}
+            inputs = {"section modes": dict(section.modes), **inputs}
         measurements = []
     else:
         index = case["index"]

@@ -14,6 +14,7 @@ lifted), a real endomorphism per node for a structure field, and an
 """
 
 from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,11 +64,12 @@ class SmoothSection:
 
     ``modes`` maps integer wave vectors (k1, k2) to complex coefficients;
     s(x, y) = sum c_k exp(2 pi i (k1 x + k2 y)).  Values wrap into the
-    fiber torus; derivatives are exact.
+    fiber torus; derivatives are exact.  ``modes`` is a read-only mapping,
+    so a sampled differential never goes stale.
     """
 
     def __init__(self, modes: dict):
-        self.modes = {tuple(int(i) for i in k): complex(c) for k, c in modes.items()}
+        self.modes = MappingProxyType({tuple(int(i) for i in k): complex(c) for k, c in modes.items()})
         self._sampled = {}
 
     @classmethod
@@ -141,8 +143,7 @@ class SmoothSection:
 
         Sampled once per grid and kept with the section, so that
         ``sample_section_form`` and ``verify_section_holomorphic`` share one
-        evaluation.  It assumes ``modes`` does not change after
-        construction."""
+        evaluation."""
         if grid not in self._sampled:
             x = grid.axes()
             d = self.differential(x[:, None], x[None, :])

@@ -121,7 +121,7 @@ def test_a_pair_run_keeps_the_cpus_it_ran_on(monkeypatch, tmp_path):
         return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(record_bench.subprocess, "run", run)
-    got = record_bench.run_checkout(tmp_path, "testbed", 25001, 12.0)
+    got = record_bench.run_checkout(tmp_path, "testbed", 25001, 12.0, {})
     assert got == {
         "seed": 25001,
         "provenance": {"cpu": "Example CPU", "nproc": 2},
@@ -136,23 +136,38 @@ def test_a_pair_run_keeps_the_cpus_it_ran_on(monkeypatch, tmp_path):
     ]  # fmt: skip
 
 
-def test_each_pair_run_compiles_under_its_own_empty_pycache_prefix(monkeypatch, tmp_path):
-    # a stale __pycache__ in one checkout would otherwise cost only that side
+def test_each_side_reads_one_warm_bytecode_cache_of_its_own(monkeypatch, tmp_path):
+    # a checkout's stale __pycache__, or a cache emptied for every run, would
+    # cost the timed runs of one side, or of both, compilation time
     detail = {"workload": "testbed", "provenance": {"cpu": "Example CPU", "nproc": 2}}
-    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {"throughput_rps": {"value": 9.0}}}
     stdout = json.dumps(detail) + "\n" + json.dumps(result) + "\n"
-    prefixes = []
+    calls = []
 
-    def run(command, *, env, **kwargs):
-        prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        assert prefix.is_dir() and not any(prefix.iterdir())
-        assert env["PATH"] == record_bench.os.environ["PATH"]
-        prefixes.append(prefix)
+    def run(command, *, cwd, env=None, **kwargs):
+        if command[0] == "git":
+            return subprocess.CompletedProcess(command, 0, stdout="0" * 40 + "\n", stderr="")
+        assert "PYTHONDONTWRITEBYTECODE" not in env and env["PATH"] == record_bench.os.environ["PATH"]
+        calls.append((Path(cwd).name, Path(command[1]).name, env["PYTHONPYCACHEPREFIX"]))
         return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
 
-    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "shared"))
+    @record_bench.contextlib.contextmanager
+    def parent_tree(rev):
+        yield tmp_path / "parent"
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "inherited"))
+    monkeypatch.setattr(record_bench, "ROOT", tmp_path / "change")
+    monkeypatch.setattr(record_bench, "parent_tree", parent_tree)
     monkeypatch.setattr(record_bench.subprocess, "run", run)
-    for root in ("parent", "change"):
-        record_bench.run_checkout(tmp_path / root, "testbed", 1, 1.0)
-    assert len(set(prefixes)) == 2 and tmp_path / "shared" not in prefixes
-    assert not any(prefix.exists() for prefix in prefixes)  # removed after each run
+    spec = {"workloads": [{"name": "testbed"}, {"name": "lattice"}], "end_to_end": END_TO_END[:1]}
+    record_bench.pair_claim(spec, "HEAD", "testbed", 2, 1.0, 37)
+    caches = {side: {cache for name, _, cache in calls if name == side} for side in ("parent", "change")}
+    # one cache per side for the whole record, the caller's own never
+    assert all(len(cache) == 1 for cache in caches.values()) and caches["parent"] != caches["change"]
+    assert str(tmp_path / "inherited") not in caches["parent"] | caches["change"]
+    # each workload's untimed setup workers run before its timed pairs
+    scripts = [script for _, script, _ in calls]
+    assert scripts == 2 * (["worker.py", "worker.py"] + ["run.py"] * 4)
+    assert [name for name, script, _ in calls if script == "worker.py"] == ["parent", "change"] * 2
+    assert not any(Path(cache).exists() for cache in caches["parent"] | caches["change"])  # removed afterwards

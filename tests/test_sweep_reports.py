@@ -66,7 +66,7 @@ def test_compare_exits_1_when_a_report_changed_or_a_row_flipped(digest, passes, 
     other = {("preservance", 0): report(digest, ("preservance", 4, 1e-12 if passes else 2e-9, passes, bound))}
     sides = iter([this, other])
     monkeypatch.setattr(sweep_reports, "sweep", lambda tree, seeds, runs: next(sides))
-    monkeypatch.setattr(record_bench, "worktree", lambda rev: contextlib.nullcontext(ROOT))
+    monkeypatch.setattr(record_bench, "parent_tree", lambda rev: contextlib.nullcontext(ROOT))
     assert sweep_reports.main(["--seeds", "0", "--compare", "REV"]) == status
     assert f"reports: 1; {counts}\n" in capsys.readouterr().out
 

@@ -444,3 +444,5 @@ def test_grid_differential_is_one_read_only_sample_per_grid():
     assert d.tobytes() == section.differential(x, y).tobytes()
     assert section.grid_differential(TorusGrid(16)) is d and not d.flags.writeable
     assert section.grid_differential(TorusGrid(32)).shape == (32, 32, 4, 2)
+    with pytest.raises(TypeError):  # the modes a sample was read from stay put
+        section.modes[(0, 0)] = 1.0

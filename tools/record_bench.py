@@ -15,11 +15,14 @@ testbed, of its node table), and where the ``lattice`` workload's pairings
 come from, for the note on ``lattice.pair_per_class``.
 
 With ``--parent REV`` it also writes a ``claim`` and a ``guards`` block. It
-checks REV out with ``git worktree add`` into a temporary directory (removed
+copies REV's tree with ``git archive`` into a temporary directory (removed
 afterwards, also on failure) and runs K pairs on every workload: in each
 pair, REV's own ``perfbench/run.py --trace 0`` and this checkout's, on one
-seed, the side that runs first alternating from pair to pair. Each run
-compiles its modules under its own empty ``PYTHONPYCACHEPREFIX``. The seeds are
+seed, the side that runs first alternating from pair to pair. Each side
+keeps its bytecode in one ``PYTHONPYCACHEPREFIX`` of its own for the whole
+record, never in a checkout's possibly stale ``__pycache__``, and one
+untimed ``setup`` worker per side fills it before each workload's pairs: so
+both sides' timed runs read warm bytecode. The seeds are
 ``PAIR_SEEDS_PER_PR * N + 1`` onwards, so no two PRs share one. For every
 end-to-end metric both blocks give both sides' median and quartiles, the
 pairs the change won (ties count for neither side), whether the medians
@@ -37,10 +40,12 @@ must not get worse beyond a bound.
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -122,37 +127,40 @@ def lattice_pairings(seed: int) -> dict:
 
 
 @contextlib.contextmanager
-def worktree(rev: str):
-    """A detached checkout of ``rev`` in a temporary directory."""
-
-    def git(*args):
-        subprocess.run(["git", "worktree", *args], cwd=ROOT, check=True, capture_output=True)
-
+def parent_tree(rev: str):
+    """A copy of the tree of ``rev`` in a temporary directory."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "parent"
-        git("add", "--detach", str(path), rev)
-        try:
-            yield path
-        finally:
-            git("remove", "--force", str(path))
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(path, filter="data")
+        yield path
 
 
-def run_checkout(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run of the ``perfbench/run.py`` of checkout ``root``,
-    with the CPU model and CPU count of its detail line's provenance.
+def side_env(pycache: str) -> dict:
+    """The environment of one side's runs: bytecode is read from and written
+    to ``pycache`` alone, also where the caller's environment forbids
+    writing it (``PYTHONDONTWRITEBYTECODE``)."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+    return {**env, "PYTHONPYCACHEPREFIX": pycache}
 
-    The run reads and writes bytecode under its own empty
-    ``PYTHONPYCACHEPREFIX``, never the checkout's ``__pycache__``. So a
-    checkout whose cache is stale, and that may not write bytecode
-    (``PYTHONDONTWRITEBYTECODE``), does not recompile its edited modules in
-    every worker while a fresh checkout does not: both sides compile alike."""
+
+def warm_checkout(root: Path, workload: str, env: dict) -> None:
+    """One untimed ``setup`` worker of checkout ``root``, which compiles the
+    modules a ``workload`` request imports into ``env``'s bytecode cache."""
+    command = [sys.executable, str(root / "perfbench" / "worker.py"), "setup", workload, "0", "0"]
+    subprocess.run(command, cwd=root, env=env, capture_output=True, check=True)
+
+
+def run_checkout(root: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
+    """One ``--trace 0`` run of the ``perfbench/run.py`` of checkout ``root``
+    in environment ``env``, with the CPU model and CPU count of its detail
+    line's provenance."""
     command = [
         sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0",
     ]  # fmt: skip
-    with tempfile.TemporaryDirectory() as pycache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
-        proc = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, check=True)
     detail, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
     return {
         "seed": seed,
@@ -210,13 +218,16 @@ def pair_claim(spec: dict, parent: str, workload: str, pairs: int, seconds: floa
     commit = subprocess.run(["git", "rev-parse", parent], cwd=ROOT, check=True, capture_output=True, text=True)
     seeds = range(PAIR_SEEDS_PER_PR * pr + 1, PAIR_SEEDS_PER_PR * pr + pairs + 1)
     blocks = {}
-    with worktree(parent) as parent_root:
+    with parent_tree(parent) as parent_root, tempfile.TemporaryDirectory() as pycache:
+        sides = [("parent", parent_root), ("change", ROOT)]
+        envs = {side: side_env(os.path.join(pycache, side)) for side, _ in sides}
         for name in (entry["name"] for entry in spec["workloads"]):
+            for side, root in sides:
+                warm_checkout(root, name, envs[side])
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
-                sides = [("parent", parent_root), ("change", ROOT)]
                 for side, root in sides[:: 1 if i % 2 == 0 else -1]:
-                    runs[side].append(run_checkout(root, name, seed, seconds))
+                    runs[side].append(run_checkout(root, name, seed, seconds, envs[side]))
             blocks[name] = {
                 "metrics": claim_metrics(spec["end_to_end"], runs["parent"], runs["change"]),
                 "failed": {side: sum(run["failed"] for run in side_runs) for side, side_runs in runs.items()},

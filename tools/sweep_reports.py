@@ -13,7 +13,7 @@ value of every (check, dim): the one closest to the check's bound in
 ``suites.CHECKS``. ``--scale K`` multiplies each run's ``samples`` by K;
 the testbed runs have no ``samples`` and stay as they are.
 
-With ``--compare REV`` it checks REV out with ``git worktree add`` into a
+With ``--compare REV`` it copies REV's tree with ``git archive`` into a
 temporary directory (removed afterwards, also on failure), sweeps it the
 same way, and prints the reports whose digests differ, the rows whose
 pass/fail flipped, and the worst value of every (check, dim) on each side.
@@ -153,7 +153,7 @@ def main(argv=None):
         print(json.dumps(worker(json.load(sys.stdin))))
         return 0
     sys.path.insert(0, str(ROOT / "tools"))
-    from record_bench import ACCEPTANCE_RUNS, worktree
+    from record_bench import ACCEPTANCE_RUNS, parent_tree
 
     try:
         seeds = parse_seeds(args.seeds)
@@ -164,7 +164,7 @@ def main(argv=None):
     print(f"seeds: {args.seeds} ({len(seeds)}); runs per seed: {len(runs)}; scale: {args.scale}")
     status = 0
     if args.compare:
-        with worktree(args.compare) as tree:
+        with parent_tree(args.compare) as tree:
             sides[args.compare] = sweep(tree, seeds, runs)
         found = compare(*sides.values())
         print(f"reports: {len(sides['this checkout'])}; changed: {len(found['changed'])}; "
