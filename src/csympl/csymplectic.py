@@ -15,7 +15,9 @@ Each criterion is decided for a stack of forms in one place:
 ``rank_verdicts`` by two SVDs, ``power_verdicts`` by wedges alone, sharing
 no code, since their agreement is the result reproduced.  The single-form
 ``is_c_symplectic_rank`` and ``is_c_symplectic_power`` are those calls on
-a stack of one.
+a stack of one.  A ``CSymplecticSpace`` is a range of validated forms of
+one dimension, held as the stacked forms and their induced structures;
+``CSymplecticSpace.from_form`` is ``from_forms`` on a stack of one.
 """
 
 import os
@@ -577,46 +579,44 @@ def c_symplectic_bases(omegas: np.ndarray) -> np.ndarray:
     return bases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CSymplecticSpace:
-    """A validated c-symplectic form with its cached induced structure."""
+    """A range of validated c-symplectic forms of one dimension m = 4n with
+    their induced structures, as stacked arrays."""
 
-    omega: ComplexTwoForm
-    structure: ComplexStructure = dc_field(repr=False)
+    omegas: np.ndarray = dc_field(repr=False)  # Omega, (N, m, m)
+    structures: np.ndarray = dc_field(repr=False)  # I, (N, m, m)
 
     @classmethod
-    def from_forms(cls, omegas: list) -> list:
-        """Validate forms of one dimension by both criteria, the rank
-        criterion (read off the induced structures) first: every form in one
-        ``accepted_structures`` call and one ``power_verdicts`` call, each of
-        which gives a form the bits it gets on its own.  Raises ``ValueError``
-        for the first form that fails, as ``from_form`` would for it, and for
-        an empty list."""
-        if not omegas:
+    def from_forms(cls, omegas) -> "CSymplecticSpace":
+        """The range of stacked form matrices (N, m, m), made 2-forms by one
+        ``skew_matrices`` pass (bit for bit on an exactly skew stack; a
+        non-finite entry raises ``ValueError``) and validated by both
+        criteria, the rank criterion (read off the induced structures) first:
+        in one ``accepted_structures`` call and one ``power_verdicts`` call,
+        each of which gives a form the bits it gets on its own.  Raises
+        ``ValueError`` for the first form that fails, as ``from_form`` would
+        for it, and for an empty stack."""
+        if not len(omegas):
             raise ValueError("no forms to validate")
-        stack = np.stack([omega.matrix for omega in omegas])
-        structures = accepted_structures(stack)
-        powers = power_verdicts(stack)
+        omegas = np.asarray(omegas, dtype=np.complex128)
+        if omegas.ndim != 3 or omegas.shape[1] != omegas.shape[2]:
+            raise ValueError("forms must be a stack of square matrices")
+        omegas = skew_matrices(omegas)
+        structures = accepted_structures(omegas)
+        powers = power_verdicts(omegas)
         if not powers.ok.all():
             reason = powers.criterion(int(np.argmin(powers.ok))).reason
             raise ValueError(f"not c-symplectic (power criterion): {reason}")
-        return [
-            cls(omega=omega, structure=ComplexStructure.from_accepted(omega.dim, structure))
-            for omega, structure in zip(omegas, structures)
-        ]
+        return cls(omegas=omegas, structures=structures)
 
     @classmethod
     def from_form(cls, omega: ComplexTwoForm) -> "CSymplecticSpace":
         """Validate one form: ``from_forms`` on a stack of one."""
-        return cls.from_forms([omega])[0]
+        return cls.from_forms(omega.matrix[None])
 
-    @property
-    def dim(self) -> int:
-        return self.omega.dim
-
-    @property
-    def n(self) -> int:
-        return self.omega.dim // 4
+    def __len__(self) -> int:
+        return len(self.omegas)
 
 
 def random_c_symplectics(rngs, dim: int, cond_max: float = 1e3):

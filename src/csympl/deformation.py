@@ -9,11 +9,12 @@ t = -1 turns the section into a complex-linear map.  Every statement is
 verified numerically, not assumed.
 
 Each stage holds a range of N instances of one dimension as arrays stacked
-on their first axis: a ``LagrangianProjection`` the range's forms,
-structures, fiber bases, projections W^T and quotient structures, a
-``LinearSection`` its section maps, a ``DeformationFamily`` its gammas and
-pullbacks pi^* gamma.  Every product and decomposition takes one matrix at
-a time, so an instance gets the same bits in any range.  Only the reports
+on their first axis, starting from a ``CSymplecticSpace`` range and its
+stacked fiber bases: a ``LagrangianProjection`` the range's forms,
+structures, orthonormal fiber bases, projections W^T and quotient
+structures, a ``LinearSection`` its section maps, a ``DeformationFamily``
+its gammas and pullbacks pi^* gamma.  Every product and decomposition
+takes one matrix at a time, so an instance gets the same bits in any range.  Only the reports
 the suites read, ``PreservanceReport`` and ``HolomorphizationCertificate``,
 are built per instance.  ``LagrangianProjection.build``, ``deform``,
 ``verify_preservance`` and ``holomorphize_section`` are the range calls on
@@ -106,45 +107,43 @@ class LagrangianProjection:
     @classmethod
     def build(cls, space, fiber) -> "LagrangianProjection":
         """The quotient model K of V / L with its inherited structure:
-        ``build_many`` on a range of one."""
-        return cls.build_many([space], [fiber])
+        ``build_many`` of a space range of one and its fiber, a ``Subspace``."""
+        return cls.build_many(space, fiber.basis[None])
 
     @classmethod
     def build_many(cls, spaces, fibers) -> "LagrangianProjection":
-        """The projection range of the (space, fiber) pairs, spaces of one
-        dimension.
+        """The projection range of a ``CSymplecticSpace`` range and the
+        stacked bases (N, m, 2n) of its fibers, one per space.
 
         With W an orthonormal basis of K, I_quot = W^T I W is defined by
         pi(I v) = I_quot(pi v); it is well-defined because c-Lagrangian
         subspaces are I-invariant, and W^T I = I_quot W^T is checked on
-        all of V.  The inputs are stacked once; the range takes one stacked
-        c-Lagrangian Gram check, one complement SVD (its bases checked
-        orthonormal), one W^T I W with its well-definedness residual, and
-        one I_quot^2 = -Id check.
+        all of V.  The range takes one ``orthonormal_bases`` call for the
+        fibers, one stacked c-Lagrangian Gram check, one complement SVD (its
+        bases checked orthonormal), one W^T I W with its well-definedness
+        residual, and one I_quot^2 = -Id check.
 
-        A fiber that is not real, not in the space or not of half its
-        dimension raises ``ValueError`` first; otherwise the range raises
-        for its first failing pair what ``build`` raises for it.  Raises
-        ``ValueError`` for no pairs and for lists of different lengths.
+        A fiber stack that is complex or not of shape (N, m, m/2) raises
+        ``ValueError`` first, then one with dependent columns; otherwise the
+        range raises for its first failing pair what ``build`` raises for
+        it.  Raises ``ValueError`` for no pairs and for a range and fibers
+        of different lengths.
         """
         if not same_lengths(spaces=spaces, fibers=fibers):
             raise ValueError("no fibers to project along")
-        omegas = np.stack([space.omega.matrix for space in spaces])
+        if np.iscomplexobj(fibers):
+            raise ValueError("c-Lagrangian subspaces are real")
+        omegas, structures = spaces.omegas, spaces.structures
         m = omegas.shape[-1]
-        if m % 4:
-            raise ValueError("omega does not live on R^{4n}")
-        for fiber in fibers:
-            if fiber.field != "R":
-                raise ValueError("c-Lagrangian subspaces are real")
-            if fiber.ambient_dim != m:
-                raise ValueError("ambient dimension mismatch")
-            if fiber.dim != m // 2:
-                raise ValueError("fiber is not c-Lagrangian for the given form")
-        bases = np.stack([fiber.orthonormal_basis() for fiber in fibers])
+        fibers = np.asarray(fibers, dtype=np.float64)
+        if fibers.ndim != 3 or fibers.shape[1] != m:
+            raise ValueError("ambient dimension mismatch")
+        if fibers.shape[2] != m // 2:
+            raise ValueError("fiber is not c-Lagrangian for the given form")
+        bases = orthonormal_bases(fibers)
         lagrangian = c_isotropic(bases, omegas)
-        w = complement_bases(np.stack([fiber.basis for fiber in fibers]))
+        w = complement_bases(fibers)
         complement_residual = orthonormality_residuals(w)
-        structures = np.stack([space.structure.matrix for space in spaces])
         w_t = np.swapaxes(w, -1, -2)
         left = w_t @ structures
         quotients = left @ w

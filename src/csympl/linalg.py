@@ -102,12 +102,6 @@ def real_span_rank(bases: np.ndarray) -> np.ndarray:
     return numerical_rank(np.linalg.svd(stacked, compute_uv=False))
 
 
-def _field_dtype(field: str):
-    if field not in ("R", "C"):
-        raise ValueError(f"field must be 'R' or 'C', got {field!r}")
-    return np.complex128 if field == "C" else np.float64
-
-
 def orthonormal_bases(bases: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the spans of stacked bases (N, m, k), checked to
     be linearly independent: one stacked SVD and one stacked QR."""
@@ -122,28 +116,10 @@ class Subspace:
     """Linear subspace of R^m or C^m given by a full-column-rank basis."""
 
     def __init__(self, basis, field: str = "R"):
-        """The span of one basis: ``from_bases`` on a stack of one."""
+        """The span of one basis, checked linearly independent by
+        ``orthonormal_bases`` on a stack of one."""
         basis = self._set_basis(basis, field)
         self._ortho = orthonormal_bases(basis[None])[0]
-
-    @classmethod
-    def from_bases(cls, bases, field: str = "R") -> list:
-        """Subspaces of stacked full-column-rank bases (N, m, k).
-
-        The stack takes one independence SVD and one QR, each of which
-        decomposes one matrix at a time, so a basis gets the orthonormal
-        basis it gets alone.  Raises ``ValueError`` as ``__init__`` does.
-        """
-        bases = np.asarray(bases, dtype=_field_dtype(field))
-        if bases.ndim != 3:
-            raise ValueError("bases must be a 3-d stack of column-vector bases")
-        subspaces = []
-        for basis, ortho in zip(bases, orthonormal_bases(bases)):
-            subspace = cls.__new__(cls)
-            subspace._set_basis(basis, field)
-            subspace._ortho = ortho
-            subspaces.append(subspace)
-        return subspaces
 
     @classmethod
     def from_orthonormal(cls, q, field: str = "R") -> "Subspace":
@@ -162,7 +138,9 @@ class Subspace:
         return self
 
     def _set_basis(self, basis, field: str) -> np.ndarray:
-        basis = np.asarray(basis, dtype=_field_dtype(field))
+        if field not in ("R", "C"):
+            raise ValueError(f"field must be 'R' or 'C', got {field!r}")
+        basis = np.asarray(basis, dtype=np.complex128 if field == "C" else np.float64)
         if basis.ndim != 2:
             raise ValueError("basis must be a 2-d array of column vectors")
         self.ambient_dim = basis.shape[0]

@@ -56,7 +56,9 @@ from .lattice import (
     standard_k3_lattice,
     twistor_parameter,
 )
-from .linalg import DEFAULT_TOL, Subspace, conditioned_draws, max_abs, null_space, numerical_rank, same_lengths
+from .linalg import (
+    DEFAULT_TOL, Subspace, conditioned_draws, max_abs, null_space, numerical_rank, orthonormal_bases, same_lengths,
+)
 from .torus import (
     SmoothSection,
     TorusGrid,
@@ -248,26 +250,25 @@ def mixed_two_forms(rngs, dim: int) -> np.ndarray:
     return skew_matrices(raw)
 
 
-def random_lagrangians(spaces, rngs) -> list:
-    """Random c-Lagrangian of each space, all of one dimension, by the greedy
-    isotropic construction: each new generator is drawn from the joint
-    kernel of the pairings with the previous ones, then completed with its
-    structure image.
+def random_lagrangians(spaces: CSymplecticSpace, rngs) -> np.ndarray:
+    """Random c-Lagrangian fiber of each space of a ``CSymplecticSpace``
+    range, by the greedy isotropic construction: each new generator is
+    drawn from the joint kernel of the pairings with the previous ones,
+    then completed with its structure image.
 
     Each generator draws its own normals in its own order.  Every step
-    takes the range's joint kernels from one stacked SVD, and the fibers
-    are built by one ``Subspace.from_bases`` call; every product takes one
-    matrix at a time, so a fiber has the same bits in any range.  The 2j
-    conditions of step j have rank 2j, since Re Omega is nondegenerate and
-    the generators so far span a 2j-dimensional space, and the step raises
-    ``PostconditionError`` when they do not.  Raises ``ValueError`` for no
-    spaces and for lists of different lengths.
+    takes the range's joint kernels from one stacked SVD; every product
+    takes one matrix at a time, so a fiber has the same bits in any range.
+    The 2j conditions of step j have rank 2j, since Re Omega is
+    nondegenerate and the generators so far span a 2j-dimensional space,
+    and the step raises ``PostconditionError`` when they do not.  Returns
+    the raw fiber bases (N, m, m/2).  Raises ``ValueError`` for no spaces
+    and for a range and generators of different lengths.
     """
     count = same_lengths(spaces=spaces, rngs=rngs)
     if not count:
         raise ValueError("no spaces to draw c-Lagrangians in")
-    structures = np.stack([space.structure.matrix for space in spaces])
-    forms = np.stack([space.omega.matrix for space in spaces])
+    structures, forms = spaces.structures, spaces.omegas
     dim = forms.shape[-1]
     vectors = []
     conditions = np.zeros((count, 0, dim))
@@ -288,7 +289,7 @@ def random_lagrangians(spaces, rngs) -> list:
         vectors += [v, (structures @ v[..., None])[..., 0]]
         pairing = (forms @ v[..., None])[..., 0]
         conditions = np.concatenate([conditions, pairing.real[:, None], pairing.imag[:, None]], axis=1)
-    return Subspace.from_bases(np.stack(vectors, axis=-1))
+    return np.stack(vectors, axis=-1)
 
 
 # -- case functions ------------------------------------------------------
@@ -386,32 +387,31 @@ def _gram_schmidt_case(cfg: SuiteConfig, dim, indices):
 
 
 def _spaces(cfg: SuiteConfig, dim, streams):
-    """Each stream's generator and the space of the form it draws first.
-    Every stream ``(seed, dim, stream)`` draws its own form, in one
+    """Each stream's generator and the space range of the forms they draw
+    first.  Every stream ``(seed, dim, stream)`` draws its own form, in one
     ``random_c_symplectics`` call, and the forms are decided in one
     ``CSymplecticSpace.from_forms`` call."""
     rngs = [_case_rng(cfg, dim, stream) for stream in streams]
-    return rngs, CSymplecticSpace.from_forms(ComplexTwoForm.from_skew(random_c_symplectics(rngs, dim)[0]))
+    return rngs, CSymplecticSpace.from_forms(random_c_symplectics(rngs, dim)[0])
 
 
 def _lagrangian_instances(cfg: SuiteConfig, dim, indices):
-    """Generators, spaces and random c-Lagrangian fibers of an index range,
-    with each index's inputs, shared by the hitchin, preservance and
-    section-theorem cases: the range's ``_spaces`` on the streams
-    ``(seed, dim, index)``, then each stream goes on to draw its index's
-    fiber, in one ``random_lagrangians`` call."""
+    """Generators, the space range and the stacked random c-Lagrangian fiber
+    bases of an index range, with each index's inputs, shared by the
+    hitchin, preservance and section-theorem cases: the range's ``_spaces``
+    on the streams ``(seed, dim, index)``, then each stream goes on to draw
+    its index's fiber, in one ``random_lagrangians`` call."""
     rngs, spaces = _spaces(cfg, dim, indices)
     fibers = random_lagrangians(spaces, rngs)
-    inputs = [{"omega": space.omega.matrix, "fiber basis": fiber.basis} for space, fiber in zip(spaces, fibers)]
+    inputs = [{"omega": omega, "fiber basis": basis} for omega, basis in zip(spaces.omegas, fibers)]
     return rngs, spaces, fibers, inputs
 
 
 def _hitchin_case(cfg: SuiteConfig, dim, indices):
     cases = []
     _, spaces, fibers, instances = _lagrangian_instances(cfg, dim, indices)
-    for space, fiber, inputs in zip(spaces, fibers, instances):
-        q = fiber.orthonormal_basis()
-        image = space.structure.matrix @ q
+    for structure, q, inputs in zip(spaces.structures, orthonormal_bases(fibers), instances):
+        image = structure @ q
         residual = max_abs(image - q @ (q.T @ image)) / max(max_abs(image), 1e-300)
         cases.append((inputs, [("structure-invariance", residual)]))
     return cases
@@ -421,22 +421,25 @@ def _maximality_case(cfg: SuiteConfig, dim, indices):
     """Dimension test of maximality against a brute-force extension search,
     each index on its own stream (seed, dim, 10000 + index)."""
     cases = []
-    for rng, space in zip(*_spaces(cfg, dim, [10_000 + index for index in indices])):
+    rngs, spaces = _spaces(cfg, dim, [10_000 + index for index in indices])
+    for i, (rng, omega) in enumerate(zip(rngs, ComplexTwoForm.from_skew(spaces.omegas))):
+        space = CSymplecticSpace(omegas=spaces.omegas[i : i + 1], structures=spaces.structures[i : i + 1])
         subspace = _random_candidate_subspace(space, rng)
-        by_dimension = is_c_lagrangian(subspace, space.omega, 1e-8)
-        by_search = _brute_force_maximal(subspace, space.omega, rng)
-        inputs = {"omega": space.omega.matrix, "candidate basis": subspace.basis}
+        by_dimension = is_c_lagrangian(subspace, omega, 1e-8)
+        by_search = _brute_force_maximal(subspace, omega, rng)
+        inputs = {"omega": omega.matrix, "candidate basis": subspace.basis}
         cases.append((inputs, [("maximality-brute-force", float(by_dimension != by_search))]))
     return cases
 
 
 def _random_candidate_subspace(space: CSymplecticSpace, rng: np.random.Generator) -> Subspace:
+    dim = space.omegas.shape[-1]
     kind = int(rng.integers(3))
     if kind == 0:  # isotropic line: every line is isotropic, never maximal
-        return Subspace(rng.standard_normal((space.dim, 1)))
+        return Subspace(rng.standard_normal((dim, 1)))
     if kind == 1:  # honest c-Lagrangian
-        return random_lagrangians([space], [rng])[0]
-    return Subspace(rng.standard_normal((space.dim, 2)))  # generic plane
+        return Subspace(random_lagrangians(space, [rng])[0])
+    return Subspace(rng.standard_normal((dim, 2)))  # generic plane
 
 
 def _brute_force_maximal(subspace: Subspace, omega, rng: np.random.Generator, attempts: int = 100) -> bool:
@@ -491,8 +494,9 @@ def _section_theorem_case(cfg: SuiteConfig, dim, indices):
     cases = []
     for inputs, section_map, certificate in zip(instances, sections.maps, certificates):
         inputs["section map"] = section_map
+        restriction, intertwining = certificate.graph_restriction_norm, certificate.intertwining_residual
         measurements = [
-            ("holomorphize", certificate.max_residual),
+            ("holomorphize", certificate.max_residual, f"graph_restriction={restriction} intertwining={intertwining}"),
             ("holomorphize-graph-lagrangian", float(not certificate.graph_is_lagrangian)),
         ]
         cases.append((inputs, measurements))

@@ -242,8 +242,9 @@ def exterior_derivative_fd(field: np.ndarray) -> np.ndarray:
 
 
 def deformed_structure_field(eta: np.ndarray, t: complex) -> np.ndarray:
-    """Pointwise induced structure of Omega + t * eta, for an exactly skew
-    2-form field eta.
+    """Pointwise induced structure of Omega + t * eta, for a finite, exactly
+    skew 2-form field eta.  Raises ``ValueError`` for a non-finite entry,
+    then for a field that is not skew.
 
     One stacked call of the c-symplectic core over all nodes.  A node
     fails when its kernel rank or real span is wrong or its structure
@@ -251,6 +252,8 @@ def deformed_structure_field(eta: np.ndarray, t: complex) -> np.ndarray:
     is NaN (see ``failed_nodes``).
     """
     _grid_size(eta)
+    if not np.isfinite(eta).all():
+        raise ValueError("two-form field has a non-finite entry")
     if max_abs(eta + np.swapaxes(eta, -1, -2)) != 0:
         raise ValueError("two-form field is not skew")
     # eta is never a temporary, so numpy never computes this product in

@@ -807,8 +807,8 @@ def test_family_structures_are_bitwise_the_single_form_path(dim):
 
     for i in range(20):
         rng = np.random.default_rng([dim, i])
-        space = CSymplecticSpace.from_form(ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])[0])
-        projection = LagrangianProjection.build(space, suites.random_lagrangians([space], [rng])[0])
+        space = CSymplecticSpace.from_forms(random_c_symplectics([rng], dim)[0])
+        projection = LagrangianProjection.build_many(space, suites.random_lagrangians(space, [rng]))
         family = DeformationFamily.build_many(projection, random_base_forms(projection, [rng], scale=0.5))
         (forms,), (structures,) = decide_members(family, [DEFAULT_T_SAMPLES])
         assert len(structures) == len(DEFAULT_T_SAMPLES)
@@ -1155,10 +1155,10 @@ def test_three_dims_not_lagrangian():
 def test_hitchin_invariance_of_found_lagrangians():
     for dim in (4, 8):
         rngs = [np.random.default_rng([17, dim, i]) for i in range(20)]
-        spaces = CSymplecticSpace.from_forms(ComplexTwoForm.from_skew(random_c_symplectics(rngs, dim)[0]))
-        for space, lag in zip(spaces, suites.random_lagrangians(spaces, rngs)):
-            q = lag.orthonormal_basis()
-            image = space.structure.matrix @ q
+        spaces = CSymplecticSpace.from_forms(random_c_symplectics(rngs, dim)[0])
+        for structure, lag in zip(spaces.structures, suites.random_lagrangians(spaces, rngs)):
+            q = Subspace(lag).orthonormal_basis()
+            image = structure @ q
             residual = np.max(np.abs(image - q @ (q.T @ image)))
             assert residual < 1e-9 * max(1.0, np.max(np.abs(image)))
 
@@ -1175,14 +1175,13 @@ def test_quotient_structure_on_q_block():
     assert np.allclose(np.abs(quot), np.array([[0, 1], [1, 0]]), atol=1e-12)
     assert np.allclose(quot @ quot, -np.eye(2), atol=1e-12)
     (w_t,) = projection.maps
-    assert np.allclose(w_t @ space.structure.matrix, quot @ w_t, atol=1e-12)
+    assert np.allclose(w_t @ space.structures[0], quot @ w_t, atol=1e-12)
 
 
 def test_quotient_structure_squares_to_minus_identity():
     rng = np.random.default_rng(8)
-    space = CSymplecticSpace.from_form(ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])[0])
-    (fiber,) = suites.random_lagrangians([space], [rng])
-    (quot,) = LagrangianProjection.build(space, fiber).quotients
+    space = CSymplecticSpace.from_forms(random_c_symplectics([rng], 8)[0])
+    (quot,) = LagrangianProjection.build_many(space, suites.random_lagrangians(space, [rng])).quotients
     assert np.allclose(quot @ quot, -np.eye(4), atol=1e-10)
 
 
@@ -1198,14 +1197,14 @@ def test_quotient_structure_on_canonical_basis_fibers():
     projection = LagrangianProjection.build(space, fiber)
     (quot,) = projection.quotients
     (w_t,) = projection.maps
-    assert np.max(np.abs(w_t @ space.structure.matrix - quot @ w_t)) < 1e-9
+    assert np.max(np.abs(w_t @ space.structures[0] - quot @ w_t)) < 1e-9
 
 
 def test_quotient_independent_of_complement_model():
     # any complement with the identification maps gives a conjugate structure
     rng = np.random.default_rng(9)
-    space = CSymplecticSpace.from_form(ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])[0])
-    (fiber,) = suites.random_lagrangians([space], [rng])
+    space = CSymplecticSpace.from_forms(random_c_symplectics([rng], 8)[0])
+    fiber = Subspace(suites.random_lagrangians(space, [rng])[0])
     projection = LagrangianProjection.build(space, fiber)
     (quot,) = projection.quotients
     w = projection.maps[0].T
@@ -1219,18 +1218,18 @@ def test_quotient_independent_of_complement_model():
     assert np.allclose(transported, quot, atol=1e-9)
     # the genuinely model-independent statement: pi(I v) = I_quot pi(v)
     probe = rng.standard_normal((8, 5))
-    assert np.allclose(w.T @ space.structure.matrix @ probe, quot @ (w.T @ probe), atol=1e-9)
+    assert np.allclose(w.T @ space.structures[0] @ probe, quot @ (w.T @ probe), atol=1e-9)
 
 
 def test_c_symplectic_space_caches_validated_data(monkeypatch):
     rng = np.random.default_rng(10)
     (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
     space = CSymplecticSpace.from_form(omega)
-    assert is_c_symplectic_rank(space.omega).ok and is_c_symplectic_power(space.omega).ok
-    assert is_c_symplectic_rank(space.omega).kernel_dim == 4
-    assert np.allclose(
-        space.structure.matrix, induced_complex_structure(omega).matrix, atol=1e-12
-    )
+    assert len(space) == 1 and space.omegas.tobytes() == omega.matrix.tobytes()
+    (validated,) = ComplexTwoForm.from_skew(space.omegas)
+    assert is_c_symplectic_rank(validated).ok and is_c_symplectic_power(validated).ok
+    assert is_c_symplectic_rank(validated).kernel_dim == 4
+    assert np.allclose(space.structures[0], induced_complex_structure(omega).matrix, atol=1e-12)
     # the rank failure is reported first, then the power failure
     with pytest.raises(ValueError, match=r"\(rank criterion\): kernel dimension 4 != 2"):
         CSymplecticSpace.from_form(ComplexTwoForm(np.zeros((4, 4))))
@@ -1242,3 +1241,14 @@ def test_c_symplectic_space_caches_validated_data(monkeypatch):
 def test_spaces_of_no_forms_raise_a_value_error():
     with pytest.raises(ValueError, match="no forms to validate"):
         CSymplecticSpace.from_forms([])
+
+
+def test_spaces_refuse_forms_that_are_not_a_finite_stack_of_square_matrices():
+    omegas = random_c_symplectics([np.random.default_rng(12 + i) for i in range(3)], 8)[0]
+    with pytest.raises(ValueError, match="^forms must be a stack of square matrices$"):
+        CSymplecticSpace.from_forms(omegas[0])
+    with pytest.raises(ValueError, match="^forms must be a stack of square matrices$"):
+        CSymplecticSpace.from_forms(omegas[:, :4])
+    omegas[1, 2, 5] = np.nan  # the skew pass finds it, as ComplexTwoForm's did
+    with pytest.raises(ValueError, match="entries must be finite$"):
+        CSymplecticSpace.from_forms(omegas)

@@ -56,11 +56,18 @@ def holomorphized(certificate):
 
 
 def random_instance(dim, seed):
-    """A random space, a random c-Lagrangian fiber of it, and the generator
-    that drew them."""
+    """A random space range of one, the subspace of a random c-Lagrangian
+    fiber of it, and the generator that drew them."""
     rng = np.random.default_rng(seed)
-    space = CSymplecticSpace.from_form(ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])[0])
-    return space, random_lagrangians([space], [rng])[0], rng
+    space = CSymplecticSpace.from_forms(random_c_symplectics([rng], dim)[0])
+    return space, Subspace(random_lagrangians(space, [rng])[0]), rng
+
+
+def joined(spaces, fibers):
+    """The space range of ranges of one and the stacked bases of their
+    fiber subspaces."""
+    stack = lambda name: np.concatenate([getattr(space, name) for space in spaces])
+    return CSymplecticSpace(omegas=stack("omegas"), structures=stack("structures")), np.stack([f.basis for f in fibers])
 
 
 def random_setup(dim, seed):
@@ -96,9 +103,9 @@ def test_projection_rejects_an_incompatible_quotient_structure():
     # c-Lagrangian, but the new structure no longer preserves the fiber
     space, fiber, rng = random_instance(8, 35)
     r = np.eye(8) + 1e-4 * rng.standard_normal((8, 8))
-    conjugated = ComplexStructure(8, r @ space.structure.matrix @ np.linalg.inv(r))
-    space = dataclasses.replace(space, structure=conjugated)
-    assert is_c_lagrangian(fiber, space.omega)
+    conjugated = ComplexStructure(8, r @ space.structures[0] @ np.linalg.inv(r))
+    space = dataclasses.replace(space, structures=conjugated.matrix[None])
+    assert is_c_lagrangian(fiber, ComplexTwoForm(space.omegas[0]))
     with pytest.raises(ValueError, match="quotient structure not well-defined"):
         LagrangianProjection.build(space, fiber)
 
@@ -109,17 +116,36 @@ def test_a_projection_range_raises_for_its_first_failing_pair():
     # pairs one at a time would
     spaces, fibers, rngs = (list(parts) for parts in zip(*(random_instance(8, seed) for seed in (35, 36, 37))))
     r = np.eye(8) + 1e-4 * rngs[1].standard_normal((8, 8))
-    conjugated = ComplexStructure(8, r @ spaces[1].structure.matrix @ np.linalg.inv(r))
-    spaces[1] = dataclasses.replace(spaces[1], structure=conjugated)
+    conjugated = ComplexStructure(8, r @ spaces[1].structures[0] @ np.linalg.inv(r))
+    spaces[1] = dataclasses.replace(spaces[1], structures=conjugated.matrix[None])
     fibers[2] = Subspace(rngs[2].standard_normal((8, 4)))
     with pytest.raises(ValueError, match="quotient structure not well-defined"):
         LagrangianProjection.build(spaces[1], fibers[1])
     with pytest.raises(ValueError, match="fiber is not c-Lagrangian"):
         LagrangianProjection.build(spaces[2], fibers[2])
     with pytest.raises(ValueError, match="quotient structure not well-defined"):
-        LagrangianProjection.build_many(spaces, fibers)
+        LagrangianProjection.build_many(*joined(spaces, fibers))
     with pytest.raises(ValueError, match="fiber is not c-Lagrangian"):
-        LagrangianProjection.build_many(spaces[::2], fibers[::2])
+        LagrangianProjection.build_many(*joined(spaces[::2], fibers[::2]))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda fibers: fibers.astype(complex), "c-Lagrangian subspaces are real"),
+        (lambda fibers: fibers[:, :4], "ambient dimension mismatch"),
+        (lambda fibers: fibers[:, :, :3], "fiber is not c-Lagrangian for the given form"),
+    ],
+    ids=["complex", "ambient", "dimension"],
+)
+def test_a_projection_range_refuses_a_fiber_stack_of_another_field_or_shape(change, message):
+    spaces, rngs, _ = stacked_instances(8, 3)
+    fibers = change(random_lagrangians(spaces, rngs))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LagrangianProjection.build_many(spaces, fibers)
+    fiber = Subspace(fibers[0], field="C" if np.iscomplexobj(fibers) else "R")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LagrangianProjection.build(CSymplecticSpace.from_forms(spaces.omegas[:1]), fiber)
 
 
 def test_section_must_invert_projection():
@@ -396,16 +422,18 @@ def test_residual_folds_keep_a_nan():
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_projection_builds_its_quotient_once(count, monkeypatch):
-    # one complement and one c-Lagrangian check for the whole range
+    # one orthonormalization, one complement and one c-Lagrangian check for the whole range
     omegas = random_c_symplectics([np.random.default_rng(33 + i) for i in range(count)], 8)[0]
-    spaces = CSymplecticSpace.from_forms(ComplexTwoForm.from_skew(omegas))
+    spaces = CSymplecticSpace.from_forms(omegas)
     fibers = random_lagrangians(spaces, [np.random.default_rng(34 + i) for i in range(count)])
     calls = []
     complement, isotropic = deformation.complement_bases, deformation.c_isotropic
+    orthonormal = deformation.orthonormal_bases
     monkeypatch.setattr(deformation, "complement_bases", lambda b: calls.append("complement") or complement(b))
     monkeypatch.setattr(deformation, "c_isotropic", lambda *a: calls.append("c_isotropic") or isotropic(*a))
+    monkeypatch.setattr(deformation, "orthonormal_bases", lambda b: calls.append("orthonormal") or orthonormal(b))
     LagrangianProjection.build_many(spaces, fibers)
-    assert sorted(calls) == ["c_isotropic", "complement"]
+    assert sorted(calls) == ["c_isotropic", "complement", "orthonormal"]
 
 
 def test_family_structures_are_checked_members():
@@ -433,7 +461,7 @@ def test_a_family_pulls_gamma_back_once():
 
 def test_members_of_many_families_decide_as_each_family_alone():
     spaces, fibers, rngs = zip(*(random_instance(8, seed) for seed in (36, 37, 38)))
-    projection = LagrangianProjection.build_many(spaces, fibers)
+    projection = LagrangianProjection.build_many(*joined(spaces, fibers))
     alone = [LagrangianProjection.build(space, fiber) for space, fiber in zip(spaces, fibers)]
     gammas = random_base_forms(projection, rngs)
     forms, structures = decide_members(DeformationFamily.build_many(projection, gammas), [DEFAULT_T_SAMPLES] * 3)
@@ -481,10 +509,11 @@ def test_a_deformation_range_decomposes_as_often_at_any_sample_count(name, dim, 
 
 
 def stacked_instances(dim, count):
-    """Generators and spaces of ``count`` instances, and copies of the
-    generators in the same state, for the calls on one-element ranges."""
+    """The space range of ``count`` instances, their generators, and copies
+    of the generators in the same state, for the calls on one-element
+    ranges."""
     rngs = [np.random.default_rng([50, dim, index]) for index in range(count)]
-    spaces = CSymplecticSpace.from_forms(ComplexTwoForm.from_skew(random_c_symplectics(rngs, dim)[0]))
+    spaces = CSymplecticSpace.from_forms(random_c_symplectics(rngs, dim)[0])
     return spaces, rngs, copy.deepcopy(rngs)
 
 
@@ -506,15 +535,19 @@ def assert_instance_is_its_range_of_one(stacked, i, alone):
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_each_stacked_builder_is_its_stack_of_one_bit_for_bit(dim):
-    spaces, rngs, alone_rngs = stacked_instances(dim, 30)
+    rngs = [np.random.default_rng([50, dim, index]) for index in range(30)]
+    omegas = random_c_symplectics(rngs, dim)[0]
+    alone_rngs = copy.deepcopy(rngs)
+    spaces = CSymplecticSpace.from_forms(omegas)
+    spaces_alone = [CSymplecticSpace.from_form(omega) for omega in ComplexTwoForm.from_skew(omegas)]
+    for i, one in enumerate(spaces_alone):
+        assert_instance_is_its_range_of_one(spaces, i, one)
     fibers = random_lagrangians(spaces, rngs)
-    fibers_alone = [random_lagrangians([space], [rng])[0] for space, rng in zip(spaces, alone_rngs)]
-    spans = Subspace.from_bases(np.stack([fiber.basis for fiber in fibers]))
-    for fiber, alone, span in zip(fibers, fibers_alone, spans):
-        assert same_bits(fiber.basis, alone.basis) and same_bits(fiber.orthonormal_basis(), alone.orthonormal_basis())
-        assert same_bits(span.orthonormal_basis(), Subspace(fiber.basis).orthonormal_basis())
+    assert fibers.dtype == np.float64 and fibers.shape == (30, dim, dim // 2)
+    for fiber, one, rng in zip(fibers, spaces_alone, alone_rngs):
+        assert same_bits(fiber[None], random_lagrangians(one, [rng]))
     projection = LagrangianProjection.build_many(spaces, fibers)
-    alone = [LagrangianProjection.build(space, fiber) for space, fiber in zip(spaces, fibers)]
+    alone = [LagrangianProjection.build(one, Subspace(fiber)) for one, fiber in zip(spaces_alone, fibers)]
     for i, one in enumerate(alone):
         assert_instance_is_its_range_of_one(projection, i, one)
     if dim == 12:
@@ -552,7 +585,8 @@ def test_parallel_inputs_of_different_lengths_raise_a_value_error():
     spaces, rngs, _ = stacked_instances(8, 3)
     fibers = random_lagrangians(spaces, rngs)
     projection = LagrangianProjection.build_many(spaces, fibers)
-    pair = LagrangianProjection.build_many(spaces[:2], fibers[:2])
+    first, pair_spaces = (CSymplecticSpace(omegas=spaces.omegas[:k], structures=spaces.structures[:k]) for k in (1, 2))
+    pair = LagrangianProjection.build_many(pair_spaces, fibers[:2])
     gammas = random_base_forms(projection, rngs)
     families = DeformationFamily.build_many(projection, gammas)
     maps = LinearSection.random_many(projection, rngs).maps
@@ -560,9 +594,9 @@ def test_parallel_inputs_of_different_lengths_raise_a_value_error():
         (lambda: verify_preservances(projection, gammas[:2]), "3 projections, 2 gammas"),
         (lambda: verify_preservances(pair, gammas), "2 projections, 3 gammas"),
         (lambda: random_lagrangians(spaces, rngs[:1]), "3 spaces, 1 rngs"),
-        (lambda: LagrangianProjection.build_many(spaces[:2], fibers), "2 spaces, 3 fibers"),
+        (lambda: LagrangianProjection.build_many(pair_spaces, fibers), "2 spaces, 3 fibers"),
         (lambda: random_base_forms(projection, rngs[:2]), "3 projections, 2 rngs"),
-        (lambda: DeformationFamily.build_many(LagrangianProjection.build(spaces[0], fibers[0]), gammas),
+        (lambda: DeformationFamily.build_many(LagrangianProjection.build(first, Subspace(fibers[0])), gammas),
          "1 projections, 3 gammas"),
         (lambda: decide_members(families, [DEFAULT_T_SAMPLES] * 2), "3 families, 2 ts"),
         (lambda: LinearSection(pair, maps), "2 projections, 3 maps"),

@@ -209,7 +209,7 @@ def test_induced_cases_draw_their_lambdas_as_the_per_index_draws(dim):
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_section_ranges_are_the_per_instance_draws_bit_for_bit(dim):
     rngs, alone_rngs, reference_rngs = generators(dim, 20)
-    spaces = CSymplecticSpace.from_forms(ComplexTwoForm.from_skew(random_c_symplectics(rngs, dim)[0]))
+    spaces = CSymplecticSpace.from_forms(random_c_symplectics(rngs, dim)[0])
     fibers = random_lagrangians(spaces, rngs)
     for others in (alone_rngs, reference_rngs):
         for rng, other in zip(rngs, others):
@@ -217,10 +217,12 @@ def test_section_ranges_are_the_per_instance_draws_bit_for_bit(dim):
     projection = LagrangianProjection.build_many(spaces, fibers)
     sections = LinearSection.random_many(projection, rngs, scale=0.5)
     k = projection.half_dim
-    for i, (space, fiber, alone_rng, reference_rng) in enumerate(zip(spaces, fibers, alone_rngs, reference_rngs)):
+    for i, (alone_rng, reference_rng) in enumerate(zip(alone_rngs, reference_rngs)):
         offset = 0.5 * reference_rng.standard_normal((k, k))
         reference = projection.maps[i].T + projection.fibers[i] @ offset
-        alone = LinearSection.random_many(LagrangianProjection.build(space, fiber), [alone_rng], scale=0.5)
+        space = CSymplecticSpace(omegas=spaces.omegas[i : i + 1], structures=spaces.structures[i : i + 1])
+        one = LagrangianProjection.build_many(space, fibers[i : i + 1])
+        alone = LinearSection.random_many(one, [alone_rng], scale=0.5)
         assert same_bits(sections.maps[i], alone.maps[0])
         assert same_bits(sections.maps[i], reference)
     assert states(rngs) == states(alone_rngs) == states(reference_rngs)
@@ -289,7 +291,7 @@ def test_generators_raise_a_value_error_for_invalid_arguments(call, message):
 
 def test_section_ranges_of_different_lengths_raise_a_value_error():
     rngs, _, _ = generators(4, 2)
-    spaces = CSymplecticSpace.from_forms(ComplexTwoForm.from_skew(random_c_symplectics(rngs, 4)[0]))
+    spaces = CSymplecticSpace.from_forms(random_c_symplectics(rngs, 4)[0])
     projection = LagrangianProjection.build_many(spaces, random_lagrangians(spaces, rngs))
     with pytest.raises(ValueError, match="^parallel inputs differ in length: 2 projections, 1 rngs$"):
         LinearSection.random_many(projection, rngs[:1])

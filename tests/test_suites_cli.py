@@ -3,6 +3,7 @@
 import importlib.util
 import io
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -655,7 +656,7 @@ def case_bits(case):
     inputs, measurements = case
     return (
         {name: np.asarray(value).tobytes() for name, value in inputs.items()},
-        [(check, np.float64(value).tobytes()) for check, value in measurements],
+        [(check, np.float64(value).tobytes(), *detail) for check, value, *detail in measurements],
     )
 
 
@@ -781,12 +782,13 @@ def test_a_gram_schmidt_request_decides_one_structure_stack_per_dim(monkeypatch)
 
 
 def lagrangian_instance_reference(cfg, dim, index):
-    """One index's generator, space and fiber, its form decided on its own."""
+    """One index's generator, space range of one and fiber subspace, its form
+    decided on its own."""
     rng = suites._case_rng(cfg, dim, index)
     (omega,) = forms.ComplexTwoForm.from_skew(csymplectic.random_c_symplectics([rng], dim)[0])
     space = csymplectic.CSymplecticSpace.from_form(omega)
-    (fiber,) = suites.random_lagrangians([space], [rng])
-    return rng, space, fiber, {"omega": space.omega.matrix, "fiber basis": fiber.basis}
+    fiber = linalg.Subspace(suites.random_lagrangians(space, [rng])[0])
+    return rng, space, fiber, {"omega": space.omegas[0], "fiber basis": fiber.basis}
 
 
 def hitchin_case_reference(cfg, dim, indices):
@@ -795,7 +797,7 @@ def hitchin_case_reference(cfg, dim, indices):
     for index in indices:
         _, space, fiber, inputs = lagrangian_instance_reference(cfg, dim, index)
         q = fiber.orthonormal_basis()
-        image = space.structure.matrix @ q
+        image = space.structures[0] @ q
         residual = linalg.max_abs(image - q @ (q.T @ image)) / max(linalg.max_abs(image), 1e-300)
         cases.append((inputs, [("structure-invariance", residual)]))
     return cases
@@ -829,8 +831,10 @@ def section_theorem_case_reference(cfg, dim, indices):
         section = deformation.LinearSection.random_many(projection, [rng])
         inputs["section map"] = section.maps[0]
         _, _, certificate = deformation.holomorphize_section(section)
+        terms = certificate.graph_restriction_norm, certificate.intertwining_residual
+        detail = "graph_restriction={} intertwining={}".format(*terms)
         measurements = [
-            ("holomorphize", certificate.max_residual),
+            ("holomorphize", certificate.max_residual, detail),
             ("holomorphize-graph-lagrangian", float(not certificate.graph_is_lagrangian)),
         ]
         cases.append((inputs, measurements))
@@ -845,9 +849,9 @@ def maximality_case_reference(cfg, dim, indices):
         (omega,) = forms.ComplexTwoForm.from_skew(csymplectic.random_c_symplectics([rng], dim)[0])
         space = csymplectic.CSymplecticSpace.from_form(omega)
         subspace = suites._random_candidate_subspace(space, rng)
-        by_dimension = csymplectic.is_c_lagrangian(subspace, space.omega, 1e-8)
-        by_search = suites._brute_force_maximal(subspace, space.omega, rng)
-        inputs = {"omega": space.omega.matrix, "candidate basis": subspace.basis}
+        by_dimension = csymplectic.is_c_lagrangian(subspace, omega, 1e-8)
+        by_search = suites._brute_force_maximal(subspace, omega, rng)
+        inputs = {"omega": omega.matrix, "candidate basis": subspace.basis}
         cases.append((inputs, [("maximality-brute-force", float(by_dimension != by_search))]))
     return cases
 
@@ -1030,6 +1034,15 @@ def test_a_failing_instance_raises_in_the_range_what_it_raises_alone_in_each_bui
         case(cfg, 4, range(6, 7))
     assert str(stacked.value) == str(alone.value) == str(own_range.value) == expected
     case(cfg, 4, range(6))  # the instances before it pass
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_the_holomorphize_detail_names_both_terms_of_the_value(dim):
+    cases = suites._section_theorem_case(SuiteConfig(suite="section-theorem", seed=3), dim, range(10))
+    for _, ((check, value, detail), _) in cases:
+        assert check == "holomorphize" and suites.CHECKS[check].passes(value)
+        terms = re.fullmatch(r"graph_restriction=(\S+) intertwining=(\S+)", detail)
+        assert value == max(float(terms[1]), float(terms[2]))
 
 
 @pytest.mark.parametrize(

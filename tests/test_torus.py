@@ -43,6 +43,14 @@ def test_structure_field_rejects_a_non_skew_two_form():
         deformed_structure_field(values, 0.5)
 
 
+def test_structure_field_names_a_non_finite_node():
+    # NaN also fails the exact-skew test; the non-finite entry is named first
+    eta = closed_control_form(TorusGrid(8))
+    eta[2, 5, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="^two-form field has a non-finite entry$"):
+        deformed_structure_field(eta, 1.0)
+
+
 @pytest.mark.parametrize(
     "shape", [(8, 8, 6), (8, 8), (8, 8, 4), (8, 4, 4, 4)],
     ids=["six-pair-coefficients", "base-coefficient", "three-form", "non-square"],

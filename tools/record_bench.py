@@ -84,8 +84,21 @@ def tier1() -> dict:
     return {"command": " ".join(TIER1[1:]), "wall_s": wall, "summary": proc.stdout.strip().splitlines()[-1]}
 
 
+def report_digests(report) -> dict:
+    """The sha256 of a suite report's check rows as sorted-key JSON, under
+    ``checks_sha256``, and for the testbed also of its node table
+    (``testbed_node_csv``), under ``nodes_sha256``. It uses the csympl
+    already imported, whichever tree that came from."""
+    from csympl.suites import testbed_node_csv
+
+    digests = {"checks_sha256": hashlib.sha256(json.dumps(report.checks, sort_keys=True).encode()).hexdigest()}
+    if report.nodes is not None:
+        digests["nodes_sha256"] = hashlib.sha256(testbed_node_csv(report).encode()).hexdigest()
+    return digests
+
+
 def acceptance_suites() -> list:
-    from csympl.suites import SuiteConfig, run_suite, testbed_node_csv
+    from csympl.suites import SuiteConfig, run_suite
 
     rows = []
     for config in ACCEPTANCE_RUNS:
@@ -94,11 +107,8 @@ def acceptance_suites() -> list:
             start = time.perf_counter()
             report = run_suite(SuiteConfig(seed=ACCEPTANCE_SEED, **config))
             times.append(time.perf_counter() - start)
-        digest = hashlib.sha256(json.dumps(report.checks, sort_keys=True).encode()).hexdigest()
-        row = {"config": config, "best_s": min(times), "runs_s": times, "passed": report.passed, "checks_sha256": digest}
-        if report.nodes is not None:
-            row["nodes_sha256"] = hashlib.sha256(testbed_node_csv(report).encode()).hexdigest()
-        rows.append(row)
+        row = {"config": config, "best_s": min(times), "runs_s": times, "passed": report.passed}
+        rows.append({**row, **report_digests(report)})
     return rows
 
 

@@ -7,11 +7,12 @@ Usage:
 For every seed, a fresh process imports csympl from the tree's ``src/`` and
 runs each configuration of ``ACCEPTANCE_RUNS`` (``tools/record_bench.py``,
 the sizes of ``tests/test_acceptance.py``) at that seed. A report is
-summarized as ``record_bench.py`` summarizes it: the sha256 of its check
-rows and, for the testbed, of its node table. The run prints the worst
-value of every (check, dim): the one closest to the check's bound in
-``suites.CHECKS``. ``--scale K`` multiplies each run's ``samples`` by K;
-the testbed runs have no ``samples`` and stay as they are.
+summarized by ``record_bench.report_digests``, as ``record_bench.py``
+summarizes it: the sha256 of its check rows and, for the testbed, of its
+node table. The run prints the worst value of every (check, dim): the one
+closest to the check's bound in ``suites.CHECKS``. ``--scale K`` multiplies
+each run's ``samples`` by K; the testbed runs have no ``samples`` and stay
+as they are.
 
 With ``--compare REV`` it copies REV's tree with ``git archive`` into a
 temporary directory (removed afterwards, also on failure), sweeps it the
@@ -23,7 +24,6 @@ status of one command.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -70,14 +70,15 @@ def worker(job: dict) -> dict:
     """Run every configuration of ``job`` at its seed with the csympl of
     ``job["src"]``: per run, its digests and its rows with their bounds."""
     sys.path.insert(0, job["src"])
-    from csympl.suites import CHECKS, SuiteConfig, run_suite, testbed_node_csv
+    from csympl.suites import CHECKS, SuiteConfig, run_suite
+
+    # after csympl: importing record_bench puts this checkout's src/ first on the path
+    from record_bench import report_digests
 
     reports = {}
     for config in job["runs"]:
         report = run_suite(SuiteConfig(seed=job["seed"], **config))
-        digest = hashlib.sha256(json.dumps(report.checks, sort_keys=True).encode()).hexdigest()
-        if report.nodes is not None:
-            digest += "/" + hashlib.sha256(testbed_node_csv(report).encode()).hexdigest()
+        digest = "/".join(report_digests(report).values())
         rows = [
             {**row, "bounds": [CHECKS[row["check"]].low, CHECKS[row["check"]].high]} for row in report.checks
         ]
