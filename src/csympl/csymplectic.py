@@ -86,9 +86,9 @@ class RankVerdicts(NamedTuple):
 
     ``real_span_rank`` is -1 where the kernel dimension is not m/2.
     ``singular_values`` (N, m) are each form's, in descending order.  When
-    m is not a multiple of 4 every form fails undecided: ``kernel_dim`` and
-    ``real_span_rank`` are -1, the singular values are NaN, and no form is
-    ill-conditioned.
+    m is not a positive multiple of 4 every form fails undecided:
+    ``kernel_dim`` and ``real_span_rank`` are -1, the singular values are
+    NaN, and no form is ill-conditioned.
     """
 
     ok: np.ndarray
@@ -110,7 +110,7 @@ class RankVerdicts(NamedTuple):
         """Form ``i``'s verdict with its reason."""
         m = self.singular_values.shape[-1]
         kernel_dim, span_rank = int(self.kernel_dim[i]), int(self.real_span_rank[i])
-        if m % 4:
+        if m % 4 or not m:
             reason = "dimension not 4n"
         elif kernel_dim != m // 2:
             reason = f"kernel dimension {kernel_dim} != {m // 2}"
@@ -136,7 +136,7 @@ def rank_verdicts(omegas: np.ndarray) -> RankVerdicts:
     """
     count, m = omegas.shape[:2]
     half = m // 2
-    if m % 4:
+    if m % 4 or not m:
         unset = np.full(count, -1)
         return RankVerdicts(np.zeros(count, dtype=bool), unset, unset, np.full((count, m), np.nan))
     _, s, vh = np.linalg.svd(omegas)
@@ -159,8 +159,8 @@ class PowerVerdicts(NamedTuple):
 
     ``power_norm`` is |Omega^{n+1}|, ``pairing_norm`` |Omega^n ^ conj(Omega^n)|
     and ``form_norm`` |Omega|, each the max-coefficient norm, and
-    ``power_ok`` says Omega^{n+1} vanishes.  When m is not a multiple of 4
-    every form fails undecided, with power and pairing norms -1.
+    ``power_ok`` says Omega^{n+1} vanishes.  When m is not a positive
+    multiple of 4 every form fails undecided, with power and pairing norms -1.
     """
 
     ok: np.ndarray
@@ -201,7 +201,7 @@ def power_verdicts(omegas: np.ndarray) -> PowerVerdicts:
     """
     count, m = omegas.shape[0], omegas.shape[-1]
     form_norm = stack_max(omegas)
-    if m % 4:
+    if m % 4 or not m:
         unset = np.full(count, -1.0)
         return PowerVerdicts(np.zeros(count, dtype=bool), np.zeros(count, dtype=bool), unset, unset, form_norm)
     n = m // 4
@@ -209,8 +209,7 @@ def power_verdicts(omegas: np.ndarray) -> PowerVerdicts:
     pairing_table = multiindex.wedge_table(m, 2 * n, 2 * n)
     power_norm, pairing_norm = np.zeros(count), np.zeros(count)
     chunk = max(1, kernels.BLOCK // multiindex.coefficient_count(m, 2 * n))
-    # a form on R^0 is the zero form, with no power to build
-    for start in range(0, count if n else 0, chunk):
+    for start in range(0, count, chunk):
         omega = omegas[start : start + chunk, rows[:, 0], rows[:, 1]]
         omega_n = omega
         for k in range(1, n):
@@ -253,7 +252,7 @@ def induced_complex_structure(omega: ComplexTwoForm) -> ComplexStructure:
     conjugate.  This is ``accepted_structures`` on a stack of one, and
     raises as it does on non-c-symplectic input.
     """
-    return ComplexStructure.from_accepted(omega.dim, accepted_structures(omega.matrix[None])[0])
+    return ComplexStructure(omega.dim, accepted_structures(omega.matrix[None])[0])
 
 
 def _structure_accepted(square, linearity):
@@ -397,7 +396,8 @@ def induced_structures(omegas: np.ndarray):
     passes when ``rank_verdicts`` accepts it and the structure solved from it
     meets ``_structure_accepted``; failing forms are not solved.  A
     NaN structure marks a failure, and its verdict's ``criterion(i).reason``
-    names a rank failure (empty when the structure was rejected).
+    names a rank failure (empty when the structure was rejected).  Forms on
+    R^0 raise ``ValueError``: an empty structure has no entry to mark NaN.
 
     Each distinct matrix is decided once and its result scattered back to
     every form that repeats it; torus structure fields repeat most nodes
@@ -417,6 +417,8 @@ def induced_structures(omegas: np.ndarray):
     neither on its chunk nor on the number of chunks or CPUs.
     """
     m = omegas.shape[-1]
+    if not m:
+        raise ValueError("dim must be a positive multiple of 4, got 0")
     distinct = flat = np.ascontiguousarray(omegas).reshape(-1, m, m)
     groups = _repeat_groups(flat) if len(flat) > 1 else None  # one form shares nothing
     if groups is not None:
@@ -596,7 +598,7 @@ class CSymplecticSpace:
         in one ``accepted_structures`` call and one ``power_verdicts`` call,
         each of which gives a form the bits it gets on its own.  Raises
         ``ValueError`` for the first form that fails, as ``from_form`` would
-        for it, and for an empty stack."""
+        for it, for an empty stack and for forms on R^0."""
         if not len(omegas):
             raise ValueError("no forms to validate")
         omegas = np.asarray(omegas, dtype=np.complex128)

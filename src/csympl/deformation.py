@@ -251,7 +251,7 @@ def deform(projection: LagrangianProjection, gamma: ComplexTwoForm, t: complex) 
     verifies c-symplecticity of the result by both criteria.
     """
     forms, _ = decide_members(DeformationFamily.build_many(projection, gamma.matrix[None]), [[t]])
-    return ComplexTwoForm.from_skew(forms[0])[0]
+    return ComplexTwoForm(forms[0][0])
 
 
 @dataclass(frozen=True, eq=False)

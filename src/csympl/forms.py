@@ -184,21 +184,10 @@ class ComplexTwoForm:
         self.matrix = skew_matrices(matrix)
 
     @classmethod
-    def from_skew(cls, matrices: np.ndarray) -> list:
-        """Forms of the stacked matrices (N, m, m) that ``skew_matrices``
-        made, which are not antisymmetrized again."""
-        forms = []
-        for matrix in matrices:
-            form = cls.__new__(cls)
-            form.dim, form.matrix = matrix.shape[0], matrix
-            forms.append(form)
-        return forms
-
-    @classmethod
     def from_kform(cls, form: ComplexKForm) -> "ComplexTwoForm":
         if form.degree != 2:
             raise ValueError(f"a ComplexTwoForm holds 2-forms, got a {form.degree}-form")
-        return cls.from_skew(two_form_matrices(form.coeffs[None], form.dim))[0]
+        return cls(two_form_matrices(form.coeffs[None], form.dim)[0])
 
     def to_kform(self) -> ComplexKForm:
         rows = multiindex.index_array(self.dim, 2)
@@ -307,7 +296,7 @@ def form_kernel(a: ComplexTwoForm) -> FormKernel:
     """
     u, s, vh = np.linalg.svd(a.matrix)
     return FormKernel(
-        subspace=Subspace.from_orthonormal(vh[numerical_rank(s) :].conj().T, field="C"),
+        subspace=Subspace(vh[numerical_rank(s) :].conj().T, field="C"),
         singular_values=s,
         ill_conditioned=bool(numerical_rank(s, DEFAULT_TOL / 10) != numerical_rank(s, 10 * DEFAULT_TOL)),
     )

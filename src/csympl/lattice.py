@@ -162,8 +162,14 @@ def _int_entries(v) -> list:
     return list(map(operator.index, v))
 
 
-def _as_int_list(v):
-    return [int(x) for x in v]
+def _as_int_list(v) -> list:
+    """``_int_entries`` of a vector that must be integral: the one
+    conversion of the lattice entry points, ``ValueError`` for an entry
+    that is not an integer."""
+    try:
+        return _int_entries(v)
+    except TypeError as exc:
+        raise ValueError(f"lattice vectors need integer entries: {exc}") from None
 
 
 def block_diagonal(*blocks) -> IntegralLattice:
@@ -439,8 +445,8 @@ class TwistorCurve:
         object.__setattr__(self, "e", e)
         pairings = None
         if np.all(np.isfinite(omega)) and np.all(omega == np.round(omega)):
-            a = _as_int_list(2 * omega.real)
-            b = _as_int_list(-2 * omega.imag)
+            a = [int(x) for x in 2 * omega.real]
+            b = [int(x) for x in -2 * omega.imag]
             pair = lattice.pair
             pairings = (pair(a, a), pair(a, b), pair(b, b), pair(a, e), pair(b, e), e_square)
         object.__setattr__(self, "_pairings", pairings)

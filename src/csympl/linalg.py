@@ -118,26 +118,6 @@ class Subspace:
     def __init__(self, basis, field: str = "R"):
         """The span of one basis, checked linearly independent by
         ``orthonormal_bases`` on a stack of one."""
-        basis = self._set_basis(basis, field)
-        self._ortho = orthonormal_bases(basis[None])[0]
-
-    @classmethod
-    def from_orthonormal(cls, q, field: str = "R") -> "Subspace":
-        """Subspace of a basis that is orthonormal by construction.
-
-        The basis is checked (max |Q^H Q - Id| <= DEFAULT_TOL) and kept as its
-        own orthonormal basis, without the independence SVD and QR of
-        ``__init__``.
-        """
-        self = cls.__new__(cls)
-        q = self._set_basis(q, field)
-        residual = float(orthonormality_residuals(q))
-        if not residual <= DEFAULT_TOL:
-            raise PostconditionError(f"basis is not orthonormal (residual {residual:.3e})")
-        self._ortho = q
-        return self
-
-    def _set_basis(self, basis, field: str) -> np.ndarray:
         if field not in ("R", "C"):
             raise ValueError(f"field must be 'R' or 'C', got {field!r}")
         basis = np.asarray(basis, dtype=np.complex128 if field == "C" else np.float64)
@@ -146,7 +126,7 @@ class Subspace:
         self.ambient_dim = basis.shape[0]
         self.field = field
         self.basis = basis
-        return basis
+        self._ortho = orthonormal_bases(basis[None])[0]
 
     @property
     def dim(self) -> int:
@@ -176,8 +156,8 @@ class Subspace:
 
     def orthogonal_complement(self) -> "Subspace":
         if self.dim == 0:
-            return Subspace.from_orthonormal(np.eye(self.ambient_dim), field=self.field)
-        return Subspace.from_orthonormal(complement_bases(self.basis), field=self.field)
+            return Subspace(np.eye(self.ambient_dim), field=self.field)
+        return Subspace(complement_bases(self.basis), field=self.field)
 
     def real_span_rank(self) -> int:
         """Real dimension of span_R(Re basis, Im basis)."""
@@ -195,33 +175,15 @@ class ComplexStructure:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mat = self._set_matrix(self.matrix)
-        residual, failed = square_residuals(mat[None])
-        if failed[0]:
-            raise ValueError(f"I^2 != -Id (residual {residual[0]:.3e})")
-
-    @classmethod
-    def from_accepted(cls, dim: int, matrix) -> "ComplexStructure":
-        """Structure that ``induced_structures`` has accepted, or whose
-        ``square_residuals`` its caller has already checked.
-
-        Its I^2 = -Id residual already met the same ``STRUCTURE_TOL`` bound
-        there, so it is not recomputed; shape and dimension are checked as
-        in ``__init__``.
-        """
-        self = cls.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        self._set_matrix(matrix)
-        return self
-
-    def _set_matrix(self, matrix) -> np.ndarray:
-        mat = np.asarray(matrix, dtype=np.float64)
+        mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.shape != (self.dim, self.dim):
             raise ValueError("matrix shape does not match dim")
         if self.dim % 2:
             raise ValueError("a complex structure needs even dimension")
         object.__setattr__(self, "matrix", mat)
-        return mat
+        residual, failed = square_residuals(mat[None])
+        if failed[0]:
+            raise ValueError(f"I^2 != -Id (residual {residual[0]:.3e})")
 
     def rotation(self, theta: float) -> np.ndarray:
         """exp(theta I) = cos(theta) Id + sin(theta) I."""

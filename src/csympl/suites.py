@@ -422,7 +422,7 @@ def _maximality_case(cfg: SuiteConfig, dim, indices):
     each index on its own stream (seed, dim, 10000 + index)."""
     cases = []
     rngs, spaces = _spaces(cfg, dim, [10_000 + index for index in indices])
-    for i, (rng, omega) in enumerate(zip(rngs, ComplexTwoForm.from_skew(spaces.omegas))):
+    for i, (rng, omega) in enumerate(zip(rngs, map(ComplexTwoForm, spaces.omegas))):
         space = CSymplecticSpace(omegas=spaces.omegas[i : i + 1], structures=spaces.structures[i : i + 1])
         subspace = _random_candidate_subspace(space, rng)
         by_dimension = is_c_lagrangian(subspace, omega, 1e-8)

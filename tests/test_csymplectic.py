@@ -92,11 +92,13 @@ def test_dz_form_is_c_symplectic():
     assert is_c_symplectic_power(dz1_wedge_dz2()).ok
 
 
-def test_dimension_not_multiple_of_four_rejected():
-    form = ComplexTwoForm(np.zeros((6, 6)))
+@pytest.mark.parametrize("dim", [6, 0])
+def test_dimension_not_multiple_of_four_rejected(dim):
+    form = ComplexTwoForm(np.zeros((dim, dim)))
     rank = is_c_symplectic_rank(form)
     assert not rank.ok and rank.reason == "dimension not 4n"
-    assert not is_c_symplectic_power(form).ok
+    power = is_c_symplectic_power(form)
+    assert not power.ok and power.reason == "dimension not 4n"
 
 
 def test_degenerate_real_half_rank_separates_naive_kernel_count():
@@ -116,7 +118,7 @@ def test_degenerate_real_half_rank_separates_naive_kernel_count():
 def test_criteria_agree_on_mixture():
     for dim in (4, 8):
         rngs = [np.random.default_rng([dim, i]) for i in range(150)]
-        for omega in ComplexTwoForm.from_skew(suites.mixed_two_forms(rngs, dim)):
+        for omega in map(ComplexTwoForm, suites.mixed_two_forms(rngs, dim)):
             assert bool(is_c_symplectic_rank(omega)) == bool(is_c_symplectic_power(omega))
 
 
@@ -124,7 +126,7 @@ def test_criteria_agree_under_perturbations_off_the_boundary():
     # perturbations well above the rank threshold break both criteria,
     # perturbations well below it break neither
     rng = np.random.default_rng(21)
-    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
+    omega = ComplexTwoForm(random_c_symplectics([rng], 8)[0][0])
     noise = ComplexTwoForm(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     noise = noise * (omega.norm() / noise.norm())
     for eps, expected in ((1e-4, False), (1e-6, False), (1e-13, True)):
@@ -141,7 +143,7 @@ def rank_criterion_reference(omega):
     """The per-form rank criterion that ``rank_verdicts`` replaced: the kernel
     of ``form_kernel`` and the real-span rank of ``Subspace.real_span_rank``."""
     m = omega.dim
-    if m % 4:
+    if m % 4 or not m:
         return RankCriterion(False, "dimension not 4n", -1, -1, False)
     n = m // 4
     ker = form_kernel(omega)
@@ -192,7 +194,7 @@ def assert_verdicts_are_the_reference(forms):
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_rank_verdicts_are_the_per_form_path_on_mixed_forms(dim):
-    forms = ComplexTwoForm.from_skew(suites.mixed_two_forms([np.random.default_rng([dim, i]) for i in range(200)], dim))
+    forms = list(map(ComplexTwoForm, suites.mixed_two_forms([np.random.default_rng([dim, i]) for i in range(200)], dim)))
     references = assert_verdicts_are_the_reference(forms)
     reasons = {reference.reason for reference in references}
     assert reasons == {"", f"kernel dimension 0 != {dim // 2}", "kernel contains real vectors"}
@@ -205,7 +207,7 @@ def near_cutoff_witnesses(dim, count=3, steps=41):
     forms = []
     for k in range(count):
         rng = np.random.default_rng([2026, dim, k])
-        omega = ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])[0]
+        omega = ComplexTwoForm(random_c_symplectics([rng], dim)[0][0])
         noise = complex_gaussian_form(rng, dim)
         noise = noise * (omega.norm() / noise.norm())
         forms.extend(omega + noise * eps for eps in np.logspace(-14, -4, steps))
@@ -221,7 +223,7 @@ def test_rank_verdicts_are_the_per_form_path_near_the_cutoff(dim):
     assert any(oks) and not all(oks)
 
 
-@pytest.mark.parametrize("dim", [2, 6, 7])
+@pytest.mark.parametrize("dim", [0, 2, 6, 7])
 def test_rank_verdicts_are_the_per_form_path_off_multiples_of_four(dim):
     forms = [complex_gaussian_form(np.random.default_rng([dim, i]), dim) for i in range(5)]
     forms.append(ComplexTwoForm(np.zeros((dim, dim))))
@@ -269,7 +271,7 @@ def reference_criteria_sweep(cfg, power_verdicts):
         failing = 0
         for index in range(cfg.samples):
             rng = np.random.default_rng([cfg.seed, dim, index])
-            (omega,) = ComplexTwoForm.from_skew(suites.mixed_two_forms([rng], dim))
+            omega = ComplexTwoForm(suites.mixed_two_forms([rng], dim)[0])
             rank, power = rank_criterion_reference(omega).ok, power_verdicts[omega.matrix.tobytes()]
             if rank != power:
                 failing += 1
@@ -312,7 +314,7 @@ def test_criteria_equivalence_is_the_per_case_sweep_at_acceptance_size(seed, mon
 def test_a_forced_disagreement_replays_with_the_sweeps_detail(monkeypatch, capsys):
     cfg = suites.SuiteConfig(suite="criteria-equivalence", dims=(4, 8), samples=20, seed=1)
     rngs = [np.random.default_rng([1, 8, index]) for index in range(20)]
-    forms = ComplexTwoForm.from_skew(suites.mixed_two_forms(rngs, 8))
+    forms = list(map(ComplexTwoForm, suites.mixed_two_forms(rngs, 8)))
     index = next(i for i in range(5, 20) if rank_criterion_reference(forms[i]).ok)
     power_verdicts = recording_power(monkeypatch, fail_on=forms[index].matrix.tobytes())
     report = suites.run_suite(cfg)
@@ -345,7 +347,7 @@ def complex_gaussian_form(rng, dim):
 def test_pairing_matches_the_pairing_chain_reference(dim):
     for i in range(10):
         rng = np.random.default_rng([dim, i])
-        (symplectic,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])
+        symplectic = ComplexTwoForm(random_c_symplectics([rng], dim)[0][0])
         for omega in (symplectic, complex_gaussian_form(rng, dim)):
             power_check = is_c_symplectic_power(omega)
             reference = pairing_chain_reference(omega)
@@ -380,7 +382,7 @@ def wedge_work(monkeypatch):
 def test_power_criterion_builds_omega_n_once_and_makes_no_rank_decision(wedge_work, dim, wedges, products):
     # Omega^2 .. Omega^{n+1} by the first-row table, C(dim, 2k + 2) outputs
     # of 2k + 1 products each, and the pairing by the full 2n ^ 2n table
-    omega = ComplexTwoForm.from_skew(random_c_symplectics([np.random.default_rng(dim)], dim)[0])[0]
+    omega = ComplexTwoForm(random_c_symplectics([np.random.default_rng(dim)], dim)[0][0])
     wedge_work[:] = [0, 0, 0]
     assert is_c_symplectic_power(omega).ok
     assert wedge_work == [wedges, products, 0]
@@ -391,7 +393,7 @@ def power_chain_reference(omega):
     n - 1 full-table wedges with Omega, then Omega^{n+1} = Omega^n ^ Omega and
     the pairing Omega^n ^ conj(Omega^n)."""
     m = omega.dim
-    if m % 4:
+    if m % 4 or not m:
         return PowerCriterion(False, "dimension not 4n", -1.0, -1.0, omega.norm())
     n = m // 4
     scale = omega.norm()
@@ -437,7 +439,7 @@ def assert_power_verdicts_are_the_reference(forms):
 def test_power_verdicts_are_the_wedge_chain_on_oracle_and_mixed_forms(dim):
     forms = list(oracle_forms(dim))
     rngs = [np.random.default_rng([dim, 2000 + i]) for i in range(60)]
-    forms += ComplexTwoForm.from_skew(suites.mixed_two_forms(rngs, dim))
+    forms += list(map(ComplexTwoForm, suites.mixed_two_forms(rngs, dim)))
     references = assert_power_verdicts_are_the_reference(forms)
     reasons = {reference.reason for reference in references}
     assert reasons == {"", "Omega^{n+1} != 0", "(Omega ^ conj Omega)^n = 0"}
@@ -446,10 +448,12 @@ def test_power_verdicts_are_the_wedge_chain_on_oracle_and_mixed_forms(dim):
 def test_power_verdicts_are_the_wedge_chain_on_zero_and_dim_six_forms():
     zero = ComplexTwoForm(np.zeros((8, 8)))
     six = complex_gaussian_form(np.random.default_rng(6), 6)
+    empty = ComplexTwoForm(np.zeros((0, 0)))
     assert [reference.reason for reference in assert_power_verdicts_are_the_reference([zero])] == ["zero form"]
-    assert [reference.reason for reference in assert_power_verdicts_are_the_reference([six])] == ["dimension not 4n"]
-    assert is_c_symplectic_power(zero) == power_chain_reference(zero)
-    assert is_c_symplectic_power(six) == power_chain_reference(six)
+    for form in (six, empty):
+        assert [reference.reason for reference in assert_power_verdicts_are_the_reference([form])] == ["dimension not 4n"]
+    for form in (zero, six, empty):
+        assert is_c_symplectic_power(form) == power_chain_reference(form)
 
 
 def verdict_bits(verdicts, i):
@@ -496,7 +500,7 @@ def test_power_blocks_hold_at_most_block_products_and_coefficients(monkeypatch):
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_pairing_decides_every_mixture_kind_far_from_its_bound(dim):
     ratios = {}
-    omegas = ComplexTwoForm.from_skew(suites.mixed_two_forms([np.random.default_rng([dim, i]) for i in range(60)], dim))
+    omegas = list(map(ComplexTwoForm, suites.mixed_two_forms([np.random.default_rng([dim, i]) for i in range(60)], dim)))
     for i, omega in enumerate(omegas):
         kind = int(np.random.default_rng([dim, i]).integers(5))
         power_check = is_c_symplectic_power(omega)
@@ -517,7 +521,7 @@ def test_pairing_decides_every_mixture_kind_far_from_its_bound(dim):
 def test_stacked_verdict_matches_the_single_form_path():
     for dim in (4, 8, 12):
         stack = suites.mixed_two_forms([np.random.default_rng([dim, i]) for i in range(150)], dim)
-        forms = ComplexTwoForm.from_skew(stack)
+        forms = list(map(ComplexTwoForm, stack))
         structures, _ = induced_structures(stack)
         ok = ~np.isnan(structures).any(axis=(-1, -2))
         assert ok.tolist() == [is_c_symplectic_rank(omega).ok for omega in forms]
@@ -558,9 +562,9 @@ def stacked_cases():
     from csympl.torus import TorusGrid, closed_control_form
 
     rng = np.random.default_rng(15)
-    passing = [ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])[0] for _ in range(5)]
+    passing = [ComplexTwoForm(random_c_symplectics([rng], 8)[0][0]) for _ in range(5)]
     # kinds 0-1 pass, kinds 2-4 fail and get NaN structures
-    mixed = ComplexTwoForm.from_skew(suites.mixed_two_forms([np.random.default_rng([4, i]) for i in range(40)], 4))
+    mixed = list(map(ComplexTwoForm, suites.mixed_two_forms([np.random.default_rng([4, i]) for i in range(40)], 4)))
     return {
         "repeated-c-symplectic": repeated_stack(rng, passing, 300),
         "repeated-mixed": repeated_stack(rng, mixed, 300),
@@ -784,7 +788,7 @@ def oracle_forms(dim):
 
     draws = (random_c_symplectics(rngs(), dim)[0], suites._structures_with_forms(rngs(), dim)[1])
     for triple in zip(*draws, suites.mixed_two_forms(rngs(), dim)):
-        yield from ComplexTwoForm.from_skew(np.stack(triple))
+        yield from map(ComplexTwoForm, np.stack(triple))
 
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
@@ -812,7 +816,7 @@ def test_family_structures_are_bitwise_the_single_form_path(dim):
         family = DeformationFamily.build_many(projection, random_base_forms(projection, [rng], scale=0.5))
         (forms,), (structures,) = decide_members(family, [DEFAULT_T_SAMPLES])
         assert len(structures) == len(DEFAULT_T_SAMPLES)
-        for form, structure in zip(ComplexTwoForm.from_skew(forms), structures):
+        for form, structure in zip(map(ComplexTwoForm, forms), structures):
             assert structure.tobytes() == solved_structure(form).tobytes()
 
 
@@ -894,7 +898,7 @@ def test_induced_structure_equivariance():
 
 def test_induced_structure_scaling_invariance():
     rng = np.random.default_rng(3)
-    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
+    omega = ComplexTwoForm(random_c_symplectics([rng], 8)[0][0])
     base = induced_complex_structure(omega).matrix
     for _ in range(20):
         lam = complex(rng.standard_normal(), rng.standard_normal())
@@ -913,7 +917,7 @@ def test_induced_structure_rejects_with_named_criterion():
 def test_induced_structure_against_least_squares_oracle():
     # independent construction: solve I^T [A | conj A] = [iA | -i conj A]
     rng = np.random.default_rng(4)
-    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
+    omega = ComplexTwoForm(random_c_symplectics([rng], 8)[0][0])
     a = omega.matrix
     lhs = np.hstack([a, a.conj()])
     rhs = np.hstack([1j * a, -1j * a.conj()])
@@ -989,7 +993,7 @@ def test_hodge_projector_split_matches_pullback_average(dim):
     rng = np.random.default_rng(dim)
     count = dim * (dim - 1) // 2
     for _ in range(5):
-        structure = induced_complex_structure(ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])[0])
+        structure = induced_complex_structure(ComplexTwoForm(random_c_symplectics([rng], dim)[0][0]))
         form = ComplexKForm(dim, 2, rng.standard_normal(count) + 1j * rng.standard_normal(count))
         comps = hodge_decompose(ComplexTwoForm.from_kform(form), structure)
         reference = pullback_average(form, structure)
@@ -1000,7 +1004,7 @@ def test_hodge_projector_split_matches_pullback_average(dim):
 
 def test_hodge_takes_two_forms_only():
     rng = np.random.default_rng(7)
-    structure = induced_complex_structure(ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])[0])
+    structure = induced_complex_structure(ComplexTwoForm(random_c_symplectics([rng], 8)[0][0]))
     form = ComplexKForm(8, 3, rng.standard_normal(56) + 1j * rng.standard_normal(56))
     with pytest.raises(ValueError, match="2-forms"):
         hodge_decompose(ComplexTwoForm.from_kform(form), structure)
@@ -1037,7 +1041,7 @@ def test_basis_residuals_random_instances(dim):
     target = q_block_form(dim // 4).matrix
     for i in range(10):
         rng = np.random.default_rng([dim, i])
-        (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], dim)[0])
+        omega = ComplexTwoForm(random_c_symplectics([rng], dim)[0][0])
         b = c_symplectic_basis(omega)
         residual = np.max(np.abs(b.T @ omega.matrix @ b - target)) / omega.norm()
         assert residual < 1e-8
@@ -1083,7 +1087,7 @@ def per_block_basis_reference(omega):
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_bases_in_stacks_of_seven_are_each_form_alone_bit_for_bit(dim):
     stack = random_c_symplectics([np.random.default_rng([41, dim, i]) for i in range(100)], dim)[0]
-    omegas = ComplexTwoForm.from_skew(stack)
+    omegas = list(map(ComplexTwoForm, stack))
     bases = np.concatenate([c_symplectic_bases(stack[start : start + 7]) for start in range(0, 100, 7)])
     target = q_block_form(dim // 4).matrix
     for omega, b in zip(omegas, bases):
@@ -1102,7 +1106,7 @@ def test_bases_of_no_forms_raise_a_value_error():
 def test_bases_raise_for_a_carrier_that_is_not_invariant(monkeypatch):
     # the structure of another form leaves the first complement non-invariant
     rngs = [np.random.default_rng(43), np.random.default_rng(44)]
-    omega, other = ComplexTwoForm.from_skew(random_c_symplectics(rngs, 8)[0])
+    omega, other = map(ComplexTwoForm, random_c_symplectics(rngs, 8)[0])
     accept = csymplectic.accepted_structures
     monkeypatch.setattr(csymplectic, "accepted_structures", lambda omegas: accept(other.matrix[None]))
     with pytest.raises(PostconditionError, match="carrier is not I-invariant"):
@@ -1189,7 +1193,7 @@ def test_quotient_structure_on_canonical_basis_fibers():
     # each canonical block contributes a fiber pair (u2, I u2); their span
     # is c-Lagrangian and supports the inherited structure
     rng = np.random.default_rng(11)
-    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
+    omega = ComplexTwoForm(random_c_symplectics([rng], 8)[0][0])
     space = CSymplecticSpace.from_form(omega)
     b = c_symplectic_basis(omega)
     fiber = Subspace(b[:, [2, 3, 6, 7]])
@@ -1223,10 +1227,10 @@ def test_quotient_independent_of_complement_model():
 
 def test_c_symplectic_space_caches_validated_data(monkeypatch):
     rng = np.random.default_rng(10)
-    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
+    omega = ComplexTwoForm(random_c_symplectics([rng], 8)[0][0])
     space = CSymplecticSpace.from_form(omega)
     assert len(space) == 1 and space.omegas.tobytes() == omega.matrix.tobytes()
-    (validated,) = ComplexTwoForm.from_skew(space.omegas)
+    validated = ComplexTwoForm(space.omegas[0])
     assert is_c_symplectic_rank(validated).ok and is_c_symplectic_power(validated).ok
     assert is_c_symplectic_rank(validated).kernel_dim == 4
     assert np.allclose(space.structures[0], induced_complex_structure(omega).matrix, atol=1e-12)
@@ -1241,6 +1245,12 @@ def test_c_symplectic_space_caches_validated_data(monkeypatch):
 def test_spaces_of_no_forms_raise_a_value_error():
     with pytest.raises(ValueError, match="no forms to validate"):
         CSymplecticSpace.from_forms([])
+
+
+@pytest.mark.parametrize("build", [CSymplecticSpace.from_forms, c_symplectic_bases])
+def test_stacked_builders_refuse_forms_on_r0(build):
+    with pytest.raises(ValueError, match="^dim must be a positive multiple of 4, got 0$"):
+        build(np.zeros((1, 0, 0), dtype=complex))
 
 
 def test_spaces_refuse_forms_that_are_not_a_finite_stack_of_square_matrices():

@@ -78,7 +78,7 @@ def random_setup(dim, seed):
 
 def random_gamma(projection, rng, scale=1.0):
     """One random (2,0)+(1,1) base form of a projection range of one."""
-    return ComplexTwoForm.from_skew(random_base_forms(projection, [rng], scale))[0]
+    return ComplexTwoForm(random_base_forms(projection, [rng], scale)[0])
 
 
 # -- projections and sections -------------------------------------------------
@@ -169,7 +169,7 @@ def test_section_form_consistent_with_pullback():
     for i in range(20):
         proj, rng = random_setup(4 if i % 2 else 8, 100 + i)
         section = LinearSection.random_many(proj, [rng])
-        omega_sigma = ComplexTwoForm.from_skew(section_forms(section)[0])[0]
+        omega_sigma = ComplexTwoForm(section_forms(section)[0][0])
         lifted = pullback(section.maps[0], ComplexTwoForm(proj.omegas[0]).to_kform())
         assert omega_sigma.to_kform().isclose(lifted, tol=1e-12)
 
@@ -255,7 +255,7 @@ def test_family_is_affine_in_t():
     gammas = random_base_forms(proj, [rng])
     family = DeformationFamily.build_many(proj, gammas)
     t1, t2 = 0.7 - 0.2j, -1.3 + 0.4j
-    direct, first = ComplexTwoForm.from_skew(decide_members(family, [[t1 + t2, t1]])[0][0])
+    direct, first = map(ComplexTwoForm, decide_members(family, [[t1 + t2, t1]])[0][0])
     (w,) = proj.maps
     pulled = w.T @ gammas[0] @ w
     staged = ComplexTwoForm(first.matrix + t2 * pulled)
@@ -378,7 +378,7 @@ def svd_count(seen, matrix):
 
 
 def test_space_and_structure_svd_the_form_once(svd_inputs):
-    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([np.random.default_rng(30)], 8)[0])
+    omega = ComplexTwoForm(random_c_symplectics([np.random.default_rng(30)], 8)[0][0])
     for analyse in (CSymplecticSpace.from_form, induced_complex_structure, c_symplectic_basis):
         svd_inputs.clear()
         analyse(omega)
@@ -440,8 +440,8 @@ def test_family_structures_are_checked_members():
     proj, rng = random_setup(8, 32)
     family = DeformationFamily.build_many(proj, random_base_forms(proj, [rng]))
     ((form,),), ((structure,),) = decide_members(family, [[0.5 + 0.5j]])
-    (omega_t,) = ComplexTwoForm.from_skew(form[None])
-    assert np.array_equal(omega_t.matrix, deform(proj, ComplexTwoForm.from_skew(family.gammas)[0], 0.5 + 0.5j).matrix)
+    omega_t = ComplexTwoForm(form)
+    assert deform(proj, ComplexTwoForm(family.gammas[0]), 0.5 + 0.5j).matrix.tobytes() == form.tobytes()
     assert is_c_symplectic_rank(omega_t).ok and is_c_symplectic_power(omega_t).ok
     assert np.array_equal(structure, induced_complex_structure(omega_t).matrix)
 
@@ -473,7 +473,7 @@ def test_members_of_many_families_decide_as_each_family_alone():
     assert forms.shape == structures.shape == forms_alone.shape == structures_alone.shape == (3, 5, 8, 8)
     assert forms.tobytes() == forms_alone.tobytes() and structures.tobytes() == structures_alone.tobytes()
     reports = verify_preservances(projection, gammas)
-    assert reports == [verify_preservance(one, gamma) for one, gamma in zip(alone, ComplexTwoForm.from_skew(gammas))]
+    assert reports == [verify_preservance(one, gamma) for one, gamma in zip(alone, map(ComplexTwoForm, gammas))]
     sections = LinearSection.random_many(projection, rngs)
     _, _, certificates = holomorphize_sections(sections)
     singles = [LinearSection(one, section_map[None]) for one, section_map in zip(alone, sections.maps)]
@@ -539,7 +539,7 @@ def test_each_stacked_builder_is_its_stack_of_one_bit_for_bit(dim):
     omegas = random_c_symplectics(rngs, dim)[0]
     alone_rngs = copy.deepcopy(rngs)
     spaces = CSymplecticSpace.from_forms(omegas)
-    spaces_alone = [CSymplecticSpace.from_form(omega) for omega in ComplexTwoForm.from_skew(omegas)]
+    spaces_alone = [CSymplecticSpace.from_form(omega) for omega in map(ComplexTwoForm, omegas)]
     for i, one in enumerate(spaces_alone):
         assert_instance_is_its_range_of_one(spaces, i, one)
     fibers = random_lagrangians(spaces, rngs)
@@ -567,7 +567,7 @@ def test_each_stacked_builder_is_its_stack_of_one_bit_for_bit(dim):
         pulled_alone, certificate_alone = section_forms(section)
         assert same_bits(pulled_back[i], pulled_alone[0])
         assert_instance_is_its_range_of_one(certificate, i, certificate_alone)
-        assert reports[i] == verify_preservance(one, ComplexTwoForm.from_skew(gamma)[0])
+        assert reports[i] == verify_preservance(one, ComplexTwoForm(gamma[0]))
         eta, omega_prime, certificate_alone = holomorphize_section(section)
         assert certificates[i] == certificate_alone
         assert same_bits(etas[i], eta) and same_bits(omega_primes[i], omega_prime)
@@ -615,15 +615,6 @@ def test_stacked_builders_of_no_instances_raise_a_value_error():
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
-
-def test_family_structures_are_not_rechecked(monkeypatch):
-    proj, rng = random_setup(8, 32)
-    family = DeformationFamily.build_many(proj, random_base_forms(proj, [rng]))
-    _, (structures,) = decide_members(family, [[0.25, 0.5 + 0.5j]])
-    checked = [ComplexStructure(8, s) for s in structures]
-    monkeypatch.setattr(ComplexStructure, "__post_init__", lambda self: pytest.fail("accepted structure re-checked"))
-    accepted = [ComplexStructure.from_accepted(8, s) for s in structures]
-    assert all(np.array_equal(a.matrix, c.matrix) for a, c in zip(accepted, checked))
 
 # -- section holomorphization --------------------------------------------------------
 

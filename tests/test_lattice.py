@@ -287,6 +287,26 @@ def test_find_section_class_rejects_bad_input():
         find_section_class(odd, [1])
 
 
+NON_INTEGER_CALLS = {
+    "is_primitive_isotropic": lambda: is_primitive_isotropic(K3, [1.7] + [0] * 21),
+    "dual_vector": lambda: dual_vector(K3, np.asarray(unit(0), dtype=float)),
+    "square_minus_two": lambda: square_minus_two(K3, unit(0), [0, 1.5] + [0] * 20),
+    "find_section_class": lambda: find_section_class(K3, [1.7] + [0] * 21),
+    "reflect": lambda: reflect(K3, [1, -1] + [0] * 20, [0.5] + [0] * 21),
+    "random_isometry_images": lambda: random_isometry_images(K3, np.random.default_rng(0), [[0.5] + [0] * 21]),
+    "twistor_parameter": lambda: twistor_parameter(
+        K3, [x + 0.4 for x in find_section_class(K3, unit(0))], unit(0), PeriodPoint.standard(K3).omega_class
+    ),
+    "TwistorCurve": lambda: TwistorCurve(PeriodPoint.standard(K3), [0] * 4 + [1.5] + [0] * 17),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_CALLS)
+def test_lattice_entry_points_refuse_non_integer_entries(name):
+    with pytest.raises(ValueError, match="integer entries"):
+        NON_INTEGER_CALLS[name]()
+
+
 # -- reflections -------------------------------------------------------------------------
 
 

@@ -1,15 +1,14 @@
-"""Subspaces built from bases that are orthonormal by construction, and the
-one rank decision every kernel, null space and span rank makes."""
+"""Subspaces, complex structures, and the one rank decision every kernel,
+null space and span rank makes."""
 
 import numpy as np
 import pytest
 
-from csympl.csymplectic import induced_complex_structure, random_c_symplectics
+from csympl.csymplectic import accepted_structures, induced_complex_structure, random_c_symplectics
 from csympl.forms import ComplexTwoForm, form_kernel
 from csympl.linalg import (
     DEFAULT_TOL,
     ComplexStructure,
-    PostconditionError,
     Subspace,
     null_space,
     numerical_rank,
@@ -24,75 +23,48 @@ def random_orthonormal(rng, m, k, field):
     return np.linalg.qr(raw)[0]
 
 
-def test_from_orthonormal_rejects_a_non_orthonormal_basis():
-    q = random_orthonormal(np.random.default_rng(0), 6, 3, "R")
-    with pytest.raises(PostconditionError):
-        Subspace.from_orthonormal(2.0 * q)
-    with pytest.raises(PostconditionError):
-        Subspace.from_orthonormal(np.full((4, 1), np.nan))
-
-
 @pytest.mark.parametrize("field", ["R", "C"])
 @pytest.mark.parametrize("k", [0, 1, 3, 6])
-def test_from_orthonormal_agrees_with_the_full_constructor(field, k):
+def test_subspace_of_an_orthonormal_basis(field, k):
     rng = np.random.default_rng(10 + k)
     q = random_orthonormal(rng, 6, k, field)
-    fast, full = Subspace.from_orthonormal(q, field=field), Subspace(q, field=field)
-    assert fast.orthonormal_basis() is fast.basis
-    assert fast.dim == full.dim == k and fast.field == full.field == field
+    subspace = Subspace(q, field=field)
+    assert subspace.dim == k and subspace.field == field
     vectors = rng.standard_normal((6, 4)) + (1j * rng.standard_normal((6, 4)) if field == "C" else 0)
-    assert np.allclose(fast.project(vectors), full.project(vectors), atol=1e-12)
+    assert np.allclose(subspace.project(vectors), q @ (q.conj().T @ vectors), atol=1e-12)
     inside = q @ rng.standard_normal(k)
     outside = vectors[:, 0]
-    assert fast.contains(inside) and full.contains(inside)
-    assert fast.contains(outside) == full.contains(outside) == (k == 6)
-    assert fast.equals(full) and full.equals(fast)
-    assert fast.orthogonal_complement().equals(full.orthogonal_complement())
+    assert subspace.contains(inside)
+    assert subspace.contains(outside) == (k == 6)
+    assert subspace.equals(Subspace(2.0 * q, field=field))
+    complement = subspace.orthogonal_complement()
+    assert complement.dim == 6 - k and complement.field == field
+    assert np.allclose(q.conj().T @ complement.orthonormal_basis(), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [4, 8, 12])
 def test_form_kernel_equals_the_fully_checked_kernel(dim):
-    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([np.random.default_rng(dim)], dim)[0])
+    omega = ComplexTwoForm(random_c_symplectics([np.random.default_rng(dim)], dim)[0][0])
     kernel = form_kernel(omega).subspace
     assert kernel.dim == dim // 2
     assert kernel.equals(Subspace(kernel.basis, field="C"))
 
 
-def test_orthonormal_constructions_make_no_qr(monkeypatch):
-    calls = []
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
-    rng = np.random.default_rng(3)
-    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([rng], 8)[0])
-    subspaces = [Subspace(rng.standard_normal((8, 4))), Subspace(np.zeros((8, 0)), field="C")]
-    calls.clear()
-    form_kernel(omega)
-    for subspace in subspaces:
-        subspace.orthogonal_complement()
-    assert calls == []
-
-
-def test_complex_structure_checks_its_square_unless_accepted(monkeypatch):
+def test_complex_structure_checks_its_shape_and_square():
     j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match=r"I\^2 != -Id"):
         ComplexStructure(2, np.eye(2))
-    for construct in (ComplexStructure, ComplexStructure.from_accepted):
-        with pytest.raises(ValueError, match="shape"):
-            construct(4, j2)
-        with pytest.raises(ValueError, match="even"):
-            construct(3, np.eye(3))
-    (omega,) = ComplexTwoForm.from_skew(random_c_symplectics([np.random.default_rng(7)], 8)[0])
-    checked = ComplexStructure(8, induced_complex_structure(omega).matrix)
+    with pytest.raises(ValueError, match="shape"):
+        ComplexStructure(4, j2)
+    with pytest.raises(ValueError, match="even"):
+        ComplexStructure(3, np.eye(3))
 
-    def square_check(self):
-        raise AssertionError("accepted structure re-checked")
 
-    monkeypatch.setattr(ComplexStructure, "__post_init__", square_check)
-    accepted = induced_complex_structure(omega)  # builds no second I^2 product
-    assert accepted.dim == 8 and accepted.matrix.dtype == np.float64
-    assert np.array_equal(accepted.matrix, checked.matrix)
-    with pytest.raises(AssertionError, match="re-checked"):
-        ComplexStructure(2, j2)
+def test_induced_complex_structure_is_bitwise_the_accepted_structure():
+    omega = ComplexTwoForm(random_c_symplectics([np.random.default_rng(7)], 8)[0][0])
+    structure = induced_complex_structure(omega)
+    assert structure.dim == 8 and structure.matrix.dtype == np.float64
+    assert structure.matrix.tobytes() == accepted_structures(omega.matrix[None])[0].tobytes()
 
 
 #: Multiples of the cutoff DEFAULT_TOL * sigma_max straddling it, with the

@@ -1,4 +1,5 @@
-"""The claim arithmetic of tools/record_bench.py's pair mode."""
+"""The claim arithmetic of tools/record_bench.py's pair mode, and its
+acceptance-suite times."""
 
 import importlib.util
 import json
@@ -171,3 +172,41 @@ def test_each_side_reads_one_warm_bytecode_cache_of_its_own(monkeypatch, tmp_pat
     assert scripts == 2 * (["worker.py", "worker.py"] + ["run.py"] * 4)
     assert [name for name, script, _ in calls if script == "worker.py"] == ["parent", "change"] * 2
     assert not any(Path(cache).exists() for cache in caches["parent"] | caches["change"])  # removed afterwards
+
+
+def test_acceptance_suites_time_each_run_once_in_each_fresh_process(monkeypatch):
+    swept = []
+
+    def sweep(tree, seeds, runs):
+        swept.append((tree, seeds, runs))
+        seconds = float(len(swept))
+        return {
+            (record_bench.run_label(config), seeds[0]): {
+                "digest": "c" if "control" not in config else "c/n",
+                "rows": [{"pass": True}, {"pass": config["suite"] != "twistor-curve"}],
+                "s": seconds,
+            }
+            for config in runs
+        }
+
+    monkeypatch.setattr(record_bench, "sweep", sweep)
+    rows = record_bench.acceptance_suites()
+    processes = record_bench.ACCEPTANCE_PROCESSES
+    runs = record_bench.ACCEPTANCE_RUNS
+    assert swept == [(record_bench.ROOT, [record_bench.ACCEPTANCE_SEED], runs)] * processes
+    times = [float(k) for k in range(1, processes + 1)]
+    assert [row["config"] for row in rows] == list(runs)
+    for row in rows:
+        assert row["runs_s"] == times
+        assert {key: row[key] for key in ("median", "q1", "q3", "spread")} == record_bench.summarise(times)
+        assert row["passed"] == (row["config"]["suite"] != "twistor-curve")
+        expected = {"checks_sha256": "c", "nodes_sha256": "n"} if "control" in row["config"] else {"checks_sha256": "c"}
+        assert {key: value for key, value in row.items() if key.endswith("_sha256")} == expected
+    # a run whose report differs between fresh processes is no timing of one report
+    def diverging_sweep(tree, seeds, runs):
+        swept.append(runs)
+        return {(record_bench.run_label(config), seeds[0]): {"digest": str(len(swept)), "rows": [], "s": 1.0} for config in runs}
+
+    monkeypatch.setattr(record_bench, "sweep", diverging_sweep)
+    with pytest.raises(RuntimeError, match=r"^criteria-equivalence: fresh processes gave different reports"):
+        record_bench.acceptance_suites()

@@ -637,7 +637,7 @@ def induced_case_reference(cfg, dim, indices):
     for index in indices:
         rng = suites._case_rng(cfg, dim, index)
         (structure,), omegas = suites._structures_with_forms([rng], dim)
-        (omega,) = forms.ComplexTwoForm.from_skew(omegas)
+        omega = forms.ComplexTwoForm(omegas[0])
         induced = csymplectic.induced_complex_structure(omega).matrix
         inputs = {"omega": omega.matrix, "structure": structure}
         measurements = [("uniqueness", linalg.max_abs(induced - structure))]
@@ -731,7 +731,7 @@ def gram_schmidt_case_reference(cfg, dim, indices):
     cases = []
     for index in indices:
         omegas = csymplectic.random_c_symplectics([suites._case_rng(cfg, dim, index)], dim)[0]
-        (omega,) = forms.ComplexTwoForm.from_skew(omegas)
+        omega = forms.ComplexTwoForm(omegas[0])
         b = csymplectic.c_symplectic_basis(omega)
         residual = linalg.max_abs(b.T @ omega.matrix @ b - csymplectic.q_block_form(dim // 4).matrix) / omega.norm()
         cases.append(({"omega": omega.matrix}, [("q-block-residual", residual)]))
@@ -785,7 +785,7 @@ def lagrangian_instance_reference(cfg, dim, index):
     """One index's generator, space range of one and fiber subspace, its form
     decided on its own."""
     rng = suites._case_rng(cfg, dim, index)
-    (omega,) = forms.ComplexTwoForm.from_skew(csymplectic.random_c_symplectics([rng], dim)[0])
+    omega = forms.ComplexTwoForm(csymplectic.random_c_symplectics([rng], dim)[0][0])
     space = csymplectic.CSymplecticSpace.from_form(omega)
     fiber = linalg.Subspace(suites.random_lagrangians(space, [rng])[0])
     return rng, space, fiber, {"omega": space.omegas[0], "fiber basis": fiber.basis}
@@ -810,7 +810,7 @@ def preservance_case_reference(cfg, dim, indices):
     for index in indices:
         rng, space, fiber, inputs = lagrangian_instance_reference(cfg, dim, index)
         projection = deformation.LagrangianProjection.build(space, fiber)
-        (gamma,) = forms.ComplexTwoForm.from_skew(deformation.random_base_forms(projection, [rng], scale=0.5))
+        gamma = forms.ComplexTwoForm(deformation.random_base_forms(projection, [rng], scale=0.5)[0])
         inputs["gamma"] = gamma.matrix
         report = deformation.verify_preservance(projection, gamma, deformation.DEFAULT_T_SAMPLES)
         measurements = [
@@ -846,7 +846,7 @@ def maximality_case_reference(cfg, dim, indices):
     cases = []
     for index in indices:
         rng = suites._case_rng(cfg, dim, 10_000 + index)
-        (omega,) = forms.ComplexTwoForm.from_skew(csymplectic.random_c_symplectics([rng], dim)[0])
+        omega = forms.ComplexTwoForm(csymplectic.random_c_symplectics([rng], dim)[0][0])
         space = csymplectic.CSymplecticSpace.from_form(omega)
         subspace = suites._random_candidate_subspace(space, rng)
         by_dimension = csymplectic.is_c_lagrangian(subspace, omega, 1e-8)

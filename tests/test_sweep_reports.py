@@ -1,5 +1,5 @@
-"""The report sweep of tools/sweep_reports.py: its comparison of two trees
-and its worst value per (check, dim)."""
+"""The report sweep of tools/sweep_reports.py: its comparison of two trees,
+its worst value per (check, dim) and its run times."""
 
 import contextlib
 import importlib.util
@@ -30,6 +30,7 @@ def test_a_tree_compared_with_itself_reads_no_changes():
     )
     assert sweep_reports.compare(first, second) == {"changed": [], "flipped": []}
     assert first[("testbed-nijenhuis/closed", 0)]["digest"].count("/") == 1  # the node table's digest
+    assert all(report["s"] > 0 for report in first.values())  # each run's wall time
     worst = sweep_reports.worst_values(first)
     assert {check for check, dim in worst} == {
         "preservance", "preservance-fiber-lagrangian", "holomorphize", "holomorphize-graph-lagrangian",

@@ -9,10 +9,11 @@ Runs ``perfbench/run.py`` unchanged on every workload of BENCHMARK.json,
 once with ``--trace 0`` and once with ``--trace 1``, and keeps each run's
 detail line (provenance and the details behind the metrics) and result
 line as they were printed. It adds the Tier-1 wall time, the time of every
-suite at the sample sizes of ``tests/test_acceptance.py`` (best of
-SUITE_REPEATS in one process, with a digest of its check rows and, for the
-testbed, of its node table), and where the ``lattice`` workload's pairings
-come from, for the note on ``lattice.pair_per_class``.
+suite at the sample sizes of ``tests/test_acceptance.py`` (once in each of
+ACCEPTANCE_PROCESSES fresh ``tools/sweep_reports.py`` worker processes,
+with the median and quartiles of those times and a digest of its check rows
+and, for the testbed, of its node table), and where the ``lattice``
+workload's pairings come from, for the note on ``lattice.pair_per_class``.
 
 With ``--parent REV`` it also writes a ``claim`` and a ``guards`` block. It
 copies REV's tree with ``git archive`` into a temporary directory (removed
@@ -51,9 +52,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
 from baseline import run_once, summarise  # noqa: E402  (perfbench/baseline.py)
+from sweep_reports import run_label, sweep  # noqa: E402
 
 #: The suite runs of tests/test_acceptance.py, at its seed and sizes.
 ACCEPTANCE_SEED = 20260810
@@ -69,7 +71,10 @@ ACCEPTANCE_RUNS = (
     dict(suite="lattice-sections", samples=100),
     dict(suite="twistor-curve", samples=100),
 )
-SUITE_REPEATS = 3
+#: Fresh processes that each time every acceptance run once. The quartiles
+#: of their times show the run-to-run spread that a best of three in one
+#: process hid.
+ACCEPTANCE_PROCESSES = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 PAIR = "lattice.IntegralLattice.pair"
 #: Pair seeds of PR N start at PAIR_SEEDS_PER_PR * N + 1.
@@ -98,17 +103,22 @@ def report_digests(report) -> dict:
 
 
 def acceptance_suites() -> list:
-    from csympl.suites import SuiteConfig, run_suite
-
+    """Each acceptance run at ACCEPTANCE_SEED, timed once in each of
+    ACCEPTANCE_PROCESSES fresh ``sweep_reports`` worker processes: its
+    config, the ``summarise`` of its times, the times, whether it passed and
+    the ``report_digests`` the workers joined. Raises ``RuntimeError`` when
+    the processes' digests of one run differ."""
+    sweeps = [sweep(ROOT, [ACCEPTANCE_SEED], ACCEPTANCE_RUNS) for _ in range(ACCEPTANCE_PROCESSES)]
     rows = []
     for config in ACCEPTANCE_RUNS:
-        times = []
-        for _ in range(SUITE_REPEATS):
-            start = time.perf_counter()
-            report = run_suite(SuiteConfig(seed=ACCEPTANCE_SEED, **config))
-            times.append(time.perf_counter() - start)
-        row = {"config": config, "best_s": min(times), "runs_s": times, "passed": report.passed}
-        rows.append({**row, **report_digests(report)})
+        reports = [swept[run_label(config), ACCEPTANCE_SEED] for swept in sweeps]
+        digests = {report["digest"] for report in reports}
+        if len(digests) != 1:
+            raise RuntimeError(f"{run_label(config)}: fresh processes gave different reports: {sorted(digests)}")
+        times = [report["s"] for report in reports]
+        passed = all(row["pass"] for row in reports[0]["rows"])
+        digest = dict(zip(("checks_sha256", "nodes_sha256"), digests.pop().split("/")))
+        rows.append({"config": config, **summarise(times), "runs_s": times, "passed": passed, **digest})
     return rows
 
 

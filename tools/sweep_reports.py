@@ -6,13 +6,12 @@ Usage:
 
 For every seed, a fresh process imports csympl from the tree's ``src/`` and
 runs each configuration of ``ACCEPTANCE_RUNS`` (``tools/record_bench.py``,
-the sizes of ``tests/test_acceptance.py``) at that seed. A report is
-summarized by ``record_bench.report_digests``, as ``record_bench.py``
-summarizes it: the sha256 of its check rows and, for the testbed, of its
-node table. The run prints the worst value of every (check, dim): the one
-closest to the check's bound in ``suites.CHECKS``. ``--scale K`` multiplies
-each run's ``samples`` by K; the testbed runs have no ``samples`` and stay
-as they are.
+the sizes of ``tests/test_acceptance.py``) at that seed, timing each run. A
+report is summarized by ``record_bench.report_digests``: the sha256 of its
+check rows and, for the testbed, of its node table. The run prints the
+worst value of every (check, dim): the one closest to the check's bound in
+``suites.CHECKS``. ``--scale K`` multiplies each run's ``samples`` by K; the
+testbed runs have no ``samples`` and stay as they are.
 
 With ``--compare REV`` it copies REV's tree with ``git archive`` into a
 temporary directory (removed afterwards, also on failure), sweeps it the
@@ -30,6 +29,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -68,7 +68,8 @@ def scaled_runs(runs, scale: int) -> list:
 
 def worker(job: dict) -> dict:
     """Run every configuration of ``job`` at its seed with the csympl of
-    ``job["src"]``: per run, its digests and its rows with their bounds."""
+    ``job["src"]``: per run, its digests, its rows with their bounds and its
+    wall time in seconds."""
     sys.path.insert(0, job["src"])
     from csympl.suites import CHECKS, SuiteConfig, run_suite
 
@@ -77,12 +78,14 @@ def worker(job: dict) -> dict:
 
     reports = {}
     for config in job["runs"]:
+        start = time.perf_counter()
         report = run_suite(SuiteConfig(seed=job["seed"], **config))
+        seconds = time.perf_counter() - start
         digest = "/".join(report_digests(report).values())
         rows = [
             {**row, "bounds": [CHECKS[row["check"]].low, CHECKS[row["check"]].high]} for row in report.checks
         ]
-        reports[run_label(config)] = {"digest": digest, "rows": rows}
+        reports[run_label(config)] = {"digest": digest, "rows": rows, "s": seconds}
     return reports
 
 
