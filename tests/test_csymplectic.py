@@ -247,19 +247,57 @@ def test_empty_stack_has_no_verdicts():
     assert [len(field) for field in verdicts] == [0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("scale", [1.5, np.nan])
-def test_rank_verdicts_check_their_kernel_bases_are_orthonormal(scale, monkeypatch):
-    svd = np.linalg.svd
+def real_plane_kernel_form(rng, dim):
+    """p^T (Q^{+(n-1)} + B) p for a real 4x4 skew B of rank 2 and a random
+    real p: its kernel has complex dimension m/2 and holds a 2-dimensional
+    real subspace."""
+    u, v = rng.standard_normal((2, 4))
+    mat = q_block_form(dim // 4).matrix.copy()
+    mat[-4:, -4:] = np.outer(u, v) - np.outer(v, u)
+    p = rng.standard_normal((dim, dim))
+    return ComplexTwoForm(p.T @ mat @ p)
 
-    def scaled_svd(a, *args, **kwargs):
-        u, s, vh = svd(a, *args, **kwargs)
-        return u, s, vh * scale
 
-    monkeypatch.setattr(np.linalg, "svd", scaled_svd)
-    with pytest.raises(PostconditionError, match="not orthonormal"):
-        rank_verdicts(np.stack([Q_BLOCK, 2 * Q_BLOCK]))
-    with pytest.raises(PostconditionError, match="not orthonormal"):
-        is_c_symplectic_rank(q_block_form(2))
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_rank_verdicts_read_real_span_ranks_between_half_and_full(dim):
+    forms = [real_plane_kernel_form(np.random.default_rng([41, dim, i]), dim) for i in range(5)]
+    references = assert_verdicts_are_the_reference(forms)
+    assert {(reference.kernel_dim, reference.real_span_rank) for reference in references} == {(dim // 2, dim - 2)}
+    assert {reference.reason for reference in references} == {"kernel contains real vectors"}
+
+
+def recorded_svd_calls(monkeypatch):
+    """Wrap ``np.linalg.svd``; returns the list of (input, compute_uv) of each call."""
+    svd, calls = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append((np.array(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_rank_verdicts_take_singular_values_only_and_stack_the_half_kernels_real(dim, monkeypatch):
+    stack = suites.mixed_two_forms([np.random.default_rng([dim, 2000 + i]) for i in range(50)], dim)
+    calls = recorded_svd_calls(monkeypatch)
+    verdicts = rank_verdicts(stack)
+    assert [compute_uv for _, compute_uv in calls] == [False, False]
+    assert calls[0][0].tobytes() == stack.tobytes()
+    halves = stack[verdicts.kernel_dim == dim // 2]
+    assert 0 < len(halves) < len(stack)
+    real = calls[1][0]
+    assert real.dtype == np.float64 and real.shape == (len(halves), 2 * dim, dim)
+    assert np.array_equal(real, np.concatenate([halves.real, halves.imag], axis=-2))
+
+
+def test_rank_verdicts_of_forms_without_half_kernels_make_one_svd(monkeypatch):
+    stack = np.stack([complex_gaussian_form(np.random.default_rng([43, i]), 8).matrix for i in range(20)])
+    calls = recorded_svd_calls(monkeypatch)
+    verdicts = rank_verdicts(stack)
+    assert [compute_uv for _, compute_uv in calls] == [False]
+    assert (verdicts.kernel_dim == 0).all() and (verdicts.real_span_rank == -1).all()
 
 
 def reference_criteria_sweep(cfg, power_verdicts):
@@ -674,18 +712,17 @@ def test_a_stack_without_repeats_is_decided_with_no_gather_or_scatter(monkeypatc
 def test_a_postcondition_in_a_worker_chunk_reaches_the_caller(monkeypatch):
     import threading
 
-    svd, caller = np.linalg.svd, threading.get_ident()
+    solve, caller = csymplectic.structures_from_forms, threading.get_ident()
 
-    def scaled_svd(a, *args, **kwargs):  # scales the kernel SVDs of the pool's chunks only
-        if threading.get_ident() == caller or kwargs.get("compute_uv") is False:
-            return svd(a, *args, **kwargs)
-        u, s, vh = svd(a, *args, **kwargs)
-        return u, s, vh * 1.5
+    def failing_solve(omegas):  # raises in the pool's chunks only
+        if threading.get_ident() == caller:
+            return solve(omegas)
+        raise PostconditionError("raised in a worker chunk")
 
     monkeypatch.setattr(csymplectic, "CHUNK", 1)
     monkeypatch.setattr(csymplectic, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(np.linalg, "svd", scaled_svd)
-    with pytest.raises(PostconditionError, match="not orthonormal"):
+    monkeypatch.setattr(csymplectic, "structures_from_forms", failing_solve)
+    with pytest.raises(PostconditionError, match="raised in a worker chunk"):
         induced_structures(np.stack([Q_BLOCK, 2 * Q_BLOCK, 3 * Q_BLOCK]))
 
 
@@ -1154,6 +1191,12 @@ def test_three_dims_not_lagrangian():
     three = Subspace(np.eye(4)[:, :3])
     assert not is_c_lagrangian(three, q)
     assert not is_c_isotropic(three, q)
+
+
+@pytest.mark.parametrize("dim", [0, 2, 6, 7])
+def test_lagrangians_need_a_form_on_r_4n(dim):
+    with pytest.raises(ValueError, match="does not live on"):
+        is_c_lagrangian(Subspace(np.zeros((dim, 0))), ComplexTwoForm(np.zeros((dim, dim))))
 
 
 def test_hitchin_invariance_of_found_lagrangians():
